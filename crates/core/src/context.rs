@@ -153,7 +153,7 @@ impl MatchContext {
         let dep2 = log2.dep_graph();
         let patterns: Vec<EvaluatedPattern> = pattern_list
             .into_iter()
-            .map(|p| EvaluatedPattern::new(p, &log1, &index1))
+            .map(|p| EvaluatedPattern::with_dep_graph(p, &log1, &index1, &dep1))
             .collect();
         let pattern_index =
             PatternIndex::new(n1, patterns.iter().map(|ep| ep.events.clone()).collect());

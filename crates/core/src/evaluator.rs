@@ -27,7 +27,7 @@ use evematch_graph::{IsoStats, MonoSearch};
 use evematch_pattern::{
     compiled_pattern_support_stats, compiled_pattern_support_with_fuel_stats, is_realizable,
     is_realizable_with_fuel, pattern_support_stats, pattern_support_with_fuel_stats,
-    CompiledPattern, Interrupted, MatcherEngine, SupportStats,
+    CompiledPattern, Interrupted, MatcherEngine, PatternShape, SupportStats,
 };
 
 use crate::bounds::PruneReason;
@@ -699,20 +699,14 @@ impl<'a> Evaluator<'a> {
         debug_assert_eq!(images.len(), ep.events.len());
         let dep2 = ctx.dep2();
         // Fast paths: vertex and edge special patterns (the bulk of P) read
-        // straight off the dependency graph.
-        match images {
-            [only] if ep.size() == 1 => return dep2.vertex_support(*only),
-            [_, _] if ep.graph.edge_count() == 1 => {
-                // edge_count() == 1 guarantees a first edge; if it were
-                // ever absent we fall through to the generic (correct,
-                // merely slower) log-scan path instead of panicking.
-                if let Some((a, b)) = ep.graph.edges_global().next() {
-                    let ia = image_of(ep, a, images);
-                    let ib = image_of(ep, b, images);
-                    return dep2.edge_support(ia, ib);
-                }
+        // straight off the dependency graph, exactly as their `f1` was
+        // read off `dep1` when the context was built.
+        match ep.shape {
+            PatternShape::Vertex(v) => return dep2.vertex_support(image_of(ep, v, images)),
+            PatternShape::Edge(a, b) => {
+                return dep2.edge_support(image_of(ep, a, images), image_of(ep, b, images))
             }
-            _ => {}
+            PatternShape::Complex => {}
         }
         let key = (p_idx as u32, images.to_vec().into_boxed_slice());
         if let Some(entry) = self.cache.get(&key) {
@@ -914,13 +908,9 @@ impl<'a> Evaluator<'a> {
             if images.len() != ep.events.len() {
                 continue;
             }
-            // Fast-path keys (vertex / single-edge patterns) never reach
-            // the cache, so there is nothing to prefetch for them.
-            if ep.size() == 1
-                || (images.len() == 2
-                    && ep.graph.edge_count() == 1
-                    && ep.graph.edges_global().next().is_some())
-            {
+            // Fast-path keys (vertex / edge patterns) never reach the
+            // cache, so there is nothing to prefetch for them.
+            if ep.shape != PatternShape::Complex {
                 continue;
             }
             let key: SupportKey = (*p_idx as u32, images.clone().into_boxed_slice());
@@ -1202,16 +1192,7 @@ mod tests {
         let idx = c
             .patterns()
             .iter()
-            .position(|ep| {
-                ep.size() == 2
-                    && ep.graph.edge_count() == 1
-                    && ep.events == vec![EventId(1), EventId(2)]
-                    && ep
-                        .graph
-                        .edges_global()
-                        .next()
-                        .is_some_and(|(a, b)| a == EventId(1) && b == EventId(2))
-            })
+            .position(|ep| ep.shape == PatternShape::Edge(EventId(1), EventId(2)))
             .expect("edge pattern B->C exists");
         let mut ev = Evaluator::new(&c);
         // B -> x, C -> y: edge x->y occurs in 1 of 2 traces.

@@ -561,8 +561,26 @@ macro_rules! faultpoint {
 mod tests {
     use super::*;
 
+    /// Holds the [`SCOPE`] serialization without arming anything: while
+    /// it is held no [`arm_scoped`] guard is alive, so the registry is
+    /// disarmed (every armed test in this binary arms through a scope).
+    fn disarmed_scope() -> MutexGuard<'static, ()> {
+        SCOPE.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The `fault.injected.*` counters only: they move solely while a
+    /// schedule is armed, unlike the retry/exhaustion/integrity notes that
+    /// unarmed tests running concurrently may bump.
+    fn injected() -> Vec<(String, u64)> {
+        telemetry()
+            .into_iter()
+            .filter(|(key, _)| key.starts_with("fault.injected."))
+            .collect()
+    }
+
     #[test]
     fn disarmed_failpoints_are_noops() {
+        let _serial = disarmed_scope();
         assert!(hit("nowhere").is_none());
         assert!(io_guard("nowhere").is_ok());
         assert!(!is_armed());
@@ -579,7 +597,7 @@ mod tests {
         let err = injected_error("persist.rename", class);
         assert_eq!(classify_io(&err), FaultClass::Transient);
         assert_eq!(
-            telemetry(),
+            injected(),
             vec![("fault.injected.persist.rename".to_owned(), 1)]
         );
     }
@@ -640,6 +658,9 @@ mod tests {
             let _guard = arm_scoped("s=panic", 0).unwrap();
             assert!(is_armed());
         }
+        // Another test may arm between the drop and here; re-taking the
+        // scope waits until it has disarmed again.
+        let _serial = disarmed_scope();
         assert!(!is_armed());
         assert!(hit("s").is_none());
     }

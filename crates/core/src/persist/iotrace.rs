@@ -1,6 +1,6 @@
 //! Logical I/O tracing for the crash-consistency explorer.
 //!
-//! When a trace is [`start`]ed, the persistence primitives in
+//! When a trace is started ([`start_under`]), the persistence primitives in
 //! [`crate::persist`] record every durable-state transition they perform —
 //! temp-file creation, content writes, fsyncs, renames, directory fsyncs,
 //! journal appends — as an ordered list of [`IoOp`]s. The
@@ -129,13 +129,8 @@ pub fn start_under(root: impl Into<PathBuf>) {
     ACTIVE.store(true, Ordering::Relaxed);
 }
 
-/// [`start_under`] with no path filter.
-pub fn start() {
-    start_under(PathBuf::new());
-}
-
-/// Stops recording and returns the ordered op list (empty if [`start`]
-/// was never called).
+/// Stops recording and returns the ordered op list (empty if
+/// [`start_under`] was never called).
 #[must_use]
 pub fn stop() -> Vec<IoOp> {
     // ordering: Relaxed — see the ACTIVE declaration.
@@ -178,31 +173,37 @@ mod tests {
     #[test]
     fn recorder_captures_only_while_active() {
         // Serialized against other iotrace tests by being the only one.
+        // The root keeps concurrent persistence tests (which write under
+        // the temp dir) out of the trace.
+        let root = PathBuf::from("iotrace-unit");
         record(|| IoOp::Fsync {
-            path: PathBuf::from("ignored"),
+            path: root.join("ignored"),
         });
-        start();
+        start_under(&root);
         assert!(is_active());
         record(|| IoOp::Fsync {
-            path: PathBuf::from("a"),
+            path: root.join("a"),
         });
-        record_path(|p| IoOp::AppendFsync { path: p }, Path::new("b"));
+        record_path(|p| IoOp::AppendFsync { path: p }, &root.join("b"));
+        record(|| IoOp::Fsync {
+            path: PathBuf::from("elsewhere"),
+        });
         let ops = stop();
         assert!(!is_active());
         assert_eq!(
             ops,
             vec![
                 IoOp::Fsync {
-                    path: PathBuf::from("a")
+                    path: root.join("a")
                 },
                 IoOp::AppendFsync {
-                    path: PathBuf::from("b")
+                    path: root.join("b")
                 },
             ]
         );
         // After stop, nothing records.
         record(|| IoOp::Fsync {
-            path: PathBuf::from("late"),
+            path: root.join("late"),
         });
         assert!(stop().is_empty());
 

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use evematch_eventlog::{ColumnarLog, EventId, TraceIndex};
+use evematch_eventlog::{ColumnarLog, EventId, EventLog, TraceIndex};
 
 use crate::ast::{Pattern, MAX_AND_ARITY, MAX_DEPTH};
 use crate::frequency::SupportStats;
@@ -491,14 +491,56 @@ pub fn compiled_pattern_support_stats(
     stats: &mut SupportStats,
 ) -> usize {
     debug_assert_eq!(index.event_count(), log.event_count());
-    let Some(sym_of) = scan_binding(cp, images, log) else {
+    scan_stats(
+        cp,
+        images,
+        log.event_count(),
+        index,
+        |t| log.trace(t),
+        stats,
+    )
+}
+
+/// The pattern's own support in a row-major [`EventLog`] (the identity
+/// binding over its sorted event list) — the `L1` scan behind
+/// [`crate::EvaluatedPattern`], which has no columnar view of `L1` to
+/// scan.
+pub(crate) fn compiled_identity_support(
+    cp: &CompiledPattern,
+    events: &[EventId],
+    log: &EventLog,
+    index: &TraceIndex,
+) -> usize {
+    debug_assert_eq!(index.event_count(), log.event_count());
+    scan_stats(
+        cp,
+        events,
+        log.event_count(),
+        index,
+        |t| log.traces()[t].events(),
+        &mut SupportStats::default(),
+    )
+}
+
+/// The unfueled scan shared by [`compiled_pattern_support_stats`] and
+/// [`compiled_identity_support`]; `trace` fetches a trace by id from
+/// whichever layout the caller holds.
+fn scan_stats<'l>(
+    cp: &CompiledPattern,
+    images: &[EventId],
+    event_count: usize,
+    index: &TraceIndex,
+    trace: impl Fn(usize) -> &'l [EventId],
+    stats: &mut SupportStats,
+) -> usize {
+    let Some(sym_of) = scan_binding(cp, images, event_count) else {
         return 0;
     };
     stats.index_probes += 1;
     let mut matched = 0usize;
     for t in index.traces_with_all(&sorted_images(images)) {
         stats.candidate_traces += 1;
-        if cp.run(log.trace(t as usize), |e| sym_of[e.index()]) {
+        if cp.run(trace(t as usize), |e| sym_of[e.index()]) {
             matched += 1;
         }
     }
@@ -538,7 +580,7 @@ pub fn compiled_pattern_support_with_fuel_stats(
     stats: &mut SupportStats,
 ) -> Result<usize, Interrupted> {
     debug_assert_eq!(index.event_count(), log.event_count());
-    let Some(sym_of) = scan_binding(cp, images, log) else {
+    let Some(sym_of) = scan_binding(cp, images, log.event_count()) else {
         return Ok(0);
     };
     stats.index_probes += 1;
@@ -568,12 +610,12 @@ fn sorted_images(images: &[EventId]) -> Vec<EventId> {
 /// when some image lies outside the log's vocabulary (the scan then
 /// reports support 0 *before* probing the index, exactly like the
 /// interpreter's out-of-vocabulary guard).
-fn scan_binding(cp: &CompiledPattern, images: &[EventId], log: &ColumnarLog) -> Option<Vec<u16>> {
+fn scan_binding(cp: &CompiledPattern, images: &[EventId], event_count: usize) -> Option<Vec<u16>> {
     debug_assert_eq!(images.len(), cp.k);
-    if images.iter().any(|e| e.index() >= log.event_count()) {
+    if images.iter().any(|e| e.index() >= event_count) {
         return None;
     }
-    let mut sym_of = vec![NO_SYM; log.event_count()];
+    let mut sym_of = vec![NO_SYM; event_count];
     for (i, &e) in images.iter().enumerate() {
         debug_assert_eq!(sym_of[e.index()], NO_SYM, "binding must be injective");
         sym_of[e.index()] = i as u16;

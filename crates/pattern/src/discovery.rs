@@ -26,7 +26,7 @@ use evematch_eventlog::{EventId, EventLog};
 use evematch_graph::MonoSearch;
 
 use crate::ast::Pattern;
-use crate::frequency::pattern_support;
+use crate::frequency::EvaluatedPattern;
 use crate::graph_form::PatternGraph;
 
 /// Configuration for [`discover_patterns`].
@@ -100,16 +100,16 @@ pub fn discover_patterns(log: &EventLog, cfg: &DiscoveryConfig) -> Vec<Pattern> 
     let mut scored: Vec<(Pattern, usize)> = candidates
         .into_iter()
         .filter_map(|p| {
-            let support = pattern_support(&p, log, &index);
-            if support < min_count {
+            let ep = EvaluatedPattern::with_dep_graph(p, log, &index, &dep);
+            if ep.support < min_count {
                 return None;
             }
-            if embeddings_capped(&p, &dep.graph().clone(), cfg.max_structural_twins + 1)
+            if embeddings_capped(&ep.graph, dep.graph(), cfg.max_structural_twins + 1)
                 > cfg.max_structural_twins
             {
                 return None;
             }
-            Some((p, support))
+            Some((ep.pattern, ep.support))
         })
         .collect();
     scored.sort_by(|(pa, sa), (pb, sb)| {
@@ -176,11 +176,11 @@ fn dedup_patterns(patterns: &mut Vec<Pattern>) {
 /// exists so one pathological dependency graph cannot stall discovery.
 const EMBEDDING_FUEL: u64 = 1 << 20;
 
-/// Number of embeddings of `p`'s graph form into `dep`, counting stops at
-/// `cap`. Fuel-limited: an interrupted search reports the embeddings seen
-/// so far (a valid lower bound, and `cap` already made the count a floor).
-fn embeddings_capped(p: &Pattern, dep: &evematch_graph::DiGraph, cap: usize) -> usize {
-    let pg = PatternGraph::of(p);
+/// Number of embeddings of the pattern graph `pg` into `dep`, counting
+/// stops at `cap`. Fuel-limited: an interrupted search reports the
+/// embeddings seen so far (a valid lower bound, and `cap` already made the
+/// count a floor).
+fn embeddings_capped(pg: &PatternGraph, dep: &evematch_graph::DiGraph, cap: usize) -> usize {
     let mut n = 0;
     let mut steps = 0u64;
     let _ = MonoSearch::new(pg.graph(), dep).enumerate_with_fuel(

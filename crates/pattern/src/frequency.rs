@@ -3,11 +3,21 @@
 //! `f(p)` (Section 2.2) is the number of traces matching `p` divided by
 //! `|L|`. Counting scans only the traces containing *all* of the pattern's
 //! events, obtained from the inverted trace index `I_t` (Section 3.2.3).
+//!
+//! [`EvaluatedPattern`] computes `f1(p)` once per pattern. The paper's
+//! *special* patterns (a single event, or `SEQ(a, b)` of two distinct
+//! events — see [`PatternShape`]) need no scan at all: by Definition 1
+//! their supports are the vertex and edge supports `f(v, v)` and
+//! `f(a, b)` that the dependency graph already counts. Every other
+//! pattern is scanned with its bit-parallel [`CompiledPattern`]. The AST
+//! interpreter ([`pattern_support`] and friends) remains only as the
+//! per-pattern fallback for patterns the compiler rejects and as the test
+//! oracle the compiled engine is proven against.
 
-use evematch_eventlog::{EventLog, TraceIndex};
+use evematch_eventlog::{DepGraph, EventId, EventLog, TraceIndex};
 
 use crate::ast::Pattern;
-use crate::compiled::{CompileError, CompiledPattern};
+use crate::compiled::{compiled_identity_support, CompileError, CompiledPattern};
 use crate::graph_form::{edge_groups, PatternGraph};
 use crate::matcher::{trace_matches, Interrupted};
 
@@ -113,9 +123,40 @@ pub fn pattern_freq(p: &Pattern, log: &EventLog, index: &TraceIndex) -> f64 {
     }
 }
 
+/// How a pattern's support is obtained, decided once from its graph
+/// form. The paper's special patterns (Example 5) read their supports
+/// straight off a dependency graph, in `L1` and `L2` alike; only
+/// [`PatternShape::Complex`] patterns scan a log.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum PatternShape {
+    /// A single event `v`: support is the vertex support `f(v, v)`.
+    Vertex(EventId),
+    /// `SEQ(a, b)` of two distinct events: support is the edge support
+    /// `f(a, b)`.
+    Edge(EventId, EventId),
+    /// Any other pattern: support needs a log scan.
+    Complex,
+}
+
+impl PatternShape {
+    /// Classifies a pattern by its graph form: one event is a vertex; two
+    /// distinct events joined by a single edge `a → b` allow only the
+    /// order `a b`, which is exactly the consecutive pair `f(a, b)` counts.
+    fn of(graph: &PatternGraph) -> Self {
+        match graph.events() {
+            [v] => PatternShape::Vertex(*v),
+            [_, _] if graph.edge_count() == 1 => match graph.edges_global().next() {
+                Some((a, b)) if a != b => PatternShape::Edge(a, b),
+                _ => PatternShape::Complex,
+            },
+            _ => PatternShape::Complex,
+        }
+    }
+}
+
 /// A pattern bundled with everything the matching algorithms repeatedly
-/// need: its sorted event set, graph form, Table-2 classification and its
-/// frequency in the *source* log `L1`.
+/// need: its sorted event set, graph form, shape, Table-2 classification
+/// and its frequency in the *source* log `L1`.
 ///
 /// Built once per pattern before the search starts; the A\* and heuristic
 /// engines then only evaluate *mapped* frequencies in `L2`.
@@ -124,12 +165,14 @@ pub struct EvaluatedPattern {
     /// The pattern itself.
     pub pattern: Pattern,
     /// `V(p)`, sorted ascending.
-    pub events: Vec<evematch_eventlog::EventId>,
+    pub events: Vec<EventId>,
     /// Graph form (provides `ω(p)` and the edge list).
     pub graph: PatternGraph,
+    /// Special (vertex / edge) or complex — see [`PatternShape`].
+    pub shape: PatternShape,
     /// Required edge groups (see [`crate::edge_groups`]) driving the
     /// structure-aware frequency caps.
-    pub edge_groups: Vec<Vec<(evematch_eventlog::EventId, evematch_eventlog::EventId)>>,
+    pub edge_groups: Vec<Vec<(EventId, EventId)>>,
     /// Unnormalized support in `L1`.
     pub support: usize,
     /// Normalized frequency `f1(p)`.
@@ -141,22 +184,63 @@ pub struct EvaluatedPattern {
 }
 
 impl EvaluatedPattern {
-    /// Evaluates `pattern` against `log` (its `L1`).
+    /// Evaluates `pattern` against `log` (its `L1`): a vertex pattern's
+    /// support is its posting-list length in `index`, every other pattern
+    /// is scanned.
     pub fn new(pattern: Pattern, log: &EventLog, index: &TraceIndex) -> Self {
-        let support = pattern_support(&pattern, log, index);
-        let freq = if log.is_empty() {
-            0.0
-        } else {
-            support as f64 / log.len() as f64
-        };
-        EvaluatedPattern {
+        Self::build(pattern, log, |ep| match ep.shape {
+            PatternShape::Vertex(v) => index.traces_with(v).len(),
+            _ => ep.scan_support(log, index),
+        })
+    }
+
+    /// [`Self::new`] when `log`'s dependency graph `dep` is already built:
+    /// vertex and edge supports are read from `dep`, and only complex
+    /// patterns are scanned.
+    pub fn with_dep_graph(
+        pattern: Pattern,
+        log: &EventLog,
+        index: &TraceIndex,
+        dep: &DepGraph,
+    ) -> Self {
+        Self::build(pattern, log, |ep| match ep.shape {
+            PatternShape::Vertex(v) => dep.vertex_support(v) as usize,
+            PatternShape::Edge(a, b) => dep.edge_support(a, b) as usize,
+            PatternShape::Complex => ep.scan_support(log, index),
+        })
+    }
+
+    /// Everything but the support, then `support_of` for the support. A
+    /// pattern mentioning an event outside `log`'s vocabulary never
+    /// matches, so `support_of` only ever sees in-vocabulary events.
+    fn build(pattern: Pattern, log: &EventLog, support_of: impl FnOnce(&Self) -> usize) -> Self {
+        let graph = PatternGraph::of(&pattern);
+        let mut ep = EvaluatedPattern {
             events: pattern.events(),
-            graph: PatternGraph::of(&pattern),
+            shape: PatternShape::of(&graph),
+            graph,
             edge_groups: edge_groups(&pattern),
-            support,
-            freq,
+            support: 0,
+            freq: 0.0,
             compiled: CompiledPattern::compile(&pattern),
             pattern,
+        };
+        if ep.events.iter().all(|e| e.index() < log.event_count()) {
+            ep.support = support_of(&ep);
+        }
+        if !log.is_empty() {
+            ep.freq = ep.support as f64 / log.len() as f64;
+        }
+        ep
+    }
+
+    /// The pattern's support in `log` by a scan over `index` candidates:
+    /// the compiled automaton under the identity binding, or the
+    /// interpreter for a pattern the compiler rejected.
+    fn scan_support(&self, log: &EventLog, index: &TraceIndex) -> usize {
+        match &self.compiled {
+            Ok(cp) => compiled_identity_support(cp, &self.events, log, index),
+            Err(_) => pattern_support(&self.pattern, log, index),
         }
     }
 

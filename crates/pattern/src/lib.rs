@@ -55,7 +55,7 @@ pub use compiled::{
 pub use discovery::{discover_patterns, DiscoveryConfig};
 pub use frequency::{
     pattern_freq, pattern_support, pattern_support_stats, pattern_support_with_fuel,
-    pattern_support_with_fuel_stats, EvaluatedPattern, SupportStats,
+    pattern_support_with_fuel_stats, EvaluatedPattern, PatternShape, SupportStats,
 };
 pub use graph_form::{edge_groups, PatternGraph};
 pub use index::PatternIndex;

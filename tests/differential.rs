@@ -16,7 +16,10 @@
 //!   linearization ground truth on random patterns, support-for-support
 //!   on random logs (verdicts, `SupportStats` and fuel-interruption
 //!   boundaries), and end-to-end (every method, every thread count, the
-//!   whole grid).
+//!   whole grid);
+//! * **Context-build transparency** — the `L1` frequencies a
+//!   `MatchContext` reads off its dependency graph or compile-scans are
+//!   the interpreter's, bit for bit, on random logs.
 
 use proptest::prelude::*;
 
@@ -536,6 +539,128 @@ proptest! {
         prop_assert_eq!(int_stats, cmp_stats, "fueled counters diverged on {:?}", p);
         prop_assert_eq!(int_left, cmp_left, "fuel consumption diverged on {:?}", p);
     }
+}
+
+/// A random log over `n ≥ 7` events shaped for the context build: some
+/// traces get a back-to-back repeat (a self-loop dependency edge, which
+/// the edge pattern set skips), some start with a rotation of events
+/// `0..7` (so an AND of those 7 events has matches to count), traces may be
+/// shorter than every declared pattern, and the log may be empty.
+fn context_log_strategy(n: u32) -> impl Strategy<Value = EventLog> {
+    prop::collection::vec(
+        (prop::collection::vec(0..n, 0..8usize), 0u8..2, 0u32..14),
+        0..=12,
+    )
+    .prop_map(move |traces| {
+        let names: Vec<String> = (0..n).map(|i| format!("e{i}")).collect();
+        let mut b = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
+        for (mut t, repeat, rotation) in traces {
+            if let (1, Some(&first)) = (repeat, t.first()) {
+                t.insert(0, first);
+            }
+            if rotation < 7 {
+                t.splice(0..0, (0..7).map(|i| (i + rotation) % 7));
+            }
+            b.push_trace(Trace::from(t));
+        }
+        b.build()
+    })
+}
+
+/// Builds a context over `log` (on both sides) with the vertex and edge
+/// special patterns plus four declared ones: the single event `v` and
+/// `SEQ(a, b)`, which must classify as special patterns, the `complex`
+/// pattern, and an AND of 7 events, which exceeds `STATE_BUDGET` and takes
+/// the interpreter fallback. Then checks every `L1` support — read off the
+/// dependency graph, compile-scanned, or interpreted — against the
+/// interpreter oracle, count and frequency bits alike, and the same for
+/// the stand-alone [`EvaluatedPattern::new`].
+fn check_context_supports(
+    log: EventLog,
+    v: u32,
+    (a, b): (u32, u32),
+    complex: Pattern,
+) -> Result<(), TestCaseError> {
+    use evematch::pattern::{pattern_freq, EvaluatedPattern, PatternShape};
+    let edge = Pattern::seq_of_events([EventId(a), EventId(b)]).expect("a != b");
+    let and7 = Pattern::and_of_events((0..7).map(EventId)).expect("7 distinct events");
+    let declared = vec![Pattern::event(v), edge, complex, and7];
+    let ctx = MatchContext::new(
+        log.clone(),
+        log,
+        PatternSetBuilder::new()
+            .vertices()
+            .edges()
+            .complex_all(declared),
+    )
+    .expect("same log on both sides");
+    let ps = ctx.patterns();
+    let first = ps.len() - ctx.complex_count();
+    prop_assert_eq!(ps[first].shape, PatternShape::Vertex(EventId(v)));
+    prop_assert_eq!(
+        ps[first + 1].shape,
+        PatternShape::Edge(EventId(a), EventId(b))
+    );
+    let fallback = &ps[first + 3];
+    prop_assert_eq!(fallback.shape, PatternShape::Complex);
+    prop_assert!(
+        matches!(
+            fallback.compiled,
+            Err(CompileError::StateBudgetExceeded { .. })
+        ),
+        "AND of 7 events must exceed the state budget"
+    );
+    for ep in &ps[..first] {
+        prop_assert!(
+            ep.shape != PatternShape::Complex,
+            "special pattern {:?}",
+            ep.pattern
+        );
+    }
+    let log = ctx.log1();
+    let idx = log.trace_index();
+    for (i, ep) in ps.iter().enumerate() {
+        let oracle = pattern_support(&ep.pattern, log, &idx);
+        let oracle_freq = pattern_freq(&ep.pattern, log, &idx);
+        prop_assert_eq!(ep.support, oracle, "pattern #{} {:?}", i, ep.pattern);
+        prop_assert_eq!(ep.freq.to_bits(), oracle_freq.to_bits(), "pattern #{}", i);
+        let alone = EvaluatedPattern::new(ep.pattern.clone(), log, &idx);
+        prop_assert_eq!(alone.support, oracle, "new() on pattern #{}", i);
+        prop_assert_eq!(alone.freq.to_bits(), oracle_freq.to_bits(), "new() #{}", i);
+        prop_assert_eq!(alone.shape, ep.shape);
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The context build reads vertex and edge supports off `dep1` and
+    /// compile-scans only complex patterns; every resulting `f1` must be
+    /// the interpreter's, bit for bit.
+    #[test]
+    fn context_supports_equal_the_interpreter_oracle(
+        log in context_log_strategy(10),
+        v in 0u32..10,
+        (a, step) in (0u32..10, 1u32..10),
+        complex in enumerable_pattern_strategy(),
+    ) {
+        check_context_supports(log, v, (a, (a + step) % 10), complex)?;
+    }
+}
+
+/// [`check_context_supports`] on the empty log: every frequency is 0.
+#[test]
+fn context_supports_on_the_empty_log_are_zero() {
+    let names: Vec<String> = (0..10).map(|i| format!("e{i}")).collect();
+    let log =
+        LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str))).build();
+    let complex = Pattern::seq(vec![
+        Pattern::event(0),
+        Pattern::and_of_events([EventId(1), EventId(2)]).expect("distinct"),
+    ])
+    .expect("distinct");
+    check_context_supports(log, 3, (4, 5), complex).expect("empty log");
 }
 
 /// End-to-end engine transparency: every registered method, finished and
