@@ -7,9 +7,9 @@ use std::hint::black_box;
 
 use evematch_core::assignment::max_weight_assignment;
 use evematch_datagen::datasets;
-use evematch_eventlog::EventLog;
+use evematch_eventlog::{ColumnarLog, EventLog};
 use evematch_graph::{is_subgraph_monomorphic, DiGraph};
-use evematch_pattern::{pattern_support, PatternGraph};
+use evematch_pattern::{EvaluatedPattern, PatternGraph, SupportStats};
 
 fn big_log() -> EventLog {
     datasets::real_like_sized(3000, 3000, 11).pair.log1
@@ -36,19 +36,30 @@ fn bench_trace_index(c: &mut Criterion) {
     });
 }
 
-/// Pattern frequency evaluation with and without the index prefilter
-/// effect: a frequent composite vs a never-matching one.
+/// Pattern support through the one scan (`EvaluatedPattern::scan` over
+/// the columnar log, as the evaluator runs it), with and without the index
+/// prefilter effect: a frequent composite vs a never-matching one.
 fn bench_pattern_frequency(c: &mut Criterion) {
     let ds = datasets::real_like_sized(3000, 3000, 11);
     let log = &ds.pair.log1;
     let idx = log.trace_index();
+    let col = ColumnarLog::from_log(log);
     let mut group = c.benchmark_group("pattern_support_3000");
     for (name, p) in [
         ("frequent_composite", ds.patterns[0].clone()),
         ("branch_composite", ds.patterns[1].clone()),
     ] {
+        let ep = EvaluatedPattern::new(p, log, &idx);
         group.bench_function(name, |b| {
-            b.iter(|| black_box(pattern_support(black_box(&p), log, &idx)));
+            b.iter(|| {
+                black_box(ep.scan(
+                    black_box(&ep.events),
+                    &idx,
+                    |t| col.trace(t),
+                    &mut || true,
+                    &mut SupportStats::default(),
+                ))
+            });
         });
     }
     group.finish();

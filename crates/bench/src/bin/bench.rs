@@ -59,32 +59,23 @@
 //!
 //! ## `bench matcher`
 //!
-//! Pits the bit-parallel compiled pattern matcher (`pattern::compiled`)
-//! against the interpreter on the same workloads, enforcing
-//! byte-equivalence along the way, and emits `BENCH_matcher.json` in the
-//! shape `xtask perf append` ingests:
+//! Times the support kernel — the one scan (`EvaluatedPattern::scan`,
+//! the path `MatchContext` and the evaluator run) — against the
+//! interpreter oracle (`pattern_support` on the mapped pattern) and emits
+//! `BENCH_matcher.json` in the shape `xtask perf append` ingests. Every
+//! complex pattern of the Figure-12 dataset is support-scanned in `L2`
+//! under rotated injective bindings:
 //!
-//! * a **kernel panel**: every complex pattern of the Figure-12 dataset is
-//!   support-scanned under rotated injective bindings by both engines; the
-//!   per-binding supports must agree exactly (any mismatch prints the
-//!   pattern and binding and exits with code 3) and the headline `speedup`
-//!   is interpreted-wall over compiled-wall across the whole scan set —
-//!   the acceptance bar is ≥ 2x;
-//! * two **grid panels**: a reduced Figure-7 grid (exact methods over
-//!   event-set sizes on the real-like dataset) and a reduced Figure-12
-//!   grid (all methods on the larger synthetic data), each run once per
-//!   engine under a pure processed cap. The deterministic CSV panels and
-//!   every method's merged deterministic metrics must be byte-identical
-//!   across engines; the first diverging metric key (or CSV) is printed
-//!   and the exit code is 3. Wall-clocks per engine ride along as
-//!   advisory `wall_nanos`;
-//! * `work` — deterministic scan counters of the compiled grid runs, so
-//!   `cargo xtask perf check` gates the matcher's work trajectory like
-//!   every other bench.
+//! * first, untimed, the scan must equal the oracle on every binding —
+//!   any mismatch prints the pattern and binding and exits with code 3;
+//! * then the timed oracle and scan passes; the headline `speedup` is
+//!   oracle-wall over scan-wall across the whole scan set;
+//! * `work` — the deterministic kernel counters (scans, total support and
+//!   the scan's `SupportStats`), which `cargo xtask perf check` gates like
+//!   every other bench; the walls ride along as advisory `wall_nanos`.
 //!
-//! Knobs: `EVEMATCH_TRACES` (grid + kernel trace count, default 3000 for
-//! the kernel and 300 for the grids), `EVEMATCH_BENCH_MODULES`,
-//! `EVEMATCH_SEEDS` (first seed used), `EVEMATCH_LIMIT_PROCESSED`,
+//! Knobs: `EVEMATCH_TRACES` (trace count, default 3000),
+//! `EVEMATCH_BENCH_MODULES`, `EVEMATCH_SEEDS` (first seed used),
 //! `EVEMATCH_BENCH_ITERS` (kernel repetitions, default 3).
 //!
 //! ## `bench verify [dir]`
@@ -104,15 +95,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use evematch_core::telemetry::MetricsSnapshot;
-use evematch_core::{Budget, Mapping, MatcherEngine};
+use evematch_core::{Budget, Mapping};
 use evematch_datagen::datasets;
-use evematch_eval::experiments::{
-    run_grid, FigureResult, SweepConfig, EXACT_FIGURE_METHODS, FIG12_METHODS,
-};
 use evematch_eval::SupportCachePool;
-use evematch_eval::{project_dataset, Method, RunOutcome, Table};
+use evematch_eval::{Method, RunOutcome};
 use evematch_eventlog::{ColumnarLog, EventId};
-use evematch_pattern::{compiled_pattern_support, pattern_support, CompiledPattern};
+use evematch_pattern::{pattern_support, EvaluatedPattern, SupportStats};
 
 fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
     std::env::var(key)
@@ -392,7 +380,7 @@ fn run_profile() -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// One engine's timed pass over the kernel scan set: total support (the
+/// One timed pass over the kernel scan set: total support (the
 /// equality witness) plus the wall clock.
 struct KernelPass {
     total_support: u64,
@@ -434,16 +422,11 @@ fn run_matcher() -> ExitCode {
         .and_then(|s| s.split(',').next().and_then(|x| x.trim().parse().ok()))
         .unwrap_or(11u64);
     let kernel_traces = env_or("EVEMATCH_TRACES", 3000usize);
-    let grid_traces = env_or("EVEMATCH_TRACES", 300usize);
     let modules = env_or("EVEMATCH_BENCH_MODULES", 2usize);
-    let cap = env_or("EVEMATCH_LIMIT_PROCESSED", 20_000u64);
     let iters = env_or("EVEMATCH_BENCH_ITERS", 3u32);
     let rotations = 8u32;
     let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
-    // -----------------------------------------------------------------
-    // Kernel panel: raw support scans, interpreter vs compiled NFA.
-    // -----------------------------------------------------------------
     let ds = datasets::larger_synthetic(modules, kernel_traces, seed);
     let log2 = &ds.pair.log2;
     let idx = log2.trace_index();
@@ -455,60 +438,56 @@ fn run_matcher() -> ExitCode {
         ds.patterns.len()
     );
 
-    let mut compiled: Vec<Option<CompiledPattern>> = Vec::new();
+    let idx1 = ds.pair.log1.trace_index();
+    let evaluated: Vec<EvaluatedPattern> = ds
+        .patterns
+        .iter()
+        .map(|p| EvaluatedPattern::new(p.clone(), &ds.pair.log1, &idx1))
+        .collect();
     let mut fallbacks = 0u64;
-    for p in &ds.patterns {
-        match CompiledPattern::compile(p) {
-            Ok(cp) => compiled.push(Some(cp)),
-            Err(err) => {
-                // Typed, counted, never silent — the same contract the
-                // evaluator's `matcher.fallback.*` info facts enforce.
-                println!("  fallback to interpreter: {err}");
-                fallbacks += 1;
-                compiled.push(None);
-            }
+    for ep in &evaluated {
+        if let Err(err) = &ep.compiled {
+            // Typed, counted, never silent — the same contract the
+            // evaluator's `matcher.fallback.*` info facts enforce.
+            println!("  fallback to interpreter: {err}");
+            fallbacks += 1;
         }
     }
     let bindings = kernel_bindings(&ds.patterns, &ds.pair.truth, n2, rotations);
-
-    // Correctness first (untimed): every binding's support must agree.
-    for (pi, images) in &bindings {
-        let p = &ds.patterns[*pi];
+    // The oracle pays `map_events` per scan and the scan its dense
+    // reverse lookup — what the evaluator's cache-miss path pays.
+    let oracle = |pi: usize, images: &[EventId]| {
+        let p = &ds.patterns[pi];
         let evs = p.events();
         let mapped = p.map_events(&|e| images[evs.binary_search(&e).expect("own event")]);
-        let interp = pattern_support(&mapped, log2, &idx);
-        if let Some(cp) = &compiled[*pi] {
-            let comp = compiled_pattern_support(cp, images, &col, &idx);
-            if interp != comp {
-                eprintln!(
-                    "error: engines diverged on pattern #{pi} {p:?} under {images:?}: \
-                     interpreted {interp} vs compiled {comp}"
-                );
-                return ExitCode::from(3);
-            }
+        pattern_support(&mapped, log2, &idx)
+    };
+    let scan = |pi: usize, images: &[EventId], stats: &mut SupportStats| {
+        evaluated[pi]
+            .scan(images, &idx, |t| col.trace(t), &mut || true, stats)
+            .expect("unfueled scans complete")
+    };
+
+    // Correctness first (untimed): every binding's support must agree.
+    let mut kernel_stats = SupportStats::default();
+    for (pi, images) in &bindings {
+        let (want, got) = (oracle(*pi, images), scan(*pi, images, &mut kernel_stats));
+        if want != got {
+            eprintln!(
+                "error: scan diverged from the oracle on pattern #{pi} {:?} under {images:?}: \
+                 oracle {want} vs scan {got}",
+                ds.patterns[*pi]
+            );
+            return ExitCode::from(3);
         }
     }
 
-    // Timed passes. The interpreter pays `map_events` per scan and the
-    // compiled engine pays its dense reverse-lookup per scan — both are
-    // what the evaluator's cache-miss path actually pays per evaluation.
-    let kernel_pass = |use_compiled: bool| -> KernelPass {
+    let kernel_pass = |support: &dyn Fn(usize, &[EventId]) -> usize| {
         let start = Instant::now();
         let mut total = 0u64;
         for _ in 0..iters {
             for (pi, images) in &bindings {
-                let p = &ds.patterns[*pi];
-                match (&compiled[*pi], use_compiled) {
-                    (Some(cp), true) => {
-                        total += compiled_pattern_support(cp, images, &col, &idx) as u64;
-                    }
-                    _ => {
-                        let evs = p.events();
-                        let mapped =
-                            p.map_events(&|e| images[evs.binary_search(&e).expect("own event")]);
-                        total += pattern_support(&mapped, log2, &idx) as u64;
-                    }
-                }
+                total += support(*pi, images) as u64;
             }
         }
         KernelPass {
@@ -516,141 +495,49 @@ fn run_matcher() -> ExitCode {
             wall_nanos: start.elapsed().as_nanos(),
         }
     };
-    let interp = kernel_pass(false);
-    let comp = kernel_pass(true);
-    if interp.total_support != comp.total_support {
+    let oracle_pass = kernel_pass(&oracle);
+    let scan_pass = kernel_pass(&|pi, images| scan(pi, images, &mut SupportStats::default()));
+    if oracle_pass.total_support != scan_pass.total_support {
         eprintln!(
-            "error: timed passes disagree on total support: interpreted {} vs compiled {}",
-            interp.total_support, comp.total_support
+            "error: timed passes disagree on total support: oracle {} vs scan {}",
+            oracle_pass.total_support, scan_pass.total_support
         );
         return ExitCode::from(3);
     }
-    let speedup = interp.wall_nanos as f64 / comp.wall_nanos.max(1) as f64;
+    let speedup = oracle_pass.wall_nanos as f64 / scan_pass.wall_nanos.max(1) as f64;
+    let scans = bindings.len() as u64 * u64::from(iters);
     println!(
-        "  kernel: interpreted {:.3}s  compiled {:.3}s  speedup {speedup:.2}x  \
-         ({} scans, {} fallbacks)",
-        interp.wall_nanos as f64 / 1e9,
-        comp.wall_nanos as f64 / 1e9,
-        bindings.len() as u64 * u64::from(iters),
-        fallbacks,
+        "  kernel: oracle {:.3}s  scan {:.3}s  speedup {speedup:.2}x  \
+         ({scans} scans, {fallbacks} fallbacks)",
+        oracle_pass.wall_nanos as f64 / 1e9,
+        scan_pass.wall_nanos as f64 / 1e9,
     );
-
-    // -----------------------------------------------------------------
-    // Grid panels: reduced Fig7/Fig12 grids, one run per engine.
-    // -----------------------------------------------------------------
-    let cfg = |engine: MatcherEngine| SweepConfig {
-        seeds: vec![seed],
-        budget: Budget::UNLIMITED.with_processed_cap(cap),
-        workers: host,
-        eval_threads: 1,
-        traces: grid_traces,
-        checkpoint: None,
-        retry: evematch_core::retry::RetryPolicy::io_default(),
-        verify_journal: true,
-        matcher: engine,
-    };
-    let fig7_xs: Vec<usize> = (2..=6).collect();
-    let fig7 = |engine: MatcherEngine| {
-        let cfg = cfg(engine);
-        let start = Instant::now();
-        let fig = run_grid(
-            "Fig7",
-            "#events",
-            &fig7_xs,
-            &EXACT_FIGURE_METHODS,
-            &cfg,
-            |x, seed| project_dataset(&datasets::real_like_sized(cfg.traces, cfg.traces, seed), x),
-        );
-        (fig, start.elapsed().as_nanos())
-    };
-    let fig12_xs = [10usize, 20];
-    let fig12 = |engine: MatcherEngine| {
-        let cfg = cfg(engine);
-        let start = Instant::now();
-        let fig = run_grid(
-            "Fig12",
-            "#events",
-            &fig12_xs,
-            &FIG12_METHODS,
-            &cfg,
-            |x, seed| datasets::larger_synthetic(x / 10, cfg.traces, seed),
-        );
-        (fig, start.elapsed().as_nanos())
-    };
-
-    let mut grid_walls: Vec<(String, u128, u128)> = Vec::new();
-    let mut work: Vec<(String, u64)> = Vec::new();
-    for (name, run) in [
-        (
-            "fig7",
-            &fig7 as &dyn Fn(MatcherEngine) -> (FigureResult, u128),
-        ),
-        ("fig12", &fig12),
-    ] {
-        let (int_fig, int_wall) = run(MatcherEngine::Interpreted);
-        let (cmp_fig, cmp_wall) = run(MatcherEngine::Compiled);
-        if let Some(diverged) = grid_divergence(&int_fig, &cmp_fig) {
-            eprintln!("error: {name} grid deterministic section diverged across engines");
-            eprintln!("  {diverged}");
-            return ExitCode::from(3);
-        }
-        println!(
-            "  {name} grid: interpreted {:.3}s  compiled {:.3}s  deterministic sections identical: true",
-            int_wall as f64 / 1e9,
-            cmp_wall as f64 / 1e9,
-        );
-        for (method, snap) in &cmp_fig.metrics {
-            work.push((
-                format!("{name}/{method}/log_scans"),
-                counter(snap, "eval.log_scans"),
-            ));
-            work.push((
-                format!("{name}/{method}/candidate_traces"),
-                counter(snap, "frequency.candidate_traces"),
-            ));
-        }
-        grid_walls.push((name.to_string(), int_wall, cmp_wall));
-    }
 
     // -----------------------------------------------------------------
     // Artifact, in the flat work/wall_nanos shape `xtask perf` ingests.
     // -----------------------------------------------------------------
-    let mut json = String::from("{\"bench\":\"matcher\",\"workload\":{");
-    let _ = write!(
-        json,
-        "\"dataset\":\"larger_synthetic+real_like\",\"modules\":{modules},\
-         \"kernel_traces\":{kernel_traces},\"grid_traces\":{grid_traces},\"seed\":{seed},\
-         \"rotations\":{rotations},\"iters\":{iters},\"processed_cap\":{cap}}},\
+    let (total, oracle_ns, scan_ns) = (
+        scan_pass.total_support,
+        oracle_pass.wall_nanos,
+        scan_pass.wall_nanos,
+    );
+    let SupportStats {
+        index_probes,
+        candidate_traces,
+        matched_traces,
+    } = kernel_stats;
+    let json = format!(
+        "{{\"bench\":\"matcher\",\"workload\":{{\"dataset\":\"larger_synthetic\",\
+         \"modules\":{modules},\"kernel_traces\":{kernel_traces},\"seed\":{seed},\
+         \"rotations\":{rotations},\"iters\":{iters}}},\
          \"host_parallelism\":{host},\"speedup\":{speedup:.4},\
-         \"kernel\":{{\"scans\":{},\"fallbacks\":{fallbacks},\"total_support\":{},\
-         \"interpreted_wall_nanos\":{},\"compiled_wall_nanos\":{}}},\"work\":{{",
-        bindings.len() as u64 * u64::from(iters),
-        comp.total_support,
-        interp.wall_nanos,
-        comp.wall_nanos,
+         \"kernel\":{{\"scans\":{scans},\"fallbacks\":{fallbacks},\"total_support\":{total},\
+         \"oracle_wall_nanos\":{oracle_ns},\"scan_wall_nanos\":{scan_ns}}},\
+         \"work\":{{\"kernel/scans\":{scans},\"kernel/total_support\":{total},\
+         \"kernel/index_probes\":{index_probes},\"kernel/candidate_traces\":{candidate_traces},\
+         \"kernel/matched_traces\":{matched_traces}}},\
+         \"wall_nanos\":{{\"kernel/oracle\":{oracle_ns},\"kernel/scan\":{scan_ns}}}}}\n"
     );
-    let _ = write!(
-        json,
-        "\"kernel/scans\":{},\"kernel/total_support\":{}",
-        bindings.len() as u64 * u64::from(iters),
-        comp.total_support
-    );
-    for (key, n) in &work {
-        let _ = write!(json, ",\"{key}\":{n}");
-    }
-    json.push_str("},\"wall_nanos\":{");
-    let _ = write!(
-        json,
-        "\"kernel/interpreted\":{},\"kernel/compiled\":{}",
-        interp.wall_nanos, comp.wall_nanos
-    );
-    for (name, int_wall, cmp_wall) in &grid_walls {
-        let _ = write!(
-            json,
-            ",\"{name}/interpreted\":{int_wall},\"{name}/compiled\":{cmp_wall}"
-        );
-    }
-    json.push_str("}}\n");
 
     let path = match evematch_bench::out_dir() {
         Ok(dir) => dir.join("BENCH_matcher.json"),
@@ -665,41 +552,6 @@ fn run_matcher() -> ExitCode {
     }
     println!("wrote {}", path.display());
     ExitCode::SUCCESS
-}
-
-/// The first way two engine runs of the same grid differ in their
-/// deterministic sections: a CSV panel byte difference or a merged
-/// deterministic-metric divergence, rendered for the error report.
-fn grid_divergence(a: &FigureResult, b: &FigureResult) -> Option<String> {
-    let csv = |t: &Table| {
-        let mut buf = Vec::new();
-        // In-memory CSV rendering cannot fail.
-        t.write_csv(&mut buf).expect("in-memory write");
-        String::from_utf8(buf).expect("CSV is UTF-8")
-    };
-    for (name, ta, tb) in [
-        ("f_measure", &a.f_measure, &b.f_measure),
-        ("anytime_f", &a.anytime_f, &b.anytime_f),
-        ("processed", &a.processed, &b.processed),
-    ] {
-        if csv(ta) != csv(tb) {
-            return Some(format!("CSV panel `{name}` differs"));
-        }
-    }
-    for ((ma, snap_a), (mb, snap_b)) in a.metrics.iter().zip(&b.metrics) {
-        if ma != mb {
-            return Some(format!("method order differs: {ma} vs {mb}"));
-        }
-        if snap_a.deterministic_json() != snap_b.deterministic_json() {
-            return match first_divergence(snap_a, snap_b) {
-                Some((key, va, vb)) => Some(format!(
-                    "{ma}: first divergence {key}: interpreted {va} vs compiled {vb}"
-                )),
-                None => Some(format!("{ma}: serialization is non-deterministic")),
-            };
-        }
-    }
-    None
 }
 
 /// `bench verify [dir]` — the offline integrity walk; see the module docs.
@@ -739,7 +591,7 @@ fn main() -> ExitCode {
         "verify" => run_verify(std::env::args().nth(2)),
         other => {
             eprintln!(
-                "usage: bench <subcommand>\n  parpool    seq-vs-parallel support evaluation + shared-cache warm-up\n  profile    phase-profiled run under a pure cap; emits BENCH_profile.json for `xtask perf`\n  matcher    interpreted-vs-compiled pattern matcher: kernel speedup + engine byte-equivalence on Fig7/Fig12 grids; emits BENCH_matcher.json\n  verify     offline integrity check of an output directory (default: results)"
+                "usage: bench <subcommand>\n  parpool    seq-vs-parallel support evaluation + shared-cache warm-up\n  profile    phase-profiled run under a pure cap; emits BENCH_profile.json for `xtask perf`\n  matcher    support kernel: the one scan checked against, then timed against, the interpreter oracle; emits BENCH_matcher.json\n  verify     offline integrity check of an output directory (default: results)"
             );
             if other.is_empty() {
                 ExitCode::from(2)

@@ -14,9 +14,6 @@
 //!   applied to every method (defaults 60s / 2,000,000 mappings), after
 //!   which a configuration is reported as did-not-finish — like the paper's
 //!   Figure 12 beyond 20 events — alongside its degraded anytime mapping;
-//! * `EVEMATCH_MATCHER` — support-evaluation engine, `interpreted` or
-//!   `compiled` (default `compiled`; outputs are byte-identical either
-//!   way — see `bench matcher`);
 //! * `EVEMATCH_OUT` — output directory (default `results`);
 //! * `EVEMATCH_RESUME` (or the `--resume` flag on any `repro_*` binary) —
 //!   checkpoint each completed sweep job to `<out>/<figure>.journal` and
@@ -44,7 +41,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use evematch_core::retry::{RealClock, RetryPolicy};
-use evematch_core::{Budget, MatcherEngine};
+use evematch_core::Budget;
 use evematch_eval::experiments::{FigureResult, SweepConfig};
 use evematch_eval::Table;
 
@@ -100,10 +97,6 @@ pub fn sweep_config() -> SweepConfig {
         },
         retry: RetryPolicy::io_default(),
         verify_journal: true,
-        matcher: std::env::var("EVEMATCH_MATCHER").map_or_else(
-            |_| MatcherEngine::default(),
-            |v| v.parse().expect("EVEMATCH_MATCHER must be a known engine"),
-        ),
     }
 }
 

@@ -24,11 +24,7 @@ use std::sync::Arc;
 
 use evematch_eventlog::EventId;
 use evematch_graph::{IsoStats, MonoSearch};
-use evematch_pattern::{
-    compiled_pattern_support_stats, compiled_pattern_support_with_fuel_stats, is_realizable,
-    is_realizable_with_fuel, pattern_support_stats, pattern_support_with_fuel_stats,
-    CompiledPattern, Interrupted, MatcherEngine, PatternShape, SupportStats,
-};
+use evematch_pattern::{is_realizable_with_fuel, Interrupted, PatternShape, SupportStats};
 
 use crate::bounds::PruneReason;
 use crate::budget::{Budget, BudgetMeter};
@@ -258,11 +254,6 @@ pub struct EvalConfig {
     /// heartbeat thread can report the open phase path and charged-work
     /// rate (`evematch --progress`). `None` costs nothing.
     pub beacon: Option<Arc<ProgressBeacon>>,
-    /// Which matching engine support scans use (default: compiled, with
-    /// per-pattern typed fallback to the interpreter). Both engines are
-    /// byte-equivalent on every deterministic output; the choice is
-    /// recorded in the metrics info section as `matcher.engine`.
-    pub engine: MatcherEngine,
 }
 
 impl EvalConfig {
@@ -295,30 +286,24 @@ impl EvalConfig {
         self.beacon = Some(beacon);
         self
     }
-
-    /// Selects the matching engine (see [`EvalConfig::engine`]).
-    #[must_use]
-    pub fn with_engine(mut self, engine: MatcherEngine) -> Self {
-        self.engine = engine;
-        self
-    }
 }
 
-/// A support value computed ahead of time on a worker thread, together
-/// with everything the driving thread needs to attribute counters exactly
-/// as the sequential evaluation would have.
+/// Everything one cache-miss evaluation computed, inline or on a worker
+/// thread: the driving thread attributes counters from it in one place.
 #[derive(Clone, Copy, Debug)]
-struct PrefetchOutcome {
-    /// The exact support, or `None` when the scan was fuel-interrupted
-    /// (only a deadline can do that; the consumer recomputes inline).
+struct SupportOutcome {
+    /// The exact support, or `None` when fuel ran dry mid-evaluation.
     support: Option<u32>,
-    /// Fuel polls the computation performed (replayed into
-    /// `eval.fuel_spent` when consumed on the fueled path).
+    /// Fuel polls the computation performed (charged to `eval.fuel_spent`
+    /// unless the evaluation is consumed in grace mode).
     fuel_polls: u64,
     /// The scan's work counters.
     scan: SupportStats,
     /// Whether Proposition 3 answered without a log scan.
     existence_pruned: bool,
+    /// Whether the log scan started (it counts as `eval.log_scans` even
+    /// when fuel interrupted it).
+    log_scan: bool,
 }
 
 /// Counters describing how much work an evaluator did — these feed the
@@ -418,7 +403,7 @@ pub struct Evaluator<'a> {
     /// Outcomes computed ahead of time by [`Self::prefetch_supports`],
     /// consumed (and counter-attributed) in sequential order by
     /// [`Self::mapped_support`].
-    prefetched: BTreeMap<SupportKey, PrefetchOutcome>,
+    prefetched: BTreeMap<SupportKey, SupportOutcome>,
     /// Worker threads batched prefetches may use (`<= 1` = sequential).
     threads: usize,
     /// The solver run's budget meter. The evaluator ticks it before every
@@ -429,13 +414,9 @@ pub struct Evaluator<'a> {
     counters: EvalCounters,
     parpool_batches: u64,
     parpool_steals: u64,
-    /// Which engine [`Self::mapped_support`] scans with (per-pattern
-    /// fallback aside). Recorded in the metrics info section.
-    engine: MatcherEngine,
-    /// Cache-miss evaluations the compiled engine actually handled.
-    compiled_evals: u64,
-    /// Cache-miss evaluations that fell back to the interpreter because
-    /// the pattern exceeded the automaton state budget.
+    /// Cache-miss evaluations whose scan falls back to the interpreter
+    /// because the pattern did not compile (it exceeded the automaton
+    /// state budget).
     fallback_state_budget: u64,
     /// Cache-miss evaluations that fell back because the image tuple was
     /// not pairwise distinct (cannot happen under injective mappings;
@@ -481,16 +462,9 @@ impl<'a> Evaluator<'a> {
             counters,
             parpool_batches: 0,
             parpool_steals: 0,
-            engine: config.engine,
-            compiled_evals: 0,
             fallback_state_budget: 0,
             fallback_binding: 0,
         }
-    }
-
-    /// The engine this evaluator's support scans use.
-    pub fn engine(&self) -> MatcherEngine {
-        self.engine
     }
 
     /// Worker threads available to batched successor evaluation.
@@ -622,17 +596,8 @@ impl<'a> Evaluator<'a> {
         // computed) go in the non-deterministic info section.
         snap.set_info("parpool.batches", self.parpool_batches);
         snap.set_info("parpool.steals", self.parpool_steals);
-        // Engine facts likewise: both engines produce byte-identical
-        // deterministic sections, so *which* engine ran (and how often it
-        // fell back) is an execution-shape fact, never a counter.
-        snap.set_info(
-            "matcher.engine",
-            match self.engine {
-                MatcherEngine::Interpreted => 0,
-                MatcherEngine::Compiled => 1,
-            },
-        );
-        snap.set_info("matcher.compiled_evals", self.compiled_evals);
+        // Which decider a scan used never changes a support value, so the
+        // interpreter fallbacks are execution-shape facts too.
         snap.set_info("matcher.fallback.state_budget", self.fallback_state_budget);
         snap.set_info("matcher.fallback.binding", self.fallback_binding);
         snap
@@ -740,132 +705,52 @@ impl<'a> Evaluator<'a> {
         let ep = &ctx.patterns()[p_idx];
         let ids = self.counters;
         self.tele.registry.inc(ids.cache_misses);
-        // Engine dispatch for this evaluation, decided (and its fallbacks
-        // counted) *before* the prefetch-replay branch so replayed
-        // outcomes attribute engine facts exactly like inline ones.
-        let compiled = self.dispatch_engine(ep, images);
+        if ep.compiled_for(images).is_none() {
+            if ep.compiled.is_err() {
+                self.fallback_state_budget += 1;
+            } else {
+                self.fallback_binding += 1;
+            }
+        }
         // A realizability check or log scan is the expensive inner unit of
         // work; advance the deadline poll cadence before paying it.
         self.meter.tick();
         self.tele.profile.charge(WorkCol::MeterTicks, 1);
-        // Replay a prefetched outcome if a worker already paid for this
-        // key, attributing counters exactly as the inline path below would
-        // at *this* point of the sequential order.
-        if let Some(out) = self.prefetched.remove(&key) {
-            if self.meter.is_exhausted() {
-                if let Some(support) = out.support {
-                    // The sequential run would take the grace path here. A
-                    // completed fueled scan produced the same exact value
-                    // (and scan counters) a grace recomputation would, and
-                    // grace evaluations never charge fuel.
-                    self.tele.registry.inc(ids.grace_evals);
-                    if out.existence_pruned {
-                        self.tele.registry.inc(ids.existence_pruned);
-                    } else {
-                        self.tele.registry.inc(ids.log_scans);
-                    }
-                    self.absorb_scan(&out.scan);
-                    self.cache.insert(key, support, self.owner);
-                    return support;
-                }
-                // Interrupted prefetch: fall through to the inline grace
-                // recomputation below.
-            } else if let Some(support) = out.support {
-                // Fueled path, replayed: the worker's fuel polls are the
-                // ones the inline computation would have performed.
-                if out.existence_pruned {
-                    self.tele.registry.inc(ids.existence_pruned);
-                } else {
-                    self.tele.registry.inc(ids.log_scans);
-                }
-                self.tele.registry.add(ids.fuel_spent, out.fuel_polls);
-                self.tele
-                    .profile
-                    .charge(WorkCol::MeterTicks, out.fuel_polls);
-                self.absorb_scan(&out.scan);
-                self.cache.insert(key, support, self.owner);
-                return support;
+        // Once the meter is exhausted, evaluations run in grace mode:
+        // exact, unfueled, and charging no fuel.
+        let grace = self.meter.is_exhausted();
+        // A prefetched outcome that has a support is exactly what the
+        // evaluation below would compute at this point of the sequential
+        // order; an interrupted one is recomputed.
+        let out = match self.prefetched.remove(&key) {
+            Some(out) if out.support.is_some() => out,
+            _ if grace => support_outcome(ctx, p_idx, images, &mut || true),
+            _ => {
+                let meter = &self.meter;
+                support_outcome(ctx, p_idx, images, &mut || {
+                    meter.tick();
+                    // Only a deadline can latch inside a tick, so "not
+                    // exhausted" is exactly "the deadline has not tripped".
+                    !meter.is_exhausted()
+                })
             }
-            // `out.support == None` with a non-exhausted meter cannot
-            // happen (workers only interrupt after the shared meter
-            // latched); recompute inline if it somehow does.
-        }
-        let dep2 = ctx.dep2();
-        let mapped = ep.pattern.map_events(&|e| image_of(ep, e, images));
-        let edge_ok = |a: EventId, b: EventId| dep2.has_edge(a, b);
-        let mut scan = SupportStats::default();
-        // Proposition 3 (sound form): if no allowed order of the mapped
-        // pattern can be realized along dependency edges of G2, no trace of
-        // L2 matches it — skip the log scan.
-        if self.meter.is_exhausted() {
-            // Grace mode (see the method docs): exact, unfueled, cached.
-            self.tele.registry.inc(ids.grace_evals);
-            let support = if !is_realizable(&mapped, &edge_ok) {
-                self.tele.registry.inc(ids.existence_pruned);
-                0
-            } else {
-                self.tele.registry.inc(ids.log_scans);
-                match compiled {
-                    Some(cp) => compiled_pattern_support_stats(
-                        cp,
-                        images,
-                        ctx.columnar2(),
-                        ctx.index2(),
-                        &mut scan,
-                    ) as u32,
-                    None => {
-                        pattern_support_stats(&mapped, ctx.log2(), ctx.index2(), &mut scan) as u32
-                    }
-                }
-            };
-            self.absorb_scan(&scan);
-            self.cache.insert(key, support, self.owner);
-            return support;
-        }
-        let meter = &self.meter;
-        let mut fuel_polls = 0u64;
-        let mut fuel = || {
-            fuel_polls += 1;
-            meter.tick();
-            // Only a deadline can latch inside a tick, so "not exhausted"
-            // is exactly "the deadline has not tripped".
-            !meter.is_exhausted()
         };
-        let support = match is_realizable_with_fuel(&mapped, &edge_ok, &mut fuel) {
-            Ok(false) => {
-                self.tele.registry.inc(ids.existence_pruned);
-                Some(0)
-            }
-            Ok(true) => {
-                self.tele.registry.inc(ids.log_scans);
-                let scanned = match compiled {
-                    Some(cp) => compiled_pattern_support_with_fuel_stats(
-                        cp,
-                        images,
-                        ctx.columnar2(),
-                        ctx.index2(),
-                        &mut fuel,
-                        &mut scan,
-                    ),
-                    None => pattern_support_with_fuel_stats(
-                        &mapped,
-                        ctx.log2(),
-                        ctx.index2(),
-                        &mut fuel,
-                        &mut scan,
-                    ),
-                };
-                match scanned {
-                    Ok(s) => Some(s as u32),
-                    Err(Interrupted) => None,
-                }
-            }
-            Err(Interrupted) => None,
-        };
-        self.tele.registry.add(ids.fuel_spent, fuel_polls);
-        self.tele.profile.charge(WorkCol::MeterTicks, fuel_polls);
-        self.absorb_scan(&scan);
-        match support {
+        let reg = &mut self.tele.registry;
+        if grace {
+            reg.inc(ids.grace_evals);
+        } else {
+            reg.add(ids.fuel_spent, out.fuel_polls);
+            self.tele
+                .profile
+                .charge(WorkCol::MeterTicks, out.fuel_polls);
+        }
+        if out.existence_pruned {
+            reg.inc(ids.existence_pruned);
+        } else if out.log_scan {
+            reg.inc(ids.log_scans);
+        }
+        self.absorb_scan(&out.scan);
+        match out.support {
             Some(support) => {
                 self.cache.insert(key, support, self.owner);
                 support
@@ -927,7 +812,6 @@ impl<'a> Evaluator<'a> {
         }
         let ctx = self.ctx;
         let meter = &self.meter;
-        let engine = self.engine;
         // The batch is a thread-count-dependent *overlay*: it only exists
         // when threads > 1, so its wall time and worker lanes live in the
         // profile's non-deterministic section, never in the phase tree.
@@ -935,7 +819,10 @@ impl<'a> Evaluator<'a> {
         let t0 = clock.now_nanos();
         let (outcomes, stats, lanes) =
             parpool::run_batch_traced(self.threads, &todo, Some(&clock), |key| {
-                compute_support_outcome(ctx, meter, engine, key.0 as usize, &key.1)
+                support_outcome(ctx, key.0 as usize, &key.1, &mut || {
+                    meter.tick_worker();
+                    !meter.is_exhausted()
+                })
             });
         self.tele
             .profile
@@ -948,32 +835,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Resolves which engine handles one cache-miss evaluation and
-    /// counts the decision: `Some(cp)` scans with the compiled automaton,
-    /// `None` with the interpreter (either by configuration or by typed
-    /// per-pattern fallback).
-    fn dispatch_engine(
-        &mut self,
-        ep: &'a evematch_pattern::EvaluatedPattern,
-        images: &[EventId],
-    ) -> Option<&'a CompiledPattern> {
-        let cp = select_compiled(self.engine, ep, images)?;
-        match cp {
-            Ok(cp) => {
-                self.compiled_evals += 1;
-                Some(cp)
-            }
-            Err(EngineFallback::StateBudget) => {
-                self.fallback_state_budget += 1;
-                None
-            }
-            Err(EngineFallback::Binding) => {
-                self.fallback_binding += 1;
-                None
-            }
-        }
-    }
-
     /// Folds one support scan's counters into the registry.
     fn absorb_scan(&mut self, scan: &SupportStats) {
         let reg = &mut self.tele.registry;
@@ -983,101 +844,46 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// Why a compiled-engine evaluation must use the interpreter instead.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum EngineFallback {
-    /// The pattern's automaton exceeded the state budget at compile time.
-    StateBudget,
-    /// The image tuple is not pairwise distinct, so the compiled reverse
-    /// lookup would be ambiguous (the interpreter on the mapped AST
-    /// defines the degenerate semantics).
-    Binding,
-}
-
-/// The pure engine-dispatch predicate shared by the driving thread and
-/// the side-effect-free parpool workers: `None` when the engine is the
-/// interpreter by configuration, otherwise the compiled pattern or the
-/// typed reason this evaluation falls back.
-fn select_compiled<'c>(
-    engine: MatcherEngine,
-    ep: &'c evematch_pattern::EvaluatedPattern,
-    images: &[EventId],
-) -> Option<Result<&'c CompiledPattern, EngineFallback>> {
-    match engine {
-        MatcherEngine::Interpreted => None,
-        MatcherEngine::Compiled => Some(match &ep.compiled {
-            Err(_) => Err(EngineFallback::StateBudget),
-            Ok(cp) => {
-                let distinct = images
-                    .iter()
-                    .enumerate()
-                    .all(|(i, a)| !images[i + 1..].contains(a));
-                if distinct {
-                    Ok(cp)
-                } else {
-                    Err(EngineFallback::Binding)
-                }
-            }
-        }),
-    }
-}
-
-/// The worker-side body of [`Evaluator::prefetch_supports`]: the exact
-/// computation [`Evaluator::mapped_support`]'s fueled path performs, minus
-/// every side effect on cache, registry, or primary budget counters. Fuel
-/// polls only observe the deadline ([`BudgetMeter::tick_worker`]), so for
-/// cap-only budgets this touches no shared state at all.
-fn compute_support_outcome(
+/// The one evaluation of a cache-missed `(pattern, images)` key: the
+/// Proposition-3 existence check, then the log scan, both polling `fuel`.
+/// Pure — no cache, registry or primary budget counter is touched — so the
+/// fueled inline path, grace mode (`|| true`) and the prefetch workers
+/// (deadline-only ticks) differ only in the fuel they pass.
+fn support_outcome(
     ctx: &MatchContext,
-    meter: &BudgetMeter,
-    engine: MatcherEngine,
     p_idx: usize,
     images: &[EventId],
-) -> PrefetchOutcome {
+    fuel: &mut dyn FnMut() -> bool,
+) -> SupportOutcome {
     let ep = &ctx.patterns()[p_idx];
-    let compiled = select_compiled(engine, ep, images).and_then(Result::ok);
     let dep2 = ctx.dep2();
     let mapped = ep.pattern.map_events(&|e| image_of(ep, e, images));
-    let edge_ok = |a: EventId, b: EventId| dep2.has_edge(a, b);
     let mut fuel_polls = 0u64;
     let mut fuel = || {
         fuel_polls += 1;
-        meter.tick_worker();
-        !meter.is_exhausted()
+        fuel()
     };
     let mut scan = SupportStats::default();
-    let (support, existence_pruned) = match is_realizable_with_fuel(&mapped, &edge_ok, &mut fuel) {
-        Ok(false) => (Some(0), true),
+    // Proposition 3 (sound form): if no allowed order of the mapped
+    // pattern can be realized along dependency edges of G2, no trace of L2
+    // matches it — skip the log scan.
+    let realizable = is_realizable_with_fuel(&mapped, &|a, b| dep2.has_edge(a, b), &mut fuel);
+    let support = match realizable {
+        Ok(false) => Some(0),
         Ok(true) => {
-            let scanned = match compiled {
-                Some(cp) => compiled_pattern_support_with_fuel_stats(
-                    cp,
-                    images,
-                    ctx.columnar2(),
-                    ctx.index2(),
-                    &mut fuel,
-                    &mut scan,
-                ),
-                None => pattern_support_with_fuel_stats(
-                    &mapped,
-                    ctx.log2(),
-                    ctx.index2(),
-                    &mut fuel,
-                    &mut scan,
-                ),
-            };
-            match scanned {
-                Ok(s) => (Some(s as u32), false),
-                Err(Interrupted) => (None, false),
-            }
+            let col = ctx.columnar2();
+            ep.scan(images, ctx.index2(), |t| col.trace(t), &mut fuel, &mut scan)
+                .ok()
+                .map(|s| s as u32)
         }
-        Err(Interrupted) => (None, false),
+        Err(Interrupted) => None,
     };
-    PrefetchOutcome {
+    SupportOutcome {
         support,
         fuel_polls,
         scan,
-        existence_pruned,
+        existence_pruned: realizable == Ok(false),
+        log_scan: realizable == Ok(true),
     }
 }
 
@@ -1201,6 +1007,49 @@ mod tests {
         // B -> y, C -> x: edge y->x never occurs.
         let s = ev.mapped_support(idx, &[EventId(2), EventId(1)]);
         assert_eq!(s, 0);
+    }
+
+    /// One complex key evaluated inline (`threads = 1`) and prefetched at
+    /// `threads = 2` then consumed must give the same support and the same
+    /// deterministic metrics — with the meter live (the fueled route), and
+    /// with a processed cap tripped between the prefetch and the read (the
+    /// grace route, which charges no fuel).
+    #[test]
+    fn inline_and_prefetched_routes_attribute_one_key_identically() {
+        let c = ctx();
+        let p1_idx = c.patterns().len() - 1;
+        let images: Vec<EventId> = (0..4).map(EventId).collect();
+        for trip in [false, true] {
+            let run = |threads: usize| {
+                let budget = Budget::UNLIMITED.with_processed_cap(0);
+                let config = EvalConfig::from_budget(budget).with_threads(threads);
+                let mut ev = Evaluator::with_config(&c, &config);
+                ev.prefetch_supports(&[(p1_idx, images.clone())]);
+                assert_eq!(ev.prefetched.len(), usize::from(threads > 1));
+                if trip {
+                    assert!(!ev.meter().charge_processed(), "cap 0 trips at once");
+                }
+                let support = ev.mapped_support(p1_idx, &images);
+                (support, ev.metrics_snapshot())
+            };
+            let (inline, inline_snap) = run(1);
+            let (prefetched, prefetched_snap) = run(2);
+            assert_eq!(inline, 1, "one of L2's two traces matches");
+            assert_eq!(prefetched, inline, "trip {trip}");
+            assert_eq!(
+                prefetched_snap.deterministic_json(),
+                inline_snap.deterministic_json(),
+                "trip {trip}"
+            );
+            let counters = &inline_snap.counters;
+            assert_eq!(counters["eval.log_scans"], 1);
+            assert_eq!(counters["eval.grace_evals"], u64::from(trip));
+            if trip {
+                assert_eq!(counters["eval.fuel_spent"], 0, "grace charges no fuel");
+            } else {
+                assert!(counters["eval.fuel_spent"] > 0);
+            }
+        }
     }
 
     /// A second context over *different* logs: same vocabulary sizes, so a

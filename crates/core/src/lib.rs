@@ -58,7 +58,6 @@ pub use bounds::{
 pub use budget::{Budget, BudgetMeter, Exhaustion};
 pub use context::{MatchContext, PatternSetBuilder};
 pub use evaluator::{EvalConfig, Evaluator, SharedSupportCache};
-pub use evematch_pattern::MatcherEngine;
 pub use exact::{Completion, ExactMatcher, MatchOutcome, SearchError, SearchStats};
 pub use heuristic::{AdvancedHeuristic, SimpleHeuristic};
 pub use mapping::Mapping;

@@ -15,7 +15,7 @@ use std::time::Duration;
 use evematch_core::fault::{self, FaultClass};
 use evematch_core::persist::integrity;
 use evematch_core::retry::{Clock, RealClock, RetryPolicy};
-use evematch_core::{Budget, Mapping, MatcherEngine, MetricsSnapshot, ProfileSnapshot, WorkCol};
+use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot, WorkCol};
 use evematch_datagen::{datasets, Dataset};
 
 use crate::checkpoint::{self, MethodRecord};
@@ -58,11 +58,6 @@ pub struct SweepConfig {
     /// recovery self-test can demonstrate what unverified replay silently
     /// accepts (DESIGN.md §14).
     pub verify_journal: bool,
-    /// Support-scan engine for every solver run (`--matcher`). Outputs are
-    /// byte-identical across engines — the grid fingerprint deliberately
-    /// excludes it, so a journal written under one engine replays soundly
-    /// under the other.
-    pub matcher: MatcherEngine,
 }
 
 impl Default for SweepConfig {
@@ -78,7 +73,6 @@ impl Default for SweepConfig {
             checkpoint: None,
             retry: RetryPolicy::io_default(),
             verify_journal: true,
-            matcher: MatcherEngine::default(),
         }
     }
 }
@@ -238,13 +232,12 @@ fn run_job(
         .iter()
         .map(|m| {
             match supervise(retry, || {
-                m.run_with_engine(
+                m.run_with(
                     &ds.pair,
                     &ds.patterns,
                     cfg.budget,
                     cfg.eval_threads,
                     Some(&pool),
-                    cfg.matcher,
                 )
             }) {
                 Ok((out, retries)) => {
@@ -708,7 +701,6 @@ mod tests {
             checkpoint: None,
             retry: RetryPolicy::io_default(),
             verify_journal: true,
-            matcher: MatcherEngine::default(),
         }
     }
 
@@ -787,7 +779,6 @@ mod tests {
             checkpoint: dir,
             retry: RetryPolicy::io_default(),
             verify_journal: true,
-            matcher: MatcherEngine::default(),
         }
     }
 
@@ -901,7 +892,6 @@ mod tests {
             // test asserts the quarantine outcome without backoff waits.
             retry: RetryPolicy::no_retries(),
             verify_journal: true,
-            matcher: MatcherEngine::default(),
         };
         let fig = run_grid(
             "FigP",

@@ -6,8 +6,8 @@ use std::time::{Duration, Instant};
 
 use evematch_core::{
     AdvancedHeuristic, BoundKind, Budget, EntropyMatcher, EvalConfig, ExactMatcher,
-    IterativeMatcher, Mapping, MatchContext, MatcherEngine, MetricsSnapshot, PatternSetBuilder,
-    PhaseProfiler, ProfileSnapshot, SharedSupportCache, SimpleHeuristic,
+    IterativeMatcher, Mapping, MatchContext, MetricsSnapshot, PatternSetBuilder, PhaseProfiler,
+    ProfileSnapshot, SharedSupportCache, SimpleHeuristic,
 };
 use evematch_datagen::LogPair;
 use evematch_pattern::Pattern;
@@ -266,8 +266,7 @@ impl Method {
     /// optional per-cell [`SupportCachePool`]. `threads > 1` prefetches
     /// successor-batch support scans on scoped worker threads; outputs stay
     /// byte-identical to `threads == 1`. A pool lets methods with the same
-    /// pattern set share (and warm) one support memo. Uses the default
-    /// matcher engine ([`MatcherEngine::Compiled`]).
+    /// pattern set share (and warm) one support memo.
     pub fn run_with(
         &self,
         pair: &LogPair,
@@ -275,28 +274,6 @@ impl Method {
         budget: Budget,
         threads: usize,
         pool: Option<&SupportCachePool>,
-    ) -> RunOutcome {
-        self.run_with_engine(
-            pair,
-            complex,
-            budget,
-            threads,
-            pool,
-            MatcherEngine::default(),
-        )
-    }
-
-    /// Like [`Method::run_with`], additionally selecting the support-scan
-    /// engine (`--matcher`). Outputs are byte-identical across engines:
-    /// only wall-clock time and the `matcher.*` info facts differ.
-    pub fn run_with_engine(
-        &self,
-        pair: &LogPair,
-        complex: &[Pattern],
-        budget: Budget,
-        threads: usize,
-        pool: Option<&SupportCachePool>,
-        engine: MatcherEngine,
     ) -> RunOutcome {
         let start = Instant::now();
         // Context construction (dependency graphs + pattern index) is this
@@ -315,9 +292,7 @@ impl Method {
             .expect("log pairs satisfy |V1| ≤ |V2|")
         );
         let mut profile = indexer.finish();
-        let mut config = EvalConfig::from_budget(budget)
-            .with_threads(threads)
-            .with_engine(engine);
+        let mut config = EvalConfig::from_budget(budget).with_threads(threads);
         if let Some(pool) = pool {
             config = config.with_shared_cache(pool.cache_for(&ctx));
         }

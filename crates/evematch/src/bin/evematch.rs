@@ -48,12 +48,6 @@
 //!                            evaluation (default: 1 = sequential; any N
 //!                            produces byte-identical output, only
 //!                            wall-clock changes)
-//!     --matcher <E>          interpreted | compiled — the pattern-support
-//!                            scan engine (default: the EVEMATCH_MATCHER
-//!                            env var, else compiled). Both engines are
-//!                            byte-equivalent; compiled runs a bit-parallel
-//!                            NFA, falling back per pattern (counted in
-//!                            `matcher.fallback.*`) past its state budget
 //!     --metrics-out <FILE>   write the run's telemetry snapshot as JSON:
 //!                            a `deterministic` section (counters, gauges,
 //!                            histograms — bit-identical across runs under
@@ -129,7 +123,6 @@ struct Options {
     limit_secs: u64,
     limit_processed: Option<u64>,
     eval_threads: usize,
-    matcher: MatcherEngine,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -154,10 +147,6 @@ fn parse_args() -> Result<Options, String> {
         limit_secs: 60,
         limit_processed: None,
         eval_threads: 1,
-        matcher: match std::env::var("EVEMATCH_MATCHER") {
-            Ok(v) => v.parse().map_err(|e| format!("EVEMATCH_MATCHER: {e}"))?,
-            Err(_) => MatcherEngine::default(),
-        },
         metrics_out: None,
         trace_out: None,
         profile_out: std::env::var("EVEMATCH_PROFILE_OUT").ok(),
@@ -229,11 +218,6 @@ fn parse_args() -> Result<Options, String> {
                 opts.eval_threads = value("--eval-threads")?
                     .parse()
                     .map_err(|e| format!("--eval-threads: {e}"))?;
-            }
-            "--matcher" => {
-                opts.matcher = value("--matcher")?
-                    .parse()
-                    .map_err(|e| format!("--matcher: {e}"))?;
             }
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
@@ -379,9 +363,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         budget = budget.with_processed_cap(cap);
     }
 
-    let mut config = EvalConfig::from_budget(budget)
-        .with_threads(opts.eval_threads)
-        .with_engine(opts.matcher);
+    let mut config = EvalConfig::from_budget(budget).with_threads(opts.eval_threads);
     if let Some(b) = &beacon {
         config = config.with_beacon(b.clone());
     }
@@ -599,7 +581,7 @@ fn main() -> ExitCode {
                  [--patterns FILE] [--format text|csv] [--bound simple|tight] \
                  [--lenient] [--max-events N] [--max-traces N] [--max-trace-len N] \
                  [--max-line-bytes N] [--limit-secs N] [--limit-processed N] \
-                 [--eval-threads N] [--matcher interpreted|compiled] \
+                 [--eval-threads N] \
                  [--metrics-out FILE] [--trace-out FILE] [--profile-out FILE] \
                  [--progress] [--quiet] \
                  [--fault-schedule SPEC] [--fault-seed N] LOG1 LOG2\n       \

@@ -63,9 +63,9 @@ pub mod prelude {
     pub use evematch_core::{
         assignment, fault, hardness, persist, retry, score, telemetry, AdvancedHeuristic,
         BoundKind, Budget, Completion, EntropyMatcher, EvalConfig, ExactMatcher, Exhaustion,
-        IterativeMatcher, Mapping, MatchContext, MatchOutcome, MatcherEngine, MetricsSnapshot,
-        PatternSetBuilder, PhaseProfiler, ProfileSnapshot, ProgressBeacon, SearchError,
-        SharedSupportCache, SimpleHeuristic, Telemetry, TraceBuffer, TraceEvent, WorkCol,
+        IterativeMatcher, Mapping, MatchContext, MatchOutcome, MetricsSnapshot, PatternSetBuilder,
+        PhaseProfiler, ProfileSnapshot, ProgressBeacon, SearchError, SharedSupportCache,
+        SimpleHeuristic, Telemetry, TraceBuffer, TraceEvent, WorkCol,
     };
     pub use evematch_datagen::{
         datasets, heterogenize, Block, Dataset, HeterogenizeConfig, LogPair, ProcessModel,
@@ -77,8 +77,6 @@ pub mod prelude {
         IngestOptions, LogBuilder, LogStats, Quarantine, Trace, TraceIndex,
     };
     pub use evematch_pattern::{
-        compiled_pattern_support, compiled_pattern_support_stats,
-        compiled_pattern_support_with_fuel, compiled_pattern_support_with_fuel_stats,
         discover_patterns, parse_pattern, pattern_freq, pattern_support, CompileError,
         CompiledPattern, DiscoveryConfig, Pattern, PatternGraph, STATE_BUDGET,
     };

@@ -165,7 +165,6 @@ fn run_once(root: &Path, traces: usize, verify_journal: bool) -> io::Result<Pane
         checkpoint: Some(root.join("ckpt")),
         retry: RetryPolicy::no_retries(),
         verify_journal,
-        matcher: evematch_core::MatcherEngine::default(),
     };
     let fig = run_grid(
         "CrashT",

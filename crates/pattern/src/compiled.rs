@@ -39,13 +39,10 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::str::FromStr;
 
-use evematch_eventlog::{ColumnarLog, EventId, EventLog, TraceIndex};
+use evematch_eventlog::EventId;
 
 use crate::ast::{Pattern, MAX_AND_ARITY, MAX_DEPTH};
-use crate::frequency::SupportStats;
-use crate::matcher::Interrupted;
 
 /// Maximum number of automaton states — one bit of the `u64` state set
 /// each. Patterns needing more fall back to the interpreter with a typed
@@ -89,74 +86,6 @@ impl fmt::Display for CompileError {
 }
 
 impl std::error::Error for CompileError {}
-
-/// Which engine a support evaluation uses to decide whether a trace
-/// matches a (mapped) pattern.
-///
-/// Both engines are proven byte-equivalent by the differential harness in
-/// `tests/differential.rs`: verdicts, `SupportStats`, fuel-interruption
-/// points, and therefore every deterministic artifact are identical.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum MatcherEngine {
-    /// Interpret the `Pattern` AST per window (`crate::trace_matches`).
-    Interpreted,
-    /// Run the bit-parallel compiled automaton over the columnar log,
-    /// falling back to the interpreter per pattern when compilation
-    /// reported a typed [`CompileError`].
-    #[default]
-    Compiled,
-}
-
-impl MatcherEngine {
-    /// Both engines, in flag order.
-    pub const ALL: [MatcherEngine; 2] = [MatcherEngine::Interpreted, MatcherEngine::Compiled];
-
-    /// The flag/JSON name of the engine.
-    pub fn name(self) -> &'static str {
-        match self {
-            MatcherEngine::Interpreted => "interpreted",
-            MatcherEngine::Compiled => "compiled",
-        }
-    }
-}
-
-impl fmt::Display for MatcherEngine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// Error parsing a [`MatcherEngine`] from a flag value.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ParseMatcherEngineError {
-    input: String,
-}
-
-impl fmt::Display for ParseMatcherEngineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "unknown matcher engine `{}` (expected `interpreted` or `compiled`)",
-            self.input
-        )
-    }
-}
-
-impl std::error::Error for ParseMatcherEngineError {}
-
-impl FromStr for MatcherEngine {
-    type Err = ParseMatcherEngineError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "interpreted" => Ok(MatcherEngine::Interpreted),
-            "compiled" => Ok(MatcherEngine::Compiled),
-            other => Err(ParseMatcherEngineError {
-                input: other.to_owned(),
-            }),
-        }
-    }
-}
 
 /// One item of a configuration: a pending symbol, or a partially-consumed
 /// `AND` node with the mask of children still to run.
@@ -416,7 +345,7 @@ impl CompiledPattern {
     /// thread, and any thread reaching the accept configuration proves a
     /// matching window. `sym_of` maps a trace event to its pattern-local
     /// symbol, or [`NO_SYM`].
-    fn run(&self, trace: &[EventId], sym_of: impl Fn(EventId) -> u16) -> bool {
+    pub(crate) fn run(&self, trace: &[EventId], sym_of: impl Fn(EventId) -> u16) -> bool {
         if trace.len() < self.k || self.k == 0 {
             return false;
         }
@@ -466,168 +395,25 @@ impl CompiledPattern {
     }
 }
 
-/// Compiled-engine counterpart of [`crate::pattern_support`]: the number
-/// of traces of `log` matching the compiled pattern under `images`.
-///
-/// `index` must have been built from the same log as `log` and `images`
-/// must be pairwise distinct (see [`CompiledPattern::matches_trace`]).
-pub fn compiled_pattern_support(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-) -> usize {
-    compiled_pattern_support_stats(cp, images, log, index, &mut SupportStats::default())
-}
-
-/// [`compiled_pattern_support`], additionally accumulating work counters
-/// into `stats` — the **same** counters, at the same points, as the
-/// interpreted [`crate::pattern_support_stats`].
-pub fn compiled_pattern_support_stats(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-    stats: &mut SupportStats,
-) -> usize {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    scan_stats(
-        cp,
-        images,
-        log.event_count(),
-        index,
-        |t| log.trace(t),
-        stats,
-    )
-}
-
-/// The pattern's own support in a row-major [`EventLog`] (the identity
-/// binding over its sorted event list) — the `L1` scan behind
-/// [`crate::EvaluatedPattern`], which has no columnar view of `L1` to
-/// scan.
-pub(crate) fn compiled_identity_support(
-    cp: &CompiledPattern,
-    events: &[EventId],
-    log: &EventLog,
-    index: &TraceIndex,
-) -> usize {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    scan_stats(
-        cp,
-        events,
-        log.event_count(),
-        index,
-        |t| log.traces()[t].events(),
-        &mut SupportStats::default(),
-    )
-}
-
-/// The unfueled scan shared by [`compiled_pattern_support_stats`] and
-/// [`compiled_identity_support`]; `trace` fetches a trace by id from
-/// whichever layout the caller holds.
-fn scan_stats<'l>(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    event_count: usize,
-    index: &TraceIndex,
-    trace: impl Fn(usize) -> &'l [EventId],
-    stats: &mut SupportStats,
-) -> usize {
-    let Some(sym_of) = scan_binding(cp, images, event_count) else {
-        return 0;
-    };
-    stats.index_probes += 1;
-    let mut matched = 0usize;
-    for t in index.traces_with_all(&sorted_images(images)) {
-        stats.candidate_traces += 1;
-        if cp.run(trace(t as usize), |e| sym_of[e.index()]) {
-            matched += 1;
-        }
-    }
-    stats.matched_traces += matched as u64;
-    matched
-}
-
-/// Compiled-engine counterpart of [`crate::pattern_support_with_fuel`]:
-/// polls `fuel` once per candidate trace and stops with [`Interrupted`]
-/// at **exactly** the same candidate boundary as the interpreter would.
-pub fn compiled_pattern_support_with_fuel(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-) -> Result<usize, Interrupted> {
-    compiled_pattern_support_with_fuel_stats(
-        cp,
-        images,
-        log,
-        index,
-        fuel,
-        &mut SupportStats::default(),
-    )
-}
-
-/// [`compiled_pattern_support_with_fuel`], additionally accumulating work
-/// counters into `stats` (valid even on [`Interrupted`], mirroring the
-/// interpreted [`crate::pattern_support_with_fuel_stats`]).
-pub fn compiled_pattern_support_with_fuel_stats(
-    cp: &CompiledPattern,
-    images: &[EventId],
-    log: &ColumnarLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-    stats: &mut SupportStats,
-) -> Result<usize, Interrupted> {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let Some(sym_of) = scan_binding(cp, images, log.event_count()) else {
-        return Ok(0);
-    };
-    stats.index_probes += 1;
-    let mut count = 0usize;
-    for t in index.traces_with_all(&sorted_images(images)) {
-        if !fuel() {
-            return Err(Interrupted);
-        }
-        stats.candidate_traces += 1;
-        if cp.run(log.trace(t as usize), |e| sym_of[e.index()]) {
-            count += 1;
-            stats.matched_traces += 1;
-        }
-    }
-    Ok(count)
-}
-
-/// The sorted image tuple — the mapped pattern's event set, as the
-/// interpreter's `p.events()` would produce it for an injective binding.
-fn sorted_images(images: &[EventId]) -> Vec<EventId> {
-    let mut sorted = images.to_vec();
-    sorted.sort_unstable();
-    sorted
-}
-
-/// The dense event→symbol reverse lookup for one support scan, or `None`
-/// when some image lies outside the log's vocabulary (the scan then
-/// reports support 0 *before* probing the index, exactly like the
-/// interpreter's out-of-vocabulary guard).
-fn scan_binding(cp: &CompiledPattern, images: &[EventId], event_count: usize) -> Option<Vec<u16>> {
-    debug_assert_eq!(images.len(), cp.k);
-    if images.iter().any(|e| e.index() >= event_count) {
-        return None;
-    }
+/// The dense event → symbol reverse lookup of one support scan under the
+/// injective binding `images` over a vocabulary of `event_count` events
+/// (every image must lie inside it): symbol `i` is bound to `images[i]`,
+/// every other event maps to [`NO_SYM`].
+pub(crate) fn symbol_table(images: &[EventId], event_count: usize) -> Vec<u16> {
     let mut sym_of = vec![NO_SYM; event_count];
     for (i, &e) in images.iter().enumerate() {
         debug_assert_eq!(sym_of[e.index()], NO_SYM, "binding must be injective");
         sym_of[e.index()] = i as u16;
     }
-    Some(sym_of)
+    sym_of
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::matcher::{linearizations, trace_matches};
-    use evematch_eventlog::LogBuilder;
+    use crate::{EvaluatedPattern, SupportStats};
+    use evematch_eventlog::{ColumnarLog, LogBuilder};
 
     fn e(i: u32) -> Pattern {
         Pattern::event(i)
@@ -752,25 +538,27 @@ mod tests {
         let index = log.trace_index();
         let col = ColumnarLog::from_log(&log);
         let p = p1();
-        let cp = CompiledPattern::compile(&p).unwrap();
-        let images = p.events();
-
-        let mut istats = SupportStats::default();
-        let interp = crate::frequency::pattern_support_stats(&p, &log, &index, &mut istats);
-        let mut cstats = SupportStats::default();
-        let compiled = compiled_pattern_support_stats(&cp, &images, &col, &index, &mut cstats);
-        assert_eq!(interp, 3);
-        assert_eq!(compiled, interp);
-        assert_eq!(cstats, istats, "work counters must be engine-independent");
-
-        // Fuel parity: both engines stop at the same candidate boundary.
-        let mut units = 2u32;
-        let r = compiled_pattern_support_with_fuel(&cp, &images, &col, &index, &mut || {
-            let ok = units > 0;
-            units = units.saturating_sub(1);
-            ok
-        });
-        assert_eq!(r, Err(Interrupted));
+        let ep = EvaluatedPattern::new(p.clone(), &log, &index);
+        assert!(ep.compiled_for(&ep.events).is_some(), "p1 compiles");
+        let mut stats = SupportStats::default();
+        let scanned = ep.scan(
+            &ep.events,
+            &index,
+            |t| col.trace(t),
+            &mut || true,
+            &mut stats,
+        );
+        assert_eq!(scanned, Ok(3));
+        assert_eq!(ep.support, 3);
+        assert_eq!(crate::pattern_support(&p, &log, &index), 3);
+        assert_eq!(
+            stats,
+            SupportStats {
+                index_probes: 1,
+                candidate_traces: 3,
+                matched_traces: 3,
+            }
+        );
     }
 
     #[test]
@@ -781,20 +569,17 @@ mod tests {
         let index = log.trace_index();
         let col = ColumnarLog::from_log(&log);
         let p = Pattern::seq(vec![e(0), e(1)]).unwrap();
-        let cp = CompiledPattern::compile(&p).unwrap();
+        let ep = EvaluatedPattern::new(p, &log, &index);
         let mut stats = SupportStats::default();
-        let s = compiled_pattern_support_stats(&cp, &ids(&[0, 99]), &col, &index, &mut stats);
-        assert_eq!(s, 0);
+        let s = ep.scan(
+            &ids(&[0, 99]),
+            &index,
+            |t| col.trace(t),
+            &mut || true,
+            &mut stats,
+        );
+        assert_eq!(s, Ok(0));
         assert_eq!(stats.index_probes, 0, "guard fires before the probe");
-    }
-
-    #[test]
-    fn matcher_engine_parses_and_defaults() {
-        assert_eq!(MatcherEngine::default(), MatcherEngine::Compiled);
-        assert_eq!("interpreted".parse(), Ok(MatcherEngine::Interpreted));
-        assert_eq!("compiled".parse(), Ok(MatcherEngine::Compiled));
-        assert!("fast".parse::<MatcherEngine>().is_err());
-        assert_eq!(MatcherEngine::Compiled.to_string(), "compiled");
     }
 
     #[test]

@@ -4,22 +4,24 @@
 //! `|L|`. Counting scans only the traces containing *all* of the pattern's
 //! events, obtained from the inverted trace index `I_t` (Section 3.2.3).
 //!
-//! [`EvaluatedPattern`] computes `f1(p)` once per pattern. The paper's
-//! *special* patterns (a single event, or `SEQ(a, b)` of two distinct
-//! events — see [`PatternShape`]) need no scan at all: by Definition 1
-//! their supports are the vertex and edge supports `f(v, v)` and
-//! `f(a, b)` that the dependency graph already counts. Every other
-//! pattern is scanned with its bit-parallel [`CompiledPattern`]. The AST
-//! interpreter ([`pattern_support`] and friends) remains only as the
-//! per-pattern fallback for patterns the compiler rejects and as the test
-//! oracle the compiled engine is proven against.
+//! Support is counted by one scan, [`EvaluatedPattern::scan`], under any
+//! binding of the pattern's events: `L1` supports use the identity
+//! binding, the evaluator's `L2` supports the mapped images. Its
+//! bit-parallel [`CompiledPattern`] decides each candidate trace; the AST
+//! interpreter decides only for a pattern the compiler rejected or a
+//! binding that is not pairwise distinct. The paper's *special* patterns
+//! (a single event, or `SEQ(a, b)` of two distinct events — see
+//! [`PatternShape`]) need no scan at all: by Definition 1 their supports
+//! are the vertex and edge supports `f(v, v)` and `f(a, b)` that the
+//! dependency graph already counts. [`pattern_support`] is the plain
+//! interpreter loop, kept as the test oracle the scan is proven against.
 
 use evematch_eventlog::{DepGraph, EventId, EventLog, TraceIndex};
 
 use crate::ast::Pattern;
-use crate::compiled::{compiled_identity_support, CompileError, CompiledPattern};
+use crate::compiled::{symbol_table, CompileError, CompiledPattern};
 use crate::graph_form::{edge_groups, PatternGraph};
-use crate::matcher::{trace_matches, Interrupted};
+use crate::matcher::{events_match, trace_matches, Interrupted};
 
 /// Work counters of one (or several accumulated) support scans, for
 /// observability. Every field is deterministic.
@@ -27,91 +29,31 @@ use crate::matcher::{trace_matches, Interrupted};
 pub struct SupportStats {
     /// Inverted-index intersections performed (`I_t` probes).
     pub index_probes: u64,
-    /// Candidate traces scanned with `trace_matches`.
+    /// Candidate traces scanned.
     pub candidate_traces: u64,
     /// Candidate traces that actually matched.
     pub matched_traces: u64,
 }
 
-/// Number of traces of `log` matching `p`, counted over `⋂ I_t(v)`.
+/// Number of traces of `log` matching `p`, counted over `⋂ I_t(v)` by the
+/// AST interpreter — the oracle [`EvaluatedPattern::scan`] is tested
+/// against.
 ///
 /// `index` must have been built from `log` (debug-asserted via the event
 /// count).
 pub fn pattern_support(p: &Pattern, log: &EventLog, index: &TraceIndex) -> usize {
-    pattern_support_stats(p, log, index, &mut SupportStats::default())
-}
-
-/// [`pattern_support`], additionally accumulating work counters into
-/// `stats`.
-pub fn pattern_support_stats(
-    p: &Pattern,
-    log: &EventLog,
-    index: &TraceIndex,
-    stats: &mut SupportStats,
-) -> usize {
     debug_assert_eq!(index.event_count(), log.event_count());
     let events = p.events();
     // A pattern mentioning an event outside the log's vocabulary can never
-    // match; guard so `traces_with` does not index out of bounds.
+    // match; guard so `traces_with_all` does not index out of bounds.
     if events.iter().any(|e| e.index() >= log.event_count()) {
         return 0;
     }
-    stats.index_probes += 1;
-    let mut matched = 0usize;
-    for t in index.traces_with_all(&events) {
-        stats.candidate_traces += 1;
-        // tidy-allow: matcher-confinement -- this IS the interpreter engine's support scan; the compiled engine mirrors this loop verbatim
-        if trace_matches(p, &log.traces()[t as usize]) {
-            matched += 1;
-        }
-    }
-    stats.matched_traces += matched as u64;
-    matched
-}
-
-/// [`pattern_support`] with cooperative interruption: `fuel` is polled once
-/// per candidate trace (the scan's unit of work, each a polynomial
-/// `trace_matches`), and the scan stops with [`Interrupted`] as soon as
-/// `fuel` runs dry. The partial count is deliberately not returned — an
-/// interrupted scan has no sound frequency.
-pub fn pattern_support_with_fuel(
-    p: &Pattern,
-    log: &EventLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-) -> Result<usize, Interrupted> {
-    pattern_support_with_fuel_stats(p, log, index, fuel, &mut SupportStats::default())
-}
-
-/// [`pattern_support_with_fuel`], additionally accumulating work counters
-/// into `stats` (valid even on [`Interrupted`]: probes and candidates
-/// scanned so far stay counted).
-pub fn pattern_support_with_fuel_stats(
-    p: &Pattern,
-    log: &EventLog,
-    index: &TraceIndex,
-    fuel: &mut dyn FnMut() -> bool,
-    stats: &mut SupportStats,
-) -> Result<usize, Interrupted> {
-    debug_assert_eq!(index.event_count(), log.event_count());
-    let events = p.events();
-    if events.iter().any(|e| e.index() >= log.event_count()) {
-        return Ok(0);
-    }
-    stats.index_probes += 1;
-    let mut count = 0usize;
-    for t in index.traces_with_all(&events) {
-        if !fuel() {
-            return Err(Interrupted);
-        }
-        stats.candidate_traces += 1;
-        // tidy-allow: matcher-confinement -- this IS the interpreter engine's fueled support scan; the compiled engine mirrors this loop verbatim
-        if trace_matches(p, &log.traces()[t as usize]) {
-            count += 1;
-            stats.matched_traces += 1;
-        }
-    }
-    Ok(count)
+    index
+        .traces_with_all(&events)
+        .into_iter()
+        .filter(|&t| trace_matches(p, &log.traces()[t as usize]))
+        .count()
 }
 
 /// Normalized frequency `f(p) = pattern_support / |L|`.
@@ -190,7 +132,7 @@ impl EvaluatedPattern {
     pub fn new(pattern: Pattern, log: &EventLog, index: &TraceIndex) -> Self {
         Self::build(pattern, log, |ep| match ep.shape {
             PatternShape::Vertex(v) => index.traces_with(v).len(),
-            _ => ep.scan_support(log, index),
+            _ => ep.l1_scan(log, index),
         })
     }
 
@@ -206,7 +148,7 @@ impl EvaluatedPattern {
         Self::build(pattern, log, |ep| match ep.shape {
             PatternShape::Vertex(v) => dep.vertex_support(v) as usize,
             PatternShape::Edge(a, b) => dep.edge_support(a, b) as usize,
-            PatternShape::Complex => ep.scan_support(log, index),
+            PatternShape::Complex => ep.l1_scan(log, index),
         })
     }
 
@@ -234,19 +176,102 @@ impl EvaluatedPattern {
         ep
     }
 
-    /// The pattern's support in `log` by a scan over `index` candidates:
-    /// the compiled automaton under the identity binding, or the
-    /// interpreter for a pattern the compiler rejected.
-    fn scan_support(&self, log: &EventLog, index: &TraceIndex) -> usize {
-        match &self.compiled {
-            Ok(cp) => compiled_identity_support(cp, &self.events, log, index),
-            Err(_) => pattern_support(&self.pattern, log, index),
+    /// The compiled automaton when it decides scans under `images`, or
+    /// `None` when the interpreter must: the pattern did not compile, or
+    /// `images` is not pairwise distinct (the compiled reverse lookup needs
+    /// an injective binding; the interpreter on the mapped AST defines the
+    /// degenerate semantics).
+    pub fn compiled_for(&self, images: &[EventId]) -> Option<&CompiledPattern> {
+        let distinct = images
+            .iter()
+            .enumerate()
+            .all(|(i, a)| !images[i + 1..].contains(a));
+        self.compiled.as_ref().ok().filter(|_| distinct)
+    }
+
+    /// The support of the pattern bound to `images` (symbol `i`, the
+    /// `i`-th of [`Self::events`], is bound to `images[i]`; the identity
+    /// binding is [`Self::events`] itself): the number of candidate traces
+    /// in `⋂ I_t(images)` that hold a matching window. `trace` fetches a
+    /// candidate by id from whichever layout indexes `index`.
+    ///
+    /// An image outside `index`'s vocabulary gives support 0 before the
+    /// index is probed. `fuel` is polled once per candidate trace, and the
+    /// scan stops with [`Interrupted`] as soon as it runs dry — the partial
+    /// count is not returned, since an interrupted scan has no sound
+    /// frequency. `stats` accumulates the work done either way.
+    pub fn scan<'l>(
+        &self,
+        images: &[EventId],
+        index: &TraceIndex,
+        trace: impl Fn(usize) -> &'l [EventId],
+        fuel: &mut dyn FnMut() -> bool,
+        stats: &mut SupportStats,
+    ) -> Result<usize, Interrupted> {
+        debug_assert_eq!(images.len(), self.events.len());
+        let event_count = index.event_count();
+        if images.iter().any(|e| e.index() >= event_count) {
+            return Ok(0);
         }
+        let decide = match self.compiled_for(images) {
+            Some(cp) => Decider::Compiled(cp, symbol_table(images, event_count)),
+            None => Decider::Interpreted(
+                self.pattern
+                    .map_events(&|e| self.events.binary_search(&e).map_or(e, |i| images[i])),
+            ),
+        };
+        stats.index_probes += 1;
+        let mut matched = 0usize;
+        for t in index.traces_with_all(images) {
+            if !fuel() {
+                return Err(Interrupted);
+            }
+            stats.candidate_traces += 1;
+            if decide.matches(trace(t as usize)) {
+                matched += 1;
+                stats.matched_traces += 1;
+            }
+        }
+        Ok(matched)
+    }
+
+    /// The pattern's own support in `log`: [`Self::scan`] under the
+    /// identity binding, unfueled.
+    fn l1_scan(&self, log: &EventLog, index: &TraceIndex) -> usize {
+        let traces = log.traces();
+        self.scan(
+            &self.events,
+            index,
+            |t| traces[t].events(),
+            &mut || true,
+            &mut SupportStats::default(),
+        )
+        // `|| true` never runs dry, so the scan always completes.
+        .unwrap_or_default()
     }
 
     /// Number of events `|p|`.
     pub fn size(&self) -> usize {
         self.events.len()
+    }
+}
+
+/// How [`EvaluatedPattern::scan`] decides one candidate trace.
+enum Decider<'p> {
+    /// The compiled automaton, with the scan's event → symbol lookup.
+    Compiled(&'p CompiledPattern, Vec<u16>),
+    /// The interpreter on the mapped pattern.
+    Interpreted(Pattern),
+}
+
+impl Decider<'_> {
+    // Inlined into each caller's instance of the generic scan loop.
+    #[inline]
+    fn matches(&self, trace: &[EventId]) -> bool {
+        match self {
+            Decider::Compiled(cp, sym_of) => cp.run(trace, |e| sym_of[e.index()]),
+            Decider::Interpreted(p) => events_match(p, trace),
+        }
     }
 }
 
@@ -299,20 +324,30 @@ mod tests {
         assert!((pattern_freq(&p, &l, &idx) - 0.75).abs() < 1e-12);
     }
 
+    /// Fuel that allows `units` candidate traces, then runs dry.
+    fn fuel_for(mut units: u32) -> impl FnMut() -> bool {
+        move || {
+            let ok = units > 0;
+            units = units.saturating_sub(1);
+            ok
+        }
+    }
+
     #[test]
     fn fueled_support_counts_or_interrupts() {
         let l = log();
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
-        assert_eq!(pattern_support_with_fuel(&p, &l, &idx, &mut || true), Ok(3));
+        let ep = EvaluatedPattern::new(p, &l, &idx);
+        let trace = |t: usize| l.traces()[t].events();
+        let mut stats = SupportStats::default();
+        assert_eq!(
+            ep.scan(&ep.events, &idx, trace, &mut || true, &mut stats),
+            Ok(3)
+        );
         // Three candidate traces contain {A,B,C,D}; two units of fuel stop
         // the scan before the third.
-        let mut units = 2u32;
-        let r = pattern_support_with_fuel(&p, &l, &idx, &mut || {
-            let ok = units > 0;
-            units = units.saturating_sub(1);
-            ok
-        });
+        let r = ep.scan(&ep.events, &idx, trace, &mut fuel_for(2), &mut stats);
         assert_eq!(r, Err(Interrupted));
     }
 
@@ -321,25 +356,19 @@ mod tests {
         let l = log();
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
+        let ep = EvaluatedPattern::new(p, &l, &idx);
+        let trace = |t: usize| l.traces()[t].events();
         let mut stats = SupportStats::default();
-        assert_eq!(pattern_support_stats(&p, &l, &idx, &mut stats), 3);
+        assert_eq!(
+            ep.scan(&ep.events, &idx, trace, &mut || true, &mut stats),
+            Ok(3)
+        );
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.candidate_traces, 3, "only {{A,B,C,D}} traces scanned");
         assert_eq!(stats.matched_traces, 3);
         // Interrupted scans keep the partial work counted.
         let mut stats = SupportStats::default();
-        let mut units = 2u32;
-        let r = pattern_support_with_fuel_stats(
-            &p,
-            &l,
-            &idx,
-            &mut || {
-                let ok = units > 0;
-                units = units.saturating_sub(1);
-                ok
-            },
-            &mut stats,
-        );
+        let r = ep.scan(&ep.events, &idx, trace, &mut fuel_for(2), &mut stats);
         assert_eq!(r, Err(Interrupted));
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.candidate_traces, 2);

@@ -22,13 +22,14 @@
 //!   syntax;
 //! * the graph form ([`PatternGraph`]) used by pattern-existence pruning
 //!   (Proposition 3) and by the Table-2 bounds;
-//! * matching and frequency evaluation ([`matches_window`],
-//!   [`trace_matches`], [`pattern_support`], [`pattern_freq`]) driven by the
-//!   inverted trace index `I_t`;
-//! * a bit-parallel compiled engine ([`CompiledPattern`],
-//!   [`compiled_pattern_support`]) proven byte-equivalent to the
-//!   interpreter, with a typed [`CompileError`] fallback and the
-//!   [`MatcherEngine`] selector;
+//! * window and trace matching ([`matches_window`], [`trace_matches`]) —
+//!   the AST interpreter;
+//! * a bit-parallel compiled automaton ([`CompiledPattern`]) with a typed
+//!   [`CompileError`] when a pattern must stay with the interpreter;
+//! * support counting through one scan over the inverted trace index
+//!   `I_t` ([`EvaluatedPattern::scan`]), which the compiled automaton
+//!   decides and the interpreter backs per pattern, with the interpreter's
+//!   own [`pattern_support`] / [`pattern_freq`] as its test oracle;
 //! * the inverted pattern index `I_p` ([`PatternIndex`], Section 3.2.1);
 //! * a frequent-episode-style pattern discovery pass
 //!   ([`discover_patterns`]) implementing the paper's Section-2.2
@@ -47,16 +48,9 @@ mod matcher;
 mod parser;
 
 pub use ast::{Pattern, PatternError, MAX_AND_ARITY, MAX_DEPTH};
-pub use compiled::{
-    compiled_pattern_support, compiled_pattern_support_stats, compiled_pattern_support_with_fuel,
-    compiled_pattern_support_with_fuel_stats, CompileError, CompiledPattern, MatcherEngine,
-    ParseMatcherEngineError, STATE_BUDGET,
-};
+pub use compiled::{CompileError, CompiledPattern, STATE_BUDGET};
 pub use discovery::{discover_patterns, DiscoveryConfig};
-pub use frequency::{
-    pattern_freq, pattern_support, pattern_support_stats, pattern_support_with_fuel,
-    pattern_support_with_fuel_stats, EvaluatedPattern, PatternShape, SupportStats,
-};
+pub use frequency::{pattern_freq, pattern_support, EvaluatedPattern, PatternShape, SupportStats};
 pub use graph_form::{edge_groups, PatternGraph};
 pub use index::PatternIndex;
 pub use matcher::{

@@ -101,11 +101,14 @@ fn contains_event(p: &Pattern, e: EventId) -> bool {
 /// Whether `trace` matches `p` (Definition 4): some contiguous substring of
 /// the trace belongs to `I(p)`.
 pub fn trace_matches(p: &Pattern, trace: &Trace) -> bool {
+    events_match(p, trace.events())
+}
+
+/// [`trace_matches`] over a bare event slice: the interpreter's verdict on
+/// one candidate trace of the support scan, whichever layout holds it.
+pub(crate) fn events_match(p: &Pattern, events: &[EventId]) -> bool {
     let k = p.size();
-    if trace.len() < k {
-        return false;
-    }
-    trace.events().windows(k).any(|w| match_exact(p, w))
+    events.len() >= k && events.windows(k).any(|w| match_exact(p, w))
 }
 
 /// Materializes `I(p)`: every allowed event order, in a deterministic

@@ -1,4 +1,4 @@
-//! The tidy lints (T1–T16) and the waiver machinery.
+//! The tidy lints (T1–T15) and the waiver machinery.
 //!
 //! Each lint is a pure function from a scanned file (or manifest text) to
 //! violations, so the unit tests below can drive them with inline
@@ -129,21 +129,6 @@ pub const VERIFIED_READ_CRATES: &[&str] = &["bench", "core", "eval", "evematch"]
 /// carries a waiver saying *why* the class does not matter there.
 pub const IO_CLASSIFIED_CRATES: &[&str] = &["bench", "core", "eval", "evematch"];
 
-/// The modules that own window-level pattern matching (lint T16): the
-/// AST interpreter and the bit-parallel compiled engine. Runtime
-/// support-evaluation code anywhere else must go through the engine
-/// dispatch (`frequency`'s support scans, the evaluator's
-/// `MatcherEngine` selection) rather than calling `trace_matches`
-/// directly — a direct call silently pins the interpreter, bypassing
-/// the compiled path, its fallback accounting, and the byte-equivalence
-/// contract `bench matcher` enforces. The interpreter's own support
-/// loops in `frequency.rs` are the sanctioned dispatch target and carry
-/// waivers saying so.
-pub const MATCHER_MODULES: &[&str] = &[
-    "crates/pattern/src/matcher.rs",
-    "crates/pattern/src/compiled.rs",
-];
-
 /// A tidy lint.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Lint {
@@ -181,12 +166,6 @@ pub enum Lint {
     /// artifact-consuming crates — result and journal reads go through
     /// the verified reader API so checksums and versions are checked.
     UnverifiedArtifactRead,
-    /// T16: no direct `trace_matches(` calls in runtime code outside
-    /// the matcher modules (`pattern::matcher`, `pattern::compiled`) —
-    /// support evaluation goes through the engine dispatch so the
-    /// compiled path and its fallback accounting are never silently
-    /// bypassed.
-    MatcherConfinement,
     /// T4: crate roots carry `#![forbid(unsafe_code)]` + `#![deny(missing_docs)]`.
     CrateAttrs,
     /// T5: every crate manifest inherits `[workspace.lints]`.
@@ -214,7 +193,6 @@ impl Lint {
             Lint::UnclassifiedIo => "no-unclassified-io",
             Lint::PhaseDiscipline => "phase-discipline",
             Lint::UnverifiedArtifactRead => "no-unverified-artifact-read",
-            Lint::MatcherConfinement => "matcher-confinement",
             Lint::CrateAttrs => "crate-attrs",
             Lint::LintsTable => "lints-table",
             Lint::UnusedWaiver => "unused-waiver",
@@ -239,7 +217,6 @@ impl Lint {
                 | Lint::UnclassifiedIo
                 | Lint::PhaseDiscipline
                 | Lint::UnverifiedArtifactRead
-                | Lint::MatcherConfinement
         )
     }
 
@@ -259,7 +236,6 @@ impl Lint {
             "no-unclassified-io",
             "phase-discipline",
             "no-unverified-artifact-read",
-            "matcher-confinement",
         ]
     }
 }
@@ -1013,49 +989,6 @@ pub fn check_phase_discipline(file: &ScannedFile) -> Vec<Violation> {
                     ),
                 ));
             }
-        }
-    }
-    out
-}
-
-/// T16: matcher confinement — flags direct `trace_matches(` calls in
-/// runtime source outside the [`MATCHER_MODULES`].
-///
-/// The workspace has two window-matching engines — the AST interpreter
-/// and the bit-parallel compiled NFA — selected per evaluation by
-/// `core::MatcherEngine`, with typed, *counted* fallbacks when a pattern
-/// exceeds the compiled state budget. A runtime call site that invokes
-/// `trace_matches` directly hard-wires the interpreter: it never
-/// benefits from the compiled path, never shows up in the
-/// `matcher.compiled_evals` / `matcher.fallback.*` telemetry, and
-/// silently erodes the engines' byte-equivalence contract (enforced by
-/// `bench matcher` and the differential suite). The interpreter's own
-/// support scans in `pattern::frequency` are the sanctioned dispatch
-/// target and carry waivers saying so.
-pub fn check_matcher_confinement(file: &ScannedFile) -> Vec<Violation> {
-    const NEEDLE: &str = "trace_matches(";
-    if MATCHER_MODULES.contains(&file.path.as_str()) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test_code {
-            continue;
-        }
-        if find_token(&line.code, NEEDLE).is_some() {
-            out.push(Violation::new(
-                &file.path,
-                idx + 1,
-                Lint::MatcherConfinement,
-                format!(
-                    "runtime code must not call `{NEEDLE}…)` directly (it pins the \
-                     interpreter and bypasses the compiled engine, its fallback \
-                     accounting, and the engine byte-equivalence contract): go \
-                     through the support API / `core::MatcherEngine` dispatch (or \
-                     waive with `// tidy-allow: matcher-confinement -- <why this \
-                     site must match windows itself>`)"
-                ),
-            ));
         }
     }
     out
@@ -2019,31 +1952,6 @@ mod tests {
         let src = "fn f() {\n  // tidy-allow: no-unverified-artifact-read -- user-supplied input log, not a checksummed artifact\n  let file = std::fs::File::open(path)?;\n}";
         let f = scanned("crates/evematch/src/bin/evematch.rs", src);
         let v = apply_waivers(&f, check_no_unverified_artifact_read(&f));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- T16 ----
-
-    #[test]
-    fn t16_fires_outside_the_matcher_modules_and_exempts_them() {
-        let src = "fn f() { if trace_matches(&p, &trace) { n += 1; } }";
-        let f = scanned("crates/core/src/evaluator.rs", src);
-        let v = check_matcher_confinement(&f);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v.iter().all(|v| v.lint == Lint::MatcherConfinement));
-        for owner in MATCHER_MODULES {
-            assert!(check_matcher_confinement(&scanned(owner, src)).is_empty());
-        }
-    }
-
-    #[test]
-    fn t16_ignores_tests_comments_strings_and_respects_waivers() {
-        let src = "fn f() {\n  // trace_matches(p, t) would pin the interpreter\n  let s = \"trace_matches(\";\n}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { assert!(trace_matches(&p, &t)); }\n}";
-        let f = scanned("crates/pattern/src/frequency.rs", src);
-        assert!(check_matcher_confinement(&f).is_empty());
-        let waived = "fn f() {\n  // tidy-allow: matcher-confinement -- the interpreter engine's own scan\n  if trace_matches(p, &log.traces()[t]) { n += 1; }\n}";
-        let f = scanned("crates/pattern/src/frequency.rs", waived);
-        let v = apply_waivers(&f, check_matcher_confinement(&f));
         assert!(v.is_empty(), "{v:?}");
     }
 

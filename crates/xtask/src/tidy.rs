@@ -5,14 +5,14 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::lints::{
-    apply_waivers, check_crate_attrs, check_lints_table, check_lock_discipline,
-    check_matcher_confinement, check_no_float_eq, check_no_hash_iter, check_no_panic,
-    check_no_println, check_no_raw_artifact_write, check_no_raw_deadline,
-    check_no_raw_thread_spawn, check_no_unclassified_io, check_no_unverified_artifact_read,
-    check_ordering_justified, check_phase_discipline, check_sync_confinement, is_library_source,
-    is_runtime_source, Violation, ARTIFACT_WRITE_CRATES, DETERMINISTIC_CRATES, FLOAT_ORD_CRATES,
-    IO_CLASSIFIED_CRATES, MATCHER_MODULES, MODEL_MODULES, PANIC_FREE_CRATES, PHASE_MODULE_DIR,
-    PRINT_FREE_CRATES, RAW_DEADLINE_CRATES, SYNC_SHIM_DIR, THREAD_MODULES, VERIFIED_READ_CRATES,
+    apply_waivers, check_crate_attrs, check_lints_table, check_lock_discipline, check_no_float_eq,
+    check_no_hash_iter, check_no_panic, check_no_println, check_no_raw_artifact_write,
+    check_no_raw_deadline, check_no_raw_thread_spawn, check_no_unclassified_io,
+    check_no_unverified_artifact_read, check_ordering_justified, check_phase_discipline,
+    check_sync_confinement, is_library_source, is_runtime_source, Violation, ARTIFACT_WRITE_CRATES,
+    DETERMINISTIC_CRATES, FLOAT_ORD_CRATES, IO_CLASSIFIED_CRATES, MODEL_MODULES, PANIC_FREE_CRATES,
+    PHASE_MODULE_DIR, PRINT_FREE_CRATES, RAW_DEADLINE_CRATES, SYNC_SHIM_DIR, THREAD_MODULES,
+    VERIFIED_READ_CRATES,
 };
 use crate::scan::ScannedFile;
 
@@ -65,7 +65,6 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
                 file_violations.extend(check_lock_discipline(&scanned));
                 file_violations.extend(check_sync_confinement(&scanned));
                 file_violations.extend(check_phase_discipline(&scanned));
-                file_violations.extend(check_matcher_confinement(&scanned));
             }
             violations.extend(apply_waivers(&scanned, file_violations));
         }
@@ -197,14 +196,6 @@ pub fn verify_scopes(root: &Path) -> Result<(), String> {
             return Err(format!(
                 "tidy exempts `{module}` from no-panic but the file does not \
                  exist; update MODEL_MODULES in crates/xtask/src/lints.rs"
-            ));
-        }
-    }
-    for module in MATCHER_MODULES {
-        if !root.join(module).is_file() {
-            return Err(format!(
-                "tidy confines `trace_matches` to `{module}` but the file does not \
-                 exist; update MATCHER_MODULES in crates/xtask/src/lints.rs"
             ));
         }
     }

@@ -253,10 +253,9 @@ fn and_fan_out_at_the_arity_cap_is_a_typed_compile_fallback() {
 #[test]
 fn state_budget_fallback_is_counted_in_telemetry_never_silent() {
     // A 7-ary AND needs 2^7 = 128 > STATE_BUDGET states, so an evaluator
-    // running the default compiled engine must (a) fall back to the
-    // interpreter for this pattern, (b) count the fallback in the
-    // `matcher.fallback.state_budget` info fact, and (c) return exactly
-    // the interpreter's support contribution.
+    // must (a) scan this pattern with the interpreter, (b) count the
+    // fallback in the `matcher.fallback.state_budget` info fact, and (c)
+    // return exactly the interpreter oracle's support.
     let n = 7u32;
     let names: Vec<String> = (0..n).map(|i| format!("e{i}")).collect();
     let mut b1 = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
@@ -267,31 +266,32 @@ fn state_budget_fallback_is_counted_in_telemetry_never_silent() {
         b2.push_trace(Trace::from(t));
     }
     let p = Pattern::and_of_events((0..n).map(EventId)).unwrap();
-    let ctx =
-        MatchContext::new(b1.build(), b2.build(), PatternSetBuilder::new().complex(p)).unwrap();
+    let ctx = MatchContext::new(
+        b1.build(),
+        b2.build(),
+        PatternSetBuilder::new().complex(p.clone()),
+    )
+    .unwrap();
     let images: Vec<EventId> = (0..n).map(EventId).collect();
 
-    let mut compiled_eval = evematch::core::Evaluator::new(&ctx);
-    let d_compiled = compiled_eval.d_with_images(0, &images);
-    let snap = compiled_eval.metrics_snapshot();
-    assert_eq!(snap.info.get("matcher.engine"), Some(&1));
+    let mut eval = evematch::core::Evaluator::new(&ctx);
+    let support = eval.mapped_support(0, &images);
+    let snap = eval.metrics_snapshot();
     assert_eq!(snap.info.get("matcher.fallback.state_budget"), Some(&1));
-    assert_eq!(snap.info.get("matcher.compiled_evals"), Some(&0));
-
-    let interp_cfg =
-        EvalConfig::from_budget(Budget::UNLIMITED).with_engine(MatcherEngine::Interpreted);
-    let mut interp_eval = evematch::core::Evaluator::with_config(&ctx, &interp_cfg);
-    let d_interp = interp_eval.d_with_images(0, &images);
-    assert_eq!(d_compiled.to_bits(), d_interp.to_bits());
-    let snap = interp_eval.metrics_snapshot();
-    assert_eq!(snap.info.get("matcher.engine"), Some(&0));
-    assert_eq!(snap.info.get("matcher.fallback.state_budget"), Some(&0));
+    assert_eq!(snap.info.get("matcher.fallback.binding"), Some(&0));
+    let oracle = pattern_support(&p, ctx.log2(), ctx.index2());
+    assert_eq!(
+        oracle, n as usize,
+        "every rotation is one window of the AND"
+    );
+    assert_eq!(support as usize, oracle);
 }
 
 #[test]
-fn compilable_patterns_are_counted_as_compiled_evals() {
-    // The happy-path counterpart: a compilable composite goes through the
-    // bit-parallel engine and says so in telemetry.
+fn compilable_patterns_take_no_fallback() {
+    // The happy-path counterpart: a compilable composite is decided by the
+    // bit-parallel automaton, so no fallback fact is counted, and its
+    // support is the oracle's.
     let mut b1 = LogBuilder::new();
     b1.push_named_trace(["A", "B", "C"]);
     b1.push_named_trace(["A", "C", "B"]);
@@ -299,41 +299,61 @@ fn compilable_patterns_are_counted_as_compiled_evals() {
     b2.push_named_trace(["x", "y", "z"]);
     b2.push_named_trace(["x", "z", "y"]);
     // Three events: a two-event SEQ would take the dependency-edge fast
-    // path and bypass the engine dispatch entirely.
+    // path and never scan.
     let p = Pattern::seq_of_events([EventId(0), EventId(1), EventId(2)]).unwrap();
-    let ctx =
-        MatchContext::new(b1.build(), b2.build(), PatternSetBuilder::new().complex(p)).unwrap();
+    let ctx = MatchContext::new(
+        b1.build(),
+        b2.build(),
+        PatternSetBuilder::new().complex(p.clone()),
+    )
+    .unwrap();
     let mut eval = evematch::core::Evaluator::new(&ctx);
-    let _ = eval.d_with_images(0, &[EventId(0), EventId(1), EventId(2)]);
+    let support = eval.mapped_support(0, &[EventId(0), EventId(1), EventId(2)]);
     let snap = eval.metrics_snapshot();
-    assert_eq!(snap.info.get("matcher.compiled_evals"), Some(&1));
+    assert_eq!(snap.counters["eval.log_scans"], 1);
     assert_eq!(snap.info.get("matcher.fallback.state_budget"), Some(&0));
     assert_eq!(snap.info.get("matcher.fallback.binding"), Some(&0));
+    assert_eq!(support, 1);
+    assert_eq!(
+        support as usize,
+        pattern_support(&p, ctx.log2(), ctx.index2())
+    );
+}
+
+/// The one support scan over `log`'s columnar layout, unfueled.
+fn scan(
+    ep: &evematch::pattern::EvaluatedPattern,
+    images: &[EventId],
+    col: &ColumnarLog,
+    idx: &TraceIndex,
+    stats: &mut evematch::pattern::SupportStats,
+) -> usize {
+    ep.scan(images, idx, |t| col.trace(t), &mut || true, stats)
+        .unwrap()
 }
 
 #[test]
 fn out_of_vocabulary_images_yield_zero_support_without_probing() {
-    use evematch::pattern::{CompiledPattern, SupportStats};
+    use evematch::pattern::{EvaluatedPattern, SupportStats};
     let mut b = LogBuilder::new();
     b.push_named_trace(["A", "B"]);
     let log = b.build();
     let idx = log.trace_index();
     let col = ColumnarLog::from_log(&log);
     let p = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
-    let cp = CompiledPattern::compile(&p).unwrap();
+    let ep = EvaluatedPattern::new(p, &log, &idx);
     // An image outside the log's two-event vocabulary: support 0, and —
-    // exactly like the interpreter's out-of-vocabulary guard — the index
-    // is never probed and no candidate is scanned.
+    // exactly like the interpreter oracle's out-of-vocabulary guard — the
+    // index is never probed and no candidate is scanned.
     let mut stats = SupportStats::default();
-    let support =
-        compiled_pattern_support_stats(&cp, &[EventId(0), EventId(9)], &col, &idx, &mut stats);
+    let support = scan(&ep, &[EventId(0), EventId(9)], &col, &idx, &mut stats);
     assert_eq!(support, 0);
     assert_eq!(stats, SupportStats::default());
 }
 
 #[test]
 fn columnar_log_handles_empty_and_singleton_traces() {
-    use evematch::pattern::CompiledPattern;
+    use evematch::pattern::{EvaluatedPattern, SupportStats};
     let mut b = LogBuilder::with_events(EventSet::from_names(["A", "B"]));
     b.push_trace(Trace::from(Vec::<u32>::new()));
     b.push_trace(Trace::from(vec![0u32]));
@@ -349,18 +369,19 @@ fn columnar_log_handles_empty_and_singleton_traces() {
     assert_eq!(col.trace(3), &[EventId(0), EventId(1)]);
     let idx = log.trace_index();
     // A singleton pattern on the degenerate log: matches the singleton
-    // and the pair trace, skips the empty ones — same as the interpreter.
+    // and the pair trace, skips the empty ones — same as the oracle.
     let single = Pattern::event(0u32);
-    let cp = CompiledPattern::compile(&single).unwrap();
-    let compiled = compiled_pattern_support(&cp, &[EventId(0)], &col, &idx);
-    assert_eq!(compiled, pattern_support(&single, &log, &idx));
-    assert_eq!(compiled, 2);
+    let ep = EvaluatedPattern::new(single.clone(), &log, &idx);
+    let mut stats = SupportStats::default();
+    let support = scan(&ep, &[EventId(0)], &col, &idx, &mut stats);
+    assert_eq!(support, pattern_support(&single, &log, &idx));
+    assert_eq!(support, 2);
     // And a two-event SEQ: only the pair trace can hold a length-2 window.
     let pair = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
-    let cp = CompiledPattern::compile(&pair).unwrap();
-    let compiled = compiled_pattern_support(&cp, &[EventId(0), EventId(1)], &col, &idx);
-    assert_eq!(compiled, pattern_support(&pair, &log, &idx));
-    assert_eq!(compiled, 1);
+    let ep = EvaluatedPattern::new(pair.clone(), &log, &idx);
+    let support = scan(&ep, &[EventId(0), EventId(1)], &col, &idx, &mut stats);
+    assert_eq!(support, pattern_support(&pair, &log, &idx));
+    assert_eq!(support, 1);
 }
 
 // ---------------------------------------------------------------------

@@ -34,7 +34,6 @@ fn grid(workers: usize, checkpoint: Option<PathBuf>) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
         verify_journal: true,
-        matcher: MatcherEngine::default(),
         budget: Budget::UNLIMITED.with_processed_cap(50_000),
         workers,
         eval_threads: 2,
@@ -63,7 +62,6 @@ fn parpool_grid() -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11],
         verify_journal: true,
-        matcher: MatcherEngine::default(),
         budget: Budget::UNLIMITED.with_processed_cap(5_000),
         workers: 1,
         eval_threads: 2,

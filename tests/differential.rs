@@ -10,13 +10,12 @@
 //!   and the whole experiment grid, mappings, score bits, gap-certificate
 //!   bits and the deterministic telemetry section are byte-identical
 //!   across `N ∈ {1, 2, 8}`;
-//! * **Engine transparency** — `--matcher {interpreted,compiled}` is an
-//!   execution detail too. The bit-parallel compiled NFA is proven
-//!   byte-equivalent to the interpreter three ways: against the
-//!   linearization ground truth on random patterns, support-for-support
-//!   on random logs (verdicts, `SupportStats` and fuel-interruption
-//!   boundaries), and end-to-end (every method, every thread count, the
-//!   whole grid);
+//! * **Scan correctness** — the bit-parallel compiled NFA agrees with the
+//!   interpreter and the linearization ground truth on random patterns,
+//!   and the one support scan (`EvaluatedPattern::scan`) equals the
+//!   interpreter oracle `pattern_support` on random logs under random
+//!   injective bindings: counts, `SupportStats` and fuel-interruption
+//!   boundaries;
 //! * **Context-build transparency** — the `L1` frequencies a
 //!   `MatchContext` reads off its dependency graph or compile-scans are
 //!   the interpreter's, bit for bit, on random logs.
@@ -330,7 +329,7 @@ fn heuristic_warms_the_exact_search_through_the_shared_cache() {
 // Grid-level regression: worker-local deltas reduce deterministically
 // ---------------------------------------------------------------------
 
-fn grid(eval_threads: usize, matcher: MatcherEngine) -> FigureResult {
+fn grid(eval_threads: usize) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
         verify_journal: true,
@@ -340,7 +339,6 @@ fn grid(eval_threads: usize, matcher: MatcherEngine) -> FigureResult {
         traces: 40,
         checkpoint: None,
         retry: retry::RetryPolicy::io_default(),
-        matcher,
     };
     run_grid(
         "FigDiff",
@@ -368,8 +366,8 @@ fn csv(t: &Table) -> String {
 /// worker interleavings would diverge here.
 #[test]
 fn grid_csvs_and_merged_metrics_are_identical_across_eval_threads() {
-    let seq = grid(1, MatcherEngine::Compiled);
-    let par = grid(8, MatcherEngine::Compiled);
+    let seq = grid(1);
+    let par = grid(8);
     assert_eq!(csv(&seq.f_measure), csv(&par.f_measure), "f-measure CSV");
     assert_eq!(csv(&seq.anytime_f), csv(&par.anytime_f), "anytime CSV");
     assert_eq!(csv(&seq.processed), csv(&par.processed), "processed CSV");
@@ -385,7 +383,7 @@ fn grid_csvs_and_merged_metrics_are_identical_across_eval_threads() {
 }
 
 // ---------------------------------------------------------------------
-// Matcher-engine differential: compiled NFA vs interpreter vs ground truth
+// Matcher differential: compiled NFA and the one scan vs the interpreter
 // ---------------------------------------------------------------------
 
 /// Structural shape of a pattern; leaves get distinct events later
@@ -470,74 +468,53 @@ proptest! {
         prop_assert_eq!(compiled, truth, "compiled NFA vs ground truth on {:?}", p);
     }
 
-    /// Support-for-support equality on random logs: both engines return
-    /// the same count AND the same `SupportStats` (index probes, candidate
-    /// traces, matches), out-of-vocabulary patterns included.
+    /// The one scan against the interpreter oracle on random logs, under
+    /// random injective bindings whose images may fall outside the log's
+    /// six-event vocabulary: equal counts; one index probe exactly when
+    /// every image is in the vocabulary; `|traces_with_all|` candidates
+    /// and `support` matches; and a fuel cap `c` below the candidate
+    /// count interrupts after exactly `c` candidates.
     #[test]
-    fn compiled_support_equals_interpreted_support(
+    fn scan_equals_the_oracle_under_random_bindings(
         log in log_strategy(6, 12),
         p in enumerable_pattern_strategy(),
-    ) {
-        use evematch::pattern::{pattern_support_stats, SupportStats};
-        let Ok(cp) = CompiledPattern::compile(&p) else {
-            return Ok(());
-        };
-        let idx = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
-        let mut int_stats = SupportStats::default();
-        let mut cmp_stats = SupportStats::default();
-        let interpreted = pattern_support_stats(&p, &log, &idx, &mut int_stats);
-        let compiled = compiled_pattern_support_stats(&cp, &p.events(), &col, &idx, &mut cmp_stats);
-        prop_assert_eq!(interpreted, compiled, "support diverged on {:?}", p);
-        prop_assert_eq!(int_stats, cmp_stats, "work counters diverged on {:?}", p);
-    }
-
-    /// Fuel parity: under any fuel cap, both engines stop at exactly the
-    /// same candidate-trace boundary — the same `Ok`/`Interrupted`
-    /// verdict and the same `SupportStats` deltas at the moment of
-    /// interruption.
-    #[test]
-    fn compiled_fuel_interrupts_at_the_same_boundary(
-        log in log_strategy(6, 12),
-        p in enumerable_pattern_strategy(),
+        keys in prop::collection::vec(0u64..1_000_000, 12),
+        extra in 0u32..3,
         cap in 0u64..16,
     ) {
-        use evematch::pattern::{pattern_support_with_fuel_stats, SupportStats};
-        let Ok(cp) = CompiledPattern::compile(&p) else {
-            return Ok(());
-        };
+        use evematch::pattern::{EvaluatedPattern, Interrupted, SupportStats};
         let idx = log.trace_index();
         let col = ColumnarLog::from_log(&log);
-        let mut int_stats = SupportStats::default();
-        let mut cmp_stats = SupportStats::default();
-        let mut int_left = cap;
-        let mut cmp_left = cap;
-        let interpreted = pattern_support_with_fuel_stats(
-            &p,
-            &log,
-            &idx,
-            &mut || {
-                let go = int_left > 0;
-                int_left = int_left.saturating_sub(1);
+        let ep = EvaluatedPattern::new(p.clone(), &log, &idx);
+        // Rank the pool `0..max(|p|, 6) + extra` by random keys and bind
+        // the pattern's sorted events to the first |p| of it.
+        let k = p.size() as u32;
+        let mut pool: Vec<u32> = (0..k.max(6) + extra).collect();
+        pool.sort_by_key(|&i| keys[i as usize]);
+        let images: Vec<EventId> = pool.into_iter().take(k as usize).map(EventId).collect();
+        let mapped = p.map_events(&|e| images[ep.events.binary_search(&e).unwrap()]);
+        let oracle = pattern_support(&mapped, &log, &idx);
+
+        let mut stats = SupportStats::default();
+        let scanned = ep.scan(&images, &idx, |t| col.trace(t), &mut || true, &mut stats);
+        prop_assert_eq!(scanned, Ok(oracle), "support of {:?} under {:?}", p, images);
+        let in_vocab = images.iter().all(|e| e.index() < log.event_count());
+        prop_assert_eq!(stats.index_probes, u64::from(in_vocab));
+        let candidates = if in_vocab { idx.traces_with_all(&images).len() as u64 } else { 0 };
+        prop_assert_eq!(stats.candidate_traces, candidates);
+        prop_assert_eq!(stats.matched_traces, oracle as u64);
+
+        if cap < candidates {
+            let mut left = cap;
+            let mut stats = SupportStats::default();
+            let fueled = ep.scan(&images, &idx, |t| col.trace(t), &mut || {
+                let go = left > 0;
+                left = left.saturating_sub(1);
                 go
-            },
-            &mut int_stats,
-        );
-        let compiled = compiled_pattern_support_with_fuel_stats(
-            &cp,
-            &p.events(),
-            &col,
-            &idx,
-            &mut || {
-                let go = cmp_left > 0;
-                cmp_left = cmp_left.saturating_sub(1);
-                go
-            },
-            &mut cmp_stats,
-        );
-        prop_assert_eq!(interpreted, compiled, "fueled verdict diverged on {:?}", p);
-        prop_assert_eq!(int_stats, cmp_stats, "fueled counters diverged on {:?}", p);
-        prop_assert_eq!(int_left, cmp_left, "fuel consumption diverged on {:?}", p);
+            }, &mut stats);
+            prop_assert_eq!(fueled, Err(Interrupted));
+            prop_assert_eq!(stats.candidate_traces, cap, "interrupted after exactly the cap");
+        }
     }
 }
 
@@ -661,74 +638,4 @@ fn context_supports_on_the_empty_log_are_zero() {
     ])
     .expect("distinct");
     check_context_supports(log, 3, (4, 5), complex).expect("empty log");
-}
-
-/// End-to-end engine transparency: every registered method, finished and
-/// budget-exhausted alike, produces byte-identical mappings, score bits,
-/// gap bits and deterministic metrics under `--matcher interpreted` and
-/// `--matcher compiled`, at 1, 2 and 8 evaluation threads.
-#[test]
-fn every_method_is_byte_identical_across_engines() {
-    let ds = project_dataset(&datasets::real_like_sized(60, 60, 31), 6);
-    for budget in [
-        Budget::UNLIMITED.with_processed_cap(50_000),
-        Budget::UNLIMITED.with_processed_cap(9),
-    ] {
-        for m in ALL_METHODS {
-            let reference = run_fp(&m.run_with_engine(
-                &ds.pair,
-                &ds.patterns,
-                budget,
-                1,
-                None,
-                MatcherEngine::Interpreted,
-            ));
-            for engine in MatcherEngine::ALL {
-                for &t in &THREADS {
-                    let run =
-                        run_fp(&m.run_with_engine(&ds.pair, &ds.patterns, budget, t, None, engine));
-                    assert_eq!(
-                        run,
-                        reference,
-                        "{} under {engine} at {t} threads diverged (budget {budget:?})",
-                        m.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The whole experiment grid is engine-transparent: the deterministic
-/// panels and the merged per-method deterministic metrics are
-/// byte-identical between `--matcher interpreted` (sequential) and
-/// `--matcher compiled` (8 eval threads) — the two engines may only
-/// differ in wall-clock time and the `matcher.*` info facts.
-#[test]
-fn grid_csvs_and_merged_metrics_are_identical_across_engines() {
-    let interpreted = grid(1, MatcherEngine::Interpreted);
-    let compiled = grid(8, MatcherEngine::Compiled);
-    assert_eq!(
-        csv(&interpreted.f_measure),
-        csv(&compiled.f_measure),
-        "f-measure CSV"
-    );
-    assert_eq!(
-        csv(&interpreted.anytime_f),
-        csv(&compiled.anytime_f),
-        "anytime CSV"
-    );
-    assert_eq!(
-        csv(&interpreted.processed),
-        csv(&compiled.processed),
-        "processed CSV"
-    );
-    for ((name, snap), (c_name, c_snap)) in interpreted.metrics.iter().zip(&compiled.metrics) {
-        assert_eq!(name, c_name);
-        assert_eq!(
-            snap.deterministic_json(),
-            c_snap.deterministic_json(),
-            "merged deterministic metrics diverged for {name}"
-        );
-    }
 }

@@ -45,7 +45,6 @@ fn grid(checkpoint: Option<PathBuf>) -> FigureResult {
         checkpoint,
         retry: retry::RetryPolicy::io_default(),
         verify_journal: true,
-        matcher: MatcherEngine::default(),
     };
     run_grid(
         "FigInteg",

@@ -79,7 +79,6 @@ fn faulted_grid() -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
         verify_journal: true,
-        matcher: MatcherEngine::default(),
         budget: Budget::UNLIMITED.with_processed_cap(20_000),
         workers: 1,
         eval_threads: 2,
