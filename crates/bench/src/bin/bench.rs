@@ -4,58 +4,32 @@
 //! Usage:
 //!
 //! ```text
-//! bench parpool
 //! bench profile
 //! bench matcher
 //! bench verify [dir]
 //! ```
 //!
-//! ## `bench parpool`
-//!
-//! Measures the parallel support-evaluation kernel (`core::parpool`)
-//! against the sequential baseline on a scan-heavy exact-search workload,
-//! and the cross-method warm-up effect of the shared per-cell support
-//! cache. Emits `BENCH_parpool.json` with:
-//!
-//! * seq-vs-parallel wall-clock and the full deterministic scan counters
-//!   (`eval.log_scans`, `frequency.*`) for both runs — the deterministic
-//!   sections must be byte-identical, and the bench prints the first
-//!   diverging metric key (with both values) and exits with code 3 if
-//!   they are not;
-//! * `parpool.batches` / `parpool.steals` execution-shape facts for the
-//!   parallel run;
-//! * a shared-cache panel: the measured method's `eval.cache.shared_hits`
-//!   and scan savings when another method warmed the cache first.
-//!
-//! Knobs: `EVEMATCH_BENCH_MODULES` (process-model modules, default 2 —
-//! 20 events, the most composite-heavy configuration), `EVEMATCH_TRACES`
-//! (default 3000), `EVEMATCH_SEEDS` (first seed used, default 11),
-//! `EVEMATCH_EVAL_THREADS` (parallel thread count, default 8),
-//! `EVEMATCH_LIMIT_PROCESSED` (processed-mapping cap keeping the exact
-//! search bounded, default 20,000). Wall-clock numbers reflect
-//! the host: on a single-core machine the parallel run shows pool overhead
-//! rather than speedup, which is why `host_parallelism` is recorded in the
-//! artifact.
-//!
 //! ## `bench profile`
 //!
-//! Runs the hierarchical phase profiler over the same scan-heavy workload
-//! under a *pure-cap* budget (processed-mapping cap only, no wall-clock
-//! deadline, so the deterministic section is bit-stable across hosts and
-//! reruns) and emits `BENCH_profile.json` in the shape `xtask perf append`
-//! ingests:
+//! Runs the hierarchical phase profiler over a scan-heavy exact-search
+//! workload (Pattern-Tight on the 20-event, most composite-heavy
+//! configuration) under a *pure-cap* budget (processed-mapping cap only,
+//! no wall-clock deadline, so the deterministic section is bit-stable
+//! across hosts and reruns) and emits `BENCH_profile.json` in the shape
+//! `xtask perf append` ingests:
 //!
 //! * `work` — the flattened deterministic work counters
-//!   (`"<phase-path>/<column>": n`), byte-identical across
-//!   `EVEMATCH_EVAL_THREADS`; the perf-trajectory gate
-//!   (`cargo xtask perf check`) alerts on regressions in these;
-//! * `wall_nanos` — the flattened per-phase wall clocks plus
-//!   `overlay/<name>` entries, advisory only (host-dependent).
+//!   (`"<phase-path>/<column>": n`), identical on every host; the
+//!   perf-trajectory gate (`cargo xtask perf check`) alerts on
+//!   regressions in these;
+//! * `wall_nanos` — the flattened per-phase wall clocks, advisory only
+//!   (host-dependent).
 //!
-//! The deterministic sections of a sequential and a parallel run are
-//! compared first; a divergence prints both documents' first differing
-//! byte region and exits with code 3 — the artifact is only written from
-//! a verified profile. Same knobs as `bench parpool`.
+//! Knobs: `EVEMATCH_BENCH_MODULES` (process-model modules, default 2 —
+//! 20 events), `EVEMATCH_TRACES` (default 3000), `EVEMATCH_SEEDS` (first
+//! seed used, default 11), `EVEMATCH_LIMIT_PROCESSED` (processed-mapping
+//! cap keeping the exact search bounded, default 20,000). The artifact
+//! records `host_parallelism` next to the walls.
 //!
 //! ## `bench matcher`
 //!
@@ -94,209 +68,17 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use evematch_core::telemetry::MetricsSnapshot;
+use evematch_bench::env_or;
 use evematch_core::{Budget, Mapping};
 use evematch_datagen::datasets;
-use evematch_eval::SupportCachePool;
-use evematch_eval::{Method, RunOutcome};
+use evematch_eval::Method;
 use evematch_eventlog::{ColumnarLog, EventId};
 use evematch_pattern::{pattern_support, EvaluatedPattern, SupportStats};
 
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
-}
-
-/// One timed run: wall-clock plus the metrics snapshot.
-struct Timed {
-    wall_nanos: u128,
-    out: RunOutcome,
-}
-
-fn timed_run(
-    method: Method,
-    ds: &evematch_datagen::Dataset,
-    budget: Budget,
-    threads: usize,
-    pool: Option<&SupportCachePool>,
-) -> Timed {
-    let start = Instant::now();
-    let out = method.run_with(&ds.pair, &ds.patterns, budget, threads, pool);
-    Timed {
-        wall_nanos: start.elapsed().as_nanos(),
-        out,
-    }
-}
-
-fn counter(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.counters.get(name).copied().unwrap_or(0)
-}
-
-/// The first key (in section, then key order) whose value differs between
-/// the two deterministic sections, with both values rendered — so a
-/// determinism regression names the diverging metric instead of forcing a
-/// JSON-blob eyeball diff. Returns `(section.key, seq value, par value)`;
-/// a key missing on one side renders as `<absent>`.
-fn first_divergence(
-    seq: &MetricsSnapshot,
-    par: &MetricsSnapshot,
-) -> Option<(String, String, String)> {
-    fn diff_maps<V: PartialEq + std::fmt::Debug>(
-        section: &str,
-        a: &std::collections::BTreeMap<String, V>,
-        b: &std::collections::BTreeMap<String, V>,
-    ) -> Option<(String, String, String)> {
-        let render = |v: Option<&V>| v.map_or_else(|| "<absent>".into(), |v| format!("{v:?}"));
-        a.keys()
-            .chain(b.keys())
-            .find(|k| a.get(*k) != b.get(*k))
-            .map(|k| (format!("{section}.{k}"), render(a.get(k)), render(b.get(k))))
-    }
-    diff_maps("counters", &seq.counters, &par.counters)
-        .or_else(|| diff_maps("gauges", &seq.gauges, &par.gauges))
-        .or_else(|| diff_maps("histograms", &seq.histograms, &par.histograms))
-}
-
-fn info(snap: &MetricsSnapshot, name: &str) -> u64 {
-    snap.info.get(name).copied().unwrap_or(0)
-}
-
-/// The scan-facing counters of one run as a JSON object fragment.
-fn push_run(out: &mut String, t: &Timed, threads: usize) {
-    let snap = t.out.metrics();
-    let _ = write!(
-        out,
-        "{{\"threads\":{},\"wall_nanos\":{},\"log_scans\":{},\"candidate_traces\":{},\
-         \"matched_traces\":{},\"index_probes\":{},\"cache_hits\":{},\"cache_misses\":{},\
-         \"shared_hits\":{},\"parpool_batches\":{},\"parpool_steals\":{}}}",
-        threads,
-        t.wall_nanos,
-        counter(snap, "eval.log_scans"),
-        counter(snap, "frequency.candidate_traces"),
-        counter(snap, "frequency.matched_traces"),
-        counter(snap, "frequency.index_probes"),
-        counter(snap, "eval.cache_hits"),
-        counter(snap, "eval.cache_misses"),
-        counter(snap, "eval.cache.shared_hits"),
-        info(snap, "parpool.batches"),
-        info(snap, "parpool.steals"),
-    );
-}
-
-fn run_parpool() -> ExitCode {
-    let seed = std::env::var("EVEMATCH_SEEDS")
-        .ok()
-        .and_then(|s| s.split(',').next().and_then(|x| x.trim().parse().ok()))
-        .unwrap_or(11u64);
-    let traces = env_or("EVEMATCH_TRACES", 3000usize);
-    let modules = env_or("EVEMATCH_BENCH_MODULES", 2usize);
-    let par_threads = env_or("EVEMATCH_EVAL_THREADS", 8usize).max(2);
-    let cap = env_or("EVEMATCH_LIMIT_PROCESSED", 20_000u64);
-    let budget = Budget::UNLIMITED.with_processed_cap(cap);
-    let host = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-
-    let ds = datasets::larger_synthetic(modules, traces, seed);
-    let method = Method::PatternTight;
-
-    println!(
-        "bench parpool: {} on larger_synthetic({modules}, {traces}, seed {seed}), \
-         cap {cap}, {par_threads} threads (host parallelism {host})",
-        method.name()
-    );
-
-    // Panel 1: sequential vs parallel, each on a cold private cache.
-    let seq = timed_run(method, &ds, budget, 1, None);
-    let par = timed_run(method, &ds, budget, par_threads, None);
-
-    let identical =
-        seq.out.metrics().deterministic_json() == par.out.metrics().deterministic_json();
-    let speedup = seq.wall_nanos as f64 / par.wall_nanos.max(1) as f64;
-    println!(
-        "  seq {:.3}s  par {:.3}s  speedup {speedup:.2}x  deterministic sections identical: {identical}",
-        seq.wall_nanos as f64 / 1e9,
-        par.wall_nanos as f64 / 1e9,
-    );
-
-    // Panel 2: shared-cache warm-up — the advanced heuristic runs first on
-    // the shared pool, then the measured method reuses its scans.
-    let pool = SupportCachePool::new();
-    let warm_method = Method::HeuristicAdvanced;
-    let warm = timed_run(warm_method, &ds, budget, 1, Some(&pool));
-    let warmed = timed_run(method, &ds, budget, 1, Some(&pool));
-    let shared_hits = counter(warmed.out.metrics(), "eval.cache.shared_hits");
-    println!(
-        "  shared cache: {} warmed {} -> shared_hits {shared_hits}, log_scans {} (cold: {})",
-        warm_method.name(),
-        method.name(),
-        counter(warmed.out.metrics(), "eval.log_scans"),
-        counter(seq.out.metrics(), "eval.log_scans"),
-    );
-
-    let mut json = String::from("{\"bench\":\"parpool\",\"workload\":{");
-    let _ = write!(
-        json,
-        "\"dataset\":\"larger_synthetic\",\"modules\":{modules},\"traces\":{traces},\
-         \"seed\":{seed},\"method\":\"{}\",\"processed_cap\":{cap}}},\
-         \"host_parallelism\":{host},",
-        method.name()
-    );
-    json.push_str("\"seq\":");
-    push_run(&mut json, &seq, 1);
-    json.push_str(",\"par\":");
-    push_run(&mut json, &par, par_threads);
-    let _ = write!(
-        json,
-        ",\"speedup\":{speedup:.4},\"identical_outputs\":{identical},\"shared_cache\":{{\
-         \"warm_method\":\"{}\",\"measured_method\":\"{}\",\"shared_hits\":{shared_hits},\
-         \"cold_log_scans\":{},\"warmed_log_scans\":{},\"warm_wall_nanos\":{},\
-         \"warmed_wall_nanos\":{}}}}}",
-        warm_method.name(),
-        method.name(),
-        counter(seq.out.metrics(), "eval.log_scans"),
-        counter(warmed.out.metrics(), "eval.log_scans"),
-        warm.wall_nanos,
-        warmed.wall_nanos,
-    );
-    json.push('\n');
-
-    let path = match evematch_bench::out_dir() {
-        Ok(dir) => dir.join("BENCH_parpool.json"),
-        Err(err) => {
-            eprintln!("error: cannot create output dir: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    if let Err(err) = evematch_core::persist::atomic_write_verified(&path, json.as_bytes()) {
-        eprintln!("error: failed to write {}: {err}", path.display());
-        return ExitCode::from(2);
-    }
-    println!("wrote {}", path.display());
-
-    if !identical {
-        eprintln!("error: parallel deterministic section diverged from sequential");
-        match first_divergence(seq.out.metrics(), par.out.metrics()) {
-            Some((key, seq_v, par_v)) => {
-                eprintln!("  first divergence: {key}\n    seq: {seq_v}\n    par: {par_v}");
-            }
-            // The JSON strings differed but the typed maps agree — the
-            // serializer itself is non-deterministic, which is its own bug.
-            None => eprintln!("  (no diverging key: serialization is non-deterministic)"),
-        }
-        return ExitCode::from(3);
-    }
-    ExitCode::SUCCESS
-}
-
 fn run_profile() -> ExitCode {
-    let seed = std::env::var("EVEMATCH_SEEDS")
-        .ok()
-        .and_then(|s| s.split(',').next().and_then(|x| x.trim().parse().ok()))
-        .unwrap_or(11u64);
+    let seed = evematch_bench::seeds()[0];
     let traces = env_or("EVEMATCH_TRACES", 3000usize);
     let modules = env_or("EVEMATCH_BENCH_MODULES", 2usize);
-    let par_threads = env_or("EVEMATCH_EVAL_THREADS", 8usize).max(2);
     let cap = env_or("EVEMATCH_LIMIT_PROCESSED", 20_000u64);
     // Pure cap — a wall-clock deadline would make the charged work
     // host-dependent and the perf gate's counters noisy.
@@ -308,39 +90,14 @@ fn run_profile() -> ExitCode {
 
     println!(
         "bench profile: {} on larger_synthetic({modules}, {traces}, seed {seed}), \
-         cap {cap} (pure), {par_threads} threads (host parallelism {host})",
+         cap {cap} (pure), host parallelism {host}",
         method.name()
     );
 
-    let seq = timed_run(method, &ds, budget, 1, None);
-    let par = timed_run(method, &ds, budget, par_threads, None);
-
-    let seq_det = seq.out.profile().deterministic_json();
-    let par_det = par.out.profile().deterministic_json();
-    if seq_det != par_det {
-        eprintln!("error: profile deterministic section diverged across thread counts");
-        let split = seq_det
-            .bytes()
-            .zip(par_det.bytes())
-            .position(|(a, b)| a != b)
-            .unwrap_or(seq_det.len().min(par_det.len()));
-        let lo = split.saturating_sub(40);
-        eprintln!(
-            "  seq[{lo}..]: {}",
-            &seq_det[lo..(split + 40).min(seq_det.len())]
-        );
-        eprintln!(
-            "  par[{lo}..]: {}",
-            &par_det[lo..(split + 40).min(par_det.len())]
-        );
-        return ExitCode::from(3);
-    }
-    let profile = seq.out.profile();
-    println!(
-        "  seq {:.3}s  par {:.3}s  deterministic sections identical: true",
-        seq.wall_nanos as f64 / 1e9,
-        par.wall_nanos as f64 / 1e9,
-    );
+    let start = Instant::now();
+    let out = method.run_with(&ds.pair, &ds.patterns, budget, None);
+    println!("  run {:.3}s", start.elapsed().as_secs_f64());
+    let profile = out.profile();
 
     let mut json = String::from("{\"bench\":\"profile\",\"workload\":{");
     let _ = write!(
@@ -417,10 +174,7 @@ fn kernel_bindings(
 }
 
 fn run_matcher() -> ExitCode {
-    let seed = std::env::var("EVEMATCH_SEEDS")
-        .ok()
-        .and_then(|s| s.split(',').next().and_then(|x| x.trim().parse().ok()))
-        .unwrap_or(11u64);
+    let seed = evematch_bench::seeds()[0];
     let kernel_traces = env_or("EVEMATCH_TRACES", 3000usize);
     let modules = env_or("EVEMATCH_BENCH_MODULES", 2usize);
     let iters = env_or("EVEMATCH_BENCH_ITERS", 3u32);
@@ -585,13 +339,12 @@ fn run_verify(dir_arg: Option<String>) -> ExitCode {
 fn main() -> ExitCode {
     let sub = std::env::args().nth(1).unwrap_or_default();
     match sub.as_str() {
-        "parpool" => run_parpool(),
         "profile" => run_profile(),
         "matcher" => run_matcher(),
         "verify" => run_verify(std::env::args().nth(2)),
         other => {
             eprintln!(
-                "usage: bench <subcommand>\n  parpool    seq-vs-parallel support evaluation + shared-cache warm-up\n  profile    phase-profiled run under a pure cap; emits BENCH_profile.json for `xtask perf`\n  matcher    support kernel: the one scan checked against, then timed against, the interpreter oracle; emits BENCH_matcher.json\n  verify     offline integrity check of an output directory (default: results)"
+                "usage: bench <subcommand>\n  profile    phase-profiled run under a pure cap; emits BENCH_profile.json for `xtask perf`\n  matcher    support kernel: the one scan checked against, then timed against, the interpreter oracle; emits BENCH_matcher.json\n  verify     offline integrity check of an output directory (default: results)"
             );
             if other.is_empty() {
                 ExitCode::from(2)

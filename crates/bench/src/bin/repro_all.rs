@@ -37,20 +37,14 @@ fn run() -> io::Result<()> {
     evematch_bench::emit_figure(&mut io::stdout(), &experiments::fig9(&cfg), "fig9")?;
     evematch_bench::emit_figure(&mut io::stdout(), &experiments::fig10(&cfg), "fig10")?;
 
-    let modules: usize = std::env::var("EVEMATCH_FIG12_MODULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let modules = evematch_bench::env_or("EVEMATCH_FIG12_MODULES", 10usize);
     evematch_bench::emit_figure(
         &mut io::stdout(),
         &experiments::fig12(&cfg, evematch_bench::fig12_traces(), modules),
         "fig12",
     )?;
 
-    let runs: usize = std::env::var("EVEMATCH_TABLE4_RUNS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+    let runs = evematch_bench::env_or("EVEMATCH_TABLE4_RUNS", 200usize);
     evematch_bench::emit(
         &mut io::stdout(),
         &experiments::table4(runs, 0xE7E),

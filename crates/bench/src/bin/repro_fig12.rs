@@ -14,10 +14,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let cfg = evematch_bench::sweep_config();
     let traces = evematch_bench::fig12_traces();
-    let max_modules: usize = std::env::var("EVEMATCH_FIG12_MODULES")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(10);
+    let max_modules = evematch_bench::env_or("EVEMATCH_FIG12_MODULES", 10usize);
     eprintln!(
         "Figure 12 sweep: seeds {:?}, {traces} traces, up to {} events",
         cfg.seeds,

@@ -5,10 +5,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let seed = std::env::var("EVEMATCH_SEEDS")
-        .ok()
-        .and_then(|s| s.split(',').next().and_then(|x| x.trim().parse().ok()))
-        .unwrap_or(11);
+    let seed = evematch_bench::seeds()[0];
     let t = evematch_eval::experiments::table3(seed);
     if let Err(err) = evematch_bench::emit(&mut std::io::stdout(), &t, "table3") {
         eprintln!("error: failed to write results: {err}");

@@ -9,10 +9,7 @@
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let runs: usize = std::env::var("EVEMATCH_TABLE4_RUNS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(200);
+    let runs = evematch_bench::env_or("EVEMATCH_TABLE4_RUNS", 200usize);
     eprintln!("Table 4: {runs} random-log runs");
     let t = evematch_eval::experiments::table4(runs, 0xE7E);
     if let Err(err) = evematch_bench::emit(&mut std::io::stdout(), &t, "table4") {

@@ -25,6 +25,11 @@
 //!   `<out>/fault_telemetry.json` so CI can assert the injected faults
 //!   were actually hit and recovered.
 //!
+//! A knob that is set but does not parse (`EVEMATCH_SEEDS=1l`,
+//! `EVEMATCH_WORKERS=two`, an empty seed list) panics with the variable
+//! and its value: running on the default instead would silently measure
+//! something other than what was asked for.
+//!
 //! Every artifact is written atomically (temp file + fsync + rename, see
 //! `evematch_core::persist`) and *verified*: each write also emits a
 //! `.evmi` checksum sidecar (`evematch_core::persist::integrity`), which
@@ -36,8 +41,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+use std::fmt::Display;
 use std::io::{self, Write};
 use std::path::PathBuf;
+use std::str::FromStr;
 use std::time::Duration;
 
 use evematch_core::retry::{RealClock, RetryPolicy};
@@ -45,12 +52,58 @@ use evematch_core::Budget;
 use evematch_eval::experiments::{FigureResult, SweepConfig};
 use evematch_eval::Table;
 
-/// Reads an env var into a parsed value, with a default.
-fn env_or<T: std::str::FromStr>(key: &str, default: T) -> T {
-    std::env::var(key)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
+/// Reads the environment variable `key` as a `T`, or `default` when it is
+/// unset.
+///
+/// # Panics
+/// When `key` is set but does not parse (see the crate docs).
+pub fn env_or<T: FromStr>(key: &str, default: T) -> T
+where
+    T::Err: Display,
+{
+    knob_or(key, std::env::var(key).ok().as_deref(), default)
+}
+
+/// [`env_or`] on an explicit value (`None` = unset), so the parse policy
+/// is testable without touching the process environment.
+fn knob_or<T: FromStr>(key: &str, value: Option<&str>, default: T) -> T
+where
+    T::Err: Display,
+{
+    match value {
+        None => default,
+        Some(v) => v
+            .parse()
+            .unwrap_or_else(|e| panic!("{key}={v:?} does not parse: {e}")),
+    }
+}
+
+/// Parses a comma-separated seed list such as `11,23,37`. Every entry
+/// must be an unsigned integer, so an empty list, an empty entry or a
+/// typo is an error rather than a silently shorter sweep.
+///
+/// # Errors
+/// Names the first entry that does not parse.
+fn parse_seeds(list: &str) -> Result<Vec<u64>, String> {
+    list.split(',')
+        .map(|x| {
+            x.trim()
+                .parse()
+                .map_err(|e| format!("seed {:?} does not parse: {e}", x.trim()))
+        })
+        .collect()
+}
+
+/// The dataset seeds from `EVEMATCH_SEEDS` (default `11,23,37`); never
+/// empty.
+///
+/// # Panics
+/// When the variable is set but is not a valid seed list.
+pub fn seeds() -> Vec<u64> {
+    match std::env::var("EVEMATCH_SEEDS") {
+        Err(_) => vec![11, 23, 37],
+        Ok(list) => parse_seeds(&list).unwrap_or_else(|e| panic!("EVEMATCH_SEEDS={list:?}: {e}")),
+    }
 }
 
 /// Arms the deterministic failpoint registry from
@@ -75,12 +128,8 @@ pub fn arm_faults_from_env() -> bool {
 /// `repro_*` binary honors them without per-binary wiring.
 pub fn sweep_config() -> SweepConfig {
     arm_faults_from_env();
-    let seeds: Vec<u64> = std::env::var("EVEMATCH_SEEDS").map_or_else(
-        |_| vec![11, 23, 37],
-        |s| s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-    );
     SweepConfig {
-        seeds,
+        seeds: seeds(),
         budget: Budget::UNLIMITED
             .with_processed_cap(env_or("EVEMATCH_LIMIT_PROCESSED", 2_000_000u64))
             .with_deadline(Duration::from_secs(env_or("EVEMATCH_LIMIT_SECS", 60u64))),
@@ -88,7 +137,6 @@ pub fn sweep_config() -> SweepConfig {
             "EVEMATCH_WORKERS",
             std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         ),
-        eval_threads: env_or("EVEMATCH_EVAL_THREADS", 1usize),
         traces: env_or("EVEMATCH_TRACES", 3000usize),
         checkpoint: if resume_requested() {
             out_dir().ok()
@@ -296,5 +344,33 @@ fn push_escaped(out: &mut String, s: &str) {
             c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
             c => out.push(c),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn seed_lists_parse_or_name_the_bad_entry() {
+        assert_eq!(parse_seeds("11,23,37"), Ok(vec![11, 23, 37]));
+        assert_eq!(parse_seeds(" 5 "), Ok(vec![5]));
+        for bad in ["", "1l", "11,x", "11,,23", "11,"] {
+            assert!(parse_seeds(bad).is_err(), "{bad:?} must not parse");
+        }
+        let err = parse_seeds("11,x").unwrap_err();
+        assert!(err.contains("\"x\""), "{err}");
+    }
+
+    #[test]
+    fn unset_knobs_take_the_default_and_set_ones_parse() {
+        assert_eq!(knob_or("EVEMATCH_WORKERS", None, 4usize), 4);
+        assert_eq!(knob_or("EVEMATCH_WORKERS", Some("2"), 4usize), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "EVEMATCH_WORKERS=\"two\" does not parse")]
+    fn a_knob_that_does_not_parse_panics_with_its_name_and_value() {
+        let _ = knob_or("EVEMATCH_WORKERS", Some("two"), 4usize);
     }
 }

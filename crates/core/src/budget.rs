@@ -27,15 +27,12 @@
 //! this module may *branch* on the clock (that is what a deadline is),
 //! while telemetry spans only ever *record* it.
 //!
-//! The meter's internals are atomic so one meter can be shared by
-//! reference across the scoped worker threads of `core::parpool`: the
-//! exhaustion latch is a compare-and-swap (the *first* limit to trip wins,
-//! exactly once, no matter which thread observes it), and worker-side
-//! deadline polls that win the latch are counted separately as
-//! *cross-thread trips* (`budget.cross_thread_trips` in telemetry). The
-//! determinism rule is preserved because only the driving thread charges
-//! primary units, and without a deadline neither ticks nor worker ticks
-//! touch any shared state at all.
+//! The meter's internals are atomic and every method takes `&self`, so a
+//! meter may be read or ticked through a shared reference: the exhaustion
+//! latch is a compare-and-swap (the *first* limit to trip wins, exactly
+//! once, no matter which caller observes it). In the product one meter
+//! belongs to one solver run and is used from the thread driving it;
+//! without a deadline, ticks touch no state at all.
 
 use crate::sync::{AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
@@ -139,7 +136,6 @@ impl Budget {
             polls: AtomicU64::new(0),
             since_poll: AtomicU64::new(0),
             exhausted: AtomicU8::new(EXHAUSTED_NONE),
-            cross_thread_trips: AtomicU64::new(0),
         }
     }
 }
@@ -209,13 +205,11 @@ fn decode_exhaustion(v: u8) -> Option<Exhaustion> {
 /// and latches the first limit that trips.
 ///
 /// All methods take `&self`: the counters are atomic and the exhaustion
-/// latch is a compare-and-swap, so a meter can be shared by reference
-/// across the scoped worker threads of `core::parpool`. Determinism is a
-/// protocol, not a property of the struct — only the driving thread may
-/// call [`charge_processed`](Self::charge_processed) and
-/// [`note_frontier`](Self::note_frontier); workers are restricted to
-/// [`tick_worker`](Self::tick_worker), which without a deadline touches
-/// nothing.
+/// latch is a compare-and-swap, so the first limit to trip wins exactly
+/// once even when several callers tick one meter. Determinism is a
+/// protocol, not a property of the struct — only the thread driving the
+/// search calls [`charge_processed`](Self::charge_processed) and
+/// [`note_frontier`](Self::note_frontier).
 #[derive(Debug)]
 pub struct BudgetMeter {
     budget: Budget,
@@ -224,8 +218,6 @@ pub struct BudgetMeter {
     polls: AtomicU64,
     since_poll: AtomicU64,
     exhausted: AtomicU8,
-    /// Deadline trips latched from a worker-side poll (`tick_worker`).
-    cross_thread_trips: AtomicU64,
 }
 
 impl Clone for BudgetMeter {
@@ -240,7 +232,6 @@ impl Clone for BudgetMeter {
             polls: AtomicU64::new(self.polls.load(Ordering::Relaxed)),
             since_poll: AtomicU64::new(self.since_poll.load(Ordering::Relaxed)),
             exhausted: AtomicU8::new(self.exhausted.load(Ordering::Acquire)),
-            cross_thread_trips: AtomicU64::new(self.cross_thread_trips.load(Ordering::Relaxed)),
         }
     }
 }
@@ -262,14 +253,14 @@ impl BudgetMeter {
         }
         if let Some(cap) = self.budget.max_processed {
             // ordering: Relaxed — `processed` is written by the driving
-            // thread only (workers never charge), so this load observes the
-            // thread's own prior writes; no cross-thread edge is needed.
+            // thread only, so this load observes the thread's own prior
+            // writes; no cross-thread edge is needed.
             if self.processed.load(Ordering::Relaxed) >= cap {
-                self.latch(Exhaustion::Processed, false);
+                self.latch(Exhaustion::Processed);
                 return false;
             }
         }
-        self.advance_poll(false);
+        self.advance_poll();
         if self.is_exhausted() {
             return false;
         }
@@ -285,22 +276,7 @@ impl BudgetMeter {
     /// single expensive outer step.
     pub fn tick(&self) {
         if !self.is_exhausted() {
-            self.advance_poll(false);
-        }
-    }
-
-    /// [`tick`](Self::tick) from a `core::parpool` worker thread: shares
-    /// the poll cadence, but a deadline trip latched here is additionally
-    /// counted as a cross-thread trip (exactly once per exhaustion, by
-    /// construction of the compare-and-swap latch). Without a deadline
-    /// this touches no shared state at all, so worker ticks cannot perturb
-    /// deterministic (cap-only) runs.
-    pub fn tick_worker(&self) {
-        if self.budget.max_duration.is_none() {
-            return;
-        }
-        if !self.is_exhausted() {
-            self.advance_poll(true);
+            self.advance_poll();
         }
     }
 
@@ -310,34 +286,25 @@ impl BudgetMeter {
         if !self.is_exhausted() {
             if let Some(cap) = self.budget.max_frontier {
                 if len > cap {
-                    self.latch(Exhaustion::Frontier, false);
+                    self.latch(Exhaustion::Frontier);
                 }
             }
         }
     }
 
     /// Latches `cause` if nothing tripped yet; the CAS guarantees exactly
-    /// one winner. A worker-side deadline win is counted separately.
-    fn latch(&self, cause: Exhaustion, on_worker: bool) {
+    /// one winner.
+    fn latch(&self, cause: Exhaustion) {
         // ordering: AcqRel on success — Release publishes the winner's
         // cause to `exhaustion()`'s Acquire loads; Acquire orders the
         // winner's own later reads after the latch. Acquire on failure so
         // a loser observes the winner's cause. See DESIGN.md §11.
-        let won = self
-            .exhausted
-            .compare_exchange(
-                EXHAUSTED_NONE,
-                encode_exhaustion(cause),
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            )
-            .is_ok();
-        if won && on_worker {
-            // ordering: Relaxed — only the single CAS winner ever executes
-            // this increment, so there is no concurrent writer to order
-            // against; readers are post-join statistics consumers.
-            self.cross_thread_trips.fetch_add(1, Ordering::Relaxed);
-        }
+        let _ = self.exhausted.compare_exchange(
+            EXHAUSTED_NONE,
+            encode_exhaustion(cause),
+            Ordering::AcqRel,
+            Ordering::Acquire,
+        );
     }
 
     /// The poll cadence: with a deadline set, the clock is read on the
@@ -345,7 +312,7 @@ impl BudgetMeter {
     /// 1+2I, …), so a deadline that elapsed during a long unit is seen at
     /// the next interval boundary at the latest. Without a deadline this
     /// is a no-op, keeping capped runs bit-deterministic and poll-free.
-    fn advance_poll(&self, on_worker: bool) {
+    fn advance_poll(&self) {
         if self.budget.max_duration.is_none() {
             return;
         }
@@ -355,17 +322,17 @@ impl BudgetMeter {
         // harmless (the latch CAS is the actual synchronization point).
         let n = self.since_poll.fetch_add(1, Ordering::Relaxed);
         if n % interval == 0 {
-            self.poll_deadline(on_worker);
+            self.poll_deadline();
         }
     }
 
-    fn poll_deadline(&self, on_worker: bool) {
+    fn poll_deadline(&self) {
         // ordering: Relaxed — poll count is a statistic; no reader infers
         // other memory state from it.
         self.polls.fetch_add(1, Ordering::Relaxed);
         if let Some(max) = self.budget.max_duration {
             if self.start.elapsed() >= max {
-                self.latch(Exhaustion::Deadline, on_worker);
+                self.latch(Exhaustion::Deadline);
             }
         }
     }
@@ -399,16 +366,6 @@ impl BudgetMeter {
     pub fn polls(&self) -> u64 {
         // ordering: Relaxed — statistic; see `processed()`.
         self.polls.load(Ordering::Relaxed)
-    }
-
-    /// Deadline exhaustions first observed by a worker-thread poll. At
-    /// most 1 per meter (the latch fires once); 0 in every deterministic
-    /// (deadline-free) run.
-    #[must_use]
-    pub fn cross_thread_trips(&self) -> u64 {
-        // ordering: Relaxed — read after workers joined (the scope join is
-        // the happens-before edge), purely for telemetry.
-        self.cross_thread_trips.load(Ordering::Relaxed)
     }
 
     /// Wall time since the meter started.
@@ -527,16 +484,22 @@ mod tests {
     #[test]
     fn worker_ticks_without_a_deadline_touch_nothing() {
         let m = Budget::UNLIMITED.with_processed_cap(5).meter();
-        for _ in 0..1000 {
-            m.tick_worker();
-        }
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..250 {
+                        m.tick();
+                    }
+                });
+            }
+        });
         assert_eq!(m.polls(), 0);
-        assert_eq!(m.cross_thread_trips(), 0);
+        assert_eq!(m.processed(), 0);
         assert!(!m.is_exhausted());
     }
 
     #[test]
-    fn worker_observed_deadline_latches_and_counts_one_cross_thread_trip() {
+    fn racing_ticks_latch_the_deadline_once() {
         let m = Budget::UNLIMITED
             .with_deadline(Duration::ZERO)
             .with_poll_interval(1)
@@ -545,31 +508,20 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..50 {
-                        m.tick_worker();
+                        m.tick();
                     }
                 });
             }
         });
         assert_eq!(m.exhaustion(), Some(Exhaustion::Deadline));
-        assert_eq!(
-            m.cross_thread_trips(),
-            1,
-            "the CAS latch admits exactly one winner"
-        );
-    }
-
-    #[test]
-    fn main_thread_deadline_trip_is_not_a_cross_thread_trip() {
-        let m = Budget::UNLIMITED.with_deadline(Duration::ZERO).meter();
-        assert!(!m.charge_processed());
-        assert_eq!(m.exhaustion(), Some(Exhaustion::Deadline));
-        assert_eq!(m.cross_thread_trips(), 0);
+        assert!(!m.charge_processed(), "sticky after the race");
+        assert_eq!(m.processed(), 0);
     }
 
     #[test]
     fn concurrent_latch_attempts_keep_the_first_cause() {
-        // Frontier latched on the main thread first; later worker deadline
-        // polls must not overwrite it or count a trip.
+        // Frontier latched first; later deadline polls must not overwrite
+        // it.
         let m = Budget::UNLIMITED
             .with_frontier_cap(1)
             .with_deadline(Duration::ZERO)
@@ -577,9 +529,8 @@ mod tests {
             .meter();
         m.note_frontier(2);
         assert_eq!(m.exhaustion(), Some(Exhaustion::Frontier));
-        m.tick_worker();
+        m.latch(Exhaustion::Deadline);
         assert_eq!(m.exhaustion(), Some(Exhaustion::Frontier));
-        assert_eq!(m.cross_thread_trips(), 0);
     }
 
     #[test]

@@ -6,13 +6,9 @@
 //! over the *same* [`MatchContext`] data can share (an experiment-grid
 //! cell runs every method against one context, so the heuristics warm the
 //! exact search's cache — hits on entries another run inserted surface as
-//! `eval.cache.shared_hits`). Parallel successor evaluation goes through
-//! [`Evaluator::prefetch_supports`]: worker threads compute support
-//! *outcomes* without touching the cache, the registry, or the primary
-//! budget counters, and the driving thread then replays the sequential
-//! consumption order, attributing counters exactly as a sequential run
-//! would — which is what keeps scores, tie-breaks and the deterministic
-//! metrics section byte-identical across `--eval-threads` settings.
+//! `eval.cache.shared_hits`). Each solver run evaluates sequentially on
+//! the thread that drives it; parallelism lives one layer up, in the grid
+//! workers of `eval::experiments::run_grid`.
 
 // The memo cache is only ever point-queried, but BTreeMap keeps the
 // deterministic crates hash-free outright (tidy lint no-hash-iter); keys
@@ -30,7 +26,6 @@ use crate::bounds::PruneReason;
 use crate::budget::{Budget, BudgetMeter};
 use crate::context::MatchContext;
 use crate::mapping::Mapping;
-use crate::parpool;
 use crate::score::sim;
 use crate::telemetry::{CounterId, MetricsSnapshot, ProgressBeacon, Telemetry, WorkCol};
 
@@ -236,16 +231,13 @@ fn context_fingerprint(ctx: &MatchContext) -> u64 {
     h
 }
 
-/// How a solver run evaluates pattern supports: its budget, how many
-/// worker threads batched successor evaluation may use, and an optional
-/// pre-built cache shared with other runs over the same context data.
+/// How a solver run evaluates pattern supports: its budget and an
+/// optional pre-built cache shared with other runs over the same context
+/// data.
 #[derive(Clone, Debug, Default)]
 pub struct EvalConfig {
     /// Resource budget for the run.
     pub budget: Budget,
-    /// Worker threads for batched successor evaluation; `0` and `1` both
-    /// mean fully sequential (today's default behavior).
-    pub threads: usize,
     /// A cache built by [`SharedSupportCache::for_context`] on the run's
     /// context. `None`, or a fingerprint mismatch, gives the run a fresh
     /// private cache.
@@ -257,20 +249,13 @@ pub struct EvalConfig {
 }
 
 impl EvalConfig {
-    /// A sequential, privately-cached configuration with `budget`.
+    /// A privately-cached configuration with `budget`.
     #[must_use]
     pub fn from_budget(budget: Budget) -> Self {
         EvalConfig {
             budget,
             ..Self::default()
         }
-    }
-
-    /// Sets the worker-thread count.
-    #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Sets the shared support cache.
@@ -288,8 +273,8 @@ impl EvalConfig {
     }
 }
 
-/// Everything one cache-miss evaluation computed, inline or on a worker
-/// thread: the driving thread attributes counters from it in one place.
+/// Everything one cache-miss evaluation computed: the evaluator
+/// attributes counters from it in one place.
 #[derive(Clone, Copy, Debug)]
 struct SupportOutcome {
     /// The exact support, or `None` when fuel ran dry mid-evaluation.
@@ -400,20 +385,12 @@ pub struct Evaluator<'a> {
     /// This run's owner id within `cache`; hits on entries another owner
     /// inserted count as `eval.cache.shared_hits`.
     owner: u32,
-    /// Outcomes computed ahead of time by [`Self::prefetch_supports`],
-    /// consumed (and counter-attributed) in sequential order by
-    /// [`Self::mapped_support`].
-    prefetched: BTreeMap<SupportKey, SupportOutcome>,
-    /// Worker threads batched prefetches may use (`<= 1` = sequential).
-    threads: usize,
     /// The solver run's budget meter. The evaluator ticks it before every
     /// log scan, so a deadline is observed even inside one expensive outer
     /// search step.
     meter: BudgetMeter,
     tele: Telemetry,
     counters: EvalCounters,
-    parpool_batches: u64,
-    parpool_steals: u64,
     /// Cache-miss evaluations whose scan falls back to the interpreter
     /// because the pattern did not compile (it exceeded the automaton
     /// state budget).
@@ -455,21 +432,12 @@ impl<'a> Evaluator<'a> {
             ctx,
             cache,
             owner,
-            prefetched: BTreeMap::new(),
-            threads: config.threads.max(1),
             meter: config.budget.meter(),
             tele,
             counters,
-            parpool_batches: 0,
-            parpool_steals: 0,
             fallback_state_budget: 0,
             fallback_binding: 0,
         }
-    }
-
-    /// Worker threads available to batched successor evaluation.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// Work counters as the legacy [`EvalStats`] view.
@@ -586,18 +554,12 @@ impl<'a> Evaluator<'a> {
         let mut snap = self.tele.registry.snapshot();
         snap.set_counter("budget.processed", self.meter.processed());
         snap.set_counter("budget.polls", self.meter.polls());
-        // Deterministic by design: without a deadline, worker ticks touch
-        // nothing and this stays 0 for every thread count.
-        snap.set_counter("budget.cross_thread_trips", self.meter.cross_thread_trips());
         if let Some(cause) = self.meter.exhaustion() {
             snap.set_counter(&format!("budget.exhausted.{}", cause.key()), 1);
         }
-        // Execution-shape facts (how the work was scheduled, not what was
-        // computed) go in the non-deterministic info section.
-        snap.set_info("parpool.batches", self.parpool_batches);
-        snap.set_info("parpool.steals", self.parpool_steals);
         // Which decider a scan used never changes a support value, so the
-        // interpreter fallbacks are execution-shape facts too.
+        // interpreter fallbacks are execution-shape facts: they go in the
+        // non-deterministic info section.
         snap.set_info("matcher.fallback.state_budget", self.fallback_state_budget);
         snap.set_info("matcher.fallback.binding", self.fallback_binding);
         snap
@@ -685,11 +647,8 @@ impl<'a> Evaluator<'a> {
             }
             return entry.support;
         }
-        // The slow path (every cache miss, including prefetched replays)
-        // is the `support-eval` phase: its call count equals
-        // `eval.cache_misses`, which is invariant across `--eval-threads`
-        // because prefetched outcomes replay through this same path in
-        // sequential consumption order.
+        // The slow path (every cache miss) is the `support-eval` phase:
+        // its call count equals `eval.cache_misses`.
         self.tele.profile.open("support-eval");
         self.tele.profile.charge(WorkCol::Evals, 1);
         self.tele.profile.charge(WorkCol::CacheMisses, 1);
@@ -719,21 +678,16 @@ impl<'a> Evaluator<'a> {
         // Once the meter is exhausted, evaluations run in grace mode:
         // exact, unfueled, and charging no fuel.
         let grace = self.meter.is_exhausted();
-        // A prefetched outcome that has a support is exactly what the
-        // evaluation below would compute at this point of the sequential
-        // order; an interrupted one is recomputed.
-        let out = match self.prefetched.remove(&key) {
-            Some(out) if out.support.is_some() => out,
-            _ if grace => support_outcome(ctx, p_idx, images, &mut || true),
-            _ => {
-                let meter = &self.meter;
-                support_outcome(ctx, p_idx, images, &mut || {
-                    meter.tick();
-                    // Only a deadline can latch inside a tick, so "not
-                    // exhausted" is exactly "the deadline has not tripped".
-                    !meter.is_exhausted()
-                })
-            }
+        let out = if grace {
+            support_outcome(ctx, p_idx, images, &mut || true)
+        } else {
+            let meter = &self.meter;
+            support_outcome(ctx, p_idx, images, &mut || {
+                meter.tick();
+                // Only a deadline can latch inside a tick, so "not
+                // exhausted" is exactly "the deadline has not tripped".
+                !meter.is_exhausted()
+            })
         };
         let reg = &mut self.tele.registry;
         if grace {
@@ -766,75 +720,6 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Pre-computes, on up to [`Self::threads`] scoped worker threads, the
-    /// support values behind a batch of upcoming `(pattern, images)`
-    /// evaluations — typically every composite pattern completed by the
-    /// successor children of one expanded search node.
-    ///
-    /// Workers are **side-effect free** against everything that feeds the
-    /// deterministic output: they never touch the cache, the telemetry
-    /// registry, or the primary budget counters; the only shared state a
-    /// worker mutates is the deadline latch (via
-    /// [`BudgetMeter::tick_worker`], a no-op for cap-only budgets). The
-    /// driving thread later consumes each outcome from
-    /// [`Self::mapped_support`] in sequential order, attributing counters
-    /// exactly as an inline evaluation would at that point. Keys already
-    /// cached, already prefetched, or answerable by a fast path are
-    /// skipped; duplicates are computed once. Sequential configurations
-    /// (`threads <= 1`) and exhausted meters make this a no-op.
-    pub fn prefetch_supports(&mut self, keys: &[(usize, Vec<EventId>)]) {
-        if self.threads <= 1 || self.meter.is_exhausted() {
-            return;
-        }
-        let mut seen: std::collections::BTreeSet<SupportKey> = std::collections::BTreeSet::new();
-        let mut todo: Vec<SupportKey> = Vec::new();
-        for (p_idx, images) in keys {
-            let ep = &self.ctx.patterns()[*p_idx];
-            if images.len() != ep.events.len() {
-                continue;
-            }
-            // Fast-path keys (vertex / edge patterns) never reach the
-            // cache, so there is nothing to prefetch for them.
-            if ep.shape != PatternShape::Complex {
-                continue;
-            }
-            let key: SupportKey = (*p_idx as u32, images.clone().into_boxed_slice());
-            if self.prefetched.contains_key(&key) || self.cache.get(&key).is_some() {
-                continue;
-            }
-            if !seen.insert(key.clone()) {
-                continue;
-            }
-            todo.push(key);
-        }
-        if todo.is_empty() {
-            return;
-        }
-        let ctx = self.ctx;
-        let meter = &self.meter;
-        // The batch is a thread-count-dependent *overlay*: it only exists
-        // when threads > 1, so its wall time and worker lanes live in the
-        // profile's non-deterministic section, never in the phase tree.
-        let clock = self.tele.profile.lane_clock();
-        let t0 = clock.now_nanos();
-        let (outcomes, stats, lanes) =
-            parpool::run_batch_traced(self.threads, &todo, Some(&clock), |key| {
-                support_outcome(ctx, key.0 as usize, &key.1, &mut || {
-                    meter.tick_worker();
-                    !meter.is_exhausted()
-                })
-            });
-        self.tele
-            .profile
-            .record_overlay("parpool.prefetch", t0, clock.now_nanos());
-        self.tele.profile.record_lanes(&lanes);
-        self.parpool_batches += stats.batches;
-        self.parpool_steals += stats.steals;
-        for (key, out) in todo.into_iter().zip(outcomes) {
-            self.prefetched.insert(key, out);
-        }
-    }
-
     /// Folds one support scan's counters into the registry.
     fn absorb_scan(&mut self, scan: &SupportStats) {
         let reg = &mut self.tele.registry;
@@ -846,9 +731,8 @@ impl<'a> Evaluator<'a> {
 
 /// The one evaluation of a cache-missed `(pattern, images)` key: the
 /// Proposition-3 existence check, then the log scan, both polling `fuel`.
-/// Pure — no cache, registry or primary budget counter is touched — so the
-/// fueled inline path, grace mode (`|| true`) and the prefetch workers
-/// (deadline-only ticks) differ only in the fuel they pass.
+/// Pure — no cache or registry is touched — so the fueled path and grace
+/// mode (`|| true`) differ only in the fuel they pass.
 fn support_outcome(
     ctx: &MatchContext,
     p_idx: usize,
@@ -1009,39 +893,23 @@ mod tests {
         assert_eq!(s, 0);
     }
 
-    /// One complex key evaluated inline (`threads = 1`) and prefetched at
-    /// `threads = 2` then consumed must give the same support and the same
-    /// deterministic metrics — with the meter live (the fueled route), and
-    /// with a processed cap tripped between the prefetch and the read (the
-    /// grace route, which charges no fuel).
+    /// One complex key evaluated on a live meter (the fueled route) and
+    /// after a processed cap tripped (the grace route) gives the same exact
+    /// support; only the fueled route charges fuel.
     #[test]
-    fn inline_and_prefetched_routes_attribute_one_key_identically() {
+    fn grace_evaluation_is_exact_and_charges_no_fuel() {
         let c = ctx();
         let p1_idx = c.patterns().len() - 1;
         let images: Vec<EventId> = (0..4).map(EventId).collect();
         for trip in [false, true] {
-            let run = |threads: usize| {
-                let budget = Budget::UNLIMITED.with_processed_cap(0);
-                let config = EvalConfig::from_budget(budget).with_threads(threads);
-                let mut ev = Evaluator::with_config(&c, &config);
-                ev.prefetch_supports(&[(p1_idx, images.clone())]);
-                assert_eq!(ev.prefetched.len(), usize::from(threads > 1));
-                if trip {
-                    assert!(!ev.meter().charge_processed(), "cap 0 trips at once");
-                }
-                let support = ev.mapped_support(p1_idx, &images);
-                (support, ev.metrics_snapshot())
-            };
-            let (inline, inline_snap) = run(1);
-            let (prefetched, prefetched_snap) = run(2);
-            assert_eq!(inline, 1, "one of L2's two traces matches");
-            assert_eq!(prefetched, inline, "trip {trip}");
-            assert_eq!(
-                prefetched_snap.deterministic_json(),
-                inline_snap.deterministic_json(),
-                "trip {trip}"
-            );
-            let counters = &inline_snap.counters;
+            let budget = Budget::UNLIMITED.with_processed_cap(0);
+            let mut ev = Evaluator::with_budget(&c, budget);
+            if trip {
+                assert!(!ev.meter().charge_processed(), "cap 0 trips at once");
+            }
+            assert_eq!(ev.mapped_support(p1_idx, &images), 1, "trip {trip}");
+            let snap = ev.metrics_snapshot();
+            let counters = &snap.counters;
             assert_eq!(counters["eval.log_scans"], 1);
             assert_eq!(counters["eval.grace_evals"], u64::from(trip));
             if trip {

@@ -136,7 +136,7 @@ pub struct MatchOutcome {
     pub trace: TraceBuffer,
     /// The run's hierarchical phase profile (see
     /// [`crate::telemetry::profile`]): deterministic work attribution per
-    /// phase plus quarantined wall-clock and parpool worker lanes.
+    /// phase plus quarantined wall-clock.
     pub profile: ProfileSnapshot,
 }
 
@@ -206,11 +206,8 @@ impl ExactMatcher {
     }
 
     /// Like [`ExactMatcher::solve`], but with an explicit [`EvalConfig`]
-    /// (budget, worker threads, shared support cache). `config.budget`
-    /// replaces `self.budget` for this run. With `config.threads > 1` each
-    /// expanded node's successor supports are prefetched in parallel and
-    /// consumed in sequential order, so all outputs — mapping, score, gap,
-    /// deterministic metrics — are byte-identical to a sequential run.
+    /// (budget, shared support cache). `config.budget` replaces
+    /// `self.budget` for this run.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
         let mut eval = Evaluator::with_config(ctx, config);
         eval.telemetry_mut().profile.open("search");
@@ -295,27 +292,6 @@ impl ExactMatcher {
                 }
             }
             let a = order[node.depth as usize];
-            if eval.threads() > 1 {
-                // Collect the composite keys this node's successor batch
-                // will evaluate and scan them on worker threads; the loop
-                // below then consumes the outcomes in child order, keeping
-                // every output byte-identical to the sequential run.
-                let mut keys: Vec<(usize, Vec<EventId>)> = Vec::new();
-                let mut probe = node.mapping.clone();
-                for b in node.mapping.unused_targets() {
-                    probe.insert(a, b);
-                    for p_idx in ctx
-                        .pattern_index()
-                        .newly_completed(a, |e| probe.is_mapped(e))
-                    {
-                        if let Some(images) = eval.images_under(p_idx, &probe) {
-                            keys.push((p_idx, images));
-                        }
-                    }
-                    probe.remove(a);
-                }
-                eval.prefetch_supports(&keys);
-            }
             let mut charging = true;
             for b in node.mapping.unused_targets() {
                 if charging && !eval.meter_mut().charge_processed() {

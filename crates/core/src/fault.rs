@@ -337,17 +337,6 @@ pub fn io_guard(site: &str) -> io::Result<()> {
     }
 }
 
-/// Failpoint shape for infallible compute paths (e.g. pool workers):
-/// `Delay` sleeps; every failure-flavored action becomes a panic, which
-/// the grid supervisor catches and retries like any worker crash.
-pub fn apply_infallible(site: &str, action: FaultAction) {
-    match action {
-        FaultAction::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
-        // tidy-allow: no-panic -- injected worker crash; caught by the grid supervisor's catch_unwind
-        _ => panic!("injected panic at fault site {site}"),
-    }
-}
-
 /// Records `n` supervised retries at `site` (`fault.retries.<site>`).
 pub fn note_retries(site: &str, n: u64) {
     if n == 0 {

@@ -52,10 +52,7 @@ impl SimpleHeuristic {
     }
 
     /// Like [`SimpleHeuristic::solve`], but with an explicit
-    /// [`EvalConfig`]; `config.budget` replaces `self.budget`. With
-    /// `config.threads > 1` each level's candidate supports are prefetched
-    /// in parallel and consumed in sequential order, so the output is
-    /// byte-identical to a sequential run.
+    /// [`EvalConfig`]; `config.budget` replaces `self.budget`.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
         let mut eval = Evaluator::with_config(ctx, config);
         eval.telemetry_mut().profile.open("search");
@@ -71,24 +68,6 @@ impl SimpleHeuristic {
             let tele = eval.telemetry_mut();
             tele.registry.inc(c_levels);
             tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
-            if eval.threads() > 1 {
-                // Prefetch the whole level's composite keys; the ranking
-                // loop below consumes them in candidate order.
-                let mut keys: Vec<(usize, Vec<evematch_eventlog::EventId>)> = Vec::new();
-                for b in mapping.unused_targets() {
-                    mapping.insert(a, b);
-                    for p_idx in ctx
-                        .pattern_index()
-                        .newly_completed(a, |e| mapping.is_mapped(e))
-                    {
-                        if let Some(images) = eval.images_under(p_idx, &mapping) {
-                            keys.push((p_idx, images));
-                        }
-                    }
-                    mapping.remove(a);
-                }
-                eval.prefetch_supports(&keys);
-            }
             let mut best: Option<(f64, f64, evematch_eventlog::EventId)> = None;
             for b in mapping.unused_targets() {
                 if !eval.meter_mut().charge_processed() {

@@ -37,6 +37,7 @@ pub mod assignment;
 mod baseline;
 mod bounds;
 pub mod budget;
+pub mod claim;
 mod context;
 mod evaluator;
 mod exact;
@@ -44,7 +45,6 @@ pub mod fault;
 pub mod hardness;
 mod heuristic;
 mod mapping;
-pub mod parpool;
 pub mod persist;
 pub mod retry;
 pub mod score;
@@ -62,6 +62,6 @@ pub use exact::{Completion, ExactMatcher, MatchOutcome, SearchError, SearchStats
 pub use heuristic::{AdvancedHeuristic, SimpleHeuristic};
 pub use mapping::Mapping;
 pub use telemetry::{
-    LaneClock, LaneEvent, LaneStat, MetricsSnapshot, OverlayStat, PhaseProfiler, ProfileNode,
-    ProfileSnapshot, ProgressBeacon, Telemetry, TraceBuffer, TraceEvent, WorkCol,
+    MetricsSnapshot, PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, Telemetry,
+    TraceBuffer, TraceEvent, WorkCol,
 };

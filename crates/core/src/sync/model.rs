@@ -368,8 +368,8 @@ impl<T: Send + 'static> JoinHandle<T> {
 ///
 /// # Panics
 /// Panics when called from outside a model run: virtual threads only make
-/// sense under the scheduler. (Runtime code never calls this — it lives on
-/// `core::parpool`, whose real threads the model drives via the shim.)
+/// sense under the scheduler. (Runtime code never calls this: the grid's
+/// real worker threads reach the model only through the shim's atomics.)
 pub fn spawn<T, F>(f: F) -> JoinHandle<T>
 where
     T: Send + 'static,

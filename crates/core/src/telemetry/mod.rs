@@ -35,8 +35,8 @@
 //! The [`profile`] module layers a hierarchical phase tree on top of the
 //! flat registry: phases opened via the [`crate::phase!`] macro carry
 //! deterministic work columns (charged to the innermost open phase) next
-//! to quarantined wall-clock stats, and parpool batches land on
-//! per-worker lanes. See the module docs and `DESIGN.md` §13.
+//! to quarantined wall-clock stats. See the module docs and `DESIGN.md`
+//! §13.
 //!
 //! # Trace stream
 //!
@@ -55,10 +55,7 @@ mod span;
 mod trace;
 
 pub use hist::HistogramSnapshot;
-pub use profile::{
-    LaneClock, LaneEvent, LaneStat, OverlayStat, PhaseProfiler, ProfileNode, ProfileSnapshot,
-    ProgressBeacon, WorkCol,
-};
+pub use profile::{PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, WorkCol};
 pub use registry::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, TimingSnapshot,
 };
@@ -76,7 +73,7 @@ pub struct Telemetry {
     pub registry: MetricsRegistry,
     /// Bounded in-memory search trace (JSONL on request).
     pub trace: TraceBuffer,
-    /// Hierarchical phase tree with work attribution and worker lanes.
+    /// Hierarchical phase tree with work attribution.
     pub profile: PhaseProfiler,
 }
 

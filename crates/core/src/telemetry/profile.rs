@@ -13,12 +13,9 @@
 //!   fault retries), charged to the innermost open phase via
 //!   [`PhaseProfiler::charge`]. Under pure caps these are pure functions
 //!   of the work performed, so [`ProfileSnapshot::deterministic_json`]
-//!   is byte-identical across `--eval-threads` settings;
+//!   is byte-identical across reruns and grid worker counts;
 //! * **non-deterministic wall clock** — per-phase inclusive nanos with
-//!   min/max per call, parpool *overlays* (thread-count-dependent phases
-//!   such as the prefetch batch, quarantined here so they can never leak
-//!   into the deterministic tree), and per-worker *lanes* recording every
-//!   batch claim/steal with real timestamps.
+//!   min/max per call.
 //!
 //! A [`ProfileSnapshot`] is mergeable (grids fold per-method cells) and
 //! exports three artifact formats: the two-section profile JSON, a
@@ -42,12 +39,6 @@ use crate::sync::{AtomicU64, Mutex, Ordering, PoisonError};
 
 /// Number of deterministic work columns on each phase node.
 pub const WORK_COLS: usize = 6;
-
-/// Cap on raw per-worker lane events kept in memory; the excess is
-/// counted in [`ProfileSnapshot::dropped_lane_events`] (deterministic
-/// drop accounting, like the trace buffer). Per-worker aggregates in
-/// [`ProfileSnapshot::lanes`] keep counting past the cap.
-pub const LANE_EVENT_CAP: usize = 4096;
 
 /// A deterministic work column charged to the innermost open phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -151,62 +142,6 @@ fn merge_nodes(into: &mut Vec<ProfileNode>, other: &[ProfileNode]) {
     }
 }
 
-/// Aggregate wall-clock stats of a thread-count-dependent overlay phase
-/// (e.g. the parpool prefetch batch). Overlays never enter the
-/// deterministic tree: whether they run at all depends on
-/// `--eval-threads`.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct OverlayStat {
-    /// How many times the overlay ran.
-    pub calls: u64,
-    /// Total wall nanos across runs.
-    pub wall_nanos: u64,
-}
-
-/// One parpool worker-lane event: worker `worker` processed batch item
-/// `item` over `[start_nanos, end_nanos]` (profiler-epoch-relative).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneEvent {
-    /// Worker index within the batch (0-based).
-    pub worker: u32,
-    /// Item index within the batch.
-    pub item: u32,
-    /// Whether this was a steal (any claim after the worker's first).
-    pub steal: bool,
-    /// Start, nanos since the profiler epoch.
-    pub start_nanos: u64,
-    /// End, nanos since the profiler epoch.
-    pub end_nanos: u64,
-}
-
-/// Per-worker aggregate over the lane events (kept even past the raw
-/// event cap).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct LaneStat {
-    /// Items claimed by this worker.
-    pub claims: u64,
-    /// Claims after the worker's first (work stolen from the backlog).
-    pub steals: u64,
-    /// Total busy wall nanos.
-    pub busy_nanos: u64,
-}
-
-/// A monotonic clock handed to parpool workers so lane events share the
-/// profiler's epoch. Reading it only ever *records* time (the batch's
-/// results are merged in item order regardless), so worker determinism
-/// is unaffected.
-#[derive(Clone, Copy, Debug)]
-pub struct LaneClock {
-    epoch: Instant,
-}
-
-impl LaneClock {
-    /// Nanos since the owning profiler's epoch (saturating).
-    pub fn now_nanos(&self) -> u64 {
-        u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-}
-
 /// Shared live-progress surface for the `--progress` heartbeat: the
 /// profiler (when a beacon is attached) publishes the currently open
 /// phase path and a monotonic count of charged work units; the heartbeat
@@ -295,10 +230,6 @@ pub struct PhaseProfiler {
     nodes: Vec<Node>,
     roots: Vec<usize>,
     stack: Vec<usize>,
-    overlays: BTreeMap<String, OverlayStat>,
-    lanes: BTreeMap<u32, LaneStat>,
-    lane_events: Vec<LaneEvent>,
-    dropped_lane_events: u64,
     beacon: Option<Arc<ProgressBeacon>>,
 }
 
@@ -309,10 +240,6 @@ impl Default for PhaseProfiler {
             nodes: Vec::new(),
             roots: Vec::new(),
             stack: Vec::new(),
-            overlays: BTreeMap::new(),
-            lanes: BTreeMap::new(),
-            lane_events: Vec::new(),
-            dropped_lane_events: 0,
             beacon: None,
         }
     }
@@ -333,11 +260,6 @@ impl PhaseProfiler {
     /// Nanos since the profiler epoch (recording-only).
     pub fn now_nanos(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
-    }
-
-    /// A clock sharing this profiler's epoch, for parpool lane events.
-    pub fn lane_clock(&self) -> LaneClock {
-        LaneClock { epoch: self.epoch }
     }
 
     /// Opens phase `name` under the innermost open phase (or as a root).
@@ -427,65 +349,15 @@ impl PhaseProfiler {
         }
     }
 
-    /// Records one run of a thread-count-dependent overlay phase
-    /// (quarantined from the deterministic tree; see [`OverlayStat`]).
-    pub fn record_overlay(&mut self, name: &str, start_nanos: u64, end_nanos: u64) {
-        let stat = self.overlays.entry(name.to_owned()).or_default();
-        stat.calls = stat.calls.saturating_add(1);
-        stat.wall_nanos = stat
-            .wall_nanos
-            .saturating_add(end_nanos.saturating_sub(start_nanos));
-    }
-
-    /// Ingests the lane events of one parpool batch: per-worker
-    /// aggregates always, raw events up to [`LANE_EVENT_CAP`] with
-    /// deterministic drop counting.
-    pub fn record_lanes(&mut self, events: &[LaneEvent]) {
-        for ev in events {
-            let lane = self.lanes.entry(ev.worker).or_default();
-            lane.claims = lane.claims.saturating_add(1);
-            lane.steals = lane.steals.saturating_add(u64::from(ev.steal));
-            lane.busy_nanos = lane
-                .busy_nanos
-                .saturating_add(ev.end_nanos.saturating_sub(ev.start_nanos));
-            if self.lane_events.len() < LANE_EVENT_CAP {
-                self.lane_events.push(*ev);
-            } else {
-                self.dropped_lane_events = self.dropped_lane_events.saturating_add(1);
-            }
-        }
-    }
-
     /// Grafts a finished snapshot into this profiler as sibling trees of
-    /// the current roots (name-merged), absorbing its overlays and
-    /// lanes. Lets a driver (the CLI) fold a solver's profile into its
-    /// own `ingest`/`index`/`emit` phases before finishing.
+    /// the current roots (name-merged). Lets the CLI fold a solver's
+    /// profile into its own `ingest`/`index`/`emit` phases before
+    /// finishing.
     pub fn graft(&mut self, snap: &ProfileSnapshot) {
         for root in &snap.roots {
             let idx = self.intern_root(&root.name);
             self.graft_node(idx, root);
         }
-        for (name, stat) in &snap.overlays {
-            let slot = self.overlays.entry(name.clone()).or_default();
-            slot.calls = slot.calls.saturating_add(stat.calls);
-            slot.wall_nanos = slot.wall_nanos.saturating_add(stat.wall_nanos);
-        }
-        for (worker, stat) in &snap.lanes {
-            let lane = self.lanes.entry(*worker).or_default();
-            lane.claims = lane.claims.saturating_add(stat.claims);
-            lane.steals = lane.steals.saturating_add(stat.steals);
-            lane.busy_nanos = lane.busy_nanos.saturating_add(stat.busy_nanos);
-        }
-        for ev in &snap.lane_events {
-            if self.lane_events.len() < LANE_EVENT_CAP {
-                self.lane_events.push(*ev);
-            } else {
-                self.dropped_lane_events = self.dropped_lane_events.saturating_add(1);
-            }
-        }
-        self.dropped_lane_events = self
-            .dropped_lane_events
-            .saturating_add(snap.dropped_lane_events);
     }
 
     fn intern_root(&mut self, name: &str) -> usize {
@@ -540,10 +412,6 @@ impl PhaseProfiler {
         self.close_all();
         ProfileSnapshot {
             roots: self.roots.iter().map(|&i| self.node_snapshot(i)).collect(),
-            overlays: self.overlays.clone(),
-            lanes: self.lanes.clone(),
-            lane_events: self.lane_events.clone(),
-            dropped_lane_events: self.dropped_lane_events,
         }
     }
 
@@ -591,31 +459,18 @@ macro_rules! phase {
 /// {"deterministic": {"phases": [{"name": "search", "calls": 1,
 ///    "work": {"meter_ticks": 9, …}, "children": […]}]},
 ///  "non_deterministic": {"wall": [{"name": "search", "nanos": 12,
-///    "min": 12, "max": 12, "children": […]}],
-///    "overlays": {"parpool.prefetch": {"calls": 2, "wall_nanos": 7}},
-///    "lanes": {"0": {"claims": 3, "steals": 2, "busy_nanos": 5}},
-///    "dropped_lane_events": 0,
-///    "lane_events": [{"worker": 0, "item": 1, "steal": 0,
-///      "start_nanos": 1, "end_nanos": 4}]}}
+///    "min": 12, "max": 12, "children": […]}]}}
 /// ```
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ProfileSnapshot {
     /// Root phases in first-open order.
     pub roots: Vec<ProfileNode>,
-    /// Thread-count-dependent overlay phases (non-deterministic only).
-    pub overlays: BTreeMap<String, OverlayStat>,
-    /// Per-worker lane aggregates.
-    pub lanes: BTreeMap<u32, LaneStat>,
-    /// Raw lane events (bounded; see [`LANE_EVENT_CAP`]).
-    pub lane_events: Vec<LaneEvent>,
-    /// Lane events dropped over the cap (deterministic accounting).
-    pub dropped_lane_events: u64,
 }
 
 impl ProfileSnapshot {
     /// Whether the snapshot carries no phases at all.
     pub fn is_empty(&self) -> bool {
-        self.roots.is_empty() && self.overlays.is_empty() && self.lanes.is_empty()
+        self.roots.is_empty()
     }
 
     /// Folds `other` into `self`: same-named phases merge recursively
@@ -623,27 +478,6 @@ impl ProfileSnapshot {
     /// append in `other`'s order.
     pub fn merge(&mut self, other: &ProfileSnapshot) {
         merge_nodes(&mut self.roots, &other.roots);
-        for (name, stat) in &other.overlays {
-            let slot = self.overlays.entry(name.clone()).or_default();
-            slot.calls = slot.calls.saturating_add(stat.calls);
-            slot.wall_nanos = slot.wall_nanos.saturating_add(stat.wall_nanos);
-        }
-        for (worker, stat) in &other.lanes {
-            let lane = self.lanes.entry(*worker).or_default();
-            lane.claims = lane.claims.saturating_add(stat.claims);
-            lane.steals = lane.steals.saturating_add(stat.steals);
-            lane.busy_nanos = lane.busy_nanos.saturating_add(stat.busy_nanos);
-        }
-        for ev in &other.lane_events {
-            if self.lane_events.len() < LANE_EVENT_CAP {
-                self.lane_events.push(*ev);
-            } else {
-                self.dropped_lane_events = self.dropped_lane_events.saturating_add(1);
-            }
-        }
-        self.dropped_lane_events = self
-            .dropped_lane_events
-            .saturating_add(other.dropped_lane_events);
     }
 
     /// Charges `n` units of `col` to the root phase named `root`
@@ -664,8 +498,8 @@ impl ProfileSnapshot {
         node.work[col as usize] = node.work[col as usize].saturating_add(n);
     }
 
-    /// The deterministic section only — byte-identical across
-    /// `--eval-threads` settings under pure caps.
+    /// The deterministic section only — byte-identical across reruns
+    /// and grid worker counts under pure caps.
     pub fn deterministic_json(&self) -> String {
         let mut out = String::from("{\"phases\":[");
         for (i, root) in self.roots.iter().enumerate() {
@@ -689,45 +523,6 @@ impl ProfileSnapshot {
             }
             push_wall_node(&mut out, root);
         }
-        out.push_str("],\"overlays\":{");
-        for (i, (name, stat)) in self.overlays.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, name);
-            out.push_str(&format!(
-                "{{\"calls\":{},\"wall_nanos\":{}}}",
-                stat.calls, stat.wall_nanos
-            ));
-        }
-        out.push_str("},\"lanes\":{");
-        for (i, (worker, lane)) in self.lanes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            push_key(&mut out, &worker.to_string());
-            out.push_str(&format!(
-                "{{\"claims\":{},\"steals\":{},\"busy_nanos\":{}}}",
-                lane.claims, lane.steals, lane.busy_nanos
-            ));
-        }
-        out.push_str(&format!(
-            "}},\"dropped_lane_events\":{},\"lane_events\":[",
-            self.dropped_lane_events
-        ));
-        for (i, ev) in self.lane_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"worker\":{},\"item\":{},\"steal\":{},\"start_nanos\":{},\"end_nanos\":{}}}",
-                ev.worker,
-                ev.item,
-                u8::from(ev.steal),
-                ev.start_nanos,
-                ev.end_nanos
-            ));
-        }
         out.push_str("]}}");
         out
     }
@@ -747,75 +542,14 @@ impl ProfileSnapshot {
         for node in det.get("phases")?.as_arr()? {
             roots.push(parse_det_node(node)?);
         }
-        let mut snap = ProfileSnapshot {
-            roots,
-            ..ProfileSnapshot::default()
-        };
-        let Some(nd) = v.get("non_deterministic") else {
-            return Some(snap);
-        };
-        if let Some(walls) = nd.get("wall").and_then(JsonValue::as_arr) {
-            fill_walls(&mut snap.roots, walls);
+        let walls = v
+            .get("non_deterministic")
+            .and_then(|nd| nd.get("wall"))
+            .and_then(JsonValue::as_arr);
+        if let Some(walls) = walls {
+            fill_walls(&mut roots, walls);
         }
-        if let Some(JsonValue::Obj(fields)) = nd.get("overlays") {
-            for (name, stat) in fields {
-                snap.overlays.insert(
-                    name.clone(),
-                    OverlayStat {
-                        calls: stat.get("calls").and_then(JsonValue::as_u64).unwrap_or(0),
-                        wall_nanos: stat
-                            .get("wall_nanos")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
-                    },
-                );
-            }
-        }
-        if let Some(JsonValue::Obj(fields)) = nd.get("lanes") {
-            for (worker, lane) in fields {
-                let Ok(worker) = worker.parse::<u32>() else {
-                    continue;
-                };
-                snap.lanes.insert(
-                    worker,
-                    LaneStat {
-                        claims: lane.get("claims").and_then(JsonValue::as_u64).unwrap_or(0),
-                        steals: lane.get("steals").and_then(JsonValue::as_u64).unwrap_or(0),
-                        busy_nanos: lane
-                            .get("busy_nanos")
-                            .and_then(JsonValue::as_u64)
-                            .unwrap_or(0),
-                    },
-                );
-            }
-        }
-        snap.dropped_lane_events = nd
-            .get("dropped_lane_events")
-            .and_then(JsonValue::as_u64)
-            .unwrap_or(0);
-        if let Some(events) = nd.get("lane_events").and_then(JsonValue::as_arr) {
-            for ev in events {
-                snap.lane_events.push(LaneEvent {
-                    worker: ev
-                        .get("worker")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0)
-                        .min(u64::from(u32::MAX)) as u32,
-                    item: ev
-                        .get("item")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0)
-                        .min(u64::from(u32::MAX)) as u32,
-                    steal: ev.get("steal").and_then(JsonValue::as_u64).unwrap_or(0) != 0,
-                    start_nanos: ev
-                        .get("start_nanos")
-                        .and_then(JsonValue::as_u64)
-                        .unwrap_or(0),
-                    end_nanos: ev.get("end_nanos").and_then(JsonValue::as_u64).unwrap_or(0),
-                });
-            }
-        }
-        Some(snap)
+        Some(ProfileSnapshot { roots })
     }
 
     /// Flat deterministic work counters, keyed `path/column` (plus
@@ -836,9 +570,6 @@ impl ProfileSnapshot {
         for root in &self.roots {
             flatten_wall(root, "", &mut out);
         }
-        for (name, stat) in &self.overlays {
-            out.insert(format!("overlay/{name}"), stat.wall_nanos);
-        }
         out
     }
 
@@ -847,8 +578,7 @@ impl ProfileSnapshot {
     /// Thread 0 shows the *aggregated* phase tree laid out sequentially
     /// from t=0 (each node one slice of its total inclusive wall;
     /// children packed left-to-right inside the parent) — a profile
-    /// view, not a timeline. Worker lanes (tid = worker+1) and the
-    /// parpool overlay thread use real epoch-relative timestamps.
+    /// view, not a timeline.
     pub fn to_chrome_trace(&self) -> String {
         let mut events = Vec::new();
         self.chrome_trace_events(1, "evematch", &mut events);
@@ -882,44 +612,6 @@ impl ProfileSnapshot {
             push_trace_slice(out, pid, 0, root, t);
             t = t.saturating_add(root.wall_nanos);
         }
-        for worker in self.lanes.keys() {
-            out.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\
-                 \"args\":{{\"name\":\"worker {worker}\"}}}}",
-                worker + 1
-            ));
-        }
-        for ev in &self.lane_events {
-            let name = if ev.steal { "steal" } else { "claim" };
-            out.push(format!(
-                "{{\"name\":\"{name}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\
-                 \"tid\":{},\"args\":{{\"item\":{}}}}}",
-                ev.start_nanos / 1000,
-                ev.end_nanos.saturating_sub(ev.start_nanos) / 1000,
-                ev.worker + 1,
-                ev.item
-            ));
-        }
-        if !self.overlays.is_empty() {
-            out.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":1000,\
-                 \"args\":{{\"name\":\"parpool overlays\"}}}}"
-            ));
-            let mut t = 0u64;
-            for (name, stat) in &self.overlays {
-                let mut ev = String::from("{\"name\":");
-                push_string(&mut ev, name);
-                ev.push_str(&format!(
-                    ",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":1000,\
-                     \"args\":{{\"calls\":{}}}}}",
-                    t / 1000,
-                    stat.wall_nanos / 1000,
-                    stat.calls
-                ));
-                out.push(ev);
-                t = t.saturating_add(stat.wall_nanos);
-            }
-        }
     }
 
     /// Folded-stack lines (`a;b;c <self-nanos>`) consumable by
@@ -930,13 +622,6 @@ impl ProfileSnapshot {
         let mut out = String::new();
         for root in &self.roots {
             push_folded(&mut out, prefix, root);
-        }
-        for (name, stat) in &self.overlays {
-            if prefix.is_empty() {
-                out.push_str(&format!("{name} {}\n", stat.wall_nanos));
-            } else {
-                out.push_str(&format!("{prefix};{name} {}\n", stat.wall_nanos));
-            }
         }
         out
     }
@@ -1100,23 +785,6 @@ mod tests {
         p.close();
         p.charge(WorkCol::CacheHits, 4);
         p.close();
-        p.record_overlay("parpool.prefetch", 10, 30);
-        p.record_lanes(&[
-            LaneEvent {
-                worker: 0,
-                item: 0,
-                steal: false,
-                start_nanos: 1,
-                end_nanos: 5,
-            },
-            LaneEvent {
-                worker: 1,
-                item: 2,
-                steal: true,
-                start_nanos: 2,
-                end_nanos: 9,
-            },
-        ]);
         p.finish()
     }
 
@@ -1157,7 +825,6 @@ mod tests {
     fn deterministic_json_excludes_wall_clock() {
         let det = sample().deterministic_json();
         assert!(!det.contains("nanos"), "wall leaked: {det}");
-        assert!(!det.contains("lanes"), "lanes leaked: {det}");
         assert!(det.contains("\"evals\":6"), "work missing: {det}");
     }
 
@@ -1169,8 +836,6 @@ mod tests {
         assert_eq!(a.roots[0].calls, 2);
         assert_eq!(a.roots[0].work[WorkCol::Pops as usize], 6);
         assert_eq!(a.roots[0].children[0].work[WorkCol::Evals as usize], 12);
-        assert_eq!(a.overlays["parpool.prefetch"].calls, 2);
-        assert_eq!(a.lanes[&1].steals, 2);
         let min = a.roots[0].wall_min;
         let max = a.roots[0].wall_max;
         assert!(min <= max);
@@ -1207,7 +872,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_parses_and_covers_phases_and_lanes() {
+    fn chrome_trace_parses_and_covers_phases() {
         let trace = sample().to_chrome_trace();
         let doc = JsonValue::parse(&trace).expect("valid JSON");
         let events = doc
@@ -1218,19 +883,17 @@ mod tests {
             .iter()
             .filter(|e| e.get("ph").and_then(JsonValue::as_str) == Some("X"))
             .collect();
-        // 2 phase slices + 2 lane events + 1 overlay.
-        assert_eq!(slices.len(), 5);
+        // One slice per phase node: search and its support-eval child.
+        assert_eq!(slices.len(), 2);
         assert!(events
             .iter()
             .any(|e| e.get("ph").and_then(JsonValue::as_str) == Some("M")));
-        // Worker 1's steal landed on tid 2 with its item index.
         assert!(slices.iter().any(|e| {
-            e.get("name").and_then(JsonValue::as_str) == Some("steal")
-                && e.get("tid").and_then(JsonValue::as_u64) == Some(2)
+            e.get("name").and_then(JsonValue::as_str) == Some("support-eval")
                 && e.get("args")
-                    .and_then(|a| a.get("item"))
+                    .and_then(|a| a.get("evals"))
                     .and_then(JsonValue::as_u64)
-                    == Some(2)
+                    == Some(6)
         }));
     }
 
@@ -1244,12 +907,7 @@ mod tests {
         let lines: Vec<&str> = folded.lines().collect();
         assert!(lines.contains(&"Exact;search 70"), "{folded}");
         assert!(lines.contains(&"Exact;search;support-eval 30"), "{folded}");
-        assert!(
-            lines
-                .iter()
-                .any(|l| l.starts_with("Exact;parpool.prefetch ")),
-            "{folded}"
-        );
+        assert_eq!(lines.len(), 2, "{folded}");
     }
 
     #[test]
@@ -1259,8 +917,8 @@ mod tests {
         assert_eq!(flat["search/support-eval/evals"], 6);
         assert_eq!(flat["search/support-eval/calls"], 2);
         let wall = sample().flat_wall();
-        assert!(wall.contains_key("search/support-eval"));
-        assert_eq!(wall["overlay/parpool.prefetch"], 20);
+        let keys: Vec<&str> = wall.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["search", "search/support-eval"]);
     }
 
     #[test]
@@ -1275,25 +933,6 @@ mod tests {
         let names: Vec<&str> = snap.roots.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["ingest", "search", "emit"]);
         assert_eq!(snap.roots[1].children[0].work[WorkCol::Evals as usize], 6);
-        assert_eq!(snap.lanes.len(), 2);
-    }
-
-    #[test]
-    fn lane_event_cap_drops_deterministically() {
-        let mut p = PhaseProfiler::new();
-        let ev = LaneEvent {
-            worker: 0,
-            item: 0,
-            steal: false,
-            start_nanos: 0,
-            end_nanos: 1,
-        };
-        let events = vec![ev; LANE_EVENT_CAP + 10];
-        p.record_lanes(&events);
-        let snap = p.finish();
-        assert_eq!(snap.lane_events.len(), LANE_EVENT_CAP);
-        assert_eq!(snap.dropped_lane_events, 10);
-        assert_eq!(snap.lanes[&0].claims, (LANE_EVENT_CAP + 10) as u64);
     }
 
     #[test]

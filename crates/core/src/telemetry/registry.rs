@@ -179,11 +179,10 @@ pub struct MetricsSnapshot {
     pub histograms: BTreeMap<String, HistogramSnapshot>,
     /// Wall-clock span timings (non-deterministic section).
     pub timings: BTreeMap<String, TimingSnapshot>,
-    /// Execution-shape facts that legitimately vary with the runtime
-    /// environment — e.g. `parpool.batches` / `parpool.steals`, which
-    /// depend on the worker-thread count and scheduling. Kept out of the
-    /// deterministic section so byte-identity across `--eval-threads`
-    /// settings holds, and merged additively like counters.
+    /// Execution-shape facts — how the work was done, not what it
+    /// computed — e.g. `matcher.fallback.state_budget`, which records
+    /// which decider a scan used. Kept out of the deterministic section,
+    /// and merged additively like counters.
     pub info: BTreeMap<String, u64>,
 }
 
@@ -510,11 +509,11 @@ mod tests {
     fn info_section_round_trips_merges_and_stays_non_deterministic() {
         let mut a = MetricsSnapshot::default();
         a.set_counter("n", 1);
-        a.set_info("parpool.batches", 7);
-        a.set_info("parpool.steals", 2);
+        a.set_info("matcher.fallback.binding", 7);
+        a.set_info("matcher.fallback.state_budget", 2);
         let det = a.deterministic_json();
         assert!(
-            !det.contains("parpool"),
+            !det.contains("matcher"),
             "info leaked into the deterministic section: {det}"
         );
         let full = a.to_json_string();
@@ -525,7 +524,7 @@ mod tests {
                 .unwrap()
                 .get("info")
                 .unwrap()
-                .get("parpool.batches")
+                .get("matcher.fallback.binding")
                 .unwrap()
                 .as_u64(),
             Some(7)
@@ -533,10 +532,10 @@ mod tests {
         let back = MetricsSnapshot::from_json(&full).unwrap();
         assert_eq!(back, a);
         let mut b = MetricsSnapshot::default();
-        b.set_info("parpool.batches", 3);
+        b.set_info("matcher.fallback.binding", 3);
         a.merge(&b);
-        assert_eq!(a.info["parpool.batches"], 10);
-        assert_eq!(a.info["parpool.steals"], 2);
+        assert_eq!(a.info["matcher.fallback.binding"], 10);
+        assert_eq!(a.info["matcher.fallback.state_budget"], 2);
     }
 
     #[test]

@@ -6,12 +6,13 @@
 //! reproduce the dataset-characteristics and random-log tables. The
 //! `repro_*` binaries in `evematch-bench` print and save these.
 
-use evematch_core::sync::{AtomicUsize, Mutex, Ordering, PoisonError};
+use evematch_core::sync::{Mutex, PoisonError};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::time::Duration;
 
+use evematch_core::claim::ClaimCursor;
 use evematch_core::fault::{self, FaultClass};
 use evematch_core::persist::integrity;
 use evematch_core::retry::{Clock, RealClock, RetryPolicy};
@@ -32,12 +33,10 @@ pub struct SweepConfig {
     /// essentially never trip it; the exhaustive ones degrade gracefully).
     pub budget: Budget,
     /// Worker threads for the grid (1 = fully sequential, most faithful
-    /// timings).
+    /// timings). The grid is the only parallel layer: each solver run is
+    /// sequential, and outputs are byte-identical across worker counts —
+    /// only wall-clock changes.
     pub workers: usize,
-    /// Worker threads each *solver run* may use for batched successor
-    /// support evaluation (`--eval-threads`; 1 = sequential). Outputs are
-    /// byte-identical across settings — only wall-clock changes.
-    pub eval_threads: usize,
     /// Trace count for the fixed-trace sweeps (Figures 7 and 9; the paper
     /// uses the full 3,000).
     pub traces: usize,
@@ -68,7 +67,6 @@ impl Default for SweepConfig {
                 .with_processed_cap(2_000_000)
                 .with_deadline(Duration::from_secs(60)),
             workers: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-            eval_threads: 1,
             traces: 3000,
             checkpoint: None,
             retry: RetryPolicy::io_default(),
@@ -232,13 +230,7 @@ fn run_job(
         .iter()
         .map(|m| {
             match supervise(retry, || {
-                m.run_with(
-                    &ds.pair,
-                    &ds.patterns,
-                    cfg.budget,
-                    cfg.eval_threads,
-                    Some(&pool),
-                )
+                m.run_with(&ds.pair, &ds.patterns, cfg.budget, Some(&pool))
             }) {
                 Ok((out, retries)) => {
                     let mut rec = MethodRecord::of(&out);
@@ -347,54 +339,51 @@ pub fn run_grid(
     }
     let results: Mutex<BTreeMap<(usize, u64), Vec<MethodRecord>>> = Mutex::new(done);
     let journal_append = Mutex::new(());
-    let next = AtomicUsize::new(0);
+    let cursor = ClaimCursor::new(jobs.len());
     let workers = cfg.workers.clamp(1, jobs.len().max(1));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            scope.spawn(|| loop {
-                // ordering: Relaxed — the fetch_add's atomicity alone makes
-                // job claims unique; job data flows through the scope
-                // spawn/join edges, not this counter (same claim-cursor
-                // contract as core::parpool, DESIGN.md §11).
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                let Some(&(xi, seed)) = jobs.get(i) else {
-                    break;
-                };
-                let records = run_job(xs[xi], seed, methods, cfg, &make);
-                if let Some(path) = &journal {
-                    let line = integrity::frame_record(&checkpoint::journal_line(
-                        &fingerprint,
-                        xs[xi],
-                        seed,
-                        &records,
-                    ));
-                    let guard = journal_append
+            scope.spawn(|| {
+                while let Some(i) = cursor.claim() {
+                    let (xi, seed) = jobs[i];
+                    let records = run_job(xs[xi], seed, methods, cfg, &make);
+                    if let Some(path) = &journal {
+                        let line = integrity::frame_record(&checkpoint::journal_line(
+                            &fingerprint,
+                            xs[xi],
+                            seed,
+                            &records,
+                        ));
+                        let guard = journal_append
+                            .lock()
+                            .unwrap_or_else(PoisonError::into_inner);
+                        // Supervised best-effort: transient append failures
+                        // (including injected torn writes) seal whatever torn
+                        // bytes they left and retry under backoff, so a flaky
+                        // disk costs milliseconds instead of a recompute on
+                        // resume. A permanently unwritable journal still must
+                        // not take down the run — the grid keeps its results.
+                        let mut clock = RealClock;
+                        let _ = evematch_core::retry::retry_io(
+                            &cfg.retry,
+                            "journal.append",
+                            &mut clock,
+                            || {
+                                evematch_core::persist::append_line_durable(path, &line).map_err(
+                                    |e| {
+                                        checkpoint::seal_torn_tail(path);
+                                        e
+                                    },
+                                )
+                            },
+                        );
+                        drop(guard);
+                    }
+                    results
                         .lock()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    // Supervised best-effort: transient append failures
-                    // (including injected torn writes) seal whatever torn
-                    // bytes they left and retry under backoff, so a flaky
-                    // disk costs milliseconds instead of a recompute on
-                    // resume. A permanently unwritable journal still must
-                    // not take down the run — the grid keeps its results.
-                    let mut clock = RealClock;
-                    let _ = evematch_core::retry::retry_io(
-                        &cfg.retry,
-                        "journal.append",
-                        &mut clock,
-                        || {
-                            evematch_core::persist::append_line_durable(path, &line).map_err(|e| {
-                                checkpoint::seal_torn_tail(path);
-                                e
-                            })
-                        },
-                    );
-                    drop(guard);
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .insert((xi, seed), records);
                 }
-                results
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .insert((xi, seed), records);
             });
         }
     });
@@ -696,7 +685,6 @@ mod tests {
                 .with_processed_cap(200_000)
                 .with_deadline(Duration::from_secs(20)),
             workers: 2,
-            eval_threads: 1,
             traces: 60,
             checkpoint: None,
             retry: RetryPolicy::io_default(),
@@ -774,7 +762,6 @@ mod tests {
             seeds: vec![11, 23],
             budget: Budget::UNLIMITED.with_processed_cap(200_000),
             workers: 2,
-            eval_threads: 1,
             traces: 40,
             checkpoint: dir,
             retry: RetryPolicy::io_default(),
@@ -885,7 +872,6 @@ mod tests {
             seeds: vec![11],
             budget: Budget::UNLIMITED.with_processed_cap(100_000),
             workers: 2,
-            eval_threads: 1,
             traces: 20,
             checkpoint: None,
             // No retries: the generator panics deterministically, so the

@@ -259,20 +259,17 @@ impl Method {
     /// included — index building is part of each approach). The budget
     /// applies to every method, not only the exact searches.
     pub fn run(&self, pair: &LogPair, complex: &[Pattern], budget: Budget) -> RunOutcome {
-        self.run_with(pair, complex, budget, 1, None)
+        self.run_with(pair, complex, budget, None)
     }
 
-    /// Like [`Method::run`], but with an evaluation-thread count and an
-    /// optional per-cell [`SupportCachePool`]. `threads > 1` prefetches
-    /// successor-batch support scans on scoped worker threads; outputs stay
-    /// byte-identical to `threads == 1`. A pool lets methods with the same
-    /// pattern set share (and warm) one support memo.
+    /// Like [`Method::run`], but with an optional per-cell
+    /// [`SupportCachePool`]: a pool lets methods with the same pattern set
+    /// share (and warm) one support memo.
     pub fn run_with(
         &self,
         pair: &LogPair,
         complex: &[Pattern],
         budget: Budget,
-        threads: usize,
         pool: Option<&SupportCachePool>,
     ) -> RunOutcome {
         let start = Instant::now();
@@ -292,7 +289,7 @@ impl Method {
             .expect("log pairs satisfy |V1| ≤ |V2|")
         );
         let mut profile = indexer.finish();
-        let mut config = EvalConfig::from_budget(budget).with_threads(threads);
+        let mut config = EvalConfig::from_budget(budget);
         if let Some(pool) = pool {
             config = config.with_shared_cache(pool.cache_for(&ctx));
         }

@@ -44,10 +44,6 @@
 //!     --limit-secs <N>       wall-clock budget in seconds (default: 60)
 //!     --limit-processed <N>  processed-mapping budget (default: unlimited;
 //!                            deterministic, unlike --limit-secs)
-//!     --eval-threads <N>     worker threads for batched pattern-support
-//!                            evaluation (default: 1 = sequential; any N
-//!                            produces byte-identical output, only
-//!                            wall-clock changes)
 //!     --metrics-out <FILE>   write the run's telemetry snapshot as JSON:
 //!                            a `deterministic` section (counters, gauges,
 //!                            histograms — bit-identical across runs under
@@ -59,10 +55,9 @@
 //!     --profile-out <FILE>   write the run's hierarchical phase profile
 //!                            (ingest → index → search → emit) as JSON: a
 //!                            `deterministic` section (per-phase work
-//!                            counters, byte-identical across runs and
-//!                            --eval-threads under pure caps) and a
-//!                            `non_deterministic` section (wall clocks,
-//!                            parpool overlays, worker lanes). Two sibling
+//!                            counters, byte-identical across runs under
+//!                            pure caps) and a `non_deterministic`
+//!                            section (wall clocks). Two sibling
 //!                            views ride along: `<stem>_trace.json`
 //!                            (Chrome `trace_event`, load in Perfetto) and
 //!                            `<stem>.folded` (folded stacks for
@@ -122,7 +117,6 @@ struct Options {
     max_line_bytes: Option<usize>,
     limit_secs: u64,
     limit_processed: Option<u64>,
-    eval_threads: usize,
     metrics_out: Option<String>,
     trace_out: Option<String>,
     profile_out: Option<String>,
@@ -146,7 +140,6 @@ fn parse_args() -> Result<Options, String> {
         max_line_bytes: None,
         limit_secs: 60,
         limit_processed: None,
-        eval_threads: 1,
         metrics_out: None,
         trace_out: None,
         profile_out: std::env::var("EVEMATCH_PROFILE_OUT").ok(),
@@ -213,11 +206,6 @@ fn parse_args() -> Result<Options, String> {
                         .parse()
                         .map_err(|e| format!("--limit-processed: {e}"))?,
                 );
-            }
-            "--eval-threads" => {
-                opts.eval_threads = value("--eval-threads")?
-                    .parse()
-                    .map_err(|e| format!("--eval-threads: {e}"))?;
             }
             "--metrics-out" => opts.metrics_out = Some(value("--metrics-out")?),
             "--trace-out" => opts.trace_out = Some(value("--trace-out")?),
@@ -363,7 +351,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         budget = budget.with_processed_cap(cap);
     }
 
-    let mut config = EvalConfig::from_budget(budget).with_threads(opts.eval_threads);
+    let mut config = EvalConfig::from_budget(budget);
     if let Some(b) = &beacon {
         config = config.with_beacon(b.clone());
     }
@@ -581,7 +569,6 @@ fn main() -> ExitCode {
                  [--patterns FILE] [--format text|csv] [--bound simple|tight] \
                  [--lenient] [--max-events N] [--max-traces N] [--max-trace-len N] \
                  [--max-line-bytes N] [--limit-secs N] [--limit-processed N] \
-                 [--eval-threads N] \
                  [--metrics-out FILE] [--trace-out FILE] [--profile-out FILE] \
                  [--progress] [--quiet] \
                  [--fault-schedule SPEC] [--fault-seed N] LOG1 LOG2\n       \

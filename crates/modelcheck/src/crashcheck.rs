@@ -160,7 +160,6 @@ fn run_once(root: &Path, traces: usize, verify_journal: bool) -> io::Result<Pane
         seeds: vec![11],
         budget: Budget::UNLIMITED.with_processed_cap(60_000),
         workers: 1,
-        eval_threads: 1,
         traces,
         checkpoint: Some(root.join("ckpt")),
         retry: RetryPolicy::no_retries(),

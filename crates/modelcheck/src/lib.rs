@@ -1,11 +1,11 @@
 //! Bounded interleaving model checks for the workspace's three core
 //! concurrency invariants (see DESIGN.md §11):
 //!
-//! 1. **Claim cursor** — `core::parpool::ClaimCursor` never double-assigns
-//!    or skips an item, under any schedule.
-//! 2. **Deadline latch** — a shared `BudgetMeter`'s exhaustion latch trips
-//!    exactly once, and a worker-side win counts exactly one
-//!    `cross_thread_trips`.
+//! 1. **Claim cursor** — `core::claim::ClaimCursor`, through which the
+//!    experiment grid's workers claim their `(x, seed)` jobs, never
+//!    double-assigns or skips an item, under any schedule.
+//! 2. **Deadline latch** — racing `tick()` callers on one `BudgetMeter`
+//!    latch the elapsed deadline, and the latch stays set.
 //! 3. **Shard poisoning** — a solver thread dying inside a
 //!    `SharedSupportCache` shard is always recovered without losing the
 //!    poisoned shard's entries or their first-owner attribution, even with
@@ -50,7 +50,7 @@ mod harness {
     use std::sync::Arc;
     use std::time::Duration;
 
-    use evematch_core::parpool::ClaimCursor;
+    use evematch_core::claim::ClaimCursor;
     use evematch_core::sync::model::{check, spawn, ModelConfig, Report};
     use evematch_core::sync::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
     use evematch_core::{Budget, Exhaustion, SharedSupportCache};
@@ -87,15 +87,14 @@ mod harness {
         })
     }
 
-    /// Invariant 2: workers polling an already-elapsed deadline through
-    /// `tick_worker` latch [`Exhaustion::Deadline`] exactly once, with
-    /// exactly one cross-thread trip counted, in every interleaving.
+    /// Invariant 2: threads polling an already-elapsed deadline through
+    /// `tick` latch [`Exhaustion::Deadline`], in every interleaving, and
+    /// the latch is sticky.
     pub fn check_deadline_latch(config: &ModelConfig, workers: usize) -> Report {
         check(config, move || {
             // A zero deadline has already elapsed at metering time and a
             // poll interval of 1 polls on every tick, so the scenario is
-            // deterministic: whichever worker polls first must win the
-            // latch, and only that worker may count a trip.
+            // deterministic: whichever thread polls first wins the latch.
             let meter = Arc::new(
                 Budget::UNLIMITED
                     .with_deadline(Duration::ZERO)
@@ -105,21 +104,18 @@ mod harness {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
                     let meter = Arc::clone(&meter);
-                    spawn(move || meter.tick_worker())
+                    spawn(move || meter.tick())
                 })
                 .collect();
             for handle in handles {
                 handle.join().expect("workers never panic");
             }
             assert_eq!(meter.exhaustion(), Some(Exhaustion::Deadline));
-            assert_eq!(
-                meter.cross_thread_trips(),
-                1,
-                "the CAS latch admits exactly one cross-thread winner"
-            );
-            // Sticky: later ticks neither re-latch nor re-count.
-            meter.tick_worker();
-            assert_eq!(meter.cross_thread_trips(), 1);
+            // Sticky: a later tick leaves the cause, and no work is
+            // charged past it.
+            meter.tick();
+            assert_eq!(meter.exhaustion(), Some(Exhaustion::Deadline));
+            assert!(!meter.charge_processed());
         })
     }
 
@@ -205,8 +201,7 @@ mod harness {
     }
 
     /// Seeded bug for invariant 2: a check-then-set latch (no CAS). The
-    /// checker must find a schedule where both workers win and the trip
-    /// count reaches 2.
+    /// checker must find a schedule where both threads win the latch.
     pub fn check_seeded_racy_latch(config: &ModelConfig) -> Report {
         struct RacyLatch {
             state: AtomicU8,

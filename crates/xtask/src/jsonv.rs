@@ -289,7 +289,7 @@ mod tests {
     fn parses_the_artifact_shapes() {
         let doc = r#"{"bench":"profile","workload":{"seed":11,"method":"Pattern-Tight"},
             "host_parallelism":8,"work":{"search/pops":120,"search/meter_ticks":240},
-            "wall_nanos":{"search":12345,"overlay/parpool.prefetch":99}}"#;
+            "wall_nanos":{"search":12345,"search/support-eval":99}}"#;
         let v = Json::parse(doc).expect("parses");
         assert_eq!(v.get("bench").and_then(Json::as_str), Some("profile"));
         assert_eq!(v.get("host_parallelism").and_then(Json::as_u64), Some(8));

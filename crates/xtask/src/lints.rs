@@ -54,13 +54,12 @@ pub const PRINT_FREE_CRATES: &[&str] = &[
 ];
 
 /// The modules allowed to create threads directly (lint T9): the
-/// deterministic worker pool every solver shares, and the experiment
-/// sweep's job fan-out. Everything else goes through `core::parpool` —
-/// a stray `thread::spawn` in a solver bypasses the deterministic merge
+/// experiment sweep's job fan-out — the workspace's one parallel layer —
+/// and the model checker's virtual threads. Solvers are sequential: a
+/// stray `thread::spawn` in one bypasses the grid's index-ordered merge
 /// and the cooperative budget, which is exactly how output divergence
-/// across `--eval-threads` settings would creep in.
+/// across worker counts would creep in.
 pub const THREAD_MODULES: &[&str] = &[
-    "crates/core/src/parpool.rs",
     "crates/core/src/sync/model.rs",
     "crates/eval/src/experiments.rs",
 ];
@@ -500,12 +499,12 @@ pub fn check_no_raw_artifact_write(file: &ScannedFile) -> Vec<Violation> {
 /// `thread::Builder`) in runtime source outside the sanctioned
 /// [`THREAD_MODULES`].
 ///
-/// Parallelism in this workspace is funneled through two doors:
-/// `core::parpool` (whose deterministic in-order merge is what keeps
-/// `--eval-threads N` byte-identical to sequential) and the experiment
-/// sweep's worker fan-out in `eval::experiments`. A thread spawned
-/// anywhere else shares none of that discipline — it can interleave
-/// telemetry, outlive its borrow of the budget meter, or reorder results.
+/// Parallelism in this workspace goes through one door: the experiment
+/// sweep's worker fan-out in `eval::experiments`, whose workers claim
+/// jobs through `core::claim::ClaimCursor` and whose results merge in job
+/// order. A thread spawned anywhere else shares none of that discipline —
+/// it can interleave telemetry, outlive its borrow of the budget meter,
+/// or reorder results.
 /// Like T8, the scope includes `src/bin/`; genuinely harmless spawns
 /// (e.g. a progress heartbeat that never touches solver state) carry a
 /// waiver saying why.
@@ -525,9 +524,9 @@ pub fn check_no_raw_thread_spawn(file: &ScannedFile) -> Vec<Violation> {
                     idx + 1,
                     Lint::NoRawThreadSpawn,
                     format!(
-                        "runtime code must not call `{needle}` directly: route parallel \
-                         evaluation through `core::parpool` (deterministic merge + shared \
-                         budget) or the sweep fan-out in `eval::experiments` (or waive with \
+                        "runtime code must not call `{needle}` directly: parallel work \
+                         belongs in the sweep fan-out in `eval::experiments` (claim cursor + \
+                         job-ordered merge) (or waive with \
                          `// tidy-allow: no-raw-thread-spawn -- <why this thread cannot \
                          affect solver output>`)"
                     ),

@@ -80,9 +80,9 @@ LINTS (see DESIGN.md §6):
                        route result writes through core::persist::atomic_write
                        so a crash never leaves a torn file under the final name
     no-raw-thread-spawn T9 no thread::spawn/thread::scope/thread::Builder outside
-                       core::parpool, core::sync::model, and eval::experiments
-                       (INCLUDING src/bin/): stray threads bypass the
-                       deterministic merge and the cooperative budget
+                       eval::experiments and core::sync::model (INCLUDING
+                       src/bin/): stray threads bypass the grid's job-ordered
+                       merge and the cooperative budget
     ordering-justified T10 every atomic Ordering:: argument carries an
                        `// ordering:` justification comment on the same line or
                        within the 10 lines above (memory-ordering contracts:

@@ -69,7 +69,7 @@ pub struct Entry {
     pub recorded_unix: u64,
     /// `std::thread::available_parallelism()` on the recording host.
     pub host_parallelism: u64,
-    /// The bench name (`profile`, `parpool`, …).
+    /// The bench name (`profile`, `matcher`, …).
     pub bench: String,
     /// The workload descriptor as canonical minified JSON — the baseline
     /// match key alongside `bench`.
@@ -456,15 +456,8 @@ pub fn read_history(path: &Path) -> Result<History, String> {
     Ok(out)
 }
 
-/// Normalizes a bench artifact or a history line into an [`Entry`].
-///
-/// Two artifact shapes are understood:
-/// * flat (`bench profile` and history lines): top-level `work` and
-///   `wall_nanos` objects are taken as-is;
-/// * seq/par (`bench parpool`): the sequential run's counters become
-///   `seq/<counter>` work entries (the seq run is the deterministic
-///   reference), and the two runs' wall clocks become `seq`/`par` wall
-///   entries.
+/// Normalizes a bench artifact or a history line into an [`Entry`]: the
+/// top-level `work` and `wall_nanos` objects are taken as-is.
 pub fn normalize(doc: &Json) -> Result<Entry, String> {
     let bench = doc
         .get("bench")
@@ -484,36 +477,16 @@ pub fn normalize(doc: &Json) -> Result<Entry, String> {
         .unwrap_or("unknown")
         .to_string();
     let recorded_unix = doc.get("recorded_unix").and_then(Json::as_u64).unwrap_or(0);
-    let (work, wall) = if let Some(pairs) = doc.get("work").and_then(Json::as_obj) {
-        let work = counters_of(pairs);
-        let wall = doc
-            .get("wall_nanos")
-            .and_then(Json::as_obj)
-            .map(counters_of)
-            .unwrap_or_default();
-        (work, wall)
-    } else if let Some(seq) = doc.get("seq").and_then(Json::as_obj) {
-        let mut work = Vec::new();
-        let mut wall = Vec::new();
-        for (key, value) in seq {
-            let Some(n) = value.as_u64() else { continue };
-            match key.as_str() {
-                "threads" => {}
-                "wall_nanos" => wall.push(("seq".to_string(), n)),
-                _ => work.push((format!("seq/{key}"), n)),
-            }
-        }
-        if let Some(n) = doc
-            .get("par")
-            .and_then(|p| p.get("wall_nanos"))
-            .and_then(Json::as_u64)
-        {
-            wall.push(("par".to_string(), n));
-        }
-        (work, wall)
-    } else {
-        return Err("no `work` or `seq` section to read counters from".to_string());
-    };
+    let work = doc
+        .get("work")
+        .and_then(Json::as_obj)
+        .map(counters_of)
+        .ok_or_else(|| "no `work` section to read counters from".to_string())?;
+    let wall = doc
+        .get("wall_nanos")
+        .and_then(Json::as_obj)
+        .map(counters_of)
+        .unwrap_or_default();
     Ok(Entry {
         sha,
         recorded_unix,
@@ -711,7 +684,7 @@ mod tests {
 
     #[test]
     fn baseline_matching_is_by_bench_and_workload_latest_wins() {
-        let mut other = entry("parpool", &[("seq/log_scans", 10)]);
+        let mut other = entry("matcher", &[("kernel/scans", 10)]);
         other.workload = "{\"seed\":11}".to_string();
         let old = entry("profile", &[("search/pops", 500)]);
         let new = entry("profile", &[("search/pops", 800)]);
@@ -724,7 +697,7 @@ mod tests {
     }
 
     #[test]
-    fn normalizes_flat_and_seq_par_artifacts() {
+    fn normalizes_flat_artifacts_and_rejects_workless_ones() {
         let profile = Json::parse(
             "{\"bench\":\"profile\",\"workload\":{\"seed\":11},\"host_parallelism\":4,\
              \"work\":{\"search/pops\":7},\"wall_nanos\":{\"search\":123}}",
@@ -736,25 +709,12 @@ mod tests {
         assert_eq!(e.work, vec![("search/pops".to_string(), 7)]);
         assert_eq!(e.wall, vec![("search".to_string(), 123)]);
 
-        let parpool = Json::parse(
-            "{\"bench\":\"parpool\",\"workload\":{\"seed\":11},\"host_parallelism\":4,\
-             \"seq\":{\"threads\":1,\"wall_nanos\":50,\"log_scans\":20,\"cache_hits\":3},\
-             \"par\":{\"threads\":8,\"wall_nanos\":9,\"log_scans\":20,\"cache_hits\":3},\
-             \"speedup\":5.5}",
+        let workless = Json::parse(
+            "{\"bench\":\"profile\",\"workload\":{\"seed\":11},\
+             \"seq\":{\"wall_nanos\":50,\"log_scans\":20}}",
         )
         .unwrap();
-        let e = normalize(&parpool).unwrap();
-        assert_eq!(
-            e.work,
-            vec![
-                ("seq/log_scans".to_string(), 20),
-                ("seq/cache_hits".to_string(), 3),
-            ]
-        );
-        assert_eq!(
-            e.wall,
-            vec![("seq".to_string(), 50), ("par".to_string(), 9)]
-        );
+        assert!(normalize(&workless).is_err());
     }
 
     #[test]

@@ -36,7 +36,6 @@ fn grid(workers: usize, checkpoint: Option<PathBuf>) -> FigureResult {
         verify_journal: true,
         budget: Budget::UNLIMITED.with_processed_cap(50_000),
         workers,
-        eval_threads: 2,
         traces: 40,
         checkpoint,
         retry: retry::RetryPolicy::io_default(),
@@ -51,31 +50,6 @@ fn grid(workers: usize, checkpoint: Option<PathBuf>) -> FigureResult {
             let ds = datasets::real_like_sized(cfg.traces, cfg.traces, seed);
             project_dataset(&ds, x)
         },
-    )
-}
-
-/// A one-cell grid on the composite-heavy workload (`larger_synthetic`
-/// with 2 modules — 20 events), where the exact search prefetches
-/// composite supports through `core::parpool`: the workload that makes
-/// the `parpool.worker` failpoint reachable.
-fn parpool_grid() -> FigureResult {
-    let cfg = SweepConfig {
-        seeds: vec![11],
-        verify_journal: true,
-        budget: Budget::UNLIMITED.with_processed_cap(5_000),
-        workers: 1,
-        eval_threads: 2,
-        traces: 300,
-        checkpoint: None,
-        retry: retry::RetryPolicy::io_default(),
-    };
-    run_grid(
-        "FigChaosPar",
-        "#events",
-        &[20],
-        &[Method::PatternTight],
-        &cfg,
-        |_, seed| datasets::larger_synthetic(2, cfg.traces, seed),
     )
 }
 
@@ -155,19 +129,15 @@ fn seeded_fault_schedules_recover_to_byte_identical_results() {
         assert_eq!(telemetry_value("fault.injected.grid.cell"), Some(2));
     }
 
-    // Schedule 2: an injected I/O delay on the first cell attempt plus
-    // one parpool worker panic, which the supervisor treats as a
-    // transient worker crash and re-runs. Runs on the composite-heavy
-    // workload, where the exact search actually fans support evaluation
-    // out to parpool workers.
-    let parpool_reference = det_panels(&parpool_grid());
+    // Schedule 2: one cell attempt crashes (an injected panic on a grid
+    // worker), which the supervisor treats as a transient worker crash
+    // and re-runs.
     {
-        let _armed =
-            fault::arm_scoped("grid.cell=delay(10) x1; parpool.worker=panic x1", 2).unwrap();
-        let fig = parpool_grid();
-        assert_eq!(det_panels(&fig), parpool_reference, "schedule 2 diverged");
+        let _armed = fault::arm_scoped("grid.cell=panic x1", 2).unwrap();
+        let fig = grid(2, None);
+        assert_eq!(det_panels(&fig), reference, "schedule 2 diverged");
         let telemetry = fault::telemetry();
-        assert_eq!(telemetry_value("fault.injected.parpool.worker"), Some(1));
+        assert_eq!(telemetry_value("fault.injected.grid.cell"), Some(1));
         assert!(
             telemetry
                 .iter()

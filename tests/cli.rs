@@ -381,16 +381,15 @@ fn profile_out_env_var_is_honored() {
 
 /// The profiler-level byte-identity acceptance criterion at CLI scale:
 /// under a pure processed cap, the `deterministic` section of the profile
-/// artifact is byte-identical across `--eval-threads 1/2/8` (walls,
-/// overlays and lanes live in the non-deterministic section and are free
-/// to differ).
+/// artifact is byte-identical across runs (walls live in the
+/// non-deterministic section and are free to differ).
 #[test]
-fn capped_profile_out_det_sections_are_byte_identical_across_eval_threads() {
+fn capped_profile_out_det_sections_are_byte_identical_across_runs() {
     let l1 = write_temp("pd1.log", L1_TEXT);
     let l2 = write_temp("pd2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
     let pats = write_temp("pd.pats", "SEQ(receive, AND(pay, check), ship)\n");
-    let deterministic_section = |threads: &str| {
-        let path = write_temp(&format!("pd_t{threads}.json"), "");
+    let deterministic_section = |run: &str| {
+        let path = write_temp(&format!("pd_{run}.json"), "");
         let out = bin()
             .args([
                 "--quiet",
@@ -398,8 +397,6 @@ fn capped_profile_out_det_sections_are_byte_identical_across_eval_threads() {
                 "exact",
                 "--limit-processed",
                 "100000",
-                "--eval-threads",
-                threads,
                 "--patterns",
             ])
             .arg(&pats)
@@ -420,12 +417,10 @@ fn capped_profile_out_det_sections_are_byte_identical_across_eval_threads() {
             .unwrap_or_else(|| panic!("no non_deterministic section: {json}"));
         json[..end].to_owned()
     };
-    let t1 = deterministic_section("1");
-    let t2 = deterministic_section("2");
-    let t8 = deterministic_section("8");
-    assert_eq!(t1, t2, "profile det section diverged at --eval-threads 2");
-    assert_eq!(t1, t8, "profile det section diverged at --eval-threads 8");
-    assert!(t1.contains("\"search\""), "{t1}");
+    let first = deterministic_section("a");
+    let second = deterministic_section("b");
+    assert_eq!(first, second, "profile det section diverged on rerun");
+    assert!(first.contains("\"search\""), "{first}");
 }
 
 #[test]

@@ -1,15 +1,16 @@
-//! Differential & concurrency suite for the parallel evaluation kernel.
+//! Differential & concurrency suite for the evaluation kernel and the
+//! experiment grid.
 //!
-//! Two families of guarantees are locked down here:
+//! The guarantees locked down here:
 //!
-//! * **Differential correctness** — the exact A\* search (sequential or
-//!   parallel) finds the same optimum as an exhaustive brute-force
-//!   enumeration on randomly generated instances;
-//! * **Thread-count transparency** — `--eval-threads N` is an execution
-//!   detail, never an output detail: for every method, every budget shape
-//!   and the whole experiment grid, mappings, score bits, gap-certificate
-//!   bits and the deterministic telemetry section are byte-identical
-//!   across `N ∈ {1, 2, 8}`;
+//! * **Differential correctness** — the exact A\* search finds the same
+//!   optimum as an exhaustive brute-force enumeration on randomly
+//!   generated instances, and a capped search's gap certificate contains
+//!   that optimum;
+//! * **Worker-count transparency** — the grid's worker count is an
+//!   execution detail, never an output detail: result CSVs and the merged
+//!   deterministic metrics and profiles are byte-identical across
+//!   `workers ∈ {1, 2, 8}`;
 //! * **Scan correctness** — the bit-parallel compiled NFA agrees with the
 //!   interpreter and the linearization ground truth on random patterns,
 //!   and the one support scan (`EvaluatedPattern::scan`) equals the
@@ -25,8 +26,6 @@ use proptest::prelude::*;
 use evematch::eval::experiments::{run_grid, FigureResult, SweepConfig};
 use evematch::eval::{project_dataset, SupportCachePool};
 use evematch::prelude::*;
-
-const THREADS: [usize; 3] = [1, 2, 8];
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -65,22 +64,10 @@ fn brute_force_best(ctx: &MatchContext) -> f64 {
     best
 }
 
-/// Everything a run is allowed to expose: the mapping, the exact bits of
-/// the score and gap certificate, and the deterministic metrics section.
-/// Wall-clock timings and the `info` section (`parpool.*`) are the only
-/// things deliberately excluded.
-/// Everything a run must keep bit-stable across thread counts: the mapping,
-/// the score and gap as exact bit patterns, and the deterministic metrics.
+/// Everything a run must keep bit-stable: the mapping, the score and gap
+/// as exact bit patterns, and the deterministic metrics. Wall-clock
+/// timings and the `info` section are deliberately excluded.
 type Fingerprint = (Mapping, u64, Option<u64>, String);
-
-fn outcome_fp(out: &MatchOutcome) -> Fingerprint {
-    (
-        out.mapping.clone(),
-        out.score.to_bits(),
-        out.completion.optimality_gap().map(f64::to_bits),
-        out.metrics.deterministic_json(),
-    )
-}
 
 fn run_fp(out: &RunOutcome) -> Fingerprint {
     match out {
@@ -99,8 +86,9 @@ fn run_fp(out: &RunOutcome) -> Fingerprint {
     }
 }
 
-/// A small instance with a genuine composite pattern, so the parallel
-/// prefetch path (which only handles non-fast-path keys) actually runs.
+/// A small instance with a genuine composite pattern, so support
+/// evaluation goes through the cache and the log scan, not only the
+/// dependency-graph fast paths.
 fn composite_ctx(l1: &EventLog, l2: &EventLog) -> Option<MatchContext> {
     let p = parse_pattern("SEQ(e0, AND(e1, e2), e3)", l1.events()).ok()?;
     MatchContext::new(
@@ -112,72 +100,47 @@ fn composite_ctx(l1: &EventLog, l2: &EventLog) -> Option<MatchContext> {
 }
 
 // ---------------------------------------------------------------------
-// Differential: parallel exact search vs brute force
+// Differential: exact search vs brute force
 // ---------------------------------------------------------------------
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The exact A\* search equals brute-force enumeration at every thread
-    /// count, and all thread counts agree bit-for-bit with each other.
+    /// The exact A\* search equals brute-force enumeration under both
+    /// bounds.
     #[test]
-    fn parallel_exact_search_matches_brute_force(
+    fn exact_search_matches_brute_force(
         l1 in log_strategy(4, 8),
         l2 in log_strategy(4, 8),
     ) {
         let Some(ctx) = composite_ctx(&l1, &l2) else { return Ok(()) };
         let best = brute_force_best(&ctx);
         for bound in [BoundKind::Simple, BoundKind::Tight] {
-            let matcher = ExactMatcher::new(bound);
-            let runs: Vec<_> = THREADS
-                .iter()
-                .map(|&t| {
-                    let config = EvalConfig::from_budget(Budget::UNLIMITED).with_threads(t);
-                    outcome_fp(&matcher.solve_with(&ctx, &config))
-                })
-                .collect();
+            let out = ExactMatcher::new(bound).solve(&ctx);
             prop_assert!(
-                (f64::from_bits(runs[0].1) - best).abs() < 1e-9,
-                "{bound:?}: sequential score {} vs brute {best}",
-                f64::from_bits(runs[0].1)
+                (out.score - best).abs() < 1e-9,
+                "{bound:?}: score {} vs brute {best}",
+                out.score
             );
-            for (i, run) in runs.iter().enumerate().skip(1) {
-                prop_assert_eq!(
-                    run, &runs[0],
-                    "{:?}: threads {} diverged from sequential", bound, THREADS[i]
-                );
-            }
         }
     }
 
-    /// Anytime runs stay thread-transparent too: under a processed cap the
-    /// degraded mapping, score bits, gap-certificate bits and deterministic
-    /// counters are identical at every thread count, and the certificate
-    /// still contains the brute-force optimum.
+    /// Under a processed cap the anytime score never beats the brute-force
+    /// optimum, and a degraded run's gap certificate contains it.
     #[test]
-    fn capped_parallel_runs_are_byte_identical_and_sound(
+    fn capped_exact_search_gap_is_sound(
         l1 in log_strategy(4, 8),
         l2 in log_strategy(4, 8),
         cap in 0u64..12,
     ) {
         let Some(ctx) = composite_ctx(&l1, &l2) else { return Ok(()) };
         let best = brute_force_best(&ctx);
-        let budget = Budget::UNLIMITED.with_processed_cap(cap);
-        let matcher = ExactMatcher::new(BoundKind::Tight);
-        let runs: Vec<_> = THREADS
-            .iter()
-            .map(|&t| {
-                let config = EvalConfig::from_budget(budget).with_threads(t);
-                outcome_fp(&matcher.solve_with(&ctx, &config))
-            })
-            .collect();
-        for (i, run) in runs.iter().enumerate().skip(1) {
-            prop_assert_eq!(run, &runs[0], "threads {} diverged", THREADS[i]);
-        }
-        let score = f64::from_bits(runs[0].1);
+        let out = ExactMatcher::new(BoundKind::Tight)
+            .with_budget(Budget::UNLIMITED.with_processed_cap(cap))
+            .solve(&ctx);
+        let score = out.score;
         prop_assert!(score <= best + 1e-9, "anytime {score} beats brute {best}");
-        if let Some(gap_bits) = runs[0].2 {
-            let gap = f64::from_bits(gap_bits);
+        if let Some(gap) = out.completion.optimality_gap() {
             prop_assert!(gap >= 0.0 && gap.is_finite());
             prop_assert!(
                 best <= score + gap + 1e-9,
@@ -188,113 +151,30 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------
-// Thread-count transparency for every method
+// Shared support cache
 // ---------------------------------------------------------------------
-
-/// Every registered method, finished and budget-exhausted alike, produces
-/// byte-identical mappings, score bits, gap bits and deterministic metrics
-/// at 1, 2 and 8 evaluation threads.
-#[test]
-fn every_method_is_byte_identical_across_thread_counts() {
-    let ds = project_dataset(&datasets::real_like_sized(60, 60, 11), 6);
-    for budget in [
-        Budget::UNLIMITED.with_processed_cap(50_000),
-        Budget::UNLIMITED.with_processed_cap(9),
-    ] {
-        for m in ALL_METHODS {
-            let runs: Vec<_> = THREADS
-                .iter()
-                .map(|&t| run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, t, None)))
-                .collect();
-            for (i, run) in runs.iter().enumerate().skip(1) {
-                assert_eq!(
-                    run,
-                    &runs[0],
-                    "{} at {} threads diverged from sequential (budget {budget:?})",
-                    m.name(),
-                    THREADS[i]
-                );
-            }
-        }
-    }
-}
-
-/// Oversubscription transparency: a thread count far above the host's
-/// parallelism (32 workers on the CI containers' 1–4 cores) forces the OS
-/// to time-slice workers mid-batch, maximally perturbing claim order on
-/// the shared `ClaimCursor` — and the in-order merge must still make the
-/// outputs byte-identical to sequential. This is the real-thread
-/// companion to the bounded-schedule claim-cursor proof in
-/// `crates/modelcheck`: the model checker shows no schedule can
-/// double-assign or skip; this shows the merge erases whatever schedule
-/// the OS actually picks, even a pathological one.
-#[test]
-fn oversubscribed_thread_counts_stay_byte_identical() {
-    const OVERSUBSCRIBED: usize = 32;
-    let ds = project_dataset(&datasets::real_like_sized(60, 60, 17), 6);
-    for budget in [
-        Budget::UNLIMITED.with_processed_cap(50_000),
-        Budget::UNLIMITED.with_processed_cap(9),
-    ] {
-        for m in ALL_METHODS {
-            let sequential = run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, 1, None));
-            let oversubscribed =
-                run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, OVERSUBSCRIBED, None));
-            assert_eq!(
-                oversubscribed,
-                sequential,
-                "{} at {OVERSUBSCRIBED} threads diverged from sequential (budget {budget:?})",
-                m.name()
-            );
-        }
-    }
-}
 
 /// Sharing a support cache across methods must not change results: a warm
 /// shared cache changes *when* supports are computed (so scan and hit
 /// counters legitimately differ from a cold run), never the mapping, score
-/// or gap certificate any method returns. And with the per-cell method
-/// order fixed, the counters themselves — warm hits included — are still
-/// byte-identical across thread counts.
+/// or gap certificate any method returns.
 #[test]
 fn shared_cache_never_changes_method_results() {
     let ds = project_dataset(&datasets::real_like_sized(60, 60, 23), 6);
-    let budget = Budget::UNLIMITED.with_processed_cap(50_000);
-    let cold: Vec<_> = ALL_METHODS
-        .iter()
-        .map(|m| run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, 1, None)))
-        .collect();
-    let mut per_thread_fps: Vec<Vec<Fingerprint>> = Vec::new();
-    for &threads in &THREADS {
+    for budget in [
+        Budget::UNLIMITED.with_processed_cap(50_000),
+        Budget::UNLIMITED.with_processed_cap(9),
+    ] {
         let pool = SupportCachePool::new();
-        let warm: Vec<_> = ALL_METHODS
-            .iter()
-            .map(|m| run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, threads, Some(&pool))))
-            .collect();
-        for (m, (w, c)) in ALL_METHODS.iter().zip(warm.iter().zip(&cold)) {
-            assert_eq!(
-                w.0,
-                c.0,
-                "{} mapping changed under a shared cache",
-                m.name()
-            );
-            assert_eq!(w.1, c.1, "{} score changed under a shared cache", m.name());
-            assert_eq!(w.2, c.2, "{} gap changed under a shared cache", m.name());
+        for m in ALL_METHODS {
+            let cold = run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, None));
+            let warm = run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, Some(&pool)));
+            assert_eq!(warm.0, cold.0, "{} mapping changed", m.name());
+            assert_eq!(warm.1, cold.1, "{} score changed", m.name());
+            assert_eq!(warm.2, cold.2, "{} gap changed", m.name());
         }
-        per_thread_fps.push(warm);
-    }
-    for (i, fps) in per_thread_fps.iter().enumerate().skip(1) {
-        assert_eq!(
-            fps, &per_thread_fps[0],
-            "shared-cache runs at {} threads diverged from sequential",
-            THREADS[i]
-        );
     }
 }
-
-// ---------------------------------------------------------------------
-// Cross-method cache warming
-// ---------------------------------------------------------------------
 
 /// The ISSUE's shared-cache acceptance: in a cell where the advanced
 /// heuristic runs before the exact search on one pool, the exact search
@@ -304,12 +184,12 @@ fn shared_cache_never_changes_method_results() {
 fn heuristic_warms_the_exact_search_through_the_shared_cache() {
     let ds = datasets::larger_synthetic(2, 300, 11);
     let budget = Budget::UNLIMITED.with_processed_cap(5_000);
-    let cold = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, 1, None);
+    let cold = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, None);
     let cold_scans = cold.metrics().counters["eval.log_scans"];
 
     let pool = SupportCachePool::new();
-    let _ = Method::HeuristicAdvanced.run_with(&ds.pair, &ds.patterns, budget, 1, Some(&pool));
-    let warmed = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, 1, Some(&pool));
+    let _ = Method::HeuristicAdvanced.run_with(&ds.pair, &ds.patterns, budget, Some(&pool));
+    let warmed = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, Some(&pool));
     let shared = warmed.metrics().counters["eval.cache.shared_hits"];
     let warm_scans = warmed.metrics().counters["eval.log_scans"];
 
@@ -329,28 +209,28 @@ fn heuristic_warms_the_exact_search_through_the_shared_cache() {
 // Grid-level regression: worker-local deltas reduce deterministically
 // ---------------------------------------------------------------------
 
-fn grid(eval_threads: usize) -> FigureResult {
+/// Grid worker counts every grid-level comparison runs at: sequential, one
+/// worker per host core on the CI containers, and more workers than the
+/// four `(x, seed)` jobs (clamped to one per job, oversubscribing the
+/// cores).
+const WORKERS: [usize; 3] = [1, 2, 8];
+
+/// A small grid: `methods` over `x ∈ {4, 5}` events of the real-like
+/// dataset at seeds 11 and 23 — four `(x, seed)` jobs.
+fn grid(methods: &[Method], budget: Budget, workers: usize) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
         verify_journal: true,
-        budget: Budget::UNLIMITED.with_processed_cap(100_000),
-        workers: 2,
-        eval_threads,
+        budget,
+        workers,
         traces: 40,
         checkpoint: None,
         retry: retry::RetryPolicy::io_default(),
     };
-    run_grid(
-        "FigDiff",
-        "#events",
-        &[4, 5],
-        &[Method::PatternTight, Method::HeuristicAdvanced],
-        &cfg,
-        |x, seed| {
-            let ds = datasets::real_like_sized(cfg.traces, cfg.traces, seed);
-            project_dataset(&ds, x)
-        },
-    )
+    run_grid("FigDiff", "#events", &[4, 5], methods, &cfg, |x, seed| {
+        let ds = datasets::real_like_sized(cfg.traces, cfg.traces, seed);
+        project_dataset(&ds, x)
+    })
 }
 
 fn csv(t: &Table) -> String {
@@ -359,26 +239,61 @@ fn csv(t: &Table) -> String {
     String::from_utf8(buf).unwrap()
 }
 
-/// The full experiment grid — result CSVs and the merged per-method
-/// deterministic metrics that feed `<stem>_metrics.json` — is byte-identical
-/// between `eval_threads: 1` and `eval_threads: 8`. This is the regression
-/// guard for the deterministic counter-delta reduce: a merge that raced
-/// worker interleavings would diverge here.
-#[test]
-fn grid_csvs_and_merged_metrics_are_identical_across_eval_threads() {
-    let seq = grid(1);
-    let par = grid(8);
-    assert_eq!(csv(&seq.f_measure), csv(&par.f_measure), "f-measure CSV");
-    assert_eq!(csv(&seq.anytime_f), csv(&par.anytime_f), "anytime CSV");
-    assert_eq!(csv(&seq.processed), csv(&par.processed), "processed CSV");
-    assert_eq!(seq.metrics.len(), par.metrics.len());
-    for ((name, snap), (par_name, par_snap)) in seq.metrics.iter().zip(&par.metrics) {
-        assert_eq!(name, par_name);
+/// Everything deterministic a grid emits: the F-measure, anytime and
+/// processed CSVs, then each method's merged metrics and merged profile
+/// deterministic sections.
+fn grid_fp(fig: &FigureResult) -> Vec<String> {
+    let mut fp = vec![
+        csv(&fig.f_measure),
+        csv(&fig.anytime_f),
+        csv(&fig.processed),
+    ];
+    for (name, snap) in &fig.metrics {
+        fp.push(format!("{name} metrics {}", snap.deterministic_json()));
+    }
+    for (name, profile) in &fig.profiles {
+        fp.push(format!("{name} profile {}", profile.deterministic_json()));
+    }
+    fp
+}
+
+/// Asserts `methods` under `budget` give the same [`grid_fp`] at every
+/// worker count in [`WORKERS`].
+fn assert_worker_count_transparent(methods: &[Method], budget: Budget) {
+    let reference = grid_fp(&grid(methods, budget, WORKERS[0]));
+    assert_eq!(reference.len(), 3 + 2 * methods.len());
+    assert!(reference[2].lines().count() > 1, "processed CSV has rows");
+    for workers in &WORKERS[1..] {
         assert_eq!(
-            snap.deterministic_json(),
-            par_snap.deterministic_json(),
-            "merged deterministic metrics diverged for {name}"
+            grid_fp(&grid(methods, budget, *workers)),
+            reference,
+            "grid output diverged at {workers} workers (budget {budget:?})"
         );
+    }
+}
+
+/// The full experiment grid — result CSVs, and the merged per-method
+/// deterministic metrics and profiles that feed `<stem>_metrics.json` and
+/// `<stem>_profile.json` — is byte-identical at 1, 2 and 8 workers. This
+/// is the regression guard for the claim cursor and the job-ordered merge:
+/// a merge that raced worker interleavings would diverge here.
+#[test]
+fn grid_outputs_are_identical_across_worker_counts() {
+    assert_worker_count_transparent(
+        &[Method::PatternTight, Method::HeuristicAdvanced],
+        Budget::UNLIMITED.with_processed_cap(100_000),
+    );
+}
+
+/// Every registered method, finished and budget-exhausted alike, is
+/// byte-identical in a grid at 1, 2 and 8 worker threads.
+#[test]
+fn every_method_is_byte_identical_across_thread_counts() {
+    for budget in [
+        Budget::UNLIMITED.with_processed_cap(50_000),
+        Budget::UNLIMITED.with_processed_cap(9),
+    ] {
+        assert_worker_count_transparent(&ALL_METHODS, budget);
     }
 }
 

@@ -40,7 +40,6 @@ fn grid(checkpoint: Option<PathBuf>) -> FigureResult {
         seeds: vec![11, 23],
         budget: Budget::UNLIMITED.with_processed_cap(50_000),
         workers: 2,
-        eval_threads: 1,
         traces: 30,
         checkpoint,
         retry: retry::RetryPolicy::io_default(),

@@ -1,40 +1,32 @@
 //! The hierarchical phase profiler's acceptance suite: the deterministic
-//! section of a profile snapshot is byte-identical across `eval_threads`
-//! settings — including under budget exhaustion and seeded fault
-//! schedules — and the three artifact views (two-section JSON, Chrome
-//! `trace_event`, folded stacks) all round-trip or parse.
+//! section of a profile snapshot is byte-identical across runs —
+//! including under budget exhaustion and seeded fault schedules — and
+//! the three artifact views (two-section JSON, Chrome `trace_event`,
+//! folded stacks) all round-trip or parse.
 
 use evematch::core::telemetry::json::JsonValue;
 use evematch::eval::experiments::{run_grid, FigureResult, SweepConfig};
 use evematch::prelude::*;
 
 /// The composite-heavy workload (20 events, SEQ/AND patterns) where the
-/// exact search actually fans support evaluation out to parpool workers —
-/// the setting where thread-count-dependent leakage into the
-/// deterministic section would show up.
+/// exact search spends real work in support evaluation.
 fn workload() -> Dataset {
     datasets::larger_synthetic(2, 300, 11)
 }
 
-fn profile_at(threads: usize, cap: u64) -> (ProfileSnapshot, RunOutcome) {
+fn profile_at(cap: u64) -> (ProfileSnapshot, RunOutcome) {
     let ds = workload();
     let budget = Budget::UNLIMITED.with_processed_cap(cap);
-    let out = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, threads, None);
+    let out = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, None);
     (out.profile().clone(), out)
 }
 
 #[test]
-fn det_section_is_byte_identical_across_eval_threads() {
-    let (reference, _) = profile_at(1, 5_000);
+fn det_section_is_byte_identical_across_runs() {
+    let (reference, _) = profile_at(5_000);
     let det = reference.deterministic_json();
-    for threads in [2usize, 8] {
-        let (p, _) = profile_at(threads, 5_000);
-        assert_eq!(
-            p.deterministic_json(),
-            det,
-            "deterministic profile section diverged at eval_threads={threads}"
-        );
-    }
+    let (again, _) = profile_at(5_000);
+    assert_eq!(again.deterministic_json(), det, "profile diverged on rerun");
     // Not vacuous: the tree carries the index → search roots with the
     // probe and support-eval children, and real work counts.
     for needle in ["\"index\"", "\"search\"", "\"probe\"", "\"support-eval\""] {
@@ -55,22 +47,19 @@ fn det_section_is_byte_identical_across_eval_threads() {
 fn det_section_is_byte_identical_under_budget_exhaustion() {
     // A cap of 3 cannot finish a 20-event exact search: every run ends in
     // budget exhaustion, and the truncated phase tree must still agree
-    // byte-for-byte across thread counts.
-    let (reference, out) = profile_at(1, 3);
+    // byte-for-byte across runs.
+    let (reference, out) = profile_at(3);
     assert!(
         matches!(out, RunOutcome::DidNotFinish { .. }),
         "cap 3 must exhaust"
     );
-    let det = reference.deterministic_json();
-    for threads in [2usize, 8] {
-        let (p, out) = profile_at(threads, 3);
-        assert!(matches!(out, RunOutcome::DidNotFinish { .. }));
-        assert_eq!(
-            p.deterministic_json(),
-            det,
-            "exhausted-run profile diverged at eval_threads={threads}"
-        );
-    }
+    let (again, out) = profile_at(3);
+    assert!(matches!(out, RunOutcome::DidNotFinish { .. }));
+    assert_eq!(
+        again.deterministic_json(),
+        reference.deterministic_json(),
+        "exhausted-run profile diverged on rerun"
+    );
 }
 
 /// A one-worker grid (sequential job order, so seeded failpoint injection
@@ -81,7 +70,6 @@ fn faulted_grid() -> FigureResult {
         verify_journal: true,
         budget: Budget::UNLIMITED.with_processed_cap(20_000),
         workers: 1,
-        eval_threads: 2,
         traces: 40,
         checkpoint: None,
         retry: retry::RetryPolicy::io_default(),
@@ -137,7 +125,7 @@ fn det_section_is_byte_identical_under_a_seeded_fault_schedule() {
 
 #[test]
 fn full_snapshot_round_trips_through_its_json_document() {
-    let (profile, _) = profile_at(2, 5_000);
+    let (profile, _) = profile_at(5_000);
     let doc = profile.to_json_string();
     let back = ProfileSnapshot::from_json(&doc).expect("document parses back");
     assert_eq!(back, profile, "snapshot != parse(render(snapshot))");
@@ -149,7 +137,7 @@ fn full_snapshot_round_trips_through_its_json_document() {
 
 #[test]
 fn chrome_trace_and_folded_views_parse() {
-    let (profile, _) = profile_at(2, 5_000);
+    let (profile, _) = profile_at(5_000);
 
     let trace = profile.to_chrome_trace();
     let v = JsonValue::parse(&trace).expect("trace_event document is valid JSON");
