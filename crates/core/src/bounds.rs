@@ -28,6 +28,8 @@
 //!   cases are the fully-unfixed specializations (with `k(k−1) ≤ k!` and
 //!   per-boundary sums `≤ ω(p)`, i.e. never looser).
 
+use std::cmp::Reverse;
+
 use evematch_eventlog::{DepGraph, EventId};
 use evematch_pattern::EvaluatedPattern;
 
@@ -45,6 +47,130 @@ pub enum BoundKind {
     Tight,
 }
 
+/// Target-side tables for the Tight bound, built once per
+/// [`MatchContext`](crate::MatchContext) from `G2`.
+///
+/// Every "best unused" quantity of the bound is the *first unused entry*
+/// of one of these lists, so a lookup stops after skipping the used
+/// targets at the head of a list instead of scanning all of `V2` or `E2`.
+/// Frequencies are `support / trace_count` exactly as [`DepGraph`]
+/// normalizes them, and every list is sorted by descending *support*
+/// (ties by id), so a first-unused entry carries the bit-identical maximum
+/// an exhaustive scan would find.
+#[derive(Clone, Debug)]
+pub struct BoundTables {
+    n: usize,
+    /// Normalized vertex frequency of each target.
+    vertex_freq: Vec<f64>,
+    /// Dense normalized edge frequency, `edge_freq[x * n + y]`.
+    edge_freq: Vec<f64>,
+    /// Targets by descending vertex support.
+    by_vertex: Vec<(EventId, f64)>,
+    /// Non-loop edges by descending support.
+    by_edge: Vec<(EventId, EventId, f64)>,
+    /// Each target's non-loop successors by descending edge support.
+    succ: Vec<Vec<(EventId, f64)>>,
+    /// Each target's non-loop predecessors by descending edge support.
+    pred: Vec<Vec<(EventId, f64)>>,
+}
+
+impl BoundTables {
+    /// Builds the tables of `dep2`.
+    pub fn new(dep2: &DepGraph) -> Self {
+        let n = dep2.event_count();
+        let ids = || (0..n as u32).map(EventId);
+        let vertex_freq: Vec<f64> = ids().map(|v| dep2.vertex_freq(v)).collect();
+        let mut edge_freq = vec![0.0; n * n];
+        for (a, b) in dep2.edges() {
+            edge_freq[a.index() * n + b.index()] = dep2.edge_freq(a, b);
+        }
+        let mut by_vertex: Vec<(EventId, f64)> =
+            ids().map(|v| (v, vertex_freq[v.index()])).collect();
+        by_vertex.sort_by_key(|&(v, _)| (Reverse(dep2.vertex_support(v)), v));
+        let mut by_edge: Vec<(EventId, EventId, f64)> = dep2
+            .edges()
+            .filter(|(a, b)| a != b)
+            .map(|(a, b)| (a, b, edge_freq[a.index() * n + b.index()]))
+            .collect();
+        by_edge.sort_by_key(|&(a, b, _)| (Reverse(dep2.edge_support(a, b)), a, b));
+        BoundTables {
+            n,
+            vertex_freq,
+            edge_freq,
+            by_vertex,
+            by_edge,
+            succ: neighbour_lists(dep2, true),
+            pred: neighbour_lists(dep2, false),
+        }
+    }
+
+    /// Normalized vertex frequency of target `x`.
+    #[inline]
+    pub fn vertex_freq(&self, x: EventId) -> f64 {
+        self.vertex_freq[x.index()]
+    }
+
+    /// Normalized frequency of the edge `x -> y` (zero when absent).
+    #[inline]
+    pub fn edge_freq(&self, x: EventId, y: EventId) -> f64 {
+        self.edge_freq[x.index() * self.n + y.index()]
+    }
+
+    /// The best unused successor of `x`: the first unused entry of its
+    /// sorted successor list.
+    fn best_unused_successor(&self, x: EventId, m: &Mapping) -> Option<(EventId, f64)> {
+        self.succ[x.index()]
+            .iter()
+            .copied()
+            .find(|&(s, _)| !m.is_used(s))
+    }
+
+    /// The best unused predecessor of `y`.
+    fn best_unused_predecessor(&self, y: EventId, m: &Mapping) -> Option<(EventId, f64)> {
+        self.pred[y.index()]
+            .iter()
+            .copied()
+            .find(|&(p, _)| !m.is_used(p))
+    }
+}
+
+/// Each target's non-loop successors (`outgoing`) or predecessors, by
+/// descending edge support, ties by id.
+fn neighbour_lists(dep2: &DepGraph, outgoing: bool) -> Vec<Vec<(EventId, f64)>> {
+    let graph = dep2.graph();
+    (0..dep2.event_count() as u32)
+        .map(|x| {
+            let neighbours = if outgoing {
+                graph.successors(x)
+            } else {
+                graph.predecessors(x)
+            };
+            let x = EventId(x);
+            let edge = |y: EventId| if outgoing { (x, y) } else { (y, x) };
+            let mut ys: Vec<EventId> = neighbours.iter().map(|&y| EventId(y)).collect();
+            ys.retain(|&y| y != x);
+            ys.sort_by_key(|&y| {
+                let (s, t) = edge(y);
+                (Reverse(dep2.edge_support(s, t)), y)
+            });
+            ys.into_iter()
+                .map(|y| {
+                    let (s, t) = edge(y);
+                    (y, dep2.edge_freq(s, t))
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// The bit of target `t` in a read mask (`t mod 64`): a mask with this bit
+/// clear proves a lookup never returned `t`; a set bit may be a collision,
+/// which only costs a recomputation.
+#[inline]
+pub(crate) fn target_bit(t: EventId) -> u64 {
+    1 << (t.0 % 64)
+}
+
 /// Per-search-node precomputation shared by all patterns' bounds.
 #[derive(Clone, Copy, Debug)]
 pub struct BoundPrecomp {
@@ -55,35 +181,46 @@ pub struct BoundPrecomp {
     pub fe_u2: f64,
     /// `|U2|`.
     pub unused: usize,
+    /// Read mask (bit `t mod 64` per target `t`, see [`target_bit`]) of
+    /// the targets the two lookups returned: using any other target leaves
+    /// `f_n(U2)` and `f_e(U2)` unchanged.
+    pub(crate) reads: u64,
 }
 
 impl BoundPrecomp {
-    /// Scans the unused targets of `m` once (`O(|V2| + |E2|)`).
-    pub fn new(m: &Mapping, dep2: &DepGraph) -> Self {
+    /// Two first-unused lookups, in `tables`' vertex and edge lists: the
+    /// cost is the number of used targets (resp. edges touching one) ahead
+    /// of the answer, not `|V2| + |E2|`.
+    pub fn new(m: &Mapping, tables: &BoundTables) -> Self {
         debug_assert_eq!(
             m.target_len(),
-            dep2.event_count(),
-            "mapping targets and dependency graph must cover the same V2"
+            tables.n,
+            "mapping targets and bound tables must cover the same V2"
         );
-        let n2 = m.target_len();
-        let mut fn_u2 = 0.0f64;
-        let mut unused = 0;
-        for v in (0..n2 as u32).map(EventId) {
-            if !m.is_used(v) {
-                unused += 1;
-                fn_u2 = fn_u2.max(dep2.vertex_freq(v));
+        let mut reads = 0;
+        let fn_u2 = match tables.by_vertex.iter().find(|&&(v, _)| !m.is_used(v)) {
+            Some(&(v, f)) => {
+                reads |= target_bit(v);
+                f
             }
-        }
-        let mut fe_u2 = 0.0f64;
-        for (a, b) in dep2.edges() {
-            if a != b && !m.is_used(a) && !m.is_used(b) {
-                fe_u2 = fe_u2.max(dep2.edge_freq(a, b));
+            None => 0.0,
+        };
+        let fe_u2 = match tables
+            .by_edge
+            .iter()
+            .find(|&&(a, b, _)| !m.is_used(a) && !m.is_used(b))
+        {
+            Some(&(a, b, f)) => {
+                reads |= target_bit(a) | target_bit(b);
+                f
             }
-        }
+            None => 0.0,
+        };
         BoundPrecomp {
             fn_u2,
             fe_u2,
-            unused,
+            unused: m.target_len() - m.len(),
+            reads,
         }
     }
 }
@@ -104,102 +241,148 @@ pub enum PruneReason {
     EdgeGroupCap,
 }
 
+/// Per-reason tallies of pruned patterns over one scored mapping, added to
+/// the `bounds.pruned.*` counters in one step.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct PruneCounts {
+    pub(crate) size_rule: u64,
+    pub(crate) zero_f1: u64,
+    pub(crate) vertex_cap: u64,
+    pub(crate) edge_group_cap: u64,
+}
+
+impl PruneCounts {
+    /// Tallies one open pattern's prune reason, if it has one.
+    #[inline]
+    pub(crate) fn add(&mut self, reason: Option<PruneReason>) {
+        match reason {
+            None => {}
+            Some(PruneReason::SizeRule) => self.size_rule += 1,
+            Some(PruneReason::ZeroF1) => self.zero_f1 += 1,
+            Some(PruneReason::VertexCap) => self.vertex_cap += 1,
+            Some(PruneReason::EdgeGroupCap) => self.edge_group_cap += 1,
+        }
+    }
+}
+
+/// One pattern's bound `Δ(p)` under a partial mapping, with what it read.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PatternBound {
+    /// `Δ(p)`.
+    pub(crate) value: f64,
+    /// Which cap pruned the pattern when `value` is exactly `0`.
+    pub(crate) pruned: Option<PruneReason>,
+    /// Read mask: bit `t mod 64` is set for every target `t` a
+    /// best-unused-neighbour lookup returned. Using one more target whose
+    /// bit is clear leaves every such lookup — hence `Δ(p)`, given equal
+    /// `f_n(U2)`, `f_e(U2)` and size-rule outcome — unchanged.
+    pub(crate) reads: u64,
+}
+
 /// Computes `Δ(p)` for pattern `ep` under the partial mapping `m`: an upper
 /// bound of `d(p)` over every completion of `m`.
 pub fn upper_bound_partial(
     kind: BoundKind,
     ep: &EvaluatedPattern,
     m: &Mapping,
-    dep2: &DepGraph,
+    tables: &BoundTables,
     pre: &BoundPrecomp,
 ) -> f64 {
-    upper_bound_partial_explained(kind, ep, m, dep2, pre).0
+    pattern_bound(kind, ep, unfixed_count(ep, m), m, tables, pre).value
 }
 
-/// [`upper_bound_partial`], additionally reporting *which* cap pruned the
-/// pattern whenever the bound is exactly `0`.
-pub fn upper_bound_partial_explained(
+/// Number of `ep`'s events `m` leaves unmapped.
+#[inline]
+pub(crate) fn unfixed_count(ep: &EvaluatedPattern, m: &Mapping) -> u32 {
+    ep.events.iter().filter(|&&e| !m.is_mapped(e)).count() as u32
+}
+
+/// The bound kernel, given the pattern's unfixed-event count under `m`.
+pub(crate) fn pattern_bound(
     kind: BoundKind,
     ep: &EvaluatedPattern,
+    unfixed: u32,
     m: &Mapping,
-    dep2: &DepGraph,
+    tables: &BoundTables,
     pre: &BoundPrecomp,
-) -> (f64, Option<PruneReason>) {
+) -> PatternBound {
+    let done = |value, pruned, reads| PatternBound {
+        value,
+        pruned,
+        reads,
+    };
+    let mut reads = 0;
     // Trivial tightest case: not enough unused targets for the pattern's
     // unfixed events.
-    let unfixed = ep.events.iter().filter(|&&e| !m.is_mapped(e)).count();
-    if unfixed > pre.unused {
-        return (0.0, Some(PruneReason::SizeRule));
+    if unfixed as usize > pre.unused {
+        return done(0.0, Some(PruneReason::SizeRule), 0);
     }
     match kind {
-        BoundKind::Simple => (1.0, None),
+        BoundKind::Simple => done(1.0, None, 0),
         BoundKind::Tight => {
             let f1 = ep.freq;
             if float_ord::is_zero(f1) {
                 // sim(0, f2) = 0 for every f2.
-                return (0.0, Some(PruneReason::ZeroF1));
+                return done(0.0, Some(PruneReason::ZeroF1), 0);
             }
             // Vertex caps.
             let mut cap = f64::INFINITY;
             for &e in &ep.events {
                 match m.get(e) {
-                    Some(x) => cap = cap.min(dep2.vertex_freq(x)),
+                    Some(x) => cap = cap.min(tables.vertex_freq(x)),
                     None => cap = cap.min(pre.fn_u2),
                 }
                 if float_ord::is_zero(cap) {
-                    return (0.0, Some(PruneReason::VertexCap));
+                    return done(0.0, Some(PruneReason::VertexCap), 0);
                 }
             }
             // Edge-group caps.
             for group in &ep.edge_groups {
                 let mut gsum = 0.0;
                 for &(a, b) in group {
-                    gsum += edge_cap(a, b, m, dep2, pre);
+                    gsum += edge_cap(a, b, m, tables, pre, &mut reads);
                     if gsum >= cap {
                         break; // this group cannot tighten further
                     }
                 }
                 cap = cap.min(gsum);
                 if float_ord::is_zero(cap) {
-                    return (0.0, Some(PruneReason::EdgeGroupCap));
+                    return done(0.0, Some(PruneReason::EdgeGroupCap), reads);
                 }
             }
             if cap >= f1 {
-                (1.0, None)
+                done(1.0, None, reads)
             } else {
-                (1.0 - (f1 - cap) / (f1 + cap), None)
+                done(1.0 - (f1 - cap) / (f1 + cap), None, reads)
             }
         }
     }
 }
 
 /// Best possible mapped frequency of the pattern edge `a -> b` given the
-/// fixed images of `m`.
-fn edge_cap(a: EventId, b: EventId, m: &Mapping, dep2: &DepGraph, pre: &BoundPrecomp) -> f64 {
-    match (m.get(a), m.get(b)) {
-        (Some(x), Some(y)) => dep2.edge_freq(x, y),
-        (Some(x), None) => {
-            // b's image is some unused target.
-            let mut best = 0.0f64;
-            for &s in dep2.graph().successors(x.0) {
-                let s = EventId(s);
-                if s != x && !m.is_used(s) {
-                    best = best.max(dep2.edge_freq(x, s));
-                }
-            }
-            best
+/// fixed images of `m`, noting in `reads` the target a best-unused lookup
+/// returned.
+fn edge_cap(
+    a: EventId,
+    b: EventId,
+    m: &Mapping,
+    tables: &BoundTables,
+    pre: &BoundPrecomp,
+    reads: &mut u64,
+) -> f64 {
+    let best = match (m.get(a), m.get(b)) {
+        (Some(x), Some(y)) => return tables.edge_freq(x, y),
+        // b's image is some unused target.
+        (Some(x), None) => tables.best_unused_successor(x, m),
+        (None, Some(y)) => tables.best_unused_predecessor(y, m),
+        (None, None) => return pre.fe_u2,
+    };
+    match best {
+        Some((t, f)) => {
+            *reads |= target_bit(t);
+            f
         }
-        (None, Some(y)) => {
-            let mut best = 0.0f64;
-            for &p in dep2.graph().predecessors(y.0) {
-                let p = EventId(p);
-                if p != y && !m.is_used(p) {
-                    best = best.max(dep2.edge_freq(p, y));
-                }
-            }
-            best
-        }
-        (None, None) => pre.fe_u2,
+        None => 0.0,
     }
 }
 
@@ -247,7 +430,7 @@ mod tests {
             Pattern::seq_of_events([ev(0), ev(1), ev(2)]).unwrap(),
             &[&["A", "B", "C"]],
         );
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         // Use up 2 of 4 targets: only 2 unused for a 3-event pattern.
         let m = Mapping::from_pairs(4, 4, [(ev(3), ev(0)), (ev(0), ev(1))]);
         // Note event 0 of the pattern IS mapped; unfixed = {1, 2} = 2 ≤ 2,
@@ -257,10 +440,10 @@ mod tests {
             m.insert(ev(1), ev(2));
             m
         };
-        let pre = BoundPrecomp::new(&m2, &dep2);
+        let pre = BoundPrecomp::new(&m2, &tables);
         assert_eq!(pre.unused, 1);
         // Pattern has unfixed = {2}: 1 ≤ 1 — not pruned by size.
-        assert!(upper_bound_partial(BoundKind::Tight, &ep, &m2, &dep2, &pre) >= 0.0);
+        assert!(upper_bound_partial(BoundKind::Tight, &ep, &m2, &tables, &pre) >= 0.0);
         // A fully-unmapped 3-event pattern with only 2 unused targets is
         // pruned, under both bound kinds. (Target side: a 3-event log.)
         let ep_other = full_freq(
@@ -269,16 +452,16 @@ mod tests {
         );
         let mut small = LogBuilder::new();
         small.push_named_trace(["x", "y", "z"]);
-        let dep_small = small.build().dep_graph();
+        let small = BoundTables::new(&small.build().dep_graph());
         let m3 = Mapping::from_pairs(4, 3, [(ev(0), ev(0))]);
-        let pre3 = BoundPrecomp::new(&m3, &dep_small);
+        let pre3 = BoundPrecomp::new(&m3, &small);
         assert_eq!(pre3.unused, 2);
         assert_eq!(
-            upper_bound_partial(BoundKind::Simple, &ep_other, &m3, &dep_small, &pre3),
+            upper_bound_partial(BoundKind::Simple, &ep_other, &m3, &small, &pre3),
             0.0
         );
         assert_eq!(
-            upper_bound_partial(BoundKind::Tight, &ep_other, &m3, &dep_small, &pre3),
+            upper_bound_partial(BoundKind::Tight, &ep_other, &m3, &small, &pre3),
             0.0
         );
     }
@@ -286,11 +469,11 @@ mod tests {
     #[test]
     fn simple_bound_is_one() {
         let ep = full_freq(Pattern::event(0), &[&["A"]]);
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
+        let pre = BoundPrecomp::new(&m, &tables);
         assert_eq!(
-            upper_bound_partial(BoundKind::Simple, &ep, &m, &dep2, &pre),
+            upper_bound_partial(BoundKind::Simple, &ep, &m, &tables, &pre),
             1.0
         );
     }
@@ -298,11 +481,11 @@ mod tests {
     #[test]
     fn vertex_pattern_uses_unused_max_frequency() {
         let ep = full_freq(Pattern::event(0), &[&["A"]]); // f1 = 1.0
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
+        let pre = BoundPrecomp::new(&m, &tables);
         // All vertex freqs are 0.5 -> cap 0.5 < f1 = 1.
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         let expect = 1.0 - (1.0 - 0.5) / (1.0 + 0.5);
         assert!((b - expect).abs() < 1e-12);
     }
@@ -313,11 +496,11 @@ mod tests {
             Pattern::seq_of_events([ev(0), ev(1)]).unwrap(),
             &[&["A", "B"], &["A", "B"]],
         );
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
+        let pre = BoundPrecomp::new(&m, &tables);
         // Best edge anywhere: y->z at 0.5.
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         let expect = 1.0 - (1.0 - 0.5) / (1.0 + 0.5);
         assert!((b - expect).abs() < 1e-12);
     }
@@ -330,10 +513,10 @@ mod tests {
             Pattern::seq_of_events([ev(0), ev(1)]).unwrap(),
             &[&["A", "B"]],
         );
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = Mapping::from_pairs(4, 4, [(ev(0), ev(3))]); // A -> w
-        let pre = BoundPrecomp::new(&m, &dep2);
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let pre = BoundPrecomp::new(&m, &tables);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         let expect = 1.0 - (1.0 - 0.25) / (1.0 + 0.25);
         assert!((b - expect).abs() < 1e-12);
     }
@@ -344,19 +527,19 @@ mod tests {
             Pattern::seq_of_events([ev(0), ev(1)]).unwrap(),
             &[&["A", "B"]],
         );
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         // A -> z, B -> w: edge z->w has frequency 0 -> Δ = 0. The whole
         // subtree is pruned by h, without a subgraph-isomorphism step.
         let m = Mapping::from_pairs(4, 4, [(ev(0), ev(2)), (ev(1), ev(3))]);
-        let pre = BoundPrecomp::new(&m, &dep2);
+        let pre = BoundPrecomp::new(&m, &tables);
         assert_eq!(
-            upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre),
+            upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre),
             0.0
         );
         // A -> y, B -> z: edge y->z at 0.5 -> positive bound.
         let m = Mapping::from_pairs(4, 4, [(ev(0), ev(1)), (ev(1), ev(2))]);
-        let pre = BoundPrecomp::new(&m, &dep2);
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let pre = BoundPrecomp::new(&m, &tables);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         assert!((b - (1.0 - 0.5 / 1.5)).abs() < 1e-12);
     }
 
@@ -368,10 +551,10 @@ mod tests {
             Pattern::and_of_events([ev(0), ev(1)]).unwrap(),
             &[&["A", "B"], &["B", "A"]],
         );
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let pre = BoundPrecomp::new(&m, &tables);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         let expect = 1.0 - (1.0 - 0.5) / (1.0 + 0.5);
         assert!((b - expect).abs() < 1e-12);
     }
@@ -387,10 +570,10 @@ mod tests {
         ])
         .unwrap();
         let ep = full_freq(p, &[&["A", "B", "C", "D"], &["A", "C", "B", "D"]]);
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
-        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
+        let pre = BoundPrecomp::new(&m, &tables);
+        let b = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
         let expect = 1.0 - (1.0 - 0.5) / (1.0 + 0.5);
         assert!((b - expect).abs() < 1e-12);
     }
@@ -403,11 +586,11 @@ mod tests {
         let idx = l1.trace_index();
         let ep = EvaluatedPattern::new(Pattern::seq_of_events([ev(1), ev(0)]).unwrap(), &l1, &idx);
         assert_eq!(ep.freq, 0.0);
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         let m = empty_mapping();
-        let pre = BoundPrecomp::new(&m, &dep2);
+        let pre = BoundPrecomp::new(&m, &tables);
         assert_eq!(
-            upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre),
+            upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre),
             0.0
         );
     }
@@ -420,18 +603,67 @@ mod tests {
         ])
         .unwrap();
         let ep = full_freq(p, &[&["A", "B", "C"], &["A", "C", "B"]]);
-        let dep2 = l2().dep_graph();
+        let tables = BoundTables::new(&l2().dep_graph());
         for pairs in [
             vec![],
             vec![(ev(0), ev(1))],
             vec![(ev(0), ev(1)), (ev(3), ev(0))],
         ] {
             let m = Mapping::from_pairs(4, 4, pairs);
-            let pre = BoundPrecomp::new(&m, &dep2);
-            let t = upper_bound_partial(BoundKind::Tight, &ep, &m, &dep2, &pre);
-            let s = upper_bound_partial(BoundKind::Simple, &ep, &m, &dep2, &pre);
+            let pre = BoundPrecomp::new(&m, &tables);
+            let t = upper_bound_partial(BoundKind::Tight, &ep, &m, &tables, &pre);
+            let s = upper_bound_partial(BoundKind::Simple, &ep, &m, &tables, &pre);
             assert!(t <= s + 1e-12);
             assert!((0.0..=1.0).contains(&t));
+        }
+    }
+
+    #[test]
+    fn first_unused_lookups_equal_exhaustive_scans() {
+        // Repeated supports, a self-loop (x x) and unequal degrees.
+        let mut b = LogBuilder::new();
+        b.push_named_trace(["x", "y", "z", "w"]);
+        b.push_named_trace(["y", "x", "x", "z"]);
+        b.push_named_trace(["w", "y", "z"]);
+        b.push_named_trace(["z", "w"]);
+        b.push_named_trace(["x", "z", "y"]);
+        let dep2 = b.build().dep_graph();
+        let tables = BoundTables::new(&dep2);
+        let best = |fs: &mut dyn Iterator<Item = f64>| fs.fold(0.0, f64::max).to_bits();
+        // Every subset of used targets.
+        for used in 0u32..16 {
+            let targets = (0..4).filter(|t| used >> t & 1 == 1).map(ev);
+            let m = Mapping::from_pairs(4, 4, targets.enumerate().map(|(i, t)| (ev(i as u32), t)));
+            let free = |v: &EventId| !m.is_used(*v);
+            let pre = BoundPrecomp::new(&m, &tables);
+            let vertices = (0..4).map(ev).filter(free);
+            assert_eq!(
+                pre.fn_u2.to_bits(),
+                best(&mut vertices.map(|v| dep2.vertex_freq(v)))
+            );
+            let edges = dep2.edges().filter(|(a, b)| a != b && free(a) && free(b));
+            assert_eq!(
+                pre.fe_u2.to_bits(),
+                best(&mut edges.map(|(a, b)| dep2.edge_freq(a, b)))
+            );
+            assert_eq!(pre.unused, 4 - m.len());
+            for x in (0..4).map(ev) {
+                let graph = dep2.graph();
+                let succ = graph.successors(x.0).iter().map(|&s| ev(s));
+                let succ = succ
+                    .filter(|s| *s != x && free(s))
+                    .map(|s| dep2.edge_freq(x, s));
+                let got = tables.best_unused_successor(x, &m).map_or(0.0, |(_, f)| f);
+                assert_eq!(got.to_bits(), best(&mut { succ }));
+                let pred = graph.predecessors(x.0).iter().map(|&p| ev(p));
+                let pred = pred
+                    .filter(|p| *p != x && free(p))
+                    .map(|p| dep2.edge_freq(p, x));
+                let got = tables
+                    .best_unused_predecessor(x, &m)
+                    .map_or(0.0, |(_, f)| f);
+                assert_eq!(got.to_bits(), best(&mut { pred }));
+            }
         }
     }
 }

@@ -107,20 +107,35 @@ impl Budget {
 
     /// Reads a budget from the `EVEMATCH_LIMIT_SECS`,
     /// `EVEMATCH_LIMIT_PROCESSED` and `EVEMATCH_LIMIT_FRONTIER`
-    /// environment variables. Unset or unparsable variables leave the
-    /// corresponding limit unset, so with no variables this returns
-    /// [`Budget::UNLIMITED`].
+    /// environment variables. An unset variable leaves its limit unset, so
+    /// with no variables this returns [`Budget::UNLIMITED`].
+    ///
+    /// # Panics
+    /// When a variable is set but is not an unsigned integer (say `10k`):
+    /// running on without the limit would silently ignore it.
     #[must_use]
     pub fn from_env() -> Self {
-        fn env_u64(key: &str) -> Option<u64> {
-            std::env::var(key).ok().and_then(|v| v.trim().parse().ok())
-        }
+        Self::from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Self::from_env`] over an injected variable lookup (`None` =
+    /// unset), so the parse policy is testable without the process
+    /// environment.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let limit = |key: &str| {
+            let value = var(key)?;
+            match value.trim().parse::<u64>() {
+                Ok(n) => Some(n),
+                // tidy-allow: no-panic -- a malformed limit must stop the run, not silently lift the limit; documented under # Panics on from_env
+                Err(e) => panic!("{key}={value:?} is not an unsigned integer: {e}"),
+            }
+        };
         let mut b = Self::UNLIMITED;
-        if let Some(secs) = env_u64("EVEMATCH_LIMIT_SECS") {
+        if let Some(secs) = limit("EVEMATCH_LIMIT_SECS") {
             b.max_duration = Some(Duration::from_secs(secs));
         }
-        b.max_processed = env_u64("EVEMATCH_LIMIT_PROCESSED");
-        b.max_frontier = env_u64("EVEMATCH_LIMIT_FRONTIER").map(|n| n as usize);
+        b.max_processed = limit("EVEMATCH_LIMIT_PROCESSED");
+        b.max_frontier = limit("EVEMATCH_LIMIT_FRONTIER").map(|n| n as usize);
         b
     }
 
@@ -533,15 +548,47 @@ mod tests {
         assert_eq!(m.exhaustion(), Some(Exhaustion::Frontier));
     }
 
+    /// A [`Budget::from_vars`] lookup over `(key, value)` pairs.
+    fn vars<'a>(set: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |key| {
+            set.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| (*v).to_owned())
+        }
+    }
+
     #[test]
-    fn from_env_without_variables_is_unlimited() {
-        // The test environment does not set EVEMATCH_LIMIT_*; if it ever
-        // does, this test is the canary.
-        if std::env::var("EVEMATCH_LIMIT_SECS").is_err()
-            && std::env::var("EVEMATCH_LIMIT_PROCESSED").is_err()
-            && std::env::var("EVEMATCH_LIMIT_FRONTIER").is_err()
-        {
-            assert!(Budget::from_env().is_unlimited());
+    fn limits_from_vars_parse_and_unset_ones_stay_unlimited() {
+        assert!(Budget::from_vars(vars(&[])).is_unlimited());
+        let b = Budget::from_vars(vars(&[
+            ("EVEMATCH_LIMIT_SECS", "3"),
+            ("EVEMATCH_LIMIT_PROCESSED", " 10000 "),
+            ("EVEMATCH_LIMIT_FRONTIER", "64"),
+        ]));
+        assert_eq!(b.max_duration, Some(Duration::from_secs(3)));
+        assert_eq!(b.max_processed, Some(10_000));
+        assert_eq!(b.max_frontier, Some(64));
+        let only_cap = Budget::from_vars(vars(&[("EVEMATCH_LIMIT_PROCESSED", "0")]));
+        assert_eq!(only_cap, Budget::UNLIMITED.with_processed_cap(0));
+    }
+
+    #[test]
+    fn a_malformed_limit_panics_with_its_name_and_value() {
+        for key in [
+            "EVEMATCH_LIMIT_SECS",
+            "EVEMATCH_LIMIT_PROCESSED",
+            "EVEMATCH_LIMIT_FRONTIER",
+        ] {
+            for bad in ["10k", "", "-1", "1.5"] {
+                let set = [(key, bad)];
+                let err = std::panic::catch_unwind(|| Budget::from_vars(vars(&set)))
+                    .expect_err("a malformed limit must panic");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    msg.contains(&format!("{key}={bad:?}")),
+                    "{key}={bad:?}: {msg}"
+                );
+            }
         }
     }
 }

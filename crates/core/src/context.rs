@@ -5,6 +5,8 @@ use std::fmt;
 use evematch_eventlog::{ColumnarLog, DepGraph, EventLog, TraceIndex};
 use evematch_pattern::{EvaluatedPattern, Pattern, PatternIndex};
 
+use crate::bounds::BoundTables;
+
 /// Errors raised when assembling a [`MatchContext`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ContextError {
@@ -110,14 +112,16 @@ impl PatternSetBuilder {
 
 /// Everything a matching run needs, computed once: both logs, their
 /// dependency graphs (Definition 1), their inverted trace indices `I_t`
-/// (Section 3.2.3), the evaluated pattern set (frequencies in `L1`), and the
-/// inverted pattern index `I_p` (Section 3.2.1).
+/// (Section 3.2.3), the evaluated pattern set (frequencies in `L1`), the
+/// inverted pattern index `I_p` (Section 3.2.1), and the Tight bound's
+/// target-side tables.
 #[derive(Debug)]
 pub struct MatchContext {
     log1: EventLog,
     log2: EventLog,
     dep1: DepGraph,
     dep2: DepGraph,
+    bound_tables: BoundTables,
     index2: TraceIndex,
     columnar2: ColumnarLog,
     patterns: Vec<EvaluatedPattern>,
@@ -151,6 +155,7 @@ impl MatchContext {
         let index2 = log2.trace_index();
         let columnar2 = ColumnarLog::from_log(&log2);
         let dep2 = log2.dep_graph();
+        let bound_tables = BoundTables::new(&dep2);
         let patterns: Vec<EvaluatedPattern> = pattern_list
             .into_iter()
             .map(|p| EvaluatedPattern::with_dep_graph(p, &log1, &index1, &dep1))
@@ -162,6 +167,7 @@ impl MatchContext {
             log2,
             dep1,
             dep2,
+            bound_tables,
             index2,
             columnar2,
             patterns,
@@ -188,6 +194,11 @@ impl MatchContext {
     /// Dependency graph of `L2`.
     pub fn dep2(&self) -> &DepGraph {
         &self.dep2
+    }
+
+    /// The Tight bound's tables over `G2`, built once beside [`Self::dep2`].
+    pub fn bound_tables(&self) -> &BoundTables {
+        &self.bound_tables
     }
 
     /// Inverted trace index of `L2` (pattern frequencies in `L2` are the

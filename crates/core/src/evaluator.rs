@@ -22,7 +22,7 @@ use evematch_eventlog::EventId;
 use evematch_graph::{IsoStats, MonoSearch};
 use evematch_pattern::{is_realizable_with_fuel, Interrupted, PatternShape, SupportStats};
 
-use crate::bounds::PruneReason;
+use crate::bounds::PruneCounts;
 use crate::budget::{Budget, BudgetMeter};
 use crate::context::MatchContext;
 use crate::mapping::Mapping;
@@ -461,16 +461,13 @@ impl<'a> Evaluator<'a> {
         &mut self.tele
     }
 
-    /// Records one bound-analysis prune (called by
-    /// [`crate::score::heuristic_bound`]).
-    pub(crate) fn count_prune(&mut self, reason: PruneReason) {
-        let id = match reason {
-            PruneReason::SizeRule => self.counters.prune_size_rule,
-            PruneReason::ZeroF1 => self.counters.prune_zero_f1,
-            PruneReason::VertexCap => self.counters.prune_vertex_cap,
-            PruneReason::EdgeGroupCap => self.counters.prune_edge_group_cap,
-        };
-        self.tele.registry.inc(id);
+    /// Records the bound-analysis prunes of one scored mapping.
+    pub(crate) fn count_prunes(&mut self, prunes: &PruneCounts) {
+        let (ids, reg) = (self.counters, &mut self.tele.registry);
+        reg.add(ids.prune_size_rule, prunes.size_rule);
+        reg.add(ids.prune_zero_f1, prunes.zero_f1);
+        reg.add(ids.prune_vertex_cap, prunes.vertex_cap);
+        reg.add(ids.prune_edge_group_cap, prunes.edge_group_cap);
     }
 
     /// Runs the deterministic **structural probe**: embeds each complex
@@ -580,19 +577,16 @@ impl<'a> Evaluator<'a> {
         &mut self.meter
     }
 
-    /// The images of pattern `p_idx`'s (sorted) events under `m`, or `None`
-    /// while any of them is unmapped.
-    pub fn images_under(&self, p_idx: usize, m: &Mapping) -> Option<Vec<EventId>> {
-        self.ctx.patterns()[p_idx]
-            .events
-            .iter()
-            .map(|&e| m.get(e))
-            .collect()
-    }
-
     /// `d(p)` under `m`, or `None` while the pattern is not fully mapped.
+    /// A vertex or edge pattern reads its support straight off `G2`; only
+    /// a complex pattern builds its image tuple (the memo key).
     pub fn d(&mut self, p_idx: usize, m: &Mapping) -> Option<f64> {
-        let images = self.images_under(p_idx, m)?;
+        let ctx = self.ctx;
+        let ep = &ctx.patterns()[p_idx];
+        if let Some(d) = special_d(ctx, ep, m) {
+            return d;
+        }
+        let images: Vec<EventId> = ep.events.iter().map(|&e| m.get(e)).collect::<Option<_>>()?;
         Some(self.d_with_images(p_idx, &images))
     }
 
@@ -601,13 +595,7 @@ impl<'a> Evaluator<'a> {
     pub fn d_with_images(&mut self, p_idx: usize, images: &[EventId]) -> f64 {
         let f1 = self.ctx.patterns()[p_idx].freq;
         let support2 = self.mapped_support(p_idx, images);
-        let n2 = self.ctx.log2().len();
-        let f2 = if n2 == 0 {
-            0.0
-        } else {
-            support2 as f64 / n2 as f64
-        };
-        sim(f1, f2)
+        similarity(self.ctx, f1, support2)
     }
 
     /// Unnormalized support of the mapped pattern `M(p)` in `L2`.
@@ -769,6 +757,37 @@ fn support_outcome(
         existence_pruned: realizable == Ok(false),
         log_scan: realizable == Ok(true),
     }
+}
+
+/// `d(p)` of a vertex or edge pattern under `m` (`Some(None)` while it is
+/// not fully mapped), read straight off `G2`; `None` for a complex
+/// pattern, whose support needs the evaluator. Side-effect free, so the
+/// search's pattern tables can store it.
+#[inline]
+pub(crate) fn special_d(
+    ctx: &MatchContext,
+    ep: &evematch_pattern::EvaluatedPattern,
+    m: &Mapping,
+) -> Option<Option<f64>> {
+    let dep2 = ctx.dep2();
+    let support2 = match ep.shape {
+        PatternShape::Vertex(v) => m.get(v).map(|x| dep2.vertex_support(x)),
+        PatternShape::Edge(a, b) => m.get(a).zip(m.get(b)).map(|(x, y)| dep2.edge_support(x, y)),
+        PatternShape::Complex => return None,
+    };
+    Some(support2.map(|s| similarity(ctx, ep.freq, s)))
+}
+
+/// `sim(f1, f2)` for a pattern whose mapped support in `L2` is `support2`.
+#[inline]
+fn similarity(ctx: &MatchContext, f1: f64, support2: u32) -> f64 {
+    let n2 = ctx.log2().len();
+    let f2 = if n2 == 0 {
+        0.0
+    } else {
+        support2 as f64 / n2 as f64
+    };
+    sim(f1, f2)
 }
 
 /// The image of `e` under the positional `images` of `ep`'s sorted events.

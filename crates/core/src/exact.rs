@@ -53,7 +53,7 @@ use crate::budget::{Budget, Exhaustion};
 use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, EvalStats, Evaluator};
 use crate::mapping::Mapping;
-use crate::score::heuristic_bound;
+use crate::score::{heuristic_bound, ParentTable};
 use crate::telemetry::{MetricsSnapshot, ProfileSnapshot, TraceBuffer, WorkCol};
 
 /// Work counters of one solver run.
@@ -292,6 +292,7 @@ impl ExactMatcher {
                 }
             }
             let a = order[node.depth as usize];
+            let mut table = ParentTable::new(ctx, &node.mapping, self.bound);
             let mut charging = true;
             for b in node.mapping.unused_targets() {
                 if charging && !eval.meter_mut().charge_processed() {
@@ -309,18 +310,14 @@ impl ExactMatcher {
                 }
                 let mut child = node.mapping.clone();
                 child.insert(a, b);
+                // P_new: the patterns of `a` the child completes.
                 let mut g = node.g;
-                for p_idx in ctx
-                    .pattern_index()
-                    .newly_completed(a, |e| child.is_mapped(e))
-                {
-                    let images = eval
-                        .images_under(p_idx, &child)
-                        // tidy-allow: no-panic -- newly_completed only yields patterns whose events all satisfy child.is_mapped
-                        .expect("newly completed pattern is fully mapped");
-                    g += eval.d_with_images(p_idx, &images);
+                for &p_idx in ctx.pattern_index().patterns_of(a) {
+                    if let Some(d) = eval.d(p_idx, &child) {
+                        g += d;
+                    }
                 }
-                let h = heuristic_bound(&mut eval, &child, self.bound);
+                let (_, h) = table.rescore(&mut eval, &child, &[a], false);
                 eval.telemetry_mut().registry.inc(c_expansions);
                 seq += 1;
                 queue.push(Node {
@@ -515,8 +512,8 @@ pub(crate) fn greedy_complete(
     let mut m = partial.clone();
     let mut total = 0.0;
     for i in 0..ctx.patterns().len() {
-        if let Some(images) = eval.images_under(i, &m) {
-            total += eval.d_with_images(i, &images);
+        if let Some(d) = eval.d(i, &m) {
+            total += d;
         }
     }
     for &a in order {
@@ -530,9 +527,9 @@ pub(crate) fn greedy_complete(
             eval.telemetry_mut().profile.charge(WorkCol::MeterTicks, 1);
             m.insert(a, b);
             let mut dg = 0.0;
-            for p_idx in ctx.pattern_index().newly_completed(a, |e| m.is_mapped(e)) {
-                if let Some(images) = eval.images_under(p_idx, &m) {
-                    dg += eval.d_with_images(p_idx, &images);
+            for &p_idx in ctx.pattern_index().patterns_of(a) {
+                if let Some(d) = eval.d(p_idx, &m) {
+                    dg += d;
                 }
             }
             m.remove(a);

@@ -32,7 +32,7 @@ use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
 use crate::exact::{greedy_complete, Completion, MatchOutcome, SearchStats};
 use crate::mapping::Mapping;
-use crate::score::{score_partial, sim};
+use crate::score::{score_partial, sim, ParentTable};
 
 /// Slack comparisons tolerate this much floating-point drift.
 const EPS: f64 = 1e-9;
@@ -169,6 +169,8 @@ impl AdvancedHeuristic {
             // degrades gracefully to exact KM on the estimated scores.
             let mut best: Option<(f64, f64, usize, usize)> = None; // (g+h, Σθ, root, endpoint)
             let mut trees: Vec<(usize, Tree)> = Vec::new();
+            let mut table = ParentTable::new(ctx, &to_mapping(&match_row, n1, n), self.bound);
+            let mut moved: Vec<EventId> = Vec::new();
             for root in (0..n).filter(|&r| match_row[r].is_none()) {
                 let tree = alternating_tree(root, &theta, &l1, &l2, &match_col);
                 for &endpoint in &tree.endpoints {
@@ -177,10 +179,17 @@ impl AdvancedHeuristic {
                         // candidates and complete the current matching below.
                         break 'km;
                     }
-                    let (mr, mc) = (match_row.clone(), match_col.clone());
-                    let (mr, _mc) = augmented(mr, mc, &tree, endpoint);
+                    // The path's real rows are the sources the step moves.
+                    let mut mr = match_row.clone();
+                    moved.clear();
+                    for (i, j) in augmenting_path(&match_row, &tree, endpoint) {
+                        mr[i] = Some(j);
+                        if i < n1 {
+                            moved.push(EventId(i as u32));
+                        }
+                    }
                     let mapping = to_mapping(&mr, n1, n);
-                    let (g, h) = score_partial(&mut eval, &mapping, self.bound);
+                    let (g, h) = table.rescore(&mut eval, &mapping, &moved, true);
                     eval.telemetry_mut().registry.inc(c_rescores);
                     let f = g + h;
                     let q: f64 = mr
@@ -209,9 +218,11 @@ impl AdvancedHeuristic {
             // Adopt the winning tree's labeling and commit its augmentation.
             l1 = tree.l1.clone();
             l2 = tree.l2.clone();
-            let (mr, mc) = augmented(match_row, match_col, &tree, endpoint);
-            match_row = mr;
-            match_col = mc;
+            let path: Vec<(usize, usize)> = augmenting_path(&match_row, &tree, endpoint).collect();
+            for (i, j) in path {
+                match_row[i] = Some(j);
+                match_col[j] = Some(i);
+            }
             if eval.meter().is_exhausted() {
                 // A deadline can latch inside the evaluator's ticks.
                 break;
@@ -494,27 +505,22 @@ fn alternating_tree(
     }
 }
 
-/// Applies the augmenting path of `tree` ending at `endpoint` to a copy of
-/// the matching.
-fn augmented(
-    mut match_row: Vec<Option<usize>>,
-    mut match_col: Vec<Option<usize>>,
-    tree: &Tree,
+/// The augmenting path of `tree` ending at `endpoint`: every row on it
+/// with the column the augmentation gives it, from the endpoint's row back
+/// to the unmatched root.
+fn augmenting_path<'t>(
+    match_row: &'t [Option<usize>],
+    tree: &'t Tree,
     endpoint: usize,
-) -> (Vec<Option<usize>>, Vec<Option<usize>>) {
-    let mut j = endpoint;
-    loop {
+) -> impl Iterator<Item = (usize, usize)> + 't {
+    let mut next = Some(endpoint);
+    std::iter::from_fn(move || {
+        let j = next?;
         let i = tree.parent_col[j];
         debug_assert!(i != usize::MAX, "endpoint must be inside the tree");
-        let prev = match_row[i];
-        match_row[i] = Some(j);
-        match_col[j] = Some(i);
-        match prev {
-            Some(pj) => j = pj,
-            None => break, // reached the unmatched root
-        }
-    }
-    (match_row, match_col)
+        next = match_row[i];
+        Some((i, j))
+    })
 }
 
 /// Extracts the real (non-dummy) rows into a [`Mapping`].

@@ -6,7 +6,7 @@ use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
 use crate::exact::{greedy_complete, Completion, MatchOutcome, SearchStats};
 use crate::mapping::Mapping;
-use crate::score::{heuristic_bound, score_partial};
+use crate::score::{score_partial, ParentTable};
 
 /// The simple heuristic of Section 5: at each level of the search tree,
 /// evaluate every child `a -> b` exactly like Algorithm 1 would, but commit
@@ -69,6 +69,7 @@ impl SimpleHeuristic {
             tele.registry.inc(c_levels);
             tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
             let mut best: Option<(f64, f64, evematch_eventlog::EventId)> = None;
+            let mut table = ParentTable::new(ctx, &mapping, self.bound);
             for b in mapping.unused_targets() {
                 if !eval.meter_mut().charge_processed() {
                     // Budget tripped mid-level: drop the half-ranked level
@@ -77,17 +78,12 @@ impl SimpleHeuristic {
                 }
                 mapping.insert(a, b);
                 let mut child_g = g;
-                for p_idx in ctx
-                    .pattern_index()
-                    .newly_completed(a, |e| mapping.is_mapped(e))
-                {
-                    let images = eval
-                        .images_under(p_idx, &mapping)
-                        // tidy-allow: no-panic -- newly_completed only yields patterns whose events all satisfy mapping.is_mapped
-                        .expect("completed pattern is fully mapped");
-                    child_g += eval.d_with_images(p_idx, &images);
+                for &p_idx in ctx.pattern_index().patterns_of(a) {
+                    if let Some(d) = eval.d(p_idx, &mapping) {
+                        child_g += d;
+                    }
                 }
-                let h = heuristic_bound(&mut eval, &mapping, self.bound);
+                let (_, h) = table.rescore(&mut eval, &mapping, &[a], false);
                 mapping.remove(a);
                 let f = child_g + h;
                 // Strictly-greater keeps the smallest b on ties (targets

@@ -52,9 +52,7 @@ pub mod sync;
 pub mod telemetry;
 
 pub use baseline::{EntropyMatcher, IterativeConfig, IterativeMatcher};
-pub use bounds::{
-    upper_bound_partial, upper_bound_partial_explained, BoundKind, BoundPrecomp, PruneReason,
-};
+pub use bounds::{upper_bound_partial, BoundKind, BoundPrecomp, BoundTables, PruneReason};
 pub use budget::{Budget, BudgetMeter, Exhaustion};
 pub use context::{MatchContext, PatternSetBuilder};
 pub use evaluator::{EvalConfig, Evaluator, SharedSupportCache};

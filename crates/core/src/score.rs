@@ -3,11 +3,14 @@
 
 pub mod float_ord;
 
-use evematch_eventlog::DepGraph;
+use evematch_eventlog::{DepGraph, EventId};
+use evematch_pattern::PatternShape;
 
-use crate::bounds::{upper_bound_partial_explained, BoundKind, BoundPrecomp};
+use crate::bounds::{
+    pattern_bound, target_bit, unfixed_count, BoundKind, BoundPrecomp, PatternBound, PruneCounts,
+};
 use crate::context::MatchContext;
-use crate::evaluator::Evaluator;
+use crate::evaluator::{special_d, Evaluator};
 use crate::mapping::Mapping;
 
 /// Frequency similarity `1 − |f1 − f2| / (f1 + f2)` — one summand of the
@@ -70,49 +73,227 @@ pub fn pattern_normal_distance(ctx: &MatchContext, m: &Mapping) -> f64 {
 /// pattern normal distance over fully-mapped patterns; `h` is the summed
 /// upper bound `Δ(p, U)` over the remaining patterns, where each pattern's
 /// allowed image set `U` is the union of its already-fixed images and the
-/// unused targets `U2`.
+/// unused targets `U2`. One walk over the patterns: a complete pattern adds
+/// to `g`, an open one to `h`.
 pub fn score_partial(eval: &mut Evaluator<'_>, m: &Mapping, bound: BoundKind) -> (f64, f64) {
-    let ctx = eval.context();
-    let mut g = 0.0;
-    for i in 0..ctx.patterns().len() {
-        if let Some(images) = eval.images_under(i, m) {
-            g += eval.d_with_images(i, &images);
-        }
-    }
-    let h = heuristic_bound(eval, m, bound);
-    (g, h)
+    score_walk(eval, m, bound, true)
 }
 
 /// The `h` of a partial mapping alone: `Σ Δ(p)` over patterns with at
-/// least one unmapped event (Sections 3.3 and 4). Used by the A\* search,
-/// which tracks `g` incrementally and only needs `h` per child.
+/// least one unmapped event (Sections 3.3 and 4). Fully-mapped patterns
+/// are not evaluated at all.
 pub fn heuristic_bound(eval: &mut Evaluator<'_>, m: &Mapping, bound: BoundKind) -> f64 {
+    score_walk(eval, m, bound, false).1
+}
+
+/// From-scratch scoring: [`score_partial`] with `with_g`, else
+/// [`heuristic_bound`] (with `g = 0`).
+fn score_walk(eval: &mut Evaluator<'_>, m: &Mapping, bound: BoundKind, with_g: bool) -> (f64, f64) {
     let ctx = eval.context();
-    let pre = BoundPrecomp::new(m, ctx.dep2());
-    let mut h = 0.0;
-    let mut prunes = Vec::new();
-    for ep in ctx.patterns() {
-        if ep.events.iter().all(|&e| m.is_mapped(e)) {
-            continue; // fully mapped: contributes to g, not h
+    let tables = ctx.bound_tables();
+    let pre = BoundPrecomp::new(m, tables);
+    let (mut g, mut h) = (0.0, 0.0);
+    let mut prunes = PruneCounts::default();
+    for (i, ep) in ctx.patterns().iter().enumerate() {
+        let unfixed = unfixed_count(ep, m);
+        if unfixed == 0 {
+            if with_g {
+                if let Some(d) = eval.d(i, m) {
+                    g += d;
+                }
+            }
+            continue;
         }
-        let (delta, pruned) = upper_bound_partial_explained(bound, ep, m, ctx.dep2(), &pre);
-        h += delta;
-        if let Some(reason) = pruned {
-            prunes.push(reason);
+        let b = pattern_bound(bound, ep, unfixed, m, tables, &pre);
+        h += b.value;
+        prunes.add(b.pruned);
+    }
+    eval.count_prunes(&prunes);
+    (g, h)
+}
+
+/// One pattern's contribution under a [`ParentTable`]'s base mapping: its
+/// unfixed-event count and its bound. Once a vertex or edge pattern is
+/// complete, the bound's value is its `d(p)`; a complete complex pattern
+/// is always re-read through the evaluator's memo, so its value is unused.
+#[derive(Clone, Copy, Debug)]
+struct Contribution {
+    unfixed: u32,
+    bound: PatternBound,
+}
+
+/// Every pattern's contribution under a base mapping, against which the
+/// search rescores each candidate that extends the base by one more used
+/// target (an A\* child `M + (a→b)`, or a Kuhn–Munkres augmentation).
+///
+/// A candidate recomputes only the patterns its step can change: those
+/// holding a moved source event, those whose size-rule outcome flips as
+/// `|U2|` shrinks by one, and those whose bound read the newly used
+/// target. Every other pattern reuses its stored value and re-counts its
+/// stored prune reason. `g` and `h` are still summed over every pattern
+/// in pattern order, so they are bit-identical to [`score_partial`]'s, and
+/// so are the `bounds.pruned.*` counters. A candidate whose `f_n(U2)` or
+/// `f_e(U2)` differs from the base's is rescored from scratch.
+pub(crate) struct ParentTable {
+    bound: BoundKind,
+    base: Mapping,
+    pre: BoundPrecomp,
+    entries: Vec<Contribution>,
+    /// Marks the patterns holding a moved source of the candidate being
+    /// rescored (cleared again before [`Self::rescore`] returns).
+    touched: Vec<bool>,
+}
+
+impl ParentTable {
+    /// The table of `base`. Side-effect free: no support is evaluated and
+    /// no counter moves, so building it never changes a run's metrics.
+    pub(crate) fn new(ctx: &MatchContext, base: &Mapping, bound: BoundKind) -> Self {
+        let tables = ctx.bound_tables();
+        let pre = BoundPrecomp::new(base, tables);
+        let entries = ctx
+            .patterns()
+            .iter()
+            .map(|ep| {
+                let unfixed = unfixed_count(ep, base);
+                let bound = if unfixed == 0 {
+                    PatternBound {
+                        value: special_d(ctx, ep, base).flatten().unwrap_or(0.0),
+                        pruned: None,
+                        reads: 0,
+                    }
+                } else {
+                    pattern_bound(bound, ep, unfixed, base, tables, &pre)
+                };
+                Contribution { unfixed, bound }
+            })
+            .collect();
+        ParentTable {
+            bound,
+            base: base.clone(),
+            pre,
+            entries,
+            touched: vec![false; ctx.patterns().len()],
         }
     }
-    for reason in prunes {
-        eval.count_prune(reason);
+
+    /// `(g, h)` of `m`, which must equal the base except at the sources
+    /// `moved`. `g` is summed only `with_g` (A\* tracks it incrementally
+    /// and never re-reads a complete pattern); otherwise it is `0`.
+    ///
+    /// The table serves a step that uses exactly one more target and frees
+    /// none; any other step (a Kuhn–Munkres path through a dummy row can
+    /// free one) is scored from scratch, as is a step that changes
+    /// `f_n(U2)` or `f_e(U2)`.
+    pub(crate) fn rescore(
+        &mut self,
+        eval: &mut Evaluator<'_>,
+        m: &Mapping,
+        moved: &[EventId],
+        with_g: bool,
+    ) -> (f64, f64) {
+        debug_assert!(
+            (0..m.source_len() as u32)
+                .map(EventId)
+                .all(|e| moved.contains(&e) || m.get(e) == self.base.get(e)),
+            "the step may only change the moved sources"
+        );
+        let Some(new_target) = self.new_target(m, moved) else {
+            return score_walk(eval, m, self.bound, with_g);
+        };
+        let ctx = eval.context();
+        let tables = ctx.bound_tables();
+        let bit = target_bit(new_target);
+        let pre = if self.pre.reads & bit == 0 {
+            BoundPrecomp {
+                unused: self.pre.unused - 1,
+                ..self.pre
+            }
+        } else {
+            let pre = BoundPrecomp::new(m, tables);
+            if !float_ord::total_eq(pre.fn_u2, self.pre.fn_u2)
+                || !float_ord::total_eq(pre.fe_u2, self.pre.fe_u2)
+            {
+                return score_walk(eval, m, self.bound, with_g);
+            }
+            pre
+        };
+        debug_assert_eq!(pre.unused + 1, self.pre.unused);
+        let index = ctx.pattern_index();
+        for &a in moved {
+            for &p in index.patterns_of(a) {
+                self.touched[p] = true;
+            }
+        }
+        // Under the base, a pattern with exactly |U2| unfixed events passes
+        // the size rule; with one target fewer it fails it. (An unmoved
+        // pattern's unfixed events are unmapped sources other than the
+        // moved ones, so while |U1| ≤ |U2| this never happens; the check
+        // keeps the table exact without relying on that.)
+        let flips = self.pre.unused as u32;
+        let (mut g, mut h) = (0.0, 0.0);
+        let mut prunes = PruneCounts::default();
+        for (i, (ep, e)) in ctx.patterns().iter().zip(&self.entries).enumerate() {
+            let touched = self.touched[i];
+            let unfixed = if touched {
+                unfixed_count(ep, m)
+            } else {
+                e.unfixed
+            };
+            if unfixed == 0 {
+                if with_g {
+                    if !touched && !matches!(ep.shape, PatternShape::Complex) {
+                        g += e.bound.value;
+                    } else if let Some(d) = eval.d(i, m) {
+                        g += d;
+                    }
+                }
+                continue;
+            }
+            let b = if touched || e.unfixed == flips || e.bound.reads & bit != 0 {
+                pattern_bound(self.bound, ep, unfixed, m, tables, &pre)
+            } else {
+                e.bound
+            };
+            h += b.value;
+            prunes.add(b.pruned);
+        }
+        for &a in moved {
+            for &p in index.patterns_of(a) {
+                self.touched[p] = false;
+            }
+        }
+        eval.count_prunes(&prunes);
+        (g, h)
     }
-    h
+
+    /// The one target `m` uses beyond the base, or `None` when the step
+    /// frees a target or uses no new one, or more than one.
+    fn new_target(&self, m: &Mapping, moved: &[EventId]) -> Option<EventId> {
+        let mut new = None;
+        for &a in moved {
+            if self.base.get(a).is_some_and(|x| !m.is_used(x)) {
+                return None;
+            }
+            if let Some(y) = m.get(a).filter(|&y| !self.base.is_used(y)) {
+                if new.replace(y).is_some() {
+                    return None;
+                }
+            }
+        }
+        new
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::context::PatternSetBuilder;
-    use evematch_eventlog::{EventId, EventLog, LogBuilder};
+    use evematch_eventlog::{EventLog, LogBuilder};
     use evematch_pattern::Pattern;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn ev(i: u32) -> EventId {
         EventId(i)
@@ -214,6 +395,143 @@ mod tests {
                     full <= g + h + 1e-9,
                     "bound {bound:?}: complete {full} > g+h {g}+{h}"
                 );
+            }
+        }
+    }
+
+    /// A random context: `n1` source and `n2` target events, each log one
+    /// trace holding every event plus short random traces; vertex and edge
+    /// patterns plus three-event composites.
+    fn random_context(rng: &mut StdRng, n1: usize, n2: usize) -> MatchContext {
+        let mut log = |prefix: &str, n: usize| {
+            let mut b = LogBuilder::new();
+            let mut all: Vec<usize> = (0..n).collect();
+            all.shuffle(rng);
+            b.push_named_trace(all.iter().map(|i| format!("{prefix}{i}")));
+            for _ in 0..n.max(12) {
+                let len = rng.gen_range(2..7);
+                b.push_named_trace((0..len).map(|_| format!("{prefix}{}", rng.gen_range(0..n))));
+            }
+            b.build()
+        };
+        let (l1, l2) = (log("s", n1), log("t", n2));
+        let mut set = PatternSetBuilder::new().vertices().edges();
+        for _ in 0..3 {
+            let mut evs: Vec<EventId> = (0..n1 as u32).map(EventId).collect();
+            evs.shuffle(rng);
+            let (a, b, c) = (evs[0], evs[1], evs[2]);
+            let p = match rng.gen_range(0..3) {
+                0 => Pattern::seq_of_events([a, b, c]),
+                1 => Pattern::and_of_events([a, b, c]),
+                _ => Pattern::seq(vec![
+                    Pattern::event(a.0),
+                    Pattern::and_of_events([b, c]).unwrap(),
+                ]),
+            };
+            set = set.complex(p.unwrap());
+        }
+        MatchContext::new(l1, l2, set).unwrap()
+    }
+
+    /// The real rows of a square (dummy-padded) matching, as a mapping.
+    fn real_mapping(match_row: &[Option<usize>], n1: usize) -> Mapping {
+        Mapping::from_pairs(
+            n1,
+            match_row.len(),
+            match_row[..n1]
+                .iter()
+                .enumerate()
+                .filter_map(|(a, b)| b.map(|b| (EventId(a as u32), EventId(b as u32)))),
+        )
+    }
+
+    /// The cumulative `bounds.pruned.*` counters of `eval`.
+    fn pruned(eval: &mut Evaluator<'_>) -> [u64; 4] {
+        let reg = &mut eval.telemetry_mut().registry;
+        ["size_rule", "zero_f1", "vertex_cap", "edge_group_cap"].map(|r| {
+            let id = reg.counter(&format!("bounds.pruned.{r}"));
+            reg.counter_value(id)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Rescoring a candidate against its parent's table gives the
+        /// bit-identical `g`, `h` and prune counters of scoring it from
+        /// scratch: every A* child `M + (a→b)` of a random base, and random
+        /// Kuhn–Munkres augmenting paths over the dummy-padded square
+        /// matching (through dummy rows too when `|V1| < |V2|`). Half the
+        /// cases have `|V2| > 64`, so read masks collide.
+        #[test]
+        fn parent_table_rescoring_equals_scoring_from_scratch(
+            seed in 0u64..1 << 32,
+            wide in 0u8..2,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n1 = rng.gen_range(3..7);
+            let n2 = if wide == 1 { rng.gen_range(65..72) } else { rng.gen_range(n1..n1 + 3) };
+            let ctx = random_context(&mut rng, n1, n2);
+            let (n1, n2) = (ctx.n1(), ctx.n2());
+            // A random partial square matching with a free row and column.
+            let mut cols: Vec<usize> = (0..n2).collect();
+            cols.shuffle(&mut rng);
+            let mut match_row: Vec<Option<usize>> = vec![None; n2];
+            for (row, &col) in match_row.iter_mut().zip(&cols) {
+                if rng.gen_bool(0.6) {
+                    *row = Some(col);
+                }
+            }
+            let free = rng.gen_range(0..n2);
+            match_row[free] = None;
+            let base = real_mapping(&match_row, n1);
+            // Every child of the base, then augmenting paths.
+            let mut steps: Vec<(Mapping, Vec<EventId>)> = Vec::new();
+            for a in base.unmapped_sources() {
+                for b in base.unused_targets() {
+                    let mut child = base.clone();
+                    child.insert(a, b);
+                    steps.push((child, vec![a]));
+                }
+            }
+            let matched: Vec<usize> = (0..n2).filter(|&r| match_row[r].is_some()).collect();
+            let free_rows: Vec<usize> = (0..n2).filter(|&r| match_row[r].is_none()).collect();
+            let free_cols: Vec<usize> =
+                (0..n2).filter(|c| !match_row.contains(&Some(*c))).collect();
+            for _ in 0..16 {
+                let mut path = vec![*free_rows.choose(&mut rng).unwrap()];
+                let mut inner = matched.clone();
+                inner.shuffle(&mut rng);
+                path.extend(inner.iter().take(rng.gen_range(0..4)));
+                let endpoint = *free_cols.choose(&mut rng).unwrap();
+                let mut next = match_row.clone();
+                for w in path.windows(2) {
+                    next[w[0]] = match_row[w[1]];
+                }
+                next[path[path.len() - 1]] = Some(endpoint);
+                let moved = path.iter().filter(|&&r| r < n1).map(|&r| EventId(r as u32));
+                steps.push((real_mapping(&next, n1), moved.collect()));
+            }
+            for bound in [BoundKind::Simple, BoundKind::Tight] {
+                for with_g in [false, true] {
+                    let mut table = ParentTable::new(&ctx, &base, bound);
+                    let (mut inc, mut fresh) = (Evaluator::new(&ctx), Evaluator::new(&ctx));
+                    for (m, moved) in &steps {
+                        let (g, h) = table.rescore(&mut inc, m, moved, with_g);
+                        let (want_g, want_h) = if with_g {
+                            score_partial(&mut fresh, m, bound)
+                        } else {
+                            (0.0, heuristic_bound(&mut fresh, m, bound))
+                        };
+                        prop_assert_eq!(g.to_bits(), want_g.to_bits());
+                        prop_assert_eq!(h.to_bits(), want_h.to_bits());
+                        prop_assert_eq!(pruned(&mut inc), pruned(&mut fresh));
+                    }
+                    prop_assert_eq!(
+                        inc.metrics_snapshot().counters,
+                        fresh.metrics_snapshot().counters
+                    );
+                }
             }
         }
     }

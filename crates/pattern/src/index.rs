@@ -69,18 +69,6 @@ impl PatternIndex {
         order.sort_by_key(|&v| (std::cmp::Reverse(self.involvement(v)), v));
         order
     }
-
-    /// Patterns newly completed by mapping `a`: those involving `a` whose
-    /// every event satisfies `is_mapped` (which must already report `a` as
-    /// mapped). This is the `P_new = P_{M'} \ P_M` of Section 3.2.1.
-    pub fn newly_completed(&self, a: EventId, is_mapped: impl Fn(EventId) -> bool) -> Vec<usize> {
-        debug_assert!(is_mapped(a), "the new event must count as mapped");
-        self.patterns_of(a)
-            .iter()
-            .copied()
-            .filter(|&i| self.events[i].iter().all(|&e| is_mapped(e)))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -114,26 +102,6 @@ mod tests {
         let order = idx.expansion_order();
         // Involvements: e0=1, e1=2, e2=1, e3=2, e4=0. Ties by id.
         assert_eq!(order, vec![ev(1), ev(3), ev(0), ev(2), ev(4)]);
-    }
-
-    #[test]
-    fn newly_completed_requires_all_events_mapped() {
-        let idx = index();
-        // Mapped set {1}: p0 incomplete (0 missing), p1 incomplete.
-        let mapped = [ev(1)];
-        assert_eq!(
-            idx.newly_completed(ev(1), |e| mapped.contains(&e)),
-            Vec::<usize>::new()
-        );
-        // Mapped set {0, 1}: mapping 1 last completes p0.
-        let mapped = [ev(0), ev(1)];
-        assert_eq!(idx.newly_completed(ev(1), |e| mapped.contains(&e)), vec![0]);
-        // Mapped set {1, 2, 3}: mapping 3 last completes p1 and p2.
-        let mapped = [ev(1), ev(2), ev(3)];
-        assert_eq!(
-            idx.newly_completed(ev(3), |e| mapped.contains(&e)),
-            vec![1, 2]
-        );
     }
 
     #[test]

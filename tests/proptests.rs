@@ -372,6 +372,88 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Table-2 bound stays admissible under partial mappings: for a
+    /// random mapping that fixes some of the pattern's events and uses
+    /// some unrelated targets, every injective completion's `d(p)` is at
+    /// most `Δ(p, M)`. `L1` holds `p` at least once and `L2` is `L1`
+    /// renamed by a rotation (plus one unused event), so completions that
+    /// follow the rotation realize `d = 1` and any cap below the true best
+    /// unused frequency fails. This checks the
+    /// fixed-image vertex caps and the one-end-fixed edge caps (first-unused
+    /// lookups in the bound tables) directly.
+    #[test]
+    fn tight_bound_is_admissible_under_partial_mappings(
+        l1 in log_strategy(6, 8),
+        kind in 0u8..3,
+        k in 2u32..5,
+        shift in 0u32..7,
+        picks in prop::collection::vec(0u32..3, 6..=6),
+    ) {
+        // SEQ, AND, or SEQ(e0, AND(rest)) over the events 0..k.
+        let evs = (0..k).map(EventId);
+        let p = match kind {
+            0 => Pattern::seq_of_events(evs),
+            1 => Pattern::and_of_events(evs),
+            _ => Pattern::seq(vec![
+                Pattern::event(0),
+                Pattern::and((1..k).map(Pattern::event).collect()).unwrap(),
+            ]),
+        }
+        .unwrap();
+        // L1 gains one trace realizing p, so f1 > 0.
+        let rotate = |e: u32| (e + shift) % 7;
+        let names = |n: u32, prefix: &str| {
+            let names: Vec<String> = (0..n).map(|i| format!("{prefix}{i}")).collect();
+            LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)))
+        };
+        let (mut b1, mut b2) = (names(6, "e"), names(7, "t"));
+        let traces = l1.traces().iter().map(|t| t.events().iter().map(|e| e.0).collect());
+        for t in traces.chain([(0..k).collect::<Vec<u32>>()]) {
+            b2.push_trace(Trace::from(t.iter().map(|&e| rotate(e)).collect::<Vec<_>>()));
+            b1.push_trace(Trace::from(t));
+        }
+        let ctx = MatchContext::new(
+            b1.build(), b2.build(),
+            PatternSetBuilder::new().complex(p.clone()),
+        ).unwrap();
+        // Source i stays free (pick 0), follows the rotation (1), or takes
+        // another target (2), when that target is still free. Sources 4
+        // and 5 are in no pattern: they only use up targets.
+        let mut m = Mapping::empty(ctx.n1(), ctx.n2());
+        for (i, &pick) in picks.iter().enumerate().filter(|&(_, &pick)| pick > 0) {
+            let t = EventId(rotate(i as u32 + pick - 1));
+            if !m.is_used(t) {
+                m.insert(EventId(i as u32), t);
+            }
+        }
+        let ep = &ctx.patterns()[0];
+        let pre = evematch::core::BoundPrecomp::new(&m, ctx.bound_tables());
+        let delta = evematch::core::upper_bound_partial(
+            BoundKind::Tight, ep, &m, ctx.bound_tables(), &pre,
+        );
+        let unfixed: Vec<usize> =
+            (0..ep.events.len()).filter(|&i| !m.is_mapped(ep.events[i])).collect();
+        let mut fills = vec![];
+        enumerate_tuples(&m.unused_targets(), unfixed.len(), &mut vec![], &mut fills);
+        let mut eval = evematch::core::Evaluator::new(&ctx);
+        for fill in fills {
+            let mut images: Vec<EventId> =
+                ep.events.iter().map(|&e| m.get(e).unwrap_or(EventId(u32::MAX))).collect();
+            for (&i, &t) in unfixed.iter().zip(&fill) {
+                images[i] = t;
+            }
+            let d = eval.d_with_images(0, &images);
+            prop_assert!(
+                d <= delta + 1e-9,
+                "realized {} exceeds bound {} under {} for images {:?}", d, delta, m, images
+            );
+        }
+    }
+}
+
 fn enumerate_tuples(
     allowed: &[EventId],
     k: usize,
