@@ -95,7 +95,7 @@ fn run_profile() -> ExitCode {
     );
 
     let start = Instant::now();
-    let out = method.run_with(&ds.pair, &ds.patterns, budget, None);
+    let out = method.run(&ds.pair, &ds.patterns, budget);
     println!("  run {:.3}s", start.elapsed().as_secs_f64());
     let profile = out.profile();
 

@@ -27,14 +27,12 @@
 //! this module may *branch* on the clock (that is what a deadline is),
 //! while telemetry spans only ever *record* it.
 //!
-//! The meter's internals are atomic and every method takes `&self`, so a
-//! meter may be read or ticked through a shared reference: the exhaustion
-//! latch is a compare-and-swap (the *first* limit to trip wins, exactly
-//! once, no matter which caller observes it). In the product one meter
-//! belongs to one solver run and is used from the thread driving it;
-//! without a deadline, ticks touch no state at all.
+//! One meter belongs to one solver run and is used from the thread driving
+//! it. Its counters and latch are [`Cell`]s, so every method takes `&self`
+//! and a fuel closure can tick the meter through a shared reference while
+//! the run holds it; the latch keeps the *first* limit that trips.
 
-use crate::sync::{AtomicU64, AtomicU8, Ordering};
+use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 /// Declarative resource limits for one solver invocation.
@@ -147,10 +145,10 @@ impl Budget {
         BudgetMeter {
             budget: *self,
             start: Instant::now(),
-            processed: AtomicU64::new(0),
-            polls: AtomicU64::new(0),
-            since_poll: AtomicU64::new(0),
-            exhausted: AtomicU8::new(EXHAUSTED_NONE),
+            processed: Cell::new(0),
+            polls: Cell::new(0),
+            since_poll: Cell::new(0),
+            exhausted: Cell::new(None),
         }
     }
 }
@@ -196,64 +194,25 @@ impl std::fmt::Display for Exhaustion {
     }
 }
 
-/// Latch encoding of [`Exhaustion`] in the meter's atomic flag.
-const EXHAUSTED_NONE: u8 = 0;
-
-fn encode_exhaustion(e: Exhaustion) -> u8 {
-    match e {
-        Exhaustion::Processed => 1,
-        Exhaustion::Deadline => 2,
-        Exhaustion::Frontier => 3,
-    }
-}
-
-fn decode_exhaustion(v: u8) -> Option<Exhaustion> {
-    match v {
-        1 => Some(Exhaustion::Processed),
-        2 => Some(Exhaustion::Deadline),
-        3 => Some(Exhaustion::Frontier),
-        _ => None,
-    }
-}
-
 /// The running instance of a [`Budget`]: counts work, polls the deadline,
 /// and latches the first limit that trips.
 ///
-/// All methods take `&self`: the counters are atomic and the exhaustion
-/// latch is a compare-and-swap, so the first limit to trip wins exactly
-/// once even when several callers tick one meter. Determinism is a
-/// protocol, not a property of the struct — only the thread driving the
-/// search calls [`charge_processed`](Self::charge_processed) and
-/// [`note_frontier`](Self::note_frontier).
-#[derive(Debug)]
+/// Determinism is a protocol, not a property of the struct: only the
+/// search loop calls [`charge_processed`](Self::charge_processed) and
+/// [`note_frontier`](Self::note_frontier); inner loops only
+/// [`tick`](Self::tick).
+#[derive(Clone, Debug)]
 pub struct BudgetMeter {
     budget: Budget,
     start: Instant,
-    processed: AtomicU64,
-    polls: AtomicU64,
-    since_poll: AtomicU64,
-    exhausted: AtomicU8,
-}
-
-impl Clone for BudgetMeter {
-    fn clone(&self) -> Self {
-        // ordering: cloning is a single-threaded snapshot; Relaxed loads
-        // of the plain counters suffice, and the latch load is Acquire
-        // for symmetry with `exhaustion()` so a cause is never torn.
-        BudgetMeter {
-            budget: self.budget,
-            start: self.start,
-            processed: AtomicU64::new(self.processed.load(Ordering::Relaxed)),
-            polls: AtomicU64::new(self.polls.load(Ordering::Relaxed)),
-            since_poll: AtomicU64::new(self.since_poll.load(Ordering::Relaxed)),
-            exhausted: AtomicU8::new(self.exhausted.load(Ordering::Acquire)),
-        }
-    }
+    processed: Cell<u64>,
+    polls: Cell<u64>,
+    since_poll: Cell<u64>,
+    exhausted: Cell<Option<Exhaustion>>,
 }
 
 impl BudgetMeter {
     /// Charges one unit of primary search work (one candidate mapping).
-    /// Must only be called from the thread driving the search.
     ///
     /// Returns `false` when the budget is exhausted — either already
     /// latched, because this charge would exceed the processed cap (the
@@ -267,10 +226,7 @@ impl BudgetMeter {
             return false;
         }
         if let Some(cap) = self.budget.max_processed {
-            // ordering: Relaxed — `processed` is written by the driving
-            // thread only, so this load observes the thread's own prior
-            // writes; no cross-thread edge is needed.
-            if self.processed.load(Ordering::Relaxed) >= cap {
+            if self.processed.get() >= cap {
                 self.latch(Exhaustion::Processed);
                 return false;
             }
@@ -279,9 +235,7 @@ impl BudgetMeter {
         if self.is_exhausted() {
             return false;
         }
-        // ordering: Relaxed — single-writer counter (driving thread only);
-        // readers tolerate staleness (it is a statistic, not a guard).
-        self.processed.fetch_add(1, Ordering::Relaxed);
+        self.processed.set(self.processed.get() + 1);
         true
     }
 
@@ -296,7 +250,7 @@ impl BudgetMeter {
     }
 
     /// Records the current frontier size, latching [`Exhaustion::Frontier`]
-    /// when it exceeds the cap. Driving thread only.
+    /// when it exceeds the cap.
     pub fn note_frontier(&self, len: usize) {
         if !self.is_exhausted() {
             if let Some(cap) = self.budget.max_frontier {
@@ -307,19 +261,11 @@ impl BudgetMeter {
         }
     }
 
-    /// Latches `cause` if nothing tripped yet; the CAS guarantees exactly
-    /// one winner.
+    /// Latches `cause` if nothing tripped yet: the first cause sticks.
     fn latch(&self, cause: Exhaustion) {
-        // ordering: AcqRel on success — Release publishes the winner's
-        // cause to `exhaustion()`'s Acquire loads; Acquire orders the
-        // winner's own later reads after the latch. Acquire on failure so
-        // a loser observes the winner's cause. See DESIGN.md §11.
-        let _ = self.exhausted.compare_exchange(
-            EXHAUSTED_NONE,
-            encode_exhaustion(cause),
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        );
+        if self.exhausted.get().is_none() {
+            self.exhausted.set(Some(cause));
+        }
     }
 
     /// The poll cadence: with a deadline set, the clock is read on the
@@ -332,19 +278,15 @@ impl BudgetMeter {
             return;
         }
         let interval = u64::from(self.budget.poll_interval.max(1));
-        // ordering: Relaxed — the cadence counter only decides *when* to
-        // read the clock; an occasional cross-thread off-by-one poll is
-        // harmless (the latch CAS is the actual synchronization point).
-        let n = self.since_poll.fetch_add(1, Ordering::Relaxed);
+        let n = self.since_poll.get();
+        self.since_poll.set(n + 1);
         if n % interval == 0 {
             self.poll_deadline();
         }
     }
 
     fn poll_deadline(&self) {
-        // ordering: Relaxed — poll count is a statistic; no reader infers
-        // other memory state from it.
-        self.polls.fetch_add(1, Ordering::Relaxed);
+        self.polls.set(self.polls.get() + 1);
         if let Some(max) = self.budget.max_duration {
             if self.start.elapsed() >= max {
                 self.latch(Exhaustion::Deadline);
@@ -355,32 +297,25 @@ impl BudgetMeter {
     /// The limit that tripped, if any. Sticky: never resets.
     #[must_use]
     pub fn exhaustion(&self) -> Option<Exhaustion> {
-        // ordering: Acquire — pairs with the Release half of the latch CAS
-        // so an observed cause implies the winner's pre-latch writes are
-        // visible (the sticky-exhaustion contract). See DESIGN.md §11.
-        decode_exhaustion(self.exhausted.load(Ordering::Acquire))
+        self.exhausted.get()
     }
 
     /// `true` once any limit has tripped.
     #[must_use]
     pub fn is_exhausted(&self) -> bool {
-        // ordering: Acquire — same pairing as `exhaustion()`: seeing the
-        // latch set must also show the cause that was stored with it.
-        self.exhausted.load(Ordering::Acquire) != EXHAUSTED_NONE
+        self.exhausted.get().is_some()
     }
 
     /// Charged primary work units so far.
     #[must_use]
     pub fn processed(&self) -> u64 {
-        // ordering: Relaxed — single-writer statistic, read for reporting.
-        self.processed.load(Ordering::Relaxed)
+        self.processed.get()
     }
 
     /// Clock reads performed so far (0 for deadline-free budgets).
     #[must_use]
     pub fn polls(&self) -> u64 {
-        // ordering: Relaxed — statistic; see `processed()`.
-        self.polls.load(Ordering::Relaxed)
+        self.polls.get()
     }
 
     /// Wall time since the meter started.
@@ -494,43 +429,6 @@ mod tests {
         m.note_frontier(9);
         assert_eq!(m.exhaustion(), Some(Exhaustion::Frontier));
         assert!(!m.charge_processed());
-    }
-
-    #[test]
-    fn worker_ticks_without_a_deadline_touch_nothing() {
-        let m = Budget::UNLIMITED.with_processed_cap(5).meter();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..250 {
-                        m.tick();
-                    }
-                });
-            }
-        });
-        assert_eq!(m.polls(), 0);
-        assert_eq!(m.processed(), 0);
-        assert!(!m.is_exhausted());
-    }
-
-    #[test]
-    fn racing_ticks_latch_the_deadline_once() {
-        let m = Budget::UNLIMITED
-            .with_deadline(Duration::ZERO)
-            .with_poll_interval(1)
-            .meter();
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    for _ in 0..50 {
-                        m.tick();
-                    }
-                });
-            }
-        });
-        assert_eq!(m.exhaustion(), Some(Exhaustion::Deadline));
-        assert!(!m.charge_processed(), "sticky after the race");
-        assert_eq!(m.processed(), 0);
     }
 
     #[test]

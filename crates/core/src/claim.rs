@@ -5,15 +5,13 @@
 //! [`ClaimCursor`]. Determinism never depends on which worker claims which
 //! job: results are keyed by job index and merged in index order.
 
-use crate::sync::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Hands out item indices `0..len` to racing workers, each index to
 /// exactly one worker.
 ///
-/// A named type so the bounded model checker (`crates/modelcheck`) can
-/// exercise precisely the object the grid workers race on: the
-/// no-double-assign / no-skip invariant is checked over every bounded
-/// interleaving, not just the schedules the host happens to produce.
+/// One `fetch_add` per claim: its atomicity alone makes every index
+/// unique (DESIGN.md §11).
 #[derive(Debug)]
 pub struct ClaimCursor {
     next: AtomicUsize,
@@ -73,5 +71,40 @@ mod tests {
         assert_eq!(cursor.claim(), None);
         assert!(ClaimCursor::new(0).is_empty());
         assert_eq!(ClaimCursor::new(0).claim(), None);
+    }
+
+    #[test]
+    fn racing_workers_claim_each_index_once() {
+        const THREADS: usize = 8;
+        for len in [0, 1, 3, 1000] {
+            let cursor = ClaimCursor::new(len);
+            // Every worker waits at the barrier, so all of them race from
+            // the first claim on.
+            let start = std::sync::Barrier::new(THREADS);
+            let per_thread: Vec<Vec<usize>> = std::thread::scope(|s| {
+                let workers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        s.spawn(|| {
+                            start.wait();
+                            std::iter::from_fn(|| cursor.claim()).collect()
+                        })
+                    })
+                    .collect();
+                workers
+                    .into_iter()
+                    .map(|w| w.join().expect("workers never panic"))
+                    .collect()
+            });
+            for claims in &per_thread {
+                assert!(
+                    claims.windows(2).all(|w| w[0] < w[1]),
+                    "len {len}: one thread's claims must increase: {claims:?}"
+                );
+            }
+            let mut all: Vec<usize> = per_thread.concat();
+            all.sort_unstable();
+            assert_eq!(all, (0..len).collect::<Vec<_>>(), "len {len}");
+            assert_eq!(cursor.claim(), None);
+        }
     }
 }

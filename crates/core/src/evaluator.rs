@@ -1,21 +1,22 @@
 //! Evaluation of pattern contributions `d(p)` under (partial) mappings,
 //! with memoization and Proposition-3 existence pruning.
 //!
-//! The memo is a [`SharedSupportCache`]: a sharded, `RwLock`-striped map
-//! that one solver owns privately by default, or that several solver runs
-//! over the *same* [`MatchContext`] data can share (an experiment-grid
-//! cell runs every method against one context, so the heuristics warm the
-//! exact search's cache — hits on entries another run inserted surface as
-//! `eval.cache.shared_hits`). Each solver run evaluates sequentially on
-//! the thread that drives it; parallelism lives one layer up, in the grid
+//! The memo is a [`SupportMemo`]: one solver run owns a private one by
+//! default, or runs over the *same* log pair and pattern set take turns
+//! with one lent memo (an experiment-grid cell runs its methods one after
+//! another on one dataset, so the heuristics warm the exact search's memo —
+//! hits on entries another run inserted surface as
+//! `eval.cache.shared_hits`). A solver run evaluates sequentially on the
+//! thread that drives it; parallelism lives one layer up, in the grid
 //! workers of `eval::experiments::run_grid`.
 
-// The memo cache is only ever point-queried, but BTreeMap keeps the
+use std::cell::RefCell;
+// The memo is only ever point-queried, but BTreeMap keeps the
 // deterministic crates hash-free outright (tidy lint no-hash-iter); keys
-// are a pattern index plus at most a handful of event ids, so ordered
-// lookups cost about the same as hashing the boxed slice.
-use crate::sync::{AtomicU32, Ordering, PoisonError, RwLock};
+// are at most a handful of event ids, so ordered lookups cost about the
+// same as hashing the slice.
 use std::collections::BTreeMap;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use evematch_eventlog::EventId;
@@ -29,219 +30,64 @@ use crate::mapping::Mapping;
 use crate::score::sim;
 use crate::telemetry::{CounterId, MetricsSnapshot, ProgressBeacon, Telemetry, WorkCol};
 
-/// Memo key: pattern index plus the image tuple of its sorted events.
-type SupportKey = (u32, Box<[EventId]>);
-
-/// Number of lock stripes in a [`SharedSupportCache`]. Shard choice is a
-/// deterministic hash of the key, so two runs stripe identically.
-const SHARD_COUNT: usize = 16;
-
 /// One memoized support value, tagged with the run that computed it.
 #[derive(Clone, Copy, Debug)]
-struct CacheEntry {
+struct MemoEntry {
     support: u32,
     owner: u32,
 }
 
-/// A sharded `(pattern, images) → support` memo shareable across solver
-/// runs over the same [`MatchContext`] data.
+/// A `(pattern, images) → support` memo for complex patterns: one map per
+/// pattern index, keyed by the image tuple of the pattern's sorted events.
 ///
 /// Entries are tagged with the inserting run's owner id so a later run can
 /// tell a *shared* hit (another method already paid the scan) from a hit
-/// on its own work. The cache is fingerprinted over both logs and the
-/// pattern set: [`Evaluator::with_config`] silently falls back to a
-/// private cache when the fingerprint does not match its context, so a
-/// cache can never leak support values across grid cells with different
-/// data. Lock poisoning (a panicking solver thread) is recovered by
-/// adopting the poisoned guard — every entry is written atomically under
-/// the lock, so a poisoned shard still holds only complete entries.
-#[derive(Debug)]
-pub struct SharedSupportCache {
-    fingerprint: u64,
-    shards: Vec<RwLock<BTreeMap<SupportKey, CacheEntry>>>,
-    next_owner: AtomicU32,
+/// on its own work. A memo holds supports of one log pair under one
+/// pattern set (the key is a pattern *index*); lending it to a run over
+/// other data would serve it wrong supports, so only lend a memo to runs
+/// over the same [`MatchContext`] data.
+#[derive(Debug, Default)]
+pub struct SupportMemo {
+    by_pattern: Vec<BTreeMap<Box<[EventId]>, MemoEntry>>,
+    next_owner: u32,
 }
 
-impl SharedSupportCache {
-    /// A cache bound (by fingerprint) to `ctx`'s logs and pattern set.
-    #[must_use]
-    pub fn for_context(ctx: &MatchContext) -> Self {
-        Self::with_fingerprint(context_fingerprint(ctx))
-    }
-
-    /// A private cache that no other context can validly share. Used for
-    /// solo runs, where the fingerprint is never checked.
-    fn private() -> Self {
-        Self::with_fingerprint(0)
-    }
-
-    fn with_fingerprint(fingerprint: u64) -> Self {
-        SharedSupportCache {
-            fingerprint,
-            shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(BTreeMap::new()))
-                .collect(),
-            next_owner: AtomicU32::new(0),
-        }
-    }
-
-    /// Whether this cache was built for `ctx`'s data (same logs, same
-    /// pattern set).
-    #[must_use]
-    pub fn matches(&self, ctx: &MatchContext) -> bool {
-        self.fingerprint == context_fingerprint(ctx)
-    }
-
+impl SupportMemo {
     /// Registers one solver run as an entry owner.
-    fn register_owner(&self) -> u32 {
-        // ordering: Relaxed — owner ids only need uniqueness, which the
-        // fetch_add's atomicity provides; entry data is published by the
-        // shard RwLock, never by this counter. See DESIGN.md §11.
-        self.next_owner.fetch_add(1, Ordering::Relaxed)
+    fn register_owner(&mut self) -> u32 {
+        let owner = self.next_owner;
+        self.next_owner += 1;
+        owner
     }
 
-    fn shard_of(&self, key: &SupportKey) -> usize {
-        let mut h = fnv_seed();
-        h = fnv_u64(h, u64::from(key.0));
-        for e in key.1.iter() {
-            h = fnv_u64(h, e.index() as u64);
-        }
-        (h % self.shards.len() as u64) as usize
-    }
-
-    fn get(&self, key: &SupportKey) -> Option<CacheEntry> {
-        let shard = self.shards[self.shard_of(key)]
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.get(key).copied()
+    fn get(&self, p_idx: usize, images: &[EventId]) -> Option<MemoEntry> {
+        self.by_pattern.get(p_idx)?.get(images).copied()
     }
 
     /// Inserts a support value. An existing entry is kept (it holds the
     /// same exact value; keeping it preserves first-owner attribution).
-    fn insert(&self, key: SupportKey, support: u32, owner: u32) {
-        let mut shard = self.shards[self.shard_of(&key)]
-            .write()
-            .unwrap_or_else(PoisonError::into_inner);
-        shard.entry(key).or_insert(CacheEntry { support, owner });
-    }
-
-    /// Total number of memoized entries (test/diagnostic use).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
-    }
-
-    /// Whether no entry has been memoized yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Model-checking accessors, compiled only under `--cfg evematch_model`:
-/// they expose just enough of the private shard machinery for
-/// `crates/modelcheck` to drive the poisoned-shard-recovery invariant over
-/// every bounded interleaving. Never part of the normal API surface.
-#[cfg(evematch_model)]
-impl SharedSupportCache {
-    /// A private (fingerprint-free) cache for model scenarios.
-    #[must_use]
-    pub fn model_private() -> Self {
-        Self::private()
-    }
-
-    /// [`Self::register_owner`] for model scenarios.
-    #[must_use]
-    pub fn model_register_owner(&self) -> u32 {
-        self.register_owner()
-    }
-
-    /// [`Self::insert`] keyed by `(pattern, images)`, for model scenarios.
-    pub fn model_insert(&self, pattern: u32, images: &[EventId], support: u32, owner: u32) {
-        self.insert((pattern, images.into()), support, owner);
-    }
-
-    /// [`Self::get`], returning `(support, owner)`, for model scenarios.
-    #[must_use]
-    pub fn model_get(&self, pattern: u32, images: &[EventId]) -> Option<(u32, u32)> {
-        self.get(&(pattern, images.into()))
-            .map(|e| (e.support, e.owner))
-    }
-
-    /// Panics while holding the write guard of the shard that stores
-    /// `(pattern, images)`, poisoning it — the model scenario's stand-in
-    /// for a solver thread dying mid-insert.
-    ///
-    /// # Panics
-    /// Always (that is its purpose).
-    pub fn model_poison_shard(&self, pattern: u32, images: &[EventId]) {
-        let key: SupportKey = (pattern, images.into());
-        let _guard = self.shards[self.shard_of(&key)].write();
-        // tidy-allow: no-panic -- deliberate: model-only helper whose entire job is poisoning a shard
-        panic!("model: poison the shard");
-    }
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv_seed() -> u64 {
-    FNV_OFFSET
-}
-
-fn fnv_u64(mut h: u64, v: u64) -> u64 {
-    for byte in v.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Deterministic fingerprint of everything a support value can depend on:
-/// both logs' trace contents and the pattern set's structure, frequency
-/// and order (the memo key uses pattern *indices*, so the set's order is
-/// part of identity).
-fn context_fingerprint(ctx: &MatchContext) -> u64 {
-    let mut h = fnv_seed();
-    for log in [ctx.log1(), ctx.log2()] {
-        h = fnv_u64(h, log.event_count() as u64);
-        h = fnv_u64(h, log.len() as u64);
-        for trace in log.traces() {
-            h = fnv_u64(h, trace.events().len() as u64);
-            for &e in trace.events() {
-                h = fnv_u64(h, e.index() as u64);
-            }
+    fn insert(&mut self, p_idx: usize, images: &[EventId], support: u32, owner: u32) {
+        if self.by_pattern.len() <= p_idx {
+            self.by_pattern.resize_with(p_idx + 1, BTreeMap::new);
         }
+        self.by_pattern[p_idx]
+            .entry(images.into())
+            .or_insert(MemoEntry { support, owner });
     }
-    h = fnv_u64(h, ctx.patterns().len() as u64);
-    for ep in ctx.patterns() {
-        h = fnv_u64(h, ep.events.len() as u64);
-        for &e in &ep.events {
-            h = fnv_u64(h, e.index() as u64);
-        }
-        for (a, b) in ep.graph.edges_global() {
-            h = fnv_u64(h, (a.index() as u64) << 32 | b.index() as u64);
-        }
-        h = fnv_u64(h, ep.support as u64);
-        h = fnv_u64(h, ep.freq.to_bits());
-    }
-    h
 }
 
 /// How a solver run evaluates pattern supports: its budget and an
-/// optional pre-built cache shared with other runs over the same context
-/// data.
+/// optional memo lent by other runs over the same context data.
 #[derive(Clone, Debug, Default)]
 pub struct EvalConfig {
     /// Resource budget for the run.
     pub budget: Budget,
-    /// A cache built by [`SharedSupportCache::for_context`] on the run's
-    /// context. `None`, or a fingerprint mismatch, gives the run a fresh
-    /// private cache.
-    pub shared_cache: Option<Arc<SharedSupportCache>>,
+    /// A memo lent to the run. It must come from runs over the same log
+    /// pair and pattern set as this run's context: a memo keys supports by
+    /// pattern index and image tuple, so one filled under other data
+    /// would serve wrong supports. `None` gives the run a fresh private
+    /// memo.
+    pub memo: Option<Rc<RefCell<SupportMemo>>>,
     /// A live-progress beacon attached to the run's phase profiler, so a
     /// heartbeat thread can report the open phase path and charged-work
     /// rate (`evematch --progress`). `None` costs nothing.
@@ -249,20 +95,13 @@ pub struct EvalConfig {
 }
 
 impl EvalConfig {
-    /// A privately-cached configuration with `budget`.
+    /// A privately-memoized configuration with `budget`.
     #[must_use]
     pub fn from_budget(budget: Budget) -> Self {
         EvalConfig {
             budget,
             ..Self::default()
         }
-    }
-
-    /// Sets the shared support cache.
-    #[must_use]
-    pub fn with_shared_cache(mut self, cache: Arc<SharedSupportCache>) -> Self {
-        self.shared_cache = Some(cache);
-        self
     }
 
     /// Attaches a live-progress beacon (see [`EvalConfig::beacon`]).
@@ -370,10 +209,10 @@ const PROBE_EMBED_CAP: u64 = 4;
 /// Evaluates `d(p) = 1 − |f1(p) − f2(M(p))| / (f1(p) + f2(M(p)))` for the
 /// patterns of a [`MatchContext`] under concrete event images.
 ///
-/// One evaluator is owned by one solver run; its memo cache is keyed by
+/// One evaluator is owned by one solver run; its memo is keyed by
 /// `(pattern, image tuple)`, so re-visiting the same partial assignment on a
 /// different search branch is free. Single-event and single-edge patterns
-/// bypass the cache entirely — their frequencies come straight from the
+/// bypass the memo entirely — their frequencies come straight from the
 /// dependency graph of `L2`.
 ///
 /// The evaluator also owns the run's [`Telemetry`]: solvers register their
@@ -381,10 +220,12 @@ const PROBE_EMBED_CAP: u64 = 4;
 /// `MatchOutcome::metrics` when the run finishes.
 pub struct Evaluator<'a> {
     ctx: &'a MatchContext,
-    cache: Arc<SharedSupportCache>,
-    /// This run's owner id within `cache`; hits on entries another owner
+    memo: Rc<RefCell<SupportMemo>>,
+    /// This run's owner id within `memo`; hits on entries another owner
     /// inserted count as `eval.cache.shared_hits`.
     owner: u32,
+    /// Scratch image tuple reused by [`Self::d`].
+    images: Vec<EventId>,
     /// The solver run's budget meter. The evaluator ticks it before every
     /// log scan, so a deadline is observed even inside one expensive outer
     /// search step.
@@ -402,7 +243,7 @@ pub struct Evaluator<'a> {
 }
 
 impl<'a> Evaluator<'a> {
-    /// Creates a fresh evaluator (empty cache, zeroed counters) with an
+    /// Creates a fresh evaluator (empty memo, zeroed counters) with an
     /// unlimited budget.
     pub fn new(ctx: &'a MatchContext) -> Self {
         Self::with_budget(ctx, Budget::UNLIMITED)
@@ -413,16 +254,11 @@ impl<'a> Evaluator<'a> {
         Self::with_config(ctx, &EvalConfig::from_budget(budget))
     }
 
-    /// Creates an evaluator from a full [`EvalConfig`]. A shared cache
-    /// whose fingerprint does not match `ctx` is **rejected**: the run
-    /// gets a fresh private cache instead, so stale support values can
-    /// never cross between contexts with different data.
+    /// Creates an evaluator from a full [`EvalConfig`], registering the
+    /// run as a new owner of the lent memo (or of a fresh private one).
     pub fn with_config(ctx: &'a MatchContext, config: &EvalConfig) -> Self {
-        let cache = match &config.shared_cache {
-            Some(shared) if shared.matches(ctx) => Arc::clone(shared),
-            _ => Arc::new(SharedSupportCache::private()),
-        };
-        let owner = cache.register_owner();
+        let memo = config.memo.clone().unwrap_or_default();
+        let owner = memo.borrow_mut().register_owner();
         let mut tele = Telemetry::new();
         if let Some(beacon) = &config.beacon {
             tele.profile.attach_beacon(Arc::clone(beacon));
@@ -430,8 +266,9 @@ impl<'a> Evaluator<'a> {
         let counters = EvalCounters::register(&mut tele);
         Evaluator {
             ctx,
-            cache,
+            memo,
             owner,
+            images: Vec::new(),
             meter: config.budget.meter(),
             tele,
             counters,
@@ -586,8 +423,12 @@ impl<'a> Evaluator<'a> {
         if let Some(d) = special_d(ctx, ep, m) {
             return d;
         }
-        let images: Vec<EventId> = ep.events.iter().map(|&e| m.get(e)).collect::<Option<_>>()?;
-        Some(self.d_with_images(p_idx, &images))
+        let mut images = std::mem::take(&mut self.images);
+        images.clear();
+        images.extend(ep.events.iter().map_while(|&e| m.get(e)));
+        let d = (images.len() == ep.events.len()).then(|| self.d_with_images(p_idx, &images));
+        self.images = images;
+        d
     }
 
     /// `d(p)` given explicit images (aligned with the pattern's sorted
@@ -623,8 +464,8 @@ impl<'a> Evaluator<'a> {
             }
             PatternShape::Complex => {}
         }
-        let key = (p_idx as u32, images.to_vec().into_boxed_slice());
-        if let Some(entry) = self.cache.get(&key) {
+        let hit = self.memo.borrow().get(p_idx, images);
+        if let Some(entry) = hit {
             self.tele.registry.inc(self.counters.cache_hits);
             // A hit is still one cache-layer evaluation, charged to the
             // phase the *caller* has open (typically `search`).
@@ -640,14 +481,14 @@ impl<'a> Evaluator<'a> {
         self.tele.profile.open("support-eval");
         self.tele.profile.charge(WorkCol::Evals, 1);
         self.tele.profile.charge(WorkCol::CacheMisses, 1);
-        let support = self.mapped_support_slow(key, p_idx, images);
+        let support = self.mapped_support_slow(p_idx, images);
         self.tele.profile.close();
         support
     }
 
     /// The cache-miss body of [`Self::mapped_support`], bracketed by the
     /// `support-eval` profiler phase at the single call site above.
-    fn mapped_support_slow(&mut self, key: SupportKey, p_idx: usize, images: &[EventId]) -> u32 {
+    fn mapped_support_slow(&mut self, p_idx: usize, images: &[EventId]) -> u32 {
         let ctx = self.ctx;
         let ep = &ctx.patterns()[p_idx];
         let ids = self.counters;
@@ -694,7 +535,9 @@ impl<'a> Evaluator<'a> {
         self.absorb_scan(&out.scan);
         match out.support {
             Some(support) => {
-                self.cache.insert(key, support, self.owner);
+                self.memo
+                    .borrow_mut()
+                    .insert(p_idx, images, support, self.owner);
                 support
             }
             None => {
@@ -939,68 +782,22 @@ mod tests {
         }
     }
 
-    /// A second context over *different* logs: same vocabulary sizes, so a
-    /// stale cache would silently serve wrong supports if the fingerprint
-    /// let it through.
-    fn other_ctx() -> MatchContext {
-        let mut b1 = LogBuilder::new();
-        b1.push_named_trace(["A", "B", "C", "D"]);
-        b1.push_named_trace(["A", "B", "C", "D"]);
-        let mut b2 = LogBuilder::new();
-        b2.push_named_trace(["w", "x", "y", "z"]);
-        b2.push_named_trace(["w", "x", "y", "z"]);
-        let p1 = Pattern::seq(vec![
-            Pattern::event(0),
-            Pattern::and(vec![Pattern::event(1), Pattern::event(2)]).unwrap(),
-            Pattern::event(3),
-        ])
-        .unwrap();
-        MatchContext::new(
-            b1.build(),
-            b2.build(),
-            PatternSetBuilder::new().vertices().edges().complex(p1),
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn fingerprint_rejects_a_cache_from_different_logs() {
-        let c = ctx();
-        let other = other_ctx();
-        let cache = Arc::new(SharedSupportCache::for_context(&c));
-        assert!(cache.matches(&c));
-        assert!(
-            !cache.matches(&other),
-            "a cache fingerprinted for one log pair must not match another"
-        );
-
-        // `with_config` enforces the rejection behaviorally: the evaluator
-        // falls back to a private cache, so the mismatched cache never
-        // receives the other context's entries — and the run is identical
-        // to one that never saw a shared cache.
-        let config = EvalConfig::default().with_shared_cache(Arc::clone(&cache));
-        let mut ev = Evaluator::with_config(&other, &config);
-        let p1_idx = other.patterns().len() - 1;
-        let images: Vec<EventId> = (0..4).map(EventId).collect();
-        let support = ev.mapped_support(p1_idx, &images);
-        assert!(cache.is_empty(), "rejected cache must stay untouched");
-        assert_eq!(ev.metrics_snapshot().counters["eval.cache.shared_hits"], 0);
-        let mut plain = Evaluator::new(&other);
-        assert_eq!(support, plain.mapped_support(p1_idx, &images));
-    }
-
     #[test]
     fn accepted_shared_cache_attributes_foreign_hits() {
         let c = ctx();
-        let cache = Arc::new(SharedSupportCache::for_context(&c));
-        let config = EvalConfig::default().with_shared_cache(Arc::clone(&cache));
+        let memo = Rc::new(RefCell::new(SupportMemo::default()));
+        let config = EvalConfig {
+            memo: Some(Rc::clone(&memo)),
+            ..EvalConfig::default()
+        };
         let p1_idx = c.patterns().len() - 1;
         let images: Vec<EventId> = (0..4).map(EventId).collect();
+        let entries = |m: &SupportMemo| m.by_pattern.iter().map(BTreeMap::len).sum::<usize>();
 
         // First evaluator computes and owns the entry.
         let mut first = Evaluator::with_config(&c, &config);
         let support = first.mapped_support(p1_idx, &images);
-        assert_eq!(cache.len(), 1);
+        assert_eq!(entries(&memo.borrow()), 1);
         assert_eq!(
             first.metrics_snapshot().counters["eval.cache.shared_hits"],
             0
@@ -1012,89 +809,11 @@ mod tests {
         let snap = second.metrics_snapshot();
         assert_eq!(snap.counters["eval.cache.shared_hits"], 1);
         assert_eq!(snap.counters["eval.log_scans"], 0);
-    }
 
-    #[test]
-    fn poisoned_shard_recovers_for_reads_and_writes() {
-        let c = ctx();
-        let cache = SharedSupportCache::for_context(&c);
-        let key: SupportKey = (7, vec![EventId(0), EventId(1)].into_boxed_slice());
-        cache.insert(key.clone(), 42, 0);
-
-        // Poison exactly the shard holding the key: panic while holding
-        // its write guard.
-        let shard = cache.shard_of(&key);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = cache.shards[shard].write().unwrap();
-            panic!("poison the shard");
-        }));
-        assert!(r.is_err());
-        assert!(cache.shards[shard].is_poisoned());
-
-        // Reads, writes and sizing all recover via `into_inner`: a dead
-        // worker can cost its in-flight value, never the whole memo.
-        assert_eq!(cache.get(&key).map(|e| e.support), Some(42));
-        let key2: SupportKey = (8, vec![EventId(2)].into_boxed_slice());
-        cache.insert(key2.clone(), 9, 1);
-        assert_eq!(cache.get(&key2).map(|e| e.support), Some(9));
-        assert_eq!(cache.len(), 2);
-    }
-
-    #[test]
-    fn poisoning_racing_a_concurrent_writer_keeps_first_owner_attribution() {
-        // A solver thread dies holding a shard's write guard while another
-        // thread keeps inserting into the *same* shard. Whatever the
-        // interleaving, the pre-existing entry must keep its original
-        // owner/support, the concurrent writer's distinct key must land,
-        // and the shard must stay fully usable. (The bounded model checker
-        // in crates/modelcheck proves this over every schedule up to its
-        // preemption bound; this test exercises real OS scheduling.)
-        let c = ctx();
-        let cache = SharedSupportCache::for_context(&c);
-        let key: SupportKey = (7, vec![EventId(0), EventId(1)].into_boxed_slice());
-        cache.insert(key.clone(), 42, 0);
-        let shard = cache.shard_of(&key);
-        // A second key steered into the same shard, so writer and poisoner
-        // genuinely contend on one lock.
-        let same_shard_key: SupportKey = (0..u32::MAX)
-            .map(|p| (p, vec![EventId(2)].into_boxed_slice()))
-            .find(|k| cache.shard_of(k) == shard && *k != key)
-            .expect("some key lands in the same shard");
-
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                for _ in 0..64 {
-                    cache.insert(same_shard_key.clone(), 9, 1);
-                    // Same-key re-inserts must also never displace the
-                    // original entry, poisoned shard or not.
-                    cache.insert(key.clone(), 42, 1);
-                }
-            });
-            let poisoner = scope.spawn(|| {
-                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let _guard = cache.shards[shard]
-                        .write()
-                        .unwrap_or_else(PoisonError::into_inner);
-                    panic!("poison the shard mid-race");
-                }));
-                assert!(caught.is_err());
-            });
-            writer.join().expect("writer never panics");
-            poisoner.join().expect("poisoner's panic is caught inside");
-        });
-
-        assert!(cache.shards[shard].is_poisoned());
-        let entry = cache.get(&key).expect("original entry survives");
-        assert_eq!(
-            (entry.support, entry.owner),
-            (42, 0),
-            "first owner attribution"
-        );
-        let raced = cache.get(&same_shard_key).expect("concurrent insert lands");
-        assert_eq!((raced.support, raced.owner), (9, 1));
-        // The poisoned shard keeps serving both reads and writes.
-        let after: SupportKey = (u32::MAX, vec![EventId(3)].into_boxed_slice());
-        cache.insert(after.clone(), 5, 2);
-        assert_eq!(cache.get(&after).map(|e| e.support), Some(5));
+        // Re-inserting a key keeps its first owner and value.
+        memo.borrow_mut().insert(p1_idx, &images, support, 1);
+        let entry = memo.borrow().get(p1_idx, &images).expect("memoized");
+        assert_eq!((entry.support, entry.owner), (support, 0));
+        assert_eq!(entries(&memo.borrow()), 1);
     }
 }

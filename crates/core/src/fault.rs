@@ -44,9 +44,9 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Read};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use crate::sync::{AtomicBool, Mutex, MutexGuard, Ordering, PoisonError};
 
 /// The typed fault taxonomy every consumed `io::Error` maps into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]

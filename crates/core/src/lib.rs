@@ -48,14 +48,13 @@ mod mapping;
 pub mod persist;
 pub mod retry;
 pub mod score;
-pub mod sync;
 pub mod telemetry;
 
 pub use baseline::{EntropyMatcher, IterativeConfig, IterativeMatcher};
 pub use bounds::{upper_bound_partial, BoundKind, BoundPrecomp, BoundTables, PruneReason};
 pub use budget::{Budget, BudgetMeter, Exhaustion};
 pub use context::{MatchContext, PatternSetBuilder};
-pub use evaluator::{EvalConfig, Evaluator, SharedSupportCache};
+pub use evaluator::{EvalConfig, Evaluator, SupportMemo};
 pub use exact::{Completion, ExactMatcher, MatchOutcome, SearchError, SearchStats};
 pub use heuristic::{AdvancedHeuristic, SimpleHeuristic};
 pub use mapping::Mapping;

@@ -13,8 +13,8 @@
 //! default and costs one relaxed atomic load per operation when disabled.
 
 use std::path::{Path, PathBuf};
-
-use crate::sync::{AtomicBool, Mutex, Ordering, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// One logical durable-state transition performed by the persistence
 /// layer, in the order it hit the filesystem.
@@ -110,7 +110,7 @@ impl IoOp {
 static ACTIVE: AtomicBool = AtomicBool::new(false);
 static TRACE: Mutex<Option<(PathBuf, Vec<IoOp>)>> = Mutex::new(None);
 
-fn trace() -> crate::sync::MutexGuard<'static, Option<(PathBuf, Vec<IoOp>)>> {
+fn trace() -> MutexGuard<'static, Option<(PathBuf, Vec<IoOp>)>> {
     // The trace holds plain data; poison (from a panicking traced run)
     // cannot leave it inconsistent.
     TRACE.lock().unwrap_or_else(PoisonError::into_inner)

@@ -31,11 +31,11 @@
 //! recording from growing back outside `core::telemetry`.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use super::json::{push_key, push_string, JsonValue};
-use crate::sync::{AtomicU64, Mutex, Ordering, PoisonError};
 
 /// Number of deterministic work columns on each phase node.
 pub const WORK_COLS: usize = 6;

@@ -6,10 +6,10 @@
 //! reproduce the dataset-characteristics and random-log tables. The
 //! `repro_*` binaries in `evematch-bench` print and save these.
 
-use evematch_core::sync::{Mutex, PoisonError};
 use std::collections::BTreeMap;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 use evematch_core::claim::ClaimCursor;
@@ -222,16 +222,14 @@ fn run_job(
         Err(rec) => return methods.iter().map(|_| (*rec).clone()).collect(),
     };
     // One support-cache pool per cell: methods run in a fixed order, so
-    // the cache contents every method observes are deterministic, and a
+    // the memo contents every method observes are deterministic, and a
     // later method reuses scans an earlier one already paid for
     // (`eval.cache.shared_hits`).
-    let pool = SupportCachePool::new();
+    let pool = SupportCachePool::new(&ds);
     methods
         .iter()
-        .map(|m| {
-            match supervise(retry, || {
-                m.run_with(&ds.pair, &ds.patterns, cfg.budget, Some(&pool))
-            }) {
+        .map(|&m| {
+            match supervise(retry, || pool.run(m, cfg.budget)) {
                 Ok((out, retries)) => {
                     let mut rec = MethodRecord::of(&out);
                     if retries > 0 {

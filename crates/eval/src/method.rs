@@ -1,45 +1,68 @@
 //! The uniform method registry: every approach compared in Section 6.
 
-use evematch_core::sync::{Mutex, PoisonError};
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use evematch_core::{
     AdvancedHeuristic, BoundKind, Budget, EntropyMatcher, EvalConfig, ExactMatcher,
     IterativeMatcher, Mapping, MatchContext, MetricsSnapshot, PatternSetBuilder, PhaseProfiler,
-    ProfileSnapshot, SharedSupportCache, SimpleHeuristic,
+    ProfileSnapshot, SimpleHeuristic, SupportMemo,
 };
-use evematch_datagen::LogPair;
+use evematch_datagen::{Dataset, LogPair};
 use evematch_pattern::Pattern;
 
 use crate::metrics::MatchQuality;
 
-/// One experiment cell's pool of shared support caches: one cache per
-/// distinct (logs, pattern set) fingerprint — methods evaluating different
-/// pattern sets cannot share memo entries, but every method with the same
-/// set draws from the same cache, so e.g. the heuristics warm the exact
-/// search's memo (`eval.cache.shared_hits` counts the reuse).
-#[derive(Debug, Default)]
-pub struct SupportCachePool {
-    caches: Mutex<Vec<Arc<SharedSupportCache>>>,
+/// One experiment cell's support memos, bound to the cell's dataset: one
+/// memo per pattern set, lent to each method that scores that set, in the
+/// order the cell runs them. Methods evaluating different pattern sets
+/// cannot share memo entries, but every method with the same set draws
+/// from the same memo, so e.g. the heuristics warm the exact search's memo
+/// (`eval.cache.shared_hits` counts the reuse). Only the full pattern set
+/// has complex patterns, so only its memo ever holds entries.
+#[derive(Debug)]
+pub struct SupportCachePool<'a> {
+    ds: &'a Dataset,
+    memos: [Rc<RefCell<SupportMemo>>; 3],
 }
 
-impl SupportCachePool {
-    /// An empty pool.
+impl<'a> SupportCachePool<'a> {
+    /// An empty pool for runs over `ds`.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(ds: &'a Dataset) -> Self {
+        SupportCachePool {
+            ds,
+            memos: Default::default(),
+        }
     }
 
-    /// The pool's cache for `ctx`'s data, created on first request.
-    pub fn cache_for(&self, ctx: &MatchContext) -> Arc<SharedSupportCache> {
-        let mut caches = self.caches.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(c) = caches.iter().find(|c| c.matches(ctx)) {
-            return Arc::clone(c);
+    /// Runs `method` on the pool's dataset (see [`Method::run`]), lending
+    /// it the memo of the method's pattern set.
+    pub fn run(&self, method: Method, budget: Budget) -> RunOutcome {
+        let memo = Rc::clone(&self.memos[method.pattern_set() as usize]);
+        method.run_lent(&self.ds.pair, &self.ds.patterns, budget, Some(memo))
+    }
+}
+
+/// The pattern sets the methods score against.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum PatternSet {
+    Vertices,
+    VerticesEdges,
+    All,
+}
+
+impl PatternSet {
+    fn builder(self, complex: &[Pattern]) -> PatternSetBuilder {
+        match self {
+            PatternSet::Vertices => PatternSetBuilder::new().vertices(),
+            PatternSet::VerticesEdges => PatternSetBuilder::new().vertices().edges(),
+            PatternSet::All => PatternSetBuilder::new()
+                .vertices()
+                .edges()
+                .complex_all(complex.iter().cloned()),
         }
-        let c = Arc::new(SharedSupportCache::for_context(ctx));
-        caches.push(Arc::clone(&c));
-        c
     }
 }
 
@@ -238,19 +261,14 @@ impl Method {
     }
 
     /// The pattern set this method scores against.
-    fn pattern_set(&self, complex: &[Pattern]) -> PatternSetBuilder {
+    fn pattern_set(&self) -> PatternSet {
         match self {
-            Method::Vertex | Method::Iterative | Method::Entropy => {
-                PatternSetBuilder::new().vertices()
-            }
-            Method::VertexEdge => PatternSetBuilder::new().vertices().edges(),
+            Method::Vertex | Method::Iterative | Method::Entropy => PatternSet::Vertices,
+            Method::VertexEdge => PatternSet::VerticesEdges,
             Method::PatternSimple
             | Method::PatternTight
             | Method::HeuristicSimple
-            | Method::HeuristicAdvanced => PatternSetBuilder::new()
-                .vertices()
-                .edges()
-                .complex_all(complex.iter().cloned()),
+            | Method::HeuristicAdvanced => PatternSet::All,
         }
     }
 
@@ -259,18 +277,18 @@ impl Method {
     /// included — index building is part of each approach). The budget
     /// applies to every method, not only the exact searches.
     pub fn run(&self, pair: &LogPair, complex: &[Pattern], budget: Budget) -> RunOutcome {
-        self.run_with(pair, complex, budget, None)
+        self.run_lent(pair, complex, budget, None)
     }
 
-    /// Like [`Method::run`], but with an optional per-cell
-    /// [`SupportCachePool`]: a pool lets methods with the same pattern set
-    /// share (and warm) one support memo.
-    pub fn run_with(
+    /// [`Method::run`] with an optional lent memo, which must come from
+    /// runs over the same `pair` and pattern set ([`SupportCachePool`]
+    /// guarantees that by construction).
+    fn run_lent(
         &self,
         pair: &LogPair,
         complex: &[Pattern],
         budget: Budget,
-        pool: Option<&SupportCachePool>,
+        memo: Option<Rc<RefCell<SupportMemo>>>,
     ) -> RunOutcome {
         let start = Instant::now();
         // Context construction (dependency graphs + pattern index) is this
@@ -283,16 +301,16 @@ impl Method {
             MatchContext::new(
                 pair.log1.clone(),
                 pair.log2.clone(),
-                self.pattern_set(complex),
+                self.pattern_set().builder(complex),
             )
             // tidy-allow: no-panic -- every generator in datagen grows the vocabulary, so |V1| ≤ |V2| holds for all benchmark pairs
             .expect("log pairs satisfy |V1| ≤ |V2|")
         );
         let mut profile = indexer.finish();
-        let mut config = EvalConfig::from_budget(budget);
-        if let Some(pool) = pool {
-            config = config.with_shared_cache(pool.cache_for(&ctx));
-        }
+        let config = EvalConfig {
+            memo,
+            ..EvalConfig::from_budget(budget)
+        };
         let out = match self {
             Method::Vertex | Method::VertexEdge | Method::PatternTight => {
                 ExactMatcher::new(BoundKind::Tight).solve_with(&ctx, &config)

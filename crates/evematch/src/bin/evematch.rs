@@ -463,13 +463,13 @@ fn write_artifact(
 /// Dropping it stops the thread; the 200 ms poll keeps the drop latency
 /// low without spamming stderr.
 struct Heartbeat {
-    stop: std::sync::Arc<evematch::core::sync::AtomicBool>,
+    stop: std::sync::Arc<std::sync::atomic::AtomicBool>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Heartbeat {
     fn start(beacon: std::sync::Arc<ProgressBeacon>) -> Self {
-        use evematch::core::sync::{AtomicBool, Ordering};
+        use std::sync::atomic::{AtomicBool, Ordering};
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let seen = stop.clone();
         // tidy-allow: no-raw-thread-spawn -- stderr heartbeat only; never touches solver state
@@ -509,8 +509,7 @@ impl Drop for Heartbeat {
     fn drop(&mut self) {
         // ordering: Relaxed — see the reader's justification above; the
         // join right below is the real synchronization with the thread.
-        self.stop
-            .store(true, evematch::core::sync::Ordering::Relaxed);
+        self.stop.store(true, std::sync::atomic::Ordering::Relaxed);
         if let Some(h) = self.handle.take() {
             let _ = h.join();
         }

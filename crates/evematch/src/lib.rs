@@ -64,8 +64,8 @@ pub mod prelude {
         assignment, fault, hardness, persist, retry, score, telemetry, AdvancedHeuristic,
         BoundKind, Budget, Completion, EntropyMatcher, EvalConfig, ExactMatcher, Exhaustion,
         IterativeMatcher, Mapping, MatchContext, MatchOutcome, MetricsSnapshot, PatternSetBuilder,
-        PhaseProfiler, ProfileSnapshot, ProgressBeacon, SearchError, SharedSupportCache,
-        SimpleHeuristic, Telemetry, TraceBuffer, TraceEvent, WorkCol,
+        PhaseProfiler, ProfileSnapshot, ProgressBeacon, SearchError, SimpleHeuristic, SupportMemo,
+        Telemetry, TraceBuffer, TraceEvent, WorkCol,
     };
     pub use evematch_datagen::{
         datasets, heterogenize, Block, Dataset, HeterogenizeConfig, LogPair, ProcessModel,

@@ -8,7 +8,7 @@
 //! buggy-recovery self-test proving the checker catches a recovery that
 //! skips checksum verification.
 //!
-//! Environment knobs:
+//! Environment knobs (a malformed value stops the run with its name):
 //!
 //! - `EVEMATCH_CRASH_MAX_OPS` — cap on explored crash scenarios
 //!   (evenly sampled; the report states how many of the total ran).
@@ -24,15 +24,8 @@ use std::process::ExitCode;
 
 use evematch_modelcheck::crashcheck::{buggy_recovery_self_test, explore, CrashConfig};
 
-fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.parse().ok()
-}
-
 fn main() -> ExitCode {
-    let cfg = CrashConfig {
-        traces: env_usize("EVEMATCH_CRASH_TRACES").unwrap_or(12),
-        max_scenarios: env_usize("EVEMATCH_CRASH_MAX_OPS"),
-    };
+    let cfg = CrashConfig::from_env();
     println!(
         "crashcheck: traces={} max_scenarios={:?}",
         cfg.traces, cfg.max_scenarios

@@ -25,9 +25,8 @@
 //! be visible — if the naive replay ever produced clean panels, the
 //! checker could no longer catch the class of bug it guards against.
 //!
-//! Unlike the interleaving harnesses in the crate root, this module needs
-//! no `--cfg evematch_model`: it exercises the real persistence code on a
-//! real filesystem. The [`iotrace`] recorder is process-global, so
+//! The explorer exercises the real persistence code on a real
+//! filesystem. The [`iotrace`] recorder is process-global, so
 //! callers (tests, the `crashcheck` binary) must not run two traced
 //! explorations concurrently.
 
@@ -62,6 +61,37 @@ impl Default for CrashConfig {
         CrashConfig {
             traces: 12,
             max_scenarios: None,
+        }
+    }
+}
+
+impl CrashConfig {
+    /// Reads `EVEMATCH_CRASH_TRACES` (default 12) and
+    /// `EVEMATCH_CRASH_MAX_OPS` (default uncapped) from the environment.
+    ///
+    /// # Panics
+    /// When a variable is set but is not an unsigned integer (say `12k`):
+    /// running the default instead would silently shrink the exploration.
+    #[must_use]
+    pub fn from_env() -> Self {
+        Self::from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
+    }
+
+    /// [`Self::from_env`] over an injected variable lookup (`None` =
+    /// unset), so the parse policy is testable without the process
+    /// environment.
+    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
+        let knob = |key: &str| {
+            let value = var(key)?;
+            match value.trim().parse::<usize>() {
+                Ok(n) => Some(n),
+                Err(e) => panic!("{key}={value:?} is not an unsigned integer: {e}"),
+            }
+        };
+        let default = Self::default();
+        CrashConfig {
+            traces: knob("EVEMATCH_CRASH_TRACES").unwrap_or(default.traces),
+            max_scenarios: knob("EVEMATCH_CRASH_MAX_OPS").or(default.max_scenarios),
         }
     }
 }
@@ -414,6 +444,42 @@ pub fn buggy_recovery_self_test(traces: usize) -> io::Result<SelfTestOutcome> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A [`CrashConfig::from_vars`] lookup over `(key, value)` pairs.
+    fn vars<'a>(set: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
+        move |key| {
+            set.iter()
+                .find(|(k, _)| *k == key)
+                .map(|(_, v)| (*v).to_owned())
+        }
+    }
+
+    #[test]
+    fn knobs_from_vars_parse_and_unset_ones_keep_their_defaults() {
+        let unset = CrashConfig::from_vars(vars(&[]));
+        assert_eq!((unset.traces, unset.max_scenarios), (12, None));
+        let set = CrashConfig::from_vars(vars(&[
+            ("EVEMATCH_CRASH_TRACES", "36"),
+            ("EVEMATCH_CRASH_MAX_OPS", " 200 "),
+        ]));
+        assert_eq!((set.traces, set.max_scenarios), (36, Some(200)));
+    }
+
+    #[test]
+    fn a_malformed_knob_panics_with_its_name_and_value() {
+        for key in ["EVEMATCH_CRASH_TRACES", "EVEMATCH_CRASH_MAX_OPS"] {
+            for bad in ["12k", "", "-1", "1.5"] {
+                let set = [(key, bad)];
+                let err = std::panic::catch_unwind(|| CrashConfig::from_vars(vars(&set)))
+                    .expect_err("a malformed knob must panic");
+                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+                assert!(
+                    msg.contains(&format!("{key}={bad:?}")),
+                    "{key}={bad:?}: {msg}"
+                );
+            }
+        }
+    }
 
     /// One test fn: the iotrace recorder is process-global, so the
     /// traced exploration and the (untraced) self-test are serialized

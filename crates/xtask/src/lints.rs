@@ -1,4 +1,4 @@
-//! The tidy lints (T1–T15) and the waiver machinery.
+//! The tidy lints (T1–T11, T13–T15) and the waiver machinery.
 //!
 //! Each lint is a pure function from a scanned file (or manifest text) to
 //! violations, so the unit tests below can drive them with inline
@@ -54,44 +54,11 @@ pub const PRINT_FREE_CRATES: &[&str] = &[
 ];
 
 /// The modules allowed to create threads directly (lint T9): the
-/// experiment sweep's job fan-out — the workspace's one parallel layer —
-/// and the model checker's virtual threads. Solvers are sequential: a
-/// stray `thread::spawn` in one bypasses the grid's index-ordered merge
-/// and the cooperative budget, which is exactly how output divergence
-/// across worker counts would creep in.
-pub const THREAD_MODULES: &[&str] = &[
-    "crates/core/src/sync/model.rs",
-    "crates/eval/src/experiments.rs",
-];
-
-/// The instrumented sync shim (`core::sync`): the one module tree allowed
-/// to name raw `std::sync` primitives (lint T12), and whose lock wrappers
-/// are exempt from the lock-discipline lint (T11) — it *implements* the
-/// discipline the rest of the workspace is held to.
-pub const SYNC_SHIM_DIR: &str = "crates/core/src/sync/";
-
-/// `std::sync` items that may be named anywhere: they carry no
-/// synchronization the model scheduler would need to interpose on.
-/// Everything else (atomics, locks, channels, once-cells) must come
-/// through `core::sync` so `--cfg evematch_model` builds can record and
-/// replay every synchronization decision.
-pub const SYNC_ALLOWED: &[&str] = &[
-    "Arc",
-    "Weak",
-    "PoisonError",
-    "LockResult",
-    "TryLockError",
-    "WaitTimeoutResult",
-];
-
-/// Modules that exist only for `--cfg evematch_model` builds and are
-/// exempt from the no-panic lint (T1): the model scheduler's panics are
-/// internal-invariant checks and teardown signals in cfg-gated tooling
-/// that never ships in a tier-1 build.
-pub const MODEL_MODULES: &[&str] = &[
-    "crates/core/src/sync/instrumented.rs",
-    "crates/core/src/sync/model.rs",
-];
+/// experiment sweep's job fan-out — the workspace's one parallel layer.
+/// Solvers are sequential: a stray `thread::spawn` in one bypasses the
+/// grid's index-ordered merge and the cooperative budget, which is exactly
+/// how output divergence across worker counts would creep in.
+pub const THREAD_MODULES: &[&str] = &["crates/eval/src/experiments.rs"];
 
 /// How many lines above an atomic `Ordering::` use an `// ordering:`
 /// comment may sit and still justify it (lint T10). The window covers
@@ -151,8 +118,6 @@ pub enum Lint {
     /// T11: lock discipline — no nested guard acquisition, no guard held
     /// across a user-supplied closure call.
     LockDiscipline,
-    /// T12: raw `std::sync` atomics/locks only inside `core::sync`.
-    SyncConfinement,
     /// T13: no silently swallowed I/O errors in the fault-classified
     /// crates — every discarded `io::Result` routes through the
     /// `core::fault` taxonomy or carries a waiver.
@@ -188,7 +153,6 @@ impl Lint {
             Lint::NoRawThreadSpawn => "no-raw-thread-spawn",
             Lint::OrderingJustified => "ordering-justified",
             Lint::LockDiscipline => "lock-discipline",
-            Lint::SyncConfinement => "sync-confinement",
             Lint::UnclassifiedIo => "no-unclassified-io",
             Lint::PhaseDiscipline => "phase-discipline",
             Lint::UnverifiedArtifactRead => "no-unverified-artifact-read",
@@ -212,7 +176,6 @@ impl Lint {
                 | Lint::NoRawThreadSpawn
                 | Lint::OrderingJustified
                 | Lint::LockDiscipline
-                | Lint::SyncConfinement
                 | Lint::UnclassifiedIo
                 | Lint::PhaseDiscipline
                 | Lint::UnverifiedArtifactRead
@@ -231,7 +194,6 @@ impl Lint {
             "no-raw-thread-spawn",
             "ordering-justified",
             "lock-discipline",
-            "sync-confinement",
             "no-unclassified-io",
             "phase-discipline",
             "no-unverified-artifact-read",
@@ -543,8 +505,8 @@ pub fn check_no_raw_thread_spawn(file: &ScannedFile) -> Vec<Violation> {
 ///
 /// Every memory-ordering choice in this workspace is an argument about
 /// *which* happens-before edges a synchronization site needs (DESIGN.md
-/// §11 records the contracts for the claim cursor, the deadline latch,
-/// and the shard locks). An uncommented `Ordering::Relaxed` is
+/// §11 records the contracts for the claim cursor and the `Relaxed` flags
+/// and counters). An uncommented `Ordering::Relaxed` is
 /// indistinguishable from an unconsidered one; the comment forces the
 /// argument to be written down where the next reader (and reviewer) can
 /// check it against the contract. Only the five atomic orderings are
@@ -590,29 +552,21 @@ pub fn check_ordering_justified(file: &ScannedFile) -> Vec<Violation> {
     out
 }
 
-/// T11: lock discipline over the `core::sync` guards.
+/// T11: lock discipline over `std::sync` guards.
 ///
-/// Three lexical rules, each aimed at a deadlock or reentrancy class the
-/// model checker can only catch where a harness already exists:
+/// Three lexical rules, each aimed at a deadlock or reentrancy class:
 ///
 /// 1. No two lock acquisitions in one expression (`a.lock()` feeding
 ///    `b.lock()` orders two locks implicitly).
 /// 2. No acquisition while a `let`-bound guard is still live — nested
-///    guards across `SharedSupportCache` shards (or any two locks) are
-///    an ordering commitment nothing enforces globally. Release the
-///    first guard (`drop(guard)`) or narrow its scope first.
+///    guards across any two locks are an ordering commitment nothing
+///    enforces globally. Release the first guard (`drop(guard)`) or
+///    narrow its scope first.
 /// 3. No call of a user-supplied closure parameter while a guard is
 ///    live — the closure can call back into the same lock and
 ///    self-deadlock (std locks are not reentrant).
-///
-/// The sync shim itself ([`SYNC_SHIM_DIR`]) is exempt: its wrappers and
-/// scheduler *implement* acquisition, and the model scheduler serializes
-/// their internal lock use.
 pub fn check_lock_discipline(file: &ScannedFile) -> Vec<Violation> {
     const ACQUIRE_TOKENS: &[&str] = &[".lock()", ".read()", ".write()"];
-    if file.path.starts_with(SYNC_SHIM_DIR) {
-        return Vec::new();
-    }
     struct LiveGuard {
         name: String,
         depth: i64,
@@ -720,110 +674,6 @@ pub fn check_lock_discipline(file: &ScannedFile) -> Vec<Violation> {
         guards.retain(|g| g.depth <= depth);
     }
     out
-}
-
-/// T12: sync-primitive confinement — raw `std::sync` names outside
-/// [`SYNC_SHIM_DIR`] are limited to the [`SYNC_ALLOWED`] items.
-///
-/// The instrumented shim is only sound if it is the *only* door: one
-/// `use std::sync::Mutex` in a solver and the model checker silently
-/// explores a world that no longer matches the build. `Arc` and the
-/// poison/result vocabulary types stay allowed — they carry no
-/// synchronization decision to interpose on.
-pub fn check_sync_confinement(file: &ScannedFile) -> Vec<Violation> {
-    if file.path.starts_with(SYNC_SHIM_DIR) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    // Inside a multi-line `use std::sync::{…}` group.
-    let mut in_group = false;
-    for (idx, line) in file.lines.iter().enumerate() {
-        let code = &line.code;
-        if in_group {
-            let (body, closed) = match code.find('}') {
-                Some(end) => (&code[..end], true),
-                None => (code.as_str(), false),
-            };
-            if !line.in_test_code {
-                flag_disallowed_group_items(&file.path, idx + 1, body, &mut out);
-            }
-            if closed {
-                in_group = false;
-            }
-            continue;
-        }
-        let mut from = 0;
-        while let Some(pos) = code[from..].find("std::sync::") {
-            let start = from + pos;
-            let after = start + "std::sync::".len();
-            from = after;
-            let rest = &code[after..];
-            if let Some(body) = rest.strip_prefix('{') {
-                match body.find('}') {
-                    Some(end) => {
-                        if !line.in_test_code {
-                            flag_disallowed_group_items(
-                                &file.path,
-                                idx + 1,
-                                &body[..end],
-                                &mut out,
-                            );
-                        }
-                    }
-                    None => {
-                        if !line.in_test_code {
-                            flag_disallowed_group_items(&file.path, idx + 1, body, &mut out);
-                        }
-                        in_group = true;
-                    }
-                }
-                continue;
-            }
-            let segment: String = rest
-                .chars()
-                .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-                .collect();
-            if segment.is_empty() || line.in_test_code {
-                continue;
-            }
-            if !SYNC_ALLOWED.contains(&segment.as_str()) {
-                out.push(sync_confinement_violation(&file.path, idx + 1, &segment));
-            }
-        }
-    }
-    out
-}
-
-/// Flags every disallowed identifier in (part of) a `use std::sync::{…}`
-/// group body.
-fn flag_disallowed_group_items(path: &str, line: usize, body: &str, out: &mut Vec<Violation>) {
-    for item in body.split(',') {
-        // `atomic::AtomicUsize as A` → judge the head segment (`atomic`).
-        let head: String = item
-            .trim()
-            .chars()
-            .take_while(|c| c.is_ascii_alphanumeric() || *c == '_')
-            .collect();
-        if !head.is_empty() && !SYNC_ALLOWED.contains(&head.as_str()) {
-            out.push(sync_confinement_violation(path, line, &head));
-        }
-    }
-}
-
-fn sync_confinement_violation(path: &str, line: usize, name: &str) -> Violation {
-    Violation::new(
-        path,
-        line,
-        Lint::SyncConfinement,
-        format!(
-            "raw `std::sync::{name}` outside `core::sync`: import it from \
-             `core::sync` (`evematch_core::sync`) so `--cfg evematch_model` \
-             builds can interpose the recording scheduler — only {} may be \
-             named directly (or waive with `// tidy-allow: sync-confinement \
-             -- <why the shim cannot serve here>`)",
-            SYNC_ALLOWED.join("/")
-        ),
-    )
 }
 
 /// T13: flags lines that perform an I/O operation *and* swallow its
@@ -1755,7 +1605,7 @@ mod tests {
     #[test]
     fn t11_tracks_multi_line_let_chains() {
         // The binding and the `.lock()` sit on different physical lines —
-        // the shape `SharedSupportCache` and the sweep journal actually use.
+        // the shape the sweep's result sink and the fault registry use.
         let src = "fn f(&self) {\n  let shard = self.shards[i]\n    .read()\n    .unwrap_or_else(PoisonError::into_inner);\n  let other = self.shards[j].read().unwrap_or_else(PoisonError::into_inner);\n}";
         let f = scanned("crates/core/src/x.rs", src);
         let v = check_lock_discipline(&f);
@@ -1782,58 +1632,10 @@ mod tests {
     }
 
     #[test]
-    fn t11_exempts_the_sync_shim_and_respects_waivers() {
-        let nested = "fn f(&self) {\n  let a = self.a.lock().unwrap();\n  let b = self.b.lock().unwrap();\n}";
-        let shim = scanned("crates/core/src/sync/instrumented.rs", nested);
-        assert!(check_lock_discipline(&shim).is_empty());
+    fn t11_respects_waivers() {
         let src = "fn f(&self) {\n  let a = self.a.lock().unwrap();\n  let b = self.b.lock().unwrap(); // tidy-allow: lock-discipline -- a is always taken before b, documented order\n}";
         let f = scanned("crates/core/src/x.rs", src);
         let v = apply_waivers(&f, check_lock_discipline(&f));
-        assert!(v.is_empty(), "{v:?}");
-    }
-
-    // ---- T12 ----
-
-    #[test]
-    fn t12_fires_on_raw_sync_primitives_and_grouped_imports() {
-        let src = "use std::sync::Mutex;\nuse std::sync::atomic::AtomicUsize;\nuse std::sync::{Arc, RwLock};\nfn f() { let c = std::sync::mpsc::channel(); }";
-        let f = scanned("crates/core/src/x.rs", src);
-        let v = check_sync_confinement(&f);
-        assert_eq!(v.len(), 4, "{v:?}");
-        assert!(v.iter().all(|v| v.lint == Lint::SyncConfinement));
-        assert!(v[1].message.contains("atomic"), "{}", v[1].message);
-        assert!(v[2].message.contains("RwLock"), "{}", v[2].message);
-    }
-
-    #[test]
-    fn t12_allows_arc_and_the_poison_vocabulary() {
-        let src = "use std::sync::Arc;\nuse std::sync::{PoisonError, Weak};\nfn f(e: std::sync::TryLockError<()>) {}";
-        let f = scanned("crates/core/src/x.rs", src);
-        assert!(check_sync_confinement(&f).is_empty());
-    }
-
-    #[test]
-    fn t12_handles_multi_line_grouped_imports() {
-        let src = "use std::sync::{\n  Arc,\n  Mutex,\n};\nfn f() {}";
-        let f = scanned("crates/core/src/x.rs", src);
-        let v = check_sync_confinement(&f);
-        assert_eq!(v.len(), 1, "{v:?}");
-        assert!(v[0].message.contains("Mutex"), "{}", v[0].message);
-    }
-
-    #[test]
-    fn t12_exempts_the_sync_shim_tests_and_respects_waivers() {
-        let shim = scanned(
-            "crates/core/src/sync/mod.rs",
-            "pub use std::sync::{Condvar, Mutex, RwLock};",
-        );
-        assert!(check_sync_confinement(&shim).is_empty());
-        let test_src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  use std::sync::Mutex;\n}";
-        let t = scanned("crates/core/src/x.rs", test_src);
-        assert!(check_sync_confinement(&t).is_empty());
-        let src = "use std::sync::OnceLock; // tidy-allow: sync-confinement -- process-global registry, set before threads exist\nfn f() {}";
-        let f = scanned("crates/core/src/x.rs", src);
-        let v = apply_waivers(&f, check_sync_confinement(&f));
         assert!(v.is_empty(), "{v:?}");
     }
 
@@ -1955,16 +1757,16 @@ mod tests {
     }
 
     #[test]
-    fn t9_fires_on_thread_builder_and_exempts_the_model_scheduler() {
+    fn t9_fires_on_thread_builder() {
         let f = scanned(
             "crates/core/src/exact.rs",
             "fn f() { std::thread::Builder::new().spawn(|| {}); }",
         );
         assert_eq!(check_no_raw_thread_spawn(&f).len(), 1);
-        let model = scanned(
-            "crates/core/src/sync/model.rs",
+        let sweep = scanned(
+            "crates/eval/src/experiments.rs",
             "fn f() { std::thread::Builder::new().spawn(|| {}); }",
         );
-        assert!(check_no_raw_thread_spawn(&model).is_empty());
+        assert!(check_no_raw_thread_spawn(&sweep).is_empty());
     }
 }

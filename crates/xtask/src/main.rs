@@ -80,20 +80,16 @@ LINTS (see DESIGN.md §6):
                        route result writes through core::persist::atomic_write
                        so a crash never leaves a torn file under the final name
     no-raw-thread-spawn T9 no thread::spawn/thread::scope/thread::Builder outside
-                       eval::experiments and core::sync::model (INCLUDING
-                       src/bin/): stray threads bypass the grid's job-ordered
-                       merge and the cooperative budget
+                       eval::experiments (INCLUDING src/bin/): stray threads
+                       bypass the grid's job-ordered merge and the
+                       cooperative budget
     ordering-justified T10 every atomic Ordering:: argument carries an
                        `// ordering:` justification comment on the same line or
                        within the 10 lines above (memory-ordering contracts:
                        DESIGN.md §11)
     lock-discipline    T11 no nested guard acquisition, no two acquisitions in
                        one expression, no user-supplied closure called while a
-                       guard is held (core::sync itself exempt)
-    sync-confinement   T12 raw std::sync atomics/locks/channels only inside
-                       core::sync; everything else imports the instrumented
-                       shim so --cfg evematch_model builds can interpose
-                       (Arc/Weak and the poison vocabulary stay allowed)
+                       guard is held
     no-unclassified-io T13 no silently swallowed I/O results (.ok(), let _ =,
                        unwrap_or…) in bench/core/eval/evematch runtime code:
                        route errors through core::fault::classify_io or

@@ -9,10 +9,9 @@ use crate::lints::{
     check_no_hash_iter, check_no_panic, check_no_println, check_no_raw_artifact_write,
     check_no_raw_deadline, check_no_raw_thread_spawn, check_no_unclassified_io,
     check_no_unverified_artifact_read, check_ordering_justified, check_phase_discipline,
-    check_sync_confinement, is_library_source, is_runtime_source, Violation, ARTIFACT_WRITE_CRATES,
-    DETERMINISTIC_CRATES, FLOAT_ORD_CRATES, IO_CLASSIFIED_CRATES, MODEL_MODULES, PANIC_FREE_CRATES,
-    PHASE_MODULE_DIR, PRINT_FREE_CRATES, RAW_DEADLINE_CRATES, SYNC_SHIM_DIR, THREAD_MODULES,
-    VERIFIED_READ_CRATES,
+    is_library_source, is_runtime_source, Violation, ARTIFACT_WRITE_CRATES, DETERMINISTIC_CRATES,
+    FLOAT_ORD_CRATES, IO_CLASSIFIED_CRATES, PANIC_FREE_CRATES, PHASE_MODULE_DIR, PRINT_FREE_CRATES,
+    RAW_DEADLINE_CRATES, THREAD_MODULES, VERIFIED_READ_CRATES,
 };
 use crate::scan::ScannedFile;
 
@@ -32,10 +31,7 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
             let content = read_utf8(&source_path)?;
             let scanned = ScannedFile::parse(&rel, &content);
             let mut file_violations = Vec::new();
-            if PANIC_FREE_CRATES.contains(&crate_name.as_str())
-                && is_library_source(&rel)
-                && !MODEL_MODULES.contains(&rel.as_str())
-            {
+            if PANIC_FREE_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
                 file_violations.extend(check_no_panic(&scanned));
             }
             if DETERMINISTIC_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
@@ -63,7 +59,6 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
                 file_violations.extend(check_no_raw_thread_spawn(&scanned));
                 file_violations.extend(check_ordering_justified(&scanned));
                 file_violations.extend(check_lock_discipline(&scanned));
-                file_violations.extend(check_sync_confinement(&scanned));
                 file_violations.extend(check_phase_discipline(&scanned));
             }
             violations.extend(apply_waivers(&scanned, file_violations));
@@ -190,20 +185,6 @@ pub fn verify_scopes(root: &Path) -> Result<(), String> {
                  exist; update THREAD_MODULES in crates/xtask/src/lints.rs"
             ));
         }
-    }
-    for module in MODEL_MODULES {
-        if !root.join(module).is_file() {
-            return Err(format!(
-                "tidy exempts `{module}` from no-panic but the file does not \
-                 exist; update MODEL_MODULES in crates/xtask/src/lints.rs"
-            ));
-        }
-    }
-    if !root.join(SYNC_SHIM_DIR).is_dir() {
-        return Err(format!(
-            "tidy confines raw `std::sync` to `{SYNC_SHIM_DIR}` but the directory does \
-             not exist; update SYNC_SHIM_DIR in crates/xtask/src/lints.rs"
-        ));
     }
     if !root.join(PHASE_MODULE_DIR).is_dir() {
         return Err(format!(

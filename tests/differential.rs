@@ -165,10 +165,10 @@ fn shared_cache_never_changes_method_results() {
         Budget::UNLIMITED.with_processed_cap(50_000),
         Budget::UNLIMITED.with_processed_cap(9),
     ] {
-        let pool = SupportCachePool::new();
+        let pool = SupportCachePool::new(&ds);
         for m in ALL_METHODS {
-            let cold = run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, None));
-            let warm = run_fp(&m.run_with(&ds.pair, &ds.patterns, budget, Some(&pool)));
+            let cold = run_fp(&m.run(&ds.pair, &ds.patterns, budget));
+            let warm = run_fp(&pool.run(m, budget));
             assert_eq!(warm.0, cold.0, "{} mapping changed", m.name());
             assert_eq!(warm.1, cold.1, "{} score changed", m.name());
             assert_eq!(warm.2, cold.2, "{} gap changed", m.name());
@@ -184,12 +184,12 @@ fn shared_cache_never_changes_method_results() {
 fn heuristic_warms_the_exact_search_through_the_shared_cache() {
     let ds = datasets::larger_synthetic(2, 300, 11);
     let budget = Budget::UNLIMITED.with_processed_cap(5_000);
-    let cold = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, None);
+    let cold = Method::PatternTight.run(&ds.pair, &ds.patterns, budget);
     let cold_scans = cold.metrics().counters["eval.log_scans"];
 
-    let pool = SupportCachePool::new();
-    let _ = Method::HeuristicAdvanced.run_with(&ds.pair, &ds.patterns, budget, Some(&pool));
-    let warmed = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, Some(&pool));
+    let pool = SupportCachePool::new(&ds);
+    let _ = pool.run(Method::HeuristicAdvanced, budget);
+    let warmed = pool.run(Method::PatternTight, budget);
     let shared = warmed.metrics().counters["eval.cache.shared_hits"];
     let warm_scans = warmed.metrics().counters["eval.log_scans"];
 

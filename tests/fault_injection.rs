@@ -27,13 +27,45 @@ fn circulant(n: u32) -> DiGraph {
 /// the deadline itself, making a hardcoded 50ms budget flaky; raising the
 /// env knob stretches the budget (and its slack scales with it below)
 /// without weakening what the tests assert — that solvers return within
-/// deadline-plus-bounded-slack, whatever the deadline is.
+/// deadline-plus-bounded-slack, whatever the deadline is. A malformed
+/// value panics with the variable's name instead of silently running the
+/// default.
 fn test_deadline() -> Duration {
-    let ms = std::env::var("EVEMATCH_TEST_DEADLINE_MS")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50u64);
+    deadline_from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
+}
+
+/// [`test_deadline`] over an injected variable lookup (`None` = unset).
+fn deadline_from_vars(var: impl Fn(&str) -> Option<String>) -> Duration {
+    const KEY: &str = "EVEMATCH_TEST_DEADLINE_MS";
+    let ms = match var(KEY) {
+        None => 50,
+        Some(value) => match value.trim().parse::<u64>() {
+            Ok(ms) => ms,
+            Err(e) => panic!("{KEY}={value:?} is not an unsigned integer: {e}"),
+        },
+    };
     Duration::from_millis(ms)
+}
+
+#[test]
+fn test_deadline_knob_parses_and_rejects_malformed_values() {
+    let only = |value: &'static str| {
+        move |key: &str| (key == "EVEMATCH_TEST_DEADLINE_MS").then(|| value.to_owned())
+    };
+    assert_eq!(deadline_from_vars(|_| None), Duration::from_millis(50));
+    assert_eq!(
+        deadline_from_vars(only(" 400 ")),
+        Duration::from_millis(400)
+    );
+    for bad in ["50ms", "", "-1", "0.5"] {
+        let err = std::panic::catch_unwind(|| deadline_from_vars(only(bad)))
+            .expect_err("a malformed deadline must panic");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(
+            msg.contains(&format!("EVEMATCH_TEST_DEADLINE_MS={bad:?}")),
+            "{bad:?}: {msg}"
+        );
+    }
 }
 
 /// Deadline-based fuel closure over a [`BudgetMeter`]: ticks count work

@@ -17,7 +17,7 @@ fn workload() -> Dataset {
 fn profile_at(cap: u64) -> (ProfileSnapshot, RunOutcome) {
     let ds = workload();
     let budget = Budget::UNLIMITED.with_processed_cap(cap);
-    let out = Method::PatternTight.run_with(&ds.pair, &ds.patterns, budget, None);
+    let out = Method::PatternTight.run(&ds.pair, &ds.patterns, budget);
     (out.profile().clone(), out)
 }
 
