@@ -48,6 +48,7 @@ use std::str::FromStr;
 use std::time::Duration;
 
 use evematch_core::retry::{RealClock, RetryPolicy};
+use evematch_core::telemetry::json::push_key;
 use evematch_core::Budget;
 use evematch_eval::experiments::{FigureResult, SweepConfig};
 use evematch_eval::Table;
@@ -257,9 +258,7 @@ pub fn fault_telemetry_json() -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        push_escaped(&mut out, key);
-        out.push_str("\":");
+        push_key(&mut out, key);
         out.push_str(&n.to_string());
     }
     out.push('}');
@@ -275,9 +274,7 @@ pub fn figure_metrics_json(fig: &FigureResult) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        push_escaped(&mut out, name);
-        out.push_str("\":");
+        push_key(&mut out, name);
         out.push_str(&snap.to_json_string());
     }
     out.push('}');
@@ -293,9 +290,7 @@ pub fn figure_profile_json(fig: &FigureResult) -> String {
         if i > 0 {
             out.push(',');
         }
-        out.push('"');
-        push_escaped(&mut out, name);
-        out.push_str("\":");
+        push_key(&mut out, name);
         out.push_str(&profile.to_json_string());
     }
     out.push('}');
@@ -333,18 +328,6 @@ pub fn figure_profile_folded(fig: &FigureResult) -> String {
         out.pop();
     }
     out
-}
-
-/// JSON string-escapes `s` into `out` (quotes, backslashes, controls).
-fn push_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
 }
 
 #[cfg(test)]

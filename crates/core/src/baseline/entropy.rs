@@ -13,7 +13,7 @@ use crate::assignment::max_weight_assignment;
 use crate::budget::Budget;
 use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
-use crate::exact::{Completion, MatchOutcome, SearchStats};
+use crate::exact::{Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::sim;
 
@@ -49,9 +49,7 @@ impl EntropyMatcher {
     /// (`config.budget` replaces `self.budget`); the shared support cache,
     /// when present, is reused for the final mapping's pattern scores.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::with_config(ctx, config);
-        eval.telemetry_mut().profile.open("search");
-        eval.probe_structure();
+        let mut eval = Evaluator::start_search(ctx, config);
         let c_rows = eval.telemetry_mut().registry.counter("entropy.weight_rows");
         let (n1, n2) = (ctx.n1(), ctx.n2());
         // The single assignment is this method's one charged unit.
@@ -95,26 +93,7 @@ impl EntropyMatcher {
                 optimality_gap: crate::baseline::global_gap(ctx, score),
             },
         };
-        let stats = SearchStats {
-            processed_mappings: eval.meter().processed(),
-            visited_nodes: 1,
-            polls: eval.meter().polls(),
-            eval: eval.stats(),
-        };
-        let elapsed = eval.meter().elapsed();
-        // Closing the phase tree mirrors the `search` root's wall into the
-        // registry's timing section as `search.solve`.
-        let profile = eval.telemetry_mut().finish_phases();
-        MatchOutcome {
-            mapping,
-            score,
-            stats,
-            elapsed,
-            completion,
-            metrics: eval.metrics_snapshot(),
-            trace: std::mem::take(&mut eval.telemetry_mut().trace),
-            profile,
-        }
+        eval.finish(mapping, score, completion)
     }
 }
 

@@ -11,7 +11,7 @@ use crate::assignment::max_weight_assignment;
 use crate::budget::{Budget, BudgetMeter};
 use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
-use crate::exact::{Completion, MatchOutcome, SearchStats};
+use crate::exact::{Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::sim;
 
@@ -74,9 +74,7 @@ impl IterativeMatcher {
     /// support cache, when present, is reused for the final mapping's
     /// pattern scores.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::with_config(ctx, config);
-        eval.telemetry_mut().profile.open("search");
-        eval.probe_structure();
+        let mut eval = Evaluator::start_search(ctx, config);
         let c_rounds = eval.telemetry_mut().registry.counter("iterative.rounds");
         let (n1, n2) = (ctx.n1(), ctx.n2());
         // One charged unit for the single assignment this method performs;
@@ -108,26 +106,7 @@ impl IterativeMatcher {
                 optimality_gap: crate::baseline::global_gap(ctx, score),
             },
         };
-        let stats = SearchStats {
-            processed_mappings: eval.meter().processed(),
-            visited_nodes: 1,
-            polls: eval.meter().polls(),
-            eval: eval.stats(),
-        };
-        let elapsed = eval.meter().elapsed();
-        // Closing the phase tree mirrors the `search` root's wall into the
-        // registry's timing section as `search.solve`.
-        let profile = eval.telemetry_mut().finish_phases();
-        MatchOutcome {
-            mapping,
-            score,
-            stats,
-            elapsed,
-            completion,
-            metrics: eval.metrics_snapshot(),
-            trace: std::mem::take(&mut eval.telemetry_mut().trace),
-            profile,
-        }
+        eval.finish(mapping, score, completion)
     }
 }
 

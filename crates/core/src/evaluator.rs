@@ -26,6 +26,7 @@ use evematch_pattern::{is_realizable_with_fuel, Interrupted, PatternShape, Suppo
 use crate::bounds::PruneCounts;
 use crate::budget::{Budget, BudgetMeter};
 use crate::context::MatchContext;
+use crate::exact::{Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::sim;
 use crate::telemetry::{CounterId, MetricsSnapshot, ProgressBeacon, Telemetry, WorkCol};
@@ -128,29 +129,6 @@ struct SupportOutcome {
     /// Whether the log scan started (it counts as `eval.log_scans` even
     /// when fuel interrupted it).
     log_scan: bool,
-}
-
-/// Counters describing how much work an evaluator did — these feed the
-/// "processed mappings" and pruning plots (Figures 7c, 8c, 9c, 10c).
-///
-/// Since the telemetry registry became the source of truth this is a
-/// *compatibility view*, produced on demand by [`Evaluator::stats`]; the
-/// same values (and many more) appear as `eval.*` counters in
-/// [`Evaluator::metrics_snapshot`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct EvalStats {
-    /// Mapped-pattern frequency evaluations that scanned the log.
-    pub log_scans: u64,
-    /// Evaluations answered by the memo cache.
-    pub cache_hits: u64,
-    /// Evaluations answered `0` by the Proposition-3 existence check
-    /// without touching the log.
-    pub existence_pruned: u64,
-    /// Evaluations abandoned mid-flight when a deadline tripped their
-    /// fuel. Their provisional `0` is *not* cached, and any search that
-    /// saw one must fall back to a static optimality-gap certificate
-    /// (fuel-interrupted scores can under-estimate).
-    pub interrupted_evals: u64,
 }
 
 /// Registered counter handles for the evaluator's hot paths.
@@ -277,15 +255,50 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Work counters as the legacy [`EvalStats`] view.
-    pub fn stats(&self) -> EvalStats {
-        let reg = &self.tele.registry;
-        EvalStats {
-            log_scans: reg.counter_value(self.counters.log_scans),
-            cache_hits: reg.counter_value(self.counters.cache_hits),
-            existence_pruned: reg.counter_value(self.counters.existence_pruned),
-            interrupted_evals: reg.counter_value(self.counters.interrupted_evals),
+    /// The solver prologue every matcher shares: an evaluator for
+    /// `config`, the `search` root phase opened, and the structural probe
+    /// run inside it.
+    pub(crate) fn start_search(ctx: &'a MatchContext, config: &EvalConfig) -> Self {
+        let mut eval = Self::with_config(ctx, config);
+        eval.tele.profile.open("search");
+        eval.probe_structure();
+        eval
+    }
+
+    /// Ends the run and packs its result: the one place a
+    /// [`MatchOutcome`] is built. Closing the phase tree mirrors the
+    /// `search` root's wall-clock into the registry's non-deterministic
+    /// timing section as `search.solve`; every counter stays
+    /// bit-deterministic.
+    pub(crate) fn finish(
+        mut self,
+        mapping: Mapping,
+        score: f64,
+        completion: Completion,
+    ) -> MatchOutcome {
+        let elapsed = self.meter.elapsed();
+        let profile = self.tele.finish_phases();
+        let metrics = self.metrics_snapshot();
+        MatchOutcome {
+            mapping,
+            score,
+            elapsed,
+            completion,
+            metrics,
+            trace: self.tele.trace,
+            profile,
         }
+    }
+
+    /// Evaluations a deadline abandoned mid-flight so far
+    /// (`eval.interrupted_evals`). Their provisional `0` is not cached,
+    /// and a search that saw one must fall back to a static
+    /// optimality-gap certificate: fuel-interrupted scores can
+    /// under-estimate.
+    pub(crate) fn interrupted_evals(&self) -> u64 {
+        self.tele
+            .registry
+            .counter_value(self.counters.interrupted_evals)
     }
 
     /// This run's telemetry (registry + trace buffer).
@@ -312,9 +325,9 @@ impl<'a> Evaluator<'a> {
     /// under a pure fuel cap. This is the Section-2.2 discriminativeness
     /// measure (a pattern whose structure has many embeddings carries
     /// little signal), surfaced as the `iso.*` counters. Purely
-    /// observational: no search decision reads these numbers. Solvers call
-    /// it once per run; repeat calls are no-ops.
-    pub fn probe_structure(&mut self) {
+    /// observational: no search decision reads these numbers. Runs once
+    /// per solver run, from [`Self::start_search`].
+    fn probe_structure(&mut self) {
         // Register every iso.* key up front so the snapshot always names
         // them, even when there is no composite pattern to probe.
         let reg = &mut self.tele.registry;
@@ -324,11 +337,6 @@ impl<'a> Evaluator<'a> {
         let embeddings = reg.counter("iso.embeddings_found");
         let fuel_interrupts = reg.counter("iso.fuel_interrupts");
         let max_depth = reg.gauge("iso.max_depth");
-        if reg.counter_value(probes) > 0 {
-            return;
-        }
-        // One "probe" phase per run (the early return above keeps the
-        // phase's call count at 1 regardless of how often solvers re-ask).
         self.tele.profile.open("probe");
         let target = self.ctx.dep2().graph();
         let mut total = IsoStats::default();
@@ -445,7 +453,7 @@ impl<'a> Evaluator<'a> {
     /// (worst-case exponential in `AND` fan-out) and the log scan both poll
     /// the deadline from inside, so one pathological pattern cannot overrun
     /// the budget. A fuel-interrupted evaluation reports `0` without
-    /// caching it and bumps [`EvalStats::interrupted_evals`]. Once the
+    /// caching it and bumps [`Evaluator::interrupted_evals`]. Once the
     /// meter is exhausted, evaluations instead run to completion unfueled —
     /// the polynomial-bounded "grace" work that scores the anytime result
     /// exactly.
@@ -674,6 +682,11 @@ mod tests {
         .unwrap()
     }
 
+    /// One counter of the evaluator's metrics snapshot.
+    fn counter(ev: &Evaluator<'_>, name: &str) -> u64 {
+        ev.metrics_snapshot().counters[name]
+    }
+
     fn identity(n1: usize, n2: usize) -> Mapping {
         Mapping::from_pairs(n1, n2, (0..n1 as u32).map(|i| (EventId(i), EventId(i))))
     }
@@ -689,8 +702,8 @@ mod tests {
         let d = ev.d_with_images(0, &[EventId(1)]);
         assert!((d - (1.0 - 0.5 / 1.5)).abs() < 1e-12);
         // Fast paths never touch the cache or the log.
-        assert_eq!(ev.stats().log_scans, 0);
-        assert_eq!(ev.stats().cache_hits, 0);
+        assert_eq!(counter(&ev, "eval.log_scans"), 0);
+        assert_eq!(counter(&ev, "eval.cache_hits"), 0);
     }
 
     #[test]
@@ -703,10 +716,10 @@ mod tests {
         let images: Vec<EventId> = (0..4).map(EventId).collect();
         let d = ev.d_with_images(p1_idx, &images);
         assert!((d - sim(1.0, 0.5)).abs() < 1e-12);
-        assert_eq!(ev.stats().log_scans, 1);
+        assert_eq!(counter(&ev, "eval.log_scans"), 1);
         let _ = ev.d_with_images(p1_idx, &images);
-        assert_eq!(ev.stats().cache_hits, 1);
-        assert_eq!(ev.stats().log_scans, 1);
+        assert_eq!(counter(&ev, "eval.cache_hits"), 1);
+        assert_eq!(counter(&ev, "eval.log_scans"), 1);
     }
 
     #[test]
@@ -719,8 +732,8 @@ mod tests {
         let images = vec![EventId(3), EventId(1), EventId(2), EventId(0)];
         let d = ev.d_with_images(p1_idx, &images);
         assert_eq!(d, 0.0);
-        assert_eq!(ev.stats().existence_pruned, 1);
-        assert_eq!(ev.stats().log_scans, 0);
+        assert_eq!(counter(&ev, "eval.existence_pruned"), 1);
+        assert_eq!(counter(&ev, "eval.log_scans"), 0);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! re-pushes the interrupted node itself, so the invariant holds on every
 //! exit path and `max frontier f − returned score` bounds the distance to
 //! the optimum (admissibility of `h`). When a deadline interrupted an
-//! evaluation mid-flight ([`EvalStats::interrupted_evals`]), frontier `f`
+//! evaluation mid-flight ([`Evaluator::interrupted_evals`]), frontier `f`
 //! values may under-estimate, and the gap falls back to the static
 //! whole-problem bound instead.
 //!
@@ -51,26 +51,10 @@ use evematch_eventlog::EventId;
 use crate::bounds::BoundKind;
 use crate::budget::{Budget, Exhaustion};
 use crate::context::MatchContext;
-use crate::evaluator::{EvalConfig, EvalStats, Evaluator};
+use crate::evaluator::{EvalConfig, Evaluator};
 use crate::mapping::Mapping;
 use crate::score::{heuristic_bound, ParentTable};
 use crate::telemetry::{MetricsSnapshot, ProfileSnapshot, TraceBuffer, WorkCol};
-
-/// Work counters of one solver run.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SearchStats {
-    /// Mappings `M'` created in Line 7 of Algorithm 1 (resp. candidate
-    /// augmentations `M_ij` in Line 6 of Algorithm 3) — the quantity plotted
-    /// in Figures 7c, 8c, 9c and 10c. Equals the budget meter's charged
-    /// units; grace work after exhaustion is not counted.
-    pub processed_mappings: u64,
-    /// Tree nodes actually visited (popped with the maximum `g + h`).
-    pub visited_nodes: u64,
-    /// Deadline clock reads performed (0 for deadline-free budgets).
-    pub polls: u64,
-    /// Pattern-evaluation counters.
-    pub eval: EvalStats,
-}
 
 /// How a solver run ended.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,16 +97,15 @@ impl Completion {
     }
 }
 
-/// A finished matching: the mapping, its pattern normal distance, the work
-/// it took, and how the run ended.
+/// A finished matching: the mapping, its pattern normal distance, how the
+/// run ended, and the run's telemetry. Every solver builds it through one
+/// constructor, `Evaluator::finish`.
 #[derive(Clone, Debug)]
 pub struct MatchOutcome {
     /// The (complete) event mapping found.
     pub mapping: Mapping,
     /// Its pattern normal distance `D^N(M)`.
     pub score: f64,
-    /// Work counters.
-    pub stats: SearchStats,
     /// Wall-clock time of the run.
     pub elapsed: Duration,
     /// Whether the run finished or degraded on budget exhaustion.
@@ -140,32 +123,21 @@ pub struct MatchOutcome {
     pub profile: ProfileSnapshot,
 }
 
-/// Why a strict search did not produce a mapping.
-#[derive(Clone, Debug)]
-#[non_exhaustive]
-pub enum SearchError {
-    /// A [`Budget`] limit was hit; counters up to that point are attached.
-    LimitExceeded {
-        /// Work done before giving up.
-        stats: SearchStats,
-        /// Wall-clock time spent before giving up.
-        elapsed: Duration,
-    },
-}
-
-impl std::fmt::Display for SearchError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SearchError::LimitExceeded { stats, elapsed } => write!(
-                f,
-                "search limit exceeded after {} processed mappings in {:.2?}",
-                stats.processed_mappings, elapsed
-            ),
-        }
+impl MatchOutcome {
+    /// Mappings processed within budget: `M'` created in Line 7 of
+    /// Algorithm 1 (resp. candidate augmentations `M_ij` in Line 6 of
+    /// Algorithm 3), the quantity plotted in Figures 7c, 8c, 9c and 10c.
+    /// Read from the `budget.processed` counter, which is the budget
+    /// meter's charged units; grace work after exhaustion is not counted.
+    #[must_use]
+    pub fn processed(&self) -> u64 {
+        self.metrics
+            .counters
+            .get("budget.processed")
+            .copied()
+            .unwrap_or(0)
     }
 }
-
-impl std::error::Error for SearchError {}
 
 /// The exact matcher: A\* over partial mappings, guaranteed to return a
 /// mapping maximizing the pattern normal distance (given admissible bounds,
@@ -199,8 +171,8 @@ impl ExactMatcher {
     /// Runs Algorithm 1 on `ctx`. Never fails: with an unlimited budget the
     /// returned mapping is optimal ([`Completion::Finished`]); on budget
     /// exhaustion the best anytime completion is returned tagged
-    /// [`Completion::BudgetExhausted`]. Use [`ExactMatcher::solve_strict`]
-    /// for the paper's all-or-nothing (DNF) semantics.
+    /// [`Completion::BudgetExhausted`], which the experiment harness
+    /// reports as the paper's "did not finish".
     pub fn solve(&self, ctx: &MatchContext) -> MatchOutcome {
         self.solve_with(ctx, &EvalConfig::from_budget(self.budget))
     }
@@ -209,9 +181,7 @@ impl ExactMatcher {
     /// (budget, shared support cache). `config.budget` replaces
     /// `self.budget` for this run.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::with_config(ctx, config);
-        eval.telemetry_mut().profile.open("search");
-        eval.probe_structure();
+        let mut eval = Evaluator::start_search(ctx, config);
         let tele = eval.telemetry_mut();
         let c_pops = tele.registry.counter("search.pops");
         let c_expansions = tele.registry.counter("search.expansions");
@@ -223,7 +193,6 @@ impl ExactMatcher {
         let n1 = ctx.n1();
         let order = ctx.pattern_index().expansion_order();
         debug_assert_eq!(order.len(), n1);
-        let mut stats = SearchStats::default();
         let anytime = !config.budget.is_unlimited();
 
         let root_mapping = Mapping::empty(n1, ctx.n2());
@@ -247,23 +216,23 @@ impl ExactMatcher {
         let mut pops_since_refresh: u64 = 0;
 
         while let Some(node) = queue.pop() {
-            stats.visited_nodes += 1;
             let tele = eval.telemetry_mut();
             tele.registry.inc(c_pops);
+            let pops = tele.registry.counter_value(c_pops);
             tele.profile.charge(WorkCol::Pops, 1);
             tele.registry.observe(h_depth, u64::from(node.depth));
-            if stats.visited_nodes % TRACE_POP_INTERVAL == 0 {
+            if pops % TRACE_POP_INTERVAL == 0 {
                 tele.trace.point(
                     "search.pop",
                     vec![
                         ("depth".to_string(), u64::from(node.depth)),
                         ("frontier".to_string(), queue.len() as u64),
-                        ("pops".to_string(), stats.visited_nodes),
+                        ("pops".to_string(), pops),
                     ],
                 );
             }
             if node.depth as usize == n1 {
-                return finish(Completion::Finished, node.g, node.mapping, stats, &mut eval);
+                return eval.finish(node.mapping, node.g, Completion::Finished);
             }
             if anytime {
                 let depth_record = deepest.map_or(true, |d| node.depth > d);
@@ -278,12 +247,12 @@ impl ExactMatcher {
                     // completion of the node); refresh with a greedy
                     // completion (uncharged, but meter-ticked) of it.
                     pops_since_refresh = 0;
-                    let clean = eval.stats().interrupted_evals;
+                    let clean = eval.interrupted_evals();
                     let (cg, cm) = greedy_complete(&mut eval, &order, &node.mapping);
                     // A completion whose evaluations were fuel-interrupted
                     // carries an untrustworthy score; drop it rather than
                     // poison the incumbent.
-                    if eval.stats().interrupted_evals == clean
+                    if eval.interrupted_evals() == clean
                         && improves(incumbent.as_ref().map(|(s, _)| *s), cg)
                     {
                         incumbent = Some((cg, cm));
@@ -349,7 +318,7 @@ impl ExactMatcher {
                 .registry
                 .gauge_max(g_frontier, queue.len() as u64);
             if eval.meter().is_exhausted() {
-                return exhausted_outcome(&mut eval, &order, queue, incumbent, stats, n1, ctx.n2());
+                return exhausted_outcome(eval, &order, queue, incumbent, n1, ctx.n2());
             }
         }
         // n1 > 0 guarantees children exist at every level (n1 ≤ n2), so the
@@ -357,25 +326,6 @@ impl ExactMatcher {
         // the root node having depth 0 == n1.
         // tidy-allow: no-panic -- structurally unreachable per the argument above; returning a fake result would hide real bugs
         unreachable!("A* queue drained without reaching a complete mapping")
-    }
-
-    /// Runs Algorithm 1 with the paper's all-or-nothing semantics: a
-    /// budget-exhausted run is reported as [`SearchError::LimitExceeded`]
-    /// (the experiment harness's "did not finish") instead of an anytime
-    /// result.
-    ///
-    /// # Errors
-    /// [`SearchError::LimitExceeded`] when the budget trips before the
-    /// search completes.
-    pub fn solve_strict(&self, ctx: &MatchContext) -> Result<MatchOutcome, SearchError> {
-        let out = self.solve(ctx);
-        match out.completion {
-            Completion::Finished => Ok(out),
-            _ => Err(SearchError::LimitExceeded {
-                stats: out.stats,
-                elapsed: out.elapsed,
-            }),
-        }
     }
 }
 
@@ -400,11 +350,10 @@ fn improves(best: Option<f64>, candidate: f64) -> bool {
 /// Packs up the anytime result after budget exhaustion, then certifies the
 /// optimality gap against the frontier (see the module docs).
 fn exhausted_outcome(
-    eval: &mut Evaluator<'_>,
+    mut eval: Evaluator<'_>,
     order: &[EventId],
     mut queue: BinaryHeap<Node>,
     mut incumbent: Option<(f64, Mapping)>,
-    stats: SearchStats,
     n1: usize,
     n2: usize,
 ) -> MatchOutcome {
@@ -418,7 +367,7 @@ fn exhausted_outcome(
         // fell and break "a larger cap never scores worse".
         if let Some(best) = &frontier_best {
             if improves(incumbent.as_ref().map(|(s, _)| *s), best.f) {
-                let (cg, cm) = greedy_complete(eval, order, &best.mapping);
+                let (cg, cm) = greedy_complete(&mut eval, order, &best.mapping);
                 if improves(incumbent.as_ref().map(|(s, _)| *s), cg) {
                     incumbent = Some((cg, cm));
                 }
@@ -430,9 +379,9 @@ fn exhausted_outcome(
         // Defensive: every exhaustion path pops (and thereby refreshes
         // from) at least one node first; complete from scratch if that
         // ever changes.
-        None => greedy_complete(eval, order, &Mapping::empty(n1, n2)),
+        None => greedy_complete(&mut eval, order, &Mapping::empty(n1, n2)),
     };
-    let optimality_gap = if eval.stats().interrupted_evals > 0 {
+    let optimality_gap = if eval.interrupted_evals() > 0 {
         // Fuel-interrupted evaluations may have under-scored frontier
         // nodes, so the frontier-top certificate is not trustworthy; fall
         // back to the static whole-problem bound (computed fresh and
@@ -448,43 +397,14 @@ fn exhausted_outcome(
             |b| (b.f - score).max(0.0),
         )
     };
-    finish(
+    eval.finish(
+        mapping,
+        score,
         Completion::BudgetExhausted {
             exhaustion,
             optimality_gap,
         },
-        score,
-        mapping,
-        stats,
-        eval,
     )
-}
-
-fn finish(
-    completion: Completion,
-    score: f64,
-    mapping: Mapping,
-    mut stats: SearchStats,
-    eval: &mut Evaluator<'_>,
-) -> MatchOutcome {
-    stats.eval = eval.stats();
-    stats.processed_mappings = eval.meter().processed();
-    stats.polls = eval.meter().polls();
-    let elapsed = eval.meter().elapsed();
-    // Closing the phase tree mirrors the `search` root's wall-clock into
-    // the registry's non-deterministic timing section as `search.solve`;
-    // every counter above stays bit-deterministic.
-    let profile = eval.telemetry_mut().finish_phases();
-    MatchOutcome {
-        mapping,
-        score,
-        stats,
-        elapsed,
-        completion,
-        metrics: eval.metrics_snapshot(),
-        trace: std::mem::take(&mut eval.telemetry_mut().trace),
-        profile,
-    }
 }
 
 /// Greedily completes `partial` by repeatedly mapping the next unmapped
@@ -692,7 +612,7 @@ mod tests {
         let ctx = MatchContext::new(l1, l2, PatternSetBuilder::new().vertices().edges()).unwrap();
         let simple = ExactMatcher::new(BoundKind::Simple).solve(&ctx);
         let tight = ExactMatcher::new(BoundKind::Tight).solve(&ctx);
-        assert!(tight.stats.processed_mappings <= simple.stats.processed_mappings);
+        assert!(tight.processed() <= simple.processed());
         assert!((tight.score - simple.score).abs() < 1e-9);
     }
 
@@ -729,17 +649,6 @@ mod tests {
     }
 
     #[test]
-    fn strict_solve_reports_limit_exceeded() {
-        let (l1, l2) = isomorphic_logs();
-        let ctx = MatchContext::new(l1, l2, PatternSetBuilder::new().vertices().edges()).unwrap();
-        let limited = ExactMatcher::new(BoundKind::Simple)
-            .with_budget(Budget::UNLIMITED.with_processed_cap(1));
-        let err = limited.solve_strict(&ctx).unwrap_err();
-        let SearchError::LimitExceeded { stats, .. } = err;
-        assert_eq!(stats.processed_mappings, 1);
-    }
-
-    #[test]
     fn exhausted_budget_still_returns_a_complete_mapping() {
         let (l1, l2) = isomorphic_logs();
         let ctx = MatchContext::new(l1, l2, PatternSetBuilder::new().vertices().edges()).unwrap();
@@ -748,7 +657,7 @@ mod tests {
                 .with_budget(Budget::UNLIMITED.with_processed_cap(cap))
                 .solve(&ctx);
             assert!(out.mapping.is_complete(), "cap {cap}");
-            assert!(out.stats.processed_mappings <= cap, "cap {cap}");
+            assert!(out.processed() <= cap, "cap {cap}");
             let Completion::BudgetExhausted {
                 exhaustion,
                 optimality_gap,
@@ -816,7 +725,7 @@ mod tests {
         let recomputed = pattern_normal_distance(&ctx, &out.mapping);
         assert!((out.score - recomputed).abs() < 1e-9);
         // The refused first unit was never performed, so nothing counts.
-        assert_eq!(out.stats.processed_mappings, 0);
+        assert_eq!(out.processed(), 0);
     }
 
     #[test]
@@ -843,6 +752,6 @@ mod tests {
         let a = ExactMatcher::new(BoundKind::Tight).solve(&ctx);
         let b = ExactMatcher::new(BoundKind::Tight).solve(&ctx);
         assert_eq!(a.mapping, b.mapping);
-        assert_eq!(a.stats.processed_mappings, b.stats.processed_mappings);
+        assert_eq!(a.processed(), b.processed());
     }
 }

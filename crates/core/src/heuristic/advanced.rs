@@ -30,7 +30,7 @@ use crate::bounds::BoundKind;
 use crate::budget::Budget;
 use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
-use crate::exact::{greedy_complete, Completion, MatchOutcome, SearchStats};
+use crate::exact::{greedy_complete, Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::{score_partial, sim, ParentTable};
 
@@ -120,30 +120,17 @@ impl AdvancedHeuristic {
     /// support cache lets this run reuse — and warm — scans paid for by
     /// other methods on the same context data.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::with_config(ctx, config);
-        eval.telemetry_mut().profile.open("search");
-        eval.probe_structure();
+        let mut eval = Evaluator::start_search(ctx, config);
         let tele = eval.telemetry_mut();
         let c_rounds = tele.registry.counter("km.rounds");
         let c_rescores = tele.registry.counter("km.rescores");
-        let mut stats = SearchStats::default();
         let n1 = ctx.n1();
         // Square the instance: dummy rows n1..n with θ ≡ 0 absorb the
         // surplus targets (the paper's "artificial events").
         let n = ctx.n2();
 
         if n == 0 {
-            let profile = eval.telemetry_mut().finish_phases();
-            return MatchOutcome {
-                mapping: Mapping::empty(0, 0),
-                score: 0.0,
-                stats,
-                elapsed: eval.meter().elapsed(),
-                completion: Completion::Finished,
-                metrics: eval.metrics_snapshot(),
-                trace: std::mem::take(&mut eval.telemetry_mut().trace),
-                profile,
-            };
+            return eval.finish(Mapping::empty(0, 0), 0.0, Completion::Finished);
         }
 
         let theta = estimated_scores(ctx, n, self.sharpen);
@@ -157,7 +144,6 @@ impl AdvancedHeuristic {
         let mut match_col: Vec<Option<usize>> = vec![None; n];
 
         'km: while match_row.iter().any(Option::is_none) {
-            stats.visited_nodes += 1;
             let tele = eval.telemetry_mut();
             tele.registry.inc(c_rounds);
             tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
@@ -259,23 +245,7 @@ impl AdvancedHeuristic {
                 };
             }
         }
-        stats.eval = eval.stats();
-        stats.processed_mappings = eval.meter().processed();
-        stats.polls = eval.meter().polls();
-        let elapsed = eval.meter().elapsed();
-        // Closing the phase tree mirrors the `search` root's wall into the
-        // registry's timing section as `search.solve`.
-        let profile = eval.telemetry_mut().finish_phases();
-        MatchOutcome {
-            mapping,
-            score,
-            stats,
-            elapsed,
-            completion,
-            metrics: eval.metrics_snapshot(),
-            trace: std::mem::take(&mut eval.telemetry_mut().trace),
-            profile,
-        }
+        eval.finish(mapping, score, completion)
     }
 }
 

@@ -4,7 +4,7 @@ use crate::bounds::BoundKind;
 use crate::budget::Budget;
 use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
-use crate::exact::{greedy_complete, Completion, MatchOutcome, SearchStats};
+use crate::exact::{greedy_complete, Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::{score_partial, ParentTable};
 
@@ -54,17 +54,13 @@ impl SimpleHeuristic {
     /// Like [`SimpleHeuristic::solve`], but with an explicit
     /// [`EvalConfig`]; `config.budget` replaces `self.budget`.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::with_config(ctx, config);
-        eval.telemetry_mut().profile.open("search");
-        eval.probe_structure();
+        let mut eval = Evaluator::start_search(ctx, config);
         let c_levels = eval.telemetry_mut().registry.counter("search.levels");
         let order = ctx.pattern_index().expansion_order();
-        let mut stats = SearchStats::default();
         let mut mapping = Mapping::empty(ctx.n1(), ctx.n2());
         let mut g = 0.0;
 
         'levels: for &a in &order {
-            stats.visited_nodes += 1;
             let tele = eval.telemetry_mut();
             tele.registry.inc(c_levels);
             tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
@@ -122,23 +118,7 @@ impl SimpleHeuristic {
             }
         };
 
-        stats.eval = eval.stats();
-        stats.processed_mappings = eval.meter().processed();
-        stats.polls = eval.meter().polls();
-        let elapsed = eval.meter().elapsed();
-        // Closing the phase tree mirrors the `search` root's wall into the
-        // registry's timing section as `search.solve`.
-        let profile = eval.telemetry_mut().finish_phases();
-        MatchOutcome {
-            mapping,
-            score: g,
-            stats,
-            elapsed,
-            completion,
-            metrics: eval.metrics_snapshot(),
-            trace: std::mem::take(&mut eval.telemetry_mut().trace),
-            profile,
-        }
+        eval.finish(mapping, g, completion)
     }
 }
 
@@ -195,7 +175,7 @@ mod tests {
         let c = ctx();
         let out = SimpleHeuristic::new(BoundKind::Tight).solve(&c);
         // n + (n-1) + ... + 1 children for n = n1 = n2 = 4.
-        assert_eq!(out.stats.processed_mappings, 4 + 3 + 2 + 1);
+        assert_eq!(out.processed(), 4 + 3 + 2 + 1);
     }
 
     #[test]
@@ -212,7 +192,7 @@ mod tests {
         assert!(out.mapping.is_complete());
         assert!(out.score <= exact.score + 1e-9);
         // One commitment per source event: n + (n-1) + … + 1 candidates.
-        assert_eq!(out.stats.processed_mappings, 4 + 3 + 2 + 1);
+        assert_eq!(out.processed(), 4 + 3 + 2 + 1);
         let _ = ev(0);
     }
 
@@ -225,7 +205,7 @@ mod tests {
                 .solve(&c);
             assert!(out.mapping.is_complete(), "cap {cap}");
             assert!(!out.completion.is_finished(), "cap {cap}");
-            assert!(out.stats.processed_mappings <= cap);
+            assert!(out.processed() <= cap);
             let gap = out.completion.optimality_gap().unwrap_or(f64::NAN);
             assert!(gap.is_finite() && gap >= 0.0, "cap {cap}: gap {gap}");
             let recomputed = pattern_normal_distance(&c, &out.mapping);

@@ -55,7 +55,7 @@ pub use bounds::{upper_bound_partial, BoundKind, BoundPrecomp, BoundTables, Prun
 pub use budget::{Budget, BudgetMeter, Exhaustion};
 pub use context::{MatchContext, PatternSetBuilder};
 pub use evaluator::{EvalConfig, Evaluator, SupportMemo};
-pub use exact::{Completion, ExactMatcher, MatchOutcome, SearchError, SearchStats};
+pub use exact::{Completion, ExactMatcher, MatchOutcome};
 pub use heuristic::{AdvancedHeuristic, SimpleHeuristic};
 pub use mapping::Mapping;
 pub use telemetry::{

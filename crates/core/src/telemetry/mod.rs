@@ -1,5 +1,5 @@
-//! Observability: deterministic work counters, span timings, and search
-//! traces for every solver.
+//! Observability: deterministic work counters, the phase profile, and
+//! search traces for every solver.
 //!
 //! The paper's whole evaluation (§6, Figs. 7–12) is phrased in units of
 //! *work* — processed mappings, pattern evaluations, pruned branches — so
@@ -17,18 +17,18 @@
 //!   performed. Two runs under identical processed-mapping caps produce
 //!   byte-identical [`MetricsSnapshot::deterministic_json`] output (this is
 //!   enforced by `tests/determinism.rs`);
-//! * **timings** — wall-clock span durations recorded via [`Span`]. They
-//!   live in a separate snapshot section that is *excluded* from
+//! * **timings** — wall-clock durations. The phase profiler is their only
+//!   source: [`Telemetry::finish_phases`] mirrors each root phase's wall
+//!   into them, and the recorder is private to this module. They live in
+//!   a separate snapshot section that is *excluded* from
 //!   `deterministic_json` and clearly marked `non_deterministic` in the
 //!   full JSON output.
 //!
-//! [`Span`] and the [`profile`] phase profiler are, next to
-//! `core::budget`, the only places in the solver crates that read the
-//! wall clock — and unlike the budget meter they only ever *record*
-//! time, they never branch on it, so determinism of the search itself is
-//! unaffected. The `no-raw-deadline` tidy lint pins all three modules
-//! down, and the `phase-discipline` lint keeps raw span recording from
-//! reappearing outside `core::telemetry`.
+//! The [`profile`] phase profiler is, next to `core::budget`, the only
+//! place in the solver crates that reads the wall clock — and unlike the
+//! budget meter it only ever *records* time, it never branches on it, so
+//! determinism of the search itself is unaffected. The `no-raw-deadline`
+//! tidy lint pins both modules down.
 //!
 //! # Phase profile
 //!
@@ -51,7 +51,6 @@ pub mod profile;
 
 mod hist;
 mod registry;
-mod span;
 mod trace;
 
 pub use hist::HistogramSnapshot;
@@ -59,8 +58,7 @@ pub use profile::{PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, W
 pub use registry::{
     CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, TimingSnapshot,
 };
-pub use span::Span;
-pub use trace::{TraceBuffer, TraceEvent, TraceKind, DEFAULT_TRACE_CAP};
+pub use trace::{TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP};
 
 /// One solver run's telemetry: the metrics registry, the bounded
 /// trace-event buffer, and the hierarchical phase profiler. Owned by the

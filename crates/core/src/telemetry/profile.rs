@@ -24,11 +24,11 @@
 //! consumable by `inferno` / `flamegraph.pl`
 //! ([`ProfileSnapshot::to_folded`]).
 //!
-//! Like `telemetry::span`, this module only ever *records* the clock —
-//! nothing here branches on time, so search determinism is unaffected;
-//! the `no-raw-deadline` tidy lint pins it down as a sanctioned clock
-//! module, and the `phase-discipline` lint (T14) keeps raw span
-//! recording from growing back outside `core::telemetry`.
+//! This module only ever *records* the clock — nothing here branches on
+//! time, so search determinism is unaffected; the `no-raw-deadline` tidy
+//! lint pins it down as a sanctioned clock module. It is the one source
+//! of wall time in a run's telemetry: the registry's timing section only
+//! mirrors its root walls (`Telemetry::finish_phases`).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -346,62 +346,6 @@ impl PhaseProfiler {
     fn publish_path(&self) {
         if let Some(beacon) = &self.beacon {
             beacon.set_path(&self.open_path());
-        }
-    }
-
-    /// Grafts a finished snapshot into this profiler as sibling trees of
-    /// the current roots (name-merged). Lets the CLI fold a solver's
-    /// profile into its own `ingest`/`index`/`emit` phases before
-    /// finishing.
-    pub fn graft(&mut self, snap: &ProfileSnapshot) {
-        for root in &snap.roots {
-            let idx = self.intern_root(&root.name);
-            self.graft_node(idx, root);
-        }
-    }
-
-    fn intern_root(&mut self, name: &str) -> usize {
-        if let Some(&idx) = self.roots.iter().find(|&&i| self.nodes[i].name == name) {
-            return idx;
-        }
-        let idx = self.nodes.len();
-        self.nodes.push(Node::named(name));
-        self.roots.push(idx);
-        idx
-    }
-
-    fn graft_node(&mut self, idx: usize, from: &ProfileNode) {
-        {
-            let node = &mut self.nodes[idx];
-            node.work = std::array::from_fn(|i| node.work[i].saturating_add(from.work[i]));
-            node.wall_nanos = node.wall_nanos.saturating_add(from.wall_nanos);
-            if from.calls > 0 {
-                if node.calls == 0 {
-                    node.wall_min = from.wall_min;
-                    node.wall_max = from.wall_max;
-                } else {
-                    node.wall_min = node.wall_min.min(from.wall_min);
-                    node.wall_max = node.wall_max.max(from.wall_max);
-                }
-            }
-            node.calls = node.calls.saturating_add(from.calls);
-        }
-        for child in &from.children {
-            let child_idx = match self.nodes[idx]
-                .children
-                .iter()
-                .copied()
-                .find(|&i| self.nodes[i].name == child.name)
-            {
-                Some(i) => i,
-                None => {
-                    let i = self.nodes.len();
-                    self.nodes.push(Node::named(&child.name));
-                    self.nodes[idx].children.push(i);
-                    i
-                }
-            };
-            self.graft_node(child_idx, child);
         }
     }
 
@@ -919,20 +863,6 @@ mod tests {
         let wall = sample().flat_wall();
         let keys: Vec<&str> = wall.keys().map(String::as_str).collect();
         assert_eq!(keys, ["search", "search/support-eval"]);
-    }
-
-    #[test]
-    fn graft_folds_a_snapshot_into_a_live_profiler() {
-        let mut p = PhaseProfiler::new();
-        p.open("ingest");
-        p.close();
-        p.graft(&sample());
-        p.open("emit");
-        p.close();
-        let snap = p.finish();
-        let names: Vec<&str> = snap.roots.iter().map(|r| r.name.as_str()).collect();
-        assert_eq!(names, ["ingest", "search", "emit"]);
-        assert_eq!(snap.roots[1].children[0].work[WorkCol::Evals as usize], 6);
     }
 
     #[test]

@@ -24,8 +24,9 @@ pub struct HistogramId(usize);
 /// name and returns a cheap `Copy` handle; the hot-path mutators (`inc`,
 /// `add`, `gauge_max`, `observe`) are O(1) slot updates. All metric kinds
 /// except timings are **deterministic**: their values depend only on the
-/// work performed, never on the clock. Timings (`record_timing`) are the
-/// explicitly non-deterministic half — see the module docs.
+/// work performed, never on the clock. Timings are the explicitly
+/// non-deterministic half, mirrored from the phase profile — see the
+/// module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
@@ -110,9 +111,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a wall-clock span duration under `name`. **Non-deterministic**
+    /// Records a wall-clock duration under `name`. **Non-deterministic**
     /// by nature; excluded from [`MetricsSnapshot::deterministic_json`].
-    pub fn record_timing(&mut self, name: &str, nanos: u64) {
+    /// Private to `core::telemetry`: its one caller is
+    /// [`super::Telemetry::finish_phases`], so every timing is a phase wall.
+    pub(super) fn record_timing(&mut self, name: &str, nanos: u64) {
         let slot = match self.timings.iter_mut().find(|(n, _)| n == name) {
             Some((_, t)) => t,
             None => {
@@ -153,16 +156,16 @@ impl MetricsRegistry {
     }
 }
 
-/// Aggregated wall-clock time of one named span.
+/// Aggregated wall-clock time of one named timing (a root phase).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TimingSnapshot {
-    /// Number of recorded spans.
+    /// Number of recorded durations.
     pub count: u64,
     /// Summed duration in nanoseconds.
     pub total_nanos: u64,
-    /// Fastest recorded span, nanoseconds (0 until the first record).
+    /// Fastest recorded duration, nanoseconds (0 until the first record).
     pub min_nanos: u64,
-    /// Slowest recorded span, nanoseconds (0 until the first record).
+    /// Slowest recorded duration, nanoseconds (0 until the first record).
     pub max_nanos: u64,
 }
 
@@ -177,7 +180,7 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Wall-clock span timings (non-deterministic section).
+    /// Wall-clock timings of root phases (non-deterministic section).
     pub timings: BTreeMap<String, TimingSnapshot>,
     /// Execution-shape facts — how the work was done, not what it
     /// computed — e.g. `matcher.fallback.state_budget`, which records

@@ -2,21 +2,21 @@
 //!
 //! # Schema
 //!
-//! One JSON object per line:
+//! One JSON object per line, each an instantaneous point event:
 //!
 //! ```json
-//! {"seq":3,"kind":"span","name":"solve","fields":{"pops":17},"dur_nanos":52100}
-//! {"seq":4,"kind":"point","name":"incumbent.refresh","fields":{"depth":5}}
+//! {"seq":4,"kind":"point","name":"search.pop","fields":{"depth":5}}
 //! ```
 //!
 //! * `seq` — deterministic, strictly increasing event number (assigned in
 //!   emission order, including events later dropped by the cap);
-//! * `kind` — `"span"` (has an optional wall-clock `dur_nanos`) or
-//!   `"point"` (instantaneous);
+//! * `kind` — always `"point"`;
 //! * `name` — dotted event name, same namespace as the metrics registry;
-//! * `fields` — deterministic integer payload, sorted by key;
-//! * `dur_nanos` — wall-clock duration, present only on spans.
-//!   **Non-deterministic**; everything else on the line is deterministic.
+//! * `fields` — deterministic integer payload, sorted by key.
+//!
+//! No field reads the clock, so a trace is wholly deterministic: two runs
+//! under the same processed cap write byte-identical files. Wall-clock time
+//! lives in the phase profile ([`super::profile`]).
 //!
 //! A trailing meta line reports truncation:
 //!
@@ -32,45 +32,15 @@ use super::json::{self, JsonValue};
 /// Default maximum number of buffered events ([`TraceBuffer::new`]).
 pub const DEFAULT_TRACE_CAP: usize = 4096;
 
-/// The two event shapes of the trace stream.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum TraceKind {
-    /// A completed span; may carry `dur_nanos`.
-    Span,
-    /// An instantaneous point event.
-    Point,
-}
-
-impl TraceKind {
-    fn as_str(self) -> &'static str {
-        match self {
-            TraceKind::Span => "span",
-            TraceKind::Point => "point",
-        }
-    }
-
-    fn parse(s: &str) -> Option<Self> {
-        match s {
-            "span" => Some(TraceKind::Span),
-            "point" => Some(TraceKind::Point),
-            _ => None,
-        }
-    }
-}
-
 /// One trace event (see the module docs for the JSONL schema).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Deterministic emission number.
     pub seq: u64,
-    /// Span or point.
-    pub kind: TraceKind,
     /// Dotted event name.
     pub name: String,
     /// Deterministic integer payload, sorted by key at emission.
     pub fields: Vec<(String, u64)>,
-    /// Wall-clock duration (spans only, non-deterministic).
-    pub dur_nanos: Option<u64>,
 }
 
 impl TraceEvent {
@@ -78,10 +48,7 @@ impl TraceEvent {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         out.push('{');
-        let _ = write!(out, "\"seq\":{},", self.seq);
-        json::push_key(&mut out, "kind");
-        json::push_string(&mut out, self.kind.as_str());
-        out.push(',');
+        let _ = write!(out, "\"seq\":{},\"kind\":\"point\",", self.seq);
         json::push_key(&mut out, "name");
         json::push_string(&mut out, &self.name);
         out.push(',');
@@ -94,11 +61,7 @@ impl TraceEvent {
             json::push_key(&mut out, k);
             let _ = write!(out, "{v}");
         }
-        out.push('}');
-        if let Some(d) = self.dur_nanos {
-            let _ = write!(out, ",\"dur_nanos\":{d}");
-        }
-        out.push('}');
+        out.push_str("}}");
         out
     }
 
@@ -107,7 +70,9 @@ impl TraceEvent {
     pub fn parse(line: &str) -> Option<TraceEvent> {
         let v = JsonValue::parse(line.trim())?;
         let seq = v.get("seq")?.as_u64()?;
-        let kind = TraceKind::parse(v.get("kind")?.as_str()?)?;
+        if v.get("kind")?.as_str()? != "point" {
+            return None;
+        }
         let name = v.get("name")?.as_str()?.to_owned();
         let fields = match v.get("fields")? {
             JsonValue::Obj(pairs) => pairs
@@ -116,17 +81,7 @@ impl TraceEvent {
                 .collect::<Option<Vec<_>>>()?,
             _ => return None,
         };
-        let dur_nanos = match v.get("dur_nanos") {
-            Some(d) => Some(d.as_u64()?),
-            None => None,
-        };
-        Some(TraceEvent {
-            seq,
-            kind,
-            name,
-            fields,
-            dur_nanos,
-        })
+        Some(TraceEvent { seq, name, fields })
     }
 }
 
@@ -165,15 +120,9 @@ impl TraceBuffer {
         }
     }
 
-    /// Records one event. `fields` are sorted by key before storage so the
-    /// serialized form is canonical.
-    pub fn record(
-        &mut self,
-        kind: TraceKind,
-        name: &str,
-        mut fields: Vec<(String, u64)>,
-        dur_nanos: Option<u64>,
-    ) {
+    /// Records one point event. `fields` are sorted by key before storage
+    /// so the serialized form is canonical.
+    pub fn point(&mut self, name: &str, mut fields: Vec<(String, u64)>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         if self.events.len() >= self.cap {
@@ -183,21 +132,9 @@ impl TraceBuffer {
         fields.sort();
         self.events.push(TraceEvent {
             seq,
-            kind,
             name: name.to_owned(),
             fields,
-            dur_nanos,
         });
-    }
-
-    /// Convenience: records a point event.
-    pub fn point(&mut self, name: &str, fields: Vec<(String, u64)>) {
-        self.record(TraceKind::Point, name, fields, None);
-    }
-
-    /// Convenience: records a completed span.
-    pub fn span(&mut self, name: &str, fields: Vec<(String, u64)>, dur_nanos: u64) {
-        self.record(TraceKind::Span, name, fields, Some(dur_nanos));
     }
 
     /// The buffered events, in emission order.
@@ -219,10 +156,8 @@ impl TraceBuffer {
         if self.dropped > 0 {
             let meta = TraceEvent {
                 seq: self.next_seq,
-                kind: TraceKind::Point,
                 name: "trace.dropped".to_owned(),
                 fields: vec![("count".to_owned(), self.dropped)],
-                dur_nanos: None,
             };
             writeln!(out, "{}", meta.to_jsonl())?;
         }
@@ -237,17 +172,20 @@ mod tests {
     #[test]
     fn jsonl_round_trips_spans_and_points() {
         let mut buf = TraceBuffer::new();
-        buf.span(
-            "solve",
+        buf.point(
+            "search.pop",
             vec![("pops".to_owned(), 17), ("depth".to_owned(), 3)],
-            52100,
         );
-        buf.point("incumbent.refresh", vec![("depth".to_owned(), 5)]);
+        buf.point("iso.probe", vec![("patterns".to_owned(), 5)]);
         for e in buf.events() {
             let line = e.to_jsonl();
+            assert!(line.contains("\"kind\":\"point\""), "line: {line}");
             let back = TraceEvent::parse(&line).expect("round-trip parse");
             assert_eq!(&back, e, "line: {line}");
         }
+        // Every event is a point; a line of any other kind is refused.
+        let span = "{\"seq\":3,\"kind\":\"span\",\"name\":\"solve\",\"fields\":{},\"dur_nanos\":5}";
+        assert!(TraceEvent::parse(span).is_none());
     }
 
     #[test]

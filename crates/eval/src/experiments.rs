@@ -20,7 +20,7 @@ use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot, WorkCol};
 use evematch_datagen::{datasets, Dataset};
 
 use crate::checkpoint::{self, MethodRecord};
-use crate::method::{Method, RunOutcome, SupportCachePool};
+use crate::method::{Method, SupportCachePool};
 use crate::project::{project_dataset, truncate_traces};
 use crate::report::Table;
 
@@ -612,12 +612,12 @@ pub fn table4(runs: usize, base_seed: u64) -> Table {
         let pair = datasets::random_pair(n, 1000, base_seed + run as u64);
         for (mi, m) in TABLE4_METHODS.iter().enumerate() {
             let out = m.run(&pair, &[], Budget::UNLIMITED);
-            let RunOutcome::Finished { mapping, .. } = out else {
+            if !out.finished() {
                 continue;
-            };
+            }
             let idx = perms
                 .iter()
-                .position(|p| perm_matches(p, &mapping))
+                .position(|p| perm_matches(p, &out.mapping))
                 // tidy-allow: no-panic -- perms enumerates all 4! injections of a 4x4 instance, and Finished mappings are complete
                 .expect("complete 4-event mapping is one of the 24");
             counts[idx][mi] += 1;

@@ -19,7 +19,7 @@ mod metrics;
 mod project;
 mod report;
 
-pub use method::{DegradedResult, Method, RunOutcome, SupportCachePool, ALL_METHODS};
+pub use method::{Method, RunOutcome, SupportCachePool, ALL_METHODS};
 pub use metrics::MatchQuality;
 pub use project::{project_dataset, truncate_traces};
 pub use report::Table;

@@ -5,7 +5,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use evematch_core::{
-    AdvancedHeuristic, BoundKind, Budget, EntropyMatcher, EvalConfig, ExactMatcher,
+    AdvancedHeuristic, BoundKind, Budget, Completion, EntropyMatcher, EvalConfig, ExactMatcher,
     IterativeMatcher, Mapping, MatchContext, MetricsSnapshot, PatternSetBuilder, PhaseProfiler,
     ProfileSnapshot, SimpleHeuristic, SupportMemo,
 };
@@ -101,138 +101,67 @@ pub const ALL_METHODS: [Method; 8] = [
     Method::HeuristicAdvanced,
 ];
 
-/// The anytime mapping a budget-exhausted run still returns: every solver
-/// degrades gracefully instead of reporting nothing.
-#[derive(Clone, Debug)]
-pub struct DegradedResult {
-    /// The complete (greedy-completed) mapping.
-    pub mapping: Mapping,
-    /// Accuracy of the degraded mapping against ground truth.
-    pub quality: MatchQuality,
-    /// Pattern normal distance of the degraded mapping.
-    pub score: f64,
-    /// The solver's optimality-gap certificate: the optimum (in the
-    /// solver's own sense — see each matcher's docs) is at most
-    /// `score + optimality_gap`.
-    pub optimality_gap: f64,
-}
-
 /// The result of running one method on one dataset configuration.
+///
+/// Every solver returns a complete mapping. When the budget trips
+/// (`completion` is [`Completion::BudgetExhausted`]) the paper reports the
+/// run as "did not finish" — its entries in Figure 12 — so
+/// [`RunOutcome::f_measure`] is 0, while the anytime mapping it salvaged
+/// still carries a quality and an optimality-gap certificate.
 #[derive(Clone, Debug)]
-pub enum RunOutcome {
-    /// The method produced a mapping within budget.
-    Finished {
-        /// The mapping found.
-        mapping: Mapping,
-        /// Accuracy against ground truth.
-        quality: MatchQuality,
-        /// Pattern normal distance of the mapping (under the method's own
-        /// pattern set).
-        score: f64,
-        /// Wall-clock time (context construction + search).
-        elapsed: Duration,
-        /// Processed candidate mappings (Figures 7c/8c/9c/10c).
-        processed: u64,
-        /// Telemetry snapshot of the run (see `evematch_core::telemetry`).
-        metrics: MetricsSnapshot,
-        /// Hierarchical phase profile of the run (index + search roots).
-        profile: ProfileSnapshot,
-    },
-    /// The method exhausted its budget — the paper's "cannot return
-    /// results" entries in Figure 12. The paper-faithful row reports DNF
-    /// (zero F-measure); the anytime engine additionally reports the
-    /// degraded mapping it salvaged.
-    DidNotFinish {
-        /// Time spent before the budget tripped.
-        elapsed: Duration,
-        /// Mappings processed within budget.
-        processed: u64,
-        /// The degraded anytime result (always present — every solver
-        /// returns a complete mapping).
-        degraded: DegradedResult,
-        /// Telemetry snapshot of the run (see `evematch_core::telemetry`);
-        /// its `budget.exhausted.*` counter names the tripped limit.
-        metrics: MetricsSnapshot,
-        /// Hierarchical phase profile of the run (index + search roots).
-        profile: ProfileSnapshot,
-    },
+pub struct RunOutcome {
+    /// The mapping found (the degraded anytime mapping when the run did
+    /// not finish).
+    pub mapping: Mapping,
+    /// Accuracy of the mapping against ground truth.
+    pub quality: MatchQuality,
+    /// Pattern normal distance of the mapping (under the method's own
+    /// pattern set).
+    pub score: f64,
+    /// Wall-clock time (context construction + search).
+    pub elapsed: Duration,
+    /// Whether the run finished or degraded on budget exhaustion; a
+    /// degraded run's gap certificate says the optimum (in the solver's
+    /// own sense — see each matcher's docs) is at most
+    /// `score + optimality_gap`.
+    pub completion: Completion,
+    /// Telemetry snapshot of the run (see `evematch_core::telemetry`); on
+    /// a degraded run its `budget.exhausted.*` counter names the tripped
+    /// limit.
+    pub metrics: MetricsSnapshot,
+    /// Hierarchical phase profile of the run (index + search roots).
+    pub profile: ProfileSnapshot,
 }
 
 impl RunOutcome {
+    /// Whether the method finished within budget.
+    pub fn finished(&self) -> bool {
+        self.completion.is_finished()
+    }
+
     /// Paper-faithful F-measure: 0 for DNF, regardless of the degraded
     /// mapping's quality.
     pub fn f_measure(&self) -> f64 {
-        match self {
-            RunOutcome::Finished { quality, .. } => quality.f_measure,
-            RunOutcome::DidNotFinish { .. } => 0.0,
+        if self.finished() {
+            self.quality.f_measure
+        } else {
+            0.0
         }
     }
 
-    /// F-measure of the mapping actually returned: the finished mapping's,
-    /// or the degraded anytime mapping's on DNF.
+    /// F-measure of the mapping actually returned, degraded runs included.
     pub fn anytime_f_measure(&self) -> f64 {
-        match self {
-            RunOutcome::Finished { quality, .. } => quality.f_measure,
-            RunOutcome::DidNotFinish { degraded, .. } => degraded.quality.f_measure,
-        }
+        self.quality.f_measure
     }
 
-    /// The degraded anytime mapping's F-measure, when the run was degraded.
-    pub fn degraded_f_measure(&self) -> Option<f64> {
-        match self {
-            RunOutcome::Finished { .. } => None,
-            RunOutcome::DidNotFinish { degraded, .. } => Some(degraded.quality.f_measure),
-        }
-    }
-
-    /// Elapsed wall-clock time.
-    pub fn elapsed(&self) -> Duration {
-        match self {
-            RunOutcome::Finished { elapsed, .. } | RunOutcome::DidNotFinish { elapsed, .. } => {
-                *elapsed
-            }
-        }
-    }
-
-    /// Processed candidate mappings.
+    /// Processed candidate mappings (Figures 7c/8c/9c/10c): the run's
+    /// `budget.processed` counter.
     pub fn processed(&self) -> u64 {
-        match self {
-            RunOutcome::Finished { processed, .. } | RunOutcome::DidNotFinish { processed, .. } => {
-                *processed
-            }
-        }
-    }
-
-    /// Whether the method finished within budget.
-    pub fn finished(&self) -> bool {
-        matches!(self, RunOutcome::Finished { .. })
-    }
-
-    /// The run's telemetry snapshot.
-    pub fn metrics(&self) -> &MetricsSnapshot {
-        match self {
-            RunOutcome::Finished { metrics, .. } | RunOutcome::DidNotFinish { metrics, .. } => {
-                metrics
-            }
-        }
-    }
-
-    /// The run's hierarchical phase profile.
-    pub fn profile(&self) -> &ProfileSnapshot {
-        match self {
-            RunOutcome::Finished { profile, .. } | RunOutcome::DidNotFinish { profile, .. } => {
-                profile
-            }
-        }
-    }
-
-    /// Mutable access to the run's phase profile (retry attribution).
-    pub fn profile_mut(&mut self) -> &mut ProfileSnapshot {
-        match self {
-            RunOutcome::Finished { profile, .. } | RunOutcome::DidNotFinish { profile, .. } => {
-                profile
-            }
-        }
+        self.metrics
+            .counters
+            .get("budget.processed")
+            .copied()
+            .unwrap_or(0)
     }
 }
 
@@ -326,28 +255,14 @@ impl Method {
             }
         };
         profile.merge(&out.profile);
-        match out.completion.optimality_gap() {
-            None => RunOutcome::Finished {
-                quality: MatchQuality::of(&out.mapping, &pair.truth),
-                mapping: out.mapping,
-                score: out.score,
-                elapsed: start.elapsed(),
-                processed: out.stats.processed_mappings,
-                metrics: out.metrics,
-                profile,
-            },
-            Some(optimality_gap) => RunOutcome::DidNotFinish {
-                elapsed: start.elapsed(),
-                processed: out.stats.processed_mappings,
-                degraded: DegradedResult {
-                    quality: MatchQuality::of(&out.mapping, &pair.truth),
-                    mapping: out.mapping,
-                    score: out.score,
-                    optimality_gap,
-                },
-                metrics: out.metrics,
-                profile,
-            },
+        RunOutcome {
+            quality: MatchQuality::of(&out.mapping, &pair.truth),
+            mapping: out.mapping,
+            score: out.score,
+            elapsed: start.elapsed(),
+            completion: out.completion,
+            metrics: out.metrics,
+            profile,
         }
     }
 }
@@ -363,9 +278,7 @@ mod tests {
         for m in ALL_METHODS {
             let out = m.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
             assert!(out.finished(), "{} did not finish", m.name());
-            if let RunOutcome::Finished { mapping, .. } = &out {
-                assert_eq!(mapping.len(), 6, "{} incomplete", m.name());
-            }
+            assert_eq!(out.mapping.len(), 6, "{} incomplete", m.name());
         }
     }
 
@@ -391,13 +304,10 @@ mod tests {
         assert_eq!(out.f_measure(), 0.0);
         assert!(out.processed() <= 2);
         // Anytime row: a complete mapping with a finite gap certificate.
-        let RunOutcome::DidNotFinish { degraded, .. } = &out else {
-            panic!("expected DNF");
-        };
-        assert!(degraded.mapping.is_complete());
-        assert!(degraded.optimality_gap.is_finite() && degraded.optimality_gap >= 0.0);
-        assert_eq!(out.degraded_f_measure(), Some(degraded.quality.f_measure));
-        assert_eq!(out.anytime_f_measure(), degraded.quality.f_measure);
+        assert!(out.mapping.is_complete());
+        let gap = out.completion.optimality_gap().expect("DNF carries a gap");
+        assert!(gap.is_finite() && gap >= 0.0);
+        assert_eq!(out.anytime_f_measure(), out.quality.f_measure);
     }
 
     #[test]
@@ -407,11 +317,8 @@ mod tests {
         for m in ALL_METHODS {
             let out = m.run(&ds.pair, &ds.patterns, budget);
             assert!(!out.finished(), "{} ignored a zero budget", m.name());
-            let RunOutcome::DidNotFinish { degraded, .. } = &out else {
-                panic!("{} must degrade, not vanish", m.name());
-            };
             assert!(
-                degraded.mapping.is_complete(),
+                out.mapping.is_complete(),
                 "{} returned an incomplete degraded mapping",
                 m.name()
             );
@@ -423,12 +330,8 @@ mod tests {
         let ds = fig1_like();
         let simple = Method::PatternSimple.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
         let tight = Method::PatternTight.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-        let (RunOutcome::Finished { score: s1, .. }, RunOutcome::Finished { score: s2, .. }) =
-            (&simple, &tight)
-        else {
-            panic!("both must finish");
-        };
-        assert!((s1 - s2).abs() < 1e-9);
+        assert!(simple.finished() && tight.finished(), "both must finish");
+        assert!((simple.score - tight.score).abs() < 1e-9);
         // Tight prunes at least as well.
         assert!(tight.processed() <= simple.processed());
     }

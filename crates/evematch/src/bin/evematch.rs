@@ -296,17 +296,21 @@ fn run(opts: &Options) -> Result<bool, String> {
     if let Some(spec) = &opts.fault_schedule {
         fault::arm(spec, opts.fault_seed).map_err(|e| format!("--fault-schedule: {e}"))?;
     }
-    // The CLI-level phase profiler: ingest and index are measured here,
-    // the solver's own tree (search, probe, support-eval) is grafted in
-    // after the run, and emit closes the story. A beacon (for --progress)
-    // rides on both this profiler and the solver's.
-    let mut profiler = PhaseProfiler::new();
+    // The run's phase profile is three profilers merged in order: ingest
+    // and index are measured here, the solver's own tree (search, probe,
+    // support-eval) follows, and emit closes the story. A beacon (for
+    // --progress) rides on every one of them.
     let beacon = opts
         .progress
         .then(|| std::sync::Arc::new(ProgressBeacon::new()));
-    if let Some(b) = &beacon {
-        profiler.attach_beacon(b.clone());
-    }
+    let new_profiler = || {
+        let mut profiler = PhaseProfiler::new();
+        if let Some(b) = &beacon {
+            profiler.attach_beacon(b.clone());
+        }
+        profiler
+    };
+    let mut profiler = new_profiler();
     let ingest = ingest_options(opts);
     let (in1, in2) = evematch::core::phase!(profiler, "ingest", {
         let in1 = load_log(&opts.logs[0], opts.format.as_deref(), &ingest)?;
@@ -346,6 +350,7 @@ fn run(opts: &Options) -> Result<bool, String> {
     };
     let ctx = evematch::core::phase!(profiler, "index", MatchContext::new(log1, log2, builder))
         .map_err(|e| e.to_string())?;
+    let mut profile = profiler.finish();
     let mut budget = Budget::UNLIMITED.with_deadline(Duration::from_secs(opts.limit_secs));
     if let Some(cap) = opts.limit_processed {
         budget = budget.with_processed_cap(cap);
@@ -368,9 +373,10 @@ fn run(opts: &Options) -> Result<bool, String> {
         other => return Err(format!("unknown method `{other}`")),
     };
     drop(heartbeat);
-    profiler.graft(&outcome.profile);
+    profile.merge(&outcome.profile);
 
-    profiler.open("emit");
+    let mut emitter = new_profiler();
+    emitter.open("emit");
     if let Some(path) = &opts.metrics_out {
         // Fold the ingestion quarantine counts into the run's snapshot so
         // one artifact tells the whole story (merge adds counters, so the
@@ -409,12 +415,11 @@ fn run(opts: &Options) -> Result<bool, String> {
     for (a, b) in outcome.mapping.pairs() {
         println!("{}\t{}", names1.events().name(a), names2.events().name(b));
     }
-    profiler.close();
+    profile.merge(&emitter.finish());
 
     if let Some(path) = &opts.profile_out {
         // The profile's own serialization cannot profile itself — the
         // emit phase above covers the other artifacts and the mapping.
-        let profile = profiler.finish();
         write_artifact(path, |p| {
             persist::atomic_write_verified(p, (profile.to_json_string() + "\n").as_bytes())
         })?;
@@ -432,7 +437,9 @@ fn run(opts: &Options) -> Result<bool, String> {
     if !opts.quiet {
         eprintln!(
             "pattern normal distance {:.4}; {} mappings processed in {:.2?}",
-            outcome.score, outcome.stats.processed_mappings, outcome.elapsed
+            outcome.score,
+            outcome.processed(),
+            outcome.elapsed
         );
     }
     Ok(outcome.completion.is_finished())

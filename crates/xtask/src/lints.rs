@@ -1,4 +1,4 @@
-//! The tidy lints (T1–T11, T13–T15) and the waiver machinery.
+//! The tidy lints (T1–T11, T13, T15) and the waiver machinery.
 //!
 //! Each lint is a pure function from a scanned file (or manifest text) to
 //! violations, so the unit tests below can drive them with inline
@@ -28,22 +28,14 @@ pub const FLOAT_ORD_MODULE: &str = "crates/core/src/score/float_ord.rs";
 pub const RAW_DEADLINE_CRATES: &[&str] = &["core", "graph", "pattern"];
 
 /// The modules allowed to read the clock directly: the budget module owns
-/// the deadline poll every solver shares, and the telemetry span/profile
-/// modules *record* durations without ever branching on them (they land
+/// the deadline poll every solver shares, and the telemetry phase
+/// profiler *records* durations without ever branching on them (they land
 /// in the clearly-marked non-deterministic section of a metrics or
 /// profile snapshot).
 pub const CLOCK_MODULES: &[&str] = &[
     "crates/core/src/budget.rs",
     "crates/core/src/telemetry/profile.rs",
-    "crates/core/src/telemetry/span.rs",
 ];
-
-/// The module tree that owns raw timing primitives (lint T14): runtime
-/// code outside `core::telemetry` must not start spans or record timings
-/// directly — wall-clock attribution goes through the hierarchical phase
-/// profiler (`phase!` / `PhaseProfiler`), whose deterministic/wall split
-/// is what keeps profile artifacts byte-comparable across thread counts.
-pub const PHASE_MODULE_DIR: &str = "crates/core/src/telemetry/";
 
 /// Library crates that must stay silent on stdout/stderr (lint T7):
 /// libraries report through return values, sinks, and the telemetry
@@ -122,10 +114,6 @@ pub enum Lint {
     /// crates — every discarded `io::Result` routes through the
     /// `core::fault` taxonomy or carries a waiver.
     UnclassifiedIo,
-    /// T14: phase discipline — no raw `Span::start`/`record_timing` in
-    /// runtime code outside `core::telemetry`; time is attributed through
-    /// the phase profiler.
-    PhaseDiscipline,
     /// T15: no raw `File::open`/`fs::read`/`fs::read_to_string` in the
     /// artifact-consuming crates — result and journal reads go through
     /// the verified reader API so checksums and versions are checked.
@@ -154,7 +142,6 @@ impl Lint {
             Lint::OrderingJustified => "ordering-justified",
             Lint::LockDiscipline => "lock-discipline",
             Lint::UnclassifiedIo => "no-unclassified-io",
-            Lint::PhaseDiscipline => "phase-discipline",
             Lint::UnverifiedArtifactRead => "no-unverified-artifact-read",
             Lint::CrateAttrs => "crate-attrs",
             Lint::LintsTable => "lints-table",
@@ -177,7 +164,6 @@ impl Lint {
                 | Lint::OrderingJustified
                 | Lint::LockDiscipline
                 | Lint::UnclassifiedIo
-                | Lint::PhaseDiscipline
                 | Lint::UnverifiedArtifactRead
         )
     }
@@ -195,7 +181,6 @@ impl Lint {
             "ordering-justified",
             "lock-discipline",
             "no-unclassified-io",
-            "phase-discipline",
             "no-unverified-artifact-read",
         ]
     }
@@ -800,49 +785,6 @@ pub fn check_no_unverified_artifact_read(file: &ScannedFile) -> Vec<Violation> {
     out
 }
 
-/// T14: phase discipline — flags raw timing-primitive use
-/// (`Span::start`, `.record_timing(`, `record_span`) in runtime source
-/// outside the [`PHASE_MODULE_DIR`] module tree.
-///
-/// The hierarchical phase profiler is the one sanctioned door for timing
-/// attribution: it keeps wall-clock readings quarantined in the
-/// non-deterministic section of a profile snapshot, charges work counters
-/// to the innermost open phase, and mirrors phase walls into the legacy
-/// timing registry itself (`Telemetry::finish_phases`). A solver or
-/// binary that starts a span directly bypasses that split — its timing
-/// never lands in the phase tree, and the perf-trajectory gate
-/// (`cargo xtask perf check`) cannot see the work it covers.
-pub fn check_phase_discipline(file: &ScannedFile) -> Vec<Violation> {
-    const NEEDLES: &[&str] = &["Span::start", ".record_timing(", "record_span"];
-    if file.path.starts_with(PHASE_MODULE_DIR) {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.in_test_code {
-            continue;
-        }
-        for needle in NEEDLES {
-            if find_token(&line.code, needle).is_some() {
-                out.push(Violation::new(
-                    &file.path,
-                    idx + 1,
-                    Lint::PhaseDiscipline,
-                    format!(
-                        "runtime code must not use `{needle}` directly: open a \
-                         profiler phase (`core::phase!` / `PhaseProfiler`) and \
-                         let `Telemetry::finish_phases` mirror the walls into \
-                         the timing registry (or waive with `// tidy-allow: \
-                         phase-discipline -- <why this timing cannot be a \
-                         phase>`)"
-                    ),
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// Counts boundary-checked occurrences of `token` in `code`.
 fn count_token(code: &str, token: &str) -> usize {
     let mut n = 0;
@@ -1308,11 +1250,11 @@ mod tests {
             "fn m() { let t = Instant::now(); }",
         );
         assert!(check_no_raw_deadline(&budget).is_empty());
-        let span = scanned(
-            "crates/core/src/telemetry/span.rs",
+        let profile = scanned(
+            "crates/core/src/telemetry/profile.rs",
             "fn s() { let t = Instant::now(); }",
         );
-        assert!(check_no_raw_deadline(&span).is_empty());
+        assert!(check_no_raw_deadline(&profile).is_empty());
         let src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { let _ = Instant::now(); }\n}";
         let f = scanned("crates/core/src/exact.rs", src);
         assert!(check_no_raw_deadline(&f).is_empty());
@@ -1676,52 +1618,6 @@ mod tests {
         // their swallowed I/O errors matter just as much as the libraries'.
         assert!(IO_CLASSIFIED_CRATES.contains(&"bench"));
         assert!(is_runtime_source("crates/bench/src/bin/repro_all.rs"));
-    }
-
-    // ---- T14 ----
-
-    #[test]
-    fn t14_fires_on_raw_timing_primitives() {
-        let src = "fn f(t: &mut Telemetry) {\n  let span = Span::start();\n  t.registry.record_timing(\"solve\", span.stop());\n  record_span(t, \"x\");\n}";
-        let f = scanned("crates/core/src/exact.rs", src);
-        let v = check_phase_discipline(&f);
-        assert_eq!(v.len(), 3, "{v:?}");
-        assert!(v.iter().all(|v| v.lint == Lint::PhaseDiscipline));
-    }
-
-    #[test]
-    fn t14_exempts_the_telemetry_tree_tests_and_lookalikes() {
-        for path in [
-            "crates/core/src/telemetry/mod.rs",
-            "crates/core/src/telemetry/span.rs",
-            "crates/core/src/telemetry/profile.rs",
-        ] {
-            let f = scanned(path, "fn f() { let s = Span::start(); }");
-            assert!(check_phase_discipline(&f).is_empty(), "{path}");
-        }
-        let test_src = "fn f() {}\n#[cfg(test)]\nmod tests {\n  #[test]\n  fn t() { reg.record_timing(\"x\", 1); }\n}";
-        let t = scanned("crates/core/src/exact.rs", test_src);
-        assert!(check_phase_discipline(&t).is_empty());
-        // `MySpan::startup` and `my_record_timings(` are not the primitives.
-        let lookalike = scanned(
-            "crates/core/src/exact.rs",
-            "fn f() { MySpan::startup(); my_record_timings(1); }",
-        );
-        assert!(check_phase_discipline(&lookalike).is_empty());
-    }
-
-    #[test]
-    fn t14_covers_binaries_and_respects_waivers() {
-        let bare = scanned(
-            "crates/evematch/src/bin/evematch.rs",
-            "fn f(t: &mut Telemetry) { t.registry.record_timing(\"io\", 7); }",
-        );
-        assert!(is_runtime_source("crates/evematch/src/bin/evematch.rs"));
-        assert_eq!(check_phase_discipline(&bare).len(), 1);
-        let src = "fn f(t: &mut Telemetry) {\n  t.registry.record_timing(\"io\", 7); // tidy-allow: phase-discipline -- mirrors an externally measured duration\n}";
-        let f = scanned("crates/evematch/src/bin/evematch.rs", src);
-        let v = apply_waivers(&f, check_phase_discipline(&f));
-        assert!(v.is_empty(), "{v:?}");
     }
 
     // ---- T15 ----

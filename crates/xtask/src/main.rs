@@ -71,7 +71,7 @@ LINTS (see DESIGN.md §6):
     lints-table    T5  every crate manifest inherits [workspace.lints]
     no-raw-deadline T6 no Instant::now/SystemTime::now in the solver crates
                        (core, graph, pattern) outside core::budget and
-                       core::telemetry::span (recording-only clock)
+                       core::telemetry::profile (recording-only clock)
     no-println     T7  no println!/eprintln!/print!/eprint! in library crates
                        (xtask, src/bin/ and test code exempt): take a Write
                        sink from the caller or record telemetry instead
@@ -95,12 +95,6 @@ LINTS (see DESIGN.md §6):
                        route errors through core::fault::classify_io or
                        core::retry::retry_io so transient/permanent/corrupt
                        failures keep their class (best-effort sites waive)
-    phase-discipline   T14 no raw Span::start/record_timing/record_span in
-                       runtime code outside core::telemetry (INCLUDING
-                       src/bin/): attribute time by opening a profiler phase
-                       (core::phase!) so walls stay quarantined in the
-                       non-deterministic profile section and the perf gate
-                       sees the work they cover
     no-unverified-artifact-read T15 no raw File::open/fs::read/fs::read_to_string
                        in the artifact-consuming crates (bench, core, eval,
                        evematch) INCLUDING src/bin/: read result/journal

@@ -8,10 +8,10 @@ use crate::lints::{
     apply_waivers, check_crate_attrs, check_lints_table, check_lock_discipline, check_no_float_eq,
     check_no_hash_iter, check_no_panic, check_no_println, check_no_raw_artifact_write,
     check_no_raw_deadline, check_no_raw_thread_spawn, check_no_unclassified_io,
-    check_no_unverified_artifact_read, check_ordering_justified, check_phase_discipline,
-    is_library_source, is_runtime_source, Violation, ARTIFACT_WRITE_CRATES, DETERMINISTIC_CRATES,
-    FLOAT_ORD_CRATES, IO_CLASSIFIED_CRATES, PANIC_FREE_CRATES, PHASE_MODULE_DIR, PRINT_FREE_CRATES,
-    RAW_DEADLINE_CRATES, THREAD_MODULES, VERIFIED_READ_CRATES,
+    check_no_unverified_artifact_read, check_ordering_justified, is_library_source,
+    is_runtime_source, Violation, ARTIFACT_WRITE_CRATES, DETERMINISTIC_CRATES, FLOAT_ORD_CRATES,
+    IO_CLASSIFIED_CRATES, PANIC_FREE_CRATES, PRINT_FREE_CRATES, RAW_DEADLINE_CRATES,
+    THREAD_MODULES, VERIFIED_READ_CRATES,
 };
 use crate::scan::ScannedFile;
 
@@ -59,7 +59,6 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
                 file_violations.extend(check_no_raw_thread_spawn(&scanned));
                 file_violations.extend(check_ordering_justified(&scanned));
                 file_violations.extend(check_lock_discipline(&scanned));
-                file_violations.extend(check_phase_discipline(&scanned));
             }
             violations.extend(apply_waivers(&scanned, file_violations));
         }
@@ -185,12 +184,6 @@ pub fn verify_scopes(root: &Path) -> Result<(), String> {
                  exist; update THREAD_MODULES in crates/xtask/src/lints.rs"
             ));
         }
-    }
-    if !root.join(PHASE_MODULE_DIR).is_dir() {
-        return Err(format!(
-            "tidy confines raw timing primitives to `{PHASE_MODULE_DIR}` but the \
-             directory does not exist; update PHASE_MODULE_DIR in crates/xtask/src/lints.rs"
-        ));
     }
     Ok(())
 }

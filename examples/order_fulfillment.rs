@@ -58,37 +58,16 @@ fn main() {
     let mut any_degraded = false;
     for m in methods {
         let out = m.run(&ds.pair, &ds.patterns, budget);
-        match out {
-            RunOutcome::Finished {
-                quality,
-                elapsed,
-                processed,
-                ..
-            } => table.add_row(vec![
-                m.name().to_owned(),
-                Table::fmt_f64(quality.f_measure),
-                Table::fmt_f64(quality.precision),
-                Table::fmt_f64(quality.recall),
-                Table::fmt_secs(elapsed.as_secs_f64()),
-                processed.to_string(),
-            ]),
-            RunOutcome::DidNotFinish {
-                elapsed,
-                processed,
-                degraded,
-                ..
-            } => {
-                any_degraded = true;
-                table.add_row(vec![
-                    format!("{}*", m.name()),
-                    format!("{}*", Table::fmt_f64(degraded.quality.f_measure)),
-                    format!("{}*", Table::fmt_f64(degraded.quality.precision)),
-                    format!("{}*", Table::fmt_f64(degraded.quality.recall)),
-                    Table::fmt_secs(elapsed.as_secs_f64()),
-                    processed.to_string(),
-                ]);
-            }
-        }
+        let mark = if out.finished() { "" } else { "*" };
+        any_degraded |= !out.finished();
+        table.add_row(vec![
+            format!("{}{mark}", m.name()),
+            format!("{}{mark}", Table::fmt_f64(out.quality.f_measure)),
+            format!("{}{mark}", Table::fmt_f64(out.quality.precision)),
+            format!("{}{mark}", Table::fmt_f64(out.quality.recall)),
+            Table::fmt_secs(out.elapsed.as_secs_f64()),
+            out.processed().to_string(),
+        ]);
     }
     println!("\n{table}");
     if any_degraded {

@@ -53,18 +53,11 @@ fn main() {
         // Unlimited unless EVEMATCH_LIMIT_* env vars say otherwise; a
         // tripped budget still yields a (flagged) degraded mapping.
         let out = method.run(&ds.pair, &patterns, Budget::from_env());
-        let (quality, elapsed, flag) = match &out {
-            RunOutcome::Finished {
-                quality, elapsed, ..
-            } => (quality, elapsed, ""),
-            RunOutcome::DidNotFinish {
-                elapsed, degraded, ..
-            } => (&degraded.quality, elapsed, "*"),
-        };
+        let flag = if out.finished() { "" } else { "*" };
         table.add_row(vec![
             format!("{label}{flag}"),
-            Table::fmt_f64(quality.f_measure),
-            Table::fmt_secs(elapsed.as_secs_f64()),
+            Table::fmt_f64(out.quality.f_measure),
+            Table::fmt_secs(out.elapsed.as_secs_f64()),
         ]);
     }
     println!("\n{table}");

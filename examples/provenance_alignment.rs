@@ -41,31 +41,20 @@ fn main() {
     let budget = Budget::from_env();
     let ve = Method::VertexEdge.run(&ds.pair, &ds.patterns, budget);
     let pat = Method::PatternTight.run(&ds.pair, &ds.patterns, budget);
-    let unpack = |out: &RunOutcome| -> (Mapping, MatchQuality, &'static str) {
-        match out {
-            RunOutcome::Finished {
-                mapping, quality, ..
-            } => (mapping.clone(), *quality, ""),
-            RunOutcome::DidNotFinish { degraded, .. } => {
-                (degraded.mapping.clone(), degraded.quality, " [degraded]")
-            }
-        }
-    };
-    let (ve_map, ve_q, ve_flag) = unpack(&ve);
-    let (pat_map, pat_q, pat_flag) = unpack(&pat);
+    let flag = |out: &RunOutcome| if out.finished() { "" } else { " [degraded]" };
 
     show_mapping(
-        &format!("Vertex+Edge (structure only){ve_flag}"),
+        &format!("Vertex+Edge (structure only){}", flag(&ve)),
         &ds,
-        &ve_map,
+        &ve.mapping,
     );
-    println!("  F-measure: {:.3}\n", ve_q.f_measure);
+    println!("  F-measure: {:.3}\n", ve.quality.f_measure);
     show_mapping(
-        &format!("Pattern-based (with composites){pat_flag}"),
+        &format!("Pattern-based (with composites){}", flag(&pat)),
         &ds,
-        &pat_map,
+        &pat.mapping,
     );
-    println!("  F-measure: {:.3}\n", pat_q.f_measure);
+    println!("  F-measure: {:.3}\n", pat.quality.f_measure);
     println!("declared composites that anchored the alignment:");
     for p in &ds.patterns {
         println!("  {}", p.display(ds.pair.log1.events()));

@@ -51,11 +51,14 @@ fn main() {
     match result.completion.optimality_gap() {
         None => println!(
             "\noptimal mapping (pattern normal distance {:.3}, {} mappings processed):",
-            result.score, result.stats.processed_mappings
+            result.score,
+            result.processed()
         ),
         Some(gap) => println!(
             "\nbudget exhausted — degraded mapping (distance {:.3}, gap ≤ {:.3}, {} processed):",
-            result.score, gap, result.stats.processed_mappings
+            result.score,
+            gap,
+            result.processed()
         ),
     }
     for (a, b) in result.mapping.pairs() {

@@ -251,6 +251,49 @@ fn trace_out_lines_all_round_trip() {
     assert!(jsonl.contains("iso.probe"), "{jsonl}");
 }
 
+/// No trace field reads the clock, so two runs under the same processed
+/// cap write byte-identical trace files. The instance is large enough for
+/// the exact search to emit `search.pop` points (one per 64 pops).
+#[test]
+fn capped_trace_out_runs_are_byte_identical() {
+    use evematch::prelude::{datasets, write_log, EventLog};
+    let ds = datasets::larger_synthetic(2, 200, 11);
+    let log_file = |name: &str, log: &EventLog| {
+        let mut text = Vec::new();
+        write_log(log, &mut text).unwrap();
+        write_temp(name, std::str::from_utf8(&text).unwrap())
+    };
+    let l1 = log_file("td1.log", &ds.pair.log1);
+    let l2 = log_file("td2.log", &ds.pair.log2);
+    let trace = |run: &str| {
+        let path = write_temp(&format!("td_{run}.jsonl"), "");
+        let out = bin()
+            .args(["--quiet", "--method", "exact", "--limit-processed", "5000"])
+            .arg("--trace-out")
+            .arg(&path)
+            .arg(&l1)
+            .arg(&l2)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "cap 5000 must trip: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(&path).unwrap()
+    };
+    let first = trace("a");
+    let second = trace("b");
+    assert_eq!(first, second, "trace bytes diverged across capped runs");
+    let text = String::from_utf8(first).unwrap();
+    let pops = text
+        .lines()
+        .filter(|l| l.contains("\"search.pop\""))
+        .count();
+    assert!(pops >= 2, "expected search.pop points: {text}");
+}
+
 /// The CLI-level form of the byte-identity acceptance criterion: two runs
 /// under the same pure processed cap write metrics files whose
 /// `deterministic` sections are byte-identical (the timing section is
@@ -326,6 +369,10 @@ fn profile_out_writes_three_parseable_artifacts() {
     ] {
         assert!(json.contains(needle), "profile missing {needle}: {json}");
     }
+    // The CLI merges three profilers (ingest + index, the solver's search
+    // tree, emit); the roots keep run order.
+    let roots: Vec<&str> = snap.roots.iter().map(|r| r.name.as_str()).collect();
+    assert_eq!(roots, ["ingest", "index", "search", "emit"], "{json}");
     assert!(
         snap.flat_work().get("search/pops").copied().unwrap_or(0) > 0,
         "profile carries no search work: {json}"

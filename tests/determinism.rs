@@ -28,26 +28,20 @@ fn every_method_is_run_deterministic() {
     for m in ALL_METHODS {
         let a = m.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
         let b = m.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-        let (
-            RunOutcome::Finished {
-                mapping: ma,
-                score: sa,
-                processed: pa,
-                ..
-            },
-            RunOutcome::Finished {
-                mapping: mb,
-                score: sb,
-                processed: pb,
-                ..
-            },
-        ) = (&a, &b)
-        else {
-            panic!("{} did not finish", m.name());
-        };
-        assert_eq!(ma, mb, "{} mapping differs across runs", m.name());
-        assert_eq!(sa, sb, "{} score differs", m.name());
-        assert_eq!(pa, pb, "{} processed count differs", m.name());
+        assert!(a.finished() && b.finished(), "{} did not finish", m.name());
+        assert_eq!(
+            a.mapping,
+            b.mapping,
+            "{} mapping differs across runs",
+            m.name()
+        );
+        assert_eq!(a.score, b.score, "{} score differs", m.name());
+        assert_eq!(
+            a.processed(),
+            b.processed(),
+            "{} processed count differs",
+            m.name()
+        );
     }
 }
 
@@ -62,23 +56,13 @@ fn every_method_is_bit_deterministic_under_processed_caps() {
         for m in ALL_METHODS {
             let a = m.run(&ds.pair, &ds.patterns, budget);
             let b = m.run(&ds.pair, &ds.patterns, budget);
-            let unpack = |out: &RunOutcome| match out {
-                RunOutcome::Finished {
-                    mapping,
-                    score,
-                    processed,
-                    ..
-                } => (mapping.clone(), score.to_bits(), *processed, None),
-                RunOutcome::DidNotFinish {
-                    processed,
-                    degraded,
-                    ..
-                } => (
-                    degraded.mapping.clone(),
-                    degraded.score.to_bits(),
-                    *processed,
-                    Some(degraded.optimality_gap.to_bits()),
-                ),
+            let unpack = |out: &RunOutcome| {
+                (
+                    out.mapping.clone(),
+                    out.score.to_bits(),
+                    out.processed(),
+                    out.completion.optimality_gap().map(f64::to_bits),
+                )
             };
             let (ma, sa, pa, ga) = unpack(&a);
             let (mb, sb, pb, gb) = unpack(&b);
@@ -103,8 +87,8 @@ fn counter_snapshots_are_byte_identical_under_processed_caps() {
         for m in ALL_METHODS {
             let a = m.run(&ds.pair, &ds.patterns, budget);
             let b = m.run(&ds.pair, &ds.patterns, budget);
-            let ja = a.metrics().deterministic_json();
-            let jb = b.metrics().deterministic_json();
+            let ja = a.metrics.deterministic_json();
+            let jb = b.metrics.deterministic_json();
             assert_eq!(
                 ja,
                 jb,
@@ -113,7 +97,7 @@ fn counter_snapshots_are_byte_identical_under_processed_caps() {
             );
             // The snapshot is not vacuously equal: it carries real work.
             assert!(
-                a.metrics().counters.contains_key("budget.processed"),
+                a.metrics.counters.contains_key("budget.processed"),
                 "{} cap {cap}: snapshot missing budget.processed",
                 m.name()
             );

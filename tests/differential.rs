@@ -70,20 +70,12 @@ fn brute_force_best(ctx: &MatchContext) -> f64 {
 type Fingerprint = (Mapping, u64, Option<u64>, String);
 
 fn run_fp(out: &RunOutcome) -> Fingerprint {
-    match out {
-        RunOutcome::Finished { mapping, score, .. } => (
-            mapping.clone(),
-            score.to_bits(),
-            None,
-            out.metrics().deterministic_json(),
-        ),
-        RunOutcome::DidNotFinish { degraded, .. } => (
-            degraded.mapping.clone(),
-            degraded.score.to_bits(),
-            Some(degraded.optimality_gap.to_bits()),
-            out.metrics().deterministic_json(),
-        ),
-    }
+    (
+        out.mapping.clone(),
+        out.score.to_bits(),
+        out.completion.optimality_gap().map(f64::to_bits),
+        out.metrics.deterministic_json(),
+    )
 }
 
 /// A small instance with a genuine composite pattern, so support
@@ -185,13 +177,13 @@ fn heuristic_warms_the_exact_search_through_the_shared_cache() {
     let ds = datasets::larger_synthetic(2, 300, 11);
     let budget = Budget::UNLIMITED.with_processed_cap(5_000);
     let cold = Method::PatternTight.run(&ds.pair, &ds.patterns, budget);
-    let cold_scans = cold.metrics().counters["eval.log_scans"];
+    let cold_scans = cold.metrics.counters["eval.log_scans"];
 
     let pool = SupportCachePool::new(&ds);
     let _ = pool.run(Method::HeuristicAdvanced, budget);
     let warmed = pool.run(Method::PatternTight, budget);
-    let shared = warmed.metrics().counters["eval.cache.shared_hits"];
-    let warm_scans = warmed.metrics().counters["eval.log_scans"];
+    let shared = warmed.metrics.counters["eval.cache.shared_hits"];
+    let warm_scans = warmed.metrics.counters["eval.log_scans"];
 
     assert!(shared > 0, "no cross-method shared hits recorded");
     assert!(
@@ -199,7 +191,7 @@ fn heuristic_warms_the_exact_search_through_the_shared_cache() {
         "warm run must scan less: {warm_scans} vs cold {cold_scans}"
     );
     // The cold run touches no foreign entries — its cache is private.
-    assert_eq!(cold.metrics().counters["eval.cache.shared_hits"], 0);
+    assert_eq!(cold.metrics.counters["eval.cache.shared_hits"], 0);
     // And warming never changes what the exact search returns.
     assert_eq!(run_fp(&cold).0, run_fp(&warmed).0);
     assert_eq!(run_fp(&cold).1, run_fp(&warmed).1);

@@ -9,11 +9,9 @@ fn all_methods_run_the_full_pipeline() {
     let ds = datasets::real_like_sized(200, 200, 7);
     for m in ALL_METHODS {
         let out = m.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-        let RunOutcome::Finished { mapping, .. } = out else {
-            panic!("{} did not finish", m.name());
-        };
-        assert!(mapping.is_complete(), "{} incomplete", m.name());
-        let mut images: Vec<_> = mapping.pairs().map(|(_, b)| b).collect();
+        assert!(out.finished(), "{} did not finish", m.name());
+        assert!(out.mapping.is_complete(), "{} incomplete", m.name());
+        let mut images: Vec<_> = out.mapping.pairs().map(|(_, b)| b).collect();
         images.sort();
         images.dedup();
         assert_eq!(images.len(), ds.pair.log1.event_count(), "{}", m.name());
@@ -59,10 +57,8 @@ fn projection_sweep_is_well_formed() {
     for x in 2..=11 {
         let p = evematch::eval::project_dataset(&ds, x);
         let out = Method::HeuristicAdvanced.run(&p.pair, &p.patterns, Budget::UNLIMITED);
-        let RunOutcome::Finished { mapping, .. } = out else {
-            panic!("heuristics always finish");
-        };
-        assert_eq!(mapping.len(), x);
+        assert!(out.finished(), "heuristics always finish");
+        assert_eq!(out.mapping.len(), x);
     }
 }
 
@@ -102,11 +98,7 @@ fn matching_is_invariant_under_io_roundtrip() {
     };
     let a = Method::HeuristicAdvanced.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
     let b = Method::HeuristicAdvanced.run(&pair2, &ds.patterns, Budget::UNLIMITED);
-    let (RunOutcome::Finished { mapping: ma, .. }, RunOutcome::Finished { mapping: mb, .. }) =
-        (&a, &b)
-    else {
-        panic!("both finish");
-    };
+    assert!(a.finished() && b.finished(), "both finish");
     // Re-reading interns events by first occurrence, so ids may permute;
     // compare the mappings at the name level.
     let names = |pair: &LogPair, m: &Mapping| -> std::collections::BTreeMap<String, String> {
@@ -119,7 +111,7 @@ fn matching_is_invariant_under_io_roundtrip() {
             })
             .collect()
     };
-    assert_eq!(names(&ds.pair, ma), names(&pair2, mb));
+    assert_eq!(names(&ds.pair, &a.mapping), names(&pair2, &b.mapping));
 }
 
 /// Larger synthetic data: heuristics finish on 30+ events while the exact
@@ -135,11 +127,11 @@ fn heuristics_scale_where_exact_search_gives_up() {
         "30-event exact search should exceed 20k mappings"
     );
     // The anytime engine still salvages a complete degraded mapping.
-    let RunOutcome::DidNotFinish { degraded, .. } = &exact else {
-        panic!("expected DNF");
-    };
-    assert!(degraded.mapping.is_complete());
-    assert!(degraded.optimality_gap >= 0.0);
+    assert!(exact.mapping.is_complete());
+    assert!(exact
+        .completion
+        .optimality_gap()
+        .is_some_and(|gap| gap >= 0.0));
     let heur = Method::HeuristicAdvanced.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
     assert!(heur.finished());
     assert!(

@@ -133,12 +133,7 @@ fn zero_and_tiny_budgets_never_lose_the_mapping() {
         let budget = Budget::UNLIMITED.with_processed_cap(cap);
         for m in ALL_METHODS {
             let out = m.run(&ds.pair, &ds.patterns, budget);
-            let RunOutcome::DidNotFinish {
-                degraded,
-                processed,
-                ..
-            } = &out
-            else {
+            let Some(gap) = out.completion.optimality_gap() else {
                 // The polynomial baselines charge a single unit, so any
                 // cap ≥ 1 legitimately finishes them; zero must trip all.
                 assert!(cap > 0, "{} finished inside a zero cap", m.name());
@@ -146,18 +141,18 @@ fn zero_and_tiny_budgets_never_lose_the_mapping() {
                 continue;
             };
             assert!(
-                degraded.mapping.is_complete(),
+                out.mapping.is_complete(),
                 "{} cap {cap}: incomplete degraded mapping",
                 m.name()
             );
             assert!(
-                degraded.optimality_gap.is_finite() && degraded.optimality_gap >= 0.0,
-                "{} cap {cap}: bad gap {}",
-                m.name(),
-                degraded.optimality_gap
+                gap.is_finite() && gap >= 0.0,
+                "{} cap {cap}: bad gap {gap}",
+                m.name()
             );
+            let processed = out.processed();
             assert!(
-                *processed <= cap,
+                processed <= cap,
                 "{} cap {cap}: overspent ({processed} processed)",
                 m.name()
             );
@@ -195,7 +190,7 @@ fn fig1_like_pattern_simple_cap_two_acceptance() {
         }
         other => panic!("expected BudgetExhausted, got {other:?}"),
     }
-    assert!(out.stats.processed_mappings <= 2);
+    assert!(out.processed() <= 2);
 }
 
 /// Every solver, handed a tight wall-clock deadline on a non-trivial
@@ -219,11 +214,7 @@ fn every_solver_returns_within_a_wall_clock_deadline() {
             m.name()
         );
         // Deadline or not, a complete mapping must come back.
-        let mapping = match &out {
-            RunOutcome::Finished { mapping, .. } => mapping,
-            RunOutcome::DidNotFinish { degraded, .. } => &degraded.mapping,
-        };
-        assert!(mapping.is_complete(), "{} lost the mapping", m.name());
+        assert!(out.mapping.is_complete(), "{} lost the mapping", m.name());
     }
 }
 
@@ -266,14 +257,9 @@ fn processed_cap_runs_are_bit_identical() {
     let ds = datasets::real_like_sized(120, 120, 41);
     let budget = Budget::UNLIMITED.with_processed_cap(17);
     for m in ALL_METHODS {
-        let pick = |out: &RunOutcome| match out {
-            RunOutcome::Finished { mapping, score, .. } => (mapping.clone(), score.to_bits()),
-            RunOutcome::DidNotFinish { degraded, .. } => {
-                (degraded.mapping.clone(), degraded.score.to_bits())
-            }
-        };
-        let a = pick(&m.run(&ds.pair, &ds.patterns, budget));
-        let b = pick(&m.run(&ds.pair, &ds.patterns, budget));
+        let pick = |out: RunOutcome| (out.mapping, out.score.to_bits());
+        let a = pick(m.run(&ds.pair, &ds.patterns, budget));
+        let b = pick(m.run(&ds.pair, &ds.patterns, budget));
         assert_eq!(a, b, "{} diverged under an identical cap", m.name());
     }
 }

@@ -10,24 +10,14 @@ fn examples_1_to_4_vertex_edge_misled_patterns_recover() {
     let ds = datasets::fig1_like();
     let ve = Method::VertexEdge.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
     let pat = Method::PatternTight.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-    let (
-        RunOutcome::Finished {
-            mapping: ve_map, ..
-        },
-        RunOutcome::Finished {
-            mapping: pat_map, ..
-        },
-    ) = (&ve, &pat)
-    else {
-        panic!("unlimited runs finish");
-    };
+    assert!(ve.finished() && pat.finished(), "unlimited runs finish");
     let n = ds.pair.truth.len();
     assert!(
-        ve_map.agreement_with(&ds.pair.truth) < n,
+        ve.mapping.agreement_with(&ds.pair.truth) < n,
         "vertex+edge should be misled on the adversarial instance"
     );
     assert_eq!(
-        pat_map.agreement_with(&ds.pair.truth),
+        pat.mapping.agreement_with(&ds.pair.truth),
         n,
         "pattern matching should recover the full truth"
     );
@@ -49,13 +39,8 @@ fn example_4_pattern_contribution_separates_the_mappings() {
     // The vertex+edge optimum, rescored under the full pattern set, must
     // fall below the truth (that is *why* the pattern argmax flips).
     let ve = Method::VertexEdge.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-    let RunOutcome::Finished {
-        mapping: ve_map, ..
-    } = ve
-    else {
-        panic!("finishes")
-    };
-    let ve_rescored = score::pattern_normal_distance(&ctx, &ve_map);
+    assert!(ve.finished(), "finishes");
+    let ve_rescored = score::pattern_normal_distance(&ctx, &ve.mapping);
     assert!(
         truth_score > ve_rescored + 1e-9,
         "truth {truth_score} must beat the misled mapping {ve_rescored} under patterns"
@@ -71,13 +56,8 @@ fn example_3_normal_distance_prefers_the_wrong_mapping() {
     let dep1 = ds.pair.log1.dep_graph();
     let dep2 = ds.pair.log2.dep_graph();
     let ve = Method::VertexEdge.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
-    let RunOutcome::Finished {
-        mapping: ve_map, ..
-    } = ve
-    else {
-        panic!("finishes")
-    };
-    let wrong = score::normal_distance_vertex_edge(&dep1, &dep2, &ve_map);
+    assert!(ve.finished(), "finishes");
+    let wrong = score::normal_distance_vertex_edge(&dep1, &dep2, &ve.mapping);
     let truth = score::normal_distance_vertex_edge(&dep1, &dep2, &ds.pair.truth);
     assert!(
         wrong >= truth - 1e-9,
@@ -163,10 +143,11 @@ fn proposition_3_existence_pruning_fires() {
     )
     .unwrap();
     let out = ExactMatcher::new(BoundKind::Simple).solve(&ctx);
+    let pruned = out.metrics.counters["eval.existence_pruned"];
     assert!(
-        out.stats.eval.existence_pruned > 0,
+        pruned > 0,
         "the search should hit unrealizable mapped patterns: {:?}",
-        out.stats.eval
+        out.metrics.counters
     );
 }
 
@@ -179,10 +160,7 @@ fn tight_bound_prunes_more_than_simple() {
     let simple = Method::PatternSimple.run(&proj.pair, &proj.patterns, Budget::UNLIMITED);
     let tight = Method::PatternTight.run(&proj.pair, &proj.patterns, Budget::UNLIMITED);
     assert!(tight.processed() <= simple.processed());
-    let (RunOutcome::Finished { score: s, .. }, RunOutcome::Finished { score: t, .. }) =
-        (&simple, &tight)
-    else {
-        panic!("both finish");
-    };
+    assert!(simple.finished() && tight.finished(), "both finish");
+    let (s, t) = (simple.score, tight.score);
     assert!((s - t).abs() < 1e-9, "same optimum: {s} vs {t}");
 }

@@ -303,7 +303,7 @@ proptest! {
         let b = ExactMatcher::new(BoundKind::Tight).with_budget(budget).solve(&build());
         prop_assert_eq!(&a.mapping, &b.mapping);
         prop_assert_eq!(a.score.to_bits(), b.score.to_bits());
-        prop_assert_eq!(a.stats.processed_mappings, b.stats.processed_mappings);
+        prop_assert_eq!(a.processed(), b.processed());
     }
 
     /// The advanced heuristic equals the optimum for vertex-only patterns
