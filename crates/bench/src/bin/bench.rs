@@ -129,7 +129,9 @@ fn run_profile() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(err) = evematch_core::persist::atomic_write_verified(&path, json.as_bytes()) {
+    let faults = evematch_core::fault::Faults::default();
+    if let Err(err) = evematch_core::persist::atomic_write_verified(&faults, &path, json.as_bytes())
+    {
         eprintln!("error: failed to write {}: {err}", path.display());
         return ExitCode::from(2);
     }
@@ -300,7 +302,9 @@ fn run_matcher() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    if let Err(err) = evematch_core::persist::atomic_write_verified(&path, json.as_bytes()) {
+    let faults = evematch_core::fault::Faults::default();
+    if let Err(err) = evematch_core::persist::atomic_write_verified(&faults, &path, json.as_bytes())
+    {
         eprintln!("error: failed to write {}: {err}", path.display());
         return ExitCode::from(2);
     }

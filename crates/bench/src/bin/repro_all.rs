@@ -30,7 +30,12 @@ fn run() -> io::Result<()> {
     );
 
     let seed = cfg.seeds.first().copied().unwrap_or(11);
-    evematch_bench::emit(&mut io::stdout(), &experiments::table3(seed), "table3")?;
+    evematch_bench::emit(
+        &mut io::stdout(),
+        &experiments::table3(seed),
+        "table3",
+        &cfg.faults,
+    )?;
 
     evematch_bench::emit_figure(&mut io::stdout(), &experiments::fig7(&cfg), "fig7")?;
     evematch_bench::emit_figure(&mut io::stdout(), &experiments::fig8(&cfg), "fig8")?;
@@ -49,6 +54,7 @@ fn run() -> io::Result<()> {
         &mut io::stdout(),
         &experiments::table4(runs, 0xE7E),
         "table4",
+        &cfg.faults,
     )?;
 
     eprintln!("done; CSVs in {}", evematch_bench::out_dir()?.display());

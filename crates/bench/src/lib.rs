@@ -19,9 +19,10 @@
 //!   checkpoint each completed sweep job to `<out>/<figure>.journal` and
 //!   replay completed jobs on rerun, so a killed reproduction resumes
 //!   instead of starting over;
-//! * `EVEMATCH_FAULT_SCHEDULE` / `EVEMATCH_FAULT_SEED` — arm the
-//!   deterministic failpoint registry (`evematch_core::fault`) for chaos
-//!   runs; when armed, the grid's fault telemetry is saved as
+//! * `EVEMATCH_FAULT_SCHEDULE` / `EVEMATCH_FAULT_SEED` — the binary's
+//!   deterministic fault plan (`evematch_core::fault::Faults`, built by
+//!   [`faults_from_env`]) for chaos runs: it covers the grid and every
+//!   artifact write, and for a figure its fault telemetry is saved as
 //!   `<out>/fault_telemetry.json` so CI can assert the injected faults
 //!   were actually hit and recovered.
 //!
@@ -43,11 +44,14 @@
 
 use std::fmt::Display;
 use std::io::{self, Write};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::Arc;
 use std::time::Duration;
 
-use evematch_core::retry::{RealClock, RetryPolicy};
+use evematch_core::fault::Faults;
+use evematch_core::persist;
+use evematch_core::retry::{retry_io, RealClock, RetryExhausted, RetryPolicy};
 use evematch_core::telemetry::json::push_key;
 use evematch_core::Budget;
 use evematch_eval::experiments::{FigureResult, SweepConfig};
@@ -107,28 +111,26 @@ pub fn seeds() -> Vec<u64> {
     }
 }
 
-/// Arms the deterministic failpoint registry from
-/// `EVEMATCH_FAULT_SCHEDULE` / `EVEMATCH_FAULT_SEED` (see
-/// `evematch_core::fault` for the spec grammar); a no-op when the
-/// schedule variable is unset. Returns whether a schedule is armed.
+/// The fault plan from `EVEMATCH_FAULT_SCHEDULE` / `EVEMATCH_FAULT_SEED`
+/// (see `evematch_core::fault` for the spec grammar): armed when the
+/// schedule variable is set, disarmed otherwise.
 ///
 /// # Panics
-/// On a malformed schedule spec: silently running the fault-free grid
-/// would make a chaos run vacuous.
-pub fn arm_faults_from_env() -> bool {
+/// On a malformed schedule spec or an unknown site: silently running
+/// fault-free would make a chaos run vacuous.
+pub fn faults_from_env() -> Faults {
     let Ok(spec) = std::env::var("EVEMATCH_FAULT_SCHEDULE") else {
-        return false;
+        return Faults::default();
     };
     let seed = env_or("EVEMATCH_FAULT_SEED", 0u64);
-    evematch_core::fault::arm(&spec, seed).expect("EVEMATCH_FAULT_SCHEDULE must parse");
-    true
+    Faults::armed(&spec, seed)
+        .unwrap_or_else(|e| panic!("EVEMATCH_FAULT_SCHEDULE={spec:?} must parse: {e}"))
 }
 
-/// The sweep configuration derived from the environment. Also arms the
-/// failpoint registry when the chaos env knobs are set, so every
-/// `repro_*` binary honors them without per-binary wiring.
+/// The sweep configuration derived from the environment, carrying the
+/// [`faults_from_env`] plan, so every figure binary honors the chaos knobs
+/// without per-binary wiring.
 pub fn sweep_config() -> SweepConfig {
-    arm_faults_from_env();
     SweepConfig {
         seeds: seeds(),
         budget: Budget::UNLIMITED
@@ -145,7 +147,7 @@ pub fn sweep_config() -> SweepConfig {
             None
         },
         retry: RetryPolicy::io_default(),
-        verify_journal: true,
+        faults: Arc::new(faults_from_env()),
     }
 }
 
@@ -170,33 +172,33 @@ pub fn out_dir() -> io::Result<PathBuf> {
 }
 
 /// Writes a table to `out` and saves it as `<stem>.csv` under the output
-/// dir (atomically — a killed run never leaves a truncated CSV). The sink
-/// parameter (rather than `println!`) keeps this library crate quiet on
-/// its own — the `repro_*` binaries pass stdout.
-pub fn emit(out: &mut dyn Write, table: &Table, stem: &str) -> io::Result<()> {
+/// dir (atomically, under the run's plan `faults` — a killed run never
+/// leaves a truncated CSV). The sink parameter (rather than `println!`)
+/// keeps this library crate quiet on its own — the `repro_*` binaries pass
+/// stdout.
+pub fn emit(out: &mut dyn Write, table: &Table, stem: &str, faults: &Faults) -> io::Result<()> {
     writeln!(out, "{table}")?;
+    let mut csv = Vec::new();
+    table.write_csv(&mut csv)?;
     let path = out_dir()?.join(format!("{stem}.csv"));
-    write_artifact(&path, |p| {
-        evematch_core::persist::atomic_write_with_verified(p, |w| table.write_csv(w))
-    })?;
+    write_artifact(faults, &path, &csv)?;
     writeln!(out, "wrote {}", path.display())
 }
 
-/// Writes one artifact through the supervised retry path: transient
-/// failures (a flaky disk, an injected fault) back off and retry under
-/// the default policy before the typed, attempt-annotated error is
-/// surfaced to the binary's exit-code-2 path.
-fn write_artifact(path: &PathBuf, write: impl FnMut(&PathBuf) -> io::Result<()>) -> io::Result<()> {
-    let mut write = write;
-    let mut clock = RealClock;
-    evematch_core::retry::retry_io(
+/// Writes one verified artifact through the supervised retry path:
+/// transient failures (a flaky disk, an injected fault) back off and
+/// retry under the default policy before the typed, attempt-annotated
+/// error is surfaced to the binary's exit-code-2 path.
+fn write_artifact(faults: &Faults, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    retry_io(
+        faults,
         &RetryPolicy::io_default(),
         "bench.artifact",
-        &mut clock,
-        || write(path),
+        &mut RealClock,
+        || persist::atomic_write_verified(faults, path, bytes),
     )
     .map(|_| ())
-    .map_err(evematch_core::retry::RetryExhausted::into_io)
+    .map_err(RetryExhausted::into_io)
 }
 
 /// Writes all panels of a figure to `out` and the output dir, plus the
@@ -206,55 +208,52 @@ fn write_artifact(path: &PathBuf, write: impl FnMut(&PathBuf) -> io::Result<()>)
 /// `<stem>_profile_trace.json` (a combined Chrome `trace_event` file,
 /// one process per method — load in `chrome://tracing` / Perfetto) and
 /// `<stem>_profile.folded` (method-prefixed folded stacks for flamegraph
-/// tooling).
+/// tooling). Every write runs under the figure's own plan (`fig.faults`),
+/// and an armed plan's telemetry is saved as `fault_telemetry.json`.
 pub fn emit_figure(out: &mut dyn Write, fig: &FigureResult, stem: &str) -> io::Result<()> {
-    emit(out, &fig.f_measure, &format!("{stem}a_fmeasure"))?;
-    emit(out, &fig.anytime_f, &format!("{stem}a_anytime_fmeasure"))?;
-    emit(out, &fig.time, &format!("{stem}b_time"))?;
-    emit(out, &fig.processed, &format!("{stem}c_processed"))?;
-    let path = out_dir()?.join(format!("{stem}_metrics.json"));
-    write_artifact(&path, |p| {
-        evematch_core::persist::atomic_write_verified(
-            p,
-            (figure_metrics_json(fig) + "\n").as_bytes(),
-        )
-    })?;
-    writeln!(out, "wrote {}", path.display())?;
+    let faults = &fig.faults;
+    emit(out, &fig.f_measure, &format!("{stem}a_fmeasure"), faults)?;
+    emit(
+        out,
+        &fig.anytime_f,
+        &format!("{stem}a_anytime_fmeasure"),
+        faults,
+    )?;
+    emit(out, &fig.time, &format!("{stem}b_time"), faults)?;
+    emit(out, &fig.processed, &format!("{stem}c_processed"), faults)?;
     for (name, render) in [
         (
-            "_profile.json",
-            figure_profile_json as fn(&FigureResult) -> String,
+            "_metrics.json",
+            figure_metrics_json as fn(&FigureResult) -> String,
         ),
+        ("_profile.json", figure_profile_json),
         ("_profile_trace.json", figure_profile_trace),
         ("_profile.folded", figure_profile_folded),
     ] {
         let path = out_dir()?.join(format!("{stem}{name}"));
-        write_artifact(&path, |p| {
-            evematch_core::persist::atomic_write_verified(p, (render(fig) + "\n").as_bytes())
-        })?;
+        write_artifact(faults, &path, (render(fig) + "\n").as_bytes())?;
         writeln!(out, "wrote {}", path.display())?;
     }
-    if evematch_core::fault::is_armed() {
+    if faults.is_armed() {
         let path = out_dir()?.join("fault_telemetry.json");
-        write_artifact(&path, |p| {
-            evematch_core::persist::atomic_write_verified(
-                p,
-                (fault_telemetry_json() + "\n").as_bytes(),
-            )
-        })?;
+        write_artifact(
+            faults,
+            &path,
+            (fault_telemetry_json(faults) + "\n").as_bytes(),
+        )?;
         writeln!(out, "wrote {}", path.display())?;
     }
     Ok(())
 }
 
-/// The registry's fault telemetry (`fault.injected.*` / `fault.retries.*`
-/// / `fault.exhausted.*` / `integrity.*`) as one flat JSON object — the
+/// A plan's fault telemetry (`fault.injected.*` / `fault.retries.*` /
+/// `fault.exhausted.*` / `integrity.*`) as one flat JSON object — the
 /// chaos CI job's evidence that injected faults were actually hit and
 /// recovered (and corrupt records quarantined) rather than silently
 /// skipped.
-pub fn fault_telemetry_json() -> String {
+pub fn fault_telemetry_json(faults: &Faults) -> String {
     let mut out = String::from("{");
-    for (i, (key, n)) in evematch_core::fault::telemetry().iter().enumerate() {
+    for (i, (key, n)) in faults.telemetry().iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -3,12 +3,18 @@
 //! Long-running matching services see transient I/O errors, slow disks and
 //! worker crashes as routine events, not exceptions. This module provides
 //! the *active* half of the robustness story: named failpoint sites
-//! (tikv `fail-rs`-style) compiled into the hot paths of persistence,
-//! ingestion, the checkpoint journal and the experiment grid, which stay a
-//! single relaxed atomic load (a branch-free no-op in practice) until a
-//! **schedule** is armed. Schedules are parsed from a compact spec string
-//! and are fully deterministic given the spec and a seed, so any chaos
-//! failure replays locally from the armed schedule alone.
+//! (tikv `fail-rs`-style, listed in [`SITES`]) compiled into the hot paths
+//! of persistence, ingestion, the checkpoint journal and the experiment
+//! grid. Every site consults a [`Faults`] plan that the run owns and passes
+//! down by reference; a disarmed plan answers with one `Option` check and
+//! takes no lock. An armed plan holds a **schedule** parsed from a compact
+//! spec string; schedules are fully deterministic given the spec and a
+//! seed, so any chaos failure replays locally from the spec alone.
+//!
+//! The plan also keeps the run's fault telemetry ([`Faults::telemetry`])
+//! and, for the crash-consistency explorer, an optional recorder of the
+//! durable operations the persistence layer performs
+//! ([`Faults::recording`]).
 //!
 //! The second half is the typed fault taxonomy: every `io::Error`
 //! consumed by the runtime crates is classified as [`FaultClass::Transient`]
@@ -32,21 +38,41 @@
 //!                         the schedule seed (default: always)
 //! ```
 //!
-//! Examples: `persist.rename=fail-transient x2`,
-//! `persist.fsync=fail-transient /3`, `persist.append=torn x1`,
-//! `grid.cell=panic x1`, `persist.write=delay(25) %500`.
+//! `<site>` must be one of [`SITES`]: a schedule naming any other site is
+//! rejected rather than silently run fault-free. Examples:
+//! `persist.rename=fail-transient x2`, `persist.fsync=fail-transient /3`,
+//! `persist.append=torn x1`, `grid.cell=panic x1`,
+//! `persist.write=delay(25) %500`.
 //!
-//! Arming is process-global (`--fault-schedule`/`--fault-seed` on the CLI,
-//! `EVEMATCH_FAULT_SCHEDULE`/`EVEMATCH_FAULT_SEED` for the repro
-//! binaries); tests use [`arm_scoped`], which also serializes fault-armed
-//! tests against each other.
+//! The CLI builds its plan from `--fault-schedule`/`--fault-seed`, the
+//! `repro_*` binaries from `EVEMATCH_FAULT_SCHEDULE`/`EVEMATCH_FAULT_SEED`,
+//! each grid carries one in its `SweepConfig`, and each test builds its
+//! own, so no two runs in one process observe each other's faults.
 
 use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, BufRead, Read};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
+
+use crate::persist::iotrace::IoOp;
+
+/// Every failpoint site compiled into the tree. A schedule naming any
+/// other site is rejected by [`Faults::armed`]. The retry-counter sites
+/// (`cli.artifact`, `bench.artifact`, `journal.append`, `journal.rebuild`)
+/// only label [`crate::retry::retry_io`] calls and are not failpoints.
+pub const SITES: [&str; 9] = [
+    "grid.cell",
+    "ingest.read",
+    "persist.create_temp",
+    "persist.write",
+    "persist.fsync",
+    "persist.rename",
+    "persist.fsync_dir",
+    "persist.append",
+    "persist.append_fsync",
+];
 
 /// The typed fault taxonomy every consumed `io::Error` maps into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -96,42 +122,6 @@ pub fn classify_io(e: &io::Error) -> FaultClass {
     }
 }
 
-/// An `io::Error` classified at a named site — the typed form the
-/// supervisor and quarantine paths work with.
-#[derive(Debug)]
-pub struct Fault {
-    /// The failpoint or call site the error was observed at.
-    pub site: String,
-    /// Taxonomy class per [`classify_io`] (or the injected class).
-    pub class: FaultClass,
-    /// The underlying I/O error.
-    pub source: io::Error,
-}
-
-impl Fault {
-    /// Classifies `source` at `site`.
-    #[must_use]
-    pub fn from_io(site: &str, source: io::Error) -> Self {
-        Fault {
-            site: site.to_owned(),
-            class: classify_io(&source),
-            source,
-        }
-    }
-}
-
-impl fmt::Display for Fault {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} fault at {}: {}", self.class, self.site, self.source)
-    }
-}
-
-impl std::error::Error for Fault {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
 /// What an armed trigger injects when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
@@ -159,6 +149,7 @@ struct Trigger {
     /// `%P`: fire with probability P/1000 per eligible hit.
     permille: Option<u64>,
     hits: u64,
+    /// Injections so far, reported as `fault.injected.<site>`.
     fires: u64,
     rng: u64,
 }
@@ -203,93 +194,170 @@ fn site_seed(seed: u64, site: &str) -> u64 {
     h ^ seed
 }
 
-/// Global registry state: the armed schedule plus injection/retry counts.
-struct Registry {
-    schedule: Option<BTreeMap<String, Trigger>>,
-    injected: BTreeMap<String, u64>,
+/// One run's fault plan: the armed schedule (if any), the run's fault
+/// telemetry, and an optional recorder of durable operations.
+///
+/// Grid workers share one plan by reference, so its state sits behind
+/// mutexes. A disarmed plan answers every failpoint with one `Option`
+/// check and takes no lock; an injected `panic` fires after the schedule
+/// lock is released.
+#[derive(Debug, Default)]
+pub struct Faults {
+    /// Armed triggers keyed by site; `None` = disarmed.
+    schedule: Option<Mutex<BTreeMap<String, Trigger>>>,
+    /// Retry, exhaustion and integrity counters.
+    notes: Mutex<Notes>,
+    /// The op recorder: ops whose primary path falls under the root.
+    recorder: Option<(PathBuf, Mutex<Vec<IoOp>>)>,
+}
+
+/// The counters [`Faults::telemetry`] reports besides injections.
+#[derive(Debug, Default)]
+struct Notes {
     retries: BTreeMap<String, u64>,
     exhausted: BTreeMap<String, u64>,
     integrity: BTreeMap<String, u64>,
 }
 
-impl Registry {
-    const fn new() -> Self {
-        Registry {
-            schedule: None,
-            injected: BTreeMap::new(),
-            retries: BTreeMap::new(),
-            exhausted: BTreeMap::new(),
-            integrity: BTreeMap::new(),
+/// Locks one of a plan's mutexes. They guard plain counters, triggers and
+/// ops that no panic can leave half-updated (injected panics fire outside
+/// every lock), so poison is safe to strip.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+impl Faults {
+    /// A plan armed with `spec` (see the module docs for the grammar),
+    /// `seed` driving all `%permille` probability draws.
+    ///
+    /// # Errors
+    /// Returns a human-readable message when the spec does not parse or
+    /// names a site outside [`SITES`].
+    pub fn armed(spec: &str, seed: u64) -> Result<Faults, String> {
+        Ok(Faults {
+            schedule: Some(Mutex::new(parse_spec(spec, seed)?)),
+            ..Faults::default()
+        })
+    }
+
+    /// A disarmed plan that records every durable operation whose
+    /// [`IoOp::primary_path`] falls under `root` (an empty root records
+    /// everything); read them back with [`Faults::take_ops`].
+    pub fn recording(root: impl Into<PathBuf>) -> Faults {
+        Faults {
+            recorder: Some((root.into(), Mutex::default())),
+            ..Faults::default()
         }
     }
-}
 
-// ordering: Relaxed — ARMED is a fast-path hint only; the REGISTRY mutex is
-// the real synchronization point for the schedule, and a stale flag read
-// merely costs one extra (or one missed) slow-path lock around arm/disarm.
-static ARMED: AtomicBool = AtomicBool::new(false);
-static REGISTRY: Mutex<Registry> = Mutex::new(Registry::new());
-/// Serializes fault-armed tests; see [`arm_scoped`].
-static SCOPE: Mutex<()> = Mutex::new(());
-
-fn registry() -> MutexGuard<'static, Registry> {
-    // The registry holds plain counters and triggers; a panic while holding
-    // the guard (injected `panic` actions fire *outside* the lock) cannot
-    // leave it inconsistent, so poison is safe to strip.
-    REGISTRY.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arms `spec` (see the module docs for the grammar) with `seed` driving
-/// all `%permille` probability draws. Replaces any previous schedule and
-/// resets the telemetry counters.
-///
-/// # Errors
-/// Returns a human-readable message when the spec does not parse.
-pub fn arm(spec: &str, seed: u64) -> Result<(), String> {
-    let schedule = parse_spec(spec, seed)?;
-    let mut reg = registry();
-    reg.schedule = Some(schedule);
-    reg.injected.clear();
-    reg.retries.clear();
-    reg.exhausted.clear();
-    reg.integrity.clear();
-    drop(reg);
-    // ordering: Relaxed — see the ARMED declaration; the mutex above
-    // publishes the schedule itself.
-    ARMED.store(true, Ordering::Relaxed);
-    Ok(())
-}
-
-/// Disarms the registry: every failpoint returns to its no-op fast path.
-/// Telemetry counters are kept until the next [`arm`] so post-run
-/// reporting can still read them.
-pub fn disarm() {
-    // ordering: Relaxed — see the ARMED declaration.
-    ARMED.store(false, Ordering::Relaxed);
-    registry().schedule = None;
-}
-
-/// Whether a fault schedule is currently armed.
-#[must_use]
-pub fn is_armed() -> bool {
-    // ordering: Relaxed — see the ARMED declaration; callers use this for
-    // reporting, not synchronization.
-    ARMED.load(Ordering::Relaxed)
-}
-
-/// The failpoint primitive: returns the action to inject at `site`, or
-/// `None` (the overwhelmingly common case — a single relaxed load).
-#[must_use]
-pub fn hit(site: &str) -> Option<FaultAction> {
-    // ordering: Relaxed — see the ARMED declaration; when the flag reads
-    // true the registry lock below synchronizes the schedule access.
-    if !ARMED.load(Ordering::Relaxed) {
-        return None;
+    /// Whether this plan carries a fault schedule.
+    #[must_use]
+    pub fn is_armed(&self) -> bool {
+        self.schedule.is_some()
     }
-    let mut reg = registry();
-    let action = reg.schedule.as_mut()?.get_mut(site)?.decide()?;
-    *reg.injected.entry(site.to_owned()).or_insert(0) += 1;
-    Some(action)
+
+    /// The failpoint primitive: returns the action to inject at `site`, or
+    /// `None` (always, on a disarmed plan).
+    #[must_use]
+    pub fn hit(&self, site: &str) -> Option<FaultAction> {
+        debug_assert!(SITES.contains(&site), "`{site}` is not a failpoint site");
+        let schedule = self.schedule.as_ref()?;
+        lock(schedule).get_mut(site)?.decide()
+    }
+
+    /// The common failpoint shape for fallible I/O paths: consult the
+    /// schedule and apply whatever fires (see [`apply_io`]).
+    ///
+    /// # Errors
+    /// Returns the injected error when a `Fail`/`Torn` action fires.
+    pub fn guard(&self, site: &str) -> io::Result<()> {
+        match self.hit(site) {
+            None => Ok(()),
+            Some(action) => apply_io(site, action),
+        }
+    }
+
+    /// Records `n` supervised retries at `site` (`fault.retries.<site>`).
+    pub fn note_retries(&self, site: &str, n: u64) {
+        if n > 0 {
+            *lock(&self.notes)
+                .retries
+                .entry(site.to_owned())
+                .or_insert(0) += n;
+        }
+    }
+
+    /// Records that the retry budget at `site` was exhausted (or the
+    /// failure was fatal and not retried): `fault.exhausted.<site>`.
+    pub fn note_exhausted(&self, site: &str) {
+        *lock(&self.notes)
+            .exhausted
+            .entry(site.to_owned())
+            .or_insert(0) += 1;
+    }
+
+    /// Records one integrity-policy event under `kind` (a snake_case label
+    /// such as `journal_quarantined.checksum_mismatch` or
+    /// `journal_rebuilt.version_skew`): `integrity.<kind>`. Readers that
+    /// quarantine or rebuild damaged persisted state report here so every
+    /// such decision is counted, never silent.
+    pub fn note_integrity(&self, kind: &str) {
+        *lock(&self.notes)
+            .integrity
+            .entry(kind.to_owned())
+            .or_insert(0) += 1;
+    }
+
+    /// Snapshot of the plan's fault telemetry, in deterministic key order:
+    /// `fault.injected.<site>` (times a trigger fired),
+    /// `fault.retries.<site>` (supervised retries that recovered or kept
+    /// trying), `fault.exhausted.<site>` (gave up: retry budget spent or
+    /// the fault was not transient), and `integrity.<kind>` (typed
+    /// corruption quarantine/rebuild decisions).
+    #[must_use]
+    pub fn telemetry(&self) -> Vec<(String, u64)> {
+        let mut out = Vec::new();
+        if let Some(schedule) = &self.schedule {
+            for (site, trigger) in lock(schedule).iter() {
+                if trigger.fires > 0 {
+                    out.push((format!("fault.injected.{site}"), trigger.fires));
+                }
+            }
+        }
+        let notes = lock(&self.notes);
+        for (prefix, counts) in [
+            ("fault.retries", &notes.retries),
+            ("fault.exhausted", &notes.exhausted),
+            ("integrity", &notes.integrity),
+        ] {
+            for (key, n) in counts {
+                out.push((format!("{prefix}.{key}"), *n));
+            }
+        }
+        out
+    }
+
+    /// Records `op` if this plan records and the op falls under its root.
+    /// The persistence primitives call this after each durable step.
+    pub(crate) fn record(&self, op: impl FnOnce() -> IoOp) {
+        let Some((root, ops)) = &self.recorder else {
+            return;
+        };
+        let op = op();
+        if op.primary_path().starts_with(root) {
+            lock(ops).push(op);
+        }
+    }
+
+    /// Drains the recorded ops, in the order they hit the filesystem
+    /// (empty for a plan built without [`Faults::recording`]).
+    #[must_use]
+    pub fn take_ops(&self) -> Vec<IoOp> {
+        match &self.recorder {
+            Some((_, ops)) => std::mem::take(&mut *lock(ops)),
+            None => Vec::new(),
+        }
+    }
 }
 
 /// Builds the injected error for a `Fail` action: the `io::ErrorKind` is
@@ -324,94 +392,6 @@ pub fn apply_io(site: &str, action: FaultAction) -> io::Result<()> {
     }
 }
 
-/// The common failpoint shape for fallible I/O paths: consult the
-/// registry and apply whatever fires. Equivalent to
-/// `faultpoint!(site)` without the early-return sugar.
-///
-/// # Errors
-/// Returns the injected error when a `Fail`/`Torn` action fires.
-pub fn io_guard(site: &str) -> io::Result<()> {
-    match hit(site) {
-        None => Ok(()),
-        Some(action) => apply_io(site, action),
-    }
-}
-
-/// Records `n` supervised retries at `site` (`fault.retries.<site>`).
-pub fn note_retries(site: &str, n: u64) {
-    if n == 0 {
-        return;
-    }
-    *registry().retries.entry(site.to_owned()).or_insert(0) += n;
-}
-
-/// Records that the retry budget at `site` was exhausted (or the failure
-/// was fatal and not retried): `fault.exhausted.<site>`.
-pub fn note_exhausted(site: &str) {
-    *registry().exhausted.entry(site.to_owned()).or_insert(0) += 1;
-}
-
-/// Records one integrity-policy event under `kind` (a snake_case label
-/// such as `journal_quarantined.checksum_mismatch` or
-/// `journal_rebuilt.version_skew`): `integrity.<kind>` in [`telemetry`].
-/// Readers that quarantine or rebuild damaged persisted state call this
-/// so every such decision is counted, never silent.
-pub fn note_integrity(kind: &str) {
-    *registry().integrity.entry(kind.to_owned()).or_insert(0) += 1;
-}
-
-/// Snapshot of the fault telemetry counters, in deterministic key order:
-/// `fault.injected.<site>` (times a trigger fired),
-/// `fault.retries.<site>` (supervised retries that recovered or kept
-/// trying), `fault.exhausted.<site>` (gave up: retry budget spent or the
-/// fault was not transient), and `integrity.<kind>` (typed corruption
-/// quarantine/rebuild decisions — see [`note_integrity`]).
-#[must_use]
-pub fn telemetry() -> Vec<(String, u64)> {
-    let reg = registry();
-    let mut out = Vec::new();
-    for (site, n) in &reg.injected {
-        out.push((format!("fault.injected.{site}"), *n));
-    }
-    for (site, n) in &reg.retries {
-        out.push((format!("fault.retries.{site}"), *n));
-    }
-    for (site, n) in &reg.exhausted {
-        out.push((format!("fault.exhausted.{site}"), *n));
-    }
-    for (kind, n) in &reg.integrity {
-        out.push((format!("integrity.{kind}"), *n));
-    }
-    out
-}
-
-/// RAII guard for fault-armed tests: holds a global mutex so armed tests
-/// never overlap, and disarms on drop. Obtain via [`arm_scoped`].
-pub struct ScopedFault {
-    _serial: MutexGuard<'static, ()>,
-}
-
-impl Drop for ScopedFault {
-    fn drop(&mut self) {
-        disarm();
-    }
-}
-
-/// Arms `spec` for the lifetime of the returned guard, serializing against
-/// every other [`arm_scoped`] caller in the process (the registry is
-/// global, so concurrently armed tests would observe each other's faults).
-///
-/// # Errors
-/// Returns a human-readable message when the spec does not parse.
-pub fn arm_scoped(spec: &str, seed: u64) -> Result<ScopedFault, String> {
-    // A previous armed test that panicked (injected panics are routine
-    // here) poisons this mutex without invalidating anything: the guard's
-    // only job is mutual exclusion.
-    let serial = SCOPE.lock().unwrap_or_else(PoisonError::into_inner);
-    arm(spec, seed)?;
-    Ok(ScopedFault { _serial: serial })
-}
-
 fn parse_spec(spec: &str, seed: u64) -> Result<BTreeMap<String, Trigger>, String> {
     let mut out = BTreeMap::new();
     for part in spec.split(';') {
@@ -425,6 +405,12 @@ fn parse_spec(spec: &str, seed: u64) -> Result<BTreeMap<String, Trigger>, String
         let site = site.trim();
         if site.is_empty() {
             return Err(format!("fault rule `{part}` has an empty site name"));
+        }
+        if !SITES.contains(&site) {
+            return Err(format!(
+                "unknown failpoint site `{site}` (valid sites: {})",
+                SITES.join(", ")
+            ));
         }
         let mut action = None;
         let mut max_fires = None;
@@ -502,32 +488,38 @@ fn parse_action(site: &str, tok: &str) -> Result<FaultAction, String> {
     }
 }
 
-/// A `Read`/`BufRead` adapter that consults the failpoint `site` on every
-/// refill, so faults can be threaded through event-log ingestion without
-/// the `eventlog` crate (which sits below `core` in the crate DAG) knowing
-/// about the registry: the CLI wraps its file readers in this.
-pub struct FaultyRead<R> {
+/// A `Read`/`BufRead` adapter that consults the failpoint `site` of a plan
+/// on every refill, so faults can be threaded through event-log ingestion
+/// without the `eventlog` crate (which sits below `core` in the crate DAG)
+/// knowing about fault plans: the CLI wraps its file readers in this.
+pub struct FaultyRead<'a, R> {
     inner: R,
     site: &'static str,
+    faults: &'a Faults,
 }
 
-impl<R> FaultyRead<R> {
-    /// Wraps `inner`, consulting `site` before every read/refill.
-    pub fn new(inner: R, site: &'static str) -> Self {
-        FaultyRead { inner, site }
+impl<'a, R> FaultyRead<'a, R> {
+    /// Wraps `inner`, consulting `site` of `faults` before every
+    /// read/refill.
+    pub fn new(inner: R, site: &'static str, faults: &'a Faults) -> Self {
+        FaultyRead {
+            inner,
+            site,
+            faults,
+        }
     }
 }
 
-impl<R: Read> Read for FaultyRead<R> {
+impl<R: Read> Read for FaultyRead<'_, R> {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        io_guard(self.site)?;
+        self.faults.guard(self.site)?;
         self.inner.read(buf)
     }
 }
 
-impl<R: BufRead> BufRead for FaultyRead<R> {
+impl<R: BufRead> BufRead for FaultyRead<'_, R> {
     fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        io_guard(self.site)?;
+        self.faults.guard(self.site)?;
         self.inner.fill_buf()
     }
 
@@ -536,65 +528,44 @@ impl<R: BufRead> BufRead for FaultyRead<R> {
     }
 }
 
-/// Failpoint sugar for fallible I/O paths: `faultpoint!("site")` expands
-/// to `fault::io_guard("site")?`, so an armed `Fail` action early-returns
-/// the injected error from the enclosing `io::Result` function.
-#[macro_export]
-macro_rules! faultpoint {
-    ($site:expr) => {
-        $crate::fault::io_guard($site)?
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// Holds the [`SCOPE`] serialization without arming anything: while
-    /// it is held no [`arm_scoped`] guard is alive, so the registry is
-    /// disarmed (every armed test in this binary arms through a scope).
-    fn disarmed_scope() -> MutexGuard<'static, ()> {
-        SCOPE.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// The `fault.injected.*` counters only: they move solely while a
-    /// schedule is armed, unlike the retry/exhaustion/integrity notes that
-    /// unarmed tests running concurrently may bump.
-    fn injected() -> Vec<(String, u64)> {
-        telemetry()
-            .into_iter()
-            .filter(|(key, _)| key.starts_with("fault.injected."))
-            .collect()
-    }
-
     #[test]
     fn disarmed_failpoints_are_noops() {
-        let _serial = disarmed_scope();
-        assert!(hit("nowhere").is_none());
-        assert!(io_guard("nowhere").is_ok());
-        assert!(!is_armed());
+        let faults = Faults::default();
+        assert!(!faults.is_armed());
+        for site in SITES {
+            assert!(faults.hit(site).is_none());
+            assert!(faults.guard(site).is_ok());
+        }
+        assert!(faults.telemetry().is_empty());
     }
 
     #[test]
     fn fail_once_fires_exactly_once_and_round_trips_the_class() {
-        let _guard = arm_scoped("persist.rename=fail-transient x1", 7).unwrap();
-        let Some(FaultAction::Fail(class)) = hit("persist.rename") else {
+        let faults = Faults::armed("persist.rename=fail-transient x1", 7).unwrap();
+        assert!(faults.is_armed());
+        let Some(FaultAction::Fail(class)) = faults.hit("persist.rename") else {
             panic!("first hit must fire");
         };
         assert_eq!(class, FaultClass::Transient);
-        assert!(hit("persist.rename").is_none(), "x1 fires only once");
+        assert!(faults.hit("persist.rename").is_none(), "x1 fires only once");
         let err = injected_error("persist.rename", class);
         assert_eq!(classify_io(&err), FaultClass::Transient);
         assert_eq!(
-            injected(),
+            faults.telemetry(),
             vec![("fault.injected.persist.rename".to_owned(), 1)]
         );
     }
 
     #[test]
     fn every_nth_fires_on_multiples_only() {
-        let _guard = arm_scoped("s=fail-permanent /3", 0).unwrap();
-        let fired: Vec<bool> = (0..9).map(|_| hit("s").is_some()).collect();
+        let faults = Faults::armed("persist.write=fail-permanent /3", 0).unwrap();
+        let fired: Vec<bool> = (0..9)
+            .map(|_| faults.hit("persist.write").is_some())
+            .collect();
         assert_eq!(
             fired,
             vec![false, false, true, false, false, true, false, false, true]
@@ -604,8 +575,10 @@ mod tests {
     #[test]
     fn probability_draws_are_deterministic_per_seed() {
         let draws = |seed: u64| -> Vec<bool> {
-            let _guard = arm_scoped("s=fail-transient %500", seed).unwrap();
-            (0..32).map(|_| hit("s").is_some()).collect()
+            let faults = Faults::armed("persist.fsync=fail-transient %500", seed).unwrap();
+            (0..32)
+                .map(|_| faults.hit("persist.fsync").is_some())
+                .collect()
         };
         assert_eq!(draws(42), draws(42), "same seed, same schedule decisions");
         assert_ne!(
@@ -616,10 +589,16 @@ mod tests {
     }
 
     #[test]
-    fn delay_and_unknown_sites_do_not_fail() {
-        let _guard = arm_scoped("slow=delay(1)", 0).unwrap();
-        assert!(io_guard("slow").is_ok(), "delay proceeds after sleeping");
-        assert!(io_guard("other.site").is_ok(), "unscheduled sites pass");
+    fn delay_and_unscheduled_sites_do_not_fail() {
+        let faults = Faults::armed("persist.write=delay(1)", 0).unwrap();
+        assert!(
+            faults.guard("persist.write").is_ok(),
+            "delay proceeds after sleeping"
+        );
+        assert!(
+            faults.guard("persist.rename").is_ok(),
+            "unscheduled sites pass"
+        );
     }
 
     #[test]
@@ -628,36 +607,35 @@ mod tests {
             "",
             "no-equals",
             "=fail-transient",
-            "s=warble",
-            "s=fail-transient xmany",
-            "s=fail-transient /0",
-            "s=fail-transient %2000",
-            "s=panic; s=panic",
-            "s=panic torn",
-            "s=x3",
-            "s=delay(forever)",
+            "persist.write=warble",
+            "persist.write=fail-transient xmany",
+            "persist.write=fail-transient /0",
+            "persist.write=fail-transient %2000",
+            "grid.cell=panic; grid.cell=panic",
+            "grid.cell=panic torn",
+            "persist.write=x3",
+            "persist.write=delay(forever)",
+            "persist.renme=fail-permanent",
+            "grid.cell=panic; persist.apend=torn x1",
         ] {
-            assert!(parse_spec(bad, 0).is_err(), "spec `{bad}` must be rejected");
+            assert!(
+                Faults::armed(bad, 0).is_err(),
+                "spec `{bad}` must be rejected"
+            );
         }
-    }
-
-    #[test]
-    fn scoped_guard_disarms_on_drop() {
-        {
-            let _guard = arm_scoped("s=panic", 0).unwrap();
-            assert!(is_armed());
+        // A misspelled site names itself and every valid site.
+        let err = Faults::armed("persist.renme=fail-permanent", 0).unwrap_err();
+        assert!(err.contains("`persist.renme`"), "{err}");
+        for site in SITES {
+            assert!(err.contains(site), "{err} does not list {site}");
         }
-        // Another test may arm between the drop and here; re-taking the
-        // scope waits until it has disarmed again.
-        let _serial = disarmed_scope();
-        assert!(!is_armed());
-        assert!(hit("s").is_none());
     }
 
     #[test]
     fn faulty_read_injects_into_the_stream() {
-        let _guard = arm_scoped("ingest.read=fail-transient x1", 0).unwrap();
-        let mut reader = FaultyRead::new(io::BufReader::new(&b"a,b,c\n"[..]), "ingest.read");
+        let faults = Faults::armed("ingest.read=fail-transient x1", 0).unwrap();
+        let mut reader =
+            FaultyRead::new(io::BufReader::new(&b"a,b,c\n"[..]), "ingest.read", &faults);
         let err = reader.fill_buf().unwrap_err();
         assert_eq!(classify_io(&err), FaultClass::Transient);
         let mut line = String::new();
@@ -667,12 +645,19 @@ mod tests {
 
     #[test]
     fn retry_and_exhaustion_notes_accumulate() {
-        let _guard = arm_scoped("s=panic", 0).unwrap();
-        note_retries("journal.append", 2);
-        note_retries("journal.append", 0);
-        note_exhausted("grid.cell");
-        let t = telemetry();
-        assert!(t.contains(&("fault.retries.journal.append".to_owned(), 2)));
-        assert!(t.contains(&("fault.exhausted.grid.cell".to_owned(), 1)));
+        let faults = Faults::default();
+        faults.note_retries("journal.append", 2);
+        faults.note_retries("journal.append", 0);
+        faults.note_retries("journal.append", 1);
+        faults.note_exhausted("grid.cell");
+        faults.note_integrity("journal_torn_tail");
+        assert_eq!(
+            faults.telemetry(),
+            vec![
+                ("fault.retries.journal.append".to_owned(), 3),
+                ("fault.exhausted.grid.cell".to_owned(), 1),
+                ("integrity.journal_torn_tail".to_owned(), 1),
+            ]
+        );
     }
 }

@@ -13,18 +13,19 @@
 //! are expected to tolerate exactly one trailing partial line (see
 //! `evematch_eval`'s experiment checkpointing).
 //!
-//! Both primitives carry integrity and observability hooks:
+//! Both primitives take the run's [`Faults`] plan and carry integrity and
+//! observability hooks:
 //!
-//! * [`atomic_write_verified`] / [`atomic_write_with_verified`] also emit
-//!   the artifact's `.evmi` checksum sidecar (see [`integrity`]), which
-//!   [`integrity::read_verified`] and the offline `evematch verify`
-//!   subcommand check end-to-end;
+//! * [`atomic_write_verified`] also emits the artifact's `.evmi` checksum
+//!   sidecar (see [`integrity`]), which [`integrity::read_verified`] and
+//!   the offline `evematch verify` subcommand check end-to-end;
 //! * after the rename (and after an append that creates a journal) the
 //!   parent directory is fsynced — [`fsync_dir_of`] — so the directory
 //!   entry itself survives a crash, with the `persist.fsync_dir`
 //!   failpoint covering that window;
-//! * every durable-state transition is recorded by [`iotrace`] when the
-//!   crash-consistency explorer is tracing.
+//! * each durable step first passes its `persist.<step>` failpoint and,
+//!   once done, is recorded as an [`iotrace::IoOp`] when the plan is a
+//!   crash-consistency explorer's recording plan.
 //!
 //! The xtask tidy lint `no-raw-artifact-write` (T8) flags raw
 //! `File::create`/`fs::write` of artifacts elsewhere in the workspace and
@@ -38,6 +39,7 @@ use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
+use crate::fault::{self, FaultAction, FaultClass, Faults};
 use iotrace::IoOp;
 
 /// The temp-file sibling used by [`atomic_write`] for `name`.
@@ -59,8 +61,8 @@ fn temp_sibling(path: &Path) -> PathBuf {
 /// rename's *atomicity* never depended on it); every other error
 /// propagates — silently ignoring them was the durability bug this
 /// replaces.
-fn fsync_dir_of(path: &Path) -> io::Result<()> {
-    crate::fault::io_guard("persist.fsync_dir")?;
+fn fsync_dir_of(faults: &Faults, path: &Path) -> io::Result<()> {
+    faults.guard("persist.fsync_dir")?;
     let parent = match path.parent() {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
@@ -73,7 +75,7 @@ fn fsync_dir_of(path: &Path) -> io::Result<()> {
         }
         return Ok(());
     }
-    iotrace::record(|| IoOp::FsyncDir {
+    faults.record(|| IoOp::FsyncDir {
         dir: parent.to_path_buf(),
     });
     Ok(())
@@ -84,51 +86,30 @@ fn fsync_dir_of(path: &Path) -> io::Result<()> {
 /// Writes to a hidden temp sibling (same directory, so the rename cannot
 /// cross filesystems), fsyncs it, then renames over `path`. On any error
 /// the temp file is removed and `path` is untouched.
-pub fn atomic_write(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    atomic_write_with(path, |w| w.write_all(bytes))
-}
-
-/// Like [`atomic_write`], but the contents are produced by `fill` writing
-/// into a buffered temp-file handle — useful when the artifact is
-/// streamed (e.g. a CSV table renderer) rather than materialized.
-pub fn atomic_write_with(
-    path: impl AsRef<Path>,
-    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
-) -> io::Result<()> {
+pub fn atomic_write(faults: &Faults, path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
     let path = path.as_ref();
     let tmp = temp_sibling(path);
     let result = (|| {
-        crate::faultpoint!("persist.create_temp");
+        faults.guard("persist.create_temp")?;
         // tidy-allow: no-raw-artifact-write -- this is the atomic_write implementation itself
-        let file = fs::File::create(&tmp)?;
-        iotrace::record_path(|p| IoOp::CreateTemp { path: p }, &tmp);
-        let mut buf = io::BufWriter::new(file);
-        crate::faultpoint!("persist.write");
-        if iotrace::is_active() {
-            // Tracing buffers the fill so the recorded op carries the
-            // exact bytes the crash explorer will replay.
-            let mut bytes = Vec::new();
-            fill(&mut bytes)?;
-            buf.write_all(&bytes)?;
-            iotrace::record(|| IoOp::WriteFile {
-                path: tmp.clone(),
-                bytes,
-            });
-        } else {
-            fill(&mut buf)?;
-        }
-        buf.flush()?;
-        crate::faultpoint!("persist.fsync");
-        buf.get_ref().sync_all()?;
-        iotrace::record_path(|p| IoOp::Fsync { path: p }, &tmp);
-        crate::faultpoint!("persist.rename");
+        let mut file = fs::File::create(&tmp)?;
+        faults.record(|| IoOp::CreateTemp { path: tmp.clone() });
+        faults.guard("persist.write")?;
+        file.write_all(bytes)?;
+        faults.record(|| IoOp::WriteFile {
+            path: tmp.clone(),
+            bytes: bytes.to_vec(),
+        });
+        faults.guard("persist.fsync")?;
+        file.sync_all()?;
+        faults.record(|| IoOp::Fsync { path: tmp.clone() });
+        faults.guard("persist.rename")?;
         fs::rename(&tmp, path)?;
-        iotrace::record(|| IoOp::Rename {
+        faults.record(|| IoOp::Rename {
             from: tmp.clone(),
             to: path.to_path_buf(),
         });
-        fsync_dir_of(path)?;
-        Ok(())
+        fsync_dir_of(faults, path)
     })();
     if result.is_err() {
         // tidy-allow: no-unclassified-io -- cleanup of the temp sibling; the primary error is already propagating
@@ -145,7 +126,7 @@ pub fn atomic_write_with(
 /// journal readers must skip. Lines must not contain `\n` themselves —
 /// embedded newlines would make torn-line recovery ambiguous — so this
 /// returns `InvalidInput` for them.
-pub fn append_line_durable(path: impl AsRef<Path>, line: &str) -> io::Result<()> {
+pub fn append_line_durable(faults: &Faults, path: impl AsRef<Path>, line: &str) -> io::Result<()> {
     if line.contains('\n') {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
@@ -163,30 +144,32 @@ pub fn append_line_durable(path: impl AsRef<Path>, line: &str) -> io::Result<()>
     // Failpoint `persist.append`: `torn` writes a newline-less prefix of
     // the payload and then fails transiently — exactly the on-disk state a
     // crash mid-append leaves behind, which journal readers must tolerate.
-    match crate::fault::hit("persist.append") {
-        Some(crate::fault::FaultAction::Torn) => {
+    match faults.hit("persist.append") {
+        Some(FaultAction::Torn) => {
             file.write_all(&buf[..buf.len() / 2])?;
             file.sync_all()?;
-            return Err(crate::fault::injected_error(
+            return Err(fault::injected_error(
                 "persist.append",
-                crate::fault::FaultClass::Transient,
+                FaultClass::Transient,
             ));
         }
-        Some(action) => crate::fault::apply_io("persist.append", action)?,
+        Some(action) => fault::apply_io("persist.append", action)?,
         None => {}
     }
     file.write_all(&buf)?;
-    iotrace::record(|| IoOp::Append {
+    faults.record(|| IoOp::Append {
         path: path.as_ref().to_path_buf(),
         bytes: buf.clone(),
     });
-    crate::faultpoint!("persist.append_fsync");
+    faults.guard("persist.append_fsync")?;
     file.sync_all()?;
-    iotrace::record_path(|p| IoOp::AppendFsync { path: p }, path.as_ref());
+    faults.record(|| IoOp::AppendFsync {
+        path: path.as_ref().to_path_buf(),
+    });
     if created {
         // The append created the journal: make its directory entry
         // durable too, or a crash can lose the whole file.
-        fsync_dir_of(path.as_ref())?;
+        fsync_dir_of(faults, path.as_ref())?;
     }
     Ok(())
 }
@@ -197,22 +180,14 @@ pub fn append_line_durable(path: impl AsRef<Path>, line: &str) -> io::Result<()>
 /// sidecar is written second — a crash between the two writes leaves a
 /// stale sidecar that verification reports as corruption, never silent
 /// acceptance of mixed state.
-pub fn atomic_write_verified(path: impl AsRef<Path>, bytes: &[u8]) -> io::Result<()> {
-    let path = path.as_ref();
-    atomic_write(path, bytes)?;
-    integrity::write_sidecar(path, bytes)
-}
-
-/// Like [`atomic_write_with`], but verified: the fill is materialized into
-/// a buffer (the sidecar needs the complete bytes to checksum) and written
-/// through [`atomic_write_verified`].
-pub fn atomic_write_with_verified(
+pub fn atomic_write_verified(
+    faults: &Faults,
     path: impl AsRef<Path>,
-    fill: impl FnOnce(&mut dyn Write) -> io::Result<()>,
+    bytes: &[u8],
 ) -> io::Result<()> {
-    let mut bytes = Vec::new();
-    fill(&mut bytes)?;
-    atomic_write_verified(path, &bytes)
+    let path = path.as_ref();
+    atomic_write(faults, path, bytes)?;
+    integrity::write_sidecar(faults, path, bytes)
 }
 
 #[cfg(test)]
@@ -231,9 +206,10 @@ mod tests {
     fn atomic_write_creates_and_replaces() {
         let dir = tmp_dir("basic");
         let path = dir.join("out.csv");
-        atomic_write(&path, b"v1").unwrap();
+        let faults = Faults::default();
+        atomic_write(&faults, &path, b"v1").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"v1");
-        atomic_write(&path, b"v2-longer").unwrap();
+        atomic_write(&faults, &path, b"v2-longer").unwrap();
         assert_eq!(fs::read(&path).unwrap(), b"v2-longer");
         // No temp residue.
         assert!(!temp_sibling(&path).exists());
@@ -244,10 +220,11 @@ mod tests {
     fn failed_fill_leaves_target_untouched_and_no_temp() {
         let dir = tmp_dir("fail");
         let path = dir.join("out.csv");
-        atomic_write(&path, b"original").unwrap();
-        let err =
-            atomic_write_with(&path, |_| Err(io::Error::other("producer failed"))).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::Other);
+        atomic_write(&Faults::default(), &path, b"original").unwrap();
+        // The temp sibling exists when the write step fails.
+        let faults = Faults::armed("persist.write=fail-permanent", 0).unwrap();
+        let err = atomic_write(&faults, &path, b"replacement").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::PermissionDenied);
         assert_eq!(fs::read(&path).unwrap(), b"original");
         assert!(!temp_sibling(&path).exists());
         let _ = fs::remove_dir_all(&dir);
@@ -257,7 +234,7 @@ mod tests {
     fn write_into_missing_directory_errors_cleanly() {
         let dir = tmp_dir("missing");
         let path = dir.join("no-such-subdir").join("out.csv");
-        assert!(atomic_write(&path, b"x").is_err());
+        assert!(atomic_write(&Faults::default(), &path, b"x").is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -265,11 +242,12 @@ mod tests {
     fn append_line_durable_accumulates_lines() {
         let dir = tmp_dir("journal");
         let path = dir.join("cells.journal");
-        append_line_durable(&path, "{\"a\":1}").unwrap();
-        append_line_durable(&path, "{\"b\":2}").unwrap();
+        let faults = Faults::default();
+        append_line_durable(&faults, &path, "{\"a\":1}").unwrap();
+        append_line_durable(&faults, &path, "{\"b\":2}").unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
-        let err = append_line_durable(&path, "no\nnewlines").unwrap_err();
+        let err = append_line_durable(&faults, &path, "no\nnewlines").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -34,7 +34,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::fault::FaultClass;
+use crate::fault::{FaultClass, Faults};
 use crate::telemetry::json::JsonValue;
 
 /// The framed-format version this build writes and the newest it reads.
@@ -105,7 +105,7 @@ impl IntegrityError {
     }
 
     /// Stable snake_case name used in telemetry counters
-    /// (`integrity.…<name>` — see [`crate::fault::note_integrity`]).
+    /// (`integrity.…<name>` — see [`Faults::note_integrity`]).
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
@@ -399,12 +399,16 @@ pub fn verify_file_bytes(bytes: &[u8], sidecar: &str) -> Result<(), IntegrityErr
 }
 
 /// Writes the sidecar for an artifact already persisted at `path` with
-/// content `bytes`, atomically.
+/// content `bytes`, atomically, under the run's plan.
 ///
 /// # Errors
 /// Propagates the underlying [`super::atomic_write`] failure.
-pub fn write_sidecar(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    super::atomic_write(sidecar_path(path), (sidecar_line(bytes) + "\n").as_bytes())
+pub fn write_sidecar(faults: &Faults, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    super::atomic_write(
+        faults,
+        sidecar_path(path),
+        (sidecar_line(bytes) + "\n").as_bytes(),
+    )
 }
 
 /// How a file was (or was not) verified by [`read_verified`].
@@ -810,10 +814,10 @@ mod tests {
 
         // Verified artifact + sidecar.
         fs::write(dir.join("good.csv"), b"a,b\n").unwrap();
-        write_sidecar(&dir.join("good.csv"), b"a,b\n").unwrap();
+        write_sidecar(&Faults::default(), &dir.join("good.csv"), b"a,b\n").unwrap();
         // Corrupt artifact (sidecar from other content).
         fs::write(dir.join("bad.csv"), b"a,b\n").unwrap();
-        write_sidecar(&dir.join("bad.csv"), b"x,y\n").unwrap();
+        write_sidecar(&Faults::default(), &dir.join("bad.csv"), b"x,y\n").unwrap();
         // Unverified artifact.
         fs::write(dir.join("plain.csv"), b"no sidecar\n").unwrap();
         // Orphan sidecar.
@@ -900,7 +904,7 @@ mod tests {
             Verification::Unverified,
             "no sidecar yet"
         );
-        write_sidecar(&path, b"{\"a\":1}\n").unwrap();
+        write_sidecar(&Faults::default(), &path, b"{\"a\":1}\n").unwrap();
         let (bytes, v) = read_verified(&path).unwrap();
         assert_eq!(v, Verification::Verified);
         assert_eq!(bytes, b"{\"a\":1}\n");

@@ -11,14 +11,14 @@
 //! Sleeping is abstracted behind the [`Clock`] trait so tests drive the
 //! policy with a [`VirtualClock`] that records the exact backoff sequence
 //! instead of stalling the test suite; production callers use
-//! [`RealClock`]. Retry outcomes feed the global fault telemetry
-//! (`fault.retries.<site>` / `fault.exhausted.<site>`) via
-//! [`crate::fault::note_retries`] / [`crate::fault::note_exhausted`].
+//! [`RealClock`]. Retry outcomes feed the fault telemetry of the run's
+//! plan (`fault.retries.<site>` / `fault.exhausted.<site>`) via
+//! [`Faults::note_retries`] / [`Faults::note_exhausted`].
 
 use std::io;
 use std::time::Duration;
 
-use crate::fault::{self, classify_io, FaultClass};
+use crate::fault::{classify_io, FaultClass, Faults};
 
 /// Bounded retry policy: attempt cap plus exponential backoff shape.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -163,13 +163,14 @@ impl std::error::Error for RetryExhausted {
 }
 
 /// Runs `op`, retrying transient failures under `policy` with the backoff
-/// slept on `clock`. Retries and give-ups are recorded in the global
-/// fault telemetry under `site`.
+/// slept on `clock`. Retries and give-ups are recorded in `faults`'
+/// telemetry under `site`.
 ///
 /// # Errors
 /// [`RetryExhausted`] when the attempt budget is spent on transient
 /// failures, or immediately on the first permanent/corrupt failure.
 pub fn retry_io<T>(
+    faults: &Faults,
     policy: &RetryPolicy,
     site: &str,
     clock: &mut dyn Clock,
@@ -179,15 +180,15 @@ pub fn retry_io<T>(
     loop {
         match op() {
             Ok(value) => {
-                fault::note_retries(site, u64::from(retries));
+                faults.note_retries(site, u64::from(retries));
                 return Ok(Recovered { value, retries });
             }
             Err(last) => {
                 let class = classify_io(&last);
                 let attempts = retries + 1;
                 if class != FaultClass::Transient || attempts >= policy.max_attempts.max(1) {
-                    fault::note_retries(site, u64::from(retries));
-                    fault::note_exhausted(site);
+                    faults.note_retries(site, u64::from(retries));
+                    faults.note_exhausted(site);
                     return Err(RetryExhausted {
                         class,
                         attempts,
@@ -212,7 +213,11 @@ mod tests {
     #[test]
     fn first_attempt_success_needs_no_clock() {
         let mut clock = VirtualClock::default();
-        let got = retry_io(&RetryPolicy::io_default(), "t", &mut clock, || Ok(7)).unwrap();
+        let faults = Faults::default();
+        let got = retry_io(&faults, &RetryPolicy::io_default(), "t", &mut clock, || {
+            Ok(7)
+        })
+        .unwrap();
         assert_eq!((got.value, got.retries), (7, 0));
         assert!(clock.slept.is_empty());
     }
@@ -220,8 +225,9 @@ mod tests {
     #[test]
     fn transient_failures_recover_with_exponential_backoff() {
         let mut clock = VirtualClock::default();
+        let faults = Faults::default();
         let mut left = 2;
-        let got = retry_io(&RetryPolicy::io_default(), "t", &mut clock, || {
+        let got = retry_io(&faults, &RetryPolicy::io_default(), "t", &mut clock, || {
             if left > 0 {
                 left -= 1;
                 Err(transient())
@@ -236,13 +242,15 @@ mod tests {
             vec![Duration::from_millis(10), Duration::from_millis(20)],
             "virtual clock records the deterministic backoff sequence"
         );
+        assert_eq!(faults.telemetry(), vec![("fault.retries.t".to_owned(), 2)]);
     }
 
     #[test]
     fn permanent_failures_are_not_retried() {
         let mut clock = VirtualClock::default();
+        let faults = Faults::default();
         let mut calls = 0;
-        let err = retry_io(&RetryPolicy::io_default(), "t", &mut clock, || {
+        let err = retry_io(&faults, &RetryPolicy::io_default(), "t", &mut clock, || {
             calls += 1;
             Err::<(), _>(io::Error::new(io::ErrorKind::PermissionDenied, "no"))
         })
@@ -251,12 +259,18 @@ mod tests {
         assert_eq!(err.class, FaultClass::Permanent);
         assert_eq!(err.attempts, 1);
         assert!(clock.slept.is_empty());
+        assert_eq!(
+            faults.telemetry(),
+            vec![("fault.exhausted.t".to_owned(), 1)],
+            "an unretried failure is exhausted with no retries key"
+        );
     }
 
     #[test]
     fn corrupt_failures_are_not_retried() {
         let mut clock = VirtualClock::default();
-        let err = retry_io(&RetryPolicy::io_default(), "t", &mut clock, || {
+        let faults = Faults::default();
+        let err = retry_io(&faults, &RetryPolicy::io_default(), "t", &mut clock, || {
             Err::<(), _>(io::Error::new(io::ErrorKind::InvalidData, "torn"))
         })
         .unwrap_err();
@@ -267,8 +281,9 @@ mod tests {
     #[test]
     fn attempt_budget_is_a_hard_cap() {
         let mut clock = VirtualClock::default();
+        let faults = Faults::default();
         let mut calls = 0u32;
-        let err = retry_io(&RetryPolicy::io_default(), "t", &mut clock, || {
+        let err = retry_io(&faults, &RetryPolicy::io_default(), "t", &mut clock, || {
             calls += 1;
             Err::<(), _>(transient())
         })
@@ -277,6 +292,13 @@ mod tests {
         assert_eq!(err.attempts, 4);
         assert_eq!(err.class, FaultClass::Transient);
         assert_eq!(clock.slept.len(), 3, "one backoff per retry");
+        assert_eq!(
+            faults.telemetry(),
+            vec![
+                ("fault.retries.t".to_owned(), 3),
+                ("fault.exhausted.t".to_owned(), 1),
+            ]
+        );
     }
 
     #[test]
@@ -286,8 +308,9 @@ mod tests {
         let policy = RetryPolicy::io_default();
         let run = |failures: u32| {
             let mut clock = VirtualClock::default();
+            let faults = Faults::default();
             let mut left = failures;
-            retry_io(&policy, "t", &mut clock, || {
+            retry_io(&faults, &policy, "t", &mut clock, || {
                 if left > 0 {
                     left -= 1;
                     Err(transient())
@@ -318,7 +341,8 @@ mod tests {
     #[test]
     fn no_retries_policy_fails_on_first_transient() {
         let mut clock = VirtualClock::default();
-        let err = retry_io(&RetryPolicy::no_retries(), "t", &mut clock, || {
+        let faults = Faults::default();
+        let err = retry_io(&faults, &RetryPolicy::no_retries(), "t", &mut clock, || {
             Err::<(), _>(transient())
         })
         .unwrap_err();

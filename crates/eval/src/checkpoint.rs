@@ -240,9 +240,10 @@ fn parse_entry(
     Some((x, seed, records))
 }
 
-/// What a journal replay decided: the reusable jobs, and whether the file
-/// must be rebuilt from scratch (with the typed reason, for the warning
-/// and the `integrity.journal_rebuilt.<reason>` counter).
+/// What a journal replay decided: the reusable jobs, whether the file
+/// must be rebuilt from scratch (with the typed reason, for the warning),
+/// and every integrity decision it made along the way.
+#[derive(Default)]
 pub(crate) struct JournalLoad {
     /// Completed jobs of *this* grid, keyed by `(index-of-x, seed)`.
     pub done: BTreeMap<(usize, u64), Vec<MethodRecord>>,
@@ -250,6 +251,11 @@ pub(crate) struct JournalLoad {
     /// must start a fresh one ("missing" is the ordinary first-run case
     /// and carries no warning).
     pub rebuild: Option<&'static str>,
+    /// One label per integrity decision, in order (such as
+    /// `journal_quarantined.checksum_mismatch` or
+    /// `journal_rebuilt.version_skew`); the grid counts each as
+    /// `integrity.<label>` in its plan.
+    pub integrity: Vec<String>,
 }
 
 /// Replays a journal: verifies the header and every record's checksum
@@ -262,70 +268,59 @@ pub(crate) struct JournalLoad {
 /// not ASCII-only) poisons only its own line, not the whole journal.
 /// Duplicate entries (a crash between append and the next poll can rerun
 /// a job) resolve to the last occurrence.
-///
-/// `verify = false` bypasses every integrity check (trailers are stripped
-/// unchecked, the header is skipped as a comment). It exists *only* so the
-/// crash-consistency checker's deliberately-buggy-recovery self-test can
-/// prove the checker catches what unverified replay silently accepts —
-/// nothing in the product sets it.
 pub(crate) fn load_journal(
     path: &Path,
     fingerprint: &str,
     xs: &[usize],
     seeds: &[u64],
     n_methods: usize,
-    verify: bool,
 ) -> JournalLoad {
     // tidy-allow: no-unverified-artifact-read -- this IS the framed journal loader: header and record CRCs are checked below
     let Ok(bytes) = std::fs::read(path) else {
         return JournalLoad {
-            done: BTreeMap::new(),
             rebuild: Some("missing"),
+            ..JournalLoad::default()
         };
     };
-    let rebuilt = |reason: &'static str| {
-        if reason != "missing" {
-            evematch_core::fault::note_integrity(&format!("journal_rebuilt.{reason}"));
-        }
+    let mut integrity = Vec::new();
+    let rebuilt = |reason: &'static str, mut integrity: Vec<String>| {
+        integrity.push(format!("journal_rebuilt.{reason}"));
         JournalLoad {
             done: BTreeMap::new(),
             rebuild: Some(reason),
+            integrity,
         }
     };
     let ends_complete = bytes.last() == Some(&b'\n');
-    let mut lines = bytes.split(|&b| b == b'\n').enumerate().peekable();
+    let mut lines = bytes.split(|&b| b == b'\n').peekable();
 
-    if verify {
-        // Header line: version and context are decided before any record
-        // is parsed.
-        let first = lines.peek().map(|(_, raw)| *raw).unwrap_or_default();
-        match std::str::from_utf8(first)
-            .map_err(|_| IntegrityError::TruncatedHeader)
-            .and_then(integrity::parse_journal_header)
-        {
-            Ok(JournalHeader { ctx, .. }) => {
-                if ctx != integrity::crc64(fingerprint.as_bytes()) {
-                    // A journal from a differently-configured grid: start
-                    // fresh rather than interleaving two configurations.
-                    return rebuilt("context_changed");
-                }
-                lines.next();
+    // Header line: version and context are decided before any record is
+    // parsed.
+    let first = lines.peek().copied().unwrap_or_default();
+    match std::str::from_utf8(first)
+        .map_err(|_| IntegrityError::TruncatedHeader)
+        .and_then(integrity::parse_journal_header)
+    {
+        Ok(JournalHeader { ctx, .. }) => {
+            if ctx != integrity::crc64(fingerprint.as_bytes()) {
+                // A journal from a differently-configured grid: start
+                // fresh rather than interleaving two configurations.
+                return rebuilt("context_changed", integrity);
             }
-            Err(IntegrityError::VersionSkew { .. }) => return rebuilt("version_skew"),
-            Err(IntegrityError::ChecksumMismatch { .. }) => return rebuilt("header_damaged"),
-            // No (complete) header: a legacy pre-integrity journal or a
-            // file torn inside the header line.
-            Err(_) => return rebuilt("no_header"),
+            lines.next();
         }
+        Err(IntegrityError::VersionSkew { .. }) => return rebuilt("version_skew", integrity),
+        Err(IntegrityError::ChecksumMismatch { .. }) => {
+            return rebuilt("header_damaged", integrity)
+        }
+        // No (complete) header: a legacy pre-integrity journal or a file
+        // torn inside the header line.
+        Err(_) => return rebuilt("no_header", integrity),
     }
 
     let mut done = BTreeMap::new();
     let mut quarantined = 0usize;
-    let quarantine = |kind: &str, n: &mut usize| {
-        *n += 1;
-        evematch_core::fault::note_integrity(&format!("journal_quarantined.{kind}"));
-    };
-    while let Some((_, raw)) = lines.next() {
+    while let Some(raw) = lines.next() {
         let is_last = lines.peek().is_none();
         if raw.is_empty() {
             continue;
@@ -333,52 +328,33 @@ pub(crate) fn load_journal(
         if is_last && !ends_complete {
             // The unterminated trailing fragment a crash mid-append
             // leaves; the caller seals it before appending.
-            if verify {
-                evematch_core::fault::note_integrity("journal_torn_tail");
-            }
+            integrity.push("journal_torn_tail".to_owned());
             continue;
         }
         let Ok(line) = std::str::from_utf8(raw) else {
-            if verify {
-                quarantine("torn_tail", &mut quarantined);
-            }
+            quarantined += 1;
+            integrity.push("journal_quarantined.torn_tail".to_owned());
             continue;
         };
         if line.ends_with(SEAL_MARKER) {
             // A fragment a previous resume sealed: the documented crash
             // leftover, tolerated.
-            if verify {
-                evematch_core::fault::note_integrity("journal_sealed_fragment");
-            }
+            integrity.push("journal_sealed_fragment".to_owned());
             continue;
         }
-        let payload = if verify {
-            match integrity::verify_record(line) {
-                Ok(p) => p,
-                Err(e) => {
-                    quarantine(e.name(), &mut quarantined);
-                    if quarantined > MAX_QUARANTINED_RECORDS {
-                        return rebuilt("too_damaged");
-                    }
-                    continue;
+        let entry = integrity::verify_record(line)
+            .map_err(IntegrityError::name)
+            .and_then(|payload| parse_entry(payload, fingerprint, n_methods).ok_or("malformed"));
+        let (x, seed, records) = match entry {
+            Ok(entry) => entry,
+            Err(kind) => {
+                quarantined += 1;
+                integrity.push(format!("journal_quarantined.{kind}"));
+                if quarantined > MAX_QUARANTINED_RECORDS {
+                    return rebuilt("too_damaged", integrity);
                 }
-            }
-        } else {
-            // Unverified replay: strip a trailer if one is present, skip
-            // header/comment lines, check nothing.
-            if line.starts_with('#') {
                 continue;
             }
-            line.rsplit_once(" #c=").map_or(line, |(p, _)| p)
-        };
-        let Some((x, seed, records)) = parse_entry(payload, fingerprint, n_methods) else {
-            if verify {
-                quarantine("malformed", &mut quarantined);
-                if quarantined > MAX_QUARANTINED_RECORDS {
-                    return rebuilt("too_damaged");
-                }
-            }
-            continue;
         };
         let Some(xi) = xs.iter().position(|&v| v == x) else {
             continue;
@@ -391,6 +367,7 @@ pub(crate) fn load_journal(
     JournalLoad {
         done,
         rebuild: None,
+        integrity,
     }
 }
 
@@ -528,13 +505,13 @@ mod tests {
         let text = format!("{header}\n{full}\ngarbage\n{foreign_x}\n{foreign_seed}\n{dup}\n{torn}");
         std::fs::write(&path, text).unwrap();
 
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert!(load.rebuild.is_none());
         assert_eq!(load.done.len(), 1);
         assert_eq!(load.done[&(0, 11)][0].processed, 2, "last duplicate wins");
 
         // A missing journal is the ordinary first-run rebuild.
-        let load = load_journal(&dir.join("absent"), &fp(), &[3], &[11], 1, true);
+        let load = load_journal(&dir.join("absent"), &fp(), &[3], &[11], 1);
         assert!(load.done.is_empty());
         assert_eq!(load.rebuild, Some("missing"));
         let _ = std::fs::remove_dir_all(&dir);
@@ -556,20 +533,20 @@ mod tests {
             format!("{}\n{record}\n", integrity::journal_header(&other)),
         )
         .unwrap();
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert_eq!(load.rebuild, Some("context_changed"));
         assert!(load.done.is_empty());
 
         // A legacy pre-integrity journal (no header at all): rebuild.
         std::fs::write(&path, format!("{record}\n")).unwrap();
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert_eq!(load.rebuild, Some("no_header"));
 
         // A future format version: typed rebuild, never misparse.
         let body = format!("#%EVMJ v=9 ctx={:016x}", integrity::crc64(fp().as_bytes()));
         let future = format!("{body} c={:08x}", integrity::crc32(body.as_bytes()));
         std::fs::write(&path, format!("{future}\n{record}\n")).unwrap();
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert_eq!(load.rebuild, Some("version_skew"));
 
         // A header with a flipped byte: typed rebuild.
@@ -581,13 +558,13 @@ mod tests {
         bytes.extend_from_slice(record.as_bytes());
         bytes.push(b'\n');
         std::fs::write(&path, &bytes).unwrap();
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert!(load.rebuild.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn corrupt_record_is_quarantined_but_unverified_replay_accepts_it() {
+    fn corrupt_record_is_quarantined_and_counted() {
         let dir = std::env::temp_dir().join(format!("evematch-ckpt-flip-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
@@ -606,17 +583,13 @@ mod tests {
         )
         .unwrap();
 
-        // Verified replay: the record is quarantined (recomputed), never
-        // silently accepted with the wrong number.
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        // The record is quarantined (recomputed), never silently accepted
+        // with the wrong number, and the decision is reported for the
+        // grid to count.
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert!(load.rebuild.is_none());
         assert!(load.done.is_empty(), "corrupt record must not replay");
-
-        // Unverified replay (the checker's buggy-recovery mode): the same
-        // bytes are accepted with processed = 9111 — exactly the silent
-        // wrong-data failure the crash checker's self-test must catch.
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, false);
-        assert_eq!(load.done[&(0, 11)][0].processed, 9111);
+        assert_eq!(load.integrity, ["journal_quarantined.checksum_mismatch"]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -647,7 +620,7 @@ mod tests {
         );
 
         // The complete entry is still replayed: only the torn line is lost.
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert!(load.rebuild.is_none(), "torn tail is sealed, not rebuilt");
         assert_eq!(load.done.len(), 1);
         assert!(load.done.contains_key(&(0, 11)));
@@ -655,8 +628,9 @@ mod tests {
         // Sealing terminates the torn bytes; appends then land on a fresh
         // line and both entries replay, with the sealed fragment tolerated.
         seal_torn_tail(&path);
-        evematch_core::persist::append_line_durable(&path, &torn).unwrap();
-        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1, true);
+        let faults = evematch_core::fault::Faults::default();
+        evematch_core::persist::append_line_durable(&faults, &path, &torn).unwrap();
+        let load = load_journal(&path, &fp(), &[3, 4], &[11, 23], 1);
         assert_eq!(load.done.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -7,15 +7,16 @@
 //! `repro_*` binaries in `evematch-bench` print and save these.
 
 use std::collections::BTreeMap;
+use std::io;
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
 use evematch_core::claim::ClaimCursor;
-use evematch_core::fault::{self, FaultClass};
-use evematch_core::persist::integrity;
-use evematch_core::retry::{Clock, RealClock, RetryPolicy};
+use evematch_core::fault::Faults;
+use evematch_core::persist::{self, integrity};
+use evematch_core::retry::{retry_io, RealClock, RetryPolicy};
 use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot, WorkCol};
 use evematch_datagen::{datasets, Dataset};
 
@@ -51,12 +52,11 @@ pub struct SweepConfig {
     /// exponential backoff, then the cell is quarantined as a typed DNF.
     /// `RetryPolicy::no_retries()` restores the pre-supervisor behavior.
     pub retry: RetryPolicy,
-    /// Verify the checkpoint journal's integrity framing (header and
-    /// per-record checksums) on load. Always `true` in the product; it
-    /// exists solely so the crash-consistency checker's deliberately-buggy
-    /// recovery self-test can demonstrate what unverified replay silently
-    /// accepts (DESIGN.md §14).
-    pub verify_journal: bool,
+    /// The run's fault plan: its failpoint schedule (disarmed by default),
+    /// the `fault.*`/`integrity.*` counters the grid's supervisor, journal
+    /// and writes report into, and, for the crash-consistency explorer, its
+    /// op recorder.
+    pub faults: Arc<Faults>,
 }
 
 impl Default for SweepConfig {
@@ -70,7 +70,7 @@ impl Default for SweepConfig {
             traces: 3000,
             checkpoint: None,
             retry: RetryPolicy::io_default(),
-            verify_journal: true,
+            faults: Arc::default(),
         }
     }
 }
@@ -98,6 +98,9 @@ pub struct FigureResult {
     /// [`ProfileSnapshot::merge`]). The `repro_*` binaries save these as
     /// `<stem>_profile.json` plus Chrome-trace and folded-stack views.
     pub profiles: Vec<(String, ProfileSnapshot)>,
+    /// The sweep's fault plan (the config's, shared): its telemetry covers
+    /// the grid, and the `repro_*` binaries write the panels under it.
+    pub faults: Arc<Faults>,
 }
 
 /// Aggregate of one (x, method) cell over the seeds.
@@ -157,50 +160,52 @@ impl Cell {
 }
 
 /// Runs one supervised unit of grid work (dataset generation or a single
-/// method run). Each attempt first consults the `grid.cell` failpoint,
-/// then runs `op` behind `catch_unwind`. Worker panics and injected
-/// faults that classify as [`FaultClass::Transient`] are retried under
-/// `retry`'s bounded exponential backoff; when the attempt budget is
-/// spent — or the fault is permanent/corrupt, where retrying is futile —
-/// the unit is quarantined and the typed DNF record to use is returned as
-/// the `Err`. On success, the number of retries it took rides along so
-/// the cell's record can carry `fault.retries.grid.cell`.
-fn supervise<T>(retry: &RetryPolicy, op: impl Fn() -> T) -> Result<(T, u64), Box<MethodRecord>> {
-    let mut clock = RealClock;
-    let mut retries: u32 = 0;
-    loop {
-        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            fault::io_guard("grid.cell").map_err(|e| fault::classify_io(&e))?;
+/// method run) through [`retry_io`] at site `grid.cell`. Each attempt
+/// first consults the `grid.cell` failpoint, then runs `op`, both behind
+/// `catch_unwind`: a caught panic is a crashed worker, which fails the
+/// attempt as `Interrupted` and so retries like any transient fault.
+/// When the attempt budget is spent — or the fault is permanent/corrupt,
+/// where retrying is futile — the unit is quarantined and the typed DNF
+/// record to use is returned as the `Err`. On success, the number of
+/// retries it took rides along so the cell's record can carry
+/// `fault.retries.grid.cell`.
+fn supervise<T>(cfg: &SweepConfig, op: impl Fn() -> T) -> Result<(T, u64), Box<MethodRecord>> {
+    let panicked = std::cell::Cell::new(false);
+    let attempt = || {
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            cfg.faults.guard("grid.cell")?;
             Ok(op())
         }));
-        // A panic is a crashed worker: routinely transient (the rerun sees
-        // a fresh world), so it shares the transient retry path.
-        let (class, panicked) = match attempt {
-            Ok(Ok(value)) => {
-                fault::note_retries("grid.cell", u64::from(retries));
-                return Ok((value, u64::from(retries)));
-            }
-            Ok(Err(class)) => (class, false),
-            Err(_) => (FaultClass::Transient, true),
-        };
-        if class == FaultClass::Transient && retries + 1 < retry.max_attempts.max(1) {
-            clock.sleep(retry.backoff(retries));
-            retries += 1;
-            continue;
+        panicked.set(outcome.is_err());
+        outcome.unwrap_or_else(|_| {
+            Err(io::Error::new(
+                io::ErrorKind::Interrupted,
+                "grid worker panicked",
+            ))
+        })
+    };
+    match retry_io(
+        &cfg.faults,
+        &cfg.retry,
+        "grid.cell",
+        &mut RealClock,
+        attempt,
+    ) {
+        Ok(done) => Ok((done.value, u64::from(done.retries))),
+        Err(failed) => {
+            let retries = u64::from(failed.attempts - 1);
+            let rec = if panicked.get() {
+                let mut rec = MethodRecord::panicked();
+                if retries > 0 {
+                    rec.metrics.set_counter("fault.retries.grid.cell", retries);
+                }
+                rec
+            } else {
+                MethodRecord::quarantined(failed.class, retries)
+            };
+            // Boxed: the DNF record is cold-path and much larger than `T`.
+            Err(Box::new(rec))
         }
-        fault::note_retries("grid.cell", u64::from(retries));
-        fault::note_exhausted("grid.cell");
-        let mut rec = if panicked {
-            MethodRecord::panicked()
-        } else {
-            MethodRecord::quarantined(class, u64::from(retries))
-        };
-        if panicked && retries > 0 {
-            rec.metrics
-                .set_counter("fault.retries.grid.cell", u64::from(retries));
-        }
-        // Boxed: the DNF record is cold-path and much larger than `T`.
-        return Err(Box::new(rec));
     }
 }
 
@@ -216,8 +221,7 @@ fn run_job(
     cfg: &SweepConfig,
     make: &(impl Fn(usize, u64) -> Dataset + Sync),
 ) -> Vec<MethodRecord> {
-    let retry = &cfg.retry;
-    let ds = match supervise(retry, || make(x, seed)) {
+    let ds = match supervise(cfg, || make(x, seed)) {
         Ok((ds, _)) => ds,
         Err(rec) => return methods.iter().map(|_| (*rec).clone()).collect(),
     };
@@ -229,7 +233,7 @@ fn run_job(
     methods
         .iter()
         .map(|&m| {
-            match supervise(retry, || pool.run(m, cfg.budget)) {
+            match supervise(cfg, || pool.run(m, cfg.budget)) {
                 Ok((out, retries)) => {
                     let mut rec = MethodRecord::of(&out);
                     if retries > 0 {
@@ -276,19 +280,12 @@ pub fn run_grid(
         .as_ref()
         .map(|dir| dir.join(format!("{figure}.journal")));
     let load = match &journal {
-        Some(path) => checkpoint::load_journal(
-            path,
-            &fingerprint,
-            xs,
-            &cfg.seeds,
-            methods.len(),
-            cfg.verify_journal,
-        ),
-        None => checkpoint::JournalLoad {
-            done: BTreeMap::new(),
-            rebuild: None,
-        },
+        Some(path) => checkpoint::load_journal(path, &fingerprint, xs, &cfg.seeds, methods.len()),
+        None => checkpoint::JournalLoad::default(),
     };
+    for kind in &load.integrity {
+        cfg.faults.note_integrity(kind);
+    }
     let done = load.done;
     let jobs: Vec<(usize, u64)> = xs
         .iter()
@@ -315,17 +312,13 @@ pub fn run_grid(
                 // so every later append lands under a verified context.
                 // Best-effort like the appends — an unwritable journal
                 // must not take down the run.
-                let mut clock = RealClock;
-                let _ = evematch_core::retry::retry_io(
+                let header = integrity::journal_header(&fingerprint) + "\n";
+                let _ = retry_io(
+                    &cfg.faults,
                     &cfg.retry,
                     "journal.rebuild",
-                    &mut clock,
-                    || {
-                        evematch_core::persist::atomic_write(
-                            path,
-                            (integrity::journal_header(&fingerprint) + "\n").as_bytes(),
-                        )
-                    },
+                    &mut RealClock,
+                    || persist::atomic_write(&cfg.faults, path, header.as_bytes()),
                 );
             }
             None => {
@@ -361,13 +354,13 @@ pub fn run_grid(
                         // disk costs milliseconds instead of a recompute on
                         // resume. A permanently unwritable journal still must
                         // not take down the run — the grid keeps its results.
-                        let mut clock = RealClock;
-                        let _ = evematch_core::retry::retry_io(
+                        let _ = retry_io(
+                            &cfg.faults,
                             &cfg.retry,
                             "journal.append",
-                            &mut clock,
+                            &mut RealClock,
                             || {
-                                evematch_core::persist::append_line_durable(path, &line).map_err(
+                                persist::append_line_durable(&cfg.faults, path, &line).map_err(
                                     |e| {
                                         checkpoint::seal_torn_tail(path);
                                         e
@@ -460,6 +453,7 @@ pub fn run_grid(
         processed,
         metrics,
         profiles,
+        faults: Arc::clone(&cfg.faults),
     }
 }
 
@@ -686,7 +680,7 @@ mod tests {
             traces: 60,
             checkpoint: None,
             retry: RetryPolicy::io_default(),
-            verify_journal: true,
+            faults: Arc::default(),
         }
     }
 
@@ -763,7 +757,7 @@ mod tests {
             traces: 40,
             checkpoint: dir,
             retry: RetryPolicy::io_default(),
-            verify_journal: true,
+            faults: Arc::default(),
         }
     }
 
@@ -875,7 +869,7 @@ mod tests {
             // No retries: the generator panics deterministically, so the
             // test asserts the quarantine outcome without backoff waits.
             retry: RetryPolicy::no_retries(),
-            verify_journal: true,
+            faults: Arc::default(),
         };
         let fig = run_grid(
             "FigP",

@@ -71,12 +71,13 @@
 //!                            the mapping lines and, on degraded runs, the
 //!                            machine-readable `# degraded` header, which
 //!                            is always emitted
-//!     --fault-schedule <S>   arm the deterministic failpoint registry with
-//!                            a schedule spec (see `core::fault`; e.g.
+//!     --fault-schedule <S>   arm the run's deterministic fault plan with a
+//!                            schedule spec (see `core::fault`; e.g.
 //!                            `ingest.read=fail-transient x1`); injected
 //!                            faults surface through the same typed
 //!                            transient/permanent/corrupt taxonomy and
-//!                            retry/error paths as real ones
+//!                            retry/error paths as real ones, and an
+//!                            unknown failpoint site is a usage error
 //!     --fault-seed <N>       seed for the schedule's `%permille`
 //!                            probability draws (default: 0)
 //! ```
@@ -255,15 +256,20 @@ fn ingest_options(opts: &Options) -> IngestOptions {
     base.with_limits(limits)
 }
 
-fn load_log(path: &str, format: Option<&str>, ingest: &IngestOptions) -> Result<Ingest, String> {
+fn load_log(
+    path: &str,
+    format: Option<&str>,
+    ingest: &IngestOptions,
+    faults: &fault::Faults,
+) -> Result<Ingest, String> {
     // tidy-allow: no-unverified-artifact-read -- user-supplied event log input, not a checksummed artifact of ours
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     // The `ingest.read` failpoint wraps the reader here (rather than
     // inside `eventlog`, which sits below `core` in the crate DAG), so an
     // armed schedule can inject transient/corrupt read errors into
-    // ingestion; when disarmed the wrapper is a single relaxed load per
+    // ingestion; when disarmed the wrapper is one `Option` check per
     // buffer refill.
-    let reader = fault::FaultyRead::new(BufReader::new(file), "ingest.read");
+    let reader = fault::FaultyRead::new(BufReader::new(file), "ingest.read", faults);
     let is_csv = match format {
         Some("csv") => true,
         Some("text") => false,
@@ -293,9 +299,11 @@ fn load_patterns(path: &str, log1: &EventLog) -> Result<Vec<Pattern>, String> {
 
 /// Whether the run finished within budget (`false` = degraded result).
 fn run(opts: &Options) -> Result<bool, String> {
-    if let Some(spec) = &opts.fault_schedule {
-        fault::arm(spec, opts.fault_seed).map_err(|e| format!("--fault-schedule: {e}"))?;
-    }
+    let faults = match &opts.fault_schedule {
+        Some(spec) => fault::Faults::armed(spec, opts.fault_seed)
+            .map_err(|e| format!("--fault-schedule: {e}"))?,
+        None => fault::Faults::default(),
+    };
     // The run's phase profile is three profilers merged in order: ingest
     // and index are measured here, the solver's own tree (search, probe,
     // support-eval) follows, and emit closes the story. A beacon (for
@@ -313,8 +321,8 @@ fn run(opts: &Options) -> Result<bool, String> {
     let mut profiler = new_profiler();
     let ingest = ingest_options(opts);
     let (in1, in2) = evematch::core::phase!(profiler, "ingest", {
-        let in1 = load_log(&opts.logs[0], opts.format.as_deref(), &ingest)?;
-        let in2 = load_log(&opts.logs[1], opts.format.as_deref(), &ingest)?;
+        let in1 = load_log(&opts.logs[0], opts.format.as_deref(), &ingest, &faults)?;
+        let in2 = load_log(&opts.logs[1], opts.format.as_deref(), &ingest, &faults)?;
         (in1, in2)
     });
     if !opts.quiet {
@@ -391,21 +399,22 @@ fn run(opts: &Options) -> Result<bool, String> {
             }
             snap.merge(&tmp);
         }
-        if fault::is_armed() {
+        if faults.is_armed() {
             let mut tmp = MetricsSnapshot::default();
-            for (name, n) in fault::telemetry() {
+            for (name, n) in faults.telemetry() {
                 tmp.set_counter(&name, n);
             }
             snap.merge(&tmp);
         }
-        write_artifact(path, |p| {
-            persist::atomic_write_verified(p, (snap.to_json_string() + "\n").as_bytes())
-        })?;
+        write_artifact(&faults, path, (snap.to_json_string() + "\n").as_bytes())?;
     }
     if let Some(path) = &opts.trace_out {
-        write_artifact(path, |p| {
-            persist::atomic_write_with_verified(p, |w| outcome.trace.write_jsonl(w))
-        })?;
+        let mut jsonl = Vec::new();
+        outcome
+            .trace
+            .write_jsonl(&mut jsonl)
+            .map_err(|e| format!("{path}: {e}"))?;
+        write_artifact(&faults, path, &jsonl)?;
     }
 
     if let Some(gap) = outcome.completion.optimality_gap() {
@@ -420,18 +429,18 @@ fn run(opts: &Options) -> Result<bool, String> {
     if let Some(path) = &opts.profile_out {
         // The profile's own serialization cannot profile itself — the
         // emit phase above covers the other artifacts and the mapping.
-        write_artifact(path, |p| {
-            persist::atomic_write_verified(p, (profile.to_json_string() + "\n").as_bytes())
-        })?;
+        write_artifact(&faults, path, (profile.to_json_string() + "\n").as_bytes())?;
         let stem = path.strip_suffix(".json").unwrap_or(path);
-        let trace_path = format!("{stem}_trace.json");
-        write_artifact(&trace_path, |p| {
-            persist::atomic_write_verified(p, (profile.to_chrome_trace() + "\n").as_bytes())
-        })?;
-        let folded_path = format!("{stem}.folded");
-        write_artifact(&folded_path, |p| {
-            persist::atomic_write_verified(p, profile.to_folded("").as_bytes())
-        })?;
+        write_artifact(
+            &faults,
+            &format!("{stem}_trace.json"),
+            (profile.to_chrome_trace() + "\n").as_bytes(),
+        )?;
+        write_artifact(
+            &faults,
+            &format!("{stem}.folded"),
+            profile.to_folded("").as_bytes(),
+        )?;
     }
 
     if !opts.quiet {
@@ -445,20 +454,17 @@ fn run(opts: &Options) -> Result<bool, String> {
     Ok(outcome.completion.is_finished())
 }
 
-/// Writes one CLI artifact through the supervised retry path: transient
-/// failures (real or injected) back off and retry under the default
-/// policy before the typed, attempt-annotated error reaches the exit-1
-/// path.
-fn write_artifact(
-    path: &str,
-    mut write: impl FnMut(&str) -> std::io::Result<()>,
-) -> Result<(), String> {
-    let mut clock = retry::RealClock;
+/// Writes one verified CLI artifact through the supervised retry path:
+/// transient failures (real or injected) back off and retry under the
+/// default policy before the typed, attempt-annotated error reaches the
+/// exit-1 path.
+fn write_artifact(faults: &fault::Faults, path: &str, bytes: &[u8]) -> Result<(), String> {
     retry::retry_io(
+        faults,
         &retry::RetryPolicy::io_default(),
         "cli.artifact",
-        &mut clock,
-        || write(path),
+        &mut retry::RealClock,
+        || persist::atomic_write_verified(faults, path, bytes),
     )
     .map(|_| ())
     .map_err(|e| format!("{path}: {}", e.into_io()))

@@ -5,8 +5,8 @@
 //! recovery from each simulated crash state, and asserts the recovery
 //! invariant: deterministic panels byte-identical to the crash-free run
 //! and an integrity-clean artifact directory. Then runs the
-//! buggy-recovery self-test proving the checker catches a recovery that
-//! skips checksum verification.
+//! buggy-recovery self-test proving the checker catches wrong data that
+//! passes the journal reader.
 //!
 //! Environment knobs (a malformed value stops the run with its name):
 //!
@@ -53,14 +53,14 @@ fn main() -> ExitCode {
     match buggy_recovery_self_test(cfg.traces) {
         Ok(outcome) => {
             println!(
-                "self-test: naive_divergence_caught={} verified_recovery_clean={}",
-                outcome.naive_divergence_caught, outcome.verified_recovery_clean
+                "self-test: forged_divergence_caught={} verified_recovery_clean={}",
+                outcome.forged_divergence_caught, outcome.verified_recovery_clean
             );
-            if !outcome.naive_divergence_caught {
+            if !outcome.forged_divergence_caught {
                 eprintln!(
-                    "crashcheck: SELF-TEST FAILED — naive (unverified) replay of a \
-                     checksum-stale journal record did not diverge; the checker \
-                     would miss a buggy recovery"
+                    "crashcheck: SELF-TEST FAILED — replay of a forged (re-framed) \
+                     journal record did not diverge; the checker would miss a \
+                     buggy recovery"
                 );
                 failed = true;
             }

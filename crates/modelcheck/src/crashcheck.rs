@@ -1,15 +1,15 @@
 //! ALICE-style crash-consistency explorer for the persistence layer
 //! (DESIGN.md §14).
 //!
-//! The explorer runs a small checkpointed experiment grid with
-//! [`iotrace`] recording every durable-state transition the persistence
-//! primitives perform (temp-file creation, content writes, fsyncs,
-//! renames, directory fsyncs, journal appends). It then simulates a crash
-//! at *every* point of that trace: each prefix of the op list — plus a
-//! torn variant of each content-carrying final op — is replayed literally
-//! into a fresh sandbox directory, recovery is run (the same grid,
-//! resuming from whatever survived), and the recovery invariant is
-//! asserted:
+//! The explorer runs a small checkpointed experiment grid under a
+//! recording plan ([`Faults::recording`]) that records, as [`IoOp`]s,
+//! every durable-state transition the persistence primitives perform
+//! (temp-file creation, content writes, fsyncs, renames, directory
+//! fsyncs, journal appends). It then simulates a crash at *every* point
+//! of that trace: each prefix of the op list — plus a torn variant of
+//! each content-carrying final op — is replayed literally into a fresh
+//! sandbox directory, recovery is run (the same grid, resuming from
+//! whatever survived), and the recovery invariant is asserted:
 //!
 //! 1. the deterministic result panels are byte-identical to the
 //!    crash-free run, and
@@ -18,23 +18,24 @@
 //!    fragments, and missing sidecars are tolerated warnings — recovery
 //!    is allowed to leave evidence, never wrong data).
 //!
-//! [`buggy_recovery_self_test`] proves the explorer has teeth: it hands a
-//! journal with a checksum-stale (but JSON-valid) record to a
-//! *deliberately naive* recovery (`verify_journal = false`, the one
-//! sanctioned use of that knob) and requires the resulting divergence to
-//! be visible — if the naive replay ever produced clean panels, the
-//! checker could no longer catch the class of bug it guards against.
+//! [`buggy_recovery_self_test`] proves the explorer has teeth: it damages
+//! one journal record twice over. With a stale checksum trailer, recovery
+//! must quarantine the record and reproduce the reference; re-framed with
+//! a fresh trailer (a forged record that passes the reader — what a buggy
+//! writer would leave), the wrong number replays, and the resulting
+//! divergence must be visible. If forged data ever produced clean panels,
+//! the checker could no longer catch the class of bug it guards against.
 //!
 //! The explorer exercises the real persistence code on a real
-//! filesystem. The [`iotrace`] recorder is process-global, so
-//! callers (tests, the `crashcheck` binary) must not run two traced
-//! explorations concurrently.
+//! filesystem.
 
 use std::fs;
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
-use evematch_core::persist::iotrace::{self, IoOp};
+use evematch_core::fault::Faults;
+use evematch_core::persist::iotrace::IoOp;
 use evematch_core::persist::{self, integrity};
 use evematch_core::retry::RetryPolicy;
 use evematch_core::Budget;
@@ -163,12 +164,13 @@ impl CrashReport {
 /// Outcome of [`buggy_recovery_self_test`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SelfTestOutcome {
-    /// The deliberately naive (unverified) replay of a checksum-stale
-    /// journal produced divergent panels — i.e. the checker *can* see
-    /// the corruption a buggy recovery lets through. Must be `true`.
-    pub naive_divergence_caught: bool,
-    /// The real (verified) recovery quarantined the stale record and
-    /// reproduced the reference panels byte-identically. Must be `true`.
+    /// Recovery from a journal whose damaged record was re-framed with a
+    /// valid trailer produced divergent panels — i.e. the checker *can*
+    /// see wrong data that passes the reader. Must be `true`.
+    pub forged_divergence_caught: bool,
+    /// Recovery from the same damage under a stale trailer quarantined the
+    /// record and reproduced the reference panels byte-identically. Must
+    /// be `true`.
     pub verified_recovery_clean: bool,
 }
 
@@ -182,10 +184,10 @@ fn csv(table: &Table) -> io::Result<String> {
     String::from_utf8(buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-/// Runs the explorer's fixed grid rooted at `root` (checkpoint journal
-/// under `root/ckpt`, verified F-measure CSV at `root/fmeasure.csv`) and
-/// returns the deterministic panels.
-fn run_once(root: &Path, traces: usize, verify_journal: bool) -> io::Result<Panels> {
+/// Runs the explorer's fixed grid rooted at `root` under `faults`
+/// (checkpoint journal under `root/ckpt`, verified F-measure CSV at
+/// `root/fmeasure.csv`) and returns the deterministic panels.
+fn run_once(root: &Path, traces: usize, faults: &Arc<Faults>) -> io::Result<Panels> {
     let cfg = SweepConfig {
         seeds: vec![11],
         budget: Budget::UNLIMITED.with_processed_cap(60_000),
@@ -193,7 +195,7 @@ fn run_once(root: &Path, traces: usize, verify_journal: bool) -> io::Result<Pane
         traces,
         checkpoint: Some(root.join("ckpt")),
         retry: RetryPolicy::no_retries(),
-        verify_journal,
+        faults: Arc::clone(faults),
     };
     let fig = run_grid(
         "CrashT",
@@ -204,7 +206,7 @@ fn run_once(root: &Path, traces: usize, verify_journal: bool) -> io::Result<Pane
         |x, seed| project_dataset(&datasets::real_like_sized(traces, traces, seed), x),
     );
     let f_measure = csv(&fig.f_measure)?;
-    persist::atomic_write_verified(root.join("fmeasure.csv"), f_measure.as_bytes())?;
+    persist::atomic_write_verified(faults, root.join("fmeasure.csv"), f_measure.as_bytes())?;
     Ok([f_measure, csv(&fig.anytime_f)?, csv(&fig.processed)?])
 }
 
@@ -305,13 +307,10 @@ pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
     let ref_root = work.join("ref");
     fs::create_dir_all(ref_root.join("ckpt"))?;
 
-    // Crash-free reference run, traced. The recorder is process-global:
-    // the root filter keeps unrelated writes out, but two traced
-    // explorations must not overlap (callers serialize).
-    iotrace::start_under(&ref_root);
-    let reference = run_once(&ref_root, cfg.traces, true);
-    let ops = iotrace::stop();
-    let reference = reference?;
+    // Crash-free reference run, recorded.
+    let recorder = Arc::new(Faults::recording(&ref_root));
+    let reference = run_once(&ref_root, cfg.traces, &recorder)?;
+    let ops = recorder.take_ops();
 
     let mut all: Vec<Crash> = (0..=ops.len()).map(Crash::AfterPrefix).collect();
     for (k, op) in ops.iter().enumerate() {
@@ -337,7 +336,7 @@ pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
             apply(&ops[n], &ref_root, &sbx, true)?;
         }
 
-        let evidence: Option<String> = match run_once(&sbx, cfg.traces, true) {
+        let evidence: Option<String> = match run_once(&sbx, cfg.traces, &Arc::default()) {
             Ok(panels) if panels != reference => {
                 Some("recovered panels diverge from the crash-free run".to_string())
             }
@@ -386,8 +385,8 @@ fn copy_tree(src: &Path, dst: &Path) -> io::Result<()> {
 
 /// Bumps the first digit of the first `"proc":` value in the journal
 /// text: the record stays valid JSON but its checksum trailer goes
-/// stale — exactly the corruption a bit flip (or a buggy writer)
-/// produces. Returns `None` if no such field exists.
+/// stale — exactly the corruption a bit flip produces. Returns `None` if
+/// no such field exists.
 fn flip_proc_digit(text: &str) -> Option<String> {
     let at = text.find("\"proc\":")? + "\"proc\":".len();
     let d = *text.as_bytes().get(at)?;
@@ -399,10 +398,28 @@ fn flip_proc_digit(text: &str) -> Option<String> {
     String::from_utf8(bytes).ok()
 }
 
-/// Proves the explorer can catch a buggy recovery: a checksum-stale
-/// journal record must make naive (unverified) replay visibly diverge,
-/// while the real verified recovery quarantines it and reproduces the
-/// reference byte-for-byte.
+/// Re-frames every record line of a journal text with a fresh checksum
+/// trailer, so a damaged record passes the reader — the wrong data a
+/// buggy writer would leave behind.
+fn reframe_records(text: &str) -> String {
+    let mut out = String::new();
+    for line in text.lines() {
+        match line.rsplit_once(" #c=") {
+            Some((payload, _)) if !line.starts_with('#') => {
+                out.push_str(&integrity::frame_record(payload));
+            }
+            _ => out.push_str(line),
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Proves the explorer can catch a buggy recovery: one journal record is
+/// damaged, and recovery runs twice. Under a stale checksum trailer the
+/// verified reader quarantines the record and reproduces the reference
+/// byte-for-byte; re-framed with a valid trailer the wrong number replays
+/// and the panels must visibly diverge.
 ///
 /// # Errors
 ///
@@ -413,29 +430,31 @@ pub fn buggy_recovery_self_test(traces: usize) -> io::Result<SelfTestOutcome> {
     let _ = fs::remove_dir_all(&work);
     let ref_root = work.join("ref");
     fs::create_dir_all(ref_root.join("ckpt"))?;
-    let reference = run_once(&ref_root, traces, true)?;
+    let faults = Arc::default();
+    let reference = run_once(&ref_root, traces, &faults)?;
 
     let journal_rel = Path::new("ckpt").join("CrashT.journal");
     let pristine = fs::read_to_string(ref_root.join(&journal_rel))?;
-    let corrupted = flip_proc_digit(&pristine).ok_or_else(|| {
+    let stale = flip_proc_digit(&pristine).ok_or_else(|| {
         io::Error::new(
             io::ErrorKind::InvalidData,
             "journal has no \"proc\" field to corrupt",
         )
     })?;
+    let forged = reframe_records(&stale);
 
     let mut panels = Vec::new();
-    for (name, verify) in [("naive", false), ("verified", true)] {
+    for (name, journal) in [("stale", &stale), ("forged", &forged)] {
         let root = work.join(name);
         copy_tree(&ref_root, &root)?;
-        fs::write(root.join(&journal_rel), &corrupted)?;
-        panels.push(run_once(&root, traces, verify)?);
+        fs::write(root.join(&journal_rel), journal)?;
+        panels.push(run_once(&root, traces, &faults)?);
     }
     let outcome = SelfTestOutcome {
-        naive_divergence_caught: panels[0] != reference,
-        verified_recovery_clean: panels[1] == reference,
+        verified_recovery_clean: panels[0] == reference,
+        forged_divergence_caught: panels[1] != reference,
     };
-    if outcome.naive_divergence_caught && outcome.verified_recovery_clean {
+    if outcome.forged_divergence_caught && outcome.verified_recovery_clean {
         let _ = fs::remove_dir_all(&work);
     }
     Ok(outcome)
@@ -481,13 +500,9 @@ mod tests {
         }
     }
 
-    /// One test fn: the iotrace recorder is process-global, so the
-    /// traced exploration and the (untraced) self-test are serialized
-    /// here rather than racing as separate tests.
     #[test]
-    fn every_crash_point_recovers_and_the_checker_has_teeth() {
-        let cfg = CrashConfig::default();
-        let report = explore(&cfg).expect("explorer harness must not error");
+    fn every_crash_point_recovers() {
+        let report = explore(&CrashConfig::default()).expect("explorer harness must not error");
         assert!(
             report.trace.len() >= 15,
             "the traced run should hit the journal header write, two \
@@ -504,11 +519,15 @@ mod tests {
         assert!(capped.len() <= 4);
         assert_eq!(capped.first(), Some(&Crash::AfterPrefix(0)));
         assert_eq!(capped.last(), Some(&Crash::AfterPrefix(10)));
+    }
 
-        let outcome = buggy_recovery_self_test(cfg.traces).expect("self-test harness");
+    #[test]
+    fn the_checker_has_teeth() {
+        let outcome =
+            buggy_recovery_self_test(CrashConfig::default().traces).expect("self-test harness");
         assert!(
-            outcome.naive_divergence_caught,
-            "naive replay of a checksum-stale record must diverge — \
+            outcome.forged_divergence_caught,
+            "replay of a forged (re-framed) record must diverge — \
              otherwise the checker cannot catch a buggy recovery"
         );
         assert!(

@@ -410,8 +410,9 @@ pub fn check_no_println(file: &ScannedFile) -> Vec<Violation> {
 /// what remains on disk is a truncated file with the *final* name — the
 /// checkpoint-resume machinery (or a human rerunning a plot script) then
 /// trusts a torn artifact. `core::persist::atomic_write` /
-/// `atomic_write_with` stage into a temp sibling, fsync, and rename, so a
-/// crash leaves either the old artifact or the new one, never a hybrid.
+/// `atomic_write_verified` stage into a temp sibling, fsync, and rename,
+/// so a crash leaves either the old artifact or the new one, never a
+/// hybrid.
 /// Writers that genuinely need raw file creation (the `persist`
 /// implementation itself, non-artifact scratch files) carry a waiver
 /// saying why tearing is acceptable there.
@@ -431,7 +432,7 @@ pub fn check_no_raw_artifact_write(file: &ScannedFile) -> Vec<Violation> {
                     format!(
                         "artifact-producing crates must not call `{needle}` directly \
                          (a crash mid-write leaves a torn file under the final name): \
-                         use `core::persist::atomic_write`/`atomic_write_with` (or waive \
+                         use `core::persist::atomic_write`/`atomic_write_verified` (or waive \
                          with `// tidy-allow: no-raw-artifact-write -- <why tearing is \
                          acceptable here>`)"
                     ),
@@ -670,10 +671,10 @@ pub fn check_lock_discipline(file: &ScannedFile) -> Vec<Violation> {
 /// telemetry, and the chaos CI's byte-identity assertion passes vacuously
 /// because the fault was never *seen*. The lint is lexical and
 /// line-local: an I/O needle plus a swallow needle on one line, with no
-/// classification needle (`classify_io`, `io_guard`, `retry_io`,
-/// `from_io`, or anything `fault::`-qualified) in sight. Genuinely
-/// best-effort sites (parent-dir fsync hints, a seal-before-retry) carry
-/// a waiver saying why the error class is irrelevant there.
+/// classification needle (`classify_io`, `retry_io`, or anything
+/// `fault::`-qualified) in sight. Genuinely best-effort sites (parent-dir
+/// fsync hints, a seal-before-retry) carry a waiver saying why the error
+/// class is irrelevant there.
 pub fn check_no_unclassified_io(file: &ScannedFile) -> Vec<Violation> {
     const IO_NEEDLES: &[&str] = &[
         "File::open",
@@ -705,7 +706,7 @@ pub fn check_no_unclassified_io(file: &ScannedFile) -> Vec<Violation> {
         ".is_err()",
         "let _ =",
     ];
-    const CLASSIFY_NEEDLES: &[&str] = &["classify_io", "io_guard", "retry_io", "from_io"];
+    const CLASSIFY_NEEDLES: &[&str] = &["classify_io", "retry_io"];
     let mut out = Vec::new();
     for (idx, line) in file.lines.iter().enumerate() {
         if line.in_test_code {
@@ -1547,7 +1548,7 @@ mod tests {
     #[test]
     fn t11_tracks_multi_line_let_chains() {
         // The binding and the `.lock()` sit on different physical lines —
-        // the shape the sweep's result sink and the fault registry use.
+        // the shape the sweep's result sink uses.
         let src = "fn f(&self) {\n  let shard = self.shards[i]\n    .read()\n    .unwrap_or_else(PoisonError::into_inner);\n  let other = self.shards[j].read().unwrap_or_else(PoisonError::into_inner);\n}";
         let f = scanned("crates/core/src/x.rs", src);
         let v = check_lock_discipline(&f);

@@ -1,9 +1,9 @@
-//! Chaos suite for the deterministic failpoint registry (`core::fault`)
-//! and the supervised retry path (`core::retry`): an experiment grid run
-//! under seeded fault schedules must converge — after retries, torn-tail
+//! Chaos suite for the deterministic fault plans (`core::fault`) and the
+//! supervised retry path (`core::retry`): an experiment grid run under
+//! seeded fault schedules must converge — after retries, torn-tail
 //! sealing, and journal resume — to results *byte-identical* to the
-//! fault-free run, with the fault telemetry proving the faults were
-//! actually injected and recovered rather than silently skipped.
+//! fault-free run, with the grid's own fault telemetry proving the faults
+//! were actually injected and recovered rather than silently skipped.
 //!
 //! Budgets here are pure processed caps, so the deterministic panels
 //! (f-measure, anytime f-measure, processed mappings) are byte-stable;
@@ -11,34 +11,23 @@
 //! enforced at full reproduction scale by the chaos job in CI.
 
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 use evematch::eval::experiments::{run_grid, FigureResult, SweepConfig};
 use evematch::eval::project_dataset;
 use evematch::prelude::*;
 
-/// The fault registry is process-global, so every test here — including
-/// its *unarmed* reference runs — must be serialized: a reference grid
-/// racing another test's armed schedule would absorb its faults.
-/// `fault::arm_scoped` only serializes armed sections, hence this wider
-/// file-local lock (lock order: SERIAL before the registry scope).
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// A small grid under a pure processed cap (no wall-clock budget, so
-/// every panel this suite compares is deterministic).
-fn grid(workers: usize, checkpoint: Option<PathBuf>) -> FigureResult {
+/// every panel this suite compares is deterministic), run under `faults`.
+fn grid(workers: usize, checkpoint: Option<PathBuf>, faults: fault::Faults) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
-        verify_journal: true,
         budget: Budget::UNLIMITED.with_processed_cap(50_000),
         workers,
         traces: 40,
         checkpoint,
         retry: retry::RetryPolicy::io_default(),
+        faults: Arc::new(faults),
     };
     run_grid(
         "FigChaos",
@@ -71,16 +60,22 @@ fn det_panels(fig: &FigureResult) -> [String; 3] {
     ]
 }
 
-fn telemetry_value(key: &str) -> Option<u64> {
-    fault::telemetry()
+/// A plan armed with `spec` under `seed`.
+fn armed(spec: &str, seed: u64) -> fault::Faults {
+    fault::Faults::armed(spec, seed).unwrap()
+}
+
+fn telemetry_value(fig: &FigureResult, key: &str) -> Option<u64> {
+    fig.faults
+        .telemetry()
         .into_iter()
         .find_map(|(k, n)| (k == key).then_some(n))
 }
 
 /// Injected-fault evidence: at least one site injected, at least one
 /// supervised retry, and no site exhausted its retry budget.
-fn assert_recovered_telemetry(label: &str) {
-    let telemetry = fault::telemetry();
+fn assert_recovered_telemetry(fig: &FigureResult, label: &str) {
+    let telemetry = fig.faults.telemetry();
     assert!(
         telemetry
             .iter()
@@ -116,28 +111,25 @@ fn scratch_dir(tag: &str) -> PathBuf {
 /// from the surviving journal replays to the same bytes.
 #[test]
 fn seeded_fault_schedules_recover_to_byte_identical_results() {
-    let _serial = serial();
-    let reference = det_panels(&grid(2, None));
+    let reference = det_panels(&grid(2, None, fault::Faults::default()));
 
     // Schedule 1: the first two supervised cell attempts fail transiently
     // and are retried under backoff.
     {
-        let _armed = fault::arm_scoped("grid.cell=fail-transient x2", 1).unwrap();
-        let fig = grid(2, None);
+        let fig = grid(2, None, armed("grid.cell=fail-transient x2", 1));
         assert_eq!(det_panels(&fig), reference, "schedule 1 diverged");
-        assert_recovered_telemetry("schedule 1");
-        assert_eq!(telemetry_value("fault.injected.grid.cell"), Some(2));
+        assert_recovered_telemetry(&fig, "schedule 1");
+        assert_eq!(telemetry_value(&fig, "fault.injected.grid.cell"), Some(2));
     }
 
     // Schedule 2: one cell attempt crashes (an injected panic on a grid
     // worker), which the supervisor treats as a transient worker crash
     // and re-runs.
     {
-        let _armed = fault::arm_scoped("grid.cell=panic x1", 2).unwrap();
-        let fig = grid(2, None);
+        let fig = grid(2, None, armed("grid.cell=panic x1", 2));
         assert_eq!(det_panels(&fig), reference, "schedule 2 diverged");
-        let telemetry = fault::telemetry();
-        assert_eq!(telemetry_value("fault.injected.grid.cell"), Some(1));
+        let telemetry = fig.faults.telemetry();
+        assert_eq!(telemetry_value(&fig, "fault.injected.grid.cell"), Some(1));
         assert!(
             telemetry
                 .iter()
@@ -158,20 +150,25 @@ fn seeded_fault_schedules_recover_to_byte_identical_results() {
     // journal stays replayable.
     let dir = scratch_dir("journal");
     {
-        let _armed = fault::arm_scoped(
-            "persist.append=torn x1; persist.append_fsync=fail-transient x2",
-            3,
-        )
-        .unwrap();
-        let fig = grid(2, Some(dir.clone()));
+        let fig = grid(
+            2,
+            Some(dir.clone()),
+            armed(
+                "persist.append=torn x1; persist.append_fsync=fail-transient x2",
+                3,
+            ),
+        );
         assert_eq!(det_panels(&fig), reference, "schedule 3 diverged");
-        assert_recovered_telemetry("schedule 3");
-        assert_eq!(telemetry_value("fault.injected.persist.append"), Some(1));
+        assert_recovered_telemetry(&fig, "schedule 3");
+        assert_eq!(
+            telemetry_value(&fig, "fault.injected.persist.append"),
+            Some(1)
+        );
     }
 
     // Resume, fault-free, from the journal the chaos run left behind:
     // replayed jobs must reproduce the same bytes.
-    let resumed = grid(2, Some(dir.clone()));
+    let resumed = grid(2, Some(dir.clone()), fault::Faults::default());
     assert_eq!(
         det_panels(&resumed),
         reference,
@@ -187,32 +184,29 @@ fn seeded_fault_schedules_recover_to_byte_identical_results() {
 /// cell is quarantined as a typed transient DNF instead.
 #[test]
 fn retry_cap_boundary_exactly_at_cap_recovers_one_over_quarantines() {
-    let _serial = serial();
     // workers: 1 pins which supervised operation the schedule's fires
     // land on (the first cell's generation), making both halves exact.
-    let reference = det_panels(&grid(1, None));
+    let reference = det_panels(&grid(1, None, fault::Faults::default()));
 
     // Exactly at cap: 3 failures, then the 4th and final attempt runs
     // fault-free and recovers.
     {
-        let _armed = fault::arm_scoped("grid.cell=fail-transient x3", 7).unwrap();
-        let fig = grid(1, None);
+        let fig = grid(1, None, armed("grid.cell=fail-transient x3", 7));
         assert_eq!(det_panels(&fig), reference, "at-cap run diverged");
-        assert_eq!(telemetry_value("fault.retries.grid.cell"), Some(3));
-        assert_eq!(telemetry_value("fault.exhausted.grid.cell"), None);
+        assert_eq!(telemetry_value(&fig, "fault.retries.grid.cell"), Some(3));
+        assert_eq!(telemetry_value(&fig, "fault.exhausted.grid.cell"), None);
     }
 
     // One over: the 4th attempt fails too, the budget is spent, and the
     // cell is quarantined as a typed transient DNF.
     {
-        let _armed = fault::arm_scoped("grid.cell=fail-transient x4", 7).unwrap();
-        let fig = grid(1, None);
+        let fig = grid(1, None, armed("grid.cell=fail-transient x4", 7));
         assert_ne!(
             det_panels(&fig),
             reference,
             "one-over run must quarantine a cell, not match the reference"
         );
-        assert_eq!(telemetry_value("fault.exhausted.grid.cell"), Some(1));
+        assert_eq!(telemetry_value(&fig, "fault.exhausted.grid.cell"), Some(1));
         let quarantined: u64 = fig
             .metrics
             .iter()

@@ -577,3 +577,92 @@ fn ingest_limits_are_clean_input_errors() {
         .unwrap();
     assert!(out.status.success());
 }
+
+/// An injected corrupt read surfaces as an input error naming the fault.
+#[test]
+fn fault_schedule_injects_a_corrupt_read_into_ingestion() {
+    let l1 = write_temp("fr1.log", L1_TEXT);
+    let l2 = write_temp("fr2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
+    let out = bin()
+        .args(["--quiet", "--fault-schedule", "ingest.read=fail-corrupt x1"])
+        .arg(&l1)
+        .arg(&l2)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(
+        stderr.contains("injected corrupt fault at ingest.read"),
+        "{stderr}"
+    );
+}
+
+/// Transient rename faults on the artifact writes are retried: the run
+/// ends as the unarmed one does, and every artifact it writes verifies.
+#[test]
+fn transient_artifact_faults_recover_to_verified_artifacts() {
+    let l1 = write_temp("fa1.log", L1_TEXT);
+    let l2 = write_temp("fa2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
+    let dir = std::env::temp_dir().join(format!("evematch-cli-faulted-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = |schedule: Option<&str>| {
+        let mut cmd = bin();
+        cmd.args(["--quiet", "--method", "exact"])
+            .arg("--metrics-out")
+            .arg(dir.join("m.json"))
+            .arg("--trace-out")
+            .arg(dir.join("t.jsonl"))
+            .arg("--profile-out")
+            .arg(dir.join("p.json"));
+        if let Some(spec) = schedule {
+            cmd.args(["--fault-schedule", spec]);
+        }
+        cmd.arg(&l1).arg(&l2).output().expect("binary runs")
+    };
+    let unarmed = run(None);
+    for name in std::fs::read_dir(&dir).unwrap() {
+        std::fs::remove_file(name.unwrap().path()).unwrap();
+    }
+    let armed = run(Some("persist.rename=fail-transient x2"));
+    assert_eq!(
+        armed.status.code(),
+        unarmed.status.code(),
+        "stderr: {}",
+        String::from_utf8_lossy(&armed.stderr)
+    );
+    assert_eq!(armed.stdout, unarmed.stdout);
+    for name in ["m.json", "t.jsonl", "p.json", "p_trace.json", "p.folded"] {
+        assert!(dir.join(name).is_file(), "{name} was not written");
+    }
+    let verify = bin().arg("verify").arg(&dir).output().expect("binary runs");
+    assert!(
+        verify.status.success(),
+        "{}",
+        String::from_utf8_lossy(&verify.stdout)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A misspelled failpoint site is a usage error, not a fault-free run.
+#[test]
+fn unknown_fault_site_is_a_usage_error() {
+    let l1 = write_temp("fu1.log", L1_TEXT);
+    let l2 = write_temp("fu2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
+    let out = bin()
+        .args([
+            "--quiet",
+            "--fault-schedule",
+            "persist.renme=fail-permanent",
+        ])
+        .arg("--metrics-out")
+        .arg(write_temp("fu.json", ""))
+        .arg(&l1)
+        .arg(&l2)
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8(out.stderr).unwrap();
+    assert!(stderr.contains("--fault-schedule:"), "{stderr}");
+    assert!(stderr.contains("persist.renme"), "{stderr}");
+}

@@ -212,12 +212,12 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 fn grid(methods: &[Method], budget: Budget, workers: usize) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
-        verify_journal: true,
         budget,
         workers,
         traces: 40,
         checkpoint: None,
         retry: retry::RetryPolicy::io_default(),
+        faults: Default::default(),
     };
     run_grid("FigDiff", "#events", &[4, 5], methods, &cfg, |x, seed| {
         let ds = datasets::real_like_sized(cfg.traces, cfg.traces, seed);

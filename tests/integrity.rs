@@ -1,7 +1,7 @@
 //! End-to-end artifact integrity suite (DESIGN.md §14): a single flipped
 //! byte anywhere in a committed artifact — mid-record, in a checksum
 //! trailer, in the journal header, or in a whole-file artifact — must
-//! surface as a *typed* `IntegrityError`, be counted in the
+//! surface as a *typed* `IntegrityError`, be counted in the grid's own
 //! `integrity.*` telemetry, and never panic, never fail the run, and
 //! never let silently wrong data reach a result panel: a resumed grid is
 //! byte-identical to the undamaged run in every deterministic panel.
@@ -11,20 +11,11 @@
 
 use std::path::PathBuf;
 use std::process::Command;
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use evematch::core::persist::integrity::{self, FileStatus, IntegrityError};
 use evematch::eval::experiments::{run_grid, FigureResult, SweepConfig};
 use evematch::eval::project_dataset;
 use evematch::prelude::*;
-
-/// The fault/integrity telemetry registry is process-global, so every
-/// test that asserts counter deltas (or rebuild policy) is serialized.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 fn tmp(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("evematch-integ-{tag}-{}", std::process::id()));
@@ -43,7 +34,7 @@ fn grid(checkpoint: Option<PathBuf>) -> FigureResult {
         traces: 30,
         checkpoint,
         retry: retry::RetryPolicy::io_default(),
-        verify_journal: true,
+        faults: Default::default(),
     };
     run_grid(
         "FigInteg",
@@ -73,8 +64,10 @@ fn det_panels(fig: &FigureResult) -> [String; 3] {
     ]
 }
 
-fn counter(key: &str) -> u64 {
-    fault::telemetry()
+/// The grid's own count of `key` in its plan's telemetry.
+fn counter(fig: &FigureResult, key: &str) -> u64 {
+    fig.faults
+        .telemetry()
         .into_iter()
         .find_map(|(k, n)| (k == key).then_some(n))
         .unwrap_or(0)
@@ -98,7 +91,6 @@ fn damage_journal(path: &std::path::Path, damage: impl FnOnce(&str) -> String) {
 
 #[test]
 fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identically() {
-    let _guard = serial();
     let dir = tmp("flips");
     let journal = dir.join("FigInteg.journal");
 
@@ -119,10 +111,11 @@ fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identicall
         lines[1] = String::from_utf8(bytes).unwrap();
         lines.join("\n") + "\n"
     });
-    let before = counter("integrity.journal_quarantined.checksum_mismatch");
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert!(
-        counter("integrity.journal_quarantined.checksum_mismatch") > before,
+    let fig = grid(Some(dir.clone()));
+    assert_eq!(reference, det_panels(&fig));
+    assert_eq!(
+        counter(&fig, "integrity.journal_quarantined.checksum_mismatch"),
+        1,
         "the mid-record flip must be counted as a typed quarantine"
     );
 
@@ -139,11 +132,13 @@ fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identicall
         lines[2] = format!("{payload} #c={flipped}");
         lines.join("\n") + "\n"
     });
-    let before = counter("integrity.journal_quarantined.checksum_mismatch");
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert!(
-        counter("integrity.journal_quarantined.checksum_mismatch") > before,
-        "the trailer flip must be counted as a typed quarantine"
+    let fig = grid(Some(dir.clone()));
+    assert_eq!(reference, det_panels(&fig));
+    assert_eq!(
+        counter(&fig, "integrity.journal_quarantined.checksum_mismatch"),
+        2,
+        "the trailer flip must be counted as a typed quarantine, beside \
+         the still-journaled mid-record flip"
     );
 
     // --- header flip: the whole journal context is untrusted → rebuild ---
@@ -154,10 +149,11 @@ fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identicall
         lines[0].replace_range(n - 1..n, &flipped.to_string());
         lines.join("\n") + "\n"
     });
-    let before = counter("integrity.journal_rebuilt.header_damaged");
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert!(
-        counter("integrity.journal_rebuilt.header_damaged") > before,
+    let fig = grid(Some(dir.clone()));
+    assert_eq!(reference, det_panels(&fig));
+    assert_eq!(
+        counter(&fig, "integrity.journal_rebuilt.header_damaged"),
+        1,
         "the header flip must rebuild the journal with a typed reason"
     );
     let rebuilt = std::fs::read_to_string(&journal).unwrap();
@@ -169,7 +165,6 @@ fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identicall
 
 #[test]
 fn version_skew_rebuilds_and_torn_tail_is_sealed_not_fatal() {
-    let _guard = serial();
     let dir = tmp("skew");
     let journal = dir.join("FigInteg.journal");
 
@@ -181,10 +176,11 @@ fn version_skew_rebuilds_and_torn_tail_is_sealed_not_fatal() {
     damage_journal(&journal, |text| {
         text.replacen("#%EVMJ v=1 ", "#%EVMJ v=9 ", 1)
     });
-    let before = counter("integrity.journal_rebuilt.version_skew");
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert!(
-        counter("integrity.journal_rebuilt.version_skew") > before,
+    let fig = grid(Some(dir.clone()));
+    assert_eq!(reference, det_panels(&fig));
+    assert_eq!(
+        counter(&fig, "integrity.journal_rebuilt.version_skew"),
+        1,
         "a future-version header must be a typed version-skew rebuild"
     );
 
@@ -195,10 +191,11 @@ fn version_skew_rebuilds_and_torn_tail_is_sealed_not_fatal() {
         let torn = text.lines().nth(4).unwrap();
         format!("{keep}\n{}", &torn[..torn.len() / 2])
     });
-    let before = counter("integrity.journal_torn_tail");
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert!(
-        counter("integrity.journal_torn_tail") > before,
+    let fig = grid(Some(dir.clone()));
+    assert_eq!(reference, det_panels(&fig));
+    assert_eq!(
+        counter(&fig, "integrity.journal_torn_tail"),
+        1,
         "a torn tail must be counted, not silently absorbed"
     );
     let sealed = std::fs::read_to_string(&journal).unwrap();
@@ -245,7 +242,12 @@ fn typed_errors_map_onto_the_fault_taxonomy() {
 fn verify_dir_flags_flipped_truncated_and_missing_artifacts() {
     let dir = tmp("vdir");
     let artifact = dir.join("panel.csv");
-    persist::atomic_write_verified(&artifact, b"x,f\n3,0.5\n4,0.75\n").unwrap();
+    persist::atomic_write_verified(
+        &fault::Faults::default(),
+        &artifact,
+        b"x,f\n3,0.5\n4,0.75\n",
+    )
+    .unwrap();
 
     let report = integrity::verify_dir(&dir).unwrap();
     assert!(report.is_clean(), "{}", report.render());
@@ -289,7 +291,8 @@ fn verify_dir_flags_flipped_truncated_and_missing_artifacts() {
 fn evematch_verify_cli_exits_zero_on_clean_and_two_on_corruption() {
     let dir = tmp("cli");
     let artifact = dir.join("metrics.json");
-    persist::atomic_write_verified(&artifact, b"{\"processed\":7}\n").unwrap();
+    persist::atomic_write_verified(&fault::Faults::default(), &artifact, b"{\"processed\":7}\n")
+        .unwrap();
 
     let clean = Command::new(env!("CARGO_BIN_EXE_evematch"))
         .args(["verify", dir.to_str().unwrap()])

@@ -60,16 +60,17 @@ fn det_section_is_byte_identical_under_budget_exhaustion() {
 }
 
 /// A one-worker grid (sequential job order, so seeded failpoint injection
-/// lands on the same cell attempts every run).
-fn faulted_grid() -> FigureResult {
+/// lands on the same cell attempts every run), under a fresh plan armed
+/// with `spec`.
+fn faulted_grid(spec: &str) -> FigureResult {
     let cfg = SweepConfig {
         seeds: vec![11, 23],
-        verify_journal: true,
         budget: Budget::UNLIMITED.with_processed_cap(20_000),
         workers: 1,
         traces: 40,
         checkpoint: None,
         retry: retry::RetryPolicy::io_default(),
+        faults: std::sync::Arc::new(fault::Faults::armed(spec, 7).unwrap()),
     };
     run_grid(
         "FigProfileChaos",
@@ -99,13 +100,8 @@ fn det_section_is_byte_identical_under_a_seeded_fault_schedule() {
     // first hit is the first cell's dataset generation, so hit 2 — the
     // first *method run* — is where the transient fault lands, and the
     // supervised retry is charged to that run's search root.
-    let (first, second) = {
-        let armed = fault::arm_scoped("grid.cell=fail-transient /2 x2", 7).unwrap();
-        let a = faulted_grid();
-        drop(armed);
-        let _armed = fault::arm_scoped("grid.cell=fail-transient /2 x2", 7).unwrap();
-        (a, faulted_grid())
-    };
+    let first = faulted_grid("grid.cell=fail-transient /2 x2");
+    let second = faulted_grid("grid.cell=fail-transient /2 x2");
     assert_eq!(
         profiles(&first),
         profiles(&second),
