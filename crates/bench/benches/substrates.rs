@@ -7,7 +7,7 @@ use std::hint::black_box;
 
 use evematch_core::assignment::max_weight_assignment;
 use evematch_datagen::datasets;
-use evematch_eventlog::{ColumnarLog, EventLog};
+use evematch_eventlog::EventLog;
 use evematch_graph::{is_subgraph_monomorphic, DiGraph};
 use evematch_pattern::{EvaluatedPattern, PatternGraph, SupportStats};
 
@@ -37,13 +37,12 @@ fn bench_trace_index(c: &mut Criterion) {
 }
 
 /// Pattern support through the one scan (`EvaluatedPattern::scan` over
-/// the columnar log, as the evaluator runs it), with and without the index
+/// the log's arena, as the evaluator runs it), with and without the index
 /// prefilter effect: a frequent composite vs a never-matching one.
 fn bench_pattern_frequency(c: &mut Criterion) {
     let ds = datasets::real_like_sized(3000, 3000, 11);
     let log = &ds.pair.log1;
     let idx = log.trace_index();
-    let col = ColumnarLog::from_log(log);
     let mut group = c.benchmark_group("pattern_support_3000");
     for (name, p) in [
         ("frequent_composite", ds.patterns[0].clone()),
@@ -55,7 +54,7 @@ fn bench_pattern_frequency(c: &mut Criterion) {
                 black_box(ep.scan(
                     black_box(&ep.events),
                     &idx,
-                    |t| col.trace(t),
+                    log.columns(),
                     &mut || true,
                     &mut SupportStats::default(),
                 ))

@@ -72,7 +72,7 @@ use evematch_bench::env_or;
 use evematch_core::{Budget, Mapping};
 use evematch_datagen::datasets;
 use evematch_eval::Method;
-use evematch_eventlog::{ColumnarLog, EventId};
+use evematch_eventlog::EventId;
 use evematch_pattern::{pattern_support, EvaluatedPattern, SupportStats};
 
 fn run_profile() -> ExitCode {
@@ -186,7 +186,6 @@ fn run_matcher() -> ExitCode {
     let ds = datasets::larger_synthetic(modules, kernel_traces, seed);
     let log2 = &ds.pair.log2;
     let idx = log2.trace_index();
-    let col = ColumnarLog::from_log(log2);
     let n2 = log2.event_count() as u32;
     println!(
         "bench matcher: {} complex patterns on larger_synthetic({modules}, {kernel_traces}, \
@@ -220,7 +219,7 @@ fn run_matcher() -> ExitCode {
     };
     let scan = |pi: usize, images: &[EventId], stats: &mut SupportStats| {
         evaluated[pi]
-            .scan(images, &idx, |t| col.trace(t), &mut || true, stats)
+            .scan(images, &idx, log2.columns(), &mut || true, stats)
             .expect("unfueled scans complete")
     };
 

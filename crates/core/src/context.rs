@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use evematch_eventlog::{ColumnarLog, DepGraph, EventLog, TraceIndex};
+use evematch_eventlog::{DepGraph, EventLog, TraceIndex};
 use evematch_pattern::{EvaluatedPattern, Pattern, PatternIndex};
 
 use crate::bounds::BoundTables;
@@ -123,7 +123,6 @@ pub struct MatchContext {
     dep2: DepGraph,
     bound_tables: BoundTables,
     index2: TraceIndex,
-    columnar2: ColumnarLog,
     patterns: Vec<EvaluatedPattern>,
     pattern_index: PatternIndex,
     complex_count: usize,
@@ -153,7 +152,6 @@ impl MatchContext {
         }
         let index1 = log1.trace_index();
         let index2 = log2.trace_index();
-        let columnar2 = ColumnarLog::from_log(&log2);
         let dep2 = log2.dep_graph();
         let bound_tables = BoundTables::new(&dep2);
         let patterns: Vec<EvaluatedPattern> = pattern_list
@@ -169,7 +167,6 @@ impl MatchContext {
             dep2,
             bound_tables,
             index2,
-            columnar2,
             patterns,
             pattern_index,
             complex_count,
@@ -205,12 +202,6 @@ impl MatchContext {
     /// ones evaluated during search).
     pub fn index2(&self) -> &TraceIndex {
         &self.index2
-    }
-
-    /// Struct-of-arrays view of `L2` (built once beside [`Self::index2`])
-    /// — the compiled matcher's scan surface.
-    pub fn columnar2(&self) -> &ColumnarLog {
-        &self.columnar2
     }
 
     /// `|V1|`.

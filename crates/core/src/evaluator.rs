@@ -594,8 +594,8 @@ fn support_outcome(
     let support = match realizable {
         Ok(false) => Some(0),
         Ok(true) => {
-            let col = ctx.columnar2();
-            ep.scan(images, ctx.index2(), |t| col.trace(t), &mut fuel, &mut scan)
+            let traces = ctx.log2().columns();
+            ep.scan(images, ctx.index2(), traces, &mut fuel, &mut scan)
                 .ok()
                 .map(|s| s as u32)
         }

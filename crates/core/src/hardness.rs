@@ -12,7 +12,7 @@
 //! the exact matcher, and [`certifies_embedding`] checks the
 //! correspondence both ways against a direct monomorphism search.
 
-use evematch_eventlog::{EventId, EventLog, EventSet, Trace};
+use evematch_eventlog::{EventId, EventLog, EventSet, LogBuilder};
 use evematch_graph::DiGraph;
 use evematch_pattern::Pattern;
 
@@ -63,19 +63,18 @@ pub fn reduce(g1: &DiGraph, g2: &DiGraph) -> ReducedInstance {
 /// frequencies on both sides share the denominator `|L|`).
 fn edges_to_log(g: &DiGraph, other_edge_count: usize) -> EventLog {
     let names: Vec<String> = (0..g.node_count()).map(|v| format!("v{v}")).collect();
-    let events = EventSet::from_names(names.iter().map(String::as_str));
-    let mut traces: Vec<Trace> = g
-        .edges()
-        .map(|(u, v)| Trace::new(vec![EventId(u), EventId(v)]))
-        .collect();
+    let mut log = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
+    for (u, v) in g.edges() {
+        log.push_trace([u, v]);
+    }
     let target = g.edge_count().max(other_edge_count);
-    while traces.len() < target {
+    while log.trace_count() < target {
         // Padding traces carry a single event; any vertex works since only
         // *edge* patterns are posed. Use vertex 0 (graphs here are
         // non-empty whenever padding is needed).
-        traces.push(Trace::new(vec![EventId(0)]));
+        log.push_trace([0u32]);
     }
-    EventLog::new(events, traces)
+    log.build()
 }
 
 /// Whether `mapping` (a solution of the reduced instance) certifies an

@@ -368,7 +368,7 @@ mod tests {
         assert_eq!(p.log1.len(), 100);
         assert!(p.truth.is_empty());
         // The two logs are genuinely different samples.
-        assert_ne!(p.log1.traces(), p.log2.traces());
+        assert_ne!(p.log1.columns(), p.log2.columns());
     }
 
     #[test]

@@ -174,23 +174,20 @@ fn jitter_block(block: &Block, jitter: f64, rng: &mut impl Rng) -> Block {
 /// One left-to-right pass over each trace, swapping each adjacent pair
 /// with probability `rate`.
 fn apply_swap_noise(log: &EventLog, rate: f64, rng: &mut impl Rng) -> EventLog {
-    let traces = log
-        .traces()
-        .iter()
-        .map(|t| {
-            let mut e = t.events().to_vec();
-            let mut i = 1;
-            while i < e.len() {
-                if rng.gen_bool(rate.clamp(0.0, 1.0)) {
-                    e.swap(i - 1, i);
-                    i += 1; // don't re-swap the element just moved
-                }
-                i += 1;
+    let mut noisy = LogBuilder::with_events(log.events().clone());
+    for t in log.traces() {
+        let mut e = t.to_vec();
+        let mut i = 1;
+        while i < e.len() {
+            if rng.gen_bool(rate.clamp(0.0, 1.0)) {
+                e.swap(i - 1, i);
+                i += 1; // don't re-swap the element just moved
             }
-            evematch_eventlog::Trace::new(e)
-        })
-        .collect();
-    EventLog::new(log.events().clone(), traces)
+            i += 1;
+        }
+        noisy.push_trace(e);
+    }
+    noisy.build()
 }
 
 fn rename_block(block: &Block, rename: &impl Fn(&str) -> String) -> Block {
@@ -270,8 +267,7 @@ mod tests {
         let first_count = p
             .log2
             .traces()
-            .iter()
-            .filter(|t| t.events().first() == Some(&image))
+            .filter(|t| t.first() == Some(&image))
             .count();
         assert_eq!(first_count, p.log2.len());
         // Frequencies of truth-paired events are close (jitter is small).

@@ -127,7 +127,7 @@ mod tests {
         let t = truncate_traces(&ds, 10);
         assert_eq!(t.pair.log1.len(), 10);
         assert_eq!(t.pair.log2.len(), 10);
-        assert_eq!(t.pair.log1.traces()[0], ds.pair.log1.traces()[0]);
+        assert_eq!(t.pair.log1.trace(0), ds.pair.log1.trace(0));
         assert_eq!(t.patterns.len(), ds.patterns.len());
     }
 }

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use evematch_eventlog::{
         read_csv_log, read_csv_log_with, read_log, read_log_with, write_csv_log, write_log,
         ColumnarLog, DepGraph, EventId, EventLog, EventSet, Ingest, IngestLimits, IngestMode,
-        IngestOptions, LogBuilder, LogStats, Quarantine, Trace, TraceIndex,
+        IngestOptions, LogBuilder, LogStats, Quarantine, TraceIndex,
     };
     pub use evematch_pattern::{
         discover_patterns, parse_pattern, pattern_freq, pattern_support, CompileError,

@@ -21,11 +21,14 @@
 //!   consumes order).
 //! * Traces appear in the output log in order of each case's first row.
 //! * Values may be double-quoted; quoted values may contain commas and
-//!   doubled quotes (`""`). Newlines inside values are not supported.
+//!   doubled quotes (`""`). Newlines inside values are not supported, and
+//!   fields are trimmed, so [`write_csv_log`] rejects names with a line
+//!   break or with leading or trailing whitespace.
 
 use std::fmt;
 use std::io::{BufRead, Write};
 
+use crate::event::{EventId, EventSet};
 use crate::ingest::{
     Ingest, IngestOptions, LimitExceeded, LimitKind, LineReader, Quarantine, QuarantineCause,
     QuarantineEntry, RawLine,
@@ -143,7 +146,7 @@ pub fn read_csv_log_with(
             .into());
         }
     };
-    let cols = split_row(&header, 1)?;
+    let cols = split_row(header, 1)?;
     let find = |name: &'static str| -> Result<usize, CsvLogError> {
         cols.iter()
             .position(|c| c.eq_ignore_ascii_case(name))
@@ -153,11 +156,11 @@ pub fn read_csv_log_with(
     let act_col = find("activity")?;
     let needed = case_col.max(act_col) + 1;
 
-    // Collect events per case, preserving case first-appearance order.
-    let mut case_order: Vec<String> = Vec::new();
-    let mut per_case: std::collections::HashMap<String, Vec<String>> =
-        std::collections::HashMap::new();
-    let mut activities: std::collections::HashSet<String> = std::collections::HashSet::new();
+    // Each case's trace, in order of the case's first row, as row-time
+    // activity ids; the log re-interns the names in trace order below.
+    let mut case_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    let mut traces: Vec<Vec<EventId>> = Vec::new();
+    let mut activities = EventSet::new();
     let mut line_no: usize = 1;
     while let Some((byte_offset, raw)) = lines.next_line()? {
         line_no += 1;
@@ -197,7 +200,7 @@ pub fn read_csv_log_with(
         if text.trim().is_empty() {
             continue;
         }
-        let fields = match split_row(&text, line_no) {
+        let fields = match split_row(text, line_no) {
             Ok(fields) => fields,
             Err(err @ CsvLogError::UnterminatedQuote { .. }) => reject!(
                 QuarantineCause::UnterminatedQuote,
@@ -220,18 +223,19 @@ pub fn read_csv_log_with(
                 }
             );
         }
-        let case = fields[case_col].clone();
-        let activity = fields[act_col].clone();
-        if !per_case.contains_key(&case) && case_order.len() >= limits.max_traces {
+        let (case, activity) = (&fields[case_col], &fields[act_col]);
+        let known_case = case_of.get(case).copied();
+        if known_case.is_none() && traces.len() >= limits.max_traces {
             return Err(LimitExceeded {
                 kind: LimitKind::Traces,
-                observed: case_order.len() + 1,
+                observed: traces.len() + 1,
                 max: limits.max_traces,
                 line: line_no,
             }
             .into());
         }
-        if !activities.contains(&activity) && activities.len() >= limits.max_events {
+        let known_activity = activities.lookup(activity);
+        if known_activity.is_none() && activities.len() >= limits.max_events {
             return Err(LimitExceeded {
                 kind: LimitKind::Events,
                 observed: activities.len() + 1,
@@ -240,29 +244,30 @@ pub fn read_csv_log_with(
             }
             .into());
         }
-        let trace = per_case.entry(case.clone()).or_insert_with(|| {
-            case_order.push(case);
-            Vec::new()
+        // A new case opens its trace even if this row is then rejected.
+        let t = known_case.unwrap_or_else(|| {
+            case_of.insert(case.clone(), traces.len());
+            traces.push(Vec::new());
+            traces.len() - 1
         });
-        if trace.len() >= limits.max_trace_events {
+        if traces[t].len() >= limits.max_trace_events {
             reject!(
                 QuarantineCause::TraceTooLong,
                 crate::ingest::excerpt(text.as_bytes()),
                 CsvLogError::Limit(LimitExceeded {
                     kind: LimitKind::TraceEvents,
-                    observed: trace.len() + 1,
+                    observed: traces[t].len() + 1,
                     max: limits.max_trace_events,
                     line: line_no,
                 })
             );
         }
-        activities.insert(activity.clone());
-        trace.push(activity);
+        traces[t].push(known_activity.unwrap_or_else(|| activities.intern(activity)));
     }
 
     let mut builder = LogBuilder::new();
-    for case in &case_order {
-        builder.push_named_trace(per_case[case].iter().map(String::as_str));
+    for trace in &traces {
+        builder.push_named_trace(trace.iter().map(|&e| activities.name(e)));
     }
     Ok(Ingest {
         log: builder.build(),
@@ -271,10 +276,22 @@ pub fn read_csv_log_with(
 }
 
 /// Writes a log as CSV with synthetic case ids `t0, t1, …`.
+///
+/// Returns `InvalidInput` if any event name would not read back as
+/// written: one with a line break, or with leading or trailing whitespace
+/// (the reader trims every field).
 pub fn write_csv_log(log: &EventLog, mut writer: impl Write) -> std::io::Result<()> {
+    for name in log.events().names() {
+        if name.contains(['\n', '\r']) || name.trim() != name {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!("event name {name:?} is not representable in the CSV format"),
+            ));
+        }
+    }
     writeln!(writer, "case,activity")?;
-    for (i, trace) in log.traces().iter().enumerate() {
-        for &e in trace.events() {
+    for (i, trace) in log.traces().enumerate() {
+        for &e in trace {
             writeln!(writer, "t{i},{}", quote(log.events().name(e)))?;
         }
     }
@@ -329,7 +346,7 @@ mod tests {
         let csv = "case,activity\no1,Receive\no1,Pay\no2,Receive\no2,Ship\n";
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 2);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.trace(0).len(), 2);
         let receive = log.events().lookup("Receive").unwrap();
         assert_eq!(log.vertex_support(receive), 2);
     }
@@ -340,12 +357,11 @@ mod tests {
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 2);
         // Case B appeared first.
-        let names: Vec<&str> = log.traces()[0]
-            .events()
-            .iter()
-            .map(|&e| log.events().name(e))
-            .collect();
+        let names: Vec<&str> = log.trace(0).iter().map(|&e| log.events().name(e)).collect();
         assert_eq!(names, vec!["x", "z"]);
+        // The vocabulary interns in trace order, not row order.
+        let vocabulary: Vec<&str> = log.events().names().collect();
+        assert_eq!(vocabulary, ["x", "z", "y", "w"]);
     }
 
     #[test]
@@ -353,7 +369,7 @@ mod tests {
         let csv = "timestamp,Case,Activity,actor\n1,o1,Receive,ann\n2,o1,Ship,bob\n";
         let log = read_csv_log(csv.as_bytes()).unwrap();
         assert_eq!(log.len(), 1);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.trace(0).len(), 2);
     }
 
     #[test]
@@ -409,10 +425,20 @@ mod tests {
         write_csv_log(&log, &mut buf).unwrap();
         let back = read_csv_log(buf.as_slice()).unwrap();
         assert_eq!(back.len(), log.len());
-        for (a, b) in log.traces().iter().zip(back.traces()) {
-            let na: Vec<&str> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let nb: Vec<&str> = b.events().iter().map(|&e| back.events().name(e)).collect();
+        for (a, b) in log.traces().zip(back.traces()) {
+            let na: Vec<&str> = a.iter().map(|&e| log.events().name(e)).collect();
+            let nb: Vec<&str> = b.iter().map(|&e| back.events().name(e)).collect();
             assert_eq!(na, nb);
+        }
+    }
+
+    #[test]
+    fn names_the_reader_would_trim_or_split_are_rejected_on_write() {
+        for name in [" Ship", "Ship\t", "Check\nInventory", "Pay\r"] {
+            let mut b = LogBuilder::new();
+            b.push_named_trace([name]);
+            let err = write_csv_log(&b.build(), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{name:?}");
         }
     }
 
@@ -423,7 +449,7 @@ mod tests {
         let csv = "case,activity\no1,Receive\no1\no1,Ship\n";
         let ingest = read_csv_log_with(csv.as_bytes(), &IngestOptions::lenient()).unwrap();
         assert_eq!(ingest.log.len(), 1);
-        assert_eq!(ingest.log.traces()[0].len(), 2);
+        assert_eq!(ingest.log.trace(0).len(), 2);
         let e = &ingest.quarantine.entries()[0];
         assert_eq!(e.line, 3);
         assert_eq!(
@@ -440,7 +466,7 @@ mod tests {
         let csv: &[u8] = b"case,activity\no1,\"oops\no1,\xff\xfe\no1,fine\n";
         let ingest = read_csv_log_with(csv, &IngestOptions::lenient()).unwrap();
         assert_eq!(ingest.log.len(), 1);
-        assert_eq!(ingest.log.traces()[0].len(), 1);
+        assert_eq!(ingest.log.trace(0).len(), 1);
         assert_eq!(
             ingest.quarantine.counts().get("unterminated_quote"),
             Some(&1)
@@ -493,8 +519,8 @@ mod tests {
         let opts = IngestOptions::lenient()
             .with_limits(IngestLimits::unlimited().with_max_trace_events(2));
         let ingest = read_csv_log_with(csv.as_bytes(), &opts).unwrap();
-        assert_eq!(ingest.log.traces()[0].len(), 2);
-        assert_eq!(ingest.log.traces()[1].len(), 1);
+        assert_eq!(ingest.log.trace(0).len(), 2);
+        assert_eq!(ingest.log.trace(1).len(), 1);
         assert_eq!(ingest.quarantine.counts().get("trace_too_long"), Some(&1));
     }
 

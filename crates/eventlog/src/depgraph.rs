@@ -42,16 +42,16 @@ impl DepGraph {
         // occurrences). `stamp` avoids clearing the scratch between traces.
         let mut v_seen = vec![u32::MAX; n];
         let mut e_seen = vec![u32::MAX; n * n];
-        for (i, t) in log.traces().iter().enumerate() {
+        for (i, t) in log.traces().enumerate() {
             let stamp = i as u32;
-            for &e in t.events() {
+            for &e in t {
                 if v_seen[e.index()] != stamp {
                     v_seen[e.index()] = stamp;
                     vertex[e.index()] += 1;
                 }
             }
-            for (a, b) in t.consecutive_pairs() {
-                let k = a.index() * n + b.index();
+            for w in t.windows(2) {
+                let k = w[0].index() * n + w[1].index();
                 if e_seen[k] != stamp {
                     e_seen[k] = stamp;
                     edge[k] += 1;

@@ -1,5 +1,6 @@
 //! Events and the interned event vocabulary.
 
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dense identifier for an event within one log's vocabulary.
@@ -37,6 +38,9 @@ impl fmt::Display for EventId {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct EventSet {
     names: Vec<String>,
+    /// Name → id, so [`Self::lookup`] and [`Self::intern`] are one probe
+    /// each. Ordered (not hashed), so nothing here depends on a hash seed.
+    by_name: BTreeMap<String, EventId>,
 }
 
 impl EventSet {
@@ -62,19 +66,13 @@ impl EventSet {
         }
         let id = EventId(self.names.len() as u32);
         self.names.push(name.to_owned());
+        self.by_name.insert(name.to_owned(), id);
         id
     }
 
     /// Returns the id for `name` if already interned.
-    ///
-    /// Vocabularies are small (≤ a few hundred events, per the process-model
-    /// surveys the paper cites), so a linear scan beats a map in practice and
-    /// keeps the structure trivially serializable.
     pub fn lookup(&self, name: &str) -> Option<EventId> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| EventId(i as u32))
+        self.by_name.get(name).copied()
     }
 
     /// The name of event `id`. Panics if out of range.

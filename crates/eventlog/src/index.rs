@@ -20,8 +20,8 @@ impl TraceIndex {
     pub fn from_log(log: &EventLog) -> Self {
         let n = log.event_count();
         let mut lists: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (i, t) in log.traces().iter().enumerate() {
-            for &e in t.events() {
+        for (i, t) in log.traces().enumerate() {
+            for &e in t {
                 let list = &mut lists[e.index()];
                 // Events may repeat within a trace; the id is appended once.
                 if list.last() != Some(&(i as u32)) {

@@ -365,9 +365,10 @@ pub(crate) fn excerpt(bytes: &[u8]) -> String {
 }
 
 /// One raw physical line as delivered by [`LineReader`].
-pub(crate) enum RawLine {
-    /// A complete, valid-UTF-8 line (terminator stripped).
-    Text(String),
+pub(crate) enum RawLine<'a> {
+    /// A complete, valid-UTF-8 line (terminator stripped), borrowed from
+    /// the reader's line buffer.
+    Text(&'a str),
     /// The line was not valid UTF-8; carries an excerpt of the raw bytes.
     InvalidUtf8 {
         /// Lossy excerpt of the offending bytes.
@@ -390,12 +391,14 @@ pub(crate) enum RawLine {
 /// discarded while scanning for the terminator, so a terabyte-long line
 /// costs O(`max_line_bytes`) memory. It also reports the byte offset of
 /// each line start and keeps invalid UTF-8 a per-line condition instead
-/// of a stream-fatal error.
+/// of a stream-fatal error. One buffer is reused for every line.
 pub(crate) struct LineReader<R> {
     inner: R,
     /// Byte offset of the next unread byte.
     offset: u64,
     max_line_bytes: usize,
+    /// The retained bytes of the current line.
+    buf: Vec<u8>,
 }
 
 impl<R: BufRead> LineReader<R> {
@@ -404,19 +407,23 @@ impl<R: BufRead> LineReader<R> {
             inner,
             offset: 0,
             max_line_bytes,
+            buf: Vec::new(),
         }
     }
 
     /// Returns the next line as `(start_offset, raw)`, or `None` at EOF.
-    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<(u64, RawLine)>> {
+    pub(crate) fn next_line(&mut self) -> std::io::Result<Option<(u64, RawLine<'_>)>> {
         let start = self.offset;
         // Retain one extra byte so a line of exactly `max_line_bytes`
         // bytes is distinguishable from a longer one without a flag.
         let keep = self.max_line_bytes.saturating_add(1);
-        let mut buf: Vec<u8> = Vec::new();
+        let buf = &mut self.buf;
+        buf.clear();
         let mut line_len: usize = 0;
         let mut saw_any = false;
         let mut terminated = false;
+        // Whether the line so far ends in `\r`, retained or not.
+        let mut ends_in_cr = false;
         while !terminated {
             let chunk = self.inner.fill_buf()?;
             if chunk.is_empty() {
@@ -431,6 +438,7 @@ impl<R: BufRead> LineReader<R> {
                 None => (chunk, chunk.len()),
             };
             line_len += line_part.len();
+            ends_in_cr = line_part.last().map_or(ends_in_cr, |&b| b == b'\r');
             if buf.len() < keep {
                 let room = keep - buf.len();
                 buf.extend_from_slice(&line_part[..line_part.len().min(room)]);
@@ -441,10 +449,11 @@ impl<R: BufRead> LineReader<R> {
         if !saw_any {
             return Ok(None);
         }
-        // Tolerate CRLF: a trailing `\r` belongs to the terminator.
-        if terminated && line_len <= buf.len() && buf.last() == Some(&b'\r') {
-            buf.pop();
+        // Tolerate CRLF: a trailing `\r` belongs to the terminator; the
+        // truncation drops it only where it was retained.
+        if terminated && ends_in_cr {
             line_len -= 1;
+            buf.truncate(line_len);
         }
         let raw = if line_len > self.max_line_bytes {
             RawLine::TooLong {
@@ -454,10 +463,10 @@ impl<R: BufRead> LineReader<R> {
                 excerpt: excerpt(&buf[..buf.len().min(self.max_line_bytes)]),
             }
         } else {
-            match String::from_utf8(buf) {
+            match std::str::from_utf8(buf) {
                 Ok(text) => RawLine::Text(text),
-                Err(e) => RawLine::InvalidUtf8 {
-                    excerpt: excerpt(e.as_bytes()),
+                Err(_) => RawLine::InvalidUtf8 {
+                    excerpt: excerpt(buf),
                 },
             }
         };
@@ -514,6 +523,10 @@ mod tests {
         let got = lines_of(&input, 8);
         assert_eq!(got[0].1, "long(1000):xxxxxxxx");
         assert_eq!(got[1], (1001, "ok:ok".into()));
+        // The `\r` of a CRLF terminator is not part of the length either.
+        let got = lines_of(b"123456789012\r\nok\r\n", 10);
+        assert_eq!(got[0].1, "long(12):1234567890");
+        assert_eq!(got[1], (14, "ok:ok".into()));
     }
 
     #[test]

@@ -17,13 +17,14 @@
 //! occurrence.
 //!
 //! Blank lines are skipped; an *empty trace* is the literal marker
-//! `<empty>`. Event names may contain any non-whitespace characters —
-//! whitespace inside names is unrepresentable, and [`write_log`] rejects
-//! it.
+//! `<empty>`. Event names may contain any non-whitespace characters, but
+//! a name with whitespace, the name `<empty>` and a name starting with `#`
+//! would not read back as written, so [`write_log`] rejects them.
 
 use std::fmt;
 use std::io::{BufRead, Write};
 
+use crate::event::{EventId, EventSet};
 use crate::ingest::{
     Ingest, IngestOptions, LimitExceeded, LimitKind, LineReader, Quarantine, QuarantineCause,
     QuarantineEntry, RawLine,
@@ -104,6 +105,7 @@ pub fn read_log_with(reader: impl BufRead, opts: &IngestOptions) -> Result<Inges
     let mut builder = LogBuilder::new();
     let mut quarantine = Quarantine::new();
     let mut lines = LineReader::new(reader, limits.max_line_bytes);
+    let mut ids: Vec<EventId> = Vec::new();
     let mut line_no: usize = 0;
     while let Some((byte_offset, raw)) = lines.next_line()? {
         line_no += 1;
@@ -143,8 +145,10 @@ pub fn read_log_with(reader: impl BufRead, opts: &IngestOptions) -> Result<Inges
         let trimmed = text.trim();
         if let Some(rest) = trimmed.strip_prefix(EVENTS_DIRECTIVE) {
             for name in rest.split_whitespace() {
-                check_vocabulary(&builder, [name], &limits, line_no)?;
-                builder.intern(name);
+                if builder.events().lookup(name).is_none() {
+                    check_vocabulary(builder.events().len() + 1, &limits, line_no)?;
+                    builder.intern(name);
+                }
             }
             continue;
         }
@@ -163,22 +167,39 @@ pub fn read_log_with(reader: impl BufRead, opts: &IngestOptions) -> Result<Inges
         if trimmed.is_empty() || trimmed.starts_with('#') {
             continue;
         }
-        let tokens: Vec<&str> = trimmed.split_whitespace().collect();
-        if tokens.contains(&EMPTY_TRACE) && tokens.len() != 1 {
+        // One lookup per token: a known name gives its id, a new one the
+        // id it gets once `fresh` (the line's new names, in order of first
+        // appearance) is interned, which happens only if the line passes.
+        // Past `max_trace_events` the line is rejected anyway, so tokens
+        // are only counted (and checked for the marker).
+        let known = builder.events();
+        let mut fresh = EventSet::new();
+        let (mut count, mut saw_empty) = (0usize, false);
+        ids.clear();
+        for token in trimmed.split_whitespace() {
+            count += 1;
+            if token == EMPTY_TRACE {
+                saw_empty = true;
+            } else if count <= limits.max_trace_events {
+                ids.push(known.lookup(token).unwrap_or_else(|| {
+                    EventId((known.len() + fresh.intern(token).index()) as u32)
+                }));
+            }
+        }
+        if saw_empty && count != 1 {
             reject!(
                 QuarantineCause::MixedEmptyMarker,
                 crate::ingest::excerpt(trimmed.as_bytes()),
                 LogParseError::MixedEmptyMarker { line: line_no }
             );
         }
-        let is_empty_trace = tokens == [EMPTY_TRACE];
-        if !is_empty_trace && tokens.len() > limits.max_trace_events {
+        if !saw_empty && count > limits.max_trace_events {
             reject!(
                 QuarantineCause::TraceTooLong,
                 crate::ingest::excerpt(trimmed.as_bytes()),
                 LogParseError::Limit(LimitExceeded {
                     kind: LimitKind::TraceEvents,
-                    observed: tokens.len(),
+                    observed: count,
                     max: limits.max_trace_events,
                     line: line_no,
                 })
@@ -193,12 +214,12 @@ pub fn read_log_with(reader: impl BufRead, opts: &IngestOptions) -> Result<Inges
             }
             .into());
         }
-        if is_empty_trace {
-            builder.push_named_trace(std::iter::empty::<&str>());
-        } else {
-            check_vocabulary(&builder, tokens.iter().copied(), &limits, line_no)?;
-            builder.push_named_trace(tokens);
+        check_vocabulary(known.len() + fresh.len(), &limits, line_no)?;
+        for name in fresh.names() {
+            builder.intern(name);
         }
+        // A lone `<empty>` marker leaves `ids` empty: an empty trace.
+        builder.push_trace(ids.iter().copied());
     }
     Ok(Ingest {
         log: builder.build(),
@@ -206,22 +227,14 @@ pub fn read_log_with(reader: impl BufRead, opts: &IngestOptions) -> Result<Inges
     })
 }
 
-/// Fails if interning `names` would push the vocabulary past
+/// Fails if the vocabulary would grow to `projected` names, past
 /// `limits.max_events`. Enforced in both modes: an unbounded vocabulary is
 /// a resource-exhaustion condition, not a single bad line.
-fn check_vocabulary<'a>(
-    builder: &LogBuilder,
-    names: impl IntoIterator<Item = &'a str>,
+fn check_vocabulary(
+    projected: usize,
     limits: &crate::ingest::IngestLimits,
     line: usize,
 ) -> Result<(), LimitExceeded> {
-    let mut new_names: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for name in names {
-        if builder.events().lookup(name).is_none() {
-            new_names.insert(name);
-        }
-    }
-    let projected = builder.events().len() + new_names.len();
     if projected > limits.max_events {
         return Err(LimitExceeded {
             kind: LimitKind::Events,
@@ -236,11 +249,16 @@ fn check_vocabulary<'a>(
 /// Writes a log in the line-oriented text format, leading with the
 /// `#! events:` vocabulary directive so ids survive a round-trip.
 ///
-/// Returns `InvalidInput` if any event name contains whitespace (such names
-/// are unrepresentable in a whitespace-separated format).
+/// Returns `InvalidInput` if any event name would not read back as written:
+/// an empty name, one containing whitespace (the format separates events by
+/// whitespace), the `<empty>` marker, or one starting with `#` (a comment).
 pub fn write_log(log: &EventLog, mut writer: impl Write) -> std::io::Result<()> {
     for name in log.events().names() {
-        if name.chars().any(char::is_whitespace) || name.is_empty() {
+        if name.is_empty()
+            || name == EMPTY_TRACE
+            || name.starts_with('#')
+            || name.chars().any(char::is_whitespace)
+        {
             return Err(std::io::Error::new(
                 std::io::ErrorKind::InvalidInput,
                 format!("event name {name:?} is not representable in the text format"),
@@ -260,7 +278,7 @@ pub fn write_log(log: &EventLog, mut writer: impl Write) -> std::io::Result<()> 
             continue;
         }
         let mut first = true;
-        for &e in trace.events() {
+        for &e in trace {
             if !first {
                 write!(writer, " ")?;
             }
@@ -285,14 +303,14 @@ mod tests {
         let log = roundtrip("# hello\nA B C\n\nA C B\n");
         assert_eq!(log.len(), 2);
         assert_eq!(log.event_count(), 3);
-        assert_eq!(log.traces()[1].len(), 3);
+        assert_eq!(log.trace(1).len(), 3);
     }
 
     #[test]
     fn empty_marker_produces_empty_trace() {
         let log = roundtrip("A\n<empty>\nB\n");
         assert_eq!(log.len(), 3);
-        assert!(log.traces()[1].is_empty());
+        assert!(log.trace(1).is_empty());
     }
 
     #[test]
@@ -309,9 +327,9 @@ mod tests {
         write_log(&log, &mut buf).unwrap();
         let again = read_log(buf.as_slice()).unwrap();
         assert_eq!(again.len(), log.len());
-        for (a, b) in log.traces().iter().zip(again.traces()) {
-            let names_a: Vec<_> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let names_b: Vec<_> = b.events().iter().map(|&e| again.events().name(e)).collect();
+        for (a, b) in log.traces().zip(again.traces()) {
+            let names_a: Vec<_> = a.iter().map(|&e| log.events().name(e)).collect();
+            let names_b: Vec<_> = b.iter().map(|&e| again.events().name(e)).collect();
             assert_eq!(names_a, names_b);
         }
     }
@@ -320,8 +338,8 @@ mod tests {
     fn events_directive_pins_interning_order() {
         // Vocabulary declared z-first; traces mention a first.
         let log = roundtrip("#! events: z a\na z\n");
-        assert_eq!(log.events().lookup("z"), Some(crate::EventId(0)));
-        assert_eq!(log.events().lookup("a"), Some(crate::EventId(1)));
+        assert_eq!(log.events().lookup("z"), Some(EventId(0)));
+        assert_eq!(log.events().lookup("a"), Some(EventId(1)));
     }
 
     #[test]
@@ -335,8 +353,8 @@ mod tests {
         let text = String::from_utf8(buf.clone()).unwrap();
         assert!(text.starts_with("#! events: late early\n"), "{text}");
         let back = read_log(buf.as_slice()).unwrap();
-        assert_eq!(back.events().lookup("late"), Some(crate::EventId(0)));
-        assert_eq!(back.traces(), log.traces());
+        assert_eq!(back.events().lookup("late"), Some(EventId(0)));
+        assert_eq!(back.columns(), log.columns());
     }
 
     #[test]
@@ -349,10 +367,22 @@ mod tests {
     }
 
     #[test]
+    fn comment_and_marker_names_are_rejected_on_write() {
+        // `#x B` would read back as a comment, `<empty>` as an empty trace.
+        for name in ["#x", "<empty>"] {
+            let mut b = LogBuilder::new();
+            b.push_named_trace([name, "B"]);
+            b.push_named_trace(["B"]);
+            let err = write_log(&b.build(), &mut Vec::new()).unwrap_err();
+            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{name}");
+        }
+    }
+
+    #[test]
     fn whitespace_variants_are_tolerated() {
         let log = roundtrip("  A\t B  \n");
         assert_eq!(log.len(), 1);
-        assert_eq!(log.traces()[0].len(), 2);
+        assert_eq!(log.trace(0).len(), 2);
     }
 
     use crate::ingest::{IngestLimits, IngestOptions, LimitKind, QuarantineCause};
@@ -455,13 +485,32 @@ mod tests {
                 other => panic!("expected limit error, got {other:?}"),
             }
         }
-        // The events directive is guarded the same way.
+        // The events directive is guarded the same way, one name at a time.
         let err = read_log_with(
             "#! events: A B C\n".as_bytes(),
             &IngestOptions::strict().with_limits(limits),
         )
         .unwrap_err();
-        assert!(matches!(err, LogParseError::Limit(_)));
+        let want = LimitExceeded {
+            kind: LimitKind::Events,
+            observed: 3,
+            max: 2,
+            line: 1,
+        };
+        assert_eq!(err, LogParseError::Limit(want));
+        // A trace line counts its distinct new names once each.
+        let err = read_log_with(
+            "A B\nC C D\n".as_bytes(),
+            &IngestOptions::strict().with_limits(IngestLimits::unlimited().with_max_events(3)),
+        )
+        .unwrap_err();
+        let want = LimitExceeded {
+            kind: LimitKind::Events,
+            observed: 4,
+            max: 3,
+            line: 2,
+        };
+        assert_eq!(err, LogParseError::Limit(want));
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! Heterogeneous Events with Patterns*:
 //!
 //! * an **event** is an interned, opaque name ([`EventId`], [`EventSet`]);
-//! * a **trace** is a finite sequence of events ordered by occurrence
-//!   ([`Trace`]);
-//! * an **event log** is a collection of traces ([`EventLog`]);
+//! * a **trace** is a finite sequence of events ordered by occurrence, a
+//!   slice `&[EventId]`;
+//! * an **event log** is a collection of traces ([`EventLog`]), stored as
+//!   one compressed-sparse-row arena ([`ColumnarLog`]) from ingest to
+//!   scan;
 //! * the **event dependency graph** (Definition 1) captures normalized
 //!   frequencies of events and of consecutive event pairs ([`DepGraph`]);
 //! * the **inverted trace index** `I_t` (Section 3.2.3) maps each event to
@@ -33,7 +35,6 @@ mod ingest;
 mod io;
 mod log;
 mod stats;
-mod trace;
 
 pub use columnar::ColumnarLog;
 pub use csv::{read_csv_log, read_csv_log_with, write_csv_log, CsvLogError};
@@ -47,4 +48,3 @@ pub use ingest::{
 pub use io::{read_log, read_log_with, write_log, LogParseError};
 pub use log::{EventLog, LogBuilder};
 pub use stats::LogStats;
-pub use trace::Trace;

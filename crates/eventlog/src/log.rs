@@ -1,12 +1,17 @@
 //! Event logs: collections of traces over a shared vocabulary.
 
+use crate::columnar::ColumnarLog;
 use crate::depgraph::DepGraph;
 use crate::event::{EventId, EventSet};
 use crate::index::TraceIndex;
 use crate::stats::LogStats;
-use crate::trace::Trace;
 
-/// An event log `L`: a collection of [`Trace`]s over an interned [`EventSet`].
+/// An event log `L`: a collection of traces over an interned [`EventSet`].
+///
+/// A trace is a finite event sequence ordered by occurrence time — e.g.
+/// the processing steps of one order in the paper's running ERP example.
+/// Timestamps are abstracted away (Section 2.1 only consumes the order), so
+/// trace `t` is the slice [`Self::trace`]`(t)` of one [`ColumnarLog`] arena.
 ///
 /// All frequency queries follow Definition 1 of the paper: counts are
 /// per-trace ("the number of traces in `L` that ...", not the number of
@@ -14,29 +19,28 @@ use crate::trace::Trace;
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EventLog {
     events: EventSet,
-    traces: Vec<Trace>,
+    traces: ColumnarLog,
 }
 
 impl EventLog {
-    /// Creates a log from parts. Panics if a trace references an event id
-    /// outside the vocabulary.
-    pub fn new(events: EventSet, traces: Vec<Trace>) -> Self {
-        let n = events.len() as u32;
-        for t in &traces {
-            for &e in t.events() {
-                assert!(e.0 < n, "trace references unknown event {e:?}");
-            }
-        }
-        EventLog { events, traces }
-    }
-
     /// The vocabulary of the log.
     pub fn events(&self) -> &EventSet {
         &self.events
     }
 
-    /// The traces of the log.
-    pub fn traces(&self) -> &[Trace] {
+    /// The events of trace `t`. Panics if `t` is out of range.
+    #[inline]
+    pub fn trace(&self, t: usize) -> &[EventId] {
+        self.traces.trace(t)
+    }
+
+    /// The traces of the log, in order.
+    pub fn traces(&self) -> impl ExactSizeIterator<Item = &[EventId]> + '_ {
+        self.traces.iter()
+    }
+
+    /// The trace storage itself: the layout every support scan reads.
+    pub fn columns(&self) -> &ColumnarLog {
         &self.traces
     }
 
@@ -58,15 +62,15 @@ impl EventLog {
     /// Number of traces containing event `v` (the unnormalized vertex
     /// frequency of Definition 1).
     pub fn vertex_support(&self, v: EventId) -> usize {
-        self.traces.iter().filter(|t| t.contains(v)).count()
+        self.traces().filter(|t| t.contains(&v)).count()
     }
 
     /// Number of traces where `a` is immediately followed by `b` at least
-    /// once (the unnormalized edge frequency of Definition 1).
+    /// once (the unnormalized edge frequency of Definition 1; `a == b`
+    /// asks whether the event repeats back to back).
     pub fn edge_support(&self, a: EventId, b: EventId) -> usize {
-        self.traces
-            .iter()
-            .filter(|t| t.has_consecutive(a, b))
+        self.traces()
+            .filter(|t| t.windows(2).any(|w| w == [a, b]))
             .count()
     }
 
@@ -100,7 +104,7 @@ impl EventLog {
     pub fn take_traces(&self, n: usize) -> EventLog {
         EventLog {
             events: self.events.clone(),
-            traces: self.traces.iter().take(n).cloned().collect(),
+            traces: self.traces.prefix(n),
         }
     }
 
@@ -119,16 +123,10 @@ impl EventLog {
                 remap[e.index()] = Some(events.intern(self.events.name(e)));
             }
         }
-        let traces = self
-            .traces
-            .iter()
-            .map(|t| {
-                t.events()
-                    .iter()
-                    .filter_map(|&e| remap[e.index()])
-                    .collect::<Trace>()
-            })
-            .collect();
+        let mut traces = ColumnarLog::default();
+        for t in self.traces() {
+            traces.push(t.iter().filter_map(|&e| remap[e.index()]));
+        }
         (EventLog { events, traces }, remap)
     }
 }
@@ -142,11 +140,12 @@ fn ratio(num: usize, den: usize) -> f64 {
     }
 }
 
-/// Incremental builder for [`EventLog`], interning event names on the fly.
+/// Incremental builder for [`EventLog`], interning event names on the fly
+/// and appending each trace straight into the log's arena.
 #[derive(Clone, Debug, Default)]
 pub struct LogBuilder {
     events: EventSet,
-    traces: Vec<Trace>,
+    traces: ColumnarLog,
 }
 
 impl LogBuilder {
@@ -159,7 +158,7 @@ impl LogBuilder {
     pub fn with_events(events: EventSet) -> Self {
         LogBuilder {
             events,
-            traces: Vec::new(),
+            traces: ColumnarLog::default(),
         }
     }
 
@@ -171,22 +170,19 @@ impl LogBuilder {
 
     /// Adds one trace given as event names, interning new names.
     pub fn push_named_trace<S: AsRef<str>>(&mut self, names: impl IntoIterator<Item = S>) {
-        let trace = names
-            .into_iter()
-            .map(|n| self.events.intern(n.as_ref()))
-            .collect();
-        self.traces.push(trace);
+        let events = &mut self.events;
+        self.traces
+            .push(names.into_iter().map(|n| events.intern(n.as_ref())));
     }
 
     /// Adds one trace of already-interned ids. Panics on unknown ids.
-    pub fn push_trace(&mut self, trace: Trace) {
-        for &e in trace.events() {
-            assert!(
-                e.index() < self.events.len(),
-                "trace references unknown event {e:?}"
-            );
-        }
-        self.traces.push(trace);
+    pub fn push_trace(&mut self, trace: impl IntoIterator<Item = impl Into<EventId>>) {
+        let n = self.events.len();
+        self.traces.push(trace.into_iter().map(|e| {
+            let e = e.into();
+            assert!(e.index() < n, "trace references unknown event {e:?}");
+            e
+        }));
     }
 
     /// Current number of traces.
@@ -256,7 +252,7 @@ mod tests {
 
     #[test]
     fn empty_log_has_zero_frequencies() {
-        let log = EventLog::new(EventSet::from_names(["A"]), vec![]);
+        let log = LogBuilder::with_events(EventSet::from_names(["A"])).build();
         assert_eq!(log.vertex_freq(EventId(0)), 0.0);
         assert_eq!(log.edge_freq(EventId(0), EventId(0)), 0.0);
     }
@@ -284,29 +280,20 @@ mod tests {
         assert_eq!(remap[a.index()], Some(EventId(1)));
         // In the projected traces, A is now directly followed by D.
         assert_eq!(proj.edge_support(EventId(1), EventId(0)), 4);
-        assert_eq!(proj.traces()[0].events(), &[EventId(1), EventId(0)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown event")]
-    fn new_rejects_out_of_range_trace() {
-        EventLog::new(
-            EventSet::from_names(["A"]),
-            vec![Trace::from(vec![0u32, 1])],
-        );
+        assert_eq!(proj.trace(0), &[EventId(1), EventId(0)]);
     }
 
     #[test]
     #[should_panic(expected = "unknown event")]
     fn builder_rejects_out_of_range_trace() {
         let mut b = LogBuilder::new();
-        b.push_trace(Trace::from(vec![0u32]));
+        b.push_trace([0u32]);
     }
 
     #[test]
     fn builder_with_preinterned_vocabulary() {
         let mut b = LogBuilder::with_events(EventSet::from_names(["A", "B"]));
-        b.push_trace(Trace::from(vec![1u32, 0]));
+        b.push_trace([1u32, 0]);
         let log = b.build();
         assert_eq!(log.len(), 1);
         assert_eq!(log.event_count(), 2);

@@ -29,13 +29,8 @@ impl LogStats {
             traces: log.len(),
             events: log.event_count(),
             edges: g.edge_count(),
-            occurrences: log.traces().iter().map(super::trace::Trace::len).sum(),
-            max_trace_len: log
-                .traces()
-                .iter()
-                .map(super::trace::Trace::len)
-                .max()
-                .unwrap_or(0),
+            occurrences: log.columns().total_events(),
+            max_trace_len: log.traces().map(<[_]>::len).max().unwrap_or(0),
         }
     }
 }

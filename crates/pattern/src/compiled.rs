@@ -413,7 +413,7 @@ mod tests {
     use super::*;
     use crate::matcher::{linearizations, trace_matches};
     use crate::{EvaluatedPattern, SupportStats};
-    use evematch_eventlog::{ColumnarLog, LogBuilder};
+    use evematch_eventlog::LogBuilder;
 
     fn e(i: u32) -> Pattern {
         Pattern::event(i)
@@ -536,18 +536,11 @@ mod tests {
         b.push_named_trace(["A", "B", "D"]);
         let log = b.build();
         let index = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
         let p = p1();
         let ep = EvaluatedPattern::new(p.clone(), &log, &index);
         assert!(ep.compiled_for(&ep.events).is_some(), "p1 compiles");
         let mut stats = SupportStats::default();
-        let scanned = ep.scan(
-            &ep.events,
-            &index,
-            |t| col.trace(t),
-            &mut || true,
-            &mut stats,
-        );
+        let scanned = ep.scan(&ep.events, &index, log.columns(), &mut || true, &mut stats);
         assert_eq!(scanned, Ok(3));
         assert_eq!(ep.support, 3);
         assert_eq!(crate::pattern_support(&p, &log, &index), 3);
@@ -567,14 +560,13 @@ mod tests {
         b.push_named_trace(["A", "B"]);
         let log = b.build();
         let index = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
         let p = Pattern::seq(vec![e(0), e(1)]).unwrap();
         let ep = EvaluatedPattern::new(p, &log, &index);
         let mut stats = SupportStats::default();
         let s = ep.scan(
             &ids(&[0, 99]),
             &index,
-            |t| col.trace(t),
+            log.columns(),
             &mut || true,
             &mut stats,
         );
@@ -621,9 +613,9 @@ mod tests {
             for len in 0..=5usize {
                 let mut word = vec![0u32; len];
                 loop {
-                    let trace = evematch_eventlog::Trace::from(word.clone());
+                    let trace = ids(&word);
                     let expected = trace_matches(&p, &trace);
-                    let got = cp.matches_trace(&binding, trace.events());
+                    let got = cp.matches_trace(&binding, &trace);
                     assert_eq!(got, expected, "pattern {p:?}, word {word:?}");
                     // Next word in base-n counting order.
                     let mut i = 0;

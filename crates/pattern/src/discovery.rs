@@ -131,9 +131,9 @@ fn frequent_windows(
 ) -> BTreeMap<Vec<EventId>, usize> {
     let mut counts: BTreeMap<Vec<EventId>, usize> = BTreeMap::new();
     let mut seen_in_trace: BTreeMap<Vec<EventId>, usize> = BTreeMap::new();
-    for (t_id, trace) in log.traces().iter().enumerate() {
+    for (t_id, trace) in log.traces().enumerate() {
         for len in 2..=max_len {
-            for w in trace.events().windows(len) {
+            for w in trace.windows(len) {
                 if has_duplicates(w) {
                     continue;
                 }

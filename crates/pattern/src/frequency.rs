@@ -16,12 +16,12 @@
 //! dependency graph already counts. [`pattern_support`] is the plain
 //! interpreter loop, kept as the test oracle the scan is proven against.
 
-use evematch_eventlog::{DepGraph, EventId, EventLog, TraceIndex};
+use evematch_eventlog::{ColumnarLog, DepGraph, EventId, EventLog, TraceIndex};
 
 use crate::ast::Pattern;
 use crate::compiled::{symbol_table, CompileError, CompiledPattern};
 use crate::graph_form::{edge_groups, PatternGraph};
-use crate::matcher::{events_match, trace_matches, Interrupted};
+use crate::matcher::{trace_matches, Interrupted};
 
 /// Work counters of one (or several accumulated) support scans, for
 /// observability. Every field is deterministic.
@@ -52,7 +52,7 @@ pub fn pattern_support(p: &Pattern, log: &EventLog, index: &TraceIndex) -> usize
     index
         .traces_with_all(&events)
         .into_iter()
-        .filter(|&t| trace_matches(p, &log.traces()[t as usize]))
+        .filter(|&t| trace_matches(p, log.trace(t as usize)))
         .count()
 }
 
@@ -192,19 +192,19 @@ impl EvaluatedPattern {
     /// The support of the pattern bound to `images` (symbol `i`, the
     /// `i`-th of [`Self::events`], is bound to `images[i]`; the identity
     /// binding is [`Self::events`] itself): the number of candidate traces
-    /// in `⋂ I_t(images)` that hold a matching window. `trace` fetches a
-    /// candidate by id from whichever layout indexes `index`.
+    /// in `⋂ I_t(images)` that hold a matching window. `traces` is the
+    /// storage of the log `index` was built from.
     ///
     /// An image outside `index`'s vocabulary gives support 0 before the
     /// index is probed. `fuel` is polled once per candidate trace, and the
     /// scan stops with [`Interrupted`] as soon as it runs dry — the partial
     /// count is not returned, since an interrupted scan has no sound
     /// frequency. `stats` accumulates the work done either way.
-    pub fn scan<'l>(
+    pub fn scan(
         &self,
         images: &[EventId],
         index: &TraceIndex,
-        trace: impl Fn(usize) -> &'l [EventId],
+        traces: &ColumnarLog,
         fuel: &mut dyn FnMut() -> bool,
         stats: &mut SupportStats,
     ) -> Result<usize, Interrupted> {
@@ -227,7 +227,7 @@ impl EvaluatedPattern {
                 return Err(Interrupted);
             }
             stats.candidate_traces += 1;
-            if decide.matches(trace(t as usize)) {
+            if decide.matches(traces.trace(t as usize)) {
                 matched += 1;
                 stats.matched_traces += 1;
             }
@@ -238,11 +238,10 @@ impl EvaluatedPattern {
     /// The pattern's own support in `log`: [`Self::scan`] under the
     /// identity binding, unfueled.
     fn l1_scan(&self, log: &EventLog, index: &TraceIndex) -> usize {
-        let traces = log.traces();
         self.scan(
             &self.events,
             index,
-            |t| traces[t].events(),
+            log.columns(),
             &mut || true,
             &mut SupportStats::default(),
         )
@@ -265,12 +264,11 @@ enum Decider<'p> {
 }
 
 impl Decider<'_> {
-    // Inlined into each caller's instance of the generic scan loop.
     #[inline]
     fn matches(&self, trace: &[EventId]) -> bool {
         match self {
             Decider::Compiled(cp, sym_of) => cp.run(trace, |e| sym_of[e.index()]),
-            Decider::Interpreted(p) => events_match(p, trace),
+            Decider::Interpreted(p) => trace_matches(p, trace),
         }
     }
 }
@@ -339,15 +337,14 @@ mod tests {
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
         let ep = EvaluatedPattern::new(p, &l, &idx);
-        let trace = |t: usize| l.traces()[t].events();
         let mut stats = SupportStats::default();
         assert_eq!(
-            ep.scan(&ep.events, &idx, trace, &mut || true, &mut stats),
+            ep.scan(&ep.events, &idx, l.columns(), &mut || true, &mut stats),
             Ok(3)
         );
         // Three candidate traces contain {A,B,C,D}; two units of fuel stop
         // the scan before the third.
-        let r = ep.scan(&ep.events, &idx, trace, &mut fuel_for(2), &mut stats);
+        let r = ep.scan(&ep.events, &idx, l.columns(), &mut fuel_for(2), &mut stats);
         assert_eq!(r, Err(Interrupted));
     }
 
@@ -357,10 +354,9 @@ mod tests {
         let idx = l.trace_index();
         let p = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap(), e(3)]).unwrap();
         let ep = EvaluatedPattern::new(p, &l, &idx);
-        let trace = |t: usize| l.traces()[t].events();
         let mut stats = SupportStats::default();
         assert_eq!(
-            ep.scan(&ep.events, &idx, trace, &mut || true, &mut stats),
+            ep.scan(&ep.events, &idx, l.columns(), &mut || true, &mut stats),
             Ok(3)
         );
         assert_eq!(stats.index_probes, 1);
@@ -368,7 +364,7 @@ mod tests {
         assert_eq!(stats.matched_traces, 3);
         // Interrupted scans keep the partial work counted.
         let mut stats = SupportStats::default();
-        let r = ep.scan(&ep.events, &idx, trace, &mut fuel_for(2), &mut stats);
+        let r = ep.scan(&ep.events, &idx, l.columns(), &mut fuel_for(2), &mut stats);
         assert_eq!(r, Err(Interrupted));
         assert_eq!(stats.index_probes, 1);
         assert_eq!(stats.candidate_traces, 2);

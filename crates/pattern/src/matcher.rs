@@ -13,7 +13,7 @@
 
 use std::cell::{Cell, RefCell};
 
-use evematch_eventlog::{EventId, Trace};
+use evematch_eventlog::EventId;
 
 use crate::ast::Pattern;
 
@@ -100,15 +100,9 @@ fn contains_event(p: &Pattern, e: EventId) -> bool {
 
 /// Whether `trace` matches `p` (Definition 4): some contiguous substring of
 /// the trace belongs to `I(p)`.
-pub fn trace_matches(p: &Pattern, trace: &Trace) -> bool {
-    events_match(p, trace.events())
-}
-
-/// [`trace_matches`] over a bare event slice: the interpreter's verdict on
-/// one candidate trace of the support scan, whichever layout holds it.
-pub(crate) fn events_match(p: &Pattern, events: &[EventId]) -> bool {
+pub fn trace_matches(p: &Pattern, trace: &[EventId]) -> bool {
     let k = p.size();
-    events.len() >= k && events.windows(k).any(|w| match_exact(p, w))
+    trace.len() >= k && trace.windows(k).any(|w| match_exact(p, w))
 }
 
 /// Materializes `I(p)`: every allowed event order, in a deterministic
@@ -360,21 +354,21 @@ mod tests {
     #[test]
     fn trace_matching_requires_contiguous_substring() {
         let p = Pattern::seq_of_events([ev(1), ev(2)]).unwrap();
-        assert!(trace_matches(&p, &Trace::from(vec![0u32, 1, 2, 3])));
+        assert!(trace_matches(&p, &w(&[0, 1, 2, 3])));
         // 1 and 2 present but separated: no match.
-        assert!(!trace_matches(&p, &Trace::from(vec![1u32, 0, 2])));
+        assert!(!trace_matches(&p, &w(&[1, 0, 2])));
         // Wrong order: no match.
-        assert!(!trace_matches(&p, &Trace::from(vec![2u32, 1])));
+        assert!(!trace_matches(&p, &w(&[2, 1])));
         // Shorter trace than pattern: no match.
-        assert!(!trace_matches(&p, &Trace::from(vec![1u32])));
+        assert!(!trace_matches(&p, &w(&[1])));
     }
 
     #[test]
     fn no_foreign_event_inside_the_match() {
         let p = p1();
         // A x B C D — the window containing all of p's events includes x.
-        assert!(!trace_matches(&p, &Trace::from(vec![0u32, 9, 1, 2, 3])));
-        assert!(trace_matches(&p, &Trace::from(vec![9u32, 0, 2, 1, 3, 9])));
+        assert!(!trace_matches(&p, &w(&[0, 9, 1, 2, 3])));
+        assert!(trace_matches(&p, &w(&[9, 0, 2, 1, 3, 9])));
     }
 
     #[test]

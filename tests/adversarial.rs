@@ -109,13 +109,13 @@ fn empty_marker_edge_cases_are_handled_consistently() {
     // name, not a marker.
     let ingest = read_log_with("x<empty>\n".as_bytes(), &IngestOptions::strict()).unwrap();
     assert_eq!(ingest.log.len(), 1);
-    assert_eq!(ingest.log.traces()[0].len(), 1);
+    assert_eq!(ingest.log.trace(0).len(), 1);
     assert!(ingest.log.events().lookup("x<empty>").is_some());
 
     // Marker surrounded by whitespace still counts as alone.
     let ingest = read_log_with("   <empty>   \n".as_bytes(), &IngestOptions::strict()).unwrap();
     assert_eq!(ingest.log.len(), 1);
-    assert!(ingest.log.traces()[0].is_empty());
+    assert!(ingest.log.trace(0).is_empty());
 }
 
 #[test]
@@ -188,8 +188,9 @@ fn csv_hostile_rows_quarantine_in_lenient_and_fail_fast_in_strict() {
     assert_eq!(counts.get("unterminated_quote"), Some(&1));
     assert_eq!(counts.get("invalid_utf8"), Some(&1));
     // The good rows of case o1 survive in order.
-    let names: Vec<&str> = ingest.log.traces()[0]
-        .events()
+    let names: Vec<&str> = ingest
+        .log
+        .trace(0)
         .iter()
         .map(|&e| ingest.log.events().name(e))
         .collect();
@@ -208,11 +209,7 @@ fn csv_quoting_and_header_case_are_tolerant() {
     let input = "Case,ACTIVITY\n\"o,1\",\"say \"\"hi\"\"\"\n\"o,1\",Done\n";
     let log = read_csv_log(input.as_bytes()).unwrap();
     assert_eq!(log.len(), 1);
-    let names: Vec<&str> = log.traces()[0]
-        .events()
-        .iter()
-        .map(|&e| log.events().name(e))
-        .collect();
+    let names: Vec<&str> = log.trace(0).iter().map(|&e| log.events().name(e)).collect();
     assert_eq!(names, ["say \"hi\"", "Done"]);
 }
 
@@ -262,8 +259,8 @@ fn state_budget_fallback_is_counted_in_telemetry_never_silent() {
     let mut b2 = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
     for rot in 0..n {
         let t: Vec<u32> = (0..n).map(|i| (i + rot) % n).collect();
-        b1.push_trace(Trace::from(t.clone()));
-        b2.push_trace(Trace::from(t));
+        b1.push_trace(t.clone());
+        b2.push_trace(t);
     }
     let p = Pattern::and_of_events((0..n).map(EventId)).unwrap();
     let ctx = MatchContext::new(
@@ -320,15 +317,15 @@ fn compilable_patterns_take_no_fallback() {
     );
 }
 
-/// The one support scan over `log`'s columnar layout, unfueled.
+/// The one support scan over `log`'s arena, unfueled.
 fn scan(
     ep: &evematch::pattern::EvaluatedPattern,
     images: &[EventId],
-    col: &ColumnarLog,
+    log: &EventLog,
     idx: &TraceIndex,
     stats: &mut evematch::pattern::SupportStats,
 ) -> usize {
-    ep.scan(images, idx, |t| col.trace(t), &mut || true, stats)
+    ep.scan(images, idx, log.columns(), &mut || true, stats)
         .unwrap()
 }
 
@@ -339,14 +336,13 @@ fn out_of_vocabulary_images_yield_zero_support_without_probing() {
     b.push_named_trace(["A", "B"]);
     let log = b.build();
     let idx = log.trace_index();
-    let col = ColumnarLog::from_log(&log);
     let p = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
     let ep = EvaluatedPattern::new(p, &log, &idx);
     // An image outside the log's two-event vocabulary: support 0, and —
     // exactly like the interpreter oracle's out-of-vocabulary guard — the
     // index is never probed and no candidate is scanned.
     let mut stats = SupportStats::default();
-    let support = scan(&ep, &[EventId(0), EventId(9)], &col, &idx, &mut stats);
+    let support = scan(&ep, &[EventId(0), EventId(9)], &log, &idx, &mut stats);
     assert_eq!(support, 0);
     assert_eq!(stats, SupportStats::default());
 }
@@ -355,12 +351,12 @@ fn out_of_vocabulary_images_yield_zero_support_without_probing() {
 fn columnar_log_handles_empty_and_singleton_traces() {
     use evematch::pattern::{EvaluatedPattern, SupportStats};
     let mut b = LogBuilder::with_events(EventSet::from_names(["A", "B"]));
-    b.push_trace(Trace::from(Vec::<u32>::new()));
-    b.push_trace(Trace::from(vec![0u32]));
-    b.push_trace(Trace::from(Vec::<u32>::new()));
-    b.push_trace(Trace::from(vec![0u32, 1]));
+    b.push_trace(Vec::<u32>::new());
+    b.push_trace([0u32]);
+    b.push_trace(Vec::<u32>::new());
+    b.push_trace([0u32, 1]);
     let log = b.build();
-    let col = ColumnarLog::from_log(&log);
+    let col = log.columns();
     assert_eq!(col.len(), 4);
     assert_eq!(col.total_events(), 3);
     assert_eq!(col.trace(0), &[] as &[EventId]);
@@ -373,13 +369,13 @@ fn columnar_log_handles_empty_and_singleton_traces() {
     let single = Pattern::event(0u32);
     let ep = EvaluatedPattern::new(single.clone(), &log, &idx);
     let mut stats = SupportStats::default();
-    let support = scan(&ep, &[EventId(0)], &col, &idx, &mut stats);
+    let support = scan(&ep, &[EventId(0)], &log, &idx, &mut stats);
     assert_eq!(support, pattern_support(&single, &log, &idx));
     assert_eq!(support, 2);
     // And a two-event SEQ: only the pair trace can hold a length-2 window.
     let pair = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
     let ep = EvaluatedPattern::new(pair.clone(), &log, &idx);
-    let support = scan(&ep, &[EventId(0), EventId(1)], &col, &idx, &mut stats);
+    let support = scan(&ep, &[EventId(0), EventId(1)], &log, &idx, &mut stats);
     assert_eq!(support, pattern_support(&pair, &log, &idx));
     assert_eq!(support, 1);
 }

@@ -39,7 +39,7 @@ fn log_strategy(n: u32, max_traces: usize) -> impl Strategy<Value = EventLog> {
             let mut b =
                 LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
             for t in traces {
-                b.push_trace(Trace::from(t));
+                b.push_trace(t);
             }
             b.build()
         },
@@ -368,7 +368,7 @@ proptest! {
         let truth = lins.iter().any(|lin| {
             trace_events.windows(lin.len()).any(|w| w == lin.as_slice())
         });
-        let interpreted = trace_matches(&p, &Trace::from(raw.clone()));
+        let interpreted = trace_matches(&p, &trace_events);
         // Identity binding: symbol i is the i-th sorted event of `p`.
         let compiled = cp.matches_trace(&p.events(), &trace_events);
         prop_assert_eq!(interpreted, truth, "interpreter vs ground truth on {:?}", p);
@@ -391,7 +391,6 @@ proptest! {
     ) {
         use evematch::pattern::{EvaluatedPattern, Interrupted, SupportStats};
         let idx = log.trace_index();
-        let col = ColumnarLog::from_log(&log);
         let ep = EvaluatedPattern::new(p.clone(), &log, &idx);
         // Rank the pool `0..max(|p|, 6) + extra` by random keys and bind
         // the pattern's sorted events to the first |p| of it.
@@ -403,7 +402,7 @@ proptest! {
         let oracle = pattern_support(&mapped, &log, &idx);
 
         let mut stats = SupportStats::default();
-        let scanned = ep.scan(&images, &idx, |t| col.trace(t), &mut || true, &mut stats);
+        let scanned = ep.scan(&images, &idx, log.columns(), &mut || true, &mut stats);
         prop_assert_eq!(scanned, Ok(oracle), "support of {:?} under {:?}", p, images);
         let in_vocab = images.iter().all(|e| e.index() < log.event_count());
         prop_assert_eq!(stats.index_probes, u64::from(in_vocab));
@@ -414,7 +413,7 @@ proptest! {
         if cap < candidates {
             let mut left = cap;
             let mut stats = SupportStats::default();
-            let fueled = ep.scan(&images, &idx, |t| col.trace(t), &mut || {
+            let fueled = ep.scan(&images, &idx, log.columns(), &mut || {
                 let go = left > 0;
                 left = left.saturating_sub(1);
                 go
@@ -445,7 +444,7 @@ fn context_log_strategy(n: u32) -> impl Strategy<Value = EventLog> {
             if rotation < 7 {
                 t.splice(0..0, (0..7).map(|i| (i + rotation) % 7));
             }
-            b.push_trace(Trace::from(t));
+            b.push_trace(t);
         }
         b.build()
     })

@@ -18,9 +18,9 @@ fn generated_logs_roundtrip_exactly() {
         assert_eq!(back.len(), log.len());
         // Names may re-intern in a different id order (first occurrence in
         // a trace vs declaration), so compare by name sequences.
-        for (a, b) in log.traces().iter().zip(back.traces()) {
-            let na: Vec<&str> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let nb: Vec<&str> = b.events().iter().map(|&e| back.events().name(e)).collect();
+        for (a, b) in log.traces().zip(back.traces()) {
+            let na: Vec<&str> = a.iter().map(|&e| log.events().name(e)).collect();
+            let nb: Vec<&str> = b.iter().map(|&e| back.events().name(e)).collect();
             assert_eq!(na, nb);
         }
     }
@@ -52,14 +52,14 @@ proptest! {
         let names: Vec<String> = (0..6).map(|i| format!("step-{i}")).collect();
         let mut b = LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
         for t in traces {
-            b.push_trace(Trace::from(t));
+            b.push_trace(t);
         }
         let log = b.build();
         let back = roundtrip(&log);
         prop_assert_eq!(back.len(), log.len());
-        for (a, bt) in log.traces().iter().zip(back.traces()) {
-            let na: Vec<&str> = a.events().iter().map(|&e| log.events().name(e)).collect();
-            let nb: Vec<&str> = bt.events().iter().map(|&e| back.events().name(e)).collect();
+        for (a, bt) in log.traces().zip(back.traces()) {
+            let na: Vec<&str> = a.iter().map(|&e| log.events().name(e)).collect();
+            let nb: Vec<&str> = bt.iter().map(|&e| back.events().name(e)).collect();
             prop_assert_eq!(na, nb);
         }
     }

@@ -62,7 +62,7 @@ fn log_strategy(n: u32, max_traces: usize) -> impl Strategy<Value = EventLog> {
             let mut b =
                 LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)));
             for t in traces {
-                b.push_trace(Trace::from(t));
+                b.push_trace(t);
             }
             b.build()
         },
@@ -140,11 +140,8 @@ proptest! {
             let lins = linearizations(&p);
             let brute = log
                 .traces()
-                .iter()
                 .filter(|t| {
-                    lins.iter().any(|lin| {
-                        t.events().windows(lin.len()).any(|w| w == lin.as_slice())
-                    })
+                    lins.iter().any(|lin| t.windows(lin.len()).any(|w| w == lin.as_slice()))
                 })
                 .count();
             prop_assert_eq!(support, brute);
@@ -410,10 +407,10 @@ proptest! {
             LogBuilder::with_events(EventSet::from_names(names.iter().map(String::as_str)))
         };
         let (mut b1, mut b2) = (names(6, "e"), names(7, "t"));
-        let traces = l1.traces().iter().map(|t| t.events().iter().map(|e| e.0).collect());
+        let traces = l1.traces().map(|t| t.iter().map(|e| e.0).collect());
         for t in traces.chain([(0..k).collect::<Vec<u32>>()]) {
-            b2.push_trace(Trace::from(t.iter().map(|&e| rotate(e)).collect::<Vec<_>>()));
-            b1.push_trace(Trace::from(t));
+            b2.push_trace(t.iter().map(|&e| rotate(e)));
+            b1.push_trace(t);
         }
         let ctx = MatchContext::new(
             b1.build(), b2.build(),
