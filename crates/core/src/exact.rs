@@ -12,6 +12,13 @@
 //! frequencies go through the [`Evaluator`]'s Proposition-3 existence check
 //! and memo cache.
 //!
+//! The frontier holds no mappings. A generated node is an 8-byte arena
+//! link — its parent's id and the target its depth's source maps to — and
+//! a heap entry `(f, seq, depth, g, id)`. A popped node's mapping is
+//! rebuilt from at most `n1` links, and each child is scored on that one
+//! mapping: insert `a -> b`, add the completed patterns' `d`, rescore `h`
+//! against the parent, remove `a` again.
+//!
 //! # Anytime behavior
 //!
 //! With a limited [`Budget`] the search keeps an *incumbent*: a greedy
@@ -195,8 +202,8 @@ impl ExactMatcher {
         debug_assert_eq!(order.len(), n1);
         let anytime = !config.budget.is_unlimited();
 
-        let root_mapping = Mapping::empty(n1, ctx.n2());
-        let root_h = heuristic_bound(&mut eval, &root_mapping, self.bound);
+        let mut tree = Tree::new(&order, ctx.n2());
+        let root_h = heuristic_bound(&mut eval, &tree.mapping_of(Tree::ROOT, 0), self.bound);
         let mut queue: BinaryHeap<Node> = BinaryHeap::new();
         let mut seq = 0u64;
         queue.push(Node {
@@ -204,7 +211,7 @@ impl ExactMatcher {
             seq,
             depth: 0,
             g: 0.0,
-            mapping: root_mapping,
+            id: Tree::ROOT,
         });
 
         // Anytime incumbent: the best greedily-completed mapping so far.
@@ -231,8 +238,9 @@ impl ExactMatcher {
                     ],
                 );
             }
+            let mut mapping = tree.mapping_of(node.id, node.depth);
             if node.depth as usize == n1 {
-                return eval.finish(node.mapping, node.g, Completion::Finished);
+                return eval.finish(mapping, node.g, Completion::Finished);
             }
             if anytime {
                 let depth_record = deepest.map_or(true, |d| node.depth > d);
@@ -248,7 +256,7 @@ impl ExactMatcher {
                     // completion (uncharged, but meter-ticked) of it.
                     pops_since_refresh = 0;
                     let clean = eval.interrupted_evals();
-                    let (cg, cm) = greedy_complete(&mut eval, &order, &node.mapping);
+                    let (cg, cm) = greedy_complete(&mut eval, &order, &mapping);
                     // A completion whose evaluations were fuel-interrupted
                     // carries an untrustworthy score; drop it rather than
                     // poison the incumbent.
@@ -261,9 +269,9 @@ impl ExactMatcher {
                 }
             }
             let a = order[node.depth as usize];
-            let mut table = ParentTable::new(ctx, &node.mapping, self.bound);
+            let mut table = ParentTable::new(ctx, &mapping, self.bound);
             let mut charging = true;
-            for b in node.mapping.unused_targets() {
+            for b in mapping.unused_targets() {
                 if charging && !eval.meter_mut().charge_processed() {
                     charging = false;
                     if eval.meter().exhaustion() == Some(Exhaustion::Deadline) {
@@ -277,16 +285,18 @@ impl ExactMatcher {
                     // to a larger-cap run's at this point — the basis of
                     // the monotonicity guarantee.
                 }
-                let mut child = node.mapping.clone();
-                child.insert(a, b);
+                // Score the child on the popped node's own mapping, then
+                // undo the step: the frontier keeps only the arena link.
+                mapping.insert(a, b);
                 // P_new: the patterns of `a` the child completes.
                 let mut g = node.g;
                 for &p_idx in ctx.pattern_index().patterns_of(a) {
-                    if let Some(d) = eval.d(p_idx, &child) {
+                    if let Some(d) = eval.d(p_idx, &mapping) {
                         g += d;
                     }
                 }
-                let (_, h) = table.rescore(&mut eval, &child, &[a], false);
+                let (_, h) = table.rescore(&mut eval, &mapping, &[a], false);
+                mapping.remove(a);
                 eval.telemetry_mut().registry.inc(c_expansions);
                 seq += 1;
                 queue.push(Node {
@@ -294,7 +304,7 @@ impl ExactMatcher {
                     seq,
                     depth: node.depth + 1,
                     g,
-                    mapping: child,
+                    id: tree.push(node.id, b),
                 });
             }
             if eval.meter().exhaustion() == Some(Exhaustion::Deadline) {
@@ -305,20 +315,14 @@ impl ExactMatcher {
                 // every complete mapping it covered — the gap certificate
                 // depends on that invariant.
                 seq += 1;
-                queue.push(Node {
-                    f: node.f,
-                    seq,
-                    depth: node.depth,
-                    g: node.g,
-                    mapping: node.mapping,
-                });
+                queue.push(Node { seq, ..node });
             }
             eval.meter_mut().note_frontier(queue.len());
             eval.telemetry_mut()
                 .registry
                 .gauge_max(g_frontier, queue.len() as u64);
             if eval.meter().is_exhausted() {
-                return exhausted_outcome(eval, &order, queue, incumbent, n1, ctx.n2());
+                return exhausted_outcome(eval, &tree, queue, incumbent);
             }
         }
         // n1 > 0 guarantees children exist at every level (n1 ≤ n2), so the
@@ -351,11 +355,9 @@ fn improves(best: Option<f64>, candidate: f64) -> bool {
 /// optimality gap against the frontier (see the module docs).
 fn exhausted_outcome(
     mut eval: Evaluator<'_>,
-    order: &[EventId],
+    tree: &Tree<'_>,
     mut queue: BinaryHeap<Node>,
     mut incumbent: Option<(f64, Mapping)>,
-    n1: usize,
-    n2: usize,
 ) -> MatchOutcome {
     let exhaustion = eval.meter().exhaustion().unwrap_or(Exhaustion::Processed);
     let frontier_best = queue.pop();
@@ -367,7 +369,8 @@ fn exhausted_outcome(
         // fell and break "a larger cap never scores worse".
         if let Some(best) = &frontier_best {
             if improves(incumbent.as_ref().map(|(s, _)| *s), best.f) {
-                let (cg, cm) = greedy_complete(&mut eval, order, &best.mapping);
+                let partial = tree.mapping_of(best.id, best.depth);
+                let (cg, cm) = greedy_complete(&mut eval, tree.order, &partial);
                 if improves(incumbent.as_ref().map(|(s, _)| *s), cg) {
                     incumbent = Some((cg, cm));
                 }
@@ -379,7 +382,7 @@ fn exhausted_outcome(
         // Defensive: every exhaustion path pops (and thereby refreshes
         // from) at least one node first; complete from scratch if that
         // ever changes.
-        None => greedy_complete(&mut eval, order, &Mapping::empty(n1, n2)),
+        None => greedy_complete(&mut eval, tree.order, &tree.mapping_of(Tree::ROOT, 0)),
     };
     let optimality_gap = if eval.interrupted_evals() > 0 {
         // Fuel-interrupted evaluations may have under-scored frontier
@@ -468,14 +471,75 @@ pub(crate) fn greedy_complete(
     (total, m)
 }
 
-/// A search-tree node ordered by `f = g + h` (max-heap), ties broken toward
-/// the earliest-created node for determinism.
+/// Every node the search generated, as an arena of [`Link`]s: a node is
+/// its arena index, and its partial mapping is rebuilt on demand by
+/// following at most `n1` parent links. A node maps the first `depth`
+/// sources of the expansion order, so the link at depth `d` holds the image
+/// of `order[d - 1]`.
+struct Tree<'o> {
+    links: Vec<Link>,
+    /// The expansion order: the source mapped at each depth.
+    order: &'o [EventId],
+    /// `|V2|`, for sizing rebuilt mappings.
+    n2: usize,
+}
+
+/// A generated node: its parent's arena index and the target its own
+/// depth's source maps to (8 bytes, against a cloned `Mapping` of two
+/// vectors).
+#[derive(Clone, Copy)]
+struct Link {
+    parent: u32,
+    target: EventId,
+}
+
+impl<'o> Tree<'o> {
+    /// The root (the empty mapping) is arena entry 0; its link is never
+    /// followed.
+    const ROOT: u32 = 0;
+
+    fn new(order: &'o [EventId], n2: usize) -> Self {
+        let root = Link {
+            parent: Self::ROOT,
+            target: EventId(0),
+        };
+        Tree {
+            links: vec![root],
+            order,
+            n2,
+        }
+    }
+
+    /// Adds the child of `parent` that maps its depth's source to
+    /// `target`, returning the child's id.
+    fn push(&mut self, parent: u32, target: EventId) -> u32 {
+        // tidy-allow: no-panic -- every link is a charged (or grace-finished) child; 2^32 of them would take 34 GB of arena alone
+        let id = u32::try_from(self.links.len()).expect("A* node ids fit in u32");
+        self.links.push(Link { parent, target });
+        id
+    }
+
+    /// The partial mapping of node `id`, which sits at `depth`.
+    fn mapping_of(&self, mut id: u32, depth: u32) -> Mapping {
+        let mut m = Mapping::empty(self.order.len(), self.n2);
+        for &a in self.order[..depth as usize].iter().rev() {
+            let link = self.links[id as usize];
+            m.insert(a, link.target);
+            id = link.parent;
+        }
+        m
+    }
+}
+
+/// A frontier entry ordered by `f = g + h` (max-heap), ties broken toward
+/// the earliest-created entry for determinism. The node's mapping lives in
+/// the [`Tree`], under `id`.
 struct Node {
     f: f64,
     seq: u64,
     depth: u32,
     g: f64,
-    mapping: Mapping,
+    id: u32,
 }
 
 impl PartialEq for Node {
@@ -743,6 +807,30 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn a_frontier_node_is_an_8_byte_link_and_a_32_byte_heap_entry() {
+        assert_eq!(size_of::<Link>(), 8);
+        assert_eq!(size_of::<Node>(), 32);
+    }
+
+    #[test]
+    fn rebuilt_mappings_follow_the_parent_links() {
+        let order = [ev(2), ev(0), ev(1)];
+        let mut tree = Tree::new(&order, 4);
+        let a = tree.push(Tree::ROOT, ev(3));
+        let b = tree.push(a, ev(1));
+        let c = tree.push(b, ev(0));
+        assert_eq!(tree.mapping_of(Tree::ROOT, 0), Mapping::empty(3, 4));
+        assert_eq!(
+            tree.mapping_of(b, 2),
+            Mapping::from_pairs(3, 4, [(ev(2), ev(3)), (ev(0), ev(1))])
+        );
+        assert_eq!(
+            tree.mapping_of(c, 3),
+            Mapping::from_pairs(3, 4, [(ev(2), ev(3)), (ev(0), ev(1)), (ev(1), ev(0))])
+        );
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! reproduce the dataset-characteristics and random-log tables. The
 //! `repro_*` binaries in `evematch-bench` print and save these.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::io;
 use std::panic::AssertUnwindSafe;
@@ -287,12 +288,17 @@ pub fn run_grid(
         cfg.faults.note_integrity(kind);
     }
     let done = load.done;
-    let jobs: Vec<(usize, u64)> = xs
+    let mut jobs: Vec<(usize, u64)> = xs
         .iter()
         .enumerate()
         .flat_map(|(xi, _)| cfg.seeds.iter().map(move |&s| (xi, s)))
         .filter(|key| !done.contains_key(key))
         .collect();
+    // Longest jobs first: a cell's cost grows with its x (events or
+    // traces), so claiming in descending x leaves the short jobs to fill
+    // the workers' tails. Records fold in `(x, seed)` key order below, so
+    // the claim order never reaches an output.
+    jobs.sort_by_key(|&(xi, _)| Reverse(xs[xi]));
     if let Some(path) = &journal {
         match load.rebuild {
             Some(reason) => {

@@ -301,10 +301,8 @@ fn exhausted_snapshot_names_the_processed_cap() {
     );
 }
 
-/// A context whose single composite evaluation takes far longer than a
-/// millisecond-scale deadline: `n` traces, each matching the AND-heavy
-/// pattern, so a fueled scan is guaranteed to observe the deadline from
-/// inside (poll interval 1 is set by the callers).
+/// `n` traces, each matching the AND-heavy composite, so its support scan
+/// visits every trace.
 fn and_heavy_ctx(n: usize) -> MatchContext {
     let names = ["a", "b", "c", "d", "e", "f"];
     let mut b1 = LogBuilder::new();
@@ -324,34 +322,68 @@ fn and_heavy_ctx(n: usize) -> MatchContext {
     .unwrap()
 }
 
+/// The deadline of the two mid-evaluation tests below.
+const MID_EVAL_DEADLINE: Duration = Duration::from_millis(2);
+
+/// An [`and_heavy_ctx`] whose composite evaluation under the identity
+/// takes at least four times `deadline` unbudgeted (the fastest of three
+/// timings), with the composite's index and the identity mapping. The
+/// trace count follows from the measured scan rather than from a guess at
+/// the host's speed, so a fueled scan (poll interval 1, set by the
+/// callers) observes the deadline from inside on any host.
+fn outlasting_ctx(deadline: Duration) -> (MatchContext, usize, Mapping) {
+    use evematch::core::Evaluator;
+    let mut n = 20_000usize;
+    for _ in 0..6 {
+        let ctx = and_heavy_ctx(n);
+        let composite = ctx
+            .patterns()
+            .iter()
+            .position(|ep| ep.size() > 2)
+            .expect("the declared composite is in the pattern set");
+        let identity = Mapping::from_pairs(
+            ctx.n1(),
+            ctx.n2(),
+            (0..ctx.n1() as u32).map(|i| (EventId(i), EventId(i))),
+        );
+        let scan = (0..3)
+            .map(|_| {
+                let mut fresh = Evaluator::new(&ctx);
+                let start = Instant::now();
+                let _ = fresh.d(composite, &identity);
+                start.elapsed()
+            })
+            .min()
+            .unwrap();
+        let want = deadline * 4;
+        if scan >= want {
+            return (ctx, composite, identity);
+        }
+        // Scans are linear in the trace count; overshoot by a quarter.
+        let grow = want.as_secs_f64() / scan.as_secs_f64().max(1e-6) * 1.25;
+        n = (n as f64 * grow).ceil() as usize;
+    }
+    panic!("no instance up to {n} traces scans for 4 x {deadline:?}");
+}
+
 /// A deadline that trips *mid-evaluation* abandons the eval (its fuel poll
 /// says stop) and the snapshot records both the cause and the count of
 /// abandoned evaluations — the ISSUE's fault-injection acceptance.
 #[test]
 fn deadline_tripped_snapshot_counts_interrupted_evals() {
     use evematch::core::{Evaluator, Exhaustion};
-    let ctx = and_heavy_ctx(20_000);
+    let (ctx, composite, identity) = outlasting_ctx(MID_EVAL_DEADLINE);
     let budget = Budget::UNLIMITED
-        .with_deadline(Duration::from_millis(2))
+        .with_deadline(MID_EVAL_DEADLINE)
         .with_poll_interval(1);
     let mut eval = Evaluator::with_budget(&ctx, budget);
-    let identity = Mapping::from_pairs(
-        ctx.n1(),
-        ctx.n2(),
-        (0..ctx.n1() as u32).map(|i| (EventId(i), EventId(i))),
-    );
     // Evaluate the composite first, while the deadline has not yet
     // elapsed — the trip must happen inside the fueled evaluation.
-    let composite = ctx
-        .patterns()
-        .iter()
-        .position(|ep| ep.size() > 2)
-        .expect("the declared composite is in the pattern set");
     let _ = eval.d(composite, &identity);
     assert_eq!(
         eval.meter().exhaustion(),
         Some(Exhaustion::Deadline),
-        "the 2ms deadline must trip inside the 20k-trace evaluation"
+        "the deadline must trip inside an evaluation that takes 4x as long"
     );
     let snap = eval.metrics_snapshot();
     assert_eq!(
@@ -378,14 +410,14 @@ fn deadline_tripped_snapshot_counts_interrupted_evals() {
 }
 
 /// The exact search under a deadline that trips mid-evaluation (inside a
-/// fueled multi-millisecond scan) still returns a complete mapping with a
-/// sound, finite gap certificate, and its snapshot names the deadline
-/// once.
+/// fueled scan that takes four deadlines) still returns a complete mapping
+/// with a sound, finite gap certificate, and its snapshot names the
+/// deadline once.
 #[test]
 fn deadline_exhaustion_mid_evaluation_certifies_the_gap() {
-    let ctx = and_heavy_ctx(20_000);
+    let (ctx, _, _) = outlasting_ctx(MID_EVAL_DEADLINE);
     let budget = Budget::UNLIMITED
-        .with_deadline(Duration::from_millis(5))
+        .with_deadline(MID_EVAL_DEADLINE)
         .with_poll_interval(1);
     let out = ExactMatcher::new(BoundKind::Tight)
         .with_budget(budget)
