@@ -84,7 +84,7 @@ fn bench_assignment(c: &mut Criterion) {
 }
 
 /// Subgraph monomorphism: a pattern graph into a dependency graph
-/// (Proposition 3 / hardness-reduction workload).
+/// (structural-probe / hardness-reduction workload).
 fn bench_monomorphism(c: &mut Criterion) {
     let ds = datasets::real_like_sized(500, 500, 11);
     let dep = ds.pair.log1.dep_graph();

@@ -34,13 +34,12 @@
 //! Every artifact is written atomically (temp file + fsync + rename, see
 //! `evematch_core::persist`) and *verified*: each write also emits a
 //! `.evmi` checksum sidecar (`evematch_core::persist::integrity`), which
-//! `bench verify <dir>` / `evematch verify <dir>` re-check offline.
+//! `evematch verify <dir>` re-checks offline.
 //! Transient write failures retry under the default backoff policy, and
 //! the binaries exit with code 2 when an artifact still cannot be
 //! written.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 use std::fmt::Display;
 use std::io::{self, Write};

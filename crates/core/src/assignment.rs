@@ -116,6 +116,7 @@ pub fn assignment_value(weights: &[Vec<f64>], assignment: &[usize]) -> f64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types)]
 mod tests {
     use super::*;
 

@@ -22,8 +22,9 @@
 //!   happens to be a multiple of the interval.
 //!
 //! This module and `core::telemetry`'s span clock are the only places in
-//! the solver crates allowed to read the wall clock (`cargo xtask tidy`
-//! enforces this via the `no-raw-deadline` lint). The division of labour:
+//! the solver crates allowed to read the wall clock (clippy's
+//! `disallowed_methods`, rule T6, flags any other read; these two carry
+//! `#[expect]` waivers). The division of labour:
 //! this module may *branch* on the clock (that is what a deadline is),
 //! while telemetry spans only ever *record* it.
 //!
@@ -124,7 +125,11 @@ impl Budget {
             let value = var(key)?;
             match value.trim().parse::<u64>() {
                 Ok(n) => Some(n),
-                // tidy-allow: no-panic -- a malformed limit must stop the run, not silently lift the limit; documented under # Panics on from_env
+                #[expect(
+                    clippy::panic,
+                    reason = "a malformed limit must stop the run, not silently lift the limit; \
+                              documented under # Panics on from_env"
+                )]
                 Err(e) => panic!("{key}={value:?} is not an unsigned integer: {e}"),
             }
         };
@@ -144,6 +149,10 @@ impl Budget {
     pub fn meter(&self) -> BudgetMeter {
         BudgetMeter {
             budget: *self,
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the budget module owns the deadline poll every solver shares"
+            )]
             start: Instant::now(),
             processed: Cell::new(0),
             polls: Cell::new(0),

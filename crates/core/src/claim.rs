@@ -58,6 +58,7 @@ impl ClaimCursor {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -12,7 +12,7 @@
 
 use std::cell::RefCell;
 // The memo is only ever point-queried, but BTreeMap keeps the
-// deterministic crates hash-free outright (tidy lint no-hash-iter); keys
+// workspace hash-free outright (rule T2, clippy's `disallowed_types`); keys
 // are at most a handful of event ids, so ordered lookups cost about the
 // same as hashing the slice.
 use std::collections::BTreeMap;
@@ -644,10 +644,14 @@ fn similarity(ctx: &MatchContext, f1: f64, support2: u32) -> f64 {
 /// The image of `e` under the positional `images` of `ep`'s sorted events.
 #[inline]
 fn image_of(ep: &evematch_pattern::EvaluatedPattern, e: EventId, images: &[EventId]) -> EventId {
+    #[expect(
+        clippy::expect_used,
+        reason = "e comes from ep's own pattern, and ep.events is exactly that pattern's sorted \
+                  event list"
+    )]
     let pos = ep
         .events
         .binary_search(&e)
-        // tidy-allow: no-panic -- e comes from ep's own pattern, and ep.events is exactly that pattern's sorted event list
         .expect("event belongs to the pattern");
     images[pos]
 }

@@ -328,8 +328,14 @@ impl ExactMatcher {
         // n1 > 0 guarantees children exist at every level (n1 ≤ n2), so the
         // queue only drains for the trivial empty problem handled above by
         // the root node having depth 0 == n1.
-        // tidy-allow: no-panic -- structurally unreachable per the argument above; returning a fake result would hide real bugs
-        unreachable!("A* queue drained without reaching a complete mapping")
+        #[expect(
+            clippy::unreachable,
+            reason = "structurally unreachable per the argument above; returning a fake result \
+                      would hide real bugs"
+        )]
+        {
+            unreachable!("A* queue drained without reaching a complete mapping")
+        };
     }
 }
 
@@ -513,7 +519,11 @@ impl<'o> Tree<'o> {
     /// Adds the child of `parent` that maps its depth's source to
     /// `target`, returning the child's id.
     fn push(&mut self, parent: u32, target: EventId) -> u32 {
-        // tidy-allow: no-panic -- every link is a charged (or grace-finished) child; 2^32 of them would take 34 GB of arena alone
+        #[expect(
+            clippy::expect_used,
+            reason = "every link is a charged (or grace-finished) child; 2^32 of them would take \
+                      34 GB of arena alone"
+        )]
         let id = u32::try_from(self.links.len()).expect("A* node ids fit in u32");
         self.links.push(Link { parent, target });
         id

@@ -387,7 +387,10 @@ pub fn apply_io(site: &str, action: FaultAction) -> io::Result<()> {
         }
         FaultAction::Fail(class) => Err(injected_error(site, class)),
         FaultAction::Torn => Err(injected_error(site, FaultClass::Corrupt)),
-        // tidy-allow: no-panic -- the whole point of the `panic` action is a deterministic injected crash
+        #[expect(
+            clippy::panic,
+            reason = "the whole point of the `panic` action is a deterministic injected crash"
+        )]
         FaultAction::Panic => panic!("injected panic at fault site {site}"),
     }
 }

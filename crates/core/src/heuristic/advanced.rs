@@ -193,13 +193,21 @@ impl AdvancedHeuristic {
                 }
                 trees.push((root, tree));
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "Proposition 5: a maximal alternating tree under a feasible labeling \
+                          always exposes an augmenting path, so at least one candidate was recorded"
+            )]
             let (_, _, root, endpoint) =
-                // tidy-allow: no-panic -- Proposition 5: a maximal alternating tree under a feasible labeling always exposes an augmenting path, so at least one candidate was recorded
                 best.expect("Proposition 5: every maximal tree has an augmenting path");
+            #[expect(
+                clippy::expect_used,
+                reason = "root was taken from `best`, which is only set while pushing that root's \
+                          tree into `trees`"
+            )]
             let tree = trees
                 .into_iter()
                 .find_map(|(r, t)| (r == root).then_some(t))
-                // tidy-allow: no-panic -- root was taken from `best`, which is only set while pushing that root's tree into `trees`
                 .expect("winning root's tree was built");
             // Adopt the winning tree's labeling and commit its augmentation.
             l1 = tree.l1.clone();
@@ -273,9 +281,13 @@ fn local_refine(eval: &mut Evaluator<'_>, mapping: &mut Mapping, mut score: f64)
         out.dedup();
         out
     };
+    #[expect(
+        clippy::expect_used,
+        reason = "every remove below is paired with an insert before part_score runs again, so m \
+                  stays complete"
+    )]
     let part_score = |eval: &mut Evaluator<'_>, m: &Mapping, ps: &[usize]| -> f64 {
         ps.iter()
-            // tidy-allow: no-panic -- every remove below is paired with an insert before part_score runs again, so m stays complete
             .map(|&p| eval.d(p, m).expect("mapping stays complete"))
             .sum()
     };
@@ -337,8 +349,12 @@ fn local_refine(eval: &mut Evaluator<'_>, mapping: &mut Mapping, mut score: f64)
 /// Removes and returns the image of a source event the local search knows
 /// to be mapped (refinement starts from a complete mapping and re-inserts
 /// after every tentative remove).
+#[expect(
+    clippy::expect_used,
+    reason = "callers in local_refine only remove currently-mapped sources and restore them before \
+              the next query"
+)]
 fn take_image(m: &mut Mapping, a: EventId) -> EventId {
-    // tidy-allow: no-panic -- callers in local_refine only remove currently-mapped sources and restore them before the next query
     m.remove(a).expect("source is mapped")
 }
 

@@ -88,7 +88,11 @@ impl SimpleHeuristic {
                     best = Some((f, child_g, b));
                 }
             }
-            // tidy-allow: no-panic -- n1 ≤ n2 (checked at context construction) leaves an unused target at every greedy step
+            #[expect(
+                clippy::expect_used,
+                reason = "n1 ≤ n2 (checked at context construction) leaves an unused target at \
+                          every greedy step"
+            )]
             let (_, child_g, b) = best.expect("n1 ≤ n2 guarantees an unused target");
             mapping.insert(a, b);
             g = child_g;

@@ -30,8 +30,9 @@
 //! * a maximum-weight [`assignment`] (Kuhn–Munkres) substrate;
 //! * the executable **NP-hardness reduction** of Theorem 1 in [`hardness`].
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod assignment;
 mod baseline;

@@ -27,10 +27,10 @@
 //!   once done, is recorded as an [`iotrace::IoOp`] when the plan is a
 //!   crash-consistency explorer's recording plan.
 //!
-//! The xtask tidy lint `no-raw-artifact-write` (T8) flags raw
-//! `File::create`/`fs::write` of artifacts elsewhere in the workspace and
-//! points here; `no-unverified-artifact-read` (T15) does the same for raw
-//! reads of result artifacts, pointing at [`integrity::read_verified`].
+//! Clippy's `disallowed_methods` (`crates/clippy.toml`, rule T8) flags raw
+//! `File::create`/`fs::write` elsewhere in the workspace and points here;
+//! rule T15 does the same for raw reads, pointing at
+//! [`integrity::read_verified`].
 
 pub mod integrity;
 pub mod iotrace;
@@ -67,7 +67,10 @@ fn fsync_dir_of(faults: &Faults, path: &Path) -> io::Result<()> {
         Some(p) if !p.as_os_str().is_empty() => p,
         _ => Path::new("."),
     };
-    // tidy-allow: no-unverified-artifact-read -- directory handle for fsync, no artifact bytes read
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "directory handle for fsync, no artifact bytes read"
+    )]
     let dir = fs::File::open(parent)?;
     if let Err(e) = dir.sync_all() {
         if e.kind() != io::ErrorKind::Unsupported {
@@ -91,7 +94,10 @@ pub fn atomic_write(faults: &Faults, path: impl AsRef<Path>, bytes: &[u8]) -> io
     let tmp = temp_sibling(path);
     let result = (|| {
         faults.guard("persist.create_temp")?;
-        // tidy-allow: no-raw-artifact-write -- this is the atomic_write implementation itself
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "this is the atomic_write implementation itself"
+        )]
         let mut file = fs::File::create(&tmp)?;
         faults.record(|| IoOp::CreateTemp { path: tmp.clone() });
         faults.guard("persist.write")?;
@@ -191,6 +197,7 @@ pub fn atomic_write_verified(
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

@@ -27,8 +27,8 @@
 //! The [`profile`] phase profiler is, next to `core::budget`, the only
 //! place in the solver crates that reads the wall clock — and unlike the
 //! budget meter it only ever *records* time, it never branches on it, so
-//! determinism of the search itself is unaffected. The `no-raw-deadline`
-//! tidy lint pins both modules down.
+//! determinism of the search itself is unaffected. Clippy's
+//! `disallowed_methods` (rule T6) flags every other clock read.
 //!
 //! # Phase profile
 //!

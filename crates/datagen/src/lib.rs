@@ -20,8 +20,7 @@
 //!   [`datasets::larger_synthetic`] (Figure 11) and
 //!   [`datasets::random_pair`] (Table 4).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub mod datasets;
 mod heterogenize;

@@ -9,8 +9,9 @@
 //! event-count and trace-count sweeps, plain-text/CSV tables, and the
 //! experiment drivers that regenerate each figure and table.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod checkpoint;
 pub mod experiments;

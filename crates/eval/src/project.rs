@@ -42,11 +42,14 @@ pub fn project_dataset(ds: &Dataset, x: usize) -> Dataset {
                 _ => None,
             }),
     );
+    #[expect(
+        clippy::expect_used,
+        reason = "the filter keeps only patterns whose events all remap"
+    )]
     let patterns: Vec<Pattern> = ds
         .patterns
         .iter()
         .filter(|p| p.events().iter().all(|e| remap1[e.index()].is_some()))
-        // tidy-allow: no-panic -- the filter on the previous line keeps only patterns whose events all remap
         .map(|p| p.map_events(&|e| remap1[e.index()].expect("checked above")))
         .collect();
     Dataset {

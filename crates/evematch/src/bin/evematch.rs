@@ -262,7 +262,10 @@ fn load_log(
     ingest: &IngestOptions,
     faults: &fault::Faults,
 ) -> Result<Ingest, String> {
-    // tidy-allow: no-unverified-artifact-read -- user-supplied event log input, not a checksummed artifact of ours
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "user-supplied event log input, not a checksummed artifact of ours"
+    )]
     let file = std::fs::File::open(path).map_err(|e| format!("{path}: {e}"))?;
     // The `ingest.read` failpoint wraps the reader here (rather than
     // inside `eventlog`, which sits below `core` in the crate DAG), so an
@@ -284,7 +287,10 @@ fn load_log(
 }
 
 fn load_patterns(path: &str, log1: &EventLog) -> Result<Vec<Pattern>, String> {
-    // tidy-allow: no-unverified-artifact-read -- user-supplied pattern file input, not a checksummed artifact of ours
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "user-supplied pattern file input, not a checksummed artifact of ours"
+    )]
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let mut out = Vec::new();
     for (i, line) in text.lines().enumerate() {
@@ -346,8 +352,6 @@ fn run(opts: &Options) -> Result<bool, String> {
         eprintln!("declared patterns: {}", patterns.len());
     }
 
-    let names1 = log1.clone();
-    let names2 = log2.clone();
     let builder = match opts.method.as_str() {
         "vertex" => PatternSetBuilder::new().vertices(),
         "vertex-edge" | "iterative" | "entropy" => PatternSetBuilder::new().vertices().edges(),
@@ -421,8 +425,9 @@ fn run(opts: &Options) -> Result<bool, String> {
         // Mark anytime output machine-readably before the mapping pairs.
         println!("# degraded (gap={gap:.6})");
     }
+    let (names1, names2) = (ctx.log1().events(), ctx.log2().events());
     for (a, b) in outcome.mapping.pairs() {
-        println!("{}\t{}", names1.events().name(a), names2.events().name(b));
+        println!("{}\t{}", names1.name(a), names2.name(b));
     }
     profile.merge(&emitter.finish());
 
@@ -485,7 +490,11 @@ impl Heartbeat {
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let seen = stop.clone();
-        // tidy-allow: no-raw-thread-spawn -- stderr heartbeat only; never touches solver state
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "stderr heartbeat only; never touches solver state, and its clock reads only \
+                      pace and label its lines"
+        )]
         let handle = std::thread::spawn(move || {
             let started = std::time::Instant::now();
             let mut polls = 0u64;

@@ -48,8 +48,9 @@
 //! assert!(result.mapping.is_complete());
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 pub use evematch_core as core;
 pub use evematch_datagen as datagen;

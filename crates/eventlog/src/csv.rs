@@ -158,6 +158,10 @@ pub fn read_csv_log_with(
 
     // Each case's trace, in order of the case's first row, as row-time
     // activity ids; the log re-interns the names in trace order below.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only: nothing iterates the map, and trace order is first-row order"
+    )]
     let mut case_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
     let mut traces: Vec<Vec<EventId>> = Vec::new();
     let mut activities = EventSet::new();

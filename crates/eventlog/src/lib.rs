@@ -23,8 +23,9 @@
 //! [`Quarantine`] report, and [`IngestLimits`] resource guards that turn
 //! exhaustion attacks into typed [`LimitExceeded`] errors.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod columnar;
 mod csv;

@@ -95,50 +95,6 @@ impl DiGraph {
             pos: 0,
         }
     }
-
-    /// Returns the subgraph induced by `keep`, together with the map from
-    /// old vertex ids to new (dense) vertex ids.
-    ///
-    /// Vertices not in `keep` are dropped along with their incident edges.
-    pub fn induced_subgraph(&self, keep: &[NodeId]) -> (DiGraph, Vec<Option<NodeId>>) {
-        let mut remap: Vec<Option<NodeId>> = vec![None; self.node_count()];
-        let mut sorted = keep.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for (new_id, &old) in sorted.iter().enumerate() {
-            remap[old as usize] = Some(new_id as NodeId);
-        }
-        let mut b = DiGraphBuilder::new(sorted.len());
-        for &u in &sorted {
-            // Every u in `sorted` was remapped in the loop above; hoisting
-            // the lookup keeps the inner loop panic-free and cheaper.
-            let Some(nu) = remap[u as usize] else {
-                continue;
-            };
-            for &v in self.successors(u) {
-                if let Some(nv) = remap[v as usize] {
-                    b.add_edge(nu, nv);
-                }
-            }
-        }
-        (b.build(), remap)
-    }
-
-    /// Returns the graph with every edge reversed.
-    pub fn reversed(&self) -> DiGraph {
-        DiGraph {
-            out: self.inc.clone(),
-            inc: self.out.clone(),
-            edge_count: self.edge_count,
-        }
-    }
-
-    /// Whether every edge of `self` is also an edge of `other` under the
-    /// identity vertex map. Panics if `other` has fewer vertices.
-    pub fn is_edge_subset_of(&self, other: &DiGraph) -> bool {
-        assert!(other.node_count() >= self.node_count());
-        self.edges().all(|(u, v)| other.has_edge(u, v))
-    }
 }
 
 impl fmt::Debug for DiGraph {
@@ -276,48 +232,6 @@ mod tests {
         let g = DiGraph::from_edges(0, [(1, 0), (0, 2), (0, 1), (2, 0)]);
         let edges: Vec<_> = g.edges().collect();
         assert_eq!(edges, vec![(0, 1), (0, 2), (1, 0), (2, 0)]);
-    }
-
-    #[test]
-    fn induced_subgraph_remaps_vertices() {
-        // 0 -> 1 -> 2 -> 3, plus 0 -> 3.
-        let g = DiGraph::from_edges(0, [(0, 1), (1, 2), (2, 3), (0, 3)]);
-        let (sub, remap) = g.induced_subgraph(&[0, 2, 3]);
-        assert_eq!(sub.node_count(), 3);
-        // Kept edges: 2 -> 3 and 0 -> 3; the 0-1-2 chain is broken.
-        assert_eq!(sub.edge_count(), 2);
-        let n0 = remap[0].unwrap();
-        let n2 = remap[2].unwrap();
-        let n3 = remap[3].unwrap();
-        assert!(sub.has_edge(n2, n3));
-        assert!(sub.has_edge(n0, n3));
-        assert!(remap[1].is_none());
-    }
-
-    #[test]
-    fn induced_subgraph_tolerates_duplicate_keep_entries() {
-        let g = DiGraph::from_edges(0, [(0, 1)]);
-        let (sub, _) = g.induced_subgraph(&[0, 1, 1, 0]);
-        assert_eq!(sub.node_count(), 2);
-        assert_eq!(sub.edge_count(), 1);
-    }
-
-    #[test]
-    fn reversed_swaps_edge_direction() {
-        let g = DiGraph::from_edges(0, [(0, 1), (1, 2)]);
-        let r = g.reversed();
-        assert!(r.has_edge(1, 0));
-        assert!(r.has_edge(2, 1));
-        assert!(!r.has_edge(0, 1));
-        assert_eq!(r.edge_count(), 2);
-    }
-
-    #[test]
-    fn edge_subset_check() {
-        let small = DiGraph::from_edges(3, [(0, 1)]);
-        let big = DiGraph::from_edges(3, [(0, 1), (1, 2)]);
-        assert!(small.is_edge_subset_of(&big));
-        assert!(!big.is_edge_subset_of(&small));
     }
 
     #[test]

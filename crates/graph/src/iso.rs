@@ -3,12 +3,14 @@
 //! A *monomorphism* from a pattern graph `P` to a target graph `G` is an
 //! injective vertex map `m` such that every edge `(u, v)` of `P` maps to an
 //! edge `(m(u), m(v))` of `G` (extra edges in `G` are allowed). This is the
-//! "subgraph isomorphism" notion used by the paper:
-//!
-//! * Proposition 3 prunes a pattern `p` when its graph form does not embed
-//!   into the event dependency graph;
-//! * Theorem 1 reduces subgraph isomorphism to optimal event matching with
-//!   edge patterns, which our executable reduction tests both ways.
+//! "subgraph isomorphism" notion used by the paper's Theorem 1, which
+//! reduces subgraph isomorphism to optimal event matching with edge
+//! patterns; the executable reduction in `evematch-core` checks it both
+//! ways. The search also serves the evaluator's structural probe (the
+//! `iso.*` counters) and pattern discovery's twin filter. Proposition 3's
+//! existence pruning does not use it: that is the edge-group caps inside
+//! the bound `h` and `pattern::is_realizable_with_fuel`, which check the
+//! one mapped pattern rather than search for an embedding.
 //!
 //! The search is a VF2-style backtracking over pattern vertices ordered by
 //! descending degree (most-constrained first), with forward/backward

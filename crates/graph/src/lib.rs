@@ -11,25 +11,26 @@
 //!   NP-hardness reduction (Theorem 1), in `evematch-core`.
 //!
 //! This crate provides the shared structure: a compact adjacency-list
-//! [`DiGraph`], a backtracking subgraph-monomorphism search
-//! ([`find_monomorphism`], [`is_subgraph_monomorphic`]) used by the
-//! pattern-existence pruning (Proposition 3) and by the hardness reduction,
-//! and small path/ordering utilities.
+//! [`DiGraph`] and a backtracking subgraph-monomorphism search
+//! ([`MonoSearch`], [`find_monomorphism`], [`is_subgraph_monomorphic`])
+//! used by the evaluator's structural probe, pattern discovery's twin
+//! filter and the hardness reduction. Proposition 3's existence pruning
+//! does not search embeddings: it is the edge-group caps inside the bound
+//! `h` and `pattern::is_realizable_with_fuel` in `evematch-core`.
 //!
 //! Vertices are dense `u32` indices (see [`NodeId`]); callers keep their own
 //! mapping from domain objects (events) to indices. All iteration orders are
 //! deterministic so that search results are reproducible run to run.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod digraph;
 mod iso;
-mod paths;
 
 pub use digraph::{DiGraph, DiGraphBuilder, EdgeIter, NodeId};
 pub use iso::{
     enumerate_monomorphisms, find_monomorphism, is_subgraph_monomorphic, Interrupted, IsoStats,
     MonoSearch,
 };
-pub use paths::{has_hamiltonian_path, topological_order};

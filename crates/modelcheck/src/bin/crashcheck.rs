@@ -18,8 +18,6 @@
 //! seeded bug; 1 = any failure (evidence sandboxes are kept and their
 //! paths printed).
 
-#![forbid(unsafe_code)]
-
 use std::process::ExitCode;
 
 use evematch_modelcheck::crashcheck::{buggy_recovery_self_test, explore, CrashConfig};

@@ -224,9 +224,15 @@ fn rebase(path: &Path, src_root: &Path, dst_root: &Path) -> PathBuf {
 /// after the crash point.
 fn apply(op: &IoOp, src_root: &Path, dst_root: &Path, torn: bool) -> io::Result<()> {
     match op {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "replaying a recorded op into a crash sandbox: the raw, tearable write is the \
+                      state under test"
+        )]
         IoOp::CreateTemp { path } => fs::write(rebase(path, src_root, dst_root), b"")?,
         IoOp::WriteFile { path, bytes } => {
             let n = if torn { bytes.len() / 2 } else { bytes.len() };
+            #[expect(clippy::disallowed_methods, reason = "see `CreateTemp` above")]
             fs::write(rebase(path, src_root, dst_root), &bytes[..n])?;
         }
         IoOp::Rename { from, to } => {
@@ -434,6 +440,10 @@ pub fn buggy_recovery_self_test(traces: usize) -> io::Result<SelfTestOutcome> {
     let reference = run_once(&ref_root, traces, &faults)?;
 
     let journal_rel = Path::new("ckpt").join("CrashT.journal");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the raw journal bytes are the input the damage test corrupts"
+    )]
     let pristine = fs::read_to_string(ref_root.join(&journal_rel))?;
     let stale = flip_proc_digit(&pristine).ok_or_else(|| {
         io::Error::new(
@@ -447,6 +457,10 @@ pub fn buggy_recovery_self_test(traces: usize) -> io::Result<SelfTestOutcome> {
     for (name, journal) in [("stale", &stale), ("forged", &forged)] {
         let root = work.join(name);
         copy_tree(&ref_root, &root)?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "plants the damaged journal that recovery must reject"
+        )]
         fs::write(root.join(&journal_rel), journal)?;
         panels.push(run_once(&root, traces, &faults)?);
     }

@@ -12,7 +12,4 @@
 //! cargo run --release -p evematch-modelcheck --bin crashcheck
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub mod crashcheck;

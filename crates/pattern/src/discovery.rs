@@ -18,8 +18,8 @@
 //!    patterns first.
 
 // BTreeMap (not HashMap) everywhere here: candidate generation iterates
-// the window map, and tidy's no-hash-iter lint keeps hash order out of
-// the deterministic crates.
+// the window map, and clippy's `disallowed_types` (rule T2) keeps hash
+// order out of the workspace.
 use std::collections::{BTreeMap, BTreeSet};
 
 use evematch_eventlog::{EventId, EventLog};

@@ -36,10 +36,14 @@ impl PatternGraph {
     pub fn of(p: &Pattern) -> Self {
         let events = p.events();
         let mut builder = DiGraphBuilder::new(events.len());
+        #[expect(
+            clippy::expect_used,
+            reason = "`events` is p.events(), the sorted list of exactly the events this closure \
+                      is called with"
+        )]
         let local = |e: EventId| -> NodeId {
             events
                 .binary_search(&e)
-                // tidy-allow: no-panic -- `events` is p.events(), the sorted list of exactly the events this closure is called with
                 .expect("pattern event present in its own event list") as NodeId
         };
         let mut add = |a: EventId, b: EventId| builder.add_edge(local(a), local(b));

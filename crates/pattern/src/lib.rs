@@ -35,8 +35,9 @@
 //!   ([`discover_patterns`]) implementing the paper's Section-2.2
 //!   guidelines for picking discriminative patterns.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod ast;
 mod compiled;

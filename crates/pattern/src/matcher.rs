@@ -249,7 +249,10 @@ fn realize_seq(
     edge_ok: &dyn Fn(EventId, EventId) -> bool,
     k: &mut dyn FnMut(EventId) -> bool,
 ) -> bool {
-    // tidy-allow: no-panic -- SEQ operators carry ≥ 2 children by the ast.rs smart-constructor invariant
+    #[expect(
+        clippy::expect_used,
+        reason = "SEQ operators carry ≥ 2 children by the ast.rs smart-constructor invariant"
+    )]
     let (first, rest) = ps.split_first().expect("operators are non-empty");
     if rest.is_empty() {
         realize(first, prev, edge_ok, k)

@@ -1,17 +1,18 @@
 //! `cargo xtask` — workspace maintenance tasks.
 //!
 //! Two tasks today: `tidy`, the custom static-analysis pass (modeled on
-//! rust-lang/rust's `tidy`) that enforces the determinism and
-//! panic-freedom invariants the reproduction's results depend on, and
-//! `perf`, the perf-trajectory history and regression gate over the
-//! bench binaries' deterministic work counters. See `DESIGN.md` §6 and
-//! §13 and the README's "Tidy" section for the lint catalogue and the
-//! waiver syntax.
+//! rust-lang/rust's `tidy`) for the determinism and concurrency rules
+//! that no clippy lint expresses (float equality, memory-ordering
+//! justifications, lock discipline, classified I/O errors, the inherited
+//! lint table), and `perf`, the perf-trajectory history and regression
+//! gate over the bench binaries' deterministic work counters. The other
+//! rules (panic-freedom, hash iteration, clock reads, raw artifact I/O,
+//! raw threads, printing, crate attributes) are clippy's: see
+//! `crates/clippy.toml`. See `DESIGN.md` §6 and §13 and the README's
+//! "Static analysis" section for the rule catalogue and the waiver syntax.
 //!
 //! Zero dependencies by design: the build containers are offline, and a
 //! lint pass must never be the thing that fails to build.
-
-#![forbid(unsafe_code)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -62,45 +63,23 @@ USAGE:
                             vs its baseline; wall-clock deltas are advisory
     cargo xtask perf --help full perf usage
 
-LINTS (see DESIGN.md §6):
-    no-panic       T1  no unwrap()/expect()/panic!/unreachable!/todo!/unimplemented!
-                       in non-test code of the library crates
-    no-hash-iter   T2  no HashMap/HashSet in the deterministic crates (core, pattern)
+LINTS (see DESIGN.md §6; clippy enforces T1, T2, T4, T6-T9 and T15 through
+crates/clippy.toml, the workspace [lints] table and the library roots'
+#![warn(...)] lines):
     no-float-eq    T3  no raw f64 ==/!= or partial_cmp outside core::score::float_ord
-    crate-attrs    T4  crate roots carry #![forbid(unsafe_code)] and #![deny(missing_docs)]
     lints-table    T5  every crate manifest inherits [workspace.lints]
-    no-raw-deadline T6 no Instant::now/SystemTime::now in the solver crates
-                       (core, graph, pattern) outside core::budget and
-                       core::telemetry::profile (recording-only clock)
-    no-println     T7  no println!/eprintln!/print!/eprint! in library crates
-                       (xtask, src/bin/ and test code exempt): take a Write
-                       sink from the caller or record telemetry instead
-    no-raw-artifact-write T8 no File::create/fs::write in the artifact-producing
-                       crates (bench, core, eval, evematch) INCLUDING src/bin/:
-                       route result writes through core::persist::atomic_write
-                       so a crash never leaves a torn file under the final name
-    no-raw-thread-spawn T9 no thread::spawn/thread::scope/thread::Builder outside
-                       eval::experiments (INCLUDING src/bin/): stray threads
-                       bypass the grid's job-ordered merge and the
-                       cooperative budget
-    ordering-justified T10 every atomic Ordering:: argument carries an
-                       `// ordering:` justification comment on the same line or
-                       within the 10 lines above (memory-ordering contracts:
-                       DESIGN.md §11)
+    ordering-justified T10 every atomic Ordering:: argument in runtime source
+                       (src/, including src/bin/) carries an `// ordering:`
+                       justification comment on the same line or within the
+                       10 lines above (memory-ordering contracts: DESIGN.md §11)
     lock-discipline    T11 no nested guard acquisition, no two acquisitions in
                        one expression, no user-supplied closure called while a
-                       guard is held
+                       guard is held (runtime source)
     no-unclassified-io T13 no silently swallowed I/O results (.ok(), let _ =,
                        unwrap_or…) in bench/core/eval/evematch runtime code:
                        route errors through core::fault::classify_io or
                        core::retry::retry_io so transient/permanent/corrupt
                        failures keep their class (best-effort sites waive)
-    no-unverified-artifact-read T15 no raw File::open/fs::read/fs::read_to_string
-                       in the artifact-consuming crates (bench, core, eval,
-                       evematch) INCLUDING src/bin/: read result/journal
-                       artifacts through core::persist::integrity::read_verified
-                       or the framed journal loader so checksums and format
-                       versions are checked (input logs/patterns waive)
     unused-waiver      a tidy-allow waiver lint name that suppressed nothing
                        (tracked per name, so stale names inside multi-lint
                        waivers are caught too)
@@ -108,7 +87,9 @@ LINTS (see DESIGN.md §6):
 
 WAIVERS:
     <code>  // tidy-allow: <lint>[, <lint>…] -- <justification>
-    A waiver on its own line applies to the next code line.
+    A waiver on its own line applies to the next code line. The clippy rules
+    waive with #[expect(clippy::<lint>, reason = \"<justification>\")] on the
+    statement; an expectation that matches nothing fails clippy.
 ";
 
 /// Output shape for `tidy`.
@@ -246,14 +227,14 @@ mod tests {
         let violations = vec![Violation {
             path: "crates/core/src/x.rs".to_string(),
             line: 3,
-            lint: Lint::NoPanic,
-            message: "uses `panic!(\"boom\")`\nbadly".to_string(),
+            lint: Lint::NoFloatEq,
+            message: "uses `x == 0.5` on \"floats\"\nbadly".to_string(),
         }];
         let doc = render_json(&violations);
         assert_eq!(
             doc,
             "{\"findings\":[{\"path\":\"crates/core/src/x.rs\",\"line\":3,\
-             \"lint\":\"no-panic\",\"message\":\"uses `panic!(\\\"boom\\\")`\\nbadly\"}],\
+             \"lint\":\"no-float-eq\",\"message\":\"uses `x == 0.5` on \\\"floats\\\"\\nbadly\"}],\
              \"count\":1}"
         );
         assert_eq!(render_json(&[]), "{\"findings\":[],\"count\":0}");

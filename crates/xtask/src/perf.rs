@@ -395,6 +395,11 @@ pub fn find_baseline<'h>(history: &'h [Entry], current: &Entry) -> Option<&'h En
 // ---- input normalization ----
 
 fn load_entry(path: &Path) -> Result<Entry, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "xtask links no workspace crate, so it cannot call the verified reader; a damaged \
+                  artifact fails the JSON parse below"
+    )]
     let text =
         fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     let doc =
@@ -427,6 +432,11 @@ pub struct History {
 /// Malformed records *at a supported schema* are still hard errors —
 /// that is corruption, not skew.
 pub fn read_history(path: &Path) -> Result<History, String> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the history is a committed text file, not a checksummed artifact; every record \
+                  is validated below"
+    )]
     let text = match fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(History::default()),
@@ -521,6 +531,10 @@ fn git_sha() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "stamps a history record with its wall-clock date; no search runs here"
+)]
 fn unix_now() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -528,6 +542,7 @@ fn unix_now() -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
 

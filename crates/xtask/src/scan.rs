@@ -474,17 +474,18 @@ mod tests {
 
     #[test]
     fn waivers_parse_and_target_the_right_line() {
-        let src = "// tidy-allow: no-panic -- startup cannot proceed\nlet x = y.unwrap();\nlet z = w.unwrap(); // tidy-allow: no-panic -- checked above";
+        let src = "// tidy-allow: no-float-eq -- exact half\nlet x = y == 0.5;\nlet z = w == 0.5; // tidy-allow: no-float-eq -- exact half";
         let f = ScannedFile::parse("x.rs", src);
         assert_eq!(f.waivers.len(), 2);
         assert_eq!(f.waivers[0].target_line, 2);
         assert_eq!(f.waivers[1].target_line, 3);
-        assert_eq!(f.waivers[0].lints, vec!["no-panic"]);
+        assert_eq!(f.waivers[0].lints, vec!["no-float-eq"]);
     }
 
     #[test]
     fn malformed_waivers_are_reported() {
-        let src = "// tidy-allow: no-panic\nlet x = y.unwrap();\n// tidy-allow: no-panic -- \nz();";
+        let src =
+            "// tidy-allow: no-float-eq\nlet x = y == 0.5;\n// tidy-allow: no-float-eq -- \nz();";
         let f = ScannedFile::parse("x.rs", src);
         assert_eq!(f.waivers.len(), 0);
         assert_eq!(f.waiver_errors.len(), 2);

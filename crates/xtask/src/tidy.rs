@@ -5,15 +5,49 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::lints::{
-    apply_waivers, check_crate_attrs, check_lints_table, check_lock_discipline, check_no_float_eq,
-    check_no_hash_iter, check_no_panic, check_no_println, check_no_raw_artifact_write,
-    check_no_raw_deadline, check_no_raw_thread_spawn, check_no_unclassified_io,
-    check_no_unverified_artifact_read, check_ordering_justified, is_library_source,
-    is_runtime_source, Violation, ARTIFACT_WRITE_CRATES, DETERMINISTIC_CRATES, FLOAT_ORD_CRATES,
-    IO_CLASSIFIED_CRATES, PANIC_FREE_CRATES, PRINT_FREE_CRATES, RAW_DEADLINE_CRATES,
-    THREAD_MODULES, VERIFIED_READ_CRATES,
+    apply_waivers, check_lints_table, check_lock_discipline, check_no_float_eq,
+    check_no_unclassified_io, check_ordering_justified, is_library_source, is_runtime_source,
+    Violation, FLOAT_ORD_CRATES, IO_CLASSIFIED_CRATES,
 };
 use crate::scan::ScannedFile;
+
+/// The paths `crates/clippy.toml` must disallow: T2 (hash containers),
+/// T6 (clock reads), T8 (raw artifact writes), T9 (raw threads) and T15
+/// (unverified artifact reads).
+const CLIPPY_DISALLOWED: &[&str] = &[
+    "std::collections::HashMap",
+    "std::collections::HashSet",
+    "std::time::Instant::now",
+    "std::time::SystemTime::now",
+    "std::fs::File::create",
+    "std::fs::write",
+    "std::thread::spawn",
+    "std::thread::scope",
+    "std::thread::Builder",
+    "std::fs::File::open",
+    "std::fs::read",
+    "std::fs::read_to_string",
+];
+
+/// Library crates whose non-test code must be panic-free (T1), and the
+/// clippy lints their `src/lib.rs` must switch on for it.
+const PANIC_FREE_CRATES: &[&str] = &["core", "eval", "evematch", "eventlog", "graph", "pattern"];
+const PANIC_LINTS: &[&str] = &[
+    "clippy::unwrap_used",
+    "clippy::expect_used",
+    "clippy::panic",
+    "clippy::unreachable",
+    "clippy::todo",
+    "clippy::unimplemented",
+];
+
+/// Library crates that must stay silent on stdout/stderr (T7), and the
+/// clippy lints their `src/lib.rs` must switch on for it. `xtask` and the
+/// binaries are exempt: printing is their job.
+const PRINT_FREE_CRATES: &[&str] = &[
+    "bench", "core", "datagen", "eval", "evematch", "eventlog", "graph", "pattern",
+];
+const PRINT_LINTS: &[&str] = &["clippy::print_stdout", "clippy::print_stderr"];
 
 /// Runs every tidy lint over the workspace rooted at `root`.
 ///
@@ -25,38 +59,18 @@ pub fn run(root: &Path) -> Result<Vec<Violation>, String> {
     for crate_dir in member_crate_dirs(root)? {
         let crate_name = dir_name(&crate_dir);
         check_manifest(root, &crate_dir, &mut violations)?;
-        check_roots(root, &crate_dir, &mut violations)?;
         for source_path in rust_sources(&crate_dir.join("src"))? {
             let rel = relative_to(root, &source_path);
             let content = read_utf8(&source_path)?;
             let scanned = ScannedFile::parse(&rel, &content);
             let mut file_violations = Vec::new();
-            if PANIC_FREE_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
-                file_violations.extend(check_no_panic(&scanned));
-            }
-            if DETERMINISTIC_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
-                file_violations.extend(check_no_hash_iter(&scanned));
-            }
             if FLOAT_ORD_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
                 file_violations.extend(check_no_float_eq(&scanned));
-            }
-            if RAW_DEADLINE_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
-                file_violations.extend(check_no_raw_deadline(&scanned));
-            }
-            if PRINT_FREE_CRATES.contains(&crate_name.as_str()) && is_library_source(&rel) {
-                file_violations.extend(check_no_println(&scanned));
-            }
-            if ARTIFACT_WRITE_CRATES.contains(&crate_name.as_str()) && is_runtime_source(&rel) {
-                file_violations.extend(check_no_raw_artifact_write(&scanned));
             }
             if IO_CLASSIFIED_CRATES.contains(&crate_name.as_str()) && is_runtime_source(&rel) {
                 file_violations.extend(check_no_unclassified_io(&scanned));
             }
-            if VERIFIED_READ_CRATES.contains(&crate_name.as_str()) && is_runtime_source(&rel) {
-                file_violations.extend(check_no_unverified_artifact_read(&scanned));
-            }
             if is_runtime_source(&rel) {
-                file_violations.extend(check_no_raw_thread_spawn(&scanned));
                 file_violations.extend(check_ordering_justified(&scanned));
                 file_violations.extend(check_lock_discipline(&scanned));
             }
@@ -77,24 +91,6 @@ fn check_manifest(
     let rel = relative_to(root, &manifest_path);
     let manifest = read_utf8(&manifest_path)?;
     violations.extend(check_lints_table(&rel, &manifest));
-    Ok(())
-}
-
-/// T4 over the crate's root source files.
-fn check_roots(
-    root: &Path,
-    crate_dir: &Path,
-    violations: &mut Vec<Violation>,
-) -> Result<(), String> {
-    for (file, is_lib) in [("lib.rs", true), ("main.rs", false)] {
-        let path = crate_dir.join("src").join(file);
-        if !path.is_file() {
-            continue;
-        }
-        let rel = relative_to(root, &path);
-        let scanned = ScannedFile::parse(&rel, &read_utf8(&path)?);
-        violations.extend(check_crate_attrs(&scanned, is_lib));
-    }
     Ok(())
 }
 
@@ -139,6 +135,10 @@ fn rust_sources(dir: &Path) -> Result<Vec<PathBuf>, String> {
     Ok(out)
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "reads workspace source and manifests, not result artifacts"
+)]
 fn read_utf8(path: &Path) -> Result<String, String> {
     fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))
 }
@@ -153,23 +153,17 @@ fn relative_to(root: &Path, path: &Path) -> String {
         .join("/")
 }
 
-/// Sanity check used by `main`: the scopes named in the lint tables must
-/// exist on disk, so a crate rename cannot silently drop it from tidy.
+/// Sanity check used by `main` and tier-1: the crates named in the lint
+/// tables must exist on disk, so a crate rename cannot silently drop it
+/// from tidy; and the clippy half of the rules must still be configured:
+/// `crates/clippy.toml` disallows every path in [`CLIPPY_DISALLOWED`], and
+/// each panic-free and print-free library root warns on its lints.
 pub fn verify_scopes(root: &Path) -> Result<(), String> {
     let present: Vec<String> = member_crate_dirs(root)?
         .iter()
         .map(|d| dir_name(d))
         .collect();
-    for scoped in PANIC_FREE_CRATES
-        .iter()
-        .chain(DETERMINISTIC_CRATES)
-        .chain(FLOAT_ORD_CRATES)
-        .chain(RAW_DEADLINE_CRATES)
-        .chain(PRINT_FREE_CRATES)
-        .chain(ARTIFACT_WRITE_CRATES)
-        .chain(IO_CLASSIFIED_CRATES)
-        .chain(VERIFIED_READ_CRATES)
-    {
+    for scoped in FLOAT_ORD_CRATES.iter().chain(IO_CLASSIFIED_CRATES) {
         if !present.iter().any(|p| p == scoped) {
             return Err(format!(
                 "tidy scope names crate `{scoped}` but crates/{scoped} does not exist; \
@@ -177,15 +171,53 @@ pub fn verify_scopes(root: &Path) -> Result<(), String> {
             ));
         }
     }
-    for module in THREAD_MODULES {
-        if !root.join(module).is_file() {
+    let clippy_toml = read_utf8(&root.join("crates/clippy.toml"))?;
+    let disallowed = disallowed_paths(&clippy_toml);
+    for path in CLIPPY_DISALLOWED {
+        if !disallowed.contains(path) {
             return Err(format!(
-                "tidy exempts `{module}` from no-raw-thread-spawn but the file does not \
-                 exist; update THREAD_MODULES in crates/xtask/src/lints.rs"
+                "crates/clippy.toml no longer disallows `{path}`; restore its entry"
             ));
         }
     }
+    for (crates, lints) in [
+        (PANIC_FREE_CRATES, PANIC_LINTS),
+        (PRINT_FREE_CRATES, PRINT_LINTS),
+    ] {
+        for name in crates {
+            let rel = format!("crates/{name}/src/lib.rs");
+            let warned = warned_lints(&ScannedFile::parse(&rel, &read_utf8(&root.join(&rel))?));
+            if let Some(lint) = lints.iter().find(|l| !warned.iter().any(|w| w == *l)) {
+                return Err(format!("{rel} must carry `#![warn({lint})]`"));
+            }
+        }
+    }
     Ok(())
+}
+
+/// The `path = "…"` entries of a clippy.toml, comment lines skipped.
+fn disallowed_paths(toml: &str) -> Vec<&str> {
+    toml.lines()
+        .filter(|l| !l.trim_start().starts_with('#'))
+        .flat_map(|l| l.split("path = \"").skip(1))
+        .filter_map(|entry| entry.split('"').next())
+        .collect()
+}
+
+/// The lint names listed in a file's `#![warn(…)]` inner attributes.
+fn warned_lints(file: &ScannedFile) -> Vec<String> {
+    let code: String = file
+        .lines
+        .iter()
+        .flat_map(|l| l.code.chars())
+        .filter(|c| !c.is_whitespace())
+        .collect();
+    code.split("#![warn(")
+        .skip(1)
+        .filter_map(|attr| attr.split(")]").next())
+        .flat_map(|list| list.split(','))
+        .map(str::to_string)
+        .collect()
 }
 
 fn dir_name(dir: &Path) -> String {
@@ -201,7 +233,7 @@ mod tests {
     #[test]
     fn tidy_scopes_match_the_real_workspace() {
         let root = crate::workspace_root();
-        verify_scopes(&root).expect("scope tables in sync with crates/");
+        verify_scopes(&root).expect("scope tables and clippy configuration in sync with crates/");
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! End-to-end tests of the `evematch` command-line binary.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::io::Write;
 use std::process::Command;
 
@@ -642,6 +644,29 @@ fn transient_artifact_faults_recover_to_verified_artifacts() {
         String::from_utf8_lossy(&verify.stdout)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `verify` without a directory, or with one that does not exist, is a
+/// usage/io error (exit 1), distinct from clean (0) and corrupt (2).
+#[test]
+fn verify_without_a_readable_dir_exits_one() {
+    let missing = std::env::temp_dir().join(format!("evematch-cli-absent-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&missing);
+    for out in [
+        bin().arg("verify").output().expect("binary runs"),
+        bin()
+            .arg("verify")
+            .arg(&missing)
+            .output()
+            .expect("binary runs"),
+    ] {
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "stderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
 }
 
 /// A misspelled failpoint site is a usage error, not a fault-free run.

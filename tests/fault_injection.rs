@@ -6,6 +6,8 @@
 //! adversarial tie-heavy pattern sets, zero and near-zero budgets, tight
 //! wall-clock deadlines, and malformed input files fed to the CLI.
 
+#![allow(clippy::disallowed_methods)]
+
 use std::time::{Duration, Instant};
 
 use evematch::graph::{DiGraph, Interrupted, MonoSearch, NodeId};

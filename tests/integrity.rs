@@ -9,6 +9,8 @@
 //! The `evematch verify` subcommand is exercised end-to-end as the
 //! offline face of the same checks (exit 0 clean / 2 corruption).
 
+#![allow(clippy::disallowed_methods)]
+
 use std::path::PathBuf;
 use std::process::Command;
 
