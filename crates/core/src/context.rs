@@ -1,9 +1,10 @@
 //! Problem setup: the matching context and pattern-set construction.
 
+use std::cell::OnceCell;
 use std::fmt;
 
 use evematch_eventlog::{DepGraph, EventLog, TraceIndex};
-use evematch_pattern::{EvaluatedPattern, Pattern, PatternIndex};
+use evematch_pattern::{EvaluatedPattern, Pattern, PatternIndex, PatternShape};
 
 use crate::bounds::BoundTables;
 
@@ -111,10 +112,10 @@ impl PatternSetBuilder {
 }
 
 /// Everything a matching run needs, computed once: both logs, their
-/// dependency graphs (Definition 1), their inverted trace indices `I_t`
-/// (Section 3.2.3), the evaluated pattern set (frequencies in `L1`), the
-/// inverted pattern index `I_p` (Section 3.2.1), and the Tight bound's
-/// target-side tables.
+/// dependency graphs (Definition 1), `L2`'s inverted trace index `I_t`
+/// (Section 3.2.3) when some pattern needs a scan, the evaluated pattern
+/// set (frequencies in `L1`), the inverted pattern index `I_p` (Section
+/// 3.2.1), and the Tight bound's target-side tables.
 #[derive(Debug)]
 pub struct MatchContext {
     log1: EventLog,
@@ -150,14 +151,28 @@ impl MatchContext {
                 return Err(ContextError::PatternOutOfVocabulary { pattern: i });
             }
         }
-        let index1 = log1.trace_index();
-        let index2 = log2.trace_index();
-        let dep2 = log2.dep_graph();
-        let bound_tables = BoundTables::new(&dep2);
+        // The trace indexes serve only complex patterns' scans: `L1`'s
+        // here, on first need, and the evaluator's `L2` scans. Vertex and
+        // edge supports come off the dependency graphs on both sides.
+        // `index1` lives until `new` returns, so the search reuses its
+        // memory: freeing it before `index2` is built gave `index2` its
+        // place and raised grid-fig12's peak RSS at two workers.
+        let index1 = OnceCell::new();
         let patterns: Vec<EvaluatedPattern> = pattern_list
             .into_iter()
-            .map(|p| EvaluatedPattern::with_dep_graph(p, &log1, &index1, &dep1))
+            .map(|p| {
+                let index1 = || index1.get_or_init(|| log1.trace_index());
+                EvaluatedPattern::with_dep_graph(p, &log1, index1, &dep1)
+            })
             .collect();
+        let scans = patterns.iter().any(|ep| ep.shape == PatternShape::Complex);
+        let index2 = if scans {
+            log2.trace_index()
+        } else {
+            TraceIndex::default()
+        };
+        let dep2 = log2.dep_graph();
+        let bound_tables = BoundTables::new(&dep2);
         let pattern_index =
             PatternIndex::new(n1, patterns.iter().map(|ep| ep.events.clone()).collect());
         Ok(MatchContext {
@@ -198,8 +213,10 @@ impl MatchContext {
         &self.bound_tables
     }
 
-    /// Inverted trace index of `L2` (pattern frequencies in `L2` are the
-    /// ones evaluated during search).
+    /// Inverted trace index of `L2`, which the evaluator's scans of
+    /// complex patterns probe during search. A pattern set with no
+    /// [`PatternShape::Complex`] pattern never scans, so its context
+    /// builds no index and this is the empty [`TraceIndex`].
     pub fn index2(&self) -> &TraceIndex {
         &self.index2
     }
@@ -298,6 +315,50 @@ mod tests {
             MatchContext::new(b1.build(), b2.build(), PatternSetBuilder::new().edges()).unwrap();
         // Dependency edges: A->A (loop, skipped) and A->B.
         assert_eq!(ctx.patterns().len(), 1);
+    }
+
+    fn context(patterns: PatternSetBuilder) -> MatchContext {
+        let (l1, l2) = small_logs();
+        MatchContext::new(l1, l2, patterns).unwrap()
+    }
+
+    #[test]
+    fn trace_indexes_are_built_only_when_a_pattern_scans() {
+        // A declared two-event SEQ is an edge: its supports come off G1
+        // and G2 like the materialized edges'.
+        let seq = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
+        for patterns in [
+            PatternSetBuilder::new().vertices(),
+            PatternSetBuilder::new().vertices().edges(),
+            PatternSetBuilder::new().vertices().complex(seq),
+        ] {
+            assert_eq!(context(patterns).index2(), &TraceIndex::default());
+        }
+        let and = Pattern::and_of_events([EventId(1), EventId(2)]).unwrap();
+        let ctx = context(PatternSetBuilder::new().vertices().complex(and));
+        assert_eq!(ctx.index2(), &ctx.log2().trace_index());
+        // The AND's f1 is a scan of L1's index: it matches both traces.
+        assert!((ctx.patterns()[3].freq - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn solvers_on_an_index_free_context_never_probe_or_scan() {
+        use crate::{BoundKind, EntropyMatcher, EvalConfig, ExactMatcher, IterativeMatcher};
+        let vertex = context(PatternSetBuilder::new().vertices());
+        let vertex_edge = context(PatternSetBuilder::new().vertices().edges());
+        let config = EvalConfig::default();
+        let exact = ExactMatcher::new(BoundKind::Tight);
+        for outcome in [
+            exact.solve_with(&vertex, &config),
+            exact.solve_with(&vertex_edge, &config),
+            IterativeMatcher::new().solve_with(&vertex_edge, &config),
+            EntropyMatcher::new().solve_with(&vertex_edge, &config),
+        ] {
+            assert!(outcome.mapping.is_complete());
+            let counters = &outcome.metrics.counters;
+            assert_eq!(counters["frequency.index_probes"], 0);
+            assert_eq!(counters["eval.log_scans"], 0);
+        }
     }
 
     #[test]

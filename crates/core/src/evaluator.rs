@@ -11,10 +11,11 @@
 //! workers of `eval::experiments::run_grid`.
 
 use std::cell::RefCell;
-// The memo is only ever point-queried, but BTreeMap keeps the
-// workspace hash-free outright (rule T2, clippy's `disallowed_types`); keys
-// are at most a handful of event ids, so ordered lookups cost about the
-// same as hashing the slice.
+// The memo is only ever point-queried. It stays a BTreeMap, so rule T2
+// (clippy's `disallowed_types`) holds here without a waiver. Its keys are
+// a handful of event ids, cheap to compare; string keys are what made
+// ordered lookups ~3x slower than hashing in `EventSet`'s name index, the
+// one waived `HashMap`. A hashed memo has not been measured.
 use std::collections::BTreeMap;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -594,6 +595,11 @@ fn support_outcome(
     let support = match realizable {
         Ok(false) => Some(0),
         Ok(true) => {
+            debug_assert_eq!(
+                ctx.index2().event_count(),
+                ctx.n2(),
+                "a context with a complex pattern builds L2's trace index"
+            );
             let traces = ctx.log2().columns();
             ep.scan(images, ctx.index2(), traces, &mut fuel, &mut scan)
                 .ok()

@@ -265,12 +265,10 @@ pub fn random_pair(n_events: usize, traces: usize, seed: u64) -> LogPair {
         for i in 0..n_events {
             b.intern(&format!("{prefix}{i}"));
         }
+        // Event `{prefix}{i}` is interned as id `i`.
         for _ in 0..traces {
             let len = rng.gen_range(2..=8usize);
-            let trace: Vec<String> = (0..len)
-                .map(|_| format!("{prefix}{}", rng.gen_range(0..n_events)))
-                .collect();
-            b.push_named_trace(trace.iter().map(String::as_str));
+            b.push_trace((0..len).map(|_| rng.gen_range(0..n_events) as u32));
         }
         b.build()
     };

@@ -121,7 +121,7 @@ pub fn heterogenize(model: &ProcessModel, cfg: &HeterogenizeConfig, rng: &mut im
     for _ in 0..cfg.traces2 {
         scratch.clear();
         model2.root.sample(rng, &mut scratch);
-        builder.push_named_trace(scratch.iter().map(String::as_str));
+        builder.push_named_trace(scratch.iter().copied());
     }
     let mut log2 = builder.build();
     if cfg.swap_noise > 0.0 {

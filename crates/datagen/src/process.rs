@@ -64,17 +64,18 @@ impl Block {
         }
     }
 
-    /// Samples one execution of the block into `out`.
-    pub(crate) fn sample(&self, rng: &mut impl Rng, out: &mut Vec<String>) {
+    /// Samples one execution of the block into `out`, as names borrowed
+    /// from the block tree.
+    pub(crate) fn sample<'a>(&'a self, rng: &mut impl Rng, out: &mut Vec<&'a str>) {
         match self {
-            Block::Activity(n) => out.push(n.clone()),
+            Block::Activity(n) => out.push(n),
             Block::Seq(bs) => {
                 for b in bs {
                     b.sample(rng, out);
                 }
             }
             Block::Parallel(bs) => {
-                let sequences: Vec<Vec<String>> = bs
+                let sequences: Vec<Vec<&str>> = bs
                     .iter()
                     .map(|b| {
                         let mut s = Vec::new();
@@ -82,7 +83,7 @@ impl Block {
                         s
                     })
                     .collect();
-                riffle(rng, sequences, out);
+                riffle(rng, &sequences, out);
             }
             Block::Choice(bs) => {
                 assert!(!bs.is_empty(), "Choice must have at least one branch");
@@ -132,36 +133,24 @@ impl Block {
 /// Uniform riffle merge: interleaves the sequences preserving each one's
 /// internal order; every interleaving of the remaining symbols is equally
 /// likely at each step (weighted by remaining length).
-fn riffle(rng: &mut impl Rng, mut sequences: Vec<Vec<String>>, out: &mut Vec<String>) {
+fn riffle<'a>(rng: &mut impl Rng, sequences: &[Vec<&'a str>], out: &mut Vec<&'a str>) {
     let mut cursors = vec![0usize; sequences.len()];
-    loop {
-        let remaining: Vec<usize> = sequences
-            .iter()
-            .zip(&cursors)
-            .enumerate()
-            .filter_map(|(i, (s, &c))| (c < s.len()).then_some(i))
-            .collect();
-        if remaining.is_empty() {
-            break;
-        }
+    let mut total: usize = sequences.iter().map(Vec::len).sum();
+    while total > 0 {
         // Draw a source weighted by how many events it still holds — this
-        // makes every full interleaving equally likely.
-        let total: usize = remaining
-            .iter()
-            .map(|&i| sequences[i].len() - cursors[i])
-            .sum();
+        // makes every full interleaving equally likely. An exhausted
+        // source holds none, so the walk passes over it.
         let mut draw = rng.gen_range(0..total);
-        let mut chosen = remaining[0];
-        for &i in &remaining {
-            let left = sequences[i].len() - cursors[i];
+        for (s, cursor) in sequences.iter().zip(&mut cursors) {
+            let left = s.len() - *cursor;
             if draw < left {
-                chosen = i;
+                out.push(s[*cursor]);
+                *cursor += 1;
                 break;
             }
             draw -= left;
         }
-        out.push(std::mem::take(&mut sequences[chosen][cursors[chosen]]));
-        cursors[chosen] += 1;
+        total -= 1;
     }
 }
 
@@ -202,7 +191,7 @@ impl ProcessModel {
         for _ in 0..n {
             scratch.clear();
             self.root.sample(rng, &mut scratch);
-            builder.push_named_trace(scratch.iter().map(String::as_str));
+            builder.push_named_trace(scratch.iter().copied());
         }
         builder.build()
     }
@@ -334,14 +323,11 @@ mod tests {
             let mut out = Vec::new();
             riffle(
                 &mut r,
-                vec![
-                    vec!["a1".into(), "a2".into(), "a3".into()],
-                    vec!["b1".into(), "b2".into()],
-                ],
+                &[vec!["a1", "a2", "a3"], vec!["b1", "b2"]],
                 &mut out,
             );
             assert_eq!(out.len(), 5);
-            let pos = |x: &str| out.iter().position(|o| o == x).unwrap();
+            let pos = |x: &str| out.iter().position(|&o| o == x).unwrap();
             assert!(pos("a1") < pos("a2") && pos("a2") < pos("a3"));
             assert!(pos("b1") < pos("b2"));
         }

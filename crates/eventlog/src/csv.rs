@@ -158,11 +158,9 @@ pub fn read_csv_log_with(
 
     // Each case's trace, in order of the case's first row, as row-time
     // activity ids; the log re-interns the names in trace order below.
-    #[expect(
-        clippy::disallowed_types,
-        reason = "point lookups only: nothing iterates the map, and trace order is first-row order"
-    )]
-    let mut case_of: std::collections::HashMap<String, usize> = std::collections::HashMap::new();
+    // `cases` numbers the cases in order of first row, so a case's id is
+    // the index of its trace.
+    let mut cases = EventSet::new();
     let mut traces: Vec<Vec<EventId>> = Vec::new();
     let mut activities = EventSet::new();
     let mut line_no: usize = 1;
@@ -228,7 +226,7 @@ pub fn read_csv_log_with(
             );
         }
         let (case, activity) = (&fields[case_col], &fields[act_col]);
-        let known_case = case_of.get(case).copied();
+        let known_case = cases.lookup(case);
         if known_case.is_none() && traces.len() >= limits.max_traces {
             return Err(LimitExceeded {
                 kind: LimitKind::Traces,
@@ -249,11 +247,12 @@ pub fn read_csv_log_with(
             .into());
         }
         // A new case opens its trace even if this row is then rejected.
-        let t = known_case.unwrap_or_else(|| {
-            case_of.insert(case.clone(), traces.len());
-            traces.push(Vec::new());
-            traces.len() - 1
-        });
+        let t = known_case
+            .unwrap_or_else(|| {
+                traces.push(Vec::new());
+                cases.intern(case)
+            })
+            .index();
         if traces[t].len() >= limits.max_trace_events {
             reject!(
                 QuarantineCause::TraceTooLong,

@@ -1,6 +1,5 @@
 //! Events and the interned event vocabulary.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A dense identifier for an event within one log's vocabulary.
@@ -35,12 +34,39 @@ impl fmt::Display for EventId {
 
 /// The interned vocabulary of one event log: a bijection between event names
 /// and dense [`EventId`]s, in insertion order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+///
+/// Equality and `Debug` read only `names`, the id → name side. The name →
+/// id side is a lookup-only hash index: nothing iterates it, so its
+/// per-process seed never reaches an id, an output or a comparison.
+#[derive(Clone, Default)]
 pub struct EventSet {
     names: Vec<String>,
     /// Name → id, so [`Self::lookup`] and [`Self::intern`] are one probe
-    /// each. Ordered (not hashed), so nothing here depends on a hash seed.
-    by_name: BTreeMap<String, EventId>,
+    /// each. Every name crossing the I/O boundary pays one, and a hashed
+    /// probe costs a third of an ordered walk over string keys. The
+    /// default per-process `RandomState` keys the table, so no crafted
+    /// vocabulary can force collisions and make ingest quadratic.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "point lookups only: nothing iterates the map, and ids come from insertion order"
+    )]
+    by_name: std::collections::HashMap<Box<str>, EventId>,
+}
+
+impl PartialEq for EventSet {
+    fn eq(&self, other: &Self) -> bool {
+        self.names == other.names
+    }
+}
+
+impl Eq for EventSet {}
+
+impl fmt::Debug for EventSet {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("EventSet")
+            .field("names", &self.names)
+            .finish_non_exhaustive()
+    }
 }
 
 impl EventSet {
@@ -66,7 +92,7 @@ impl EventSet {
         }
         let id = EventId(self.names.len() as u32);
         self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        self.by_name.insert(name.into(), id);
         id
     }
 
@@ -104,6 +130,73 @@ impl EventSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// Up to 300 names: the empty name, multi-byte UTF-8, names sharing
+    /// the prefix `X` (`X000`–`X999`, and `X` itself), and repeats of
+    /// earlier names.
+    fn random_names(rng: &mut StdRng) -> Vec<String> {
+        const WIDE: [&str; 5] = ["é", "事件", "🚚", "Größe", "ق"];
+        let mut names: Vec<String> = Vec::new();
+        for _ in 0..rng.gen_range(0..=300usize) {
+            let name = match rng.gen_range(0..5u32) {
+                0 => String::new(),
+                1 => format!("X{:03}", rng.gen_range(0..1000u32)),
+                2 => "X".repeat(rng.gen_range(1..=3usize)),
+                3 => {
+                    let wide = WIDE[rng.gen_range(0..WIDE.len())];
+                    format!("{wide}{}", rng.gen_range(0..4u32))
+                }
+                _ if !names.is_empty() => names[rng.gen_range(0..names.len())].clone(),
+                _ => "X000".to_owned(),
+            };
+            names.push(name);
+        }
+        names
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn intern_and_lookup_agree_with_an_ordered_oracle(seed in 0u64..u64::MAX) {
+            let names = random_names(&mut StdRng::seed_from_u64(seed));
+            let mut oracle: BTreeMap<&str, EventId> = BTreeMap::new();
+            let mut order: Vec<&str> = Vec::new();
+            let mut set = EventSet::new();
+            for name in &names {
+                let next = EventId(oracle.len() as u32);
+                let want = *oracle.entry(name).or_insert_with(|| {
+                    order.push(name);
+                    next
+                });
+                prop_assert_eq!(set.intern(name), want);
+            }
+            prop_assert_eq!(set.len(), oracle.len());
+            prop_assert_eq!(set.names().collect::<Vec<_>>(), order);
+            for (name, &id) in &oracle {
+                prop_assert_eq!(set.lookup(name), Some(id));
+                prop_assert_eq!(set.name(id), *name);
+            }
+            prop_assert_eq!(set.lookup("X1000"), None);
+            prop_assert_eq!(set.lookup("事"), None);
+            let again = EventSet::from_names(&names);
+            prop_assert_eq!(&again, &set);
+            prop_assert_eq!(format!("{again:?}"), format!("{set:?}"));
+        }
+    }
+
+    #[test]
+    fn equality_and_debug_read_the_names_in_order() {
+        let ab = EventSet::from_names(["A", "B"]);
+        let ba = EventSet::from_names(["B", "A"]);
+        assert_ne!(ab, ba);
+        assert_eq!(ab, ab.clone());
+        assert_eq!(format!("{ab:?}"), r#"EventSet { names: ["A", "B"], .. }"#);
+    }
 
     #[test]
     fn intern_is_idempotent() {

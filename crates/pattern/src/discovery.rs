@@ -100,7 +100,7 @@ pub fn discover_patterns(log: &EventLog, cfg: &DiscoveryConfig) -> Vec<Pattern> 
     let mut scored: Vec<(Pattern, usize)> = candidates
         .into_iter()
         .filter_map(|p| {
-            let ep = EvaluatedPattern::with_dep_graph(p, log, &index, &dep);
+            let ep = EvaluatedPattern::with_dep_graph(p, log, || &index, &dep);
             if ep.support < min_count {
                 return None;
             }

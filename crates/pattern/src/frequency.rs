@@ -138,17 +138,18 @@ impl EvaluatedPattern {
 
     /// [`Self::new`] when `log`'s dependency graph `dep` is already built:
     /// vertex and edge supports are read from `dep`, and only complex
-    /// patterns are scanned.
-    pub fn with_dep_graph(
+    /// patterns are scanned. `index` is called only for that scan, so a
+    /// caller can build `log`'s trace index on first need.
+    pub fn with_dep_graph<'i>(
         pattern: Pattern,
         log: &EventLog,
-        index: &TraceIndex,
+        index: impl FnOnce() -> &'i TraceIndex,
         dep: &DepGraph,
     ) -> Self {
         Self::build(pattern, log, |ep| match ep.shape {
             PatternShape::Vertex(v) => dep.vertex_support(v) as usize,
             PatternShape::Edge(a, b) => dep.edge_support(a, b) as usize,
-            PatternShape::Complex => ep.l1_scan(log, index),
+            PatternShape::Complex => ep.l1_scan(log, index()),
         })
     }
 
@@ -383,6 +384,31 @@ mod tests {
         let l = LogBuilder::new().build();
         let idx = l.trace_index();
         assert_eq!(pattern_freq(&e(0), &l, &idx), 0.0);
+    }
+
+    #[test]
+    fn with_dep_graph_asks_for_the_index_only_to_scan() {
+        let l = log();
+        let (idx, dep) = (l.trace_index(), l.dep_graph());
+        let unasked = || -> &TraceIndex { panic!("a special pattern scanned") };
+        let vertex = EvaluatedPattern::with_dep_graph(e(2), &l, unasked, &dep);
+        assert_eq!(vertex.support, 3);
+        let edge = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
+        let edge = EvaluatedPattern::with_dep_graph(edge, &l, unasked, &dep);
+        assert_eq!(edge.support, 3);
+        let and = Pattern::and(vec![e(1), e(2)]).unwrap();
+        let mut asked = 0;
+        let ep = EvaluatedPattern::with_dep_graph(
+            and.clone(),
+            &l,
+            || {
+                asked += 1;
+                &idx
+            },
+            &dep,
+        );
+        assert_eq!(asked, 1);
+        assert_eq!(ep.support, EvaluatedPattern::new(and, &l, &idx).support);
     }
 
     #[test]

@@ -153,6 +153,40 @@ fn truncated_text_log_still_parses_the_intact_prefix() {
     assert!(ingest.quarantine.is_empty());
 }
 
+#[test]
+fn a_hundred_thousand_name_vocabulary_round_trips_with_identical_ids() {
+    // 100,000 names sharing long prefixes, first seen in a scrambled
+    // order: without the directive, ids follow first occurrence; after a
+    // write the directive pins them, in both formats.
+    const N: usize = 100_000;
+    let name = |i: usize| format!("activity-{:06}", (i * 7_919) % N);
+    let mut text = String::new();
+    for chunk in (0..N).collect::<Vec<_>>().chunks(100) {
+        let line: Vec<String> = chunk.iter().map(|&i| name(i)).collect();
+        text.push_str(&line.join(" "));
+        text.push('\n');
+    }
+    let log = read_log(text.as_bytes()).unwrap();
+    assert_eq!(log.event_count(), N);
+    assert_eq!(log.len(), N / 100);
+    for i in (0..N).step_by(997) {
+        assert_eq!(log.events().lookup(&name(i)), Some(EventId(i as u32)));
+    }
+    let mut written = Vec::new();
+    write_log(&log, &mut written).unwrap();
+    let again = read_log(written.as_slice()).unwrap();
+    assert_eq!(again, log);
+    let mut csv = Vec::new();
+    write_csv_log(&log, &mut csv).unwrap();
+    let from_csv = read_csv_log(csv.as_slice()).unwrap();
+    assert_eq!(from_csv, log);
+    for (id, n) in log.events().names().enumerate() {
+        let id = Some(EventId(id as u32));
+        assert_eq!(again.events().lookup(n), id);
+        assert_eq!(from_csv.events().lookup(n), id);
+    }
+}
+
 // ---------------------------------------------------------------------
 // CSV: header arity, quoting, and encoding hostility
 // ---------------------------------------------------------------------
