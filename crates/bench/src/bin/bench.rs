@@ -54,13 +54,17 @@
 //! `EVEMATCH_BENCH_MODULES`, `EVEMATCH_SEEDS` (first seed used),
 //! `EVEMATCH_BENCH_ITERS` (kernel repetitions, default 3).
 //!
-//! Exits with code 2 if the artifact cannot be written.
+//! Both artifacts are written like every `repro_*` artifact: verified,
+//! with transient failures retried under site `bench.artifact`. Exits
+//! with code 2 if the artifact still cannot be written.
 
-use std::fmt::Write as _;
+use std::fmt::Display;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use evematch_bench::env_or;
+use evematch_core::fault::Faults;
+use evematch_core::telemetry::json::push_counters;
 use evematch_core::{Budget, Mapping};
 use evematch_datagen::datasets;
 use evematch_eval::Method;
@@ -95,39 +99,39 @@ fn run_profile() -> ExitCode {
     println!("  run {:.3}s", start.elapsed().as_secs_f64());
     let profile = &out.profile;
 
-    let mut json = String::from("{\"bench\":\"profile\",\"workload\":{");
-    let _ = write!(
-        json,
-        "\"dataset\":\"larger_synthetic\",\"modules\":{modules},\"traces\":{traces},\
-         \"seed\":{seed},\"method\":\"{}\",\"processed_cap\":{cap}}},\
-         \"host_parallelism\":{host},\"work\":{{",
+    let head = format!(
+        "\"workload\":{{\"dataset\":\"larger_synthetic\",\"modules\":{modules},\
+         \"traces\":{traces},\"seed\":{seed},\"method\":\"{}\",\"processed_cap\":{cap}}},\
+         \"host_parallelism\":{host}",
         method.name()
     );
-    for (i, (key, n)) in profile.flat_work().iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(json, "\"{key}\":{n}");
-    }
-    json.push_str("},\"wall_nanos\":{");
-    for (i, (key, n)) in profile.flat_wall().iter().enumerate() {
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(json, "\"{key}\":{n}");
-    }
-    json.push_str("}}\n");
+    write_bench("profile", &head, profile.flat_work(), profile.flat_wall())
+}
+
+/// Writes `BENCH_<bench>.json` in the flat shape `xtask perf` ingests —
+/// `{"bench":…,<head>,"work":{…},"wall_nanos":{…}}` — as a verified
+/// artifact under the output directory. Exit code 2 when it cannot be
+/// written.
+fn write_bench<K: AsRef<str>, W: Display, N: Display>(
+    bench: &str,
+    head: &str,
+    work: impl IntoIterator<Item = (K, W)>,
+    wall_nanos: impl IntoIterator<Item = (K, N)>,
+) -> ExitCode {
+    let mut json = format!("{{\"bench\":\"{bench}\",{head},\"work\":");
+    push_counters(&mut json, work);
+    json.push_str(",\"wall_nanos\":");
+    push_counters(&mut json, wall_nanos);
+    json.push_str("}\n");
 
     let path = match evematch_bench::out_dir() {
-        Ok(dir) => dir.join("BENCH_profile.json"),
+        Ok(dir) => dir.join(format!("BENCH_{bench}.json")),
         Err(err) => {
             eprintln!("error: cannot create output dir: {err}");
             return ExitCode::from(2);
         }
     };
-    let faults = evematch_core::fault::Faults::default();
-    if let Err(err) = evematch_core::persist::atomic_write_verified(&faults, &path, json.as_bytes())
-    {
+    if let Err(err) = evematch_bench::write_artifact(&Faults::default(), &path, json.as_bytes()) {
         eprintln!("error: failed to write {}: {err}", path.display());
         return ExitCode::from(2);
     }
@@ -281,34 +285,25 @@ fn run_matcher() -> ExitCode {
         candidate_traces,
         matched_traces,
     } = kernel_stats;
-    let json = format!(
-        "{{\"bench\":\"matcher\",\"workload\":{{\"dataset\":\"larger_synthetic\",\
-         \"modules\":{modules},\"kernel_traces\":{kernel_traces},\"seed\":{seed},\
-         \"rotations\":{rotations},\"iters\":{iters}}},\
-         \"host_parallelism\":{host},\"speedup\":{speedup:.4},\
+    let head = format!(
+        "\"workload\":{{\"dataset\":\"larger_synthetic\",\"modules\":{modules},\
+         \"kernel_traces\":{kernel_traces},\"seed\":{seed},\"rotations\":{rotations},\
+         \"iters\":{iters}}},\"host_parallelism\":{host},\"speedup\":{speedup:.4},\
          \"kernel\":{{\"scans\":{scans},\"fallbacks\":{fallbacks},\"total_support\":{total},\
-         \"oracle_wall_nanos\":{oracle_ns},\"scan_wall_nanos\":{scan_ns}}},\
-         \"work\":{{\"kernel/scans\":{scans},\"kernel/total_support\":{total},\
-         \"kernel/index_probes\":{index_probes},\"kernel/candidate_traces\":{candidate_traces},\
-         \"kernel/matched_traces\":{matched_traces}}},\
-         \"wall_nanos\":{{\"kernel/oracle\":{oracle_ns},\"kernel/scan\":{scan_ns}}}}}\n"
+         \"oracle_wall_nanos\":{oracle_ns},\"scan_wall_nanos\":{scan_ns}}}"
     );
-
-    let path = match evematch_bench::out_dir() {
-        Ok(dir) => dir.join("BENCH_matcher.json"),
-        Err(err) => {
-            eprintln!("error: cannot create output dir: {err}");
-            return ExitCode::from(2);
-        }
-    };
-    let faults = evematch_core::fault::Faults::default();
-    if let Err(err) = evematch_core::persist::atomic_write_verified(&faults, &path, json.as_bytes())
-    {
-        eprintln!("error: failed to write {}: {err}", path.display());
-        return ExitCode::from(2);
-    }
-    println!("wrote {}", path.display());
-    ExitCode::SUCCESS
+    write_bench(
+        "matcher",
+        &head,
+        [
+            ("kernel/scans", scans),
+            ("kernel/total_support", total),
+            ("kernel/index_probes", index_probes),
+            ("kernel/candidate_traces", candidate_traces),
+            ("kernel/matched_traces", matched_traces),
+        ],
+        [("kernel/oracle", oracle_ns), ("kernel/scan", scan_ns)],
+    )
 }
 
 fn main() -> ExitCode {

@@ -1,4 +1,4 @@
-//! Shared plumbing for the `repro_*` binaries and criterion benches.
+//! Shared plumbing for the `repro_*` and `bench` binaries.
 //!
 //! Every `repro_*` binary regenerates one table or figure of the paper's
 //! Section 6: it prints the panels to stdout and writes CSV files under
@@ -50,8 +50,8 @@ use std::time::Duration;
 
 use evematch_core::fault::Faults;
 use evematch_core::persist;
-use evematch_core::retry::{retry_io, RealClock, RetryExhausted, RetryPolicy};
-use evematch_core::telemetry::json::push_key;
+use evematch_core::retry::RetryPolicy;
+use evematch_core::telemetry::json::{push_counters, push_key};
 use evematch_core::Budget;
 use evematch_eval::experiments::{FigureResult, SweepConfig};
 use evematch_eval::Table;
@@ -184,20 +184,14 @@ pub fn emit(out: &mut dyn Write, table: &Table, stem: &str, faults: &Faults) -> 
     writeln!(out, "wrote {}", path.display())
 }
 
-/// Writes one verified artifact through the supervised retry path:
-/// transient failures (a flaky disk, an injected fault) back off and
-/// retry under the default policy before the typed, attempt-annotated
-/// error is surfaced to the binary's exit-code-2 path.
-fn write_artifact(faults: &Faults, path: &Path, bytes: &[u8]) -> io::Result<()> {
-    retry_io(
-        faults,
-        &RetryPolicy::io_default(),
-        "bench.artifact",
-        &mut RealClock,
-        || persist::atomic_write_verified(faults, path, bytes),
-    )
-    .map(|_| ())
-    .map_err(RetryExhausted::into_io)
+/// Writes one verified artifact through the supervised retry path (site
+/// `bench.artifact`, see `evematch_core::persist::write_artifact`); the
+/// attempt-annotated error reaches the binary's exit-code-2 path.
+///
+/// # Errors
+/// The write's last failure once its retries are spent.
+pub fn write_artifact(faults: &Faults, path: &Path, bytes: &[u8]) -> io::Result<()> {
+    persist::write_artifact(faults, "bench.artifact", path, bytes)
 }
 
 /// Writes all panels of a figure to `out` and the output dir, plus the
@@ -251,15 +245,8 @@ pub fn emit_figure(out: &mut dyn Write, fig: &FigureResult, stem: &str) -> io::R
 /// recovered (and corrupt records quarantined) rather than silently
 /// skipped.
 pub fn fault_telemetry_json(faults: &Faults) -> String {
-    let mut out = String::from("{");
-    for (i, (key, n)) in faults.telemetry().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_key(&mut out, key);
-        out.push_str(&n.to_string());
-    }
-    out.push('}');
+    let mut out = String::new();
+    push_counters(&mut out, faults.telemetry());
     out
 }
 

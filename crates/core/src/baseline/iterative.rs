@@ -5,7 +5,7 @@
 //! dependency-graph neighbourhoods pair up similarly. After convergence the
 //! mapping is read off with an optimal assignment.
 
-use evematch_eventlog::{DepGraph, EventId};
+use evematch_eventlog::EventId;
 
 use crate::assignment::max_weight_assignment;
 use crate::budget::{Budget, BudgetMeter};
@@ -198,10 +198,6 @@ fn neighbour_term(n1_adj: &[u32], n2_adj: &[u32], cur: &[Vec<f64>]) -> f64 {
         .sum();
     total / n1_adj.len() as f64
 }
-
-/// Can't exist: see [`DepGraph`] — kept for rustdoc link resolution.
-#[allow(unused)]
-fn _doc_anchor(_: &DepGraph) {}
 
 #[cfg(test)]
 mod tests {

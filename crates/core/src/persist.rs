@@ -18,7 +18,9 @@
 //!
 //! * [`atomic_write_verified`] also emits the artifact's `.evmi` checksum
 //!   sidecar (see [`integrity`]), which [`integrity::read_verified`] and
-//!   the offline `evematch verify` subcommand check end-to-end;
+//!   the offline `evematch verify` subcommand check end-to-end, and
+//!   [`write_artifact`] retries it under the default backoff policy — the
+//!   one writer every binary's result artifacts go through;
 //! * after the rename (and after an append that creates a journal) the
 //!   parent directory is fsynced — [`fsync_dir_of`] — so the directory
 //!   entry itself survives a crash, with the `persist.fsync_dir`
@@ -40,6 +42,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use crate::fault::{self, FaultAction, FaultClass, Faults};
+use crate::retry::{retry_io, RealClock, RetryExhausted, RetryPolicy};
 use iotrace::IoOp;
 
 /// The temp-file sibling used by [`atomic_write`] for `name`.
@@ -194,6 +197,33 @@ pub fn atomic_write_verified(
     let path = path.as_ref();
     atomic_write(faults, path, bytes)?;
     integrity::write_sidecar(faults, path, bytes)
+}
+
+/// Writes one verified artifact ([`atomic_write_verified`]) through the
+/// supervised retry path: transient failures, real or injected, back off
+/// and retry under [`RetryPolicy::io_default`], counted as
+/// `fault.retries.<site>` in the plan's telemetry.
+///
+/// # Errors
+/// The last failure once the retries are spent, or the first permanent or
+/// corrupt one, annotated with the attempt count
+/// ([`RetryExhausted::into_io`]).
+pub fn write_artifact(
+    faults: &Faults,
+    site: &str,
+    path: impl AsRef<Path>,
+    bytes: &[u8],
+) -> io::Result<()> {
+    let path = path.as_ref();
+    retry_io(
+        faults,
+        &RetryPolicy::io_default(),
+        site,
+        &mut RealClock,
+        || atomic_write_verified(faults, path, bytes),
+    )
+    .map(|_| ())
+    .map_err(RetryExhausted::into_io)
 }
 
 #[cfg(test)]

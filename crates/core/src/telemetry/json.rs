@@ -2,12 +2,13 @@
 //!
 //! The workspace bakes in no serialization crates, so the telemetry layer
 //! hand-rolls the tiny subset of JSON it needs: object/array/string/number
-//! writing with correct string escaping, and a recursive-descent reader
-//! used by the JSONL round-trip tests and schema validation. Numbers are
-//! kept as raw token strings on the read side so `u64` counters survive
-//! round-trips exactly (no `f64` detour).
+//! writing with correct string escaping, a recursive-descent reader used by
+//! the JSONL round-trip tests, schema validation and `cargo xtask perf`,
+//! and a minified renderer for parsed values. Numbers are kept as raw
+//! token strings on the read side so `u64` counters survive round-trips
+//! exactly (no `f64` detour).
 
-use std::fmt::Write as _;
+use std::fmt::{Display, Write as _};
 
 /// Appends `s` to `out` as a JSON string literal (with quotes).
 pub fn push_string(out: &mut String, s: &str) {
@@ -32,6 +33,22 @@ pub fn push_string(out: &mut String, s: &str) {
 pub fn push_key(out: &mut String, key: &str) {
     push_string(out, key);
     out.push(':');
+}
+
+/// Appends a flat `{"key":n,…}` object of counters, in iteration order.
+pub fn push_counters<K: AsRef<str>, V: Display>(
+    out: &mut String,
+    counters: impl IntoIterator<Item = (K, V)>,
+) {
+    out.push('{');
+    for (i, (key, n)) in counters.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_key(out, key.as_ref());
+        let _ = write!(out, "{n}");
+    }
+    out.push('}');
 }
 
 /// A parsed JSON value. Numbers keep their raw token text so integer
@@ -95,6 +112,53 @@ impl JsonValue {
         match self {
             JsonValue::Arr(items) => Some(items),
             _ => None,
+        }
+    }
+
+    /// The object's fields in source order, if it is an object.
+    pub fn as_obj(&self) -> Option<&[(String, JsonValue)]> {
+        match self {
+            JsonValue::Obj(fields) => Some(fields),
+            _ => None,
+        }
+    }
+
+    /// Renders the value as minified JSON. Field order and number tokens
+    /// are kept as parsed, so a minified document renders back to its own
+    /// bytes.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    fn render_into(&self, out: &mut String) {
+        match self {
+            JsonValue::Null => out.push_str("null"),
+            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            JsonValue::Num(raw) => out.push_str(raw),
+            JsonValue::Str(s) => push_string(out, s),
+            JsonValue::Arr(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    item.render_into(out);
+                }
+                out.push(']');
+            }
+            JsonValue::Obj(fields) => {
+                out.push('{');
+                for (i, (key, value)) in fields.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    push_key(out, key);
+                    value.render_into(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
@@ -270,6 +334,13 @@ mod tests {
         );
         assert_eq!(v.get("c"), Some(&JsonValue::Null));
         assert_eq!(v.get("missing"), None);
+        assert_eq!(v.as_obj().map(<[_]>::len), Some(2));
+    }
+
+    #[test]
+    fn round_trips_minified_documents() {
+        let doc = r#"{"work":{"search/pops":120},"x":[true,false,null,"q\"\n",-2.5e3,[]],"o":{}}"#;
+        assert_eq!(JsonValue::parse(doc).unwrap().render(), doc);
     }
 
     #[test]

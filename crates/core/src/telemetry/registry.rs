@@ -248,10 +248,10 @@ impl MetricsSnapshot {
         let mut out = String::new();
         out.push('{');
         json::push_key(&mut out, "counters");
-        push_u64_map(&mut out, &self.counters);
+        json::push_counters(&mut out, &self.counters);
         out.push(',');
         json::push_key(&mut out, "gauges");
-        push_u64_map(&mut out, &self.gauges);
+        json::push_counters(&mut out, &self.gauges);
         out.push(',');
         json::push_key(&mut out, "histograms");
         out.push('{');
@@ -286,7 +286,7 @@ impl MetricsSnapshot {
         json::push_key(&mut out, "non_deterministic");
         out.push('{');
         json::push_key(&mut out, "info");
-        push_u64_map(&mut out, &self.info);
+        json::push_counters(&mut out, &self.info);
         out.push(',');
         json::push_key(&mut out, "timings");
         out.push('{');
@@ -379,18 +379,6 @@ fn json_u64_map(v: &json::JsonValue) -> Option<BTreeMap<String, u64>> {
 
 fn json_u64_list(v: &json::JsonValue) -> Option<Vec<u64>> {
     v.as_arr()?.iter().map(json::JsonValue::as_u64).collect()
-}
-
-fn push_u64_map(out: &mut String, map: &BTreeMap<String, u64>) {
-    out.push('{');
-    for (i, (name, v)) in map.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json::push_key(out, name);
-        let _ = write!(out, "{v}");
-    }
-    out.push('}');
 }
 
 fn push_u64_list(out: &mut String, xs: &[u64]) {

@@ -459,20 +459,11 @@ fn run(opts: &Options) -> Result<bool, String> {
     Ok(outcome.completion.is_finished())
 }
 
-/// Writes one verified CLI artifact through the supervised retry path:
-/// transient failures (real or injected) back off and retry under the
-/// default policy before the typed, attempt-annotated error reaches the
-/// exit-1 path.
+/// Writes one verified CLI artifact through the supervised retry path
+/// (site `cli.artifact`); the attempt-annotated error reaches the exit-1
+/// path.
 fn write_artifact(faults: &fault::Faults, path: &str, bytes: &[u8]) -> Result<(), String> {
-    retry::retry_io(
-        faults,
-        &retry::RetryPolicy::io_default(),
-        "cli.artifact",
-        &mut retry::RealClock,
-        || persist::atomic_write_verified(faults, path, bytes),
-    )
-    .map(|_| ())
-    .map_err(|e| format!("{path}: {}", e.into_io()))
+    persist::write_artifact(faults, "cli.artifact", path, bytes).map_err(|e| format!("{path}: {e}"))
 }
 
 /// A stderr heartbeat printed about once a second while the solver runs

@@ -85,17 +85,6 @@ impl PatternGraph {
             .edges()
             .map(|(a, b)| (self.events[a as usize], self.events[b as usize]))
     }
-
-    /// Whether every translated edge satisfies `has_edge` — the paper's
-    /// Section-3.2.2 subgraph check of a (mapped) pattern against a
-    /// dependency graph, specialized to an already-fixed vertex map.
-    ///
-    /// Note this is *stricter* than necessary for concluding `f(p) = 0`
-    /// (a trace only realizes one linearization, not all edges); use
-    /// [`crate::is_realizable`] for the sound zero-frequency test.
-    pub fn all_edges_in(&self, has_edge: impl Fn(EventId, EventId) -> bool) -> bool {
-        self.edges_global().all(|(a, b)| has_edge(a, b))
-    }
 }
 
 /// The *required edge groups* of a pattern: for every group, **every**
@@ -336,13 +325,5 @@ mod tests {
         assert_eq!(g.global(1), EventId(10));
         // Edge 10 -> 5 becomes local 1 -> 0.
         assert!(g.graph().has_edge(1, 0));
-    }
-
-    #[test]
-    fn all_edges_in_checks_the_oracle() {
-        let p = Pattern::seq_of_events([EventId(0), EventId(1), EventId(2)]).unwrap();
-        let g = PatternGraph::of(&p);
-        assert!(g.all_edges_in(|_, _| true));
-        assert!(!g.all_edges_in(|a, b| !(a == EventId(1) && b == EventId(2))));
     }
 }

@@ -11,13 +11,17 @@
 //! `crates/clippy.toml`. See `DESIGN.md` §6 and §13 and the README's
 //! "Static analysis" section for the rule catalogue and the waiver syntax.
 //!
-//! Zero dependencies by design: the build containers are offline, and a
-//! lint pass must never be the thing that fails to build.
+//! The only dependency is `evematch-core`, which depends on nothing
+//! outside the workspace, so xtask builds offline. `perf` reads JSON and
+//! the checksummed bench artifacts through core's codec and verified
+//! reader, and `tidy --format json` writes through the same codec.
 
+use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-mod jsonv;
+use evematch_core::telemetry::json::push_string;
+
 mod lints;
 mod perf;
 mod scan;
@@ -177,44 +181,96 @@ fn run_tidy(format: Format) -> ExitCode {
     }
 }
 
-/// Renders the findings as a single-line JSON document. Hand-rolled
-/// because xtask is dependency-free by design; the escaper covers
-/// everything [`json_escape`] documents, which is everything a path,
-/// lint name, or lint message can contain.
+/// Renders the findings as a single-line JSON document. Paths and
+/// messages go through core's string escaper; lint names are fixed
+/// kebab-case identifiers.
 fn render_json(violations: &[Violation]) -> String {
     let mut out = String::from("{\"findings\":[");
     for (idx, v) in violations.iter().enumerate() {
         if idx > 0 {
             out.push(',');
         }
-        out.push_str(&format!(
-            "{{\"path\":\"{}\",\"line\":{},\"lint\":\"{}\",\"message\":\"{}\"}}",
-            json_escape(&v.path),
+        out.push_str("{\"path\":");
+        push_string(&mut out, &v.path);
+        let _ = write!(
+            out,
+            ",\"line\":{},\"lint\":\"{}\",\"message\":",
             v.line,
-            v.lint.name(),
-            json_escape(&v.message)
-        ));
+            v.lint.name()
+        );
+        push_string(&mut out, &v.message);
+        out.push('}');
     }
-    out.push_str(&format!("],\"count\":{}}}", violations.len()));
+    let _ = write!(out, "],\"count\":{}}}", violations.len());
     out
 }
 
-/// Escapes a string for a JSON string literal: `"`, `\`, and control
-/// characters (as `\n`/`\t`/`\r` or `\u00XX`).
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+/// The JSON values `perf` reads and re-renders — bench artifacts, history
+/// lines, canonical workload keys — checked through core's codec, the
+/// only JSON parser xtask uses.
+#[cfg(test)]
+mod jsonv {
+    mod tests {
+        use evematch_core::telemetry::json::JsonValue;
+
+        fn num(raw: &str) -> JsonValue {
+            JsonValue::Num(raw.to_string())
+        }
+
+        #[test]
+        fn parses_the_artifact_shapes() {
+            let doc = r#"{"bench":"profile","workload":{"seed":11,"method":"Pattern-Tight"},
+                "host_parallelism":8,"work":{"search/pops":120,"search/meter_ticks":240},
+                "wall_nanos":{"search":12345,"search/support-eval":99}}"#;
+            let v = JsonValue::parse(doc).expect("parses");
+            assert_eq!(v.get("bench").and_then(JsonValue::as_str), Some("profile"));
+            assert_eq!(
+                v.get("host_parallelism").and_then(JsonValue::as_u64),
+                Some(8)
+            );
+            let work = v.get("work").and_then(JsonValue::as_obj).expect("work");
+            assert_eq!(work[0], ("search/pops".to_string(), num("120")));
+            assert_eq!(
+                v.get("workload").map(JsonValue::render).as_deref(),
+                Some(r#"{"seed":11,"method":"Pattern-Tight"}"#)
+            );
+        }
+
+        #[test]
+        fn parses_scalars_arrays_escapes_and_rejects_garbage() {
+            assert_eq!(JsonValue::parse(" null "), Some(JsonValue::Null));
+            assert_eq!(JsonValue::parse("true"), Some(JsonValue::Bool(true)));
+            assert_eq!(
+                JsonValue::parse("[1,2.5,\"a\\nb\",false]"),
+                Some(JsonValue::Arr(vec![
+                    num("1"),
+                    num("2.5"),
+                    JsonValue::Str("a\nb".to_string()),
+                    JsonValue::Bool(false),
+                ]))
+            );
+            assert_eq!(
+                JsonValue::parse("\"\\u0041\""),
+                Some(JsonValue::Str("A".to_string()))
+            );
+            assert_eq!(JsonValue::parse("{\"a\":1,}"), None);
+            assert_eq!(JsonValue::parse("1 2"), None);
+            assert_eq!(JsonValue::parse("{\"a\""), None);
+        }
+
+        #[test]
+        fn round_trips_minified_documents() {
+            let doc = r#"{"a":1,"b":[true,null,"x\"y"],"c":{"d":-2}}"#;
+            assert_eq!(JsonValue::parse(doc).unwrap().render(), doc);
+        }
+
+        #[test]
+        fn as_u64_rejects_fractions_and_negatives() {
+            assert_eq!(num("7").as_u64(), Some(7));
+            assert_eq!(num("7.5").as_u64(), None);
+            assert_eq!(num("-1").as_u64(), None);
         }
     }
-    out
 }
 
 #[cfg(test)]

@@ -24,8 +24,8 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use crate::json_escape;
-use crate::jsonv::Json;
+use evematch_core::persist::integrity::read_verified;
+use evematch_core::telemetry::json::{push_counters, push_string, JsonValue};
 
 /// The default regression threshold, in percent: a deterministic work
 /// counter may grow by up to this much before the gate fails. The
@@ -206,29 +206,19 @@ fn append(args: &[String]) -> Result<u8, String> {
 /// Renders one history line. The `work`/`wall_nanos` sections are kept
 /// flat so `diff`/`check` (and a human with grep) read them directly.
 pub fn render_entry(entry: &Entry) -> String {
-    let mut out = format!(
-        "{{\"schema\":1,\"sha\":\"{}\",\"recorded_unix\":{},\"host_parallelism\":{},\
-         \"bench\":\"{}\",\"workload\":{},\"work\":{{",
-        json_escape(&entry.sha),
-        entry.recorded_unix,
-        entry.host_parallelism,
-        json_escape(&entry.bench),
-        entry.workload,
+    let mut out = String::from("{\"schema\":1,\"sha\":");
+    push_string(&mut out, &entry.sha);
+    let _ = write!(
+        out,
+        ",\"recorded_unix\":{},\"host_parallelism\":{},\"bench\":",
+        entry.recorded_unix, entry.host_parallelism
     );
-    for (i, (key, n)) in entry.work.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{n}", json_escape(key));
-    }
-    out.push_str("},\"wall_nanos\":{");
-    for (i, (key, n)) in entry.wall.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "\"{}\":{n}", json_escape(key));
-    }
-    out.push_str("}}");
+    push_string(&mut out, &entry.bench);
+    let _ = write!(out, ",\"workload\":{},\"work\":", entry.workload);
+    push_counters(&mut out, entry.work.iter().map(|(k, n)| (k, n)));
+    out.push_str(",\"wall_nanos\":");
+    push_counters(&mut out, entry.wall.iter().map(|(k, n)| (k, n)));
+    out.push('}');
     out
 }
 
@@ -394,16 +384,16 @@ pub fn find_baseline<'h>(history: &'h [Entry], current: &Entry) -> Option<&'h En
 
 // ---- input normalization ----
 
+/// Reads an artifact or a history line from `path` through the verified
+/// reader: bytes that disagree with their `.evmi` sidecar are an error,
+/// and a file without a sidecar (a hand-made or edited copy) reads as is.
 fn load_entry(path: &Path) -> Result<Entry, String> {
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "xtask links no workspace crate, so it cannot call the verified reader; a damaged \
-                  artifact fails the JSON parse below"
-    )]
-    let text =
-        fs::read_to_string(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-    let doc =
-        Json::parse(text.trim()).map_err(|e| format!("{}: not valid JSON: {e}", path.display()))?;
+    let (bytes, _) =
+        read_verified(path).map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    let doc = std::str::from_utf8(&bytes)
+        .ok()
+        .and_then(|text| JsonValue::parse(text.trim()))
+        .ok_or_else(|| format!("{}: not valid JSON", path.display()))?;
     normalize(&doc).map_err(|e| format!("{}: {e}", path.display()))
 }
 
@@ -447,9 +437,9 @@ pub fn read_history(path: &Path) -> Result<History, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let doc = Json::parse(line)
-            .map_err(|e| format!("{}:{}: not valid JSON: {e}", path.display(), idx + 1))?;
-        let schema = doc.get("schema").and_then(Json::as_u64).unwrap_or(1);
+        let doc = JsonValue::parse(line)
+            .ok_or_else(|| format!("{}:{}: not valid JSON", path.display(), idx + 1))?;
+        let schema = doc.get("schema").and_then(JsonValue::as_u64).unwrap_or(1);
         if schema > SUPPORTED_SCHEMA {
             out.skipped.push(format!(
                 "{}:{}: version_skew — record has schema {schema}, this build \
@@ -468,33 +458,36 @@ pub fn read_history(path: &Path) -> Result<History, String> {
 
 /// Normalizes a bench artifact or a history line into an [`Entry`]: the
 /// top-level `work` and `wall_nanos` objects are taken as-is.
-pub fn normalize(doc: &Json) -> Result<Entry, String> {
+pub fn normalize(doc: &JsonValue) -> Result<Entry, String> {
     let bench = doc
         .get("bench")
-        .and_then(Json::as_str)
+        .and_then(JsonValue::as_str)
         .ok_or_else(|| "missing string field `bench`".to_string())?
         .to_string();
     let workload = doc
         .get("workload")
-        .map_or_else(|| "{}".to_string(), Json::render);
+        .map_or_else(|| "{}".to_string(), JsonValue::render);
     let host_parallelism = doc
         .get("host_parallelism")
-        .and_then(Json::as_u64)
+        .and_then(JsonValue::as_u64)
         .unwrap_or(0);
     let sha = doc
         .get("sha")
-        .and_then(Json::as_str)
+        .and_then(JsonValue::as_str)
         .unwrap_or("unknown")
         .to_string();
-    let recorded_unix = doc.get("recorded_unix").and_then(Json::as_u64).unwrap_or(0);
+    let recorded_unix = doc
+        .get("recorded_unix")
+        .and_then(JsonValue::as_u64)
+        .unwrap_or(0);
     let work = doc
         .get("work")
-        .and_then(Json::as_obj)
+        .and_then(JsonValue::as_obj)
         .map(counters_of)
         .ok_or_else(|| "no `work` section to read counters from".to_string())?;
     let wall = doc
         .get("wall_nanos")
-        .and_then(Json::as_obj)
+        .and_then(JsonValue::as_obj)
         .map(counters_of)
         .unwrap_or_default();
     Ok(Entry {
@@ -508,7 +501,7 @@ pub fn normalize(doc: &Json) -> Result<Entry, String> {
     })
 }
 
-fn counters_of(pairs: &[(String, Json)]) -> Vec<(String, u64)> {
+fn counters_of(pairs: &[(String, JsonValue)]) -> Vec<(String, u64)> {
     pairs
         .iter()
         .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
@@ -605,6 +598,34 @@ mod tests {
              \"work\":{\"search/pops\":1005},\"wall_nanos\":{\"search\":999}}\n",
         )
         .unwrap();
+        assert_eq!(check(&args), Ok(0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn an_artifact_that_disagrees_with_its_sidecar_fails_the_check() {
+        let dir = std::env::temp_dir().join(format!("xtask-perf-corrupt-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let history = dir.join("perf_history.jsonl");
+        let baseline = entry("profile", &[("search/pops", 1000)]);
+        fs::write(&history, render_entry(&baseline) + "\n").unwrap();
+        let artifact = dir.join("BENCH_profile.json");
+        let doc = "{\"bench\":\"profile\",\"workload\":{\"seed\":11},\"host_parallelism\":8,\
+                   \"work\":{\"search/pops\":1000},\"wall_nanos\":{\"search\":999}}\n";
+        let faults = evematch_core::fault::Faults::default();
+        evematch_core::persist::atomic_write_verified(&faults, &artifact, doc.as_bytes()).unwrap();
+        let args = vec![
+            artifact.display().to_string(),
+            "--history".to_string(),
+            history.display().to_string(),
+        ];
+        assert_eq!(check(&args), Ok(0));
+        // An in-place edit of the same length leaves the sidecar stale.
+        fs::write(&artifact, doc.replace("1000", "1001")).unwrap();
+        let err = check(&args).unwrap_err();
+        assert!(err.contains("checksum mismatch"), "{err}");
+        // The same bytes with no sidecar read as a hand-made file.
+        fs::remove_file(evematch_core::persist::integrity::sidecar_path(&artifact)).unwrap();
         assert_eq!(check(&args), Ok(0));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -713,7 +734,7 @@ mod tests {
 
     #[test]
     fn normalizes_flat_artifacts_and_rejects_workless_ones() {
-        let profile = Json::parse(
+        let profile = JsonValue::parse(
             "{\"bench\":\"profile\",\"workload\":{\"seed\":11},\"host_parallelism\":4,\
              \"work\":{\"search/pops\":7},\"wall_nanos\":{\"search\":123}}",
         )
@@ -724,7 +745,7 @@ mod tests {
         assert_eq!(e.work, vec![("search/pops".to_string(), 7)]);
         assert_eq!(e.wall, vec![("search".to_string(), 123)]);
 
-        let workless = Json::parse(
+        let workless = JsonValue::parse(
             "{\"bench\":\"profile\",\"workload\":{\"seed\":11},\
              \"seq\":{\"wall_nanos\":50,\"log_scans\":20}}",
         )
@@ -736,8 +757,22 @@ mod tests {
     fn history_lines_round_trip_through_render_and_normalize() {
         let e = entry("profile", &[("search/pops", 42), ("index/calls", 1)]);
         let line = render_entry(&e);
-        let back = normalize(&Json::parse(&line).unwrap()).unwrap();
+        let back = normalize(&JsonValue::parse(&line).unwrap()).unwrap();
         assert_eq!(back, e);
+    }
+
+    #[test]
+    fn every_committed_history_line_round_trips_byte_for_byte() {
+        let path = crate::workspace_root().join(DEFAULT_HISTORY);
+        let text = fs::read_to_string(&path).unwrap();
+        let mut lines = 0;
+        for (idx, line) in text.lines().enumerate() {
+            let doc = JsonValue::parse(line).unwrap();
+            let entry = normalize(&doc).unwrap_or_else(|e| panic!("line {}: {e}", idx + 1));
+            assert_eq!(render_entry(&entry), line, "line {}", idx + 1);
+            lines += 1;
+        }
+        assert!(lines > 0, "{} has no records", path.display());
     }
 
     #[test]
