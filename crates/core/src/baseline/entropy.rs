@@ -23,7 +23,7 @@ pub struct EntropyMatcher {
     /// Resource budget. The method is a single assignment, so only the
     /// degenerate zero/tiny caps can trip it; the mapping is still complete
     /// and tagged [`Completion::BudgetExhausted`] with the baselines'
-    /// global gap (see [`crate::baseline`]).
+    /// global gap.
     pub budget: Budget,
 }
 

@@ -45,7 +45,7 @@ pub struct IterativeMatcher {
     /// Resource budget: a tripped budget cuts the fixpoint short (the
     /// assignment then runs on the partially-propagated matrix) and marks
     /// the result [`Completion::BudgetExhausted`] with the baselines'
-    /// global gap certificate (see [`crate::baseline`]).
+    /// global gap certificate.
     pub budget: Budget,
 }
 

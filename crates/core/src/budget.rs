@@ -327,12 +327,6 @@ impl BudgetMeter {
         self.polls.get()
     }
 
-    /// Wall time since the meter started.
-    #[must_use]
-    pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
-    }
-
     /// The budget being metered.
     #[must_use]
     pub fn budget(&self) -> &Budget {

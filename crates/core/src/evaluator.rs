@@ -269,21 +269,20 @@ impl<'a> Evaluator<'a> {
     /// Ends the run and packs its result: the one place a
     /// [`MatchOutcome`] is built. Closing the phase tree mirrors the
     /// `search` root's wall-clock into the registry's non-deterministic
-    /// timing section as `search.solve`; every counter stays
-    /// bit-deterministic.
+    /// timing section as `search.solve` and into the outcome's `elapsed`;
+    /// every counter stays bit-deterministic.
     pub(crate) fn finish(
         mut self,
         mapping: Mapping,
         score: f64,
         completion: Completion,
     ) -> MatchOutcome {
-        let elapsed = self.meter.elapsed();
         let profile = self.tele.finish_phases();
         let metrics = self.metrics_snapshot();
         MatchOutcome {
             mapping,
             score,
-            elapsed,
+            elapsed: profile.wall(),
             completion,
             metrics,
             trace: self.tele.trace,
@@ -454,7 +453,7 @@ impl<'a> Evaluator<'a> {
     /// (worst-case exponential in `AND` fan-out) and the log scan both poll
     /// the deadline from inside, so one pathological pattern cannot overrun
     /// the budget. A fuel-interrupted evaluation reports `0` without
-    /// caching it and bumps [`Evaluator::interrupted_evals`]. Once the
+    /// caching it and bumps `eval.interrupted_evals`. Once the
     /// meter is exhausted, evaluations instead run to completion unfueled —
     /// the polynomial-bounded "grace" work that scores the anytime result
     /// exactly.

@@ -113,7 +113,7 @@ pub struct MatchOutcome {
     pub mapping: Mapping,
     /// Its pattern normal distance `D^N(M)`.
     pub score: f64,
-    /// Wall-clock time of the run.
+    /// Wall-clock time of the run: the wall of its `search` root phase.
     pub elapsed: Duration,
     /// Whether the run finished or degraded on budget exhaustion.
     pub completion: Completion,
@@ -766,6 +766,18 @@ mod tests {
                 out.score
             );
         }
+    }
+
+    #[test]
+    fn elapsed_is_exactly_the_search_root_wall() {
+        let (l1, l2) = isomorphic_logs();
+        let ctx = MatchContext::new(l1, l2, PatternSetBuilder::new().vertices()).unwrap();
+        let out = ExactMatcher::new(BoundKind::Tight).solve(&ctx);
+        let [search] = &out.profile.roots[..] else {
+            panic!("one root expected: {:?}", out.profile.roots);
+        };
+        assert_eq!(search.name, "search");
+        assert_eq!(out.elapsed, Duration::from_nanos(search.wall_nanos));
     }
 
     #[test]

@@ -24,8 +24,8 @@
 //!   [`AdvancedHeuristic`] (Algorithms 3 and 4) with estimated scores
 //!   (Equation 2), feasible labelings and maximal alternating trees;
 //! * **baselines** the paper compares against — Vertex and Vertex+Edge
-//!   matching [7], iterative similarity propagation [16]
-//!   ([`IterativeMatcher`]) and the entropy-only matcher [7]
+//!   matching \[7\], iterative similarity propagation \[16\]
+//!   ([`IterativeMatcher`]) and the entropy-only matcher \[7\]
 //!   ([`EntropyMatcher`]);
 //! * a maximum-weight [`assignment`] (Kuhn–Munkres) substrate;
 //! * the executable **NP-hardness reduction** of Theorem 1 in [`hardness`].

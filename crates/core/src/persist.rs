@@ -7,11 +7,11 @@
 //! classic temp-file + fsync + rename protocol — readers observe either
 //! the old contents or the complete new contents, never a prefix.
 //!
-//! [`append_line_durable`] complements it for journals that *grow*: each
+//! [`append_line_durable`] complements it for files that *grow*: each
 //! appended line is fsynced before the call returns, so at most the line
-//! being written when the process dies can be torn — and journal readers
-//! are expected to tolerate exactly one trailing partial line (see
-//! `evematch_eval`'s experiment checkpointing).
+//! being written when the process dies can be torn. Its one user is the
+//! checkpoint [`journal`], whose readers tolerate exactly that trailing
+//! partial line.
 //!
 //! Both primitives take the run's [`Faults`] plan and carry integrity and
 //! observability hooks:
@@ -22,9 +22,8 @@
 //!   [`write_artifact`] retries it under the default backoff policy — the
 //!   one writer every binary's result artifacts go through;
 //! * after the rename (and after an append that creates a journal) the
-//!   parent directory is fsynced — [`fsync_dir_of`] — so the directory
-//!   entry itself survives a crash, with the `persist.fsync_dir`
-//!   failpoint covering that window;
+//!   parent directory is fsynced, so the directory entry itself survives
+//!   a crash, with the `persist.fsync_dir` failpoint covering that window;
 //! * each durable step first passes its `persist.<step>` failpoint and,
 //!   once done, is recorded as an [`iotrace::IoOp`] when the plan is a
 //!   crash-consistency explorer's recording plan.
@@ -36,6 +35,7 @@
 
 pub mod integrity;
 pub mod iotrace;
+pub mod journal;
 
 use std::fs;
 use std::io::{self, Write};
@@ -132,9 +132,9 @@ pub fn atomic_write(faults: &Faults, path: impl AsRef<Path>, bytes: &[u8]) -> io
 ///
 /// The write is issued as a single `write_all` of `line + "\n"`; on a
 /// crash mid-append the file may end in one torn partial line, which
-/// journal readers must skip. Lines must not contain `\n` themselves —
-/// embedded newlines would make torn-line recovery ambiguous — so this
-/// returns `InvalidInput` for them.
+/// the journal's readers tolerate as its torn tail. Lines must not contain
+/// `\n` themselves — embedded newlines would make torn-line recovery
+/// ambiguous — so this returns `InvalidInput` for them.
 pub fn append_line_durable(faults: &Faults, path: impl AsRef<Path>, line: &str) -> io::Result<()> {
     if line.contains('\n') {
         return Err(io::Error::new(
@@ -152,7 +152,7 @@ pub fn append_line_durable(faults: &Faults, path: impl AsRef<Path>, line: &str) 
     buf.push(b'\n');
     // Failpoint `persist.append`: `torn` writes a newline-less prefix of
     // the payload and then fails transiently — exactly the on-disk state a
-    // crash mid-append leaves behind, which journal readers must tolerate.
+    // crash mid-append leaves behind, which the journal's readers tolerate.
     match faults.hit("persist.append") {
         Some(FaultAction::Torn) => {
             file.write_all(&buf[..buf.len() / 2])?;

@@ -13,11 +13,9 @@
 //!   results) keep working, while [`read_verified`] and [`verify_dir`]
 //!   prove end-to-end integrity whenever the sidecar is present.
 //! * **Append-only journals** (the experiment checkpoint journal) get
-//!   *in-band* framing: a header line (magic `#%EVMJ`, format version,
-//!   CRC64 context fingerprint, header CRC32) written at creation, and a
-//!   ` #c=<crc32>` trailer appended to every record line. The journal's
-//!   only reader is the checkpoint replay in `evematch-eval`, which
-//!   verifies every line on load.
+//!   *in-band* framing, owned by [`super::journal`]: a checksummed header
+//!   line and a CRC-32 trailer on every record. [`verify_dir`] grades them
+//!   through the journal's own line classifier.
 //!
 //! Verification failures are never panics and never silent acceptance:
 //! they classify into [`IntegrityError`] — [`IntegrityError::TornTail`]
@@ -34,21 +32,13 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
+use super::journal::{self, Line};
 use crate::fault::{FaultClass, Faults};
 use crate::telemetry::json::JsonValue;
 
 /// The framed-format version this build writes and the newest it reads.
 /// A header declaring a greater version is [`IntegrityError::VersionSkew`].
 pub const FORMAT_VERSION: u32 = 1;
-
-/// Magic prefix of the in-band journal header line. The leading `#` keeps
-/// naive line-oriented readers treating it as a comment.
-pub const JOURNAL_MAGIC: &str = "#%EVMJ";
-
-/// Marker [`super::seal_torn_tail`] appends to terminate a torn journal
-/// line: readers and the offline verifier recognize sealed fragments as
-/// the documented crash case rather than corruption.
-pub const SEAL_MARKER: &str = " #sealed";
 
 /// File extension of integrity sidecars (`<artifact>.evmi`).
 pub const SIDECAR_EXT: &str = "evmi";
@@ -221,110 +211,6 @@ pub fn crc64(bytes: &[u8]) -> u64 {
 }
 
 // ---------------------------------------------------------------------------
-// In-band journal framing.
-
-/// The parsed fields of a journal header line.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JournalHeader {
-    /// Format version the journal was written with.
-    pub version: u32,
-    /// CRC-64 of the writer's context fingerprint (for the checkpoint
-    /// journal: the grid fingerprint). A mismatch means the journal
-    /// belongs to a differently-configured run.
-    pub ctx: u64,
-}
-
-/// Renders the journal header line for a writer with context string `ctx`
-/// (no trailing newline): `#%EVMJ v=1 ctx=<crc64> c=<crc32 of the rest>`.
-#[must_use]
-pub fn journal_header(ctx: &str) -> String {
-    let body = format!(
-        "{JOURNAL_MAGIC} v={FORMAT_VERSION} ctx={:016x}",
-        crc64(ctx.as_bytes())
-    );
-    let c = crc32(body.as_bytes());
-    format!("{body} c={c:08x}")
-}
-
-/// Parses and verifies a journal header line.
-///
-/// # Errors
-/// [`IntegrityError::TruncatedHeader`] when the line is not a (complete)
-/// header — including legacy pre-integrity journals, which have none;
-/// [`IntegrityError::VersionSkew`] when it declares a newer format (checked
-/// before the checksum, since a future format may checksum differently);
-/// [`IntegrityError::ChecksumMismatch`] when the header fails its own CRC.
-pub fn parse_journal_header(line: &str) -> Result<JournalHeader, IntegrityError> {
-    let rest = line
-        .strip_prefix(JOURNAL_MAGIC)
-        .ok_or(IntegrityError::TruncatedHeader)?;
-    let mut version = None;
-    let mut ctx = None;
-    let mut crc = None;
-    for tok in rest.split_whitespace() {
-        if let Some(v) = tok.strip_prefix("v=") {
-            version = v.parse::<u32>().ok();
-        } else if let Some(x) = tok.strip_prefix("ctx=") {
-            ctx = u64::from_str_radix(x, 16).ok();
-        } else if let Some(c) = tok.strip_prefix("c=") {
-            crc = u32::from_str_radix(c, 16).ok();
-        }
-    }
-    let version = version.ok_or(IntegrityError::TruncatedHeader)?;
-    if version > FORMAT_VERSION {
-        return Err(IntegrityError::VersionSkew {
-            found: version,
-            supported: FORMAT_VERSION,
-        });
-    }
-    let (Some(ctx), Some(expected)) = (ctx, crc) else {
-        return Err(IntegrityError::TruncatedHeader);
-    };
-    let body = line.rsplit_once(" c=").map_or(line, |(body, _)| body);
-    let actual = crc32(body.as_bytes());
-    if actual != expected {
-        return Err(IntegrityError::ChecksumMismatch {
-            expected: u64::from(expected),
-            actual: u64::from(actual),
-        });
-    }
-    Ok(JournalHeader { version, ctx })
-}
-
-/// Frames one journal record line: appends the ` #c=<crc32>` trailer over
-/// the payload bytes. The payload must not contain newlines (the journal
-/// append rejects them).
-#[must_use]
-pub fn frame_record(payload: &str) -> String {
-    format!("{payload} #c={:08x}", crc32(payload.as_bytes()))
-}
-
-/// Verifies one framed journal record line, returning the payload with the
-/// trailer stripped.
-///
-/// # Errors
-/// [`IntegrityError::TornTail`] when the trailer is missing or cut short
-/// (what a crash mid-append leaves on the final line; on an interior line
-/// the caller treats it as quarantine-worthy corruption);
-/// [`IntegrityError::ChecksumMismatch`] when the payload does not match
-/// its trailer.
-pub fn verify_record(line: &str) -> Result<&str, IntegrityError> {
-    let (payload, crc_hex) = line.rsplit_once(" #c=").ok_or(IntegrityError::TornTail)?;
-    if crc_hex.len() != 8 {
-        return Err(IntegrityError::TornTail);
-    }
-    let expected = u32::from_str_radix(crc_hex, 16).map_err(|_| IntegrityError::TornTail)?;
-    let actual = crc32(payload.as_bytes());
-    if actual != expected {
-        return Err(IntegrityError::ChecksumMismatch {
-            expected: u64::from(expected),
-            actual: u64::from(actual),
-        });
-    }
-    Ok(payload)
-}
-
-// ---------------------------------------------------------------------------
 // Sidecar framing for whole-file artifacts.
 
 /// The sidecar path for `path`: the same name with `.evmi` appended
@@ -463,8 +349,8 @@ pub enum FileStatus {
         /// Torn/sealed fragments tolerated (the documented crash case).
         torn: usize,
     },
-    /// No sidecar (or a legacy headerless journal): nothing vouches for
-    /// the bytes. A warning, not a failure.
+    /// No sidecar (or a journal with no header): nothing vouches for the
+    /// bytes. A warning, not a failure.
     Unverified,
     /// Verification failed with a typed error.
     Corrupt(IntegrityError),
@@ -554,58 +440,25 @@ impl VerifyReport {
     }
 }
 
-/// Verifies one framed journal file's bytes (header plus every record).
-///
-/// Returns the per-file status directly — legacy headerless journals are
-/// [`FileStatus::Unverified`], torn/sealed fragments are tolerated and
-/// counted, anything else failing its checksum is [`FileStatus::Corrupt`].
-#[must_use]
-pub fn verify_journal_bytes(bytes: &[u8]) -> FileStatus {
-    if bytes.is_empty() {
-        return FileStatus::Unverified;
+/// Grades one journal's bytes through `journal::classify`: no header at
+/// all is [`FileStatus::Unverified`], a damaged header or line is
+/// [`FileStatus::Corrupt`], and torn or sealed fragments (the documented
+/// crash case) are tolerated and counted.
+fn journal_status(bytes: &[u8]) -> FileStatus {
+    let (header, mut lines) = journal::classify(bytes);
+    match header {
+        None => FileStatus::Unverified,
+        Some(Err(e)) => FileStatus::Corrupt(e),
+        Some(Ok(_)) => lines
+            .try_fold((0, 0), |(records, torn), line| match line {
+                Line::Record(_) => Ok((records + 1, torn)),
+                Line::Sealed | Line::TornTail => Ok((records, torn + 1)),
+                Line::Damaged(e) => Err(e),
+            })
+            .map_or_else(FileStatus::Corrupt, |(records, torn)| {
+                FileStatus::JournalVerified { records, torn }
+            }),
     }
-    let ends_complete = bytes.last() == Some(&b'\n');
-    let mut lines = bytes.split(|&b| b == b'\n');
-    let Some(first) = lines.next() else {
-        return FileStatus::Unverified;
-    };
-    match std::str::from_utf8(first).ok().map(parse_journal_header) {
-        Some(Ok(_)) => {}
-        Some(Err(IntegrityError::TruncatedHeader)) | None
-            if !first.starts_with(JOURNAL_MAGIC.as_bytes()) =>
-        {
-            // No magic at all: a legacy pre-integrity journal.
-            return FileStatus::Unverified;
-        }
-        Some(Err(e)) => return FileStatus::Corrupt(e),
-        None => return FileStatus::Corrupt(IntegrityError::TruncatedHeader),
-    }
-    let rest: Vec<&[u8]> = lines.collect();
-    let mut records = 0;
-    let mut torn = 0;
-    for (i, raw) in rest.iter().enumerate() {
-        let is_last = i + 1 == rest.len();
-        if raw.is_empty() {
-            continue;
-        }
-        // The unterminated final fragment is the documented crash case.
-        if is_last && !ends_complete {
-            torn += 1;
-            continue;
-        }
-        let Ok(line) = std::str::from_utf8(raw) else {
-            return FileStatus::Corrupt(IntegrityError::TornTail);
-        };
-        if line.ends_with(SEAL_MARKER) {
-            torn += 1;
-            continue;
-        }
-        match verify_record(line) {
-            Ok(_) => records += 1,
-            Err(e) => return FileStatus::Corrupt(e),
-        }
-    }
-    FileStatus::JournalVerified { records, torn }
 }
 
 /// Walks `dir` (non-recursive — output directories are flat) and verifies
@@ -643,11 +496,11 @@ pub fn verify_dir(dir: &Path) -> io::Result<VerifyReport> {
         }
         #[expect(
             clippy::disallowed_methods,
-            reason = "this IS the verifier: the raw journal bytes feed verify_journal_bytes"
+            reason = "this IS the verifier: the raw journal bytes feed the journal's classifier"
         )]
         let status = if name.ends_with(".journal") {
             match fs::read(&path) {
-                Ok(bytes) => verify_journal_bytes(&bytes),
+                Ok(bytes) => journal_status(&bytes),
                 Err(_) => FileStatus::Corrupt(IntegrityError::TruncatedHeader),
             }
         } else {
@@ -687,6 +540,10 @@ fn verify_sidecar_pair(path: &Path, side: &Path) -> Result<u64, IntegrityError> 
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use crate::persist::journal::{
+        frame_record, journal_header, parse_journal_header, verify_record, JOURNAL_MAGIC,
+        SEAL_MARKER,
+    };
 
     #[test]
     fn crc_check_values_match_the_standards() {
@@ -880,22 +737,22 @@ mod tests {
         let rec = frame_record("{\"x\":1}");
         let torn = format!("{}\n{rec}\n{}", journal_header("c"), &rec[..rec.len() / 2]);
         assert_eq!(
-            verify_journal_bytes(torn.as_bytes()),
+            journal_status(torn.as_bytes()),
             FileStatus::JournalVerified {
                 records: 1,
                 torn: 1
             }
         );
-        // Legacy journal (no magic anywhere): a warning, not corruption.
+        // No header at all (no magic anywhere): a warning, not corruption.
         assert_eq!(
-            verify_journal_bytes(b"{\"grid\":\"v1|old\"}\n"),
+            journal_status(b"{\"grid\":\"v1|old\"}\n"),
             FileStatus::Unverified
         );
         // Empty: nothing to say.
-        assert_eq!(verify_journal_bytes(b""), FileStatus::Unverified);
+        assert_eq!(journal_status(b""), FileStatus::Unverified);
         // A header torn mid-write (magic present, fields cut): corrupt.
         assert!(matches!(
-            verify_journal_bytes(b"#%EVMJ v=1 ct"),
+            journal_status(b"#%EVMJ v=1 ct"),
             FileStatus::Corrupt(_)
         ));
     }

@@ -4,9 +4,9 @@
 //! answers "in which phase". A [`PhaseProfiler`] maintains a tree of
 //! named phases (`ingest → index → search → support-eval → emit`, nested
 //! arbitrarily) opened and closed with [`PhaseProfiler::open`] /
-//! [`PhaseProfiler::close`] or the [`phase!`] macro. Each node carries
-//! two strictly separated kinds of data, mirroring the registry's split
-//! (DESIGN.md §8):
+//! [`PhaseProfiler::close`] or the [`phase!`](crate::phase!) macro. Each
+//! node carries two strictly separated kinds of data, mirroring the
+//! registry's split (DESIGN.md §8):
 //!
 //! * **deterministic work attribution** — call counts plus the
 //!   [`WorkCol`] columns (meter ticks, evals, pops, cache hits/misses,
@@ -33,7 +33,7 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use super::json::{push_key, push_string, JsonValue};
 
@@ -66,11 +66,6 @@ const WORK_KEYS: [&str; WORK_COLS] = [
     "cache_misses",
     "fault_retries",
 ];
-
-/// Column index for a JSON key, if it names one.
-fn work_col_index(key: &str) -> Option<usize> {
-    WORK_KEYS.iter().position(|k| *k == key)
-}
 
 /// One phase node in a [`ProfileSnapshot`]: name, call count, the
 /// deterministic work columns (exclusive — charged while this phase was
@@ -422,6 +417,11 @@ impl ProfileSnapshot {
         self.roots.is_empty()
     }
 
+    /// Wall time of the profiled run: its root phases' walls, summed.
+    pub fn wall(&self) -> Duration {
+        Duration::from_nanos(self.roots.iter().map(|r| r.wall_nanos).sum())
+    }
+
     /// Folds `other` into `self`: same-named phases merge recursively
     /// (work summed, walls summed, min/max combined), unseen phases
     /// append in `other`'s order.
@@ -482,22 +482,16 @@ impl ProfileSnapshot {
         Self::from_json_value(&JsonValue::parse(text)?)
     }
 
-    /// Parses an already-parsed JSON value. Tolerates an absent
-    /// `non_deterministic` section (walls default to zero), so older or
-    /// stripped documents still load.
+    /// Parses an already-parsed JSON value: both sections, every work
+    /// column and one wall entry per phase, exactly as
+    /// [`ProfileSnapshot::to_json_string`] writes them.
     pub fn from_json_value(v: &JsonValue) -> Option<ProfileSnapshot> {
-        let det = v.get("deterministic")?;
         let mut roots = Vec::new();
-        for node in det.get("phases")?.as_arr()? {
+        for node in v.get("deterministic")?.get("phases")?.as_arr()? {
             roots.push(parse_det_node(node)?);
         }
-        let walls = v
-            .get("non_deterministic")
-            .and_then(|nd| nd.get("wall"))
-            .and_then(JsonValue::as_arr);
-        if let Some(walls) = walls {
-            fill_walls(&mut roots, walls);
-        }
+        let walls = v.get("non_deterministic")?.get("wall")?.as_arr()?;
+        fill_walls(&mut roots, walls)?;
         Some(ProfileSnapshot { roots })
     }
 
@@ -619,40 +613,30 @@ fn push_wall_node(out: &mut String, node: &ProfileNode) {
 
 fn parse_det_node(v: &JsonValue) -> Option<ProfileNode> {
     let mut node = ProfileNode::named(v.get("name")?.as_str()?);
-    node.calls = v.get("calls").and_then(JsonValue::as_u64).unwrap_or(0);
-    if let Some(JsonValue::Obj(fields)) = v.get("work") {
-        for (key, value) in fields {
-            if let (Some(i), Some(n)) = (work_col_index(key), value.as_u64()) {
-                node.work[i] = n;
-            }
-        }
+    node.calls = v.get("calls")?.as_u64()?;
+    let work = v.get("work")?;
+    for (slot, key) in node.work.iter_mut().zip(WORK_KEYS) {
+        *slot = work.get(key)?.as_u64()?;
     }
-    if let Some(children) = v.get("children").and_then(JsonValue::as_arr) {
-        for child in children {
-            node.children.push(parse_det_node(child)?);
-        }
+    for child in v.get("children")?.as_arr()? {
+        node.children.push(parse_det_node(child)?);
     }
     Some(node)
 }
 
-/// Copies wall stats from the parsed `wall` array into the name-matched
-/// deterministic nodes (position-then-name match; mismatches are left
-/// at zero rather than guessed).
-fn fill_walls(nodes: &mut [ProfileNode], walls: &[JsonValue]) {
-    for node in nodes.iter_mut() {
-        let Some(wall) = walls
-            .iter()
-            .find(|w| w.get("name").and_then(JsonValue::as_str) == Some(node.name.as_str()))
-        else {
-            continue;
-        };
-        node.wall_nanos = wall.get("nanos").and_then(JsonValue::as_u64).unwrap_or(0);
-        node.wall_min = wall.get("min").and_then(JsonValue::as_u64).unwrap_or(0);
-        node.wall_max = wall.get("max").and_then(JsonValue::as_u64).unwrap_or(0);
-        if let Some(children) = wall.get("children").and_then(JsonValue::as_arr) {
-            fill_walls(&mut node.children, children);
-        }
+/// Copies wall stats from the parsed `wall` array into the deterministic
+/// nodes, which it mirrors position by position.
+fn fill_walls(nodes: &mut [ProfileNode], walls: &[JsonValue]) -> Option<()> {
+    if nodes.len() != walls.len() {
+        return None;
     }
+    for (node, wall) in nodes.iter_mut().zip(walls) {
+        node.wall_nanos = wall.get("nanos")?.as_u64()?;
+        node.wall_min = wall.get("min")?.as_u64()?;
+        node.wall_max = wall.get("max")?.as_u64()?;
+        fill_walls(&mut node.children, wall.get("children")?.as_arr()?)?;
+    }
+    Some(())
 }
 
 fn flatten_work(node: &ProfileNode, parent: &str, out: &mut BTreeMap<String, u64>) {
@@ -759,15 +743,14 @@ mod tests {
         let snap = sample();
         let parsed = ProfileSnapshot::from_json(&snap.to_json_string()).expect("parses");
         assert_eq!(parsed, snap);
-        // And the deterministic section alone still loads (walls zero).
+        // Shapes this build does not write are rejected, not defaulted:
+        // the deterministic section alone, or a phase missing a column.
         let det_doc = format!("{{\"deterministic\":{}}}", snap.deterministic_json());
-        let det = ProfileSnapshot::from_json(&det_doc).expect("parses");
-        assert_eq!(det.roots[0].name, "search");
-        assert_eq!(det.roots[0].wall_nanos, 0);
-        assert_eq!(
-            det.roots[0].work[WorkCol::Pops as usize],
-            snap.roots[0].work[WorkCol::Pops as usize]
-        );
+        let no_pops = snap.to_json_string().replacen(",\"pops\":3", "", 1);
+        assert_ne!(no_pops, snap.to_json_string());
+        for old in [det_doc, no_pops] {
+            assert_eq!(ProfileSnapshot::from_json(&old), None, "{old}");
+        }
     }
 
     #[test]

@@ -307,8 +307,9 @@ impl MetricsSnapshot {
 
     /// Parses a snapshot previously rendered by [`Self::to_json_string`].
     ///
-    /// Returns `None` on malformed input — e.g. a torn journal line from a
-    /// crashed writer — so callers can skip bad records instead of failing.
+    /// Returns `None` on malformed input — a torn line, or any shape this
+    /// build does not write — so callers can skip bad records instead of
+    /// failing.
     pub fn from_json(text: &str) -> Option<MetricsSnapshot> {
         Self::from_json_value(&json::JsonValue::parse(text)?)
     }
@@ -335,11 +336,7 @@ impl MetricsSnapshot {
             );
         }
         let non_det = v.get("non_deterministic")?;
-        // `info` is absent in snapshots written before it existed; tolerate
-        // that so old journals keep parsing.
-        if let Some(info) = non_det.get("info") {
-            snap.info = json_u64_map(info)?;
-        }
+        snap.info = json_u64_map(non_det.get("info")?)?;
         let json::JsonValue::Obj(timings) = non_det.get("timings")? else {
             return None;
         };
@@ -349,16 +346,8 @@ impl MetricsSnapshot {
                 TimingSnapshot {
                     count: t.get("count")?.as_u64()?,
                     total_nanos: t.get("total_nanos")?.as_u64()?,
-                    // Absent in snapshots written before the extremes
-                    // existed; tolerate that so old journals keep parsing.
-                    min_nanos: t
-                        .get("min_nanos")
-                        .and_then(json::JsonValue::as_u64)
-                        .unwrap_or(0),
-                    max_nanos: t
-                        .get("max_nanos")
-                        .and_then(json::JsonValue::as_u64)
-                        .unwrap_or(0),
+                    min_nanos: t.get("min_nanos")?.as_u64()?,
+                    max_nanos: t.get("max_nanos")?.as_u64()?,
                 },
             );
         }
@@ -494,6 +483,18 @@ mod tests {
         }
         assert!(MetricsSnapshot::from_json("{}").is_none());
         assert!(MetricsSnapshot::from_json("not json").is_none());
+        // Shapes this build does not write (no `info` section, timings
+        // without extremes) are rejected, not defaulted.
+        reg.record_timing("t", 5);
+        let full = reg.snapshot().to_json_string();
+        assert!(MetricsSnapshot::from_json(&full).is_some());
+        for old in [
+            full.replace("\"info\":{},", ""),
+            full.replace(",\"min_nanos\":5,\"max_nanos\":5", ""),
+        ] {
+            assert_ne!(old, full);
+            assert!(MetricsSnapshot::from_json(&old).is_none(), "{old}");
+        }
     }
 
     #[test]
@@ -527,16 +528,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.info["matcher.fallback.binding"], 10);
         assert_eq!(a.info["matcher.fallback.state_budget"], 2);
-    }
-
-    #[test]
-    fn snapshots_without_an_info_section_still_parse() {
-        // A snapshot rendered before the info section existed.
-        let old = "{\"deterministic\":{\"counters\":{\"x\":1},\"gauges\":{},\
-                    \"histograms\":{}},\"non_deterministic\":{\"timings\":{}}}";
-        let snap = MetricsSnapshot::from_json(old).expect("old format parses");
-        assert_eq!(snap.counters["x"], 1);
-        assert!(snap.info.is_empty());
     }
 
     #[test]
@@ -574,18 +565,6 @@ mod tests {
         zero.timings.insert("t".into(), TimingSnapshot::default());
         merged.merge(&zero);
         assert_eq!(merged.timings["t"].min_nanos, 5);
-    }
-
-    #[test]
-    fn timings_without_extremes_still_parse() {
-        // A snapshot rendered before min/max existed.
-        let old = "{\"deterministic\":{\"counters\":{},\"gauges\":{},\
-                    \"histograms\":{}},\"non_deterministic\":{\"timings\":\
-                    {\"solve\":{\"count\":2,\"total_nanos\":100}}}}";
-        let snap = MetricsSnapshot::from_json(old).expect("old format parses");
-        assert_eq!(snap.timings["solve"].count, 2);
-        assert_eq!(snap.timings["solve"].min_nanos, 0);
-        assert_eq!(snap.timings["solve"].max_nanos, 0);
     }
 
     #[test]

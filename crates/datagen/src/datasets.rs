@@ -212,7 +212,7 @@ fn synthetic_module(m: usize) -> Block {
 }
 
 /// The larger synthetic dataset (Figure 11 / Table 3 row 2): `modules`
-/// chained copies of [`synthetic_module`] (10 events each — 10 modules =
+/// chained copies of `synthetic_module` (10 events each — 10 modules =
 /// 100 events), simulated into `traces` traces per side.
 ///
 /// Patterns: one `AND(a, b, c, d)` per module, plus

@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use evematch_core::claim::ClaimCursor;
 use evematch_core::fault::Faults;
-use evematch_core::persist::{self, integrity};
+use evematch_core::persist::journal::{self, JournalLoad};
 use evematch_core::retry::{retry_io, RealClock, RetryPolicy};
 use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot, WorkCol};
 use evematch_datagen::{datasets, Dataset};
@@ -258,7 +258,8 @@ fn run_job(
 ///
 /// With `cfg.checkpoint` set, completed jobs found in the journal are
 /// replayed instead of recomputed, and freshly computed jobs are appended
-/// to it (best-effort: an unwritable journal must not take down the run).
+/// to it (best-effort: an unwritable journal must not take down the run;
+/// see [`journal`]).
 pub fn run_grid(
     figure: &str,
     x_label: &str,
@@ -281,13 +282,17 @@ pub fn run_grid(
         .as_ref()
         .map(|dir| dir.join(format!("{figure}.journal")));
     let load = match &journal {
-        Some(path) => checkpoint::load_journal(path, &fingerprint, xs, &cfg.seeds, methods.len()),
-        None => checkpoint::JournalLoad::default(),
+        Some(path) => journal::replay(path, &fingerprint, |payload| {
+            checkpoint::parse_entry(payload, &fingerprint, xs, &cfg.seeds, methods.len())
+        }),
+        None => JournalLoad::default(),
     };
-    for kind in &load.integrity {
-        cfg.faults.note_integrity(kind);
+    for label in &load.integrity {
+        cfg.faults.note_integrity(label);
     }
-    let done = load.done;
+    // A job journaled twice (a crash between its append and the next claim
+    // reruns it) resolves to the last entry.
+    let done: BTreeMap<(usize, u64), Vec<MethodRecord>> = load.records.into_iter().collect();
     let mut jobs: Vec<(usize, u64)> = xs
         .iter()
         .enumerate()
@@ -303,10 +308,8 @@ pub fn run_grid(
         match load.rebuild {
             Some(reason) => {
                 // The typed rebuild warning: the journal existed but could
-                // not be trusted (version skew, changed grid context,
-                // damaged header, or past the quarantine bound); the counted
-                // reason is also in `integrity.journal_rebuilt.<reason>`
-                // telemetry.
+                // not be trusted; the counted reason is also in
+                // `integrity.journal_rebuilt.<reason>` telemetry.
                 #[expect(
                     clippy::print_stderr,
                     reason = "operator-facing integrity warning; counters carry the typed reason"
@@ -317,24 +320,10 @@ pub fn run_grid(
                         path.display()
                     );
                 }
-                // Start a fresh framed journal: header first, atomically,
-                // so every later append lands under a verified context.
-                // Best-effort like the appends — an unwritable journal
-                // must not take down the run.
-                let header = integrity::journal_header(&fingerprint) + "\n";
-                let _ = retry_io(
-                    &cfg.faults,
-                    &cfg.retry,
-                    "journal.rebuild",
-                    &mut RealClock,
-                    || persist::atomic_write(&cfg.faults, path, header.as_bytes()),
-                );
+                journal::start(&cfg.faults, &cfg.retry, path, &fingerprint);
             }
-            None => {
-                if !jobs.is_empty() {
-                    checkpoint::seal_torn_tail(path);
-                }
-            }
+            None if !jobs.is_empty() => journal::seal_torn_tail(path),
+            None => {}
         }
     }
     let results: Mutex<BTreeMap<(usize, u64), Vec<MethodRecord>>> = Mutex::new(done);
@@ -353,32 +342,12 @@ pub fn run_grid(
                     let (xi, seed) = jobs[i];
                     let records = run_job(xs[xi], seed, methods, cfg, &make);
                     if let Some(path) = &journal {
-                        let line = integrity::frame_record(&checkpoint::journal_line(
-                            &fingerprint,
-                            xs[xi],
-                            seed,
-                            &records,
-                        ));
-                        let guard = journal_append
+                        let payload =
+                            checkpoint::journal_line(&fingerprint, xs[xi], seed, &records);
+                        let _one_writer = journal_append
                             .lock()
                             .unwrap_or_else(PoisonError::into_inner);
-                        // Supervised best-effort: transient append failures
-                        // (including injected torn writes) seal whatever torn
-                        // bytes they left and retry under backoff, so a flaky
-                        // disk costs milliseconds instead of a recompute on
-                        // resume. A permanently unwritable journal still must
-                        // not take down the run — the grid keeps its results.
-                        let _ = retry_io(
-                            &cfg.faults,
-                            &cfg.retry,
-                            "journal.append",
-                            &mut RealClock,
-                            || {
-                                persist::append_line_durable(&cfg.faults, path, &line)
-                                    .inspect_err(|_| checkpoint::seal_torn_tail(path))
-                            },
-                        );
-                        drop(guard);
+                        journal::append(&cfg.faults, &cfg.retry, path, &payload);
                     }
                     results
                         .lock()
@@ -820,7 +789,7 @@ mod tests {
         assert_eq!(det_panels(&reference), det_panels(&checkpointed));
         let full = std::fs::read_to_string(&journal).unwrap();
         assert_eq!(full.lines().count(), 5);
-        assert!(full.starts_with(integrity::JOURNAL_MAGIC));
+        assert!(full.starts_with(journal::JOURNAL_MAGIC));
 
         // Simulate a kill: the header and the first appended line survive
         // intact, followed by a torn half-line — exactly what

@@ -141,33 +141,6 @@ impl DepGraph {
             .map(|(a, b)| (EventId(a), EventId(b)))
     }
 
-    /// Highest normalized vertex frequency among `events` (`f_n` of
-    /// Algorithm 2 line 3). Zero for an empty slice.
-    pub fn max_vertex_freq(&self, events: &[EventId]) -> f64 {
-        events
-            .iter()
-            .map(|&v| self.vertex_freq(v))
-            .fold(0.0, f64::max)
-    }
-
-    /// Highest normalized edge frequency in the subgraph induced by
-    /// `events` (`f_e` of Algorithm 2 line 4). Zero when the induced
-    /// subgraph has no edges.
-    ///
-    /// `events` must be sorted; membership is tested by binary search.
-    pub fn max_edge_freq_within(&self, events: &[EventId]) -> f64 {
-        debug_assert!(events.windows(2).all(|w| w[0] < w[1]), "must be sorted");
-        let mut best = 0u32;
-        for &a in events {
-            for &b in self.structure.successors(a.0) {
-                if events.binary_search(&EventId(b)).is_ok() {
-                    best = best.max(self.edge_support(a, EventId(b)));
-                }
-            }
-        }
-        self.normalize(best)
-    }
-
     #[inline]
     fn normalize(&self, support: u32) -> f64 {
         if self.trace_count == 0 {
@@ -246,25 +219,6 @@ mod tests {
         assert!((g.freq(b, b) - 1.0).abs() < 1e-12);
         // ... while edge_freq(b, b) is the self-loop frequency.
         assert!((g.edge_freq(b, b) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_frequency_helpers() {
-        let log = toy();
-        let g = log.dep_graph();
-        let a = log.events().lookup("A").unwrap();
-        let b = log.events().lookup("B").unwrap();
-        let c = log.events().lookup("C").unwrap();
-        assert!((g.max_vertex_freq(&[b, c]) - 1.0).abs() < 1e-12);
-        assert_eq!(g.max_vertex_freq(&[]), 0.0);
-        // Induced subgraph on {A, B}: edges A->B (3 traces) and B->B (1).
-        let mut sub = vec![a, b];
-        sub.sort();
-        assert!((g.max_edge_freq_within(&sub) - 0.75).abs() < 1e-12);
-        // {A, C}: A->C appears once (trace 2). C->A never.
-        let mut sub = vec![a, c];
-        sub.sort();
-        assert!((g.max_edge_freq_within(&sub) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -8,11 +8,9 @@
 //! buggy-recovery self-test proving the checker catches wrong data that
 //! passes the journal reader.
 //!
-//! Environment knobs (a malformed value stops the run with its name):
-//!
-//! - `EVEMATCH_CRASH_MAX_OPS` — cap on explored crash scenarios
-//!   (evenly sampled; the report states how many of the total ran).
-//! - `EVEMATCH_CRASH_TRACES` — dataset size per side (default 12).
+//! Every crash point is explored. `EVEMATCH_CRASH_TRACES` sets the dataset
+//! size per side (default 12); a malformed value stops the run with its
+//! name.
 //!
 //! Exit code 0 = invariant held everywhere and the self-test caught the
 //! seeded bug; 1 = any failure (evidence sandboxes are kept and their
@@ -20,26 +18,16 @@
 
 use std::process::ExitCode;
 
-use evematch_modelcheck::crashcheck::{buggy_recovery_self_test, explore, CrashConfig};
+use evematch_modelcheck::crashcheck::{buggy_recovery_self_test, explore, traces_from_env};
 
 fn main() -> ExitCode {
-    let cfg = CrashConfig::from_env();
-    println!(
-        "crashcheck: traces={} max_scenarios={:?}",
-        cfg.traces, cfg.max_scenarios
-    );
+    let traces = traces_from_env();
+    println!("crashcheck: traces={traces}");
 
     let mut failed = false;
-    match explore(&cfg) {
+    match explore(traces) {
         Ok(report) => {
             print!("{}", report.render());
-            if report.explored < report.total {
-                println!(
-                    "note: bounded run — {} of {} scenarios explored \
-                     (EVEMATCH_CRASH_MAX_OPS)",
-                    report.explored, report.total
-                );
-            }
             failed |= !report.is_clean();
         }
         Err(e) => {
@@ -48,7 +36,7 @@ fn main() -> ExitCode {
         }
     }
 
-    match buggy_recovery_self_test(cfg.traces) {
+    match buggy_recovery_self_test(traces) {
         Ok(outcome) => {
             println!(
                 "self-test: forged_divergence_caught={} verified_recovery_clean={}",

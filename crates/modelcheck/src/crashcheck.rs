@@ -36,64 +36,37 @@ use std::sync::Arc;
 
 use evematch_core::fault::Faults;
 use evematch_core::persist::iotrace::IoOp;
-use evematch_core::persist::{self, integrity};
+use evematch_core::persist::{self, integrity, journal};
 use evematch_core::retry::RetryPolicy;
 use evematch_core::Budget;
 use evematch_datagen::datasets;
 use evematch_eval::experiments::{run_grid, SweepConfig};
 use evematch_eval::{project_dataset, Method, Table};
 
-/// Exploration bounds.
-#[derive(Clone, Debug)]
-pub struct CrashConfig {
-    /// Trace count per side for the generated dataset (small keeps every
-    /// recovery run cheap; the op trace shape does not depend on it).
-    pub traces: usize,
-    /// Cap on the number of crash scenarios explored. `None` explores
-    /// every prefix and torn variant; with a cap the scenario list is
-    /// sampled at an even stride (first and last always kept) and the
-    /// report records how many were dropped — a bounded run never
-    /// silently claims full coverage.
-    pub max_scenarios: Option<usize>,
+/// Default trace count per side for the explorer's dataset (small keeps
+/// every recovery run cheap; the op trace shape does not depend on it).
+pub const DEFAULT_TRACES: usize = 12;
+
+/// Reads the trace count from `EVEMATCH_CRASH_TRACES` (default
+/// [`DEFAULT_TRACES`]).
+///
+/// # Panics
+/// When the variable is set but is not an unsigned integer (say `12k`):
+/// running the default instead would silently shrink the exploration.
+#[must_use]
+pub fn traces_from_env() -> usize {
+    traces_from(std::env::var_os("EVEMATCH_CRASH_TRACES").map(|v| v.to_string_lossy().into_owned()))
 }
 
-impl Default for CrashConfig {
-    fn default() -> Self {
-        CrashConfig {
-            traces: 12,
-            max_scenarios: None,
-        }
-    }
-}
-
-impl CrashConfig {
-    /// Reads `EVEMATCH_CRASH_TRACES` (default 12) and
-    /// `EVEMATCH_CRASH_MAX_OPS` (default uncapped) from the environment.
-    ///
-    /// # Panics
-    /// When a variable is set but is not an unsigned integer (say `12k`):
-    /// running the default instead would silently shrink the exploration.
-    #[must_use]
-    pub fn from_env() -> Self {
-        Self::from_vars(|key| std::env::var_os(key).map(|v| v.to_string_lossy().into_owned()))
-    }
-
-    /// [`Self::from_env`] over an injected variable lookup (`None` =
-    /// unset), so the parse policy is testable without the process
-    /// environment.
-    fn from_vars(var: impl Fn(&str) -> Option<String>) -> Self {
-        let knob = |key: &str| {
-            let value = var(key)?;
-            match value.trim().parse::<usize>() {
-                Ok(n) => Some(n),
-                Err(e) => panic!("{key}={value:?} is not an unsigned integer: {e}"),
-            }
-        };
-        let default = Self::default();
-        CrashConfig {
-            traces: knob("EVEMATCH_CRASH_TRACES").unwrap_or(default.traces),
-            max_scenarios: knob("EVEMATCH_CRASH_MAX_OPS").or(default.max_scenarios),
-        }
+/// [`traces_from_env`] over the variable's value (`None` = unset), so the
+/// parse policy is testable without the process environment.
+fn traces_from(value: Option<String>) -> usize {
+    let Some(value) = value else {
+        return DEFAULT_TRACES;
+    };
+    match value.trim().parse() {
+        Ok(n) => n,
+        Err(e) => panic!("EVEMATCH_CRASH_TRACES={value:?} is not an unsigned integer: {e}"),
     }
 }
 
@@ -125,11 +98,9 @@ impl Crash {
 pub struct CrashReport {
     /// Human-readable description of each recorded op, in order.
     pub trace: Vec<String>,
-    /// Crash scenarios actually replayed.
+    /// Crash scenarios replayed: every prefix of the trace plus a torn
+    /// variant of each content-carrying op.
     pub explored: usize,
-    /// Total scenarios the trace admits (== `explored` unless
-    /// [`CrashConfig::max_scenarios`] sampled the list down).
-    pub total: usize,
     /// Evidence lines, one per failed scenario (empty = invariant held
     /// at every explored crash point).
     pub failures: Vec<String>,
@@ -146,10 +117,9 @@ impl CrashReport {
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = format!(
-            "crash-consistency: {} ops traced, {}/{} scenarios explored, {} failure(s)\n",
+            "crash-consistency: {} ops traced, {} scenarios explored, {} failure(s)\n",
             self.trace.len(),
             self.explored,
-            self.total,
             self.failures.len()
         );
         for f in &self.failures {
@@ -260,23 +230,6 @@ fn tearable(op: &IoOp) -> bool {
     matches!(op, IoOp::WriteFile { bytes, .. } | IoOp::Append { bytes, .. } if bytes.len() >= 2)
 }
 
-/// Samples `all` down to at most `cap` elements at an even stride,
-/// always keeping the first and last (the empty-disk and
-/// fully-persisted crash points anchor the sweep).
-fn sample(all: Vec<Crash>, cap: Option<usize>) -> Vec<Crash> {
-    let Some(cap) = cap else { return all };
-    if cap == 0 || all.len() <= cap {
-        return all;
-    }
-    let last = all.len() - 1;
-    let mut picked: Vec<Crash> = (0..cap.saturating_sub(1))
-        .map(|i| all[i * last / cap.saturating_sub(1).max(1)])
-        .collect();
-    picked.push(all[last]);
-    picked.dedup();
-    picked
-}
-
 /// Verifies one sandbox directory (and its `ckpt` subdirectory) after
 /// recovery, returning an evidence string on failure.
 fn verify_sandbox(sbx: &Path) -> io::Result<Option<String>> {
@@ -296,7 +249,8 @@ fn verify_sandbox(sbx: &Path) -> io::Result<Option<String>> {
     Ok(None)
 }
 
-/// Records the reference run's op trace and explores every crash point.
+/// Records the reference run's op trace on a dataset of `traces` traces
+/// per side and explores every crash point.
 ///
 /// On a clean result the scratch directory is removed; on failure it is
 /// kept (failed sandboxes included) and its path appears in the
@@ -307,7 +261,7 @@ fn verify_sandbox(sbx: &Path) -> io::Result<Option<String>> {
 /// Propagates filesystem errors from the harness itself (sandbox setup,
 /// panel serialization) — never from a simulated crash state, which is
 /// the thing under test.
-pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
+pub fn explore(traces: usize) -> io::Result<CrashReport> {
     let work = std::env::temp_dir().join(format!("evematch-crashck-{}", std::process::id()));
     let _ = fs::remove_dir_all(&work);
     let ref_root = work.join("ref");
@@ -315,17 +269,15 @@ pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
 
     // Crash-free reference run, recorded.
     let recorder = Arc::new(Faults::recording(&ref_root));
-    let reference = run_once(&ref_root, cfg.traces, &recorder)?;
+    let reference = run_once(&ref_root, traces, &recorder)?;
     let ops = recorder.take_ops();
 
-    let mut all: Vec<Crash> = (0..=ops.len()).map(Crash::AfterPrefix).collect();
+    let mut scenarios: Vec<Crash> = (0..=ops.len()).map(Crash::AfterPrefix).collect();
     for (k, op) in ops.iter().enumerate() {
         if tearable(op) {
-            all.push(Crash::TornAt(k));
+            scenarios.push(Crash::TornAt(k));
         }
     }
-    let total = all.len();
-    let scenarios = sample(all, cfg.max_scenarios);
 
     let mut failures = Vec::new();
     for (i, &crash) in scenarios.iter().enumerate() {
@@ -342,7 +294,7 @@ pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
             apply(&ops[n], &ref_root, &sbx, true)?;
         }
 
-        let evidence: Option<String> = match run_once(&sbx, cfg.traces, &Arc::default()) {
+        let evidence: Option<String> = match run_once(&sbx, traces, &Arc::default()) {
             Ok(panels) if panels != reference => {
                 Some("recovered panels diverge from the crash-free run".to_string())
             }
@@ -368,7 +320,6 @@ pub fn explore(cfg: &CrashConfig) -> io::Result<CrashReport> {
     Ok(CrashReport {
         trace: ops.iter().map(IoOp::describe).collect(),
         explored: scenarios.len(),
-        total,
         failures,
     })
 }
@@ -412,7 +363,7 @@ fn reframe_records(text: &str) -> String {
     for line in text.lines() {
         match line.rsplit_once(" #c=") {
             Some((payload, _)) if !line.starts_with('#') => {
-                out.push_str(&integrity::frame_record(payload));
+                out.push_str(&journal::frame_record(payload));
             }
             _ => out.push_str(line),
         }
@@ -478,45 +429,26 @@ pub fn buggy_recovery_self_test(traces: usize) -> io::Result<SelfTestOutcome> {
 mod tests {
     use super::*;
 
-    /// A [`CrashConfig::from_vars`] lookup over `(key, value)` pairs.
-    fn vars<'a>(set: &'a [(&str, &str)]) -> impl Fn(&str) -> Option<String> + 'a {
-        move |key| {
-            set.iter()
-                .find(|(k, _)| *k == key)
-                .map(|(_, v)| (*v).to_owned())
-        }
-    }
-
     #[test]
     fn knobs_from_vars_parse_and_unset_ones_keep_their_defaults() {
-        let unset = CrashConfig::from_vars(vars(&[]));
-        assert_eq!((unset.traces, unset.max_scenarios), (12, None));
-        let set = CrashConfig::from_vars(vars(&[
-            ("EVEMATCH_CRASH_TRACES", "36"),
-            ("EVEMATCH_CRASH_MAX_OPS", " 200 "),
-        ]));
-        assert_eq!((set.traces, set.max_scenarios), (36, Some(200)));
+        assert_eq!(traces_from(None), DEFAULT_TRACES);
+        assert_eq!(traces_from(Some(" 36 ".to_owned())), 36);
     }
 
     #[test]
     fn a_malformed_knob_panics_with_its_name_and_value() {
-        for key in ["EVEMATCH_CRASH_TRACES", "EVEMATCH_CRASH_MAX_OPS"] {
-            for bad in ["12k", "", "-1", "1.5"] {
-                let set = [(key, bad)];
-                let err = std::panic::catch_unwind(|| CrashConfig::from_vars(vars(&set)))
-                    .expect_err("a malformed knob must panic");
-                let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-                assert!(
-                    msg.contains(&format!("{key}={bad:?}")),
-                    "{key}={bad:?}: {msg}"
-                );
-            }
+        for bad in ["12k", "", "-1", "1.5"] {
+            let err = std::panic::catch_unwind(|| traces_from(Some(bad.to_owned())))
+                .expect_err("a malformed knob must panic");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            let named = format!("EVEMATCH_CRASH_TRACES={bad:?}");
+            assert!(msg.contains(&named), "{named}: {msg}");
         }
     }
 
     #[test]
     fn every_crash_point_recovers() {
-        let report = explore(&CrashConfig::default()).expect("explorer harness must not error");
+        let report = explore(DEFAULT_TRACES).expect("explorer harness must not error");
         assert!(
             report.trace.len() >= 15,
             "the traced run should hit the journal header write, two \
@@ -524,21 +456,12 @@ mod tests {
             report.trace.len(),
             report.trace.join("\n")
         );
-        assert_eq!(report.explored, report.total, "uncapped run explores all");
         assert!(report.is_clean(), "{}", report.render());
-
-        // Sampling keeps the bounds honest: first and last crash points
-        // survive and the report still records total coverage.
-        let capped = sample((0..=10).map(Crash::AfterPrefix).collect(), Some(4));
-        assert!(capped.len() <= 4);
-        assert_eq!(capped.first(), Some(&Crash::AfterPrefix(0)));
-        assert_eq!(capped.last(), Some(&Crash::AfterPrefix(10)));
     }
 
     #[test]
     fn the_checker_has_teeth() {
-        let outcome =
-            buggy_recovery_self_test(CrashConfig::default().traces).expect("self-test harness");
+        let outcome = buggy_recovery_self_test(DEFAULT_TRACES).expect("self-test harness");
         assert!(
             outcome.forged_divergence_caught,
             "replay of a forged (re-framed) record must diverge — \

@@ -202,30 +202,6 @@ impl Pattern {
         n
     }
 
-    /// Whether the pattern is a single event (a *vertex pattern*).
-    pub fn is_vertex(&self) -> bool {
-        matches!(self, Pattern::Event(_))
-    }
-
-    /// Whether the pattern is a *simple SEQ*: `SEQ(v1, …, vk)` of single
-    /// events (Table 2, case 2). A single event also qualifies (k = 1).
-    pub fn is_simple_seq(&self) -> bool {
-        match self {
-            Pattern::Event(_) => true,
-            Pattern::Seq(ps) => ps.iter().all(Pattern::is_vertex),
-            Pattern::And(_) => false,
-        }
-    }
-
-    /// Whether the pattern is a *simple AND*: `AND(v1, …, vk)` of single
-    /// events (Table 2, case 3).
-    pub fn is_simple_and(&self) -> bool {
-        match self {
-            Pattern::And(ps) => ps.iter().all(Pattern::is_vertex),
-            _ => false,
-        }
-    }
-
     /// Events that can begin a linearization of this pattern.
     pub fn initials(&self) -> Vec<EventId> {
         match self {
@@ -305,7 +281,7 @@ impl Drop for Pattern {
             Pattern::Event(_) => return,
             Pattern::Seq(ps) | Pattern::And(ps) => ps,
         };
-        if ps.iter().all(Pattern::is_vertex) {
+        if ps.iter().all(|p| matches!(p, Pattern::Event(_))) {
             return; // Flat operator: default glue is already non-recursive.
         }
         let mut stack: Vec<Pattern> = std::mem::take(ps);
@@ -396,21 +372,6 @@ mod tests {
             p.events(),
             vec![EventId(0), EventId(1), EventId(2), EventId(3)]
         );
-    }
-
-    #[test]
-    fn classification() {
-        assert!(e(0).is_vertex());
-        assert!(e(0).is_simple_seq());
-        let seq = Pattern::seq_of_events([EventId(0), EventId(1)]).unwrap();
-        assert!(seq.is_simple_seq());
-        assert!(!seq.is_simple_and());
-        let and = Pattern::and_of_events([EventId(1), EventId(2)]).unwrap();
-        assert!(and.is_simple_and());
-        assert!(!and.is_simple_seq());
-        let nested = Pattern::seq(vec![e(0), and.clone()]).unwrap();
-        assert!(!nested.is_simple_seq());
-        assert!(!nested.is_simple_and());
     }
 
     #[test]

@@ -41,11 +41,6 @@ impl PatternIndex {
         }
     }
 
-    /// Number of indexed patterns.
-    pub fn pattern_count(&self) -> usize {
-        self.events.len()
-    }
-
     /// Indices of patterns involving event `v`.
     pub fn patterns_of(&self, v: EventId) -> &[usize] {
         &self.lists[v.index()]
@@ -93,7 +88,6 @@ mod tests {
         assert_eq!(idx.patterns_of(ev(1)), &[0, 1]);
         assert_eq!(idx.patterns_of(ev(3)), &[1, 2]);
         assert_eq!(idx.patterns_of(ev(4)), &[] as &[usize]);
-        assert_eq!(idx.pattern_count(), 3);
     }
 
     #[test]

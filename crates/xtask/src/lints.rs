@@ -24,8 +24,8 @@ pub const ORDERING_LOOKBACK: usize = 10;
 
 /// Crates whose runtime source must classify every swallowed I/O error
 /// (lint T13). A `.ok()` / `let _ =` on an I/O result erases the
-/// [`core::fault`] taxonomy: the caller can no longer tell a transient
-/// hiccup (retry it) from a permanent failure (surface it) from
+/// [`evematch_core::fault`] taxonomy: the caller can no longer tell a
+/// transient hiccup (retry it) from a permanent failure (surface it) from
 /// corruption (quarantine it). Swallowing is sometimes right — a
 /// best-effort parent-dir fsync, a telemetry write — but each such site
 /// carries a waiver saying *why* the class does not matter there.

@@ -103,13 +103,38 @@ pub fn run(args: &[String]) -> ExitCode {
             print!("{PERF_USAGE}");
             return ExitCode::SUCCESS;
         }
-        Some(other) => Err(format!("unknown perf subcommand `{other}`")),
+        Some(other) => Err(Failure::Usage(format!("unknown perf subcommand `{other}`"))),
     };
     match result {
         Ok(code) => ExitCode::from(code),
-        Err(message) => {
-            eprintln!("perf: {message}\n\n{PERF_USAGE}");
+        Err(failure) => {
+            eprintln!("{failure}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+/// Why a `perf` invocation failed. Only a usage error (an unknown
+/// subcommand or flag, a missing path, a bad threshold) is followed by the
+/// usage text; a runtime error, such as an artifact failing its checksum,
+/// prints its one line.
+#[derive(Debug, PartialEq)]
+enum Failure {
+    Usage(String),
+    Runtime(String),
+}
+
+impl From<String> for Failure {
+    fn from(message: String) -> Self {
+        Failure::Runtime(message)
+    }
+}
+
+impl std::fmt::Display for Failure {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Failure::Usage(message) => write!(f, "perf: {message}\n\n{PERF_USAGE}"),
+            Failure::Runtime(message) => write!(f, "perf: {message}"),
         }
     }
 }
@@ -169,8 +194,8 @@ fn parse_args(args: &[String]) -> Result<PerfArgs, String> {
 
 // ---- append ----
 
-fn append(args: &[String]) -> Result<u8, String> {
-    let parsed = parse_args(args)?;
+fn append(args: &[String]) -> Result<u8, Failure> {
+    let parsed = parse_args(args).map_err(Failure::Usage)?;
     let sha = parsed.sha.clone().unwrap_or_else(git_sha);
     let now = unix_now();
     let mut lines = String::new();
@@ -224,13 +249,13 @@ pub fn render_entry(entry: &Entry) -> String {
 
 // ---- diff ----
 
-fn diff(args: &[String]) -> Result<u8, String> {
-    let parsed = parse_args(args)?;
+fn diff(args: &[String]) -> Result<u8, Failure> {
+    let parsed = parse_args(args).map_err(Failure::Usage)?;
     if parsed.paths.len() != 2 {
-        return Err(format!(
+        return Err(Failure::Usage(format!(
             "diff takes exactly two paths, got {}",
             parsed.paths.len()
-        ));
+        )));
     }
     let a = load_entry(&parsed.paths[0])?;
     let b = load_entry(&parsed.paths[1])?;
@@ -262,8 +287,8 @@ fn print_deltas(deltas: &[Delta]) {
 
 // ---- check ----
 
-fn check(args: &[String]) -> Result<u8, String> {
-    let parsed = parse_args(args)?;
+fn check(args: &[String]) -> Result<u8, Failure> {
+    let parsed = parse_args(args).map_err(Failure::Usage)?;
     let history = read_history(&parsed.history)?;
     for warning in &history.skipped {
         println!("perf check: warning: {warning}");
@@ -622,8 +647,15 @@ mod tests {
         assert_eq!(check(&args), Ok(0));
         // An in-place edit of the same length leaves the sidecar stale.
         fs::write(&artifact, doc.replace("1000", "1001")).unwrap();
-        let err = check(&args).unwrap_err();
+        // A runtime error prints its one line, with no usage text after it.
+        let err = check(&args).unwrap_err().to_string();
         assert!(err.contains("checksum mismatch"), "{err}");
+        assert!(!err.contains("USAGE"), "{err}");
+        let bad_threshold = [args[0].clone(), "--threshold".into(), "x".into()];
+        assert!(check(&bad_threshold)
+            .unwrap_err()
+            .to_string()
+            .contains("USAGE"));
         // The same bytes with no sidecar read as a hand-made file.
         fs::remove_file(evematch_core::persist::integrity::sidecar_path(&artifact)).unwrap();
         assert_eq!(check(&args), Ok(0));

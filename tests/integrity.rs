@@ -11,10 +11,11 @@
 
 #![allow(clippy::disallowed_methods)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use evematch::core::persist::integrity::{self, FileStatus, IntegrityError};
+use evematch::core::persist::journal;
 use evematch::eval::experiments::{run_grid, FigureResult, SweepConfig};
 use evematch::eval::project_dataset;
 use evematch::prelude::*;
@@ -66,158 +67,177 @@ fn det_panels(fig: &FigureResult) -> [String; 3] {
     ]
 }
 
-/// The grid's own count of `key` in its plan's telemetry.
-fn counter(fig: &FigureResult, key: &str) -> u64 {
+/// The grid's own `integrity.*` counters, as `key=count`.
+fn integrity_counters(fig: &FigureResult) -> Vec<String> {
     fig.faults
         .telemetry()
         .into_iter()
-        .find_map(|(k, n)| (k == key).then_some(n))
-        .unwrap_or(0)
+        .filter(|(k, _)| k.starts_with("integrity."))
+        .map(|(k, n)| format!("{k}={n}"))
+        .collect()
 }
 
 /// Flips one hex digit (any hex digit stays a hex digit, so the framing
 /// still *parses* — only the checksum check can catch it).
-fn flip_hex(c: char) -> char {
-    if c == '0' {
-        '1'
+fn flip_hex(c: u8) -> u8 {
+    if c == b'0' {
+        b'1'
     } else {
-        '0'
+        b'0'
     }
 }
 
-/// Damages the journal at `path` by applying `damage` to its full text.
-fn damage_journal(path: &std::path::Path, damage: impl FnOnce(&str) -> String) {
-    let text = std::fs::read_to_string(path).unwrap();
-    std::fs::write(path, damage(&text)).unwrap();
+/// The journal `lines` with line `i` replaced by `bytes`.
+fn replaced(lines: &[&str], i: usize, bytes: &[u8]) -> Vec<u8> {
+    let mut parts: Vec<&[u8]> = lines.iter().map(|l| l.as_bytes()).collect();
+    parts[i] = bytes;
+    let mut out = parts.join(&b'\n');
+    out.push(b'\n');
+    out
+}
+
+/// The journal `lines` with byte `at` of line `i` rewritten by `to`.
+fn flipped(lines: &[&str], i: usize, at: usize, to: impl Fn(u8) -> u8) -> Vec<u8> {
+    let mut line = lines[i].as_bytes().to_vec();
+    line[at] = to(line[at]);
+    replaced(lines, i, &line)
+}
+
+/// `verify_dir`'s verdict on the journal in `dir`: `ok <records>+<torn>`,
+/// the integrity error's name, or the status itself.
+fn journal_verdict(dir: &Path) -> String {
+    let report = integrity::verify_dir(dir).unwrap();
+    let file = report.files.iter().find(|f| f.name.ends_with(".journal"));
+    match &file.unwrap().status {
+        FileStatus::JournalVerified { records, torn } => format!("ok {records}+{torn}"),
+        FileStatus::Corrupt(e) => e.name().to_owned(),
+        other => format!("{other:?}"),
+    }
+}
+
+/// One journal damage: its name, the damaged bytes, and three expectations:
+/// `verify_dir`'s verdict before the resume, the one `integrity.*` counter
+/// the resume reports, and the verdict after it.
+type Damage = (&'static str, Vec<u8>, [&'static str; 3]);
+
+/// Pins both journal readers on the same damages: each is written over the
+/// journal in `dir`, graded offline, resumed (panels byte-identical to
+/// `reference`, exactly one typed counter) and graded again.
+fn assert_graded_alike(dir: &Path, reference: &[String; 3], cases: Vec<Damage>) {
+    for (damage, bytes, [before, label, after]) in cases {
+        std::fs::write(dir.join("FigInteg.journal"), bytes).unwrap();
+        assert_eq!(journal_verdict(dir), before, "{damage}: verify before");
+        let fig = grid(Some(dir.to_path_buf()));
+        assert_eq!(reference, &det_panels(&fig), "{damage}: resumed panels");
+        let counted = [format!("integrity.{label}=1")];
+        assert_eq!(integrity_counters(&fig), counted, "{damage}");
+        assert_eq!(journal_verdict(dir), after, "{damage}: verify after");
+    }
 }
 
 #[test]
 fn byte_flips_at_every_boundary_are_typed_quarantined_and_resume_byte_identically() {
     let dir = tmp("flips");
-    let journal = dir.join("FigInteg.journal");
-
     let reference = det_panels(&grid(None));
     assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    let pristine = std::fs::read_to_string(&journal).unwrap();
-    assert_eq!(pristine.lines().count(), 5, "header + 4 job records");
-    assert!(pristine.starts_with(integrity::JOURNAL_MAGIC));
-
-    // --- mid-record flip: payload byte changes, trailer goes stale ---
-    damage_journal(&journal, |text| {
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let record = &lines[1];
-        let payload_end = record.rfind(" #c=").unwrap();
-        let mid = payload_end / 2;
-        let mut bytes = record.clone().into_bytes();
-        bytes[mid] ^= 0x01;
-        lines[1] = String::from_utf8(bytes).unwrap();
-        lines.join("\n") + "\n"
-    });
-    let fig = grid(Some(dir.clone()));
-    assert_eq!(reference, det_panels(&fig));
-    assert_eq!(
-        counter(&fig, "integrity.journal_quarantined.checksum_mismatch"),
-        1,
-        "the mid-record flip must be counted as a typed quarantine"
+    let pristine = std::fs::read_to_string(dir.join("FigInteg.journal")).unwrap();
+    let lines: Vec<&str> = pristine.lines().collect();
+    assert_eq!(lines.len(), 5, "header + 4 job records");
+    let mid = lines[1].rfind(" #c=").unwrap() / 2;
+    let (trailer, header_end) = (lines[2].len() - 8, lines[0].len() - 1);
+    let quarantined = "journal_quarantined.checksum_mismatch";
+    assert_graded_alike(
+        &dir,
+        &reference,
+        vec![
+            // Payload byte changes, trailer goes stale: quarantined.
+            (
+                "payload flip",
+                flipped(&lines, 1, mid, |b| b ^ 0x01),
+                ["checksum_mismatch", quarantined, "checksum_mismatch"],
+            ),
+            // Payload intact, checksum digits lie: quarantined.
+            (
+                "trailer flip",
+                flipped(&lines, 2, trailer, flip_hex),
+                ["checksum_mismatch", quarantined, "checksum_mismatch"],
+            ),
+            // The whole journal context is untrusted: rebuilt.
+            (
+                "header flip",
+                flipped(&lines, 0, header_end, flip_hex),
+                [
+                    "checksum_mismatch",
+                    "journal_rebuilt.header_damaged",
+                    "ok 4+0",
+                ],
+            ),
+            // A complete line that is not UTF-8: quarantined as torn.
+            (
+                "non-UTF-8 line",
+                flipped(&lines, 3, lines[3].len() / 2, |_| 0xFF),
+                ["torn_tail", "journal_quarantined.torn_tail", "torn_tail"],
+            ),
+        ],
     );
-
-    // --- trailer flip: payload intact, checksum digits lie ---
-    damage_journal(&journal, |text| {
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let record = lines[2].clone();
-        let (payload, trailer) = record.rsplit_once(" #c=").unwrap();
-        let flipped: String = trailer
-            .chars()
-            .enumerate()
-            .map(|(i, c)| if i == 0 { flip_hex(c) } else { c })
-            .collect();
-        lines[2] = format!("{payload} #c={flipped}");
-        lines.join("\n") + "\n"
-    });
-    let fig = grid(Some(dir.clone()));
-    assert_eq!(reference, det_panels(&fig));
-    assert_eq!(
-        counter(&fig, "integrity.journal_quarantined.checksum_mismatch"),
-        2,
-        "the trailer flip must be counted as a typed quarantine, beside \
-         the still-journaled mid-record flip"
-    );
-
-    // --- header flip: the whole journal context is untrusted → rebuild ---
-    damage_journal(&journal, |text| {
-        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-        let n = lines[0].len();
-        let flipped = flip_hex(lines[0].chars().nth(n - 1).unwrap());
-        lines[0].replace_range(n - 1..n, &flipped.to_string());
-        lines.join("\n") + "\n"
-    });
-    let fig = grid(Some(dir.clone()));
-    assert_eq!(reference, det_panels(&fig));
-    assert_eq!(
-        counter(&fig, "integrity.journal_rebuilt.header_damaged"),
-        1,
-        "the header flip must rebuild the journal with a typed reason"
-    );
-    let rebuilt = std::fs::read_to_string(&journal).unwrap();
-    assert_eq!(rebuilt.lines().count(), 5, "fresh header + 4 fresh records");
-    assert_eq!(rebuilt.lines().next(), pristine.lines().next());
-
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn version_skew_rebuilds_and_torn_tail_is_sealed_not_fatal() {
     let dir = tmp("skew");
-    let journal = dir.join("FigInteg.journal");
-
     let reference = det_panels(&grid(Some(dir.clone())));
-    let pristine = std::fs::read_to_string(&journal).unwrap();
-
-    // A future format version: unreadable by policy (not by accident),
-    // counted as version skew, rebuilt from scratch — never guessed at.
-    damage_journal(&journal, |text| {
-        text.replacen("#%EVMJ v=1 ", "#%EVMJ v=9 ", 1)
-    });
+    let pristine = std::fs::read_to_string(dir.join("FigInteg.journal")).unwrap();
+    let lines: Vec<&str> = pristine.lines().collect();
+    let body = format!("#%EVMJ v=1 ctx={:016x}", integrity::crc64(b"another grid"));
+    let foreign = format!("{body} c={:08x}", integrity::crc32(body.as_bytes()));
+    let torn = format!(
+        "{}\n{}",
+        lines[..4].join("\n"),
+        &lines[4][..lines[4].len() / 2]
+    );
+    assert_graded_alike(
+        &dir,
+        &reference,
+        vec![
+            // A future format version is unreadable by policy: rebuilt.
+            (
+                "version skew",
+                pristine.replacen(" v=1 ", " v=9 ", 1).into_bytes(),
+                ["version_skew", "journal_rebuilt.version_skew", "ok 4+0"],
+            ),
+            (
+                "headerless",
+                (lines[1..].join("\n") + "\n").into_bytes(),
+                ["Unverified", "journal_rebuilt.no_header", "ok 4+0"],
+            ),
+            (
+                "another grid's header",
+                replaced(&lines, 0, foreign.as_bytes()),
+                ["ok 4+0", "journal_rebuilt.context_changed", "ok 4+0"],
+            ),
+            // What a kill mid-append leaves: counted, sealed, not fatal.
+            (
+                "torn tail",
+                torn.into_bytes(),
+                ["ok 3+1", "journal_torn_tail", "ok 4+1"],
+            ),
+        ],
+    );
+    // The sealed journal replays end to end; only the fragment is counted.
     let fig = grid(Some(dir.clone()));
     assert_eq!(reference, det_panels(&fig));
-    assert_eq!(
-        counter(&fig, "integrity.journal_rebuilt.version_skew"),
-        1,
-        "a future-version header must be a typed version-skew rebuild"
-    );
-
-    // A torn final record (what a kill mid-append leaves): tolerated,
-    // counted, sealed so the fragment can never be misread later.
-    damage_journal(&journal, |text| {
-        let keep = text.lines().take(4).collect::<Vec<_>>().join("\n");
-        let torn = text.lines().nth(4).unwrap();
-        format!("{keep}\n{}", &torn[..torn.len() / 2])
-    });
-    let fig = grid(Some(dir.clone()));
-    assert_eq!(reference, det_panels(&fig));
-    assert_eq!(
-        counter(&fig, "integrity.journal_torn_tail"),
-        1,
-        "a torn tail must be counted, not silently absorbed"
-    );
-    let sealed = std::fs::read_to_string(&journal).unwrap();
-    assert!(
-        sealed.contains(integrity::SEAL_MARKER),
-        "the torn fragment must carry the seal marker"
-    );
-    // The sealed journal still replays end-to-end.
-    assert_eq!(reference, det_panels(&grid(Some(dir.clone()))));
-    assert_eq!(pristine.lines().next(), sealed.lines().next());
-
+    let sealed = ["integrity.journal_sealed_fragment=1"];
+    assert_eq!(integrity_counters(&fig), sealed);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn typed_errors_map_onto_the_fault_taxonomy() {
     // Record-level: a flipped payload byte is ChecksumMismatch/Corrupt.
-    let line = integrity::frame_record("{\"a\":1}");
+    let line = journal::frame_record("{\"a\":1}");
     let bad = line.replace("{\"a\":1}", "{\"a\":2}");
-    let err = integrity::verify_record(bad.trim_end()).unwrap_err();
+    let err = journal::verify_record(bad.trim_end()).unwrap_err();
     assert!(matches!(err, IntegrityError::ChecksumMismatch { .. }));
     assert_eq!(err.class(), fault::FaultClass::Corrupt);
     assert_eq!(err.name(), "checksum_mismatch");
@@ -229,9 +249,9 @@ fn typed_errors_map_onto_the_fault_taxonomy() {
 
     // Header-level: a future version is VersionSkew/Permanent (retrying
     // or quarantining cannot help; only a newer reader can).
-    let header = integrity::journal_header("ctx");
+    let header = journal::journal_header("ctx");
     let future = header.replacen("v=1", "v=9", 1);
-    let err = integrity::parse_journal_header(&future).unwrap_err();
+    let err = journal::parse_journal_header(&future).unwrap_err();
     assert!(matches!(err, IntegrityError::VersionSkew { .. }));
     assert_eq!(err.class(), fault::FaultClass::Permanent);
     assert_eq!(
