@@ -24,7 +24,9 @@
 //!   [`faults_from_env`]) for chaos runs: it covers the grid and every
 //!   artifact write, and for a figure its fault telemetry is saved as
 //!   `<out>/fault_telemetry.json` so CI can assert the injected faults
-//!   were actually hit and recovered.
+//!   were actually hit and recovered. A run without a plan saves the file
+//!   too when it has telemetry, such as the `integrity.*` counters of a
+//!   `--resume` that quarantined journal records.
 //!
 //! A knob that is set but does not parse (`EVEMATCH_SEEDS=1l`,
 //! `EVEMATCH_WORKERS=two`, an empty seed list) panics with the variable
@@ -202,7 +204,9 @@ pub fn write_artifact(faults: &Faults, path: &Path, bytes: &[u8]) -> io::Result<
 /// one process per method — load in `chrome://tracing` / Perfetto) and
 /// `<stem>_profile.folded` (method-prefixed folded stacks for flamegraph
 /// tooling). Every write runs under the figure's own plan (`fig.faults`),
-/// and an armed plan's telemetry is saved as `fault_telemetry.json`.
+/// and the plan's telemetry is saved as `fault_telemetry.json` when the
+/// plan is armed or noted anything (a resume's `integrity.*` quarantines
+/// included).
 pub fn emit_figure(out: &mut dyn Write, fig: &FigureResult, stem: &str) -> io::Result<()> {
     let faults = &fig.faults;
     emit(out, &fig.f_measure, &format!("{stem}a_fmeasure"), faults)?;
@@ -227,7 +231,10 @@ pub fn emit_figure(out: &mut dyn Write, fig: &FigureResult, stem: &str) -> io::R
         write_artifact(faults, &path, (render(fig) + "\n").as_bytes())?;
         writeln!(out, "wrote {}", path.display())?;
     }
-    if faults.is_armed() {
+    // A plain `--resume` can quarantine journal records under a disarmed
+    // plan, so the file is written whenever there is telemetry to keep;
+    // a fault-free run without a plan writes none.
+    if faults.is_armed() || !faults.telemetry().is_empty() {
         let path = out_dir()?.join("fault_telemetry.json");
         write_artifact(
             faults,

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `repro_*` binaries' chaos knobs: the plan built
 //! from `EVEMATCH_FAULT_SCHEDULE` reaches the grid, every artifact write
-//! and the figure's `fault_telemetry.json`.
+//! and the figure's `fault_telemetry.json`, which a plan-free `--resume`
+//! that quarantines journal records writes too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -76,6 +77,57 @@ fn repro_table4_honors_the_fault_schedule() {
     assert!(
         stderr.contains("injected permanent fault at persist.rename"),
         "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&out);
+}
+
+#[test]
+fn a_plain_resume_saves_the_telemetry_of_its_quarantines() {
+    let out = out_dir("resume");
+    let knobs = [
+        ("EVEMATCH_SEEDS", "11"),
+        ("EVEMATCH_TRACES", "20"),
+        ("EVEMATCH_LIMIT_PROCESSED", "2000"),
+        ("EVEMATCH_RESUME", "1"),
+    ];
+    let fig7 = env!("CARGO_BIN_EXE_repro_fig7");
+    let first = run(fig7, &out, &knobs);
+    assert!(
+        first.status.success(),
+        "{}",
+        String::from_utf8_lossy(&first.stderr)
+    );
+    // A fresh, fault-free run has no telemetry to save.
+    assert!(!out.join("fault_telemetry.json").exists());
+
+    // Flip one payload byte of the first record: its trailer no longer
+    // matches, so the resume quarantines it and recomputes the job.
+    let journal = out.join("Fig7.journal");
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test damages the journal on purpose; the resume reads it through its framing"
+    )]
+    let text = std::fs::read_to_string(&journal).unwrap();
+    let record = text.find('\n').unwrap() + 1;
+    let at = record + text[record..].find(|c: char| c.is_ascii_digit()).unwrap();
+    let flipped = if &text[at..=at] == "1" { "2" } else { "1" };
+    let damaged = format!("{}{flipped}{}", &text[..at], &text[at + 1..]);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test damages the journal on purpose"
+    )]
+    std::fs::write(&journal, damaged).unwrap();
+
+    let resumed = run(fig7, &out, &knobs);
+    assert!(
+        resumed.status.success(),
+        "{}",
+        String::from_utf8_lossy(&resumed.stderr)
+    );
+    let (telemetry, _) = integrity::read_verified(&out.join("fault_telemetry.json")).unwrap();
+    assert_eq!(
+        String::from_utf8(telemetry).unwrap(),
+        "{\"integrity.journal_quarantined.checksum_mismatch\":1}\n"
     );
     let _ = std::fs::remove_dir_all(&out);
 }

@@ -1,14 +1,23 @@
 //! Evaluation of pattern contributions `d(p)` under (partial) mappings,
 //! with memoization and Proposition-3 existence pruning.
 //!
-//! The memo is a [`SupportMemo`]: one solver run owns a private one by
-//! default, or runs over the *same* log pair and pattern set take turns
-//! with one lent memo (an experiment-grid cell runs its methods one after
-//! another on one dataset, so the heuristics warm the exact search's memo —
-//! hits on entries another run inserted surface as
-//! `eval.cache.shared_hits`). A solver run evaluates sequentially on the
-//! thread that drives it; parallelism lives one layer up, in the grid
-//! workers of `eval::experiments::run_grid`.
+//! The memo is a [`SupportMemo`], keyed per pattern by the *canonical*
+//! key of an image tuple ([`evematch_pattern::CanonPlan`]): the images in
+//! the pattern's pre-order with the blocks of every group of same-shaped
+//! `AND` children sorted. Definition 4 lets an `AND` take its children in
+//! any block order, so bindings that differ only by such swaps have one
+//! support, and a search that reaches one image set in several orders
+//! scans `L2` once for it. `eval.cache_misses` therefore counts distinct
+//! canonical keys, and a miss scans under the binding it was given.
+//!
+//! One solver run owns a private memo by default, or runs over the *same*
+//! log pair and pattern set take turns with one lent memo (an
+//! experiment-grid cell runs its methods one after another on one
+//! dataset, so the heuristics warm the exact search's memo — hits on
+//! entries another run inserted surface as `eval.cache.shared_hits`). A
+//! solver run evaluates sequentially on the thread that drives it;
+//! parallelism lives one layer up, in the grid workers of
+//! `eval::experiments::run_grid`.
 
 use std::cell::RefCell;
 // The memo is only ever point-queried. It stays a BTreeMap, so rule T2
@@ -39,8 +48,10 @@ struct MemoEntry {
     owner: u32,
 }
 
-/// A `(pattern, images) → support` memo for complex patterns: one map per
-/// pattern index, keyed by the image tuple of the pattern's sorted events.
+/// A `(pattern, canonical key) → support` memo for complex patterns: one
+/// map per pattern index, keyed by the canonical key
+/// ([`evematch_pattern::CanonPlan::key_into`]) of an image tuple, so every
+/// binding that only permutes same-shaped `AND` children shares one entry.
 ///
 /// Entries are tagged with the inserting run's owner id so a later run can
 /// tell a *shared* hit (another method already paid the scan) from a hit
@@ -62,18 +73,19 @@ impl SupportMemo {
         owner
     }
 
-    fn get(&self, p_idx: usize, images: &[EventId]) -> Option<MemoEntry> {
-        self.by_pattern.get(p_idx)?.get(images).copied()
+    fn get(&self, p_idx: usize, key: &[EventId]) -> Option<MemoEntry> {
+        self.by_pattern.get(p_idx)?.get(key).copied()
     }
 
-    /// Inserts a support value. An existing entry is kept (it holds the
-    /// same exact value; keeping it preserves first-owner attribution).
-    fn insert(&mut self, p_idx: usize, images: &[EventId], support: u32, owner: u32) {
+    /// Inserts a support value under a canonical key. An existing entry is
+    /// kept (it holds the same exact value; keeping it preserves
+    /// first-owner attribution).
+    fn insert(&mut self, p_idx: usize, key: &[EventId], support: u32, owner: u32) {
         if self.by_pattern.len() <= p_idx {
             self.by_pattern.resize_with(p_idx + 1, BTreeMap::new);
         }
         self.by_pattern[p_idx]
-            .entry(images.into())
+            .entry(key.into())
             .or_insert(MemoEntry { support, owner });
     }
 }
@@ -86,7 +98,7 @@ pub struct EvalConfig {
     pub budget: Budget,
     /// A memo lent to the run. It must come from runs over the same log
     /// pair and pattern set as this run's context: a memo keys supports by
-    /// pattern index and image tuple, so one filled under other data
+    /// pattern index and canonical image key, so one filled under other data
     /// would serve wrong supports. `None` gives the run a fresh private
     /// memo.
     pub memo: Option<Rc<RefCell<SupportMemo>>>,
@@ -189,10 +201,11 @@ const PROBE_EMBED_CAP: u64 = 4;
 /// patterns of a [`MatchContext`] under concrete event images.
 ///
 /// One evaluator is owned by one solver run; its memo is keyed by
-/// `(pattern, image tuple)`, so re-visiting the same partial assignment on a
-/// different search branch is free. Single-event and single-edge patterns
-/// bypass the memo entirely — their frequencies come straight from the
-/// dependency graph of `L2`.
+/// `(pattern, canonical image key)`, so re-visiting the same partial
+/// assignment on a different search branch, or reaching an image set whose
+/// `AND` blocks another branch placed in another order, is free.
+/// Single-event and single-edge patterns bypass the memo entirely — their
+/// frequencies come straight from the dependency graph of `L2`.
 ///
 /// The evaluator also owns the run's [`Telemetry`]: solvers register their
 /// own counters on it and the whole registry is frozen into
@@ -205,6 +218,9 @@ pub struct Evaluator<'a> {
     owner: u32,
     /// Scratch image tuple reused by [`Self::d`].
     images: Vec<EventId>,
+    /// Scratch canonical key reused by [`Self::mapped_support`], so a memo
+    /// hit allocates nothing.
+    key: Vec<EventId>,
     /// The solver run's budget meter. The evaluator ticks it before every
     /// log scan, so a deadline is observed even inside one expensive outer
     /// search step.
@@ -248,6 +264,7 @@ impl<'a> Evaluator<'a> {
             memo,
             owner,
             images: Vec::new(),
+            key: Vec::new(),
             meter: config.budget.meter(),
             tele,
             counters,
@@ -424,7 +441,8 @@ impl<'a> Evaluator<'a> {
 
     /// `d(p)` under `m`, or `None` while the pattern is not fully mapped.
     /// A vertex or edge pattern reads its support straight off `G2`; only
-    /// a complex pattern builds its image tuple (the memo key).
+    /// a complex pattern builds its image tuple (the source of its
+    /// canonical memo key).
     pub fn d(&mut self, p_idx: usize, m: &Mapping) -> Option<f64> {
         let ctx = self.ctx;
         let ep = &ctx.patterns()[p_idx];
@@ -472,31 +490,40 @@ impl<'a> Evaluator<'a> {
             }
             PatternShape::Complex => {}
         }
-        let hit = self.memo.borrow().get(p_idx, images);
-        if let Some(entry) = hit {
-            self.tele.registry.inc(self.counters.cache_hits);
-            // A hit is still one cache-layer evaluation, charged to the
-            // phase the *caller* has open (typically `search`).
-            self.tele.profile.charge(WorkCol::Evals, 1);
-            self.tele.profile.charge(WorkCol::CacheHits, 1);
-            if entry.owner != self.owner {
-                self.tele.registry.inc(self.counters.shared_hits);
+        let mut key = std::mem::take(&mut self.key);
+        ep.canon.key_into(images, &mut key);
+        let hit = self.memo.borrow().get(p_idx, &key);
+        let support = match hit {
+            Some(entry) => {
+                self.tele.registry.inc(self.counters.cache_hits);
+                // A hit is still one cache-layer evaluation, charged to the
+                // phase the *caller* has open (typically `search`).
+                self.tele.profile.charge(WorkCol::Evals, 1);
+                self.tele.profile.charge(WorkCol::CacheHits, 1);
+                if entry.owner != self.owner {
+                    self.tele.registry.inc(self.counters.shared_hits);
+                }
+                entry.support
             }
-            return entry.support;
-        }
-        // The slow path (every cache miss) is the `support-eval` phase:
-        // its call count equals `eval.cache_misses`.
-        self.tele.profile.open("support-eval");
-        self.tele.profile.charge(WorkCol::Evals, 1);
-        self.tele.profile.charge(WorkCol::CacheMisses, 1);
-        let support = self.mapped_support_slow(p_idx, images);
-        self.tele.profile.close();
+            None => {
+                // The slow path (every cache miss) is the `support-eval`
+                // phase: its call count equals `eval.cache_misses`.
+                self.tele.profile.open("support-eval");
+                self.tele.profile.charge(WorkCol::Evals, 1);
+                self.tele.profile.charge(WorkCol::CacheMisses, 1);
+                let support = self.mapped_support_slow(p_idx, images, &key);
+                self.tele.profile.close();
+                support
+            }
+        };
+        self.key = key;
         support
     }
 
     /// The cache-miss body of [`Self::mapped_support`], bracketed by the
-    /// `support-eval` profiler phase at the single call site above.
-    fn mapped_support_slow(&mut self, p_idx: usize, images: &[EventId]) -> u32 {
+    /// `support-eval` profiler phase at the single call site above: scans
+    /// under `images` and memoizes under their canonical `key`.
+    fn mapped_support_slow(&mut self, p_idx: usize, images: &[EventId], key: &[EventId]) -> u32 {
         let ctx = self.ctx;
         let ep = &ctx.patterns()[p_idx];
         let ids = self.counters;
@@ -545,7 +572,7 @@ impl<'a> Evaluator<'a> {
             Some(support) => {
                 self.memo
                     .borrow_mut()
-                    .insert(p_idx, images, support, self.owner);
+                    .insert(p_idx, key, support, self.owner);
                 support
             }
             None => {
@@ -568,7 +595,7 @@ impl<'a> Evaluator<'a> {
     }
 }
 
-/// The one evaluation of a cache-missed `(pattern, images)` key: the
+/// The one evaluation of a pattern under a cache-missed binding: the
 /// Proposition-3 existence check, then the log scan, both polling `fuel`.
 /// Pure — no cache or registry is touched — so the fueled path and grace
 /// mode (`|| true`) differ only in the fuel they pass.
@@ -833,9 +860,44 @@ mod tests {
         assert_eq!(snap.counters["eval.log_scans"], 0);
 
         // Re-inserting a key keeps its first owner and value.
-        memo.borrow_mut().insert(p1_idx, &images, support, 1);
-        let entry = memo.borrow().get(p1_idx, &images).expect("memoized");
+        let mut key = Vec::new();
+        c.patterns()[p1_idx].canon.key_into(&images, &mut key);
+        memo.borrow_mut().insert(p1_idx, &key, support, 1);
+        let entry = memo.borrow().get(p1_idx, &key).expect("memoized");
         assert_eq!((entry.support, entry.owner), (support, 0));
         assert_eq!(entries(&memo.borrow()), 1);
+    }
+
+    /// `AND(A,B,C)` under `(x,y,z)` and then `(z,x,y)` is one canonical
+    /// key: one scan, then one hit. `SEQ(A,B,C)` under the same two
+    /// bindings is two mapped patterns and costs two scans.
+    #[test]
+    fn and_bindings_that_permute_images_share_one_scan() {
+        let mut b1 = LogBuilder::new();
+        b1.push_named_trace(["A", "B", "C"]);
+        let mut b2 = LogBuilder::new();
+        b2.push_named_trace(["x", "y", "z"]);
+        b2.push_named_trace(["z", "x", "y"]);
+        let events = || (0..3).map(EventId);
+        let c = MatchContext::new(
+            b1.build(),
+            b2.build(),
+            PatternSetBuilder::new()
+                .complex(Pattern::and_of_events(events()).unwrap())
+                .complex(Pattern::seq_of_events(events()).unwrap()),
+        )
+        .unwrap();
+        let (x, y, z) = (EventId(0), EventId(1), EventId(2));
+        for (p_idx, supports, scans, hits) in [(0, [2, 2], 1, 1), (1, [1, 1], 2, 0)] {
+            let mut ev = Evaluator::new(&c);
+            let got = [
+                ev.mapped_support(p_idx, &[x, y, z]),
+                ev.mapped_support(p_idx, &[z, x, y]),
+            ];
+            assert_eq!(got, supports, "pattern {p_idx}");
+            assert_eq!(counter(&ev, "eval.log_scans"), scans, "pattern {p_idx}");
+            assert_eq!(counter(&ev, "eval.cache_misses"), scans, "pattern {p_idx}");
+            assert_eq!(counter(&ev, "eval.cache_hits"), hits, "pattern {p_idx}");
+        }
     }
 }

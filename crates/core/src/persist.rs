@@ -7,11 +7,12 @@
 //! classic temp-file + fsync + rename protocol — readers observe either
 //! the old contents or the complete new contents, never a prefix.
 //!
-//! [`append_line_durable`] complements it for files that *grow*: each
-//! appended line is fsynced before the call returns, so at most the line
-//! being written when the process dies can be torn. Its one user is the
-//! checkpoint [`journal`], whose readers tolerate exactly that trailing
-//! partial line.
+//! [`append_line`] complements it for files that *grow*: each appended
+//! line is fsynced by [`Appended::sync`] before its writer moves on, so
+//! at most the line being written when the process dies can be torn. Its
+//! one user is the checkpoint [`journal`], whose readers tolerate exactly
+//! that trailing partial line. The journal retries the two steps
+//! separately, so a failed fsync never writes the line twice.
 //!
 //! Both primitives take the run's [`Faults`] plan and carry integrity and
 //! observability hooks:
@@ -128,25 +129,32 @@ pub fn atomic_write(faults: &Faults, path: impl AsRef<Path>, bytes: &[u8]) -> io
 }
 
 /// Appends `line` (a newline is added) to `path`, creating the file if
-/// needed, and fsyncs before returning.
+/// needed, and returns the not-yet-durable append: the line is durable
+/// once [`Appended::sync`] succeeds. The two steps are separate so a
+/// caller that retries a failed fsync does not write the line again.
 ///
 /// The write is issued as a single `write_all` of `line + "\n"`; on a
 /// crash mid-append the file may end in one torn partial line, which
 /// the journal's readers tolerate as its torn tail. Lines must not contain
 /// `\n` themselves — embedded newlines would make torn-line recovery
 /// ambiguous — so this returns `InvalidInput` for them.
-pub fn append_line_durable(faults: &Faults, path: impl AsRef<Path>, line: &str) -> io::Result<()> {
+///
+/// # Errors
+/// `InvalidInput` for an embedded newline, or the open or write error
+/// (an injected `persist.append` fault included).
+pub fn append_line(faults: &Faults, path: impl AsRef<Path>, line: &str) -> io::Result<Appended> {
     if line.contains('\n') {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
             "journal lines must not contain embedded newlines",
         ));
     }
-    let created = !path.as_ref().exists();
+    let path = path.as_ref().to_path_buf();
+    let created = !path.exists();
     let mut file = fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path.as_ref())?;
+        .open(&path)?;
     let mut buf = Vec::with_capacity(line.len() + 1);
     buf.extend_from_slice(line.as_bytes());
     buf.push(b'\n');
@@ -167,20 +175,46 @@ pub fn append_line_durable(faults: &Faults, path: impl AsRef<Path>, line: &str) 
     }
     file.write_all(&buf)?;
     faults.record(|| IoOp::Append {
-        path: path.as_ref().to_path_buf(),
-        bytes: buf.clone(),
+        path: path.clone(),
+        bytes: buf,
     });
-    faults.guard("persist.append_fsync")?;
-    file.sync_all()?;
-    faults.record(|| IoOp::AppendFsync {
-        path: path.as_ref().to_path_buf(),
-    });
-    if created {
-        // The append created the journal: make its directory entry
-        // durable too, or a crash can lose the whole file.
-        fsync_dir_of(faults, path.as_ref())?;
+    Ok(Appended {
+        file,
+        path,
+        created,
+    })
+}
+
+/// A line [`append_line`] wrote that may not be durable yet.
+#[derive(Debug)]
+pub struct Appended {
+    file: fs::File,
+    path: PathBuf,
+    /// Whether the append created the file, so its directory entry needs
+    /// an fsync too.
+    created: bool,
+}
+
+impl Appended {
+    /// Fsyncs the appended line and, when the append created the file,
+    /// its parent directory. Writes nothing, so it can be retried.
+    ///
+    /// # Errors
+    /// The fsync error (an injected `persist.append_fsync` or
+    /// `persist.fsync_dir` fault included).
+    pub fn sync(&self, faults: &Faults) -> io::Result<()> {
+        faults.guard("persist.append_fsync")?;
+        self.file.sync_all()?;
+        faults.record(|| IoOp::AppendFsync {
+            path: self.path.clone(),
+        });
+        if self.created {
+            // The append created the journal: make its directory entry
+            // durable too, or a crash can lose the whole file.
+            fsync_dir_of(faults, &self.path)?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Like [`atomic_write`], but also emits the artifact's `.evmi` integrity
@@ -276,15 +310,21 @@ mod tests {
     }
 
     #[test]
-    fn append_line_durable_accumulates_lines() {
+    fn appended_lines_accumulate_and_a_failed_sync_retries_without_a_rewrite() {
         let dir = tmp_dir("journal");
         let path = dir.join("cells.journal");
         let faults = Faults::default();
-        append_line_durable(&faults, &path, "{\"a\":1}").unwrap();
-        append_line_durable(&faults, &path, "{\"b\":2}").unwrap();
+        append_line(&faults, &path, "{\"a\":1}")
+            .unwrap()
+            .sync(&faults)
+            .unwrap();
+        let flaky = Faults::armed("persist.append_fsync=fail-transient x1", 0).unwrap();
+        let appended = append_line(&flaky, &path, "{\"b\":2}").unwrap();
+        assert!(appended.sync(&flaky).is_err());
+        appended.sync(&flaky).unwrap();
         let text = fs::read_to_string(&path).unwrap();
         assert_eq!(text, "{\"a\":1}\n{\"b\":2}\n");
-        let err = append_line_durable(&faults, &path, "no\nnewlines").unwrap_err();
+        let err = append_line(&faults, &path, "no\nnewlines").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
         let _ = fs::remove_dir_all(&dir);
     }

@@ -152,8 +152,11 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let faults = Faults::recording(&dir);
         crate::persist::atomic_write(&faults, dir.join("out.csv"), b"a,b\n").unwrap();
-        crate::persist::append_line_durable(&faults, dir.join("j.journal"), "line-1").unwrap();
-        crate::persist::append_line_durable(&faults, dir.join("j.journal"), "line-2").unwrap();
+        for line in ["line-1", "line-2"] {
+            let appended =
+                crate::persist::append_line(&faults, dir.join("j.journal"), line).unwrap();
+            appended.sync(&faults).unwrap();
+        }
         let ops = faults.take_ops();
         let shape: Vec<&str> = ops
             .iter()

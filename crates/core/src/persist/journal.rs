@@ -289,16 +289,23 @@ pub fn start(faults: &Faults, retry: &RetryPolicy, path: &Path, ctx: &str) {
 }
 
 /// Frames `payload` and durably appends it to the journal at `path` under
-/// supervised retries at site `journal.append`. An attempt that fails,
+/// supervised retries at site `journal.append`. A write that fails,
 /// injected torn writes included, seals whatever torn bytes it left before
-/// the next one, so a flaky disk costs milliseconds instead of a recompute
-/// on resume. Best-effort: a journal that stays unwritable is counted in
-/// the plan's `fault.*` telemetry and never takes down the run.
+/// the next attempt, so a flaky disk costs milliseconds instead of a
+/// recompute on resume. Once the line is written, a failure retries only
+/// the fsyncs: writing it again would leave a duplicate record.
+/// Best-effort: a journal that stays unwritable is counted in the plan's
+/// `fault.*` telemetry and never takes down the run.
 pub fn append(faults: &Faults, retry: &RetryPolicy, path: &Path, payload: &str) {
     let line = frame_record(payload);
-    let _ = retry_io(faults, retry, "journal.append", &mut RealClock, || {
-        super::append_line_durable(faults, path, &line).inspect_err(|_| seal_torn_tail(path))
+    let written = retry_io(faults, retry, "journal.append", &mut RealClock, || {
+        super::append_line(faults, path, &line).inspect_err(|_| seal_torn_tail(path))
     });
+    if let Ok(appended) = written {
+        let _ = retry_io(faults, retry, "journal.append", &mut RealClock, || {
+            appended.value.sync(faults)
+        });
+    }
 }
 
 /// If `path` ends in a torn line without a newline (what a crash

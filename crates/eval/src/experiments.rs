@@ -793,7 +793,7 @@ mod tests {
 
         // Simulate a kill: the header and the first appended line survive
         // intact, followed by a torn half-line — exactly what
-        // `append_line_durable` guarantees at worst — plus some unrelated
+        // `persist::append_line` guarantees at worst — plus some unrelated
         // garbage (quarantined, never misread).
         let header = full.lines().next().unwrap();
         let first = full.lines().nth(1).unwrap();

@@ -19,6 +19,7 @@
 use evematch_eventlog::{ColumnarLog, DepGraph, EventId, EventLog, TraceIndex};
 
 use crate::ast::Pattern;
+use crate::canon::CanonPlan;
 use crate::compiled::{symbol_table, CompileError, CompiledPattern};
 use crate::graph_form::{edge_groups, PatternGraph};
 use crate::matcher::{trace_matches, Interrupted};
@@ -97,8 +98,8 @@ impl PatternShape {
 }
 
 /// A pattern bundled with everything the matching algorithms repeatedly
-/// need: its sorted event set, graph form, shape, Table-2 classification
-/// and its frequency in the *source* log `L1`.
+/// need: its sorted event set, graph form, shape, Table-2 classification,
+/// canonical-key plan and its frequency in the *source* log `L1`.
 ///
 /// Built once per pattern before the search starts; the A\* and heuristic
 /// engines then only evaluate *mapped* frequencies in `L2`.
@@ -123,6 +124,9 @@ pub struct EvaluatedPattern {
     /// or the typed reason this pattern must use the interpreter.
     /// Compiled once here so no evaluation path ever recompiles.
     pub compiled: Result<CompiledPattern, CompileError>,
+    /// How an image tuple becomes the support memo's key (see
+    /// [`CanonPlan`]).
+    pub canon: CanonPlan,
 }
 
 impl EvaluatedPattern {
@@ -166,6 +170,7 @@ impl EvaluatedPattern {
             support: 0,
             freq: 0.0,
             compiled: CompiledPattern::compile(&pattern),
+            canon: CanonPlan::of(&pattern),
             pattern,
         };
         if ep.events.iter().all(|e| e.index() < log.event_count()) {

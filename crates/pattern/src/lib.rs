@@ -30,6 +30,8 @@
 //!   `I_t` ([`EvaluatedPattern::scan`]), which the compiled automaton
 //!   decides and the interpreter backs per pattern, with the interpreter's
 //!   own [`pattern_support`] / [`pattern_freq`] as its test oracle;
+//! * canonical memo keys ([`CanonPlan`]): one key for every binding that
+//!   differs only by swapping the images of same-shaped `AND` children;
 //! * the inverted pattern index `I_p` ([`PatternIndex`], Section 3.2.1);
 //! * a frequent-episode-style pattern discovery pass
 //!   ([`discover_patterns`]) implementing the paper's Section-2.2
@@ -40,6 +42,7 @@
 #![warn(clippy::print_stdout, clippy::print_stderr)]
 
 mod ast;
+mod canon;
 mod compiled;
 mod discovery;
 mod frequency;
@@ -49,6 +52,7 @@ mod matcher;
 mod parser;
 
 pub use ast::{Pattern, PatternError, MAX_AND_ARITY, MAX_DEPTH};
+pub use canon::CanonPlan;
 pub use compiled::{CompileError, CompiledPattern, STATE_BUDGET};
 pub use discovery::{discover_patterns, DiscoveryConfig};
 pub use frequency::{pattern_freq, pattern_support, EvaluatedPattern, PatternShape, SupportStats};

@@ -366,7 +366,8 @@ pub fn check_no_unclassified_io(file: &ScannedFile) -> Vec<Violation> {
         "fill_buf",
         "read_line",
         "atomic_write",
-        "append_line_durable",
+        "append_line",
+        ".sync(",
         ".flush()",
     ];
     const SWALLOW_NEEDLES: &[&str] = &[

@@ -147,7 +147,8 @@ fn seeded_fault_schedules_recover_to_byte_identical_results() {
     // Schedule 3: a torn journal append (half the line reaches disk, then
     // a transient error) plus two failing append fsyncs. The supervised
     // journal writer must seal the torn tail before retrying, so the
-    // journal stays replayable.
+    // journal stays replayable, and must retry a failed fsync without
+    // writing its line again, so the journal holds one record per job.
     let dir = scratch_dir("journal");
     {
         let fig = grid(
@@ -163,6 +164,27 @@ fn seeded_fault_schedules_recover_to_byte_identical_results() {
         assert_eq!(
             telemetry_value(&fig, "fault.injected.persist.append"),
             Some(1)
+        );
+        assert_eq!(
+            telemetry_value(&fig, "fault.injected.persist.append_fsync"),
+            Some(2)
+        );
+        let report = persist::integrity::verify_dir(&dir).unwrap();
+        let journal = report
+            .files
+            .iter()
+            .find(|f| f.name == "FigChaos.journal")
+            .unwrap_or_else(|| panic!("no journal: {}", report.render()));
+        // Two x values by two seeds: four jobs, one record each, plus the
+        // sealed fragment of the torn append.
+        assert_eq!(
+            journal.status,
+            persist::integrity::FileStatus::JournalVerified {
+                records: 4,
+                torn: 1
+            },
+            "schedule 3: {}",
+            report.render()
         );
     }
 
