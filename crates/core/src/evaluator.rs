@@ -30,7 +30,6 @@ use std::rc::Rc;
 use std::sync::Arc;
 
 use evematch_eventlog::EventId;
-use evematch_graph::{IsoStats, MonoSearch};
 use evematch_pattern::{is_realizable_with_fuel, Interrupted, PatternShape, SupportStats};
 
 use crate::bounds::PruneCounts;
@@ -187,16 +186,6 @@ impl EvalCounters {
     }
 }
 
-/// Fuel granted to the structural probe per complex pattern (VF2 extension
-/// steps); embedding enumeration additionally stops at
-/// [`PROBE_EMBED_CAP`]. Both caps are pure work counts, so the probe is
-/// bit-deterministic.
-const PROBE_FUEL: u64 = 4096;
-
-/// Embeddings counted per pattern before the structural probe stops (the
-/// Section-2.2 discriminativeness question only needs "few or many").
-const PROBE_EMBED_CAP: u64 = 4;
-
 /// Evaluates `d(p) = 1 − |f1(p) − f2(M(p))| / (f1(p) + f2(M(p)))` for the
 /// patterns of a [`MatchContext`] under concrete event images.
 ///
@@ -274,27 +263,25 @@ impl<'a> Evaluator<'a> {
     }
 
     /// The solver prologue every matcher shares: an evaluator for
-    /// `config`, the `search` root phase opened, and the structural probe
-    /// run inside it.
+    /// `config` with the `search` root phase opened.
     pub(crate) fn start_search(ctx: &'a MatchContext, config: &EvalConfig) -> Self {
         let mut eval = Self::with_config(ctx, config);
         eval.tele.profile.open("search");
-        eval.probe_structure();
         eval
     }
 
     /// Ends the run and packs its result: the one place a
-    /// [`MatchOutcome`] is built. Closing the phase tree mirrors the
-    /// `search` root's wall-clock into the registry's non-deterministic
-    /// timing section as `search.solve` and into the outcome's `elapsed`;
-    /// every counter stays bit-deterministic.
+    /// [`MatchOutcome`] is built. Closing the phase tree gives the
+    /// profile, whose `search` root wall is the outcome's `elapsed`; the
+    /// profile is the run's one record of wall time, and every counter
+    /// stays bit-deterministic.
     pub(crate) fn finish(
         mut self,
         mapping: Mapping,
         score: f64,
         completion: Completion,
     ) -> MatchOutcome {
-        let profile = self.tele.finish_phases();
+        let profile = self.tele.profile.finish();
         let metrics = self.metrics_snapshot();
         MatchOutcome {
             mapping,
@@ -335,75 +322,6 @@ impl<'a> Evaluator<'a> {
         reg.add(ids.prune_zero_f1, prunes.zero_f1);
         reg.add(ids.prune_vertex_cap, prunes.vertex_cap);
         reg.add(ids.prune_edge_group_cap, prunes.edge_group_cap);
-    }
-
-    /// Runs the deterministic **structural probe**: embeds each complex
-    /// pattern's graph form into `G2` with the VF2-style [`MonoSearch`],
-    /// under a pure fuel cap. This is the Section-2.2 discriminativeness
-    /// measure (a pattern whose structure has many embeddings carries
-    /// little signal), surfaced as the `iso.*` counters. Purely
-    /// observational: no search decision reads these numbers. Runs once
-    /// per solver run, from [`Self::start_search`].
-    fn probe_structure(&mut self) {
-        // Register every iso.* key up front so the snapshot always names
-        // them, even when there is no composite pattern to probe.
-        let reg = &mut self.tele.registry;
-        let probes = reg.counter("iso.probes");
-        let steps = reg.counter("iso.steps");
-        let backtracks = reg.counter("iso.backtracks");
-        let embeddings = reg.counter("iso.embeddings_found");
-        let fuel_interrupts = reg.counter("iso.fuel_interrupts");
-        let max_depth = reg.gauge("iso.max_depth");
-        self.tele.profile.open("probe");
-        let target = self.ctx.dep2().graph();
-        let mut total = IsoStats::default();
-        let mut probed = 0u64;
-        let mut found = 0u64;
-        let mut interrupted = 0u64;
-        for ep in self.ctx.patterns() {
-            // Vertex and edge special patterns embed trivially; only the
-            // composite structures are worth a probe.
-            if ep.size() < 3 {
-                continue;
-            }
-            let mut n = 0u64;
-            let mut fuel_left = PROBE_FUEL;
-            let r = MonoSearch::new(ep.graph.graph(), target).enumerate_with_fuel_stats(
-                &mut |_| {
-                    n += 1;
-                    n < PROBE_EMBED_CAP
-                },
-                &mut || {
-                    if fuel_left == 0 {
-                        return false;
-                    }
-                    fuel_left -= 1;
-                    true
-                },
-                &mut total,
-            );
-            probed += 1;
-            found += n;
-            if r.is_err() {
-                interrupted += 1;
-            }
-        }
-        let reg = &mut self.tele.registry;
-        reg.add(probes, probed);
-        reg.add(steps, total.steps);
-        reg.add(backtracks, total.backtracks);
-        reg.add(embeddings, found);
-        reg.add(fuel_interrupts, interrupted);
-        reg.gauge_max(max_depth, total.max_depth);
-        self.tele.trace.point(
-            "iso.probe",
-            vec![
-                ("patterns".to_owned(), probed),
-                ("steps".to_owned(), total.steps),
-                ("embeddings".to_owned(), found),
-            ],
-        );
-        self.tele.profile.close();
     }
 
     /// Freezes this run's metrics, folding in the budget meter's view:

@@ -118,8 +118,8 @@ pub struct MatchOutcome {
     /// Whether the run finished or degraded on budget exhaustion.
     pub completion: Completion,
     /// Full telemetry snapshot of the run (see [`crate::telemetry`]): the
-    /// deterministic counter/gauge/histogram sections plus wall-clock span
-    /// timings kept separately.
+    /// deterministic counter/gauge/histogram sections plus the separate
+    /// execution-shape `info` section. Wall time is in [`Self::profile`].
     pub metrics: MetricsSnapshot,
     /// The run's bounded JSONL search trace (empty unless the solver
     /// emitted trace points; see [`crate::telemetry::TraceBuffer`]).

@@ -17,18 +17,16 @@
 //!   performed. Two runs under identical processed-mapping caps produce
 //!   byte-identical [`MetricsSnapshot::deterministic_json`] output (this is
 //!   enforced by `tests/determinism.rs`);
-//! * **timings** — wall-clock durations. The phase profiler is their only
-//!   source: [`Telemetry::finish_phases`] mirrors each root phase's wall
-//!   into them, and the recorder is private to this module. They live in
-//!   a separate snapshot section that is *excluded* from
-//!   `deterministic_json` and clearly marked `non_deterministic` in the
-//!   full JSON output.
+//! * **info** — execution-shape facts (which decider a scan used), in a
+//!   section that is *excluded* from `deterministic_json` and marked
+//!   `non_deterministic` in the full JSON output.
 //!
-//! The [`profile`] phase profiler is, next to `core::budget`, the only
-//! place in the solver crates that reads the wall clock — and unlike the
-//! budget meter it only ever *records* time, it never branches on it, so
-//! determinism of the search itself is unaffected. Clippy's
-//! `disallowed_methods` (rule T6) flags every other clock read.
+//! The registry holds no wall time. The [`profile`] phase profiler is the
+//! one record of a run's wall clock and, next to `core::budget`, the only
+//! place in the solver crates that reads it — and unlike the budget meter
+//! it only ever *records* time, it never branches on it, so determinism
+//! of the search itself is unaffected. Clippy's `disallowed_methods`
+//! (rule T6) flags every other clock read.
 //!
 //! # Phase profile
 //!
@@ -55,9 +53,7 @@ mod trace;
 
 pub use hist::HistogramSnapshot;
 pub use profile::{PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, WorkCol};
-pub use registry::{
-    CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot, TimingSnapshot,
-};
+pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use trace::{TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP};
 
 /// One solver run's telemetry: the metrics registry, the bounded
@@ -67,7 +63,7 @@ pub use trace::{TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP};
 /// --metrics-out/--trace-out/--profile-out` flags.
 #[derive(Clone, Debug, Default)]
 pub struct Telemetry {
-    /// Named counters / gauges / histograms / timings.
+    /// Named counters / gauges / histograms.
     pub registry: MetricsRegistry,
     /// Bounded in-memory search trace (JSONL on request).
     pub trace: TraceBuffer,
@@ -79,22 +75,5 @@ impl Telemetry {
     /// Fresh, empty telemetry.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Closes every open phase, mirrors each root phase's wall-clock into
-    /// the registry's (non-deterministic) timing section — the `search`
-    /// root keeps its historical `search.solve` timing name; other roots
-    /// record as `phase.<name>` — and returns the finished snapshot.
-    pub fn finish_phases(&mut self) -> ProfileSnapshot {
-        let snap = self.profile.finish();
-        for root in &snap.roots {
-            if root.name == "search" {
-                self.registry.record_timing("search.solve", root.wall_nanos);
-            } else {
-                self.registry
-                    .record_timing(&format!("phase.{}", root.name), root.wall_nanos);
-            }
-        }
-        snap
     }
 }

@@ -27,8 +27,8 @@
 //! This module only ever *records* the clock — nothing here branches on
 //! time, so search determinism is unaffected; its one clock read carries
 //! an `#[expect]` waiver of rule T6 (`disallowed_methods`). It is the one
-//! source of wall time in a run's telemetry: the registry's timing
-//! section only mirrors its root walls (`Telemetry::finish_phases`).
+//! record of wall time in a run's telemetry: the metrics registry holds
+//! none.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -212,9 +212,7 @@ impl Node {
 }
 
 /// The live phase tree of one run. Owned by [`super::Telemetry`];
-/// snapshot with [`PhaseProfiler::finish`] (usually via
-/// [`super::Telemetry::finish_phases`], which also mirrors root walls
-/// into the registry's timing section).
+/// snapshot with [`PhaseProfiler::finish`].
 ///
 /// Re-opening a name that already exists under the current parent reuses
 /// its node (`calls += 1`), so the tree aggregates rather than grows —

@@ -1,4 +1,4 @@
-//! The metrics registry: named counters, gauges, histograms and timings.
+//! The metrics registry: named counters, gauges and histograms.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -22,17 +22,15 @@ pub struct HistogramId(usize);
 ///
 /// Registration (`counter` / `gauge` / `histogram`) is get-or-create by
 /// name and returns a cheap `Copy` handle; the hot-path mutators (`inc`,
-/// `add`, `gauge_max`, `observe`) are O(1) slot updates. All metric kinds
-/// except timings are **deterministic**: their values depend only on the
-/// work performed, never on the clock. Timings are the explicitly
-/// non-deterministic half, mirrored from the phase profile — see the
-/// module docs.
+/// `add`, `gauge_max`, `observe`) are O(1) slot updates. Every metric kind
+/// is **deterministic**: its value depends only on the work performed,
+/// never on the clock. Wall time lives in the phase profile alone — see
+/// the module docs.
 #[derive(Clone, Debug, Default)]
 pub struct MetricsRegistry {
     counters: Vec<(String, u64)>,
     gauges: Vec<(String, u64)>,
     histograms: Vec<(String, Histogram)>,
-    timings: Vec<(String, TimingSnapshot)>,
 }
 
 impl MetricsRegistry {
@@ -111,35 +109,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Records a wall-clock duration under `name`. **Non-deterministic**
-    /// by nature; excluded from [`MetricsSnapshot::deterministic_json`].
-    /// Private to `core::telemetry`: its one caller is
-    /// [`super::Telemetry::finish_phases`], so every timing is a phase wall.
-    pub(super) fn record_timing(&mut self, name: &str, nanos: u64) {
-        let slot = match self.timings.iter_mut().find(|(n, _)| n == name) {
-            Some((_, t)) => t,
-            None => {
-                self.timings
-                    .push((name.to_owned(), TimingSnapshot::default()));
-                // Just pushed, so last_mut is always Some; the fallback
-                // keeps this panic-free regardless.
-                match self.timings.last_mut() {
-                    Some((_, t)) => t,
-                    None => return,
-                }
-            }
-        };
-        if slot.count == 0 {
-            slot.min_nanos = nanos;
-            slot.max_nanos = nanos;
-        } else {
-            slot.min_nanos = slot.min_nanos.min(nanos);
-            slot.max_nanos = slot.max_nanos.max(nanos);
-        }
-        slot.count += 1;
-        slot.total_nanos = slot.total_nanos.saturating_add(nanos);
-    }
-
     /// Freezes the registry into a snapshot (sorted by metric name).
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -150,28 +119,14 @@ impl MetricsRegistry {
                 .iter()
                 .map(|(n, h)| (n.clone(), h.snapshot()))
                 .collect(),
-            timings: self.timings.iter().cloned().collect(),
             info: BTreeMap::new(),
         }
     }
 }
 
-/// Aggregated wall-clock time of one named timing (a root phase).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct TimingSnapshot {
-    /// Number of recorded durations.
-    pub count: u64,
-    /// Summed duration in nanoseconds.
-    pub total_nanos: u64,
-    /// Fastest recorded duration, nanoseconds (0 until the first record).
-    pub min_nanos: u64,
-    /// Slowest recorded duration, nanoseconds (0 until the first record).
-    pub max_nanos: u64,
-}
-
 /// A frozen view of a [`MetricsRegistry`], split into the deterministic
 /// half (counters, gauges, histograms) and the non-deterministic half
-/// (timings).
+/// (execution-shape info).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     /// Monotone work counters.
@@ -180,8 +135,6 @@ pub struct MetricsSnapshot {
     pub gauges: BTreeMap<String, u64>,
     /// Fixed-bucket histograms.
     pub histograms: BTreeMap<String, HistogramSnapshot>,
-    /// Wall-clock timings of root phases (non-deterministic section).
-    pub timings: BTreeMap<String, TimingSnapshot>,
     /// Execution-shape facts — how the work was done, not what it
     /// computed — e.g. `matcher.fallback.state_budget`, which records
     /// which decider a scan used. Kept out of the deterministic section,
@@ -208,8 +161,8 @@ impl MetricsSnapshot {
         *g = (*g).max(v);
     }
 
-    /// Merges `other` into `self`: counters and timings add, gauges take
-    /// the max, histograms add bucket-wise (when bounds agree).
+    /// Merges `other` into `self`: counters and info add, gauges take the
+    /// max, histograms add bucket-wise (when bounds agree).
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         for (name, v) in &other.counters {
             let c = self.counters.entry(name.clone()).or_insert(0);
@@ -221,20 +174,6 @@ impl MetricsSnapshot {
         for (name, h) in &other.histograms {
             self.histograms.entry(name.clone()).or_default().merge(h);
         }
-        for (name, t) in &other.timings {
-            let slot = self.timings.entry(name.clone()).or_default();
-            if t.count > 0 {
-                if slot.count == 0 {
-                    slot.min_nanos = t.min_nanos;
-                    slot.max_nanos = t.max_nanos;
-                } else {
-                    slot.min_nanos = slot.min_nanos.min(t.min_nanos);
-                    slot.max_nanos = slot.max_nanos.max(t.max_nanos);
-                }
-            }
-            slot.count += t.count;
-            slot.total_nanos = slot.total_nanos.saturating_add(t.total_nanos);
-        }
         for (name, v) in &other.info {
             let slot = self.info.entry(name.clone()).or_insert(0);
             *slot = slot.saturating_add(*v);
@@ -242,7 +181,7 @@ impl MetricsSnapshot {
     }
 
     /// The deterministic section only, as canonical JSON: keys sorted,
-    /// no whitespace, no timings. Two runs under identical pure caps
+    /// no whitespace, no info. Two runs under identical pure caps
     /// produce byte-identical output (enforced by `tests/determinism.rs`).
     pub fn deterministic_json(&self) -> String {
         let mut out = String::new();
@@ -274,9 +213,8 @@ impl MetricsSnapshot {
     }
 
     /// The whole snapshot as JSON: the deterministic section under
-    /// `"deterministic"`, execution-shape facts under
-    /// `"non_deterministic"."info"` and wall-clock timings under
-    /// `"non_deterministic"."timings"`.
+    /// `"deterministic"` and execution-shape facts under
+    /// `"non_deterministic"."info"`.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
         out.push('{');
@@ -287,21 +225,7 @@ impl MetricsSnapshot {
         out.push('{');
         json::push_key(&mut out, "info");
         json::push_counters(&mut out, &self.info);
-        out.push(',');
-        json::push_key(&mut out, "timings");
-        out.push('{');
-        for (i, (name, t)) in self.timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_key(&mut out, name);
-            let _ = write!(
-                out,
-                "{{\"count\":{},\"total_nanos\":{},\"min_nanos\":{},\"max_nanos\":{}}}",
-                t.count, t.total_nanos, t.min_nanos, t.max_nanos
-            );
-        }
-        out.push_str("}}}");
+        out.push_str("}}");
         out
     }
 
@@ -335,22 +259,7 @@ impl MetricsSnapshot {
                 },
             );
         }
-        let non_det = v.get("non_deterministic")?;
-        snap.info = json_u64_map(non_det.get("info")?)?;
-        let json::JsonValue::Obj(timings) = non_det.get("timings")? else {
-            return None;
-        };
-        for (name, t) in timings {
-            snap.timings.insert(
-                name.clone(),
-                TimingSnapshot {
-                    count: t.get("count")?.as_u64()?,
-                    total_nanos: t.get("total_nanos")?.as_u64()?,
-                    min_nanos: t.get("min_nanos")?.as_u64()?,
-                    max_nanos: t.get("max_nanos")?.as_u64()?,
-                },
-            );
-        }
+        snap.info = json_u64_map(v.get("non_deterministic")?.get("info")?)?;
         Some(snap)
     }
 }
@@ -415,26 +324,18 @@ mod tests {
         reg.add_named("a", 1);
         let h = reg.histogram("depth", &[1, 4]);
         reg.observe(h, 2);
-        reg.record_timing("solve", 1234);
         let snap = reg.snapshot();
         let det = snap.deterministic_json();
-        assert!(
-            !det.contains("solve") && !det.contains("nanos"),
-            "timings leaked into the deterministic section: {det}"
-        );
         // Keys come out sorted regardless of registration order.
         assert!(det.find("\"a\"").unwrap() < det.find("\"b\"").unwrap());
         let full = JsonValue::parse(&snap.to_json_string()).unwrap();
         let counters = full.get("deterministic").unwrap().get("counters").unwrap();
         assert_eq!(counters.get("a").unwrap().as_u64(), Some(1));
-        let timing = full
-            .get("non_deterministic")
-            .unwrap()
-            .get("timings")
-            .unwrap()
-            .get("solve")
-            .unwrap();
-        assert_eq!(timing.get("total_nanos").unwrap().as_u64(), Some(1234));
+        // The registry records no wall time: `info` is the whole
+        // non-deterministic section.
+        let non_det = full.get("non_deterministic").unwrap().as_obj().unwrap();
+        let keys: Vec<&str> = non_det.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, ["info"]);
     }
 
     #[test]
@@ -462,8 +363,8 @@ mod tests {
         let h = reg.histogram("depth", &[1, 4, 9]);
         reg.observe(h, 0);
         reg.observe(h, 5);
-        reg.record_timing("solve", 987_654_321);
-        let snap = reg.snapshot();
+        let mut snap = reg.snapshot();
+        snap.set_info("matcher.fallback.binding", 3);
         let back = MetricsSnapshot::from_json(&snap.to_json_string()).unwrap();
         assert_eq!(back, snap);
         // And the re-rendered JSON is byte-identical.
@@ -483,18 +384,12 @@ mod tests {
         }
         assert!(MetricsSnapshot::from_json("{}").is_none());
         assert!(MetricsSnapshot::from_json("not json").is_none());
-        // Shapes this build does not write (no `info` section, timings
-        // without extremes) are rejected, not defaulted.
-        reg.record_timing("t", 5);
-        let full = reg.snapshot().to_json_string();
+        // A shape this build does not write (no `info` section) is
+        // rejected, not defaulted.
         assert!(MetricsSnapshot::from_json(&full).is_some());
-        for old in [
-            full.replace("\"info\":{},", ""),
-            full.replace(",\"min_nanos\":5,\"max_nanos\":5", ""),
-        ] {
-            assert_ne!(old, full);
-            assert!(MetricsSnapshot::from_json(&old).is_none(), "{old}");
-        }
+        let old = full.replace("\"info\":{}", "");
+        assert_ne!(old, full);
+        assert!(MetricsSnapshot::from_json(&old).is_none(), "{old}");
     }
 
     #[test]
@@ -531,56 +426,15 @@ mod tests {
     }
 
     #[test]
-    fn timings_track_min_and_max_extremes() {
-        let mut reg = MetricsRegistry::new();
-        reg.record_timing("t", 50);
-        reg.record_timing("t", 10);
-        reg.record_timing("t", 90);
-        let snap = reg.snapshot();
-        assert_eq!(snap.timings["t"].count, 3);
-        assert_eq!(snap.timings["t"].total_nanos, 150);
-        assert_eq!(snap.timings["t"].min_nanos, 10);
-        assert_eq!(snap.timings["t"].max_nanos, 90);
-        // The extremes survive the JSON round trip.
-        let back = MetricsSnapshot::from_json(&snap.to_json_string()).unwrap();
-        assert_eq!(back.timings["t"], snap.timings["t"]);
-        // Merging combines extremes calls-aware: an empty slot copies, a
-        // populated one takes min-of-mins / max-of-maxes.
-        let mut other = MetricsSnapshot::default();
-        other.timings.insert(
-            "t".into(),
-            TimingSnapshot {
-                count: 1,
-                total_nanos: 5,
-                min_nanos: 5,
-                max_nanos: 5,
-            },
-        );
-        let mut merged = snap.clone();
-        merged.merge(&other);
-        assert_eq!(merged.timings["t"].min_nanos, 5);
-        assert_eq!(merged.timings["t"].max_nanos, 90);
-        // Merging a zero-count slot leaves extremes untouched.
-        let mut zero = MetricsSnapshot::default();
-        zero.timings.insert("t".into(), TimingSnapshot::default());
-        merged.merge(&zero);
-        assert_eq!(merged.timings["t"].min_nanos, 5);
-    }
-
-    #[test]
-    fn merge_sums_histograms_and_timings() {
+    fn merge_sums_histograms() {
         let mut reg = MetricsRegistry::new();
         let h = reg.histogram("d", &[2]);
         reg.observe(h, 1);
-        reg.record_timing("t", 10);
         let mut a = reg.snapshot();
         let mut reg2 = MetricsRegistry::new();
         let h2 = reg2.histogram("d", &[2]);
         reg2.observe(h2, 3);
-        reg2.record_timing("t", 5);
         a.merge(&reg2.snapshot());
         assert_eq!(a.histograms["d"].buckets, vec![1, 1]);
-        assert_eq!(a.timings["t"].count, 2);
-        assert_eq!(a.timings["t"].total_nanos, 15);
     }
 }

@@ -176,7 +176,7 @@ mod tests {
             "search.pop",
             vec![("pops".to_owned(), 17), ("depth".to_owned(), 3)],
         );
-        buf.point("iso.probe", vec![("patterns".to_owned(), 5)]);
+        buf.point("search.pop", vec![("pops".to_owned(), 81)]);
         for e in buf.events() {
             let line = e.to_jsonl();
             assert!(line.contains("\"kind\":\"point\""), "line: {line}");

@@ -48,7 +48,9 @@
 //!                            a `deterministic` section (counters, gauges,
 //!                            histograms — bit-identical across runs under
 //!                            pure caps) and a `non_deterministic` section
-//!                            (wall-clock span timings)
+//!                            (`info`: execution-shape facts such as
+//!                            interpreter fallbacks); wall time is in
+//!                            --profile-out
 //!     --trace-out <FILE>     write the run's search trace as JSON Lines
 //!                            (one event per line, deterministic `seq`
 //!                            numbering; see `core::telemetry`)
@@ -311,7 +313,7 @@ fn run(opts: &Options) -> Result<bool, String> {
         None => fault::Faults::default(),
     };
     // The run's phase profile is three profilers merged in order: ingest
-    // and index are measured here, the solver's own tree (search, probe,
+    // and index are measured here, the solver's own tree (search,
     // support-eval) follows, and emit closes the story. A beacon (for
     // --progress) rides on every one of them.
     let beacon = opts

@@ -16,7 +16,8 @@ use crate::log::EventLog;
 /// Supports are stored as exact per-trace counts; normalized frequencies are
 /// derived on demand. The structure-only view ([`DepGraph::graph`]) is what
 /// the pattern-existence pruning (Proposition 3) realizes mapped patterns
-/// along, and what the structural probe embeds pattern graphs into.
+/// along, and what pattern discovery's twin filter embeds pattern graphs
+/// into.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DepGraph {
     n: usize,

@@ -6,11 +6,12 @@
 //! "subgraph isomorphism" notion used by the paper's Theorem 1, which
 //! reduces subgraph isomorphism to optimal event matching with edge
 //! patterns; the executable reduction in `evematch-core` checks it both
-//! ways. The search also serves the evaluator's structural probe (the
-//! `iso.*` counters) and pattern discovery's twin filter. Proposition 3's
-//! existence pruning does not use it: that is the edge-group caps inside
-//! the bound `h` and `pattern::is_realizable_with_fuel`, which check the
-//! one mapped pattern rather than search for an embedding.
+//! ways. The search also serves pattern discovery's twin filter, which
+//! applies the Section-2.2 guideline that a structure with many
+//! embeddings carries little signal. Proposition 3's existence pruning
+//! does not use it: that is the edge-group caps inside the bound `h` and
+//! `pattern::is_realizable_with_fuel`, which check the one mapped pattern
+//! rather than search for an embedding.
 //!
 //! The search is a VF2-style backtracking over pattern vertices ordered by
 //! descending degree (most-constrained first), with forward/backward
@@ -34,35 +35,6 @@ impl std::fmt::Display for Interrupted {
 }
 
 impl std::error::Error for Interrupted {}
-
-/// Work counters of one monomorphism search, for observability.
-///
-/// Every field is **deterministic**: a function of the two graphs and the
-/// fuel schedule alone. The core telemetry layer surfaces these as the
-/// `iso.*` counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct IsoStats {
-    /// Extension steps taken (recursive calls; the unit of fuel).
-    pub steps: u64,
-    /// Candidate assignments undone after their subtree was explored.
-    pub backtracks: u64,
-    /// Deepest partial map reached (= pattern size when an embedding was
-    /// completed).
-    pub max_depth: u64,
-    /// Complete embeddings reached (counted even if the visitor stops the
-    /// search).
-    pub found: u64,
-}
-
-impl IsoStats {
-    /// Sums `other` into `self` (`max_depth` takes the max).
-    pub fn absorb(&mut self, other: &IsoStats) {
-        self.steps += other.steps;
-        self.backtracks += other.backtracks;
-        self.max_depth = self.max_depth.max(other.max_depth);
-        self.found += other.found;
-    }
-}
 
 /// Reusable monomorphism search between a fixed pattern and target graph.
 ///
@@ -108,17 +80,6 @@ impl<'a> MonoSearch<'a> {
         &self,
         fuel: &mut dyn FnMut() -> bool,
     ) -> Result<Option<Vec<NodeId>>, Interrupted> {
-        self.find_with_fuel_stats(fuel, &mut IsoStats::default())
-    }
-
-    /// [`find_with_fuel`](MonoSearch::find_with_fuel), additionally
-    /// accumulating work counters into `stats` (valid even on
-    /// `Err(Interrupted)`).
-    pub fn find_with_fuel_stats(
-        &self,
-        fuel: &mut dyn FnMut() -> bool,
-        stats: &mut IsoStats,
-    ) -> Result<Option<Vec<NodeId>>, Interrupted> {
         let mut out = None;
         let interrupted = self.search(
             &mut |m| {
@@ -126,7 +87,6 @@ impl<'a> MonoSearch<'a> {
                 false // stop after first hit
             },
             fuel,
-            stats,
         );
         if interrupted && out.is_none() {
             Err(Interrupted)
@@ -145,7 +105,6 @@ impl<'a> MonoSearch<'a> {
                 visit(m)
             },
             &mut || true,
-            &mut IsoStats::default(),
         );
         n
     }
@@ -159,18 +118,6 @@ impl<'a> MonoSearch<'a> {
         visit: &mut dyn FnMut(&[NodeId]) -> bool,
         fuel: &mut dyn FnMut() -> bool,
     ) -> Result<usize, Interrupted> {
-        self.enumerate_with_fuel_stats(visit, fuel, &mut IsoStats::default())
-    }
-
-    /// [`enumerate_with_fuel`](MonoSearch::enumerate_with_fuel),
-    /// additionally accumulating work counters into `stats` (valid even on
-    /// `Err(Interrupted)`).
-    pub fn enumerate_with_fuel_stats(
-        &self,
-        visit: &mut dyn FnMut(&[NodeId]) -> bool,
-        fuel: &mut dyn FnMut() -> bool,
-        stats: &mut IsoStats,
-    ) -> Result<usize, Interrupted> {
         let mut n = 0;
         let interrupted = self.search(
             &mut |m| {
@@ -178,7 +125,6 @@ impl<'a> MonoSearch<'a> {
                 visit(m)
             },
             fuel,
-            stats,
         );
         if interrupted {
             Err(Interrupted)
@@ -192,27 +138,24 @@ impl<'a> MonoSearch<'a> {
         &self,
         visit: &mut dyn FnMut(&[NodeId]) -> bool,
         fuel: &mut dyn FnMut() -> bool,
-        stats: &mut IsoStats,
     ) -> bool {
         let np = self.pattern.node_count();
         if np > self.target.node_count() {
             return false;
         }
         if np == 0 {
-            stats.found += 1;
             visit(&[]);
             return false;
         }
         let mut map: Vec<NodeId> = vec![NodeId::MAX; np];
         let mut used: Vec<bool> = vec![false; self.target.node_count()];
         let mut interrupted = false;
-        self.extend(0, &mut map, &mut used, visit, fuel, &mut interrupted, stats);
+        self.extend(0, &mut map, &mut used, visit, fuel, &mut interrupted);
         interrupted
     }
 
     /// Depth-first extension; returns `false` when the caller asked to stop
     /// (either via `visit` or by setting `interrupted` on empty fuel).
-    #[allow(clippy::too_many_arguments)] // private recursion; the args are the search state
     fn extend(
         &self,
         depth: usize,
@@ -221,7 +164,6 @@ impl<'a> MonoSearch<'a> {
         visit: &mut dyn FnMut(&[NodeId]) -> bool,
         fuel: &mut dyn FnMut() -> bool,
         interrupted: &mut bool,
-        stats: &mut IsoStats,
     ) -> bool {
         // One extension step is the unit of fuel; polling here bounds the
         // time between checks by a single candidate scan.
@@ -229,10 +171,7 @@ impl<'a> MonoSearch<'a> {
             *interrupted = true;
             return false;
         }
-        stats.steps += 1;
-        stats.max_depth = stats.max_depth.max(depth as u64);
         if depth == self.order.len() {
-            stats.found += 1;
             return visit(map);
         }
         let p = self.order[depth];
@@ -271,10 +210,9 @@ impl<'a> MonoSearch<'a> {
             }
             map[p as usize] = t;
             used[t as usize] = true;
-            let keep_going = self.extend(depth + 1, map, used, visit, fuel, interrupted, stats);
+            let keep_going = self.extend(depth + 1, map, used, visit, fuel, interrupted);
             map[p as usize] = NodeId::MAX;
             used[t as usize] = false;
-            stats.backtracks += 1;
             if !keep_going {
                 return false;
             }
@@ -459,32 +397,6 @@ mod tests {
             s.find_with_fuel(&mut || true).expect("not interrupted"),
             s.find()
         );
-    }
-
-    #[test]
-    fn stats_count_steps_backtracks_and_depth() {
-        let p = DiGraph::from_edges(2, [(0, 1)]);
-        let t = cycle(3);
-        let s = MonoSearch::new(&p, &t);
-        let mut stats = IsoStats::default();
-        let n = s
-            .enumerate_with_fuel_stats(&mut |_| true, &mut || true, &mut stats)
-            .expect("unlimited fuel never interrupts");
-        assert_eq!(n, 3);
-        assert_eq!(stats.found, 3);
-        // Full embeddings reach depth 2 (|pattern| vertices mapped).
-        assert_eq!(stats.max_depth, 2);
-        assert!(stats.steps >= stats.found, "each embedding costs steps");
-        assert!(stats.backtracks > 0, "the enumeration must backtrack");
-        // Stats are deterministic: an identical rerun matches exactly.
-        let mut again = IsoStats::default();
-        let _ = s.enumerate_with_fuel_stats(&mut |_| true, &mut || true, &mut again);
-        assert_eq!(stats, again);
-        let mut total = IsoStats::default();
-        total.absorb(&stats);
-        total.absorb(&again);
-        assert_eq!(total.steps, 2 * stats.steps);
-        assert_eq!(total.max_depth, 2);
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! This crate provides the shared structure: a compact adjacency-list
 //! [`DiGraph`] and a backtracking subgraph-monomorphism search
 //! ([`MonoSearch`], [`find_monomorphism`], [`is_subgraph_monomorphic`])
-//! used by the evaluator's structural probe, pattern discovery's twin
-//! filter and the hardness reduction. Proposition 3's existence pruning
+//! used by pattern discovery's twin filter and the hardness reduction. Proposition 3's existence pruning
 //! does not search embeddings: it is the edge-group caps inside the bound
 //! `h` and `pattern::is_realizable_with_fuel` in `evematch-core`.
 //!
@@ -31,6 +30,5 @@ mod iso;
 
 pub use digraph::{DiGraph, DiGraphBuilder, EdgeIter, NodeId};
 pub use iso::{
-    enumerate_monomorphisms, find_monomorphism, is_subgraph_monomorphic, Interrupted, IsoStats,
-    MonoSearch,
+    enumerate_monomorphisms, find_monomorphism, is_subgraph_monomorphic, Interrupted, MonoSearch,
 };

@@ -139,7 +139,7 @@ fn walk(p: &Pattern, order: &mut Vec<EventId>, groups: &mut Vec<Group>) -> Vec<u
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     use proptest::prelude::*;
@@ -213,13 +213,13 @@ mod tests {
 
     /// Structural shape of a pattern; leaves get distinct events later.
     #[derive(Clone, Debug)]
-    enum Shape {
+    pub(crate) enum Shape {
         Leaf,
         Seq(Vec<Shape>),
         And(Vec<Shape>),
     }
 
-    fn shape_strategy() -> impl Strategy<Value = Shape> {
+    pub(crate) fn shape_strategy() -> impl Strategy<Value = Shape> {
         Just(Shape::Leaf).prop_recursive(3, 6, 3, |inner| {
             prop_oneof![
                 prop::collection::vec(inner.clone(), 2..=3).prop_map(Shape::Seq),
@@ -228,21 +228,21 @@ mod tests {
         })
     }
 
-    fn leaves(s: &Shape) -> usize {
+    pub(crate) fn leaves(s: &Shape) -> usize {
         match s {
             Shape::Leaf => 1,
             Shape::Seq(cs) | Shape::And(cs) => cs.iter().map(leaves).sum(),
         }
     }
 
-    fn depth(s: &Shape) -> usize {
+    pub(crate) fn depth(s: &Shape) -> usize {
         match s {
             Shape::Leaf => 0,
             Shape::Seq(cs) | Shape::And(cs) => 1 + cs.iter().map(depth).max().unwrap_or(0),
         }
     }
 
-    fn to_pattern(s: &Shape, next: &mut u32) -> Pattern {
+    pub(crate) fn to_pattern(s: &Shape, next: &mut u32) -> Pattern {
         let built = match s {
             Shape::Leaf => {
                 *next += 1;

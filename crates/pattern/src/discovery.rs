@@ -104,9 +104,12 @@ pub fn discover_patterns(log: &EventLog, cfg: &DiscoveryConfig) -> Vec<Pattern> 
             if ep.support < min_count {
                 return None;
             }
-            if embeddings_capped(&ep.graph, dep.graph(), cfg.max_structural_twins + 1)
-                > cfg.max_structural_twins
-            {
+            let twins = embeddings_capped(
+                &PatternGraph::of(&ep.pattern),
+                dep.graph(),
+                cfg.max_structural_twins + 1,
+            );
+            if twins > cfg.max_structural_twins {
                 return None;
             }
             Some((ep.pattern, ep.support))

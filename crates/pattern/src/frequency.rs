@@ -21,7 +21,7 @@ use evematch_eventlog::{ColumnarLog, DepGraph, EventId, EventLog, TraceIndex};
 use crate::ast::Pattern;
 use crate::canon::CanonPlan;
 use crate::compiled::{symbol_table, CompileError, CompiledPattern};
-use crate::graph_form::{edge_groups, PatternGraph};
+use crate::graph_form::edge_groups;
 use crate::matcher::{trace_matches, Interrupted};
 
 /// Work counters of one (or several accumulated) support scans, for
@@ -66,9 +66,9 @@ pub fn pattern_freq(p: &Pattern, log: &EventLog, index: &TraceIndex) -> f64 {
     }
 }
 
-/// How a pattern's support is obtained, decided once from its graph
-/// form. The paper's special patterns (Example 5) read their supports
-/// straight off a dependency graph, in `L1` and `L2` alike; only
+/// How a pattern's support is obtained, decided once from its AST. The
+/// paper's special patterns (Example 5) read their supports straight off
+/// a dependency graph, in `L1` and `L2` alike; only
 /// [`PatternShape::Complex`] patterns scan a log.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum PatternShape {
@@ -82,23 +82,24 @@ pub enum PatternShape {
 }
 
 impl PatternShape {
-    /// Classifies a pattern by its graph form: one event is a vertex; two
-    /// distinct events joined by a single edge `a → b` allow only the
-    /// order `a b`, which is exactly the consecutive pair `f(a, b)` counts.
-    fn of(graph: &PatternGraph) -> Self {
-        match graph.events() {
-            [v] => PatternShape::Vertex(*v),
-            [_, _] if graph.edge_count() == 1 => match graph.edges_global().next() {
-                Some((a, b)) if a != b => PatternShape::Edge(a, b),
+    /// Classifies a pattern: one event is a vertex; `SEQ(a, b)` of two
+    /// distinct events allows only the order `a b`, which is exactly the
+    /// consecutive pair `f(a, b)` counts. Every other pattern, `AND(a, b)`
+    /// included, is complex.
+    fn of(pattern: &Pattern) -> Self {
+        match pattern {
+            Pattern::Event(v) => PatternShape::Vertex(*v),
+            Pattern::Seq(ps) => match ps.as_slice() {
+                [Pattern::Event(a), Pattern::Event(b)] if a != b => PatternShape::Edge(*a, *b),
                 _ => PatternShape::Complex,
             },
-            _ => PatternShape::Complex,
+            Pattern::And(_) => PatternShape::Complex,
         }
     }
 }
 
 /// A pattern bundled with everything the matching algorithms repeatedly
-/// need: its sorted event set, graph form, shape, Table-2 classification,
+/// need: its sorted event set, shape, Table-2 edge groups, compiled form,
 /// canonical-key plan and its frequency in the *source* log `L1`.
 ///
 /// Built once per pattern before the search starts; the A\* and heuristic
@@ -109,8 +110,6 @@ pub struct EvaluatedPattern {
     pub pattern: Pattern,
     /// `V(p)`, sorted ascending.
     pub events: Vec<EventId>,
-    /// Graph form (provides `ω(p)` and the edge list).
-    pub graph: PatternGraph,
     /// Special (vertex / edge) or complex — see [`PatternShape`].
     pub shape: PatternShape,
     /// Required edge groups (see [`crate::edge_groups`]) driving the
@@ -161,11 +160,9 @@ impl EvaluatedPattern {
     /// pattern mentioning an event outside `log`'s vocabulary never
     /// matches, so `support_of` only ever sees in-vocabulary events.
     fn build(pattern: Pattern, log: &EventLog, support_of: impl FnOnce(&Self) -> usize) -> Self {
-        let graph = PatternGraph::of(&pattern);
         let mut ep = EvaluatedPattern {
             events: pattern.events(),
-            shape: PatternShape::of(&graph),
-            graph,
+            shape: PatternShape::of(&pattern),
             edge_groups: edge_groups(&pattern),
             support: 0,
             freq: 0.0,
@@ -283,6 +280,10 @@ impl Decider<'_> {
 mod tests {
     use super::*;
     use evematch_eventlog::{EventId, LogBuilder};
+    use proptest::prelude::*;
+
+    use crate::canon::tests::{depth, leaves, shape_strategy, to_pattern};
+    use crate::graph_form::PatternGraph;
 
     fn e(i: u32) -> Pattern {
         Pattern::event(i)
@@ -426,10 +427,53 @@ mod tests {
         assert_eq!(ep.size(), 4);
         assert_eq!(ep.support, 3);
         assert!((ep.freq - 0.75).abs() < 1e-12);
-        assert_eq!(ep.graph.edge_count(), 6);
+        assert_eq!(PatternGraph::of(&ep.pattern).edge_count(), 6);
         assert_eq!(
             ep.events,
             vec![EventId(0), EventId(1), EventId(2), EventId(3)]
         );
+    }
+
+    /// The graph-form classification, the oracle for [`PatternShape::of`]:
+    /// one event is a vertex; two distinct events joined by a single edge
+    /// `a → b` allow only the order `a b`.
+    fn graph_shape(p: &Pattern) -> PatternShape {
+        let graph = PatternGraph::of(p);
+        let edges: Vec<_> = graph.edges_global().collect();
+        match (graph.events(), edges.as_slice()) {
+            ([v], _) => PatternShape::Vertex(*v),
+            ([_, _], [(a, b)]) if a != b => PatternShape::Edge(*a, *b),
+            _ => PatternShape::Complex,
+        }
+    }
+
+    #[test]
+    fn special_shapes_agree_with_the_graph_form() {
+        use PatternShape::{Complex, Edge, Vertex};
+        let and = Pattern::and(vec![e(0), e(1)]).unwrap();
+        let nested = Pattern::seq(vec![e(0), Pattern::and(vec![e(1), e(2)]).unwrap()]).unwrap();
+        let edge = Pattern::seq(vec![e(1), e(0)]).unwrap();
+        for (p, want) in [
+            (e(0), Vertex(EventId(0))),
+            (edge, Edge(EventId(1), EventId(0))),
+            (and, Complex),
+            (nested, Complex),
+        ] {
+            let got = (PatternShape::of(&p), graph_shape(&p));
+            assert_eq!(got, (want, want), "{p:?}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random SEQ/AND patterns of at most 6 events and depth at
+        /// most 3, the AST classification equals the graph-form one.
+        #[test]
+        fn ast_shape_equals_the_graph_form_shape(shape in shape_strategy()) {
+            prop_assume!(leaves(&shape) <= 6 && depth(&shape) <= 3);
+            let p = to_pattern(&shape, &mut 0);
+            prop_assert_eq!(PatternShape::of(&p), graph_shape(&p));
+        }
     }
 }

@@ -20,8 +20,9 @@
 //!   pattern must be distinct, as the paper requires;
 //! * a text parser ([`parse_pattern`]) for the `SEQ(A, AND(B, C), D)`
 //!   syntax;
-//! * the graph form ([`PatternGraph`]) used by pattern-existence pruning
-//!   (Proposition 3) and by the Table-2 bounds;
+//! * the graph form ([`PatternGraph`]), which discovery's twin filter
+//!   embeds into a dependency graph, and the required edge groups
+//!   ([`edge_groups`]) that drive the Table-2 bounds;
 //! * window and trace matching ([`matches_window`], [`trace_matches`]) —
 //!   the AST interpreter;
 //! * a bit-parallel compiled automaton ([`CompiledPattern`]) with a typed

@@ -16,7 +16,8 @@
 //!   **exits 2** when any deterministic work counter grew beyond the
 //!   noise threshold (default 10%). Wall-clock changes are reported but
 //!   never gate: wall time measures the host, work counters measure the
-//!   algorithm.
+//!   algorithm. A counter on one side only (a phase that ended or began)
+//!   is listed as baseline-only or artifact-only, and never gates.
 
 use std::fmt::Write as _;
 use std::fs;
@@ -44,16 +45,20 @@ USAGE:
     cargo xtask perf append <artifact.json>… [--sha <SHA>] [--history <FILE>]
         normalize bench artifacts into history lines (git SHA, host
         parallelism, unix time, deterministic work counters, wall nanos)
-        and append them to results/perf_history.jsonl
+        and append them to results/perf_history.jsonl; the SHA is HEAD's,
+        suffixed `-dirty` when tracked files outside results/ differ
+        from it, unless --sha names one
 
     cargo xtask perf diff <A.json> <B.json>
-        compare two artifacts or history lines counter by counter
+        compare two artifacts or history lines counter by counter, A as
+        the baseline; counters on one side only are listed
 
     cargo xtask perf check <artifact.json>… [--threshold <PCT>] [--history <FILE>]
         compare each artifact against its baseline (the latest history
         entry with the same bench + workload); exit 2 when any
         deterministic work counter regressed beyond the threshold
-        (default 10%). Wall-clock deltas are advisory only. Artifacts
+        (default 10%). Wall-clock deltas are advisory only, and work
+        counters on one side only are listed, not gated. Artifacts
         with no baseline pass with a note.
 ";
 
@@ -196,7 +201,8 @@ fn parse_args(args: &[String]) -> Result<PerfArgs, String> {
 
 fn append(args: &[String]) -> Result<u8, Failure> {
     let parsed = parse_args(args).map_err(Failure::Usage)?;
-    let sha = parsed.sha.clone().unwrap_or_else(git_sha);
+    let root = crate::workspace_root();
+    let sha = parsed.sha.clone().unwrap_or_else(|| git_sha(&root));
     let now = unix_now();
     let mut lines = String::new();
     let mut benches = Vec::new();
@@ -267,8 +273,10 @@ fn diff(args: &[String]) -> Result<u8, Failure> {
     }
     println!("perf diff: work counters (deterministic)");
     print_deltas(&work_deltas(&a.work, &b.work));
+    print_one_sided(&one_sided(&a.work, &b.work));
     println!("perf diff: wall nanos (advisory, host-dependent)");
     print_deltas(&work_deltas(&a.wall, &b.wall));
+    print_one_sided(&one_sided(&a.wall, &b.wall));
     Ok(0)
 }
 
@@ -324,13 +332,16 @@ pub struct Verdicts {
     pub improvements: Vec<Delta>,
     /// Wall-clock deltas — never gate.
     pub wall: Vec<Delta>,
+    /// Work counters on one side only (baseline-only, artifact-only) —
+    /// listed, never gate.
+    pub one_sided: (Vec<String>, Vec<String>),
 }
 
 /// Applies the regression gate: a deterministic work counter that
 /// *increased* by more than `threshold_pct` percent is a regression.
-/// Counters present on only one side are ignored (a renamed phase is a
-/// baseline-refresh event, not a perf event); wall nanos are computed for
-/// reporting but never fail the gate.
+/// Counters present on only one side are listed but never gate (a phase
+/// that ended or began is a baseline refresh, not a perf event); wall
+/// nanos are computed for reporting but never fail the gate.
 pub fn gate(baseline: &Entry, current: &Entry, threshold_pct: f64) -> Verdicts {
     let mut out = Verdicts::default();
     for d in work_deltas(&baseline.work, &current.work) {
@@ -341,7 +352,28 @@ pub fn gate(baseline: &Entry, current: &Entry, threshold_pct: f64) -> Verdicts {
         }
     }
     out.wall = work_deltas(&baseline.wall, &current.wall);
+    out.one_sided = one_sided(&baseline.work, &current.work);
     out
+}
+
+/// The keys of `before` missing from `after`, then those of `after`
+/// missing from `before`.
+pub fn one_sided(before: &[(String, u64)], after: &[(String, u64)]) -> (Vec<String>, Vec<String>) {
+    let missing = |from: &[(String, u64)], other: &[(String, u64)]| {
+        from.iter()
+            .filter(|(k, _)| !other.iter().any(|(o, _)| o == k))
+            .map(|(k, _)| k.clone())
+            .collect()
+    };
+    (missing(before, after), missing(after, before))
+}
+
+fn print_one_sided((baseline_only, artifact_only): &(Vec<String>, Vec<String>)) {
+    for (label, keys) in [("baseline", baseline_only), ("artifact", artifact_only)] {
+        if !keys.is_empty() {
+            println!("  {label}-only (not gated): {}", keys.join(", "));
+        }
+    }
 }
 
 /// Per-counter deltas over the keys common to both sides, in the
@@ -388,6 +420,7 @@ fn report(path: &Path, baseline: &Entry, current: &Entry, v: &Verdicts, threshol
         println!("  WORK-COUNTER REGRESSIONS:");
         print_deltas(&v.regressions);
     }
+    print_one_sided(&v.one_sided);
     if !v.improvements.is_empty() {
         println!("  improvements (consider `perf append` to refresh the baseline):");
         print_deltas(&v.improvements);
@@ -535,18 +568,24 @@ fn counters_of(pairs: &[(String, JsonValue)]) -> Vec<(String, u64)> {
 
 // ---- provenance ----
 
-/// The current git revision (short), or `unknown` outside a repository.
-fn git_sha() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short=12", "HEAD"])
-        .current_dir(crate::workspace_root())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+/// The git revision (short) of the repository at `root`, suffixed
+/// `-dirty` when a tracked file outside `results/` (which `append` and
+/// the bench binaries write) differs from it; `unknown` outside a
+/// repository.
+fn git_sha(root: &Path) -> String {
+    let git = |args: &str| {
+        let mut cmd = std::process::Command::new("git");
+        let out = cmd.args(args.split(' ')).current_dir(root).output().ok();
+        String::from_utf8(out.filter(|o| o.status.success())?.stdout).ok()
+    };
+    match git("rev-parse --short=12 HEAD") {
+        Some(sha) if !sha.trim().is_empty() => {
+            let status = git("status --porcelain --untracked-files=no -- . :(exclude)results");
+            let clean = status.is_some_and(|changes| changes.trim().is_empty());
+            format!("{}{}", sha.trim(), if clean { "" } else { "-dirty" })
+        }
+        _ => "unknown".to_string(),
+    }
 }
 
 #[expect(
@@ -748,6 +787,44 @@ mod tests {
         let current = entry("profile", &[("search/pops", 1000), ("new/phase", 9999)]);
         let v = gate(&baseline, &current, DEFAULT_THRESHOLD_PCT);
         assert!(v.regressions.is_empty(), "{v:?}");
+    }
+
+    #[test]
+    fn one_sided_counters_are_listed_not_gated() {
+        let baseline = entry("profile", &[("search/pops", 9), ("search/probe/calls", 1)]);
+        let current = entry("profile", &[("new/calls", 7), ("search/pops", 9)]);
+        let v = gate(&baseline, &current, DEFAULT_THRESHOLD_PCT);
+        assert!(v.regressions.is_empty(), "{v:?}");
+        let want = (vec!["search/probe/calls".into()], vec!["new/calls".into()]);
+        assert_eq!(v.one_sided, want);
+        assert_eq!(one_sided(&current.work, &current.work), (vec![], vec![]));
+    }
+
+    #[test]
+    fn the_sha_is_dirty_when_tracked_files_outside_results_changed() {
+        let dir = std::env::temp_dir().join(format!("xtask-perf-sha-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(dir.join("results")).unwrap();
+        let git = |args: &str| {
+            let mut cmd = std::process::Command::new("git");
+            cmd.args("-c user.name=t -c user.email=t@t -c commit.gpgsign=false".split(' '));
+            let out = cmd.args(args.split(' ')).current_dir(&dir).output();
+            assert!(out.unwrap().status.success(), "git {args}");
+        };
+        fs::write(dir.join("src.rs"), "a").unwrap();
+        fs::write(dir.join("results/BENCH.json"), "{}").unwrap();
+        git("init -q");
+        git("add .");
+        git("commit -q -m seed");
+        let clean = git_sha(&dir);
+        assert_eq!(clean.len(), 12, "{clean}");
+        // Untracked files and writes under results/ keep the sha clean.
+        fs::write(dir.join("scratch.txt"), "x").unwrap();
+        fs::write(dir.join("results/BENCH.json"), "{\"n\":1}").unwrap();
+        assert_eq!(git_sha(&dir), clean);
+        fs::write(dir.join("src.rs"), "b").unwrap();
+        assert_eq!(git_sha(&dir), format!("{clean}-dirty"));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

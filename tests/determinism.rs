@@ -77,7 +77,7 @@ fn every_method_is_bit_deterministic_under_processed_caps() {
 /// The ISSUE's hard telemetry constraint: under a pure processed cap the
 /// *counter snapshot* — not just the mapping — is bit-identical across
 /// runs. `deterministic_json` serializes exactly the deterministic section
-/// (counters, gauges, histograms; no wall-clock timings), so byte equality
+/// (counters, gauges, histograms; no `info` facts), so byte equality
 /// of the two strings is the strongest form of the claim.
 #[test]
 fn counter_snapshots_are_byte_identical_under_processed_caps() {

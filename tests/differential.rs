@@ -65,8 +65,8 @@ fn brute_force_best(ctx: &MatchContext) -> f64 {
 }
 
 /// Everything a run must keep bit-stable: the mapping, the score and gap
-/// as exact bit patterns, and the deterministic metrics. Wall-clock
-/// timings and the `info` section are deliberately excluded.
+/// as exact bit patterns, and the deterministic metrics. The `info`
+/// section is deliberately excluded.
 type Fingerprint = (Mapping, u64, Option<u64>, String);
 
 fn run_fp(out: &RunOutcome) -> Fingerprint {

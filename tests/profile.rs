@@ -28,8 +28,8 @@ fn det_section_is_byte_identical_across_runs() {
     let (again, _) = profile_at(5_000);
     assert_eq!(again.deterministic_json(), det, "profile diverged on rerun");
     // Not vacuous: the tree carries the index → search roots with the
-    // probe and support-eval children, and real work counts.
-    for needle in ["\"index\"", "\"search\"", "\"probe\"", "\"support-eval\""] {
+    // support-eval child, and real work counts.
+    for needle in ["\"index\"", "\"search\"", "\"support-eval\""] {
         assert!(det.contains(needle), "missing {needle}: {det}");
     }
     let work = reference.flat_work();
