@@ -20,9 +20,12 @@
 //! across hosts and reruns) and emits `BENCH_profile.json` in the shape
 //! `xtask perf append` ingests:
 //!
-//! * `work` — the flattened deterministic work counters
-//!   (`"<phase-path>/<column>": n`), identical on every host; the
-//!   perf-trajectory gate (`cargo xtask perf check`) alerts on
+//! * `work` — the run's deterministic counts, identical on every host:
+//!   the profile's per-phase `calls` and `pops` (`"<phase-path>/calls"`,
+//!   `"<phase-path>/pops"`) and every registry counter of the run
+//!   (`"registry:<counter>"`: greedy candidates, cache hits and misses,
+//!   fuel, …). A registry key holds no `/`, so no phase path can take
+//!   it. The perf-trajectory gate (`cargo xtask perf check`) alerts on
 //!   regressions in these;
 //! * `wall_nanos` — the flattened per-phase wall clocks, advisory only
 //!   (host-dependent).
@@ -92,7 +95,7 @@ fn run_profile() -> ExitCode {
 
     let out = method.run(&ds.pair, &ds.patterns, budget);
     // Advisory: the perf gate compares work counters only.
-    println!("  run {:.3}s", out.elapsed.as_secs_f64());
+    println!("  run {:.3}s", out.profile.wall().as_secs_f64());
     let profile = &out.profile;
 
     let head = format!(
@@ -101,7 +104,11 @@ fn run_profile() -> ExitCode {
          \"host_parallelism\":{host}",
         method.name()
     );
-    write_bench("profile", &head, profile.flat_work(), profile.flat_wall())
+    let mut work = profile.flat_work();
+    for (name, &n) in &out.metrics.counters {
+        work.insert(format!("registry:{name}"), n);
+    }
+    write_bench("profile", &head, work, profile.flat_wall())
 }
 
 /// Writes `BENCH_<bench>.json` in the flat shape `xtask perf` ingests —

@@ -49,8 +49,7 @@ impl EntropyMatcher {
     /// (`config.budget` replaces `self.budget`); the shared support cache,
     /// when present, is reused for the final mapping's pattern scores.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::start_search(ctx, config);
-        let c_rows = eval.telemetry_mut().registry.counter("entropy.weight_rows");
+        let mut eval = Evaluator::start_search(ctx, config, "entropy.weight_rows");
         let (n1, n2) = (ctx.n1(), ctx.n2());
         // The single assignment is this method's one charged unit.
         eval.meter_mut().charge_processed();
@@ -64,11 +63,7 @@ impl EntropyMatcher {
         for &a in &h1 {
             // One weight row is the inner work unit for deadline polling.
             eval.meter_mut().tick();
-            let tele = eval.telemetry_mut();
-            tele.registry.inc(c_rows);
-            tele.profile
-                .charge(crate::telemetry::WorkCol::MeterTicks, 1);
-            tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
+            eval.step(1);
             weights.push(h2.iter().map(|&b| sim(a, b)).collect());
         }
         let assignment = max_weight_assignment(&weights);

@@ -74,16 +74,13 @@ impl IterativeMatcher {
     /// support cache, when present, is reused for the final mapping's
     /// pattern scores.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::start_search(ctx, config);
-        let c_rounds = eval.telemetry_mut().registry.counter("iterative.rounds");
+        let mut eval = Evaluator::start_search(ctx, config, "iterative.rounds");
         let (n1, n2) = (ctx.n1(), ctx.n2());
         // One charged unit for the single assignment this method performs;
         // a zero cap therefore skips all fixpoint iterations too.
         eval.meter_mut().charge_processed();
         let (cur, rounds) = propagated_similarity(ctx, &self.config, eval.meter_mut());
-        let tele = eval.telemetry_mut();
-        tele.registry.add(c_rounds, rounds);
-        tele.profile.charge(crate::telemetry::WorkCol::Pops, rounds);
+        eval.step(rounds);
         let assignment = max_weight_assignment(&cur);
         let mapping = Mapping::from_pairs(
             n1,

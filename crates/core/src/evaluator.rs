@@ -38,7 +38,7 @@ use crate::context::MatchContext;
 use crate::exact::{Completion, MatchOutcome};
 use crate::mapping::Mapping;
 use crate::score::sim;
-use crate::telemetry::{CounterId, MetricsSnapshot, ProgressBeacon, Telemetry, WorkCol};
+use crate::telemetry::{CounterId, MetricsSnapshot, ProgressBeacon, Telemetry};
 
 /// One memoized support value, tagged with the run that computed it.
 #[derive(Clone, Copy, Debug)]
@@ -101,9 +101,10 @@ pub struct EvalConfig {
     /// would serve wrong supports. `None` gives the run a fresh private
     /// memo.
     pub memo: Option<Rc<RefCell<SupportMemo>>>,
-    /// A live-progress beacon attached to the run's phase profiler, so a
-    /// heartbeat thread can report the open phase path and charged-work
-    /// rate (`evematch --progress`). `None` costs nothing.
+    /// A live-progress beacon fed by the run's phase profiler (the open
+    /// phase path) and by the evaluator (the solver's step counter), so a
+    /// heartbeat thread can report both (`evematch --progress`). `None`
+    /// costs nothing.
     pub beacon: Option<Arc<ProgressBeacon>>,
 }
 
@@ -216,6 +217,10 @@ pub struct Evaluator<'a> {
     meter: BudgetMeter,
     tele: Telemetry,
     counters: EvalCounters,
+    /// The solver's step counter, named once in [`Self::start_search`]
+    /// and bumped through [`Self::step`].
+    step: Option<CounterId>,
+    beacon: Option<Arc<ProgressBeacon>>,
     /// Cache-miss evaluations whose scan falls back to the interpreter
     /// because the pattern did not compile (it exceeded the automaton
     /// state budget).
@@ -257,36 +262,60 @@ impl<'a> Evaluator<'a> {
             meter: config.budget.meter(),
             tele,
             counters,
+            step: None,
+            beacon: config.beacon.clone(),
             fallback_state_budget: 0,
             fallback_binding: 0,
         }
     }
 
     /// The solver prologue every matcher shares: an evaluator for
-    /// `config` with the `search` root phase opened.
-    pub(crate) fn start_search(ctx: &'a MatchContext, config: &EvalConfig) -> Self {
+    /// `config` with the `search` root phase opened and the solver's step
+    /// counter (`search.pops`, `search.levels`, `km.rounds`,
+    /// `iterative.rounds` or `entropy.weight_rows`) registered.
+    pub(crate) fn start_search(ctx: &'a MatchContext, config: &EvalConfig, step: &str) -> Self {
         let mut eval = Self::with_config(ctx, config);
+        eval.step = Some(eval.tele.registry.counter(step));
         eval.tele.profile.open("search");
         eval
     }
 
+    /// Counts `n` solver steps on the counter named in
+    /// [`Self::start_search`] and on the progress beacon; returns the
+    /// counter's new total.
+    pub(crate) fn step(&mut self, n: u64) -> u64 {
+        let Some(id) = self.step else {
+            return 0;
+        };
+        if let Some(beacon) = &self.beacon {
+            beacon.add_steps(n);
+        }
+        self.tele.registry.add(id, n);
+        self.tele.registry.counter_value(id)
+    }
+
     /// Ends the run and packs its result: the one place a
     /// [`MatchOutcome`] is built. Closing the phase tree gives the
-    /// profile, whose `search` root wall is the outcome's `elapsed`; the
-    /// profile is the run's one record of wall time, and every counter
-    /// stays bit-deterministic.
+    /// profile, the run's one record of wall time; its `search` root's
+    /// `pops` is a copy of the step counter, and every counter stays
+    /// bit-deterministic.
     pub(crate) fn finish(
         mut self,
         mapping: Mapping,
         score: f64,
         completion: Completion,
     ) -> MatchOutcome {
-        let profile = self.tele.profile.finish();
+        let steps = self
+            .step
+            .map_or(0, |id| self.tele.registry.counter_value(id));
+        let mut profile = self.tele.profile.finish();
+        for root in profile.roots.iter_mut().filter(|r| r.name == "search") {
+            root.pops = steps;
+        }
         let metrics = self.metrics_snapshot();
         MatchOutcome {
             mapping,
             score,
-            elapsed: profile.wall(),
             completion,
             metrics,
             trace: self.tele.trace,
@@ -414,10 +443,6 @@ impl<'a> Evaluator<'a> {
         let support = match hit {
             Some(entry) => {
                 self.tele.registry.inc(self.counters.cache_hits);
-                // A hit is still one cache-layer evaluation, charged to the
-                // phase the *caller* has open (typically `search`).
-                self.tele.profile.charge(WorkCol::Evals, 1);
-                self.tele.profile.charge(WorkCol::CacheHits, 1);
                 if entry.owner != self.owner {
                     self.tele.registry.inc(self.counters.shared_hits);
                 }
@@ -427,8 +452,6 @@ impl<'a> Evaluator<'a> {
                 // The slow path (every cache miss) is the `support-eval`
                 // phase: its call count equals `eval.cache_misses`.
                 self.tele.profile.open("support-eval");
-                self.tele.profile.charge(WorkCol::Evals, 1);
-                self.tele.profile.charge(WorkCol::CacheMisses, 1);
                 let support = self.mapped_support_slow(p_idx, images, &key);
                 self.tele.profile.close();
                 support
@@ -456,7 +479,6 @@ impl<'a> Evaluator<'a> {
         // A realizability check or log scan is the expensive inner unit of
         // work; advance the deadline poll cadence before paying it.
         self.meter.tick();
-        self.tele.profile.charge(WorkCol::MeterTicks, 1);
         // Once the meter is exhausted, evaluations run in grace mode:
         // exact, unfueled, and charging no fuel.
         let grace = self.meter.is_exhausted();
@@ -476,9 +498,6 @@ impl<'a> Evaluator<'a> {
             reg.inc(ids.grace_evals);
         } else {
             reg.add(ids.fuel_spent, out.fuel_polls);
-            self.tele
-                .profile
-                .charge(WorkCol::MeterTicks, out.fuel_polls);
         }
         if out.existence_pruned {
             reg.inc(ids.existence_pruned);

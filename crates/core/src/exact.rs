@@ -51,7 +51,6 @@
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::time::Duration;
 
 use evematch_eventlog::EventId;
 
@@ -61,7 +60,7 @@ use crate::context::MatchContext;
 use crate::evaluator::{EvalConfig, Evaluator};
 use crate::mapping::Mapping;
 use crate::score::{heuristic_bound, ParentTable};
-use crate::telemetry::{MetricsSnapshot, ProfileSnapshot, TraceBuffer, WorkCol};
+use crate::telemetry::{MetricsSnapshot, ProfileSnapshot, TraceBuffer};
 
 /// How a solver run ended.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -113,8 +112,6 @@ pub struct MatchOutcome {
     pub mapping: Mapping,
     /// Its pattern normal distance `D^N(M)`.
     pub score: f64,
-    /// Wall-clock time of the run: the wall of its `search` root phase.
-    pub elapsed: Duration,
     /// Whether the run finished or degraded on budget exhaustion.
     pub completion: Completion,
     /// Full telemetry snapshot of the run (see [`crate::telemetry`]): the
@@ -125,8 +122,9 @@ pub struct MatchOutcome {
     /// emitted trace points; see [`crate::telemetry::TraceBuffer`]).
     pub trace: TraceBuffer,
     /// The run's hierarchical phase profile (see
-    /// [`crate::telemetry::profile`]): deterministic work attribution per
-    /// phase plus quarantined wall-clock.
+    /// [`crate::telemetry::profile`]): deterministic calls per phase, the
+    /// `search` root's step count, and quarantined wall-clock; its
+    /// [`ProfileSnapshot::wall`] is the run's wall time.
     pub profile: ProfileSnapshot,
 }
 
@@ -188,9 +186,8 @@ impl ExactMatcher {
     /// (budget, shared support cache). `config.budget` replaces
     /// `self.budget` for this run.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::start_search(ctx, config);
+        let mut eval = Evaluator::start_search(ctx, config, "search.pops");
         let tele = eval.telemetry_mut();
-        let c_pops = tele.registry.counter("search.pops");
         let c_expansions = tele.registry.counter("search.expansions");
         let c_refreshes = tele.registry.counter("search.incumbent_refreshes");
         let g_frontier = tele.registry.gauge("search.frontier_high_water");
@@ -223,10 +220,8 @@ impl ExactMatcher {
         let mut pops_since_refresh: u64 = 0;
 
         while let Some(node) = queue.pop() {
+            let pops = eval.step(1);
             let tele = eval.telemetry_mut();
-            tele.registry.inc(c_pops);
-            let pops = tele.registry.counter_value(c_pops);
-            tele.profile.charge(WorkCol::Pops, 1);
             tele.registry.observe(h_depth, u64::from(node.depth));
             if pops % TRACE_POP_INTERVAL == 0 {
                 tele.trace.point(
@@ -431,12 +426,14 @@ fn exhausted_outcome(
 /// the log, so without these ticks a large instance could overrun a
 /// deadline by a whole completion. (Ticks are no-ops for deadline-free and
 /// already-exhausted meters, so capped "grace" completions stay
-/// deterministic and exact.)
+/// deterministic and exact.) The `greedy.candidates` counter counts the
+/// candidates.
 pub(crate) fn greedy_complete(
     eval: &mut Evaluator<'_>,
     order: &[EventId],
     partial: &Mapping,
 ) -> (f64, Mapping) {
+    let c_candidates = eval.telemetry_mut().registry.counter("greedy.candidates");
     let ctx = eval.context();
     let mut m = partial.clone();
     let mut total = 0.0;
@@ -453,7 +450,7 @@ pub(crate) fn greedy_complete(
         let mut best: Option<(f64, EventId)> = None;
         for b in targets {
             eval.meter_mut().tick();
-            eval.telemetry_mut().profile.charge(WorkCol::MeterTicks, 1);
+            eval.telemetry_mut().registry.inc(c_candidates);
             m.insert(a, b);
             let mut dg = 0.0;
             for &p_idx in ctx.pattern_index().patterns_of(a) {
@@ -777,7 +774,6 @@ mod tests {
             panic!("one root expected: {:?}", out.profile.roots);
         };
         assert_eq!(search.name, "search");
-        assert_eq!(out.elapsed, Duration::from_nanos(search.wall_nanos));
     }
 
     #[test]
@@ -789,7 +785,7 @@ mod tests {
         let ctx = MatchContext::new(l1, l2, PatternSetBuilder::new().vertices().edges()).unwrap();
         let best = exhaustive_best(&ctx);
         let out = ExactMatcher::new(BoundKind::Tight)
-            .with_budget(Budget::UNLIMITED.with_deadline(Duration::ZERO))
+            .with_budget(Budget::UNLIMITED.with_deadline(std::time::Duration::ZERO))
             .solve(&ctx);
         assert!(out.mapping.is_complete());
         let Completion::BudgetExhausted {

@@ -120,10 +120,8 @@ impl AdvancedHeuristic {
     /// support cache lets this run reuse — and warm — scans paid for by
     /// other methods on the same context data.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::start_search(ctx, config);
-        let tele = eval.telemetry_mut();
-        let c_rounds = tele.registry.counter("km.rounds");
-        let c_rescores = tele.registry.counter("km.rescores");
+        let mut eval = Evaluator::start_search(ctx, config, "km.rounds");
+        let c_rescores = eval.telemetry_mut().registry.counter("km.rescores");
         let n1 = ctx.n1();
         // Square the instance: dummy rows n1..n with θ ≡ 0 absorb the
         // surplus targets (the paper's "artificial events").
@@ -144,9 +142,7 @@ impl AdvancedHeuristic {
         let mut match_col: Vec<Option<usize>> = vec![None; n];
 
         'km: while match_row.iter().any(Option::is_none) {
-            let tele = eval.telemetry_mut();
-            tele.registry.inc(c_rounds);
-            tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
+            eval.step(1);
             // Build the maximal alternating tree of every unmatched root
             // and score every augmenting path it offers. Candidates are
             // ranked by true `g + h`; ties (ubiquitous early, when few

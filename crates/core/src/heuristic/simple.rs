@@ -54,16 +54,13 @@ impl SimpleHeuristic {
     /// Like [`SimpleHeuristic::solve`], but with an explicit
     /// [`EvalConfig`]; `config.budget` replaces `self.budget`.
     pub fn solve_with(&self, ctx: &MatchContext, config: &EvalConfig) -> MatchOutcome {
-        let mut eval = Evaluator::start_search(ctx, config);
-        let c_levels = eval.telemetry_mut().registry.counter("search.levels");
+        let mut eval = Evaluator::start_search(ctx, config, "search.levels");
         let order = ctx.pattern_index().expansion_order();
         let mut mapping = Mapping::empty(ctx.n1(), ctx.n2());
         let mut g = 0.0;
 
         'levels: for &a in &order {
-            let tele = eval.telemetry_mut();
-            tele.registry.inc(c_levels);
-            tele.profile.charge(crate::telemetry::WorkCol::Pops, 1);
+            eval.step(1);
             let mut best: Option<(f64, f64, evematch_eventlog::EventId)> = None;
             let mut table = ParentTable::new(ctx, &mapping, self.bound);
             for b in mapping.unused_targets() {

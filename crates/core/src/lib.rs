@@ -61,5 +61,5 @@ pub use heuristic::{AdvancedHeuristic, SimpleHeuristic};
 pub use mapping::Mapping;
 pub use telemetry::{
     MetricsSnapshot, PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, Telemetry,
-    TraceBuffer, TraceEvent, WorkCol,
+    TraceBuffer, TraceEvent,
 };

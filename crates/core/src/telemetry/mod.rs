@@ -31,10 +31,12 @@
 //! # Phase profile
 //!
 //! The [`profile`] module layers a hierarchical phase tree on top of the
-//! flat registry: phases opened via the [`crate::phase!`] macro carry
-//! deterministic work columns (charged to the innermost open phase) next
-//! to quarantined wall-clock stats. See the module docs and `DESIGN.md`
-//! §13.
+//! flat registry: phases opened via the [`crate::phase!`] macro carry a
+//! deterministic call count next to quarantined wall-clock nanos. The
+//! registry is the one count of every unit of work; the profile adds only
+//! phase calls, and its `search` root's `pops` is the solver's step
+//! counter, copied from the registry when the run finishes. See the module
+//! docs and `DESIGN.md` §13.
 //!
 //! # Trace stream
 //!
@@ -52,7 +54,7 @@ mod registry;
 mod trace;
 
 pub use hist::HistogramSnapshot;
-pub use profile::{PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon, WorkCol};
+pub use profile::{PhaseProfiler, ProfileNode, ProfileSnapshot, ProgressBeacon};
 pub use registry::{CounterId, GaugeId, HistogramId, MetricsRegistry, MetricsSnapshot};
 pub use trace::{TraceBuffer, TraceEvent, DEFAULT_TRACE_CAP};
 
@@ -67,7 +69,7 @@ pub struct Telemetry {
     pub registry: MetricsRegistry,
     /// Bounded in-memory search trace (JSONL on request).
     pub trace: TraceBuffer,
-    /// Hierarchical phase tree with work attribution.
+    /// Hierarchical phase tree: calls and wall time per phase.
     pub profile: PhaseProfiler,
 }
 

@@ -52,7 +52,7 @@ impl MethodRecord {
         MethodRecord {
             f: out.f_measure(),
             anytime_f: out.anytime_f_measure(),
-            secs: out.elapsed.as_secs_f64(),
+            secs: out.profile.wall().as_secs_f64(),
             processed: out.processed(),
             finished: out.finished(),
             metrics: out.metrics.clone(),

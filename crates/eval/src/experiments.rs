@@ -18,7 +18,7 @@ use evematch_core::claim::ClaimCursor;
 use evematch_core::fault::Faults;
 use evematch_core::persist::journal::{self, JournalLoad};
 use evematch_core::retry::{retry_io, RealClock, RetryPolicy};
-use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot, WorkCol};
+use evematch_core::{Budget, Mapping, MetricsSnapshot, ProfileSnapshot};
 use evematch_datagen::{datasets, Dataset};
 
 use crate::checkpoint::{self, MethodRecord};
@@ -233,22 +233,15 @@ fn run_job(
     let pool = SupportCachePool::new(&ds);
     methods
         .iter()
-        .map(|&m| {
-            match supervise(cfg, || pool.run(m, cfg.budget)) {
-                Ok((out, retries)) => {
-                    let mut rec = MethodRecord::of(&out);
-                    if retries > 0 {
-                        rec.metrics.set_counter("fault.retries.grid.cell", retries);
-                        // Attribute the supervised retries to the run's
-                        // search root so the profile's work columns carry
-                        // the fault story too.
-                        rec.profile
-                            .charge_root("search", WorkCol::FaultRetries, retries);
-                    }
-                    rec
+        .map(|&m| match supervise(cfg, || pool.run(m, cfg.budget)) {
+            Ok((out, retries)) => {
+                let mut rec = MethodRecord::of(&out);
+                if retries > 0 {
+                    rec.metrics.set_counter("fault.retries.grid.cell", retries);
                 }
-                Err(rec) => *rec,
+                rec
             }
+            Err(rec) => *rec,
         })
         .collect()
 }
@@ -691,7 +684,7 @@ mod tests {
             );
         }
         // One merged phase profile per method: an index root and a search
-        // root, the latter carrying charged work.
+        // root, the latter carrying the step count.
         assert_eq!(fig.profiles.len(), EXACT_FIGURE_METHODS.len());
         for (name, profile) in &fig.profiles {
             let names: Vec<&str> = profile.roots.iter().map(|r| r.name.as_str()).collect();

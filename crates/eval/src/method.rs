@@ -2,7 +2,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use evematch_core::{
     AdvancedHeuristic, BoundKind, Budget, Completion, EntropyMatcher, EvalConfig, ExactMatcher,
@@ -118,9 +117,6 @@ pub struct RunOutcome {
     /// Pattern normal distance of the mapping (under the method's own
     /// pattern set).
     pub score: f64,
-    /// Wall-clock time: the walls of the profile's `index` (context
-    /// construction) and `search` roots, summed.
-    pub elapsed: Duration,
     /// Whether the run finished or degraded on budget exhaustion; a
     /// degraded run's gap certificate says the optimum (in the solver's
     /// own sense — see each matcher's docs) is at most
@@ -130,7 +126,8 @@ pub struct RunOutcome {
     /// a degraded run its `budget.exhausted.*` counter names the tripped
     /// limit.
     pub metrics: MetricsSnapshot,
-    /// Hierarchical phase profile of the run (index + search roots).
+    /// Hierarchical phase profile of the run (index + search roots); its
+    /// [`ProfileSnapshot::wall`] is the run's wall-clock time.
     pub profile: ProfileSnapshot,
 }
 
@@ -263,7 +260,6 @@ impl Method {
             quality: MatchQuality::of(&out.mapping, &pair.truth),
             mapping: out.mapping,
             score: out.score,
-            elapsed: profile.wall(),
             completion: out.completion,
             metrics: out.metrics,
             profile,
@@ -292,8 +288,6 @@ mod tests {
         let out = Method::PatternTight.run(&ds.pair, &ds.patterns, Budget::UNLIMITED);
         let names: Vec<&str> = out.profile.roots.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(names, ["index", "search"]);
-        let walls = out.profile.roots[0].wall_nanos + out.profile.roots[1].wall_nanos;
-        assert_eq!(out.elapsed, Duration::from_nanos(walls));
     }
 
     #[test]

@@ -56,10 +56,12 @@
 //!                            numbering; see `core::telemetry`)
 //!     --profile-out <FILE>   write the run's hierarchical phase profile
 //!                            (ingest → index → search → emit) as JSON: a
-//!                            `deterministic` section (per-phase work
-//!                            counters, byte-identical across runs under
-//!                            pure caps) and a `non_deterministic`
-//!                            section (wall clocks). Two sibling
+//!                            `deterministic` section (per-phase calls,
+//!                            plus the solver's step count on `search`,
+//!                            byte-identical across runs under pure caps)
+//!                            and a `non_deterministic` section (wall
+//!                            clocks); work counters are in
+//!                            --metrics-out. Two sibling
 //!                            views ride along: `<stem>_trace.json`
 //!                            (Chrome `trace_event`, load in Perfetto) and
 //!                            `<stem>.folded` (folded stacks for
@@ -67,8 +69,9 @@
 //!                            EVEMATCH_PROFILE_OUT env var
 //!     --progress             print a heartbeat line to stderr about once a
 //!                            second while the solver runs, naming the
-//!                            innermost open profiler phase and the charged
-//!                            work rate since the previous beat
+//!                            innermost open profiler phase, the solver's
+//!                            steps so far (`search.pops`, `km.rounds`, …)
+//!                            and their rate since the previous beat
 //!     --quiet                suppress the stderr summaries; stdout keeps
 //!                            the mapping lines and, on degraded runs, the
 //!                            machine-readable `# degraded` header, which
@@ -314,19 +317,8 @@ fn run(opts: &Options) -> Result<bool, String> {
     };
     // The run's phase profile is three profilers merged in order: ingest
     // and index are measured here, the solver's own tree (search,
-    // support-eval) follows, and emit closes the story. A beacon (for
-    // --progress) rides on every one of them.
-    let beacon = opts
-        .progress
-        .then(|| std::sync::Arc::new(ProgressBeacon::new()));
-    let new_profiler = || {
-        let mut profiler = PhaseProfiler::new();
-        if let Some(b) = &beacon {
-            profiler.attach_beacon(b.clone());
-        }
-        profiler
-    };
-    let mut profiler = new_profiler();
+    // support-eval) follows, and emit closes the story.
+    let mut profiler = PhaseProfiler::new();
     let ingest = ingest_options(opts);
     let (in1, in2) = evematch::core::phase!(profiler, "ingest", {
         let in1 = load_log(&opts.logs[0], opts.format.as_deref(), &ingest, &faults)?;
@@ -370,6 +362,11 @@ fn run(opts: &Options) -> Result<bool, String> {
         budget = budget.with_processed_cap(cap);
     }
 
+    // The --progress heartbeat runs only while the solver does, so the
+    // beacon rides on the solver's profiler and steps alone.
+    let beacon = opts
+        .progress
+        .then(|| std::sync::Arc::new(ProgressBeacon::new()));
     let mut config = EvalConfig::from_budget(budget);
     if let Some(b) = &beacon {
         config = config.with_beacon(b.clone());
@@ -389,7 +386,7 @@ fn run(opts: &Options) -> Result<bool, String> {
     drop(heartbeat);
     profile.merge(&outcome.profile);
 
-    let mut emitter = new_profiler();
+    let mut emitter = PhaseProfiler::new();
     emitter.open("emit");
     if let Some(path) = &opts.metrics_out {
         // Fold the ingestion quarantine counts into the run's snapshot so
@@ -455,7 +452,7 @@ fn run(opts: &Options) -> Result<bool, String> {
             "pattern normal distance {:.4}; {} mappings processed in {:.2?}",
             outcome.score,
             outcome.processed(),
-            outcome.elapsed
+            outcome.profile.wall()
         );
     }
     Ok(outcome.completion.is_finished())
@@ -469,8 +466,9 @@ fn write_artifact(faults: &fault::Faults, path: &str, bytes: &[u8]) -> Result<()
 }
 
 /// A stderr heartbeat printed about once a second while the solver runs
-/// (`--progress`): the innermost open profiler phase from the attached
-/// [`ProgressBeacon`] plus the charged-work rate since the previous beat.
+/// (`--progress`): the innermost open profiler phase and the solver's step
+/// count from the attached [`ProgressBeacon`], plus the step rate since
+/// the previous beat.
 /// Dropping it stops the thread; the 200 ms poll keeps the drop latency
 /// low without spamming stderr.
 struct Heartbeat {
@@ -491,7 +489,7 @@ impl Heartbeat {
         let handle = std::thread::spawn(move || {
             let started = std::time::Instant::now();
             let mut polls = 0u64;
-            let mut last_work = 0u64;
+            let mut last_steps = 0u64;
             let mut last_t = started;
             // ordering: Relaxed — a one-way stop flag for a progress
             // printer; observing it one 200 ms poll late only costs one
@@ -500,14 +498,14 @@ impl Heartbeat {
                 std::thread::sleep(Duration::from_millis(200));
                 polls += 1;
                 if polls % 5 == 0 && !seen.load(Ordering::Relaxed) {
-                    let (path, work) = beacon.snapshot();
+                    let (path, steps) = beacon.snapshot();
                     let dt = last_t.elapsed().as_secs_f64().max(1e-9);
-                    let rate = (work.saturating_sub(last_work)) as f64 / dt;
-                    last_work = work;
+                    let rate = (steps.saturating_sub(last_steps)) as f64 / dt;
+                    last_steps = steps;
                     last_t = std::time::Instant::now();
                     let phase = if path.is_empty() { "idle" } else { &path };
                     eprintln!(
-                        "evematch: [{phase}] {work} work units ({rate:.0}/s, {:.1}s elapsed)",
+                        "evematch: [{phase}] {steps} steps ({rate:.0}/s, {:.1}s elapsed)",
                         started.elapsed().as_secs_f64()
                     );
                 }

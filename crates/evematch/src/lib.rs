@@ -66,7 +66,7 @@ pub mod prelude {
         BoundKind, Budget, Completion, EntropyMatcher, EvalConfig, ExactMatcher, Exhaustion,
         IterativeMatcher, Mapping, MatchContext, MatchOutcome, MetricsSnapshot, PatternSetBuilder,
         PhaseProfiler, ProfileSnapshot, ProgressBeacon, SimpleHeuristic, SupportMemo, Telemetry,
-        TraceBuffer, TraceEvent, WorkCol,
+        TraceBuffer, TraceEvent,
     };
     pub use evematch_datagen::{
         datasets, heterogenize, Block, Dataset, HeterogenizeConfig, LogPair, ProcessModel,

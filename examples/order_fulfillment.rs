@@ -65,7 +65,7 @@ fn main() {
             format!("{}{mark}", Table::fmt_f64(out.quality.f_measure)),
             format!("{}{mark}", Table::fmt_f64(out.quality.precision)),
             format!("{}{mark}", Table::fmt_f64(out.quality.recall)),
-            Table::fmt_secs(out.elapsed.as_secs_f64()),
+            Table::fmt_secs(out.profile.wall().as_secs_f64()),
             out.processed().to_string(),
         ]);
     }

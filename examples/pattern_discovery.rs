@@ -57,7 +57,7 @@ fn main() {
         table.add_row(vec![
             format!("{label}{flag}"),
             Table::fmt_f64(out.quality.f_measure),
-            Table::fmt_secs(out.elapsed.as_secs_f64()),
+            Table::fmt_secs(out.profile.wall().as_secs_f64()),
         ]);
     }
     println!("\n{table}");

@@ -18,6 +18,33 @@ fn write_temp(name: &str, contents: &str) -> std::path::PathBuf {
     path
 }
 
+/// The `deterministic` section of the two-section artifact at `path`: the
+/// text before its `non_deterministic` key.
+fn deterministic_section(path: &std::path::Path) -> String {
+    let json = std::fs::read_to_string(path).unwrap();
+    let end = json
+        .find(",\"non_deterministic\"")
+        .unwrap_or_else(|| panic!("no non_deterministic section: {json}"));
+    json[..end].to_owned()
+}
+
+/// `larger_synthetic(2, 200, 11)`'s two logs, written as `<tag>1.log` and
+/// `<tag>2.log`: large enough for a capped exact search to pop hundreds of
+/// nodes.
+fn synthetic_logs(tag: &str) -> (std::path::PathBuf, std::path::PathBuf) {
+    use evematch::prelude::{datasets, write_log, EventLog};
+    let ds = datasets::larger_synthetic(2, 200, 11);
+    let file = |n: u8, log: &EventLog| {
+        let mut text = Vec::new();
+        write_log(log, &mut text).unwrap();
+        write_temp(
+            &format!("{tag}{n}.log"),
+            std::str::from_utf8(&text).unwrap(),
+        )
+    };
+    (file(1, &ds.pair.log1), file(2, &ds.pair.log2))
+}
+
 const L1_TEXT: &str = "receive pay check ship\nreceive check pay ship\nreceive pay check ship\n";
 
 const L2_CSV: &str = "case,activity\n\
@@ -266,15 +293,7 @@ fn trace_out_without_points_is_an_empty_verified_file() {
 /// pops).
 #[test]
 fn capped_trace_out_runs_are_byte_identical() {
-    use evematch::prelude::{datasets, write_log, EventLog};
-    let ds = datasets::larger_synthetic(2, 200, 11);
-    let log_file = |name: &str, log: &EventLog| {
-        let mut text = Vec::new();
-        write_log(log, &mut text).unwrap();
-        write_temp(name, std::str::from_utf8(&text).unwrap())
-    };
-    let l1 = log_file("td1.log", &ds.pair.log1);
-    let l2 = log_file("td2.log", &ds.pair.log2);
+    let (l1, l2) = synthetic_logs("td");
     let trace = |run: &str| {
         let path = write_temp(&format!("td_{run}.jsonl"), "");
         let out = bin()
@@ -315,7 +334,7 @@ fn capped_metrics_out_runs_are_byte_identical_in_counters() {
     let l1 = write_temp("bi1.log", L1_TEXT);
     let l2 = write_temp("bi2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
     let pats = write_temp("bi.pats", "SEQ(receive, AND(pay, check), ship)\n");
-    let deterministic_section = |name: &str| {
+    let counters = |name: &str| {
         let path = write_temp(name, "");
         let out = bin()
             .args([
@@ -334,14 +353,10 @@ fn capped_metrics_out_runs_are_byte_identical_in_counters() {
             .output()
             .expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "cap 6 must trip");
-        let json = std::fs::read_to_string(&path).unwrap();
-        let end = json
-            .find(",\"non_deterministic\"")
-            .unwrap_or_else(|| panic!("no non_deterministic section: {json}"));
-        json[..end].to_owned()
+        deterministic_section(&path)
     };
-    let a = deterministic_section("bi_a.json");
-    let b = deterministic_section("bi_b.json");
+    let a = counters("bi_a.json");
+    let b = counters("bi_b.json");
     assert_eq!(a, b, "counter sections differ across identical capped runs");
     assert!(a.contains("\"budget.exhausted.processed\""), "{a}");
 }
@@ -447,7 +462,7 @@ fn capped_profile_out_det_sections_are_byte_identical_across_runs() {
     let l1 = write_temp("pd1.log", L1_TEXT);
     let l2 = write_temp("pd2.log", "K4 K1 K7 K2\nK4 K7 K1 K2\nK4 K1 K7 K2\n");
     let pats = write_temp("pd.pats", "SEQ(receive, AND(pay, check), ship)\n");
-    let deterministic_section = |run: &str| {
+    let phases = |run: &str| {
         let path = write_temp(&format!("pd_{run}.json"), "");
         let out = bin()
             .args([
@@ -470,16 +485,42 @@ fn capped_profile_out_det_sections_are_byte_identical_across_runs() {
             "stderr: {}",
             String::from_utf8_lossy(&out.stderr)
         );
-        let json = std::fs::read_to_string(&path).unwrap();
-        let end = json
-            .find(",\"non_deterministic\"")
-            .unwrap_or_else(|| panic!("no non_deterministic section: {json}"));
-        json[..end].to_owned()
+        deterministic_section(&path)
     };
-    let first = deterministic_section("a");
-    let second = deterministic_section("b");
+    let first = phases("a");
+    let second = phases("b");
     assert_eq!(first, second, "profile det section diverged on rerun");
     assert!(first.contains("\"search\""), "{first}");
+}
+
+/// `--progress` only reads the run: a capped exact run with and without
+/// the heartbeat exits with the same code and writes the same stdout and
+/// the same `--profile-out` deterministic section.
+#[test]
+fn progress_heartbeat_leaves_stdout_and_profile_unchanged() {
+    let (l1, l2) = synthetic_logs("pg");
+    let run = |progress: bool| {
+        let path = write_temp(&format!("pg_{progress}.json"), "");
+        let mut cmd = bin();
+        cmd.args(["--quiet", "--method", "exact", "--limit-processed", "5000"]);
+        if progress {
+            cmd.arg("--progress");
+        }
+        let out = cmd
+            .arg("--profile-out")
+            .arg(&path)
+            .arg(&l1)
+            .arg(&l2)
+            .output()
+            .expect("binary runs");
+        (out, deterministic_section(&path))
+    };
+    let (quiet, quiet_det) = run(false);
+    let (beating, beating_det) = run(true);
+    assert_eq!(quiet.status.code(), Some(2), "cap 5000 must trip");
+    assert_eq!(beating.status.code(), quiet.status.code());
+    assert_eq!(beating.stdout, quiet.stdout, "--progress changed stdout");
+    assert_eq!(beating_det, quiet_det, "--progress changed the profile");
 }
 
 #[test]

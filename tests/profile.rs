@@ -23,12 +23,13 @@ fn profile_at(cap: u64) -> (ProfileSnapshot, RunOutcome) {
 
 #[test]
 fn det_section_is_byte_identical_across_runs() {
-    let (reference, _) = profile_at(5_000);
+    let (reference, out) = profile_at(5_000);
     let det = reference.deterministic_json();
     let (again, _) = profile_at(5_000);
     assert_eq!(again.deterministic_json(), det, "profile diverged on rerun");
     // Not vacuous: the tree carries the index → search roots with the
-    // support-eval child, and real work counts.
+    // support-eval child and the search's pop count, and the registry
+    // counted the greedy completions of the capped search.
     for needle in ["\"index\"", "\"search\"", "\"support-eval\""] {
         assert!(det.contains(needle), "missing {needle}: {det}");
     }
@@ -38,8 +39,14 @@ fn det_section_is_byte_identical_across_runs() {
         "{work:?}"
     );
     assert!(
-        work.get("search/meter_ticks").copied().unwrap_or(0) > 0,
-        "{work:?}"
+        out.metrics
+            .counters
+            .get("greedy.candidates")
+            .copied()
+            .unwrap_or(0)
+            > 0,
+        "{:?}",
+        out.metrics.counters
     );
 }
 
@@ -88,8 +95,8 @@ fn faulted_grid(spec: &str) -> FigureResult {
 #[test]
 fn det_section_is_byte_identical_under_a_seeded_fault_schedule() {
     // Two runs under the SAME seeded schedule must agree byte-for-byte —
-    // the injected faults (and the retries they charge to the search
-    // root) are part of the deterministic input, not noise.
+    // the injected faults (and the retries they cost) are part of the
+    // deterministic input, not noise.
     let profiles = |fig: &FigureResult| -> Vec<(String, String)> {
         fig.profiles
             .iter()
@@ -99,7 +106,7 @@ fn det_section_is_byte_identical_under_a_seeded_fault_schedule() {
     // `/2` skips the odd-numbered failpoint hits: with one worker the
     // first hit is the first cell's dataset generation, so hit 2 — the
     // first *method run* — is where the transient fault lands, and the
-    // supervised retry is charged to that run's search root.
+    // supervised retry is counted in that run's metrics.
     let first = faulted_grid("grid.cell=fail-transient /2 x2");
     let second = faulted_grid("grid.cell=fail-transient /2 x2");
     assert_eq!(
@@ -107,12 +114,17 @@ fn det_section_is_byte_identical_under_a_seeded_fault_schedule() {
         profiles(&second),
         "profiles diverged across identical fault schedules"
     );
-    // The retries were actually charged into the profile's work columns.
-    let (_, merged) = &first.profiles[0];
-    let work = merged.flat_work();
+    // The retries were actually counted.
+    let (_, merged) = &first.metrics[0];
     assert!(
-        work.get("search/fault_retries").copied().unwrap_or(0) > 0,
-        "fault retries missing from the profile: {work:?}"
+        merged
+            .counters
+            .get("fault.retries.grid.cell")
+            .copied()
+            .unwrap_or(0)
+            > 0,
+        "fault retries missing from the metrics: {:?}",
+        merged.counters
     );
 }
 
@@ -160,4 +172,48 @@ fn chrome_trace_and_folded_views_parse() {
     }
     // The search phase appears as a frame somewhere in the stacks.
     assert!(folded.contains(";search"), "{folded}");
+}
+
+/// The profile counts nothing the registry does not: on every method, on
+/// the paper's example and on a 20-event instance under a processed cap
+/// (so the anytime greedy completions run), the `search` root's pops is
+/// the method's step counter and the `support-eval` calls are the
+/// support-cache misses. The greedy completion's candidates are counted
+/// exactly where one ran: every capped exact search refreshes its
+/// incumbent, and a heuristic completes greedily when its budget trips.
+#[test]
+fn profile_counts_are_copies_of_registry_counters() {
+    let budget = Budget::UNLIMITED.with_processed_cap(150);
+    for ds in [datasets::fig1_like(), workload()] {
+        for method in ALL_METHODS {
+            let out = method.run(&ds.pair, &ds.patterns, budget);
+            let counter = |name: &str| out.metrics.counters.get(name).copied().unwrap_or(0);
+            let work = out.profile.flat_work();
+            let view = |key: &str| work.get(key).copied().unwrap_or(0);
+            let step = match method {
+                Method::HeuristicSimple => "search.levels",
+                Method::HeuristicAdvanced => "km.rounds",
+                Method::Iterative => "iterative.rounds",
+                Method::Entropy => "entropy.weight_rows",
+                _ => "search.pops",
+            };
+            let name = method.name();
+            assert!(counter(step) > 0, "{name}: no {step}");
+            assert_eq!(view("search/pops"), counter(step), "{name}");
+            assert_eq!(
+                view("search/support-eval/calls"),
+                counter("eval.cache_misses"),
+                "{name}"
+            );
+            let greedy_ran = method.is_exact_search()
+                || (!out.finished()
+                    && matches!(method, Method::HeuristicSimple | Method::HeuristicAdvanced));
+            assert_eq!(
+                counter("greedy.candidates") > 0,
+                greedy_ran,
+                "{name}: finished {}",
+                out.finished()
+            );
+        }
+    }
 }
