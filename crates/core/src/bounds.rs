@@ -252,20 +252,40 @@ pub(crate) struct PruneCounts {
 }
 
 impl PruneCounts {
+    /// The tally of `reason`.
+    #[inline]
+    fn slot(&mut self, reason: PruneReason) -> &mut u64 {
+        match reason {
+            PruneReason::SizeRule => &mut self.size_rule,
+            PruneReason::ZeroF1 => &mut self.zero_f1,
+            PruneReason::VertexCap => &mut self.vertex_cap,
+            PruneReason::EdgeGroupCap => &mut self.edge_group_cap,
+        }
+    }
+
     /// Tallies one open pattern's prune reason, if it has one.
     #[inline]
     pub(crate) fn add(&mut self, reason: Option<PruneReason>) {
-        match reason {
-            None => {}
-            Some(PruneReason::SizeRule) => self.size_rule += 1,
-            Some(PruneReason::ZeroF1) => self.zero_f1 += 1,
-            Some(PruneReason::VertexCap) => self.vertex_cap += 1,
-            Some(PruneReason::EdgeGroupCap) => self.edge_group_cap += 1,
+        if let Some(r) = reason {
+            *self.slot(r) += 1;
+        }
+    }
+
+    /// Takes back a reason [`Self::add`] tallied.
+    #[inline]
+    pub(crate) fn remove(&mut self, reason: Option<PruneReason>) {
+        if let Some(r) = reason {
+            *self.slot(r) -= 1;
         }
     }
 }
 
 /// One pattern's bound `Δ(p)` under a partial mapping, with what it read.
+///
+/// Once one more target `t` is used (and none freed), the same pattern with
+/// the same fixed images has the same bound when its size-rule outcome is
+/// unchanged, `t`'s bit is clear in `reads`, `f_n(U2)` is unchanged or still
+/// at least `fixed_min`, and `f_e(U2)` is unchanged or `!reads_fe`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct PatternBound {
     /// `Δ(p)`.
@@ -274,9 +294,30 @@ pub(crate) struct PatternBound {
     pub(crate) pruned: Option<PruneReason>,
     /// Read mask: bit `t mod 64` is set for every target `t` a
     /// best-unused-neighbour lookup returned. Using one more target whose
-    /// bit is clear leaves every such lookup — hence `Δ(p)`, given equal
-    /// `f_n(U2)`, `f_e(U2)` and size-rule outcome — unchanged.
+    /// bit is clear leaves every such lookup unchanged.
     pub(crate) reads: u64,
+    /// The minimum vertex frequency of the fixed images the vertex cap
+    /// combined with `f_n(U2)` (`+∞` when no image is fixed), or `−∞` when
+    /// `Δ(p)` cannot depend on `f_n(U2)`: the Simple bound, the size rule, a
+    /// zero `f1` or a zero vertex cap. A lower `f_n(U2)` that is still at
+    /// least this minimum leaves the vertex cap, hence every edge-group
+    /// lookup, unchanged.
+    pub(crate) fixed_min: f64,
+    /// Whether an edge cap returned `f_e(U2)`.
+    pub(crate) reads_fe: bool,
+}
+
+impl PatternBound {
+    /// A bound that read nothing of `U2` beyond `|U2|`.
+    pub(crate) fn constant(value: f64, pruned: Option<PruneReason>) -> Self {
+        PatternBound {
+            value,
+            pruned,
+            reads: 0,
+            fixed_min: f64::NEG_INFINITY,
+            reads_fe: false,
+        }
+    }
 }
 
 /// Computes `Δ(p)` for pattern `ep` under the partial mapping `m`: an upper
@@ -306,80 +347,90 @@ pub(crate) fn pattern_bound(
     tables: &BoundTables,
     pre: &BoundPrecomp,
 ) -> PatternBound {
-    let done = |value, pruned, reads| PatternBound {
-        value,
-        pruned,
-        reads,
-    };
-    let mut reads = 0;
     // Trivial tightest case: not enough unused targets for the pattern's
     // unfixed events.
     if unfixed as usize > pre.unused {
-        return done(0.0, Some(PruneReason::SizeRule), 0);
+        return PatternBound::constant(0.0, Some(PruneReason::SizeRule));
     }
     match kind {
-        BoundKind::Simple => done(1.0, None, 0),
+        BoundKind::Simple => PatternBound::constant(1.0, None),
         BoundKind::Tight => {
             let f1 = ep.freq;
             if float_ord::is_zero(f1) {
                 // sim(0, f2) = 0 for every f2.
-                return done(0.0, Some(PruneReason::ZeroF1), 0);
+                return PatternBound::constant(0.0, Some(PruneReason::ZeroF1));
             }
             // Vertex caps.
             let mut cap = f64::INFINITY;
+            let mut fixed_min = f64::INFINITY;
             for &e in &ep.events {
                 match m.get(e) {
-                    Some(x) => cap = cap.min(tables.vertex_freq(x)),
+                    Some(x) => {
+                        let f = tables.vertex_freq(x);
+                        fixed_min = fixed_min.min(f);
+                        cap = cap.min(f);
+                    }
                     None => cap = cap.min(pre.fn_u2),
                 }
                 if float_ord::is_zero(cap) {
-                    return done(0.0, Some(PruneReason::VertexCap), 0);
+                    return PatternBound::constant(0.0, Some(PruneReason::VertexCap));
                 }
             }
+            let mut bound = PatternBound {
+                value: 0.0,
+                pruned: None,
+                reads: 0,
+                fixed_min,
+                reads_fe: false,
+            };
             // Edge-group caps.
             for group in &ep.edge_groups {
                 let mut gsum = 0.0;
                 for &(a, b) in group {
-                    gsum += edge_cap(a, b, m, tables, pre, &mut reads);
+                    gsum += edge_cap(a, b, m, tables, pre, &mut bound);
                     if gsum >= cap {
                         break; // this group cannot tighten further
                     }
                 }
                 cap = cap.min(gsum);
                 if float_ord::is_zero(cap) {
-                    return done(0.0, Some(PruneReason::EdgeGroupCap), reads);
+                    bound.pruned = Some(PruneReason::EdgeGroupCap);
+                    return bound;
                 }
             }
-            if cap >= f1 {
-                done(1.0, None, reads)
+            bound.value = if cap >= f1 {
+                1.0
             } else {
-                done(1.0 - (f1 - cap) / (f1 + cap), None, reads)
-            }
+                1.0 - (f1 - cap) / (f1 + cap)
+            };
+            bound
         }
     }
 }
 
 /// Best possible mapped frequency of the pattern edge `a -> b` given the
-/// fixed images of `m`, noting in `reads` the target a best-unused lookup
-/// returned.
+/// fixed images of `m`, noting in `bound` what a best-unused lookup read.
 fn edge_cap(
     a: EventId,
     b: EventId,
     m: &Mapping,
     tables: &BoundTables,
     pre: &BoundPrecomp,
-    reads: &mut u64,
+    bound: &mut PatternBound,
 ) -> f64 {
     let best = match (m.get(a), m.get(b)) {
         (Some(x), Some(y)) => return tables.edge_freq(x, y),
         // b's image is some unused target.
         (Some(x), None) => tables.best_unused_successor(x, m),
         (None, Some(y)) => tables.best_unused_predecessor(y, m),
-        (None, None) => return pre.fe_u2,
+        (None, None) => {
+            bound.reads_fe = true;
+            return pre.fe_u2;
+        }
     };
     match best {
         Some((t, f)) => {
-            *reads |= target_bit(t);
+            bound.reads |= target_bit(t);
             f
         }
         None => 0.0,

@@ -200,6 +200,7 @@ impl ExactMatcher {
         let anytime = !config.budget.is_unlimited();
 
         let mut tree = Tree::new(&order, ctx.n2());
+        let mut table = ParentTable::new(ctx, self.bound);
         let root_h = heuristic_bound(&mut eval, &tree.mapping_of(Tree::ROOT, 0), self.bound);
         let mut queue: BinaryHeap<Node> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -264,7 +265,7 @@ impl ExactMatcher {
                 }
             }
             let a = order[node.depth as usize];
-            let mut table = ParentTable::new(ctx, &mapping, self.bound);
+            table.refill(ctx, &mapping);
             let mut charging = true;
             for b in mapping.unused_targets() {
                 if charging && !eval.meter_mut().charge_processed() {

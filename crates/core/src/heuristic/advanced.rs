@@ -140,6 +140,17 @@ impl AdvancedHeuristic {
         let mut l2: Vec<f64> = vec![0.0; n];
         let mut match_row: Vec<Option<usize>> = vec![None; n];
         let mut match_col: Vec<Option<usize>> = vec![None; n];
+        let mut table = ParentTable::new(ctx, self.bound);
+        // Each root's tree grows in `tree`; the best candidate's tree so
+        // far is swapped into `best_tree`.
+        let (mut tree, mut best_tree) = (Tree::new(n), Tree::new(n));
+        // `cand` is the matching's real rows as a mapping. A candidate is
+        // scored on `rows` and `cand`, edited along its path and restored
+        // after.
+        let mut rows = match_row.clone();
+        let mut cand = Mapping::empty(n1, n);
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        let mut moved: Vec<EventId> = Vec::new();
 
         'km: while match_row.iter().any(Option::is_none) {
             eval.step(1);
@@ -149,67 +160,63 @@ impl AdvancedHeuristic {
             // patterns are complete) fall back to the Kuhn–Munkres
             // objective Σθ of the augmented matching, so the search
             // degrades gracefully to exact KM on the estimated scores.
-            let mut best: Option<(f64, f64, usize, usize)> = None; // (g+h, Σθ, root, endpoint)
-            let mut trees: Vec<(usize, Tree)> = Vec::new();
-            let mut table = ParentTable::new(ctx, &to_mapping(&match_row, n1, n), self.bound);
-            let mut moved: Vec<EventId> = Vec::new();
+            let mut best: Option<(f64, f64, usize)> = None; // (g+h, Σθ, endpoint)
+            table.refill(ctx, &cand);
             for root in (0..n).filter(|&r| match_row[r].is_none()) {
-                let tree = alternating_tree(root, &theta, &l1, &l2, &match_col);
+                tree.grow(root, &theta, &l1, &l2, &match_col);
+                let mut won = false;
                 for &endpoint in &tree.endpoints {
                     if !eval.meter_mut().charge_processed() {
                         // Budget tripped mid-iteration: drop the half-ranked
                         // candidates and complete the current matching below.
                         break 'km;
                     }
+                    path.clear();
+                    path.extend(augmenting_path(&match_row, &tree, endpoint));
+                    augment(&path, n1, &mut rows, &mut cand);
                     // The path's real rows are the sources the step moves.
-                    let mut mr = match_row.clone();
                     moved.clear();
-                    for (i, j) in augmenting_path(&match_row, &tree, endpoint) {
-                        mr[i] = Some(j);
-                        if i < n1 {
-                            moved.push(EventId(i as u32));
-                        }
-                    }
-                    let mapping = to_mapping(&mr, n1, n);
-                    let (g, h) = table.rescore(&mut eval, &mapping, &moved, true);
+                    moved.extend(
+                        path.iter()
+                            .filter(|&&(i, _)| i < n1)
+                            .map(|&(i, _)| EventId(i as u32)),
+                    );
+                    let (g, h) = table.rescore(&mut eval, &cand, &moved, true);
                     eval.telemetry_mut().registry.inc(c_rescores);
                     let f = g + h;
-                    let q: f64 = mr
+                    let q: f64 = rows
                         .iter()
                         .enumerate()
                         .filter_map(|(i, &j)| j.map(|j| theta[i][j]))
                         .sum();
+                    restore(&path, n1, &match_row, &mut rows, &mut cand);
                     let better = match best {
                         None => true,
-                        Some((bf, bq, _, _)) => f > bf + EPS || (f > bf - EPS && q > bq + EPS),
+                        Some((bf, bq, _)) => f > bf + EPS || (f > bf - EPS && q > bq + EPS),
                     };
                     if better {
-                        best = Some((f, q, root, endpoint));
+                        best = Some((f, q, endpoint));
+                        won = true;
                     }
                 }
-                trees.push((root, tree));
+                if won {
+                    std::mem::swap(&mut tree, &mut best_tree);
+                }
             }
             #[expect(
                 clippy::expect_used,
                 reason = "Proposition 5: a maximal alternating tree under a feasible labeling \
                           always exposes an augmenting path, so at least one candidate was recorded"
             )]
-            let (_, _, root, endpoint) =
+            let (_, _, endpoint) =
                 best.expect("Proposition 5: every maximal tree has an augmenting path");
-            #[expect(
-                clippy::expect_used,
-                reason = "root was taken from `best`, which is only set while pushing that root's \
-                          tree into `trees`"
-            )]
-            let tree = trees
-                .into_iter()
-                .find_map(|(r, t)| (r == root).then_some(t))
-                .expect("winning root's tree was built");
             // Adopt the winning tree's labeling and commit its augmentation.
-            l1 = tree.l1.clone();
-            l2 = tree.l2.clone();
-            let path: Vec<(usize, usize)> = augmenting_path(&match_row, &tree, endpoint).collect();
-            for (i, j) in path {
+            l1.clone_from(&best_tree.l1);
+            l2.clone_from(&best_tree.l2);
+            path.clear();
+            path.extend(augmenting_path(&match_row, &best_tree, endpoint));
+            augment(&path, n1, &mut rows, &mut cand);
+            for &(i, j) in &path {
                 match_row[i] = Some(j);
                 match_col[j] = Some(i);
             }
@@ -219,7 +226,7 @@ impl AdvancedHeuristic {
             }
         }
 
-        let mut mapping = to_mapping(&match_row, n1, n);
+        let mut mapping = cand;
         let mut completion = Completion::Finished;
         let mut score;
         if let (Some(exhaustion), false) = (eval.meter().exhaustion(), mapping.is_complete()) {
@@ -395,7 +402,8 @@ fn estimated_scores(ctx: &MatchContext, n: usize, sharpen: bool) -> Vec<Vec<f64>
 }
 
 /// A maximal alternating tree (Algorithm 4): labels after all dual updates,
-/// the column parents, and every augmenting endpoint.
+/// the column parents, and every augmenting endpoint, plus the buffers
+/// [`Tree::grow`] reuses from one tree to the next.
 struct Tree {
     l1: Vec<f64>,
     l2: Vec<f64>,
@@ -404,86 +412,127 @@ struct Tree {
     /// Unmatched columns reached by the tree — the ends of its augmenting
     /// paths.
     endpoints: Vec<usize>,
+    /// The rows in `T1` and the columns in `T2`.
+    t1: Vec<usize>,
+    t2: Vec<usize>,
+    /// The columns outside `T2`, ascending.
+    outside: Vec<usize>,
+    /// `slack[j]` = min over rows `i` in `T1` of `ℓ(i) + ℓ(j) − θ(i, j)`;
+    /// `slack_src[j]` remembers the argmin row.
+    slack: Vec<f64>,
+    slack_src: Vec<usize>,
 }
 
-/// Grows the alternating tree rooted at the unmatched row `root` until it
-/// spans every column, updating the labeling per Equations (3)/(4)
-/// whenever no equality edge leaves the tree.
-fn alternating_tree(
-    root: usize,
-    theta: &[Vec<f64>],
-    l1: &[f64],
-    l2: &[f64],
-    match_col: &[Option<usize>],
-) -> Tree {
-    let n = theta.len();
-    let mut l1 = l1.to_vec();
-    let mut l2 = l2.to_vec();
-    let mut in_t1 = vec![false; n];
-    let mut in_t2 = vec![false; n];
-    let mut parent_col = vec![usize::MAX; n];
-    let mut endpoints = Vec::new();
-    // slack[j] = min over rows i in T1 of ℓ(i) + ℓ(j) − θ(i, j); slack_src
-    // remembers the argmin row.
-    let mut slack = vec![f64::INFINITY; n];
-    let mut slack_src = vec![root; n];
-
-    in_t1[root] = true;
-    for j in 0..n {
-        slack[j] = l1[root] + l2[j] - theta[root][j];
+impl Tree {
+    /// Empty buffers for trees over `n` columns.
+    fn new(n: usize) -> Self {
+        Tree {
+            l1: Vec::with_capacity(n),
+            l2: Vec::with_capacity(n),
+            parent_col: Vec::with_capacity(n),
+            endpoints: Vec::with_capacity(n),
+            t1: Vec::with_capacity(n),
+            t2: Vec::with_capacity(n),
+            outside: Vec::with_capacity(n),
+            slack: Vec::with_capacity(n),
+            slack_src: Vec::with_capacity(n),
+        }
     }
 
-    for _ in 0..n {
+    /// Grows the alternating tree rooted at the unmatched row `root` until
+    /// it spans every column, updating the labeling per Equations (3)/(4)
+    /// whenever no equality edge leaves the tree.
+    ///
+    /// Each added column costs one pass over the columns still outside the
+    /// tree, which applies the dual update to their slacks, refreshes them
+    /// by the row the column pulls into `T1`, and finds the next tightest
+    /// column. Every element sees the same float operations in the same
+    /// order as separate update, refresh and scan passes would apply.
+    fn grow(
+        &mut self,
+        root: usize,
+        theta: &[Vec<f64>],
+        l1: &[f64],
+        l2: &[f64],
+        match_col: &[Option<usize>],
+    ) {
+        let n = theta.len();
+        self.l1.clear();
+        self.l1.extend_from_slice(l1);
+        self.l2.clear();
+        self.l2.extend_from_slice(l2);
+        self.parent_col.clear();
+        self.parent_col.resize(n, usize::MAX);
+        self.endpoints.clear();
+        self.t1.clear();
+        self.t1.push(root);
+        self.t2.clear();
+        self.outside.clear();
+        self.outside.extend(0..n);
+        self.slack.clear();
+        self.slack
+            .extend((0..n).map(|j| l1[root] + l2[j] - theta[root][j]));
+        self.slack_src.clear();
+        self.slack_src.resize(n, root);
         // Tightest column outside the tree.
         let (mut j_best, mut s_best) = (usize::MAX, f64::INFINITY);
-        for j in 0..n {
-            if !in_t2[j] && slack[j] < s_best - EPS {
-                s_best = slack[j];
+        for (j, &s) in self.slack.iter().enumerate() {
+            if s < s_best - EPS {
+                s_best = s;
                 j_best = j;
             }
         }
-        debug_assert!(j_best != usize::MAX, "some column is always reachable");
-        if s_best > EPS {
+        for _ in 0..n {
+            debug_assert!(j_best != usize::MAX, "some column is always reachable");
             // Equation (4): α = s_best exposes a new equality edge.
-            let alpha = s_best;
-            for i in 0..n {
-                if in_t1[i] {
-                    l1[i] -= alpha;
+            let alpha = (s_best > EPS).then_some(s_best);
+            if let Some(alpha) = alpha {
+                for &i in &self.t1 {
+                    self.l1[i] -= alpha;
+                }
+                for &j in &self.t2 {
+                    self.l2[j] += alpha;
                 }
             }
-            for j in 0..n {
-                if in_t2[j] {
-                    l2[j] += alpha;
-                } else {
-                    slack[j] -= alpha;
-                }
+            let added = j_best;
+            self.t2.push(added);
+            self.parent_col[added] = self.slack_src[added];
+            // A matched column pulls its row into T1; an unmatched one ends
+            // an augmenting path.
+            let row = match_col[added];
+            match row {
+                Some(i2) => self.t1.push(i2),
+                None => self.endpoints.push(added),
             }
-        }
-        in_t2[j_best] = true;
-        parent_col[j_best] = slack_src[j_best];
-        match match_col[j_best] {
-            Some(i2) => {
-                // Matched column: pull its row into T1 and refresh slacks.
-                in_t1[i2] = true;
-                for j in 0..n {
-                    if !in_t2[j] {
-                        let cur = l1[i2] + l2[j] - theta[i2][j];
-                        if cur < slack[j] - EPS {
-                            slack[j] = cur;
-                            slack_src[j] = i2;
-                        }
+            (j_best, s_best) = (usize::MAX, f64::INFINITY);
+            let mut kept = 0;
+            for r in 0..self.outside.len() {
+                let j = self.outside[r];
+                if j == added {
+                    continue;
+                }
+                self.outside[kept] = j;
+                kept += 1;
+                let mut s = self.slack[j];
+                if let Some(alpha) = alpha {
+                    s -= alpha;
+                }
+                if let Some(i2) = row {
+                    let cur = self.l1[i2] + self.l2[j] - theta[i2][j];
+                    if cur < s - EPS {
+                        s = cur;
+                        self.slack_src[j] = i2;
                     }
                 }
+                self.slack[j] = s;
+                if s < s_best - EPS {
+                    s_best = s;
+                    j_best = j;
+                }
             }
-            None => endpoints.push(j_best),
+            self.outside.truncate(kept);
         }
-    }
-    debug_assert!(!endpoints.is_empty(), "Proposition 5");
-    Tree {
-        l1,
-        l2,
-        parent_col,
-        endpoints,
+        debug_assert!(!self.endpoints.is_empty(), "Proposition 5");
     }
 }
 
@@ -505,16 +554,41 @@ fn augmenting_path<'t>(
     })
 }
 
-/// Extracts the real (non-dummy) rows into a [`Mapping`].
-fn to_mapping(match_row: &[Option<usize>], n1: usize, n2: usize) -> Mapping {
-    Mapping::from_pairs(
-        n1,
-        n2,
-        match_row[..n1]
-            .iter()
-            .enumerate()
-            .filter_map(|(a, &b)| b.map(|b| (EventId(a as u32), EventId(b as u32)))),
-    )
+/// Applies an augmenting path to the matching `rows` and to `cand`, its
+/// real rows as a mapping. Each step `(i, j)` takes the column the
+/// previous step freed (or the unmatched endpoint), so every insert finds
+/// its target unused.
+fn augment(path: &[(usize, usize)], n1: usize, rows: &mut [Option<usize>], cand: &mut Mapping) {
+    for &(i, j) in path {
+        rows[i] = Some(j);
+        if i < n1 {
+            let a = EventId(i as u32);
+            cand.remove(a);
+            cand.insert(a, EventId(j as u32));
+        }
+    }
+}
+
+/// Undoes [`augment`]: the path's rows take back their columns in
+/// `match_row`.
+fn restore(
+    path: &[(usize, usize)],
+    n1: usize,
+    match_row: &[Option<usize>],
+    rows: &mut [Option<usize>],
+    cand: &mut Mapping,
+) {
+    for &(i, _) in path {
+        rows[i] = match_row[i];
+        if i < n1 {
+            cand.remove(EventId(i as u32));
+        }
+    }
+    for &(i, _) in path.iter().filter(|&&(i, _)| i < n1) {
+        if let Some(j) = match_row[i] {
+            cand.insert(EventId(i as u32), EventId(j as u32));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -525,9 +599,149 @@ mod tests {
     use crate::score::pattern_normal_distance;
     use evematch_eventlog::{EventLog, LogBuilder};
     use evematch_pattern::Pattern;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn ev(i: u32) -> EventId {
         EventId(i)
+    }
+
+    /// The three-pass tree that [`Tree::grow`] fuses: per added column, a
+    /// scan for the tightest column, a dual update over every row and
+    /// column, and a slack refresh by the row the column pulls in. Returns
+    /// `(l1, l2, parent_col, endpoints)`.
+    fn alternating_tree(
+        root: usize,
+        theta: &[Vec<f64>],
+        l1: &[f64],
+        l2: &[f64],
+        match_col: &[Option<usize>],
+    ) -> (Vec<f64>, Vec<f64>, Vec<usize>, Vec<usize>) {
+        let n = theta.len();
+        let mut l1 = l1.to_vec();
+        let mut l2 = l2.to_vec();
+        let mut in_t1 = vec![false; n];
+        let mut in_t2 = vec![false; n];
+        let mut parent_col = vec![usize::MAX; n];
+        let mut endpoints = Vec::new();
+        let mut slack = vec![f64::INFINITY; n];
+        let mut slack_src = vec![root; n];
+        in_t1[root] = true;
+        for j in 0..n {
+            slack[j] = l1[root] + l2[j] - theta[root][j];
+        }
+        for _ in 0..n {
+            let (mut j_best, mut s_best) = (usize::MAX, f64::INFINITY);
+            for j in 0..n {
+                if !in_t2[j] && slack[j] < s_best - EPS {
+                    s_best = slack[j];
+                    j_best = j;
+                }
+            }
+            assert!(j_best != usize::MAX, "some column is always reachable");
+            if s_best > EPS {
+                let alpha = s_best;
+                for i in 0..n {
+                    if in_t1[i] {
+                        l1[i] -= alpha;
+                    }
+                }
+                for j in 0..n {
+                    if in_t2[j] {
+                        l2[j] += alpha;
+                    } else {
+                        slack[j] -= alpha;
+                    }
+                }
+            }
+            in_t2[j_best] = true;
+            parent_col[j_best] = slack_src[j_best];
+            match match_col[j_best] {
+                Some(i2) => {
+                    in_t1[i2] = true;
+                    for j in 0..n {
+                        if !in_t2[j] {
+                            let cur = l1[i2] + l2[j] - theta[i2][j];
+                            if cur < slack[j] - EPS {
+                                slack[j] = cur;
+                                slack_src[j] = i2;
+                            }
+                        }
+                    }
+                }
+                None => endpoints.push(j_best),
+            }
+        }
+        (l1, l2, parent_col, endpoints)
+    }
+
+    /// A random `n × n` θ whose rows from `real` on are dummy zero rows.
+    /// Entries come from a few levels, some a fraction of `EPS` apart, so
+    /// slack comparisons meet ties within the tolerance.
+    fn random_theta(rng: &mut StdRng, n: usize, real: usize) -> Vec<Vec<f64>> {
+        const LEVELS: [f64; 6] = [0.0, 0.25, 0.5, 0.5 + EPS / 4.0, 0.5 - EPS / 2.0, 1.0];
+        (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|_| match (i < real, rng.gen_range(0..3)) {
+                        (false, _) => 0.0,
+                        (true, 0) => rng.gen_range(0.0..1.0),
+                        (true, _) => LEVELS[rng.gen_range(0..LEVELS.len())],
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Kuhn–Munkres rounds on a random square θ, from the empty
+        /// matching to a perfect one: at every round, every free root's
+        /// one-pass tree has the bit-identical labels, column parents and
+        /// endpoints of the three-pass tree. Each round commits a random
+        /// root's random augmenting path, so every matching size is met.
+        #[test]
+        fn one_pass_trees_equal_three_pass_trees(
+            seed in 0u64..1 << 32,
+            n in 1usize..10,
+            dummies in 0usize..4,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let theta = random_theta(&mut rng, n, n.saturating_sub(dummies).max(1));
+            let mut l1: Vec<f64> = theta
+                .iter()
+                .map(|row| row.iter().copied().fold(0.0, f64::max))
+                .collect();
+            let mut l2 = vec![0.0; n];
+            let mut match_row: Vec<Option<usize>> = vec![None; n];
+            let mut match_col: Vec<Option<usize>> = vec![None; n];
+            let mut tree = Tree::new(n);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            for _ in 0..n {
+                let roots: Vec<usize> = (0..n).filter(|&r| match_row[r].is_none()).collect();
+                for &root in &roots {
+                    tree.grow(root, &theta, &l1, &l2, &match_col);
+                    let (w1, w2, parents, ends) = alternating_tree(root, &theta, &l1, &l2, &match_col);
+                    prop_assert_eq!(bits(&tree.l1), bits(&w1));
+                    prop_assert_eq!(bits(&tree.l2), bits(&w2));
+                    prop_assert_eq!(&tree.parent_col, &parents);
+                    prop_assert_eq!(&tree.endpoints, &ends);
+                }
+                let root = roots[rng.gen_range(0..roots.len())];
+                tree.grow(root, &theta, &l1, &l2, &match_col);
+                let endpoint = tree.endpoints[rng.gen_range(0..tree.endpoints.len())];
+                l1.clone_from(&tree.l1);
+                l2.clone_from(&tree.l2);
+                let path: Vec<(usize, usize)> = augmenting_path(&match_row, &tree, endpoint).collect();
+                for (i, j) in path {
+                    match_row[i] = Some(j);
+                    match_col[j] = Some(i);
+                }
+            }
+            prop_assert!(match_row.iter().all(Option::is_some));
+        }
     }
 
     fn logs() -> (EventLog, EventLog) {

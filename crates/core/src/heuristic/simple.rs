@@ -58,11 +58,12 @@ impl SimpleHeuristic {
         let order = ctx.pattern_index().expansion_order();
         let mut mapping = Mapping::empty(ctx.n1(), ctx.n2());
         let mut g = 0.0;
+        let mut table = ParentTable::new(ctx, self.bound);
 
         'levels: for &a in &order {
             eval.step(1);
             let mut best: Option<(f64, f64, evematch_eventlog::EventId)> = None;
-            let mut table = ParentTable::new(ctx, &mapping, self.bound);
+            table.refill(ctx, &mapping);
             for b in mapping.unused_targets() {
                 if !eval.meter_mut().charge_processed() {
                     // Budget tripped mid-level: drop the half-ranked level

@@ -9,11 +9,27 @@ use evematch_eventlog::EventId;
 ///
 /// Stored densely: `slot v1 = Some(v2)` means `M(v1) = v2`. Injectivity is
 /// enforced on every insertion.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+#[derive(Debug, PartialEq, Eq, Hash)]
 pub struct Mapping {
     image: Vec<Option<EventId>>,
     /// `used[v2]` — whether `v2` is already an image.
     used: Vec<bool>,
+}
+
+impl Clone for Mapping {
+    fn clone(&self) -> Self {
+        Mapping {
+            image: self.image.clone(),
+            used: self.used.clone(),
+        }
+    }
+
+    /// Copies `source` into this mapping's storage, allocating only when it
+    /// is too small.
+    fn clone_from(&mut self, source: &Self) {
+        self.image.clone_from(&source.image);
+        self.used.clone_from(&source.used);
+    }
 }
 
 impl Mapping {

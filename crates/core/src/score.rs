@@ -8,6 +8,7 @@ use evematch_pattern::PatternShape;
 
 use crate::bounds::{
     pattern_bound, target_bit, unfixed_count, BoundKind, BoundPrecomp, PatternBound, PruneCounts,
+    PruneReason,
 };
 use crate::context::MatchContext;
 use crate::evaluator::{special_d, Evaluator};
@@ -112,78 +113,155 @@ fn score_walk(eval: &mut Evaluator<'_>, m: &Mapping, bound: BoundKind, with_g: b
     (g, h)
 }
 
-/// One pattern's contribution under a [`ParentTable`]'s base mapping: its
-/// unfixed-event count and its bound. Once a vertex or edge pattern is
-/// complete, the bound's value is its `d(p)`; a complete complex pattern
-/// is always re-read through the evaluator's memo, so its value is unused.
-#[derive(Clone, Copy, Debug)]
-struct Contribution {
-    unfixed: u32,
-    bound: PatternBound,
-}
-
 /// Every pattern's contribution under a base mapping, against which the
 /// search rescores each candidate that extends the base by one more used
 /// target (an A\* child `M + (a→b)`, or a Kuhn–Munkres augmentation).
 ///
+/// The table is one dense [`Entry`] per pattern in pattern order (unfixed
+/// count, stored bound or `d`, read mask, fixed-image minimum, `f_e(U2)`
+/// read, prune reason) plus the base's open patterns and their prune
+/// tallies. One table serves a whole solve: each pop, level or round
+/// [`refill`](Self::refill)s it in place.
+///
 /// A candidate recomputes only the patterns its step can change: those
 /// holding a moved source event, those whose size-rule outcome flips as
-/// `|U2|` shrinks by one, and those whose bound read the newly used
-/// target. Every other pattern reuses its stored value and re-counts its
-/// stored prune reason. `g` and `h` are still summed over every pattern
-/// in pattern order, so they are bit-identical to [`score_partial`]'s, and
-/// so are the `bounds.pruned.*` counters. A candidate whose `f_n(U2)` or
-/// `f_e(U2)` differs from the base's is rescored from scratch.
+/// `|U2|` shrinks by one, those whose bound read the newly used target,
+/// and, when the step lowers `f_n(U2)` or `f_e(U2)`, those whose
+/// fixed-image minimum exceeds the new `f_n(U2)` or that read `f_e(U2)`.
+/// Every other pattern adds its stored value. `g` and `h` are still summed
+/// in pattern order, so they are bit-identical to [`score_partial`]'s: a
+/// Kuhn–Munkres candidate walks every pattern and feeds `+0.0` to the sum
+/// a pattern does not belong to, which is exact because every stored
+/// value, hence every partial sum, is non-negative. The `bounds.pruned.*`
+/// counts are the base's tallies plus the recomputed patterns' changes.
 pub(crate) struct ParentTable {
     bound: BoundKind,
     base: Mapping,
     pre: BoundPrecomp,
-    entries: Vec<Contribution>,
-    /// Marks the patterns holding a moved source of the candidate being
-    /// rescored (cleared again before [`Self::rescore`] returns).
-    touched: Vec<bool>,
+    /// One entry per pattern, in pattern order.
+    entries: Vec<Entry>,
+    /// The base's open patterns, ascending.
+    open: Vec<u32>,
+    /// The base's prune reasons, tallied over its open patterns.
+    tallies: PruneCounts,
+}
+
+/// One pattern's row of a [`ParentTable`].
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    /// `Δ(p)` of an open pattern, `d(p)` of a complete vertex or edge
+    /// pattern, `0` for a complete complex one (re-read through the
+    /// evaluator's memo).
+    value: f64,
+    /// [`PatternBound::fixed_min`] (`−∞` once complete).
+    fixed_min: f64,
+    /// [`PatternBound::reads`] (`0` once complete).
+    reads: u64,
+    /// Unfixed events under the base.
+    unfixed: u32,
+    /// [`PatternBound::pruned`].
+    pruned: Option<PruneReason>,
+    /// [`PatternBound::reads_fe`].
+    reads_fe: bool,
+    /// Whether the pattern is complex: its `d` always comes from the
+    /// evaluator.
+    complex: bool,
+    /// Whether the pattern holds a moved source of the candidate being
+    /// rescored (cleared again before [`ParentTable::rescore`] returns).
+    touched: bool,
+}
+
+/// What one step changes beyond the moved sources' patterns.
+struct Step {
+    /// The read-mask bit of the newly used target.
+    bit: u64,
+    /// Under the base, a pattern with exactly `|U2|` unfixed events passes
+    /// the size rule; with one target fewer it fails it. (An unmoved
+    /// pattern's unfixed events are unmapped sources other than the moved
+    /// ones, so while `|U1| ≤ |U2|` this never happens; the check keeps the
+    /// table exact without relying on that.)
+    flips: u32,
+    /// The lowered `f_n(U2)`, or `+∞` when it is unchanged.
+    fn_cut: f64,
+    /// Whether `f_e(U2)` dropped.
+    fe_dropped: bool,
+}
+
+impl Entry {
+    /// Whether the stored contribution may not hold after `step` (see
+    /// [`PatternBound`] for when it provably does).
+    #[inline]
+    fn is_dirty(&self, step: &Step) -> bool {
+        self.touched
+            || self.unfixed == step.flips
+            || self.reads & step.bit != 0
+            || self.fixed_min > step.fn_cut
+            || (self.reads_fe && step.fe_dropped)
+    }
 }
 
 impl ParentTable {
-    /// The table of `base`. Side-effect free: no support is evaluated and
-    /// no counter moves, so building it never changes a run's metrics.
-    pub(crate) fn new(ctx: &MatchContext, base: &Mapping, bound: BoundKind) -> Self {
-        let tables = ctx.bound_tables();
-        let pre = BoundPrecomp::new(base, tables);
-        let entries = ctx
-            .patterns()
-            .iter()
-            .map(|ep| {
-                let unfixed = unfixed_count(ep, base);
-                let bound = if unfixed == 0 {
-                    PatternBound {
-                        value: special_d(ctx, ep, base).flatten().unwrap_or(0.0),
-                        pruned: None,
-                        reads: 0,
-                    }
-                } else {
-                    pattern_bound(bound, ep, unfixed, base, tables, &pre)
-                };
-                Contribution { unfixed, bound }
-            })
-            .collect();
+    /// An empty table for `ctx`'s patterns under `bound`; [`Self::refill`]
+    /// sets its base.
+    pub(crate) fn new(ctx: &MatchContext, bound: BoundKind) -> Self {
+        let len = ctx.patterns().len();
+        let base = Mapping::empty(ctx.n1(), ctx.n2());
         ParentTable {
             bound,
-            base: base.clone(),
-            pre,
-            entries,
-            touched: vec![false; ctx.patterns().len()],
+            pre: BoundPrecomp::new(&base, ctx.bound_tables()),
+            base,
+            entries: Vec::with_capacity(len),
+            open: Vec::with_capacity(len),
+            tallies: PruneCounts::default(),
+        }
+    }
+
+    /// Makes `base` the table's base, reusing its storage. Side-effect
+    /// free: no support is evaluated and no counter moves, so refilling
+    /// never changes a run's metrics.
+    pub(crate) fn refill(&mut self, ctx: &MatchContext, base: &Mapping) {
+        let tables = ctx.bound_tables();
+        self.base.clone_from(base);
+        self.pre = BoundPrecomp::new(base, tables);
+        self.entries.clear();
+        self.open.clear();
+        self.tallies = PruneCounts::default();
+        for (i, ep) in ctx.patterns().iter().enumerate() {
+            let unfixed = unfixed_count(ep, base);
+            let b = if unfixed == 0 {
+                PatternBound::constant(special_d(ctx, ep, base).flatten().unwrap_or(0.0), None)
+            } else {
+                self.open.push(i as u32);
+                let b = pattern_bound(self.bound, ep, unfixed, base, tables, &self.pre);
+                self.tallies.add(b.pruned);
+                b
+            };
+            debug_assert!(
+                b.value.is_finite() && b.value >= 0.0,
+                "the +0.0 argument needs finite non-negative contributions"
+            );
+            self.entries.push(Entry {
+                value: b.value,
+                fixed_min: b.fixed_min,
+                reads: b.reads,
+                unfixed,
+                pruned: b.pruned,
+                reads_fe: b.reads_fe,
+                complex: matches!(ep.shape, PatternShape::Complex),
+                touched: false,
+            });
         }
     }
 
     /// `(g, h)` of `m`, which must equal the base except at the sources
     /// `moved`. `g` is summed only `with_g` (A\* tracks it incrementally
-    /// and never re-reads a complete pattern); otherwise it is `0`.
+    /// and never re-reads a complete pattern); otherwise it is `0`, every
+    /// moved source must be mapped in `m`, and only the base's open
+    /// patterns are walked.
     ///
     /// The table serves a step that uses exactly one more target and frees
     /// none; any other step (a Kuhn–Munkres path through a dummy row can
-    /// free one) is scored from scratch, as is a step that changes
-    /// `f_n(U2)` or `f_e(U2)`.
+    /// free one) is scored from scratch.
     pub(crate) fn rescore(
         &mut self,
         eval: &mut Evaluator<'_>,
@@ -197,11 +275,14 @@ impl ParentTable {
                 .all(|e| moved.contains(&e) || m.get(e) == self.base.get(e)),
             "the step may only change the moved sources"
         );
+        debug_assert!(
+            with_g || moved.iter().all(|&a| m.is_mapped(a)),
+            "a step scored without g keeps every complete pattern complete"
+        );
         let Some(new_target) = self.new_target(m, moved) else {
             return score_walk(eval, m, self.bound, with_g);
         };
         let ctx = eval.context();
-        let tables = ctx.bound_tables();
         let bit = target_bit(new_target);
         let pre = if self.pre.reads & bit == 0 {
             BoundPrecomp {
@@ -209,61 +290,87 @@ impl ParentTable {
                 ..self.pre
             }
         } else {
-            let pre = BoundPrecomp::new(m, tables);
-            if !float_ord::total_eq(pre.fn_u2, self.pre.fn_u2)
-                || !float_ord::total_eq(pre.fe_u2, self.pre.fe_u2)
-            {
-                return score_walk(eval, m, self.bound, with_g);
-            }
-            pre
+            BoundPrecomp::new(m, ctx.bound_tables())
         };
         debug_assert_eq!(pre.unused + 1, self.pre.unused);
+        let fn_dropped = !float_ord::total_eq(pre.fn_u2, self.pre.fn_u2);
+        let step = Step {
+            bit,
+            flips: self.pre.unused as u32,
+            fn_cut: if fn_dropped { pre.fn_u2 } else { f64::INFINITY },
+            fe_dropped: !float_ord::total_eq(pre.fe_u2, self.pre.fe_u2),
+        };
         let index = ctx.pattern_index();
         for &a in moved {
             for &p in index.patterns_of(a) {
-                self.touched[p] = true;
+                self.entries[p].touched = true;
             }
         }
-        // Under the base, a pattern with exactly |U2| unfixed events passes
-        // the size rule; with one target fewer it fails it. (An unmoved
-        // pattern's unfixed events are unmapped sources other than the
-        // moved ones, so while |U1| ≤ |U2| this never happens; the check
-        // keeps the table exact without relying on that.)
-        let flips = self.pre.unused as u32;
+        let mut prunes = self.tallies;
         let (mut g, mut h) = (0.0, 0.0);
-        let mut prunes = PruneCounts::default();
-        for (i, (ep, e)) in ctx.patterns().iter().zip(&self.entries).enumerate() {
-            let touched = self.touched[i];
-            let unfixed = if touched {
-                unfixed_count(ep, m)
-            } else {
-                e.unfixed
-            };
-            if unfixed == 0 {
-                if with_g {
-                    if !touched && !matches!(ep.shape, PatternShape::Complex) {
-                        g += e.bound.value;
-                    } else if let Some(d) = eval.d(i, m) {
+        if with_g {
+            for (i, e) in self.entries.iter().enumerate() {
+                if e.is_dirty(&step) {
+                    let (dg, dh) = self.recompute(eval, i, m, &pre, &mut prunes, true);
+                    g += dg;
+                    h += dh;
+                } else if e.unfixed == 0 && e.complex {
+                    if let Some(d) = eval.d(i, m) {
                         g += d;
                     }
+                } else {
+                    let open = e.unfixed != 0;
+                    g += if open { 0.0 } else { e.value };
+                    h += if open { e.value } else { 0.0 };
                 }
-                continue;
             }
-            let b = if touched || e.unfixed == flips || e.bound.reads & bit != 0 {
-                pattern_bound(self.bound, ep, unfixed, m, tables, &pre)
-            } else {
-                e.bound
-            };
-            h += b.value;
-            prunes.add(b.pruned);
+        } else {
+            for &i in &self.open {
+                let (i, e) = (i as usize, &self.entries[i as usize]);
+                h += if e.is_dirty(&step) {
+                    self.recompute(eval, i, m, &pre, &mut prunes, false).1
+                } else {
+                    e.value
+                };
+            }
         }
         for &a in moved {
             for &p in index.patterns_of(a) {
-                self.touched[p] = false;
+                self.entries[p].touched = false;
             }
         }
         eval.count_prunes(&prunes);
         (g, h)
+    }
+
+    /// Pattern `i`'s `(g, h)` contributions under `m` (one of them `0`),
+    /// moving its prune reason in `prunes` from the base's to `m`'s. Kept
+    /// out of line, so the walk over clean patterns stays a short loop.
+    #[inline(never)]
+    fn recompute(
+        &self,
+        eval: &mut Evaluator<'_>,
+        i: usize,
+        m: &Mapping,
+        pre: &BoundPrecomp,
+        prunes: &mut PruneCounts,
+        with_g: bool,
+    ) -> (f64, f64) {
+        let ctx = eval.context();
+        let (ep, e) = (&ctx.patterns()[i], &self.entries[i]);
+        let unfixed = if e.touched {
+            unfixed_count(ep, m)
+        } else {
+            e.unfixed
+        };
+        prunes.remove(e.pruned);
+        if unfixed == 0 {
+            let d = if with_g { eval.d(i, m) } else { None };
+            return (d.unwrap_or(0.0), 0.0);
+        }
+        let b = pattern_bound(self.bound, ep, unfixed, m, ctx.bound_tables(), pre);
+        prunes.add(b.pruned);
+        (0.0, b.value)
     }
 
     /// The one target `m` uses beyond the base, or `None` when the step
@@ -514,7 +621,8 @@ mod tests {
             }
             for bound in [BoundKind::Simple, BoundKind::Tight] {
                 for with_g in [false, true] {
-                    let mut table = ParentTable::new(&ctx, &base, bound);
+                    let mut table = ParentTable::new(&ctx, bound);
+                    table.refill(&ctx, &base);
                     let (mut inc, mut fresh) = (Evaluator::new(&ctx), Evaluator::new(&ctx));
                     for (m, moved) in &steps {
                         let (g, h) = table.rescore(&mut inc, m, moved, with_g);

@@ -26,6 +26,9 @@ use crate::method::{Method, RunOutcome};
 
 /// Everything the grid aggregation needs from one method's run on one
 /// `(x, seed)` job — the unit stored in the checkpoint journal.
+///
+/// A change to its JSON, the embedded metrics and profile included, bumps
+/// [`RECORD_SHAPE`].
 #[derive(Clone, Debug, PartialEq)]
 pub(crate) struct MethodRecord {
     /// Paper-faithful F-measure (meaningful only when `finished`).
@@ -142,9 +145,18 @@ impl MethodRecord {
     }
 }
 
+/// The shape of a journaled [`MethodRecord`], the first field of the grid
+/// fingerprint. A journal written with another shape then fails at its
+/// header and is rebuilt once (`journal_rebuilt.context_changed`), instead
+/// of having every entry quarantined as malformed or, when an old entry
+/// still parses, replayed as current. Shape 2: the embedded profile's
+/// nodes hold calls, pops and walls only.
+pub(crate) const RECORD_SHAPE: u32 = 2;
+
 /// The grid-identity string journal entries are stamped with. Any change
-/// to the grid's shape or configuration changes the fingerprint, which
-/// invalidates old journal entries (they are skipped, not misapplied).
+/// to the record shape or to the grid's shape or configuration changes the
+/// fingerprint, which invalidates old journal entries (they are skipped,
+/// not misapplied).
 pub(crate) fn grid_fingerprint(
     figure: &str,
     x_label: &str,
@@ -156,7 +168,7 @@ pub(crate) fn grid_fingerprint(
 ) -> String {
     let names: Vec<&str> = methods.iter().map(Method::name).collect();
     format!(
-        "v1|{figure}|{x_label}|xs={xs:?}|methods={names:?}|seeds={seeds:?}|traces={traces}|budget={budget:?}"
+        "v{RECORD_SHAPE}|{figure}|{x_label}|xs={xs:?}|methods={names:?}|seeds={seeds:?}|traces={traces}|budget={budget:?}"
     )
 }
 

@@ -646,6 +646,7 @@ fn perm_matches(perm: &[usize], mapping: &Mapping) -> bool {
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
+    use evematch_core::telemetry::json;
 
     fn tiny_cfg() -> SweepConfig {
         SweepConfig {
@@ -832,6 +833,67 @@ mod tests {
             "the rebuilt header carries the new context"
         );
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn journal_of_an_older_record_shape_is_rebuilt_not_quarantined() {
+        let dir = std::env::temp_dir().join(format!("evematch-ckpt-shape-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let reference = ckpt_grid(&ckpt_cfg(None));
+        let cfg = ckpt_cfg(Some(dir.clone()));
+        ckpt_grid(&cfg);
+
+        // Rewrite the journal as a build of record shape 1 wrote it: the
+        // same grid's entries under the `v1|` fingerprint, behind a header
+        // for that fingerprint.
+        let methods = [Method::Vertex, Method::PatternTight];
+        let current = checkpoint::grid_fingerprint(
+            "FigT",
+            "#events",
+            &[3, 4],
+            &methods,
+            &cfg.seeds,
+            cfg.traces,
+            &cfg.budget,
+        );
+        let old = current.replacen(&format!("v{}|", checkpoint::RECORD_SHAPE), "v1|", 1);
+        assert_ne!(old, current);
+        let quoted = |fp: &str| {
+            let mut out = String::new();
+            json::push_string(&mut out, fp);
+            out
+        };
+        let journal = dir.join("FigT.journal");
+        let text = std::fs::read_to_string(&journal).unwrap();
+        let mut lines = vec![journal::journal_header(&old)];
+        for line in text.lines().skip(1) {
+            let payload = journal::verify_record(line).unwrap();
+            assert!(payload.contains(&quoted(&current)));
+            lines.push(journal::frame_record(&payload.replacen(
+                &quoted(&current),
+                &quoted(&old),
+                1,
+            )));
+        }
+        assert_eq!(lines.len(), 5, "header + 4 jobs");
+        std::fs::write(&journal, lines.join("\n") + "\n").unwrap();
+
+        // The resume rebuilds the journal once at its header: no entry is
+        // quarantined, and the panels equal a fresh run's.
+        let resumed = ckpt_grid(&cfg);
+        assert_eq!(det_panels(&reference), det_panels(&resumed));
+        let integrity: Vec<(String, u64)> = resumed
+            .faults
+            .telemetry()
+            .into_iter()
+            .filter(|(k, _)| k.starts_with("integrity."))
+            .collect();
+        assert_eq!(
+            integrity,
+            [("integrity.journal_rebuilt.context_changed".to_owned(), 1)]
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

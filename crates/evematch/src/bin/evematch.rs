@@ -372,7 +372,9 @@ fn run(opts: &Options) -> Result<bool, String> {
         config = config.with_beacon(b.clone());
     }
 
-    let heartbeat = beacon.as_ref().map(|b| Heartbeat::start(b.clone()));
+    let heartbeat = beacon
+        .as_ref()
+        .map(|b| Heartbeat::start(b.clone(), std::io::stderr()));
     let outcome = match opts.method.as_str() {
         "exact" | "vertex" | "vertex-edge" => {
             ExactMatcher::new(opts.bound).solve_with(&ctx, &config)
@@ -465,10 +467,10 @@ fn write_artifact(faults: &fault::Faults, path: &str, bytes: &[u8]) -> Result<()
     persist::write_artifact(faults, "cli.artifact", path, bytes).map_err(|e| format!("{path}: {e}"))
 }
 
-/// A stderr heartbeat printed about once a second while the solver runs
-/// (`--progress`): the innermost open profiler phase and the solver's step
-/// count from the attached [`ProgressBeacon`], plus the step rate since
-/// the previous beat.
+/// A heartbeat line written about once a second while the solver runs
+/// (`--progress`, to stderr): the innermost open profiler phase and the
+/// solver's step count from the attached [`ProgressBeacon`], plus the step
+/// rate since the previous beat.
 /// Dropping it stops the thread; the 200 ms poll keeps the drop latency
 /// low without spamming stderr.
 struct Heartbeat {
@@ -477,7 +479,10 @@ struct Heartbeat {
 }
 
 impl Heartbeat {
-    fn start(beacon: std::sync::Arc<ProgressBeacon>) -> Self {
+    fn start(
+        beacon: std::sync::Arc<ProgressBeacon>,
+        mut out: impl std::io::Write + Send + 'static,
+    ) -> Self {
         use std::sync::atomic::{AtomicBool, Ordering};
         let stop = std::sync::Arc::new(AtomicBool::new(false));
         let seen = stop.clone();
@@ -504,7 +509,9 @@ impl Heartbeat {
                     last_steps = steps;
                     last_t = std::time::Instant::now();
                     let phase = if path.is_empty() { "idle" } else { &path };
-                    eprintln!(
+                    // A lost progress line is not worth failing the run.
+                    let _ = writeln!(
+                        out,
                         "evematch: [{phase}] {steps} steps ({rate:.0}/s, {:.1}s elapsed)",
                         started.elapsed().as_secs_f64()
                     );
@@ -592,5 +599,82 @@ fn main() -> ExitCode {
                 ExitCode::FAILURE
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::{Arc, Mutex};
+
+    /// A writer whose bytes the test can read after the thread is done.
+    #[derive(Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Shared {
+        fn text(&self) -> String {
+            String::from_utf8(self.0.lock().unwrap().clone()).unwrap()
+        }
+    }
+
+    /// The first beat, about a second in, reports the beacon's open phase
+    /// and the solver's step count in the documented form; the heartbeat
+    /// is stopped 0.1 s later, before a second beat.
+    #[test]
+    fn heartbeat_writes_one_line_per_second_with_phase_and_steps() {
+        let mut b1 = LogBuilder::new();
+        b1.push_named_trace(["A", "B", "C"]);
+        let mut b2 = LogBuilder::new();
+        b2.push_named_trace(["x", "y", "z"]);
+        let set = PatternSetBuilder::new().vertices().edges();
+        let ctx = MatchContext::new(b1.build(), b2.build(), set).unwrap();
+        let beacon = Arc::new(ProgressBeacon::new());
+        let config = EvalConfig::from_budget(Budget::UNLIMITED).with_beacon(beacon.clone());
+        let outcome = SimpleHeuristic::new(BoundKind::Tight).solve_with(&ctx, &config);
+        let steps = outcome.metrics.counters["search.levels"];
+        assert_eq!(steps, 3);
+        let mut phases = PhaseProfiler::new();
+        phases.attach_beacon(beacon.clone());
+        phases.open("emit");
+
+        let out = Shared::default();
+        let heartbeat = Heartbeat::start(beacon, out.clone());
+        // Poll for the first complete line (the beat lands about a second
+        // in), then stop the heartbeat 0.1 s later.
+        for _ in 0..1000 {
+            if out.text().contains('\n') {
+                break;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        std::thread::sleep(Duration::from_millis(100));
+        drop(heartbeat);
+
+        let text = out.text();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 1, "exactly one beat: {text:?}");
+        let rest = lines[0]
+            .strip_prefix(&format!("evematch: [emit] {steps} steps ("))
+            .unwrap_or_else(|| panic!("unexpected line {:?}", lines[0]));
+        let (rate, elapsed) = rest.split_once("/s, ").unwrap();
+        assert!(rate.parse::<u64>().is_ok(), "rate {rate:?}");
+        let secs = elapsed.strip_suffix("s elapsed)").unwrap();
+        let (whole, tenths) = secs.split_once('.').unwrap();
+        assert!(
+            whole.parse::<u64>().is_ok() && tenths.len() == 1,
+            "elapsed {secs:?}"
+        );
+        phases.close_all();
     }
 }
